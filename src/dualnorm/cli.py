@@ -87,6 +87,8 @@ class SuiteConfig:
             raise ConfigError("p_list must be non-empty")
         if self.family not in (*FAMILIES, "both"):
             raise ConfigError(f"unknown family {self.family!r}")
+        if self.tol_override is not None and not 0.0 <= self.tol_override < math.inf:
+            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol_override}")
         object.__setattr__(self, "p_list", tuple(ExponentP.parse(p) for p in self.p_list))
 
     @property
@@ -94,179 +96,108 @@ class SuiteConfig:
         return FAMILIES if self.family == "both" else (self.family,)
 
 
+def _draw(cfg: SuiteConfig, *parts):
+    return random_field(cfg.dual, mix_seed(cfg.seed, cfg.suite, *parts))
+
+
 def _pair(cfg: SuiteConfig, *parts):
-    a = random_field(cfg.dual, mix_seed(cfg.seed, cfg.suite, *parts, "a"))
-    b = random_field(cfg.dual, mix_seed(cfg.seed, cfg.suite, *parts, "b"))
-    return a, b
+    return _draw(cfg, *parts, "a"), _draw(cfg, *parts, "b")
 
 
-def _ptag(p: ExponentP) -> str:
-    return str(p)
+def _interior(cfg: SuiteConfig) -> list[ExponentP]:
+    """The exponents of the run strictly inside (1, inf)."""
+    return [p for p in cfg.p_list if 1.0 < p.value < math.inf]
 
 
-def _finite_interior(p: ExponentP) -> bool:
-    return 1.0 < p.value < math.inf
+def _report(make, cfg: SuiteConfig, case_id, p, lhs, rhs, digest, anchor, rel=TOL_REL):
+    """A suite-level report from ``make`` with tolerance ``rel * max(1, |rhs|)``."""
+    tol = rel * max(1.0, abs(rhs))
+    return make(cfg.suite, case_id, float(p), lhs, rhs, tol, digest, anchor)
 
 
 def _suite_norms(cfg: SuiteConfig):
-    reports = []
     for p in cfg.p_list:
-        tag = _ptag(p)
         for k in range(cfg.trials):
-            h1, h2 = _pair(cfg, tag, k)
-            reports.append(
-                embedding_check(h1, p, suite="norms", case_id=f"embedding[p={tag}][{k:04d}]")
-            )
+            h1, h2 = _pair(cfg, p, k)
+            yield embedding_check(h1, p, suite=cfg.suite, case_id=f"embedding[p={p}][{k:04d}]")
+            alpha = 0.5 + ((k % 7) + 1) * 0.25
             for family in cfg.families:
                 n1 = field_norm(h1, p, family)
                 n2 = field_norm(h2, p, family)
-                nsum = field_norm(h1 + h2, p, family)
-                digest = digest_inputs(encode_field(h1), encode_field(h2), p.value, family)
-                reports.append(
-                    inequality_report(
-                        "norms",
-                        f"triangle.{family}[p={tag}][{k:04d}]",
-                        float(p),
-                        nsum,
-                        n1 + n2,
-                        TOL_REL * max(1.0, n1 + n2),
-                        digest,
-                        "triangle",
-                    )
+                yield _report(
+                    inequality_report, cfg, f"triangle.{family}[p={p}][{k:04d}]", p,
+                    field_norm(h1 + h2, p, family), n1 + n2,
+                    digest_inputs(h1, h2, p.value, family), "triangle",
                 )
-                alpha = 0.5 + ((k % 7) + 1) * 0.25
-                digest = digest_inputs(encode_field(h1), p.value, family, alpha)
-                reports.append(
-                    equality_report(
-                        "norms",
-                        f"homogeneity.{family}[p={tag}][{k:04d}]",
-                        float(p),
-                        field_norm(alpha * h1, p, family),
-                        alpha * n1,
-                        TOL_REL * max(1.0, alpha * n1),
-                        digest,
-                        "homogeneity",
-                    )
+                yield _report(
+                    equality_report, cfg, f"homogeneity.{family}[p={p}][{k:04d}]", p,
+                    field_norm(alpha * h1, p, family), alpha * n1,
+                    digest_inputs(h1, p.value, family, alpha), "homogeneity",
                 )
     for k in range(cfg.trials):
-        h1, _ = _pair(cfg, "p2", k)
-        digest = digest_inputs(encode_field(h1))
-        reports.append(
-            equality_report(
-                "norms",
-                f"p2_coincidence[{k:04d}]",
-                2.0,
-                lp_sch_norm(h1, 2.0),
-                lp_hs_norm(h1, 2.0),
-                1e-12 * max(1.0, lp_hs_norm(h1, 2.0)),
-                digest,
-                "p2_coincidence",
-            )
+        h = _draw(cfg, "p2", k, "a")
+        yield _report(
+            equality_report, cfg, f"p2_coincidence[{k:04d}]", 2.0,
+            lp_sch_norm(h, 2.0), lp_hs_norm(h, 2.0), digest_inputs(h), "p2_coincidence",
+            rel=1e-12,
         )
-    return reports
 
 
 def _suite_holder(cfg: SuiteConfig):
-    reports = []
     inf = ExponentP(math.inf)
     for p in cfg.p_list:
-        tag = _ptag(p)
-        q = p.conjugate()
         for k in range(cfg.trials):
-            h1, h2 = _pair(cfg, tag, k)
-            reports.append(
-                holder_check(h1, h2, p, q, suite="holder", case_id=f"conjugate[p={tag}][{k:04d}]")
-            )
+            h1, h2 = _pair(cfg, p, k)
+            cases = [
+                (p, p.conjugate(), f"conjugate[p={p}][{k:04d}]"),
+                (inf, inf, f"inf_both[{k:04d}][p={p}]"),
+            ]
             if not p.is_inf:
-                reports.append(
-                    holder_check(
-                        h1, h2, inf, p, suite="holder", case_id=f"inf_left[r={tag}][{k:04d}]"
-                    )
-                )
-            reports.append(
-                holder_check(
-                    h1, h2, inf, inf, suite="holder", case_id=f"inf_both[{k:04d}][p={tag}]"
-                )
-            )
-    return reports
+                cases.append((inf, p, f"inf_left[r={p}][{k:04d}]"))
+            for a, b, case_id in cases:
+                yield holder_check(h1, h2, a, b, suite=cfg.suite, case_id=case_id)
 
 
 def _suite_adjoint(cfg: SuiteConfig):
-    reports = []
     for p in cfg.p_list:
-        tag = _ptag(p)
         for family in cfg.families:
             for k in range(cfg.trials):
-                h, _ = _pair(cfg, tag, family, k)
-                reports.append(
-                    adjoint_norm_check(
-                        h, p, family, suite="adjoint", case_id=f"{family}[p={tag}][{k:04d}]"
-                    )
+                h = _draw(cfg, p, family, k, "a")
+                yield adjoint_norm_check(
+                    h, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
                 )
-    return reports
 
 
 def _suite_duality(cfg: SuiteConfig):
-    reports = []
     for p in cfg.p_list:
         if p.is_inf:
             continue
-        tag = _ptag(p)
-        q = p.conjugate()
         for k in range(cfg.trials):
-            h, other = _pair(cfg, tag, k)
+            h, other = _pair(cfg, p, k)
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
-            digest = digest_inputs(encode_field(h), p.value)
-            reports.append(
-                equality_report(
-                    "duality",
-                    f"extremizer_unit[p={tag}][{k:04d}]",
-                    float(p),
-                    lp_sch_norm(f, q),
-                    1.0,
-                    1e-9,
-                    digest,
-                    "extremizer",
-                )
+            digest = digest_inputs(h, p.value)
+            yield _report(
+                equality_report, cfg, f"extremizer_unit[p={p}][{k:04d}]", p,
+                lp_sch_norm(f, p.conjugate()), 1.0, digest, "extremizer", rel=1e-9,
             )
-            reports.append(
-                equality_report(
-                    "duality",
-                    f"extremizer_pairing[p={tag}][{k:04d}]",
-                    float(p),
-                    abs(pairing(h, f)),
-                    norm,
-                    1e-9 * max(1.0, norm),
-                    digest,
-                    "extremizer",
-                )
+            yield _report(
+                equality_report, cfg, f"extremizer_pairing[p={p}][{k:04d}]", p,
+                abs(pairing(h, f)), norm, digest, "extremizer", rel=1e-9,
             )
             probe = dual_norm_via_search(
-                h, p, trials=5, seed=mix_seed(cfg.seed, "duality", tag, k, "probe"),
+                h, p, trials=5, seed=mix_seed(cfg.seed, cfg.suite, p, k, "probe"),
                 include_extremizer=False,
             )
-            reports.append(
-                inequality_report(
-                    "duality",
-                    f"search_bound[p={tag}][{k:04d}]",
-                    float(p),
-                    probe,
-                    norm,
-                    TOL_REL * max(1.0, norm),
-                    digest,
-                    "dual_supremum",
-                )
+            yield _report(
+                inequality_report, cfg, f"search_bound[p={p}][{k:04d}]", p,
+                probe, norm, digest, "dual_supremum",
             )
-            if _finite_interior(p):
-                f2 = dual_extremizer(other, p)
-                reports.append(
-                    direct_sum_dual_pair_check(
-                        h, other, f, f2, p, DirectSumSpec(ExponentP(1.5), 3.0),
-                        suite="duality", case_id=f"direct_sum[p={tag}][{k:04d}]",
-                    )
+            if p.value > 1.0:
+                yield direct_sum_dual_pair_check(
+                    h, other, f, dual_extremizer(other, p), p, DirectSumSpec(ExponentP(1.5), 3.0),
+                    suite=cfg.suite, case_id=f"direct_sum[p={p}][{k:04d}]",
                 )
-    return reports
 
 
 def _interp_spec_for(p: ExponentP) -> InterpSpec:
@@ -278,235 +209,125 @@ def _interp_spec_for(p: ExponentP) -> InterpSpec:
 
 
 def _suite_interpolation(cfg: SuiteConfig):
-    reports = []
-    for p in cfg.p_list:
-        if not _finite_interior(p):
-            continue
-        tag = _ptag(p)
+    for p in _interior(cfg):
         spec = _interp_spec_for(p)
         for k in range(cfg.trials):
-            h, f = _pair(cfg, tag, k)
+            h, f = _pair(cfg, p, k)
             norms0, norms1 = boundary_witness_norms(h, spec)
-            worst = max(norms0 + norms1, key=lambda v: abs(v - 1.0))
-            digest = digest_inputs(encode_field(h), spec.p0.value, spec.p1.value, spec.theta)
-            reports.append(
-                equality_report(
-                    "interpolation",
-                    f"boundary_norms[p={tag}][{k:04d}]",
-                    float(p),
-                    worst,
-                    1.0,
-                    1e-9,
-                    digest,
-                    "boundary_witness",
-                )
+            yield _report(
+                equality_report, cfg, f"boundary_norms[p={p}][{k:04d}]", p,
+                max(norms0 + norms1, key=lambda v: abs(v - 1.0)), 1.0,
+                digest_inputs(h, spec.p0.value, spec.p1.value, spec.theta), "boundary_witness",
+                rel=1e-9,
             )
-            reports.append(
-                three_lines_check(
-                    h, f, spec, suite="interpolation", case_id=f"three_lines[p={tag}][{k:04d}]"
-                )
+            yield three_lines_check(
+                h, f, spec, suite=cfg.suite, case_id=f"three_lines[p={p}][{k:04d}]"
             )
-            reports.append(
-                interp_norm_consistency(
-                    h, spec, suite="interpolation", case_id=f"consistency[p={tag}][{k:04d}]"
-                )
+            yield interp_norm_consistency(
+                h, spec, suite=cfg.suite, case_id=f"consistency[p={p}][{k:04d}]"
             )
-    return reports
 
 
 def _suite_clarkson(cfg: SuiteConfig):
-    reports = []
-    checkers = {"sch": ineq.clarkson_sch_check, "hs": ineq.clarkson_hs_check}
-    for p in cfg.p_list:
-        if not _finite_interior(p):
-            continue
-        tag = _ptag(p)
+    for p in _interior(cfg):
         for k in range(cfg.trials):
-            h1, h2 = _pair(cfg, tag, k)
+            h1, h2 = _pair(cfg, p, k)
             for family in cfg.families:
-                reports.append(
-                    checkers[family](
-                        h1, h2, p, suite="clarkson", case_id=f"{family}[p={tag}][{k:04d}]"
-                    )
+                yield ineq.clarkson_check(
+                    h1, h2, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
                 )
-    return reports
 
 
 def _suite_two_point(cfg: SuiteConfig):
-    reports = []
-    for p in cfg.p_list:
-        if not _finite_interior(p):
-            continue
-        tag = _ptag(p)
+    for p in _interior(cfg):
         for family in cfg.families:
             crits = []
             for k in range(cfg.trials):
-                h1, h2 = _pair(cfg, tag, family, k)
-                reports.append(
-                    ineq.two_point_check(
-                        h1, h2, p, family,
-                        suite="two_point", case_id=f"{family}[p={tag}][{k:04d}]",
-                    )
+                h1, h2 = _pair(cfg, p, family, k)
+                yield ineq.two_point_check(
+                    h1, h2, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
                 )
                 crit = ineq.two_point_critical_constant(h1, h2, p, family)
                 if not math.isnan(crit):
                     crits.append(crit)
                 if p.value == 2.0:
-                    reports.append(
-                        ineq.two_point_equality_check(
-                            h1, h2, family,
-                            suite="two_point",
-                            case_id=f"parallelogram.{family}[{k:04d}]",
-                        )
+                    yield ineq.two_point_equality_check(
+                        h1, h2, family, suite=cfg.suite, case_id=f"parallelogram.{family}[{k:04d}]"
                     )
             if crits:
-                digest = digest_inputs(p.value, family, cfg.seed, cfg.trials)
                 if p.value >= 2.0:
                     lhs, rhs = max(crits), ineq.two_point_upper_constant(p)
                 else:
                     lhs, rhs = ineq.two_point_lower_constant(p), min(crits)
-                reports.append(
-                    inequality_report(
-                        "two_point",
-                        f"critical_aggregate.{family}[p={tag}]",
-                        float(p),
-                        lhs,
-                        rhs,
-                        TOL_REL * max(1.0, abs(rhs)),
-                        digest,
-                        "critical_constant",
-                    )
+                yield _report(
+                    inequality_report, cfg, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
+                    digest_inputs(p.value, family, cfg.seed, cfg.trials), "critical_constant",
                 )
-    return reports
 
 
 def _suite_moduli(cfg: SuiteConfig):
-    reports = []
     samples = cfg.trials
-    for p in cfg.p_list:
-        if not _finite_interior(p):
-            continue
-        tag = _ptag(p)
+    for p in _interior(cfg):
         for family in cfg.families:
-            seed = mix_seed(cfg.seed, "moduli", tag, family)
+            seed = mix_seed(cfg.seed, cfg.suite, p, family)
             convexity = ineq.modulus_convexity_sample(
                 cfg.dual, p, family, samples=samples, seed=seed
             )
-            occupied = 0
-            for est in convexity:
-                if est.skipped:
-                    continue
-                occupied += 1
-                digest = digest_inputs(p.value, family, est.epsilon_or_t, cfg.seed, samples)
-                reports.append(
-                    inequality_report(
-                        "moduli",
-                        f"convexity.{family}[p={tag}][eps={est.epsilon_or_t:.1f}]",
-                        float(p),
-                        est.bound,
-                        est.estimate,
-                        TOL_REL * max(1.0, est.bound),
-                        digest,
-                        "convexity_lower",
-                    )
+            occupied = [est for est in convexity if not est.skipped]
+            for est in occupied:
+                yield _report(
+                    inequality_report, cfg,
+                    f"convexity.{family}[p={p}][eps={est.epsilon_or_t:.1f}]", p,
+                    est.bound, est.estimate,
+                    digest_inputs(p.value, family, est.epsilon_or_t, cfg.seed, samples),
+                    "convexity_lower",
                 )
-            digest = digest_inputs(p.value, family, cfg.seed, samples)
-            reports.append(
-                inequality_report(
-                    "moduli",
-                    f"convexity_bins.{family}[p={tag}]",
-                    float(p),
-                    float(occupied),
-                    float(len(convexity)),
-                    0.0,
-                    digest,
-                    "bin_occupancy",
-                )
+            yield _report(
+                inequality_report, cfg, f"convexity_bins.{family}[p={p}]", p,
+                float(len(occupied)), float(len(convexity)),
+                digest_inputs(p.value, family, cfg.seed, samples), "bin_occupancy", rel=0.0,
             )
             smoothness = ineq.modulus_smoothness_sample(
                 cfg.dual, p, family, samples=samples, seed=seed
             )
             for est in smoothness:
-                digest = digest_inputs(p.value, family, est.epsilon_or_t, cfg.seed, samples)
-                reports.append(
-                    inequality_report(
-                        "moduli",
-                        f"smoothness.{family}[p={tag}][t={est.epsilon_or_t:.2f}]",
-                        float(p),
-                        est.estimate,
-                        est.bound,
-                        TOL_REL * max(1.0, est.bound),
-                        digest,
-                        "smoothness_upper",
-                    )
+                yield _report(
+                    inequality_report, cfg,
+                    f"smoothness.{family}[p={p}][t={est.epsilon_or_t:.2f}]", p,
+                    est.estimate, est.bound,
+                    digest_inputs(p.value, family, est.epsilon_or_t, cfg.seed, samples),
+                    "smoothness_upper",
                 )
-    return reports
 
 
 def _suite_type_cotype(cfg: SuiteConfig, n_terms: int = 5):
-    reports = []
-    for p in cfg.p_list:
-        if not _finite_interior(p):
-            continue
-        tag = _ptag(p)
+    for p in _interior(cfg):
         for family in cfg.families:
             for k in range(cfg.trials):
-                fields = [
-                    random_field(cfg.dual, mix_seed(cfg.seed, "type_cotype", tag, family, k, j))
-                    for j in range(n_terms)
-                ]
-                reports.append(
-                    ineq.type_cotype_check(
-                        fields, p, family,
-                        suite="type_cotype", case_id=f"{family}[p={tag}][{k:04d}]",
-                    )
+                fields = [_draw(cfg, p, family, k, j) for j in range(n_terms)]
+                yield ineq.type_cotype_check(
+                    fields, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
                 )
                 if p.value == 2.0:
-                    avg2 = ineq.rademacher_average(fields, 2.0, family, r=2.0)
-                    l2 = math.sqrt(
-                        sum(field_norm(f, 2.0, family) ** 2 for f in fields)
+                    l2 = math.sqrt(sum(field_norm(f, 2.0, family) ** 2 for f in fields))
+                    yield _report(
+                        equality_report, cfg, f"hilbert_equality.{family}[{k:04d}]", 2.0,
+                        ineq.rademacher_average(fields, 2.0, family, r=2.0), l2,
+                        digest_inputs(fields, family), "sign_average_identity",
                     )
-                    digest = digest_inputs([encode_field(f) for f in fields], family)
-                    reports.append(
-                        equality_report(
-                            "type_cotype",
-                            f"hilbert_equality.{family}[{k:04d}]",
-                            2.0,
-                            avg2,
-                            l2,
-                            1e-10 * max(1.0, l2),
-                            digest,
-                            "sign_average_identity",
-                        )
-                    )
-    return reports
 
 
 def _suite_kadec_klee(cfg: SuiteConfig):
-    reports = []
-    for p in cfg.p_list:
-        if not _finite_interior(p):
-            continue
-        tag = _ptag(p)
-        h, d = _pair(cfg, tag)
+    for p in _interior(cfg):
+        h, d = _pair(cfg, p)
         for n in range(1, cfg.trials + 1):
-            hn = h + (1.0 / n) * d
-            reports.append(
-                ineq.kadec_klee_gap(
-                    hn, h, p, suite="kadec_klee", case_id=f"gap[p={tag}][n={n:04d}]"
-                )
+            yield ineq.kadec_klee_gap(
+                h + (1.0 / n) * d, h, p, suite=cfg.suite, case_id=f"gap[p={p}][n={n:04d}]"
             )
-        scaled = []
-        base = random_field(cfg.dual, mix_seed(cfg.seed, "kadec_klee", tag, "sum"))
+        base = _draw(cfg, p, "sum")
         base_norm = lp_sch_norm(base, p)
-        for j in range(5):
-            scaled.append((2.0**-j / base_norm) * base)
-        reports.append(
-            ineq.unconditional_sum_bound(
-                scaled, p, suite="kadec_klee", case_id=f"sum_bound[p={tag}]"
-            )
-        )
-    return reports
+        scaled = [(2.0**-j / base_norm) * base for j in range(5)]
+        yield ineq.unconditional_sum_bound(scaled, p, suite=cfg.suite, case_id=f"sum_bound[p={p}]")
 
 
 SUITES = {
@@ -525,16 +346,10 @@ SUITES = {
 
 def run_suite(config: SuiteConfig) -> list[CheckReport]:
     """Run one named suite (or "all") and return reports sorted by case."""
-    if config.suite == "all":
-        names = sorted(SUITES)
-    elif config.suite in SUITES:
-        names = [config.suite]
-    else:
+    if config.suite != "all" and config.suite not in SUITES:
         raise ConfigError(f"unknown suite {config.suite!r}")
-    reports: list[CheckReport] = []
-    for name in names:
-        sub = replace(config, suite=name)
-        reports.extend(SUITES[name](sub))
+    names = SUITES if config.suite == "all" else [config.suite]
+    reports = [r for name in names for r in SUITES[name](replace(config, suite=name))]
     if config.tol_override is not None:
         reports = [_retolerate(r, config.tol_override) for r in reports]
     reports.sort(key=lambda r: (r.suite, r.case_id))
@@ -543,11 +358,7 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
 
 def _retolerate(r: CheckReport, tol_rel: float) -> CheckReport:
     tol = tol_rel * max(1.0, abs(r.rhs))
-    return CheckReport(
-        suite=r.suite, case_id=r.case_id, p=r.p, lhs=r.lhs, rhs=r.rhs,
-        slack=r.slack, tol=tol, passed=bool(r.slack >= -tol),
-        inputs_digest=r.inputs_digest, anchor=r.anchor,
-    )
+    return replace(r, tol=tol, passed=r.slack >= -tol)
 
 
 def emit_report(reports, format: str, path: str) -> None:
@@ -620,7 +431,10 @@ def _default_seed(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("DUALNORM_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ConfigError(f"DUALNORM_SEED must be an integer, got {env!r}") from exc
 
 
 def _cmd_verify(args) -> int:
@@ -667,15 +481,16 @@ def _cmd_field(args) -> int:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read field file {args.path}: {exc}") from exc
-        if "dual" in doc:
-            model = decode_model(doc["dual"])
-            payload = doc.get("field", doc)
-        elif args.dual:
-            model = _load_dual(args.dual)
-            payload = doc
-        else:
-            raise ConfigError("field file has no embedded dual; pass --dual")
-        field = decode_field(payload, model)
+        try:
+            if "dual" in doc:
+                model, payload = decode_model(doc["dual"]), doc.get("field", doc)
+            elif args.dual:
+                model, payload = _load_dual(args.dual), doc
+            else:
+                raise ConfigError("field file has no embedded dual; pass --dual")
+            field = decode_field(payload, model)
+        except ValueError as exc:
+            raise ConfigError(f"malformed field file {args.path}: {exc}") from exc
         print(f"model {model.name}: {len(model)} entries, dims {list(model.dims)}")
         for (lab, dim), block in zip(model.entries, field.blocks):
             print(f"  {lab}: dim {dim}, hs-norm {matcore.hs_norm(block):.6g}")

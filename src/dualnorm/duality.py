@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field, encode_field, mix_seed
+from .dualmodel import Field, mix_seed
 from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm, random_unit_field
 from .report import TOL_REL, CheckReport, digest_inputs, inequality_report
 
@@ -116,10 +116,7 @@ def direct_sum_dual_pair_check(
         h1, h2, p, spec
     )
     tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(
-        encode_field(h1), encode_field(h2), encode_field(f1), encode_field(f2),
-        p.value, r.value, w,
-    )
+    digest = digest_inputs(h1, h2, f1, f2, p.value, r.value, w)
     return inequality_report(
         suite, case_id, float(p), lhs, rhs, tol, digest, "direct_sum_duality"
     )

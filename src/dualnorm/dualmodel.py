@@ -229,7 +229,7 @@ def decode_model(data: dict) -> DualModel:
     try:
         entries = tuple((e["label"], int(e["dim"])) for e in data["entries"])
         return DualModel(str(data["name"]), entries)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed dual-model document: {exc}") from exc
 
 

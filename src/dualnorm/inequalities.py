@@ -24,17 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualmodel import DualModel, Field, encode_field, mix_seed, random_field
-from .norms import ExponentP, field_norm
-from .report import TOL_REL, CheckReport, digest_inputs, equality_report, inequality_report
+from .dualmodel import DualModel, Field, mix_seed
+from .norms import ExponentP, field_norm, random_unit_field
+from .report import (
+    TOL_REL,
+    CheckReport,
+    check_report,
+    digest_inputs,
+    equality_report,
+    inequality_report,
+)
 
 __all__ = [
-    "TwoPointConstants",
     "ModulusEstimate",
     "two_point_upper_constant",
     "two_point_lower_constant",
-    "clarkson_sch_check",
-    "clarkson_hs_check",
+    "clarkson_check",
     "two_point_check",
     "two_point_critical_constant",
     "convexity_lower_bound",
@@ -65,18 +70,6 @@ def two_point_lower_constant(p) -> float:
     return (pv - 1.0) / (pv + 1.0)
 
 
-@dataclass(frozen=True)
-class TwoPointConstants:
-    p: float
-    C_p_bound: float
-    c_p_bound: float
-
-    @classmethod
-    def for_p(cls, p) -> "TwoPointConstants":
-        pv = float(ExponentP.parse(p))
-        return cls(p=pv, C_p_bound=2.0 * pv - 1.0, c_p_bound=(pv - 1.0) / (pv + 1.0))
-
-
 def _finite_interior(p) -> float:
     pv = float(ExponentP.parse(p))
     if not (1.0 < pv < math.inf):
@@ -87,7 +80,11 @@ def _finite_interior(p) -> float:
 # -- Clarkson inequalities ---------------------------------------------------
 
 
-def _clarkson_sides(h1: Field, h2: Field, p: float, family: str) -> tuple[float, float]:
+def clarkson_check(
+    h1: Field, h2: Field, p, family: str, *, suite="clarkson", case_id="clarkson"
+) -> CheckReport:
+    """Clarkson inequality in the given family (case i for p <= 2, case ii above)."""
+    p = _finite_interior(p)
     q = p / (p - 1.0)
     mid_plus = field_norm(0.5 * (h1 + h2), p, family)
     mid_minus = field_norm(0.5 * (h1 - h2), p, family)
@@ -99,46 +96,22 @@ def _clarkson_sides(h1: Field, h2: Field, p: float, family: str) -> tuple[float,
     else:
         lhs = (mid_plus**p + mid_minus**p) ** (1.0 / p)
         rhs = (0.5 * (n1**q + n2**q)) ** (1.0 / q)
-    return lhs, rhs
-
-
-def _clarkson_check(h1, h2, p, family, suite, case_id) -> CheckReport:
-    pv = _finite_interior(p)
-    lhs, rhs = _clarkson_sides(h1, h2, pv, family)
     tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(encode_field(h1), encode_field(h2), pv, family)
-    case = "i" if pv <= 2.0 else "ii"
+    digest = digest_inputs(h1, h2, p, family)
+    case = "i" if p <= 2.0 else "ii"
     return inequality_report(
-        suite, case_id, pv, lhs, rhs, tol, digest, f"clarkson.{family}.case_{case}"
+        suite, case_id, p, lhs, rhs, tol, digest, f"clarkson.{family}.case_{case}"
     )
-
-
-def clarkson_sch_check(h1: Field, h2: Field, p, *, suite="clarkson", case_id="sch") -> CheckReport:
-    """Clarkson inequality in the Schatten family (case picked by p vs 2)."""
-    return _clarkson_check(h1, h2, p, "sch", suite, case_id)
-
-
-def clarkson_hs_check(h1: Field, h2: Field, p, *, suite="clarkson", case_id="hs") -> CheckReport:
-    """Clarkson inequality in the Hilbert-Schmidt family."""
-    return _clarkson_check(h1, h2, p, "hs", suite, case_id)
 
 
 # -- Two-point inequalities with explicit constants --------------------------
 
 
-def _two_point_sides(h1: Field, h2: Field, p: float, family: str) -> tuple[float, float]:
-    n1 = field_norm(h1, p, family)
-    n2 = field_norm(h2, p, family)
-    mean_p = (
+def _mean_p(h1: Field, h2: Field, p: float, family: str) -> float:
+    """(average of ||H1 + H2||^p and ||H1 - H2||^p)^(1/p)."""
+    return (
         0.5 * (field_norm(h1 + h2, p, family) ** p + field_norm(h1 - h2, p, family) ** p)
     ) ** (1.0 / p)
-    if p >= 2.0:
-        lhs = mean_p
-        rhs = math.sqrt(n1**2 + two_point_upper_constant(p) * n2**2)
-    else:
-        lhs = math.sqrt(n1**2 + two_point_lower_constant(p) * n2**2)
-        rhs = mean_p
-    return lhs, rhs
 
 
 def two_point_check(
@@ -150,13 +123,21 @@ def two_point_check(
     p <= 2: reversed form with (p-1)/(p+1) on the left.  At p = 2 both reduce
     to the parallelogram identity with constant 1.
     """
-    pv = _finite_interior(p)
-    lhs, rhs = _two_point_sides(h1, h2, pv, family)
+    p = _finite_interior(p)
+    n1 = field_norm(h1, p, family)
+    n2 = field_norm(h2, p, family)
+    mean_p = _mean_p(h1, h2, p, family)
+    if p >= 2.0:
+        lhs = mean_p
+        rhs = math.sqrt(n1**2 + two_point_upper_constant(p) * n2**2)
+    else:
+        lhs = math.sqrt(n1**2 + two_point_lower_constant(p) * n2**2)
+        rhs = mean_p
     tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(encode_field(h1), encode_field(h2), pv, family)
-    side = "upper" if pv >= 2.0 else "lower"
+    digest = digest_inputs(h1, h2, p, family)
+    side = "upper" if p >= 2.0 else "lower"
     return inequality_report(
-        suite, case_id, pv, lhs, rhs, tol, digest, f"two_point.{side}"
+        suite, case_id, p, lhs, rhs, tol, digest, f"two_point.{side}"
     )
 
 
@@ -171,7 +152,7 @@ def two_point_equality_check(
     )
     rhs = math.sqrt(n1**2 + n2**2)
     tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(encode_field(h1), encode_field(h2), family)
+    digest = digest_inputs(h1, h2, family)
     return equality_report(suite, case_id, 2.0, mean2, rhs, tol, digest, "parallelogram")
 
 
@@ -185,10 +166,7 @@ def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch") ->
     n2 = field_norm(h2, pv, family)
     if n2 == 0.0:
         return math.nan
-    mean_p = (
-        0.5 * (field_norm(h1 + h2, pv, family) ** pv + field_norm(h1 - h2, pv, family) ** pv)
-    ) ** (1.0 / pv)
-    return (mean_p**2 - n1**2) / n2**2
+    return (_mean_p(h1, h2, pv, family) ** 2 - n1**2) / n2**2
 
 
 # -- Moduli of convexity and smoothness --------------------------------------
@@ -276,10 +254,8 @@ def _unit_pair(model: DualModel, p: float, family: str, seed: int, draw: int):
     near-antipodal pairs both occur.  Only unit-norm membership matters for
     soundness of the modulus estimates.
     """
-    h1 = random_field(model, mix_seed(seed, draw, "a"), "ginibre")
-    g = random_field(model, mix_seed(seed, draw, "b"), "ginibre")
-    h1 = (1.0 / field_norm(h1, p, family)) * h1
-    g = (1.0 / field_norm(g, p, family)) * g
+    h1 = random_unit_field(model, p, mix_seed(seed, draw, "a"), family)
+    g = random_unit_field(model, p, mix_seed(seed, draw, "b"), family)
     t = np.random.default_rng(mix_seed(seed, draw, "t")).uniform(0.0, math.pi)
     mixed = math.cos(t) * h1 + math.sin(t) * g
     norm = field_norm(mixed, p, family)
@@ -424,19 +400,8 @@ def type_cotype_check(
         upper = math.sqrt(two_point_upper_constant(pv)) * l2_sum
     slack = min(avg2 - lower, upper - avg2)
     tol = TOL_REL * max(1.0, upper)
-    digest = digest_inputs([encode_field(f) for f in fields], pv, family)
-    return CheckReport(
-        suite=suite,
-        case_id=case_id,
-        p=pv,
-        lhs=float(lower),
-        rhs=float(upper),
-        slack=float(slack),
-        tol=float(tol),
-        passed=bool(slack >= -tol),
-        inputs_digest=digest,
-        anchor="type_cotype",
-    )
+    digest = digest_inputs(fields, pv, family)
+    return check_report(suite, case_id, pv, lower, upper, slack, tol, digest, "type_cotype")
 
 
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------
@@ -465,7 +430,7 @@ def kadec_klee_gap(
     lhs = diff**e
     rhs = (0.5 * (n1**f + n2**f)) ** (e / f) - mid**e
     tol = TOL_REL * max(1.0, (0.5 * (n1**f + n2**f)) ** (e / f))
-    digest = digest_inputs(encode_field(hn), encode_field(h), pv, family)
+    digest = digest_inputs(hn, h, pv, family)
     return inequality_report(
         suite, case_id, pv, lhs, rhs, tol, digest, "kadec_klee_gap"
     )
@@ -495,7 +460,7 @@ def unconditional_sum_bound(
     lhs = sum(v**power for v in norms)
     rhs = constant * sum(convexity_lower_bound(pv, v) for v in norms if v > 0.0)
     tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs([encode_field(f) for f in fields], pv, family)
+    digest = digest_inputs(fields, pv, family)
     return inequality_report(
         suite, case_id, pv, lhs, rhs, tol, digest, "unconditional_sum"
     )

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field, encode_field
+from .dualmodel import Field
 from .duality import dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
-from .report import CheckReport, digest_inputs, inequality_report
+from .report import CheckReport, check_report, digest_inputs, inequality_report
 
 __all__ = [
     "InterpSpec",
@@ -169,10 +169,7 @@ def three_lines_check(
     f_unit = (1.0 / lp_sch_norm(f_dual, q)) * f_dual
     values.append(abs(pairing(h_unit, f_unit)))
     lhs = max(values)
-    digest = digest_inputs(
-        encode_field(h), encode_field(f_dual),
-        spec.p0.value, spec.p1.value, spec.theta, list(t_grid),
-    )
+    digest = digest_inputs(h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
     return inequality_report(
         suite, case_id, float(spec.p), lhs, 1.0, tol, digest, "strip_maximum"
     )
@@ -216,18 +213,5 @@ def interp_norm_consistency(
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm
     slack = min(upper_slack, lower_slack)
-    digest = digest_inputs(
-        encode_field(h), spec.p0.value, spec.p1.value, spec.theta, list(t_grid)
-    )
-    return CheckReport(
-        suite=suite,
-        case_id=case_id,
-        p=float(p),
-        lhs=float(norm),
-        rhs=float(boundary_max),
-        slack=float(slack),
-        tol=float(tol),
-        passed=bool(slack >= -tol),
-        inputs_digest=digest,
-        anchor="equal_norms",
-    )
+    digest = digest_inputs(h, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
+    return check_report(suite, case_id, p, norm, boundary_max, slack, tol, digest, "equal_norms")

@@ -23,7 +23,6 @@ from . import matcore
 from .dualmodel import (
     DualModel,
     Field,
-    encode_field,
     field_abs,
     field_adjoint,
     field_product,
@@ -161,7 +160,7 @@ def embedding_check(h: Field, p, *, suite="norms", case_id="embedding") -> Check
     lhs, rhs = (sch, hs) if pv <= 2 else (hs, sch)
     tol = TOL_REL * max(1.0, rhs)
     return inequality_report(
-        suite, case_id, pv, lhs, rhs, tol, digest_inputs(encode_field(h), pv), "embedding"
+        suite, case_id, pv, lhs, rhs, tol, digest_inputs(h, pv), "embedding"
     )
 
 
@@ -178,7 +177,7 @@ def holder_check(
     lhs = lp_sch_norm(field_product(h1, h2), r)
     rhs = lp_sch_norm(h1, p) * lp_sch_norm(h2, q)
     tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(encode_field(h1), encode_field(h2), p.value, q.value)
+    digest = digest_inputs(h1, h2, p.value, q.value)
     return inequality_report(suite, case_id, float(p), lhs, rhs, tol, digest, "holder")
 
 
@@ -194,7 +193,7 @@ def adjoint_norm_check(
     )
     lo, hi = min(values), max(values)
     tol = TOL_REL * max(1.0, hi)
-    digest = digest_inputs(encode_field(h), pv, family)
+    digest = digest_inputs(h, pv, family)
     return equality_report(
         suite, case_id, pv, hi, lo, tol, digest, f"adjoint_invariance.{family}"
     )

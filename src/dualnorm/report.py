@@ -7,7 +7,8 @@ inequality ``lhs <= rhs`` the slack is ``rhs - lhs``; for an equality
 both.
 
 Reports serialize to JSON (stable key order) and RFC-4180 CSV; parsing the
-JSON back yields equal reports.
+JSON back yields equal reports.  Input digests are made here as well, with
+fields serialized in their JSON wire format.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .dualmodel import Field, encode_field
 
 __all__ = [
     "TOL_REL",
     "CheckReport",
+    "check_report",
     "inequality_report",
     "equality_report",
     "digest_inputs",
@@ -33,19 +37,6 @@ __all__ = [
 # Default relative tolerance: inequalities are exact in exact arithmetic,
 # slack only has to absorb binary64 rounding.
 TOL_REL = 1e-10
-
-_FIELDS = (
-    "suite",
-    "case_id",
-    "p",
-    "lhs",
-    "rhs",
-    "slack",
-    "tol",
-    "passed",
-    "inputs_digest",
-    "anchor",
-)
 
 
 @dataclass(frozen=True)
@@ -88,7 +79,11 @@ class CheckReport:
         )
 
 
-def _finish(suite, case_id, p, lhs, rhs, slack, tol, digest, anchor) -> CheckReport:
+_FIELDS = tuple(f.name for f in fields(CheckReport))
+
+
+def check_report(suite, case_id, p, lhs, rhs, slack, tol, digest, anchor) -> CheckReport:
+    """Report with an explicit slack; ``passed`` is exactly ``slack >= -tol``."""
     return CheckReport(
         suite=suite,
         case_id=case_id,
@@ -105,20 +100,30 @@ def _finish(suite, case_id, p, lhs, rhs, slack, tol, digest, anchor) -> CheckRep
 
 def inequality_report(suite, case_id, p, lhs, rhs, tol, digest, anchor) -> CheckReport:
     """Report for an assertion lhs <= rhs (slack = rhs - lhs)."""
-    return _finish(suite, case_id, p, lhs, rhs, rhs - lhs, tol, digest, anchor)
+    return check_report(suite, case_id, p, lhs, rhs, rhs - lhs, tol, digest, anchor)
 
 
 def equality_report(suite, case_id, p, lhs, rhs, tol, digest, anchor) -> CheckReport:
     """Report for an assertion lhs = rhs (slack = -|lhs - rhs|)."""
-    return _finish(suite, case_id, p, lhs, rhs, -abs(rhs - lhs), tol, digest, anchor)
+    return check_report(suite, case_id, p, lhs, rhs, -abs(rhs - lhs), tol, digest, anchor)
+
+
+def _encode(obj):
+    if isinstance(obj, Field):
+        return encode_field(obj)
+    raise TypeError(f"cannot digest an object of type {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
 
 
 def digest_inputs(*parts) -> str:
-    """Short deterministic digest of the (serialized) inputs of a check."""
+    """Short deterministic digest of the (serialized) inputs of a check.
+
+    Parts are JSON values, :class:`Field` objects (serialized in their wire
+    format) or lists of them.
+    """
     h = hashlib.sha256()
     for part in parts:
         h.update(canonical_json(part).encode("utf-8"))

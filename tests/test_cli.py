@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -15,10 +16,11 @@ from dualnorm.cli import (
     main,
     run_suite,
 )
-from dualnorm.dualmodel import preset_dual
+from dualnorm.dualmodel import encode_field, parse_dual_arg, preset_dual, random_field
 from dualnorm.norms import ExponentP
 from dualnorm.report import (
     CheckReport,
+    digest_inputs,
     equality_report,
     inequality_report,
     reports_from_json,
@@ -97,6 +99,15 @@ def test_report_inf_exponent_serialization():
     assert CheckReport.from_dict(json.loads(json.dumps(d))) == rep
 
 
+def test_digest_encodes_fields_in_wire_format():
+    h1, h2 = random_field(preset_dual("s3"), 1), random_field(preset_dual("s3"), 2)
+    assert digest_inputs(h1, 2.0) == digest_inputs(encode_field(h1), 2.0)
+    assert digest_inputs([h1, h2]) == digest_inputs([encode_field(h1), encode_field(h2)])
+    assert digest_inputs(h1) != digest_inputs(h2)
+    with pytest.raises(TypeError):
+        digest_inputs(object())
+
+
 def test_emit_csv_empty_and_failing(tmp_path):
     path = tmp_path / "rep.csv"
     emit_report([], "csv", str(path))
@@ -169,12 +180,21 @@ def test_main_unwritable_output_is_config_error(tmp_path):
 
 
 def test_main_tol_override_can_force_failures(capsys):
-    # exploratory negative tolerance rejects every check: exit code 1
+    # a tolerance far below binary64 rounding rejects inexact equalities: exit code 1
     code = main(
-        ["verify", "adjoint", "--dual", "s3", "--p", "2", "--trials", "2", "--tol", "-1"]
+        ["verify", "adjoint", "--dual", "s3", "--p", "2", "--trials", "2", "--tol", "1e-300"]
     )
     assert code == EXIT_CHECK_FAILED
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_main_rejects_bad_tolerance(tol, capsys):
+    code = main(["verify", "adjoint", "--dual", "s3", "--p", "2", "--trials", "2", "--tol", tol])
+    assert code == EXIT_CONFIG_ERROR
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        small_config(tol_override=float(tol))
 
 
 def test_main_field_random_and_show(tmp_path, capsys):
@@ -197,7 +217,67 @@ def test_main_env_seed_default(tmp_path, monkeypatch):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_main_field_show_wrong_block_shape_is_config_error(tmp_path, capsys):
+    path = tmp_path / "field.json"
+    assert main(["field", "random", "--dual", "s3", "--seed", "3", "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["field"]["blocks"][2] = [[[1.0, 0.0]]]  # the std entry has dim 2
+    path.write_text(json.dumps(doc))
+    assert main(["field", "show", str(path)]) == EXIT_CONFIG_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_main_overflowing_model_dim_is_config_error(tmp_path, capsys):
+    model = '{"name": "big", "entries": [{"label": "a", "dim": 1e400}]}'
+    dual = tmp_path / "big.json"
+    dual.write_text(model)
+    assert main(["verify", "norms", "--dual", str(dual), "--trials", "1"]) == EXIT_CONFIG_ERROR
+    field = tmp_path / "field.json"
+    field.write_text('{"dual": %s, "field": {"model": "big", "blocks": []}}' % model)
+    assert main(["field", "show", str(field)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_main_malformed_env_seed_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("DUALNORM_SEED", "abc")
+    assert main(["field", "random", "--dual", "s3"]) == EXIT_CONFIG_ERROR
+    assert main(["verify", "norms", "--dual", "s3", "--trials", "1"]) == EXIT_CONFIG_ERROR
+    assert "DUALNORM_SEED" in capsys.readouterr().err
+
+
 def test_tol_override_loosens(tmp_path):
     cfg = small_config(suite="norms", trials=2, tol_override=1e-6)
     for r in run_suite(cfg):
         assert r.tol == pytest.approx(1e-6 * max(1.0, abs(r.rhs)))
+
+
+# -- golden report bytes ---------------------------------------------------------
+
+# sha256 prefixes of the JSON and CSV of `verify all` (seed 11, 3 trials).  They
+# pin the report bytes: a refactor of the suites must leave them unchanged, and
+# a deliberate change to the numbers (a new draw layout) updates them here.
+GOLDEN = [
+    ("s3", "1,1.5,2,3,inf", "both", None, 344, "850a6070743c3ce0", "94cf18ad1d7966e6"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 279, "6e0706c73e94b422", "74420c89039453cd"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "c5b0eaa12bfa518f", "5c54821735dbc70e"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 128, "245d7dac0a0e58d4", "e43c50f7b3781970"),
+]
+
+
+@pytest.mark.parametrize(
+    "dual,p,family,tol,count,json_sha,csv_sha", GOLDEN, ids=[g[0] for g in GOLDEN]
+)
+def test_golden_report_bytes(dual, p, family, tol, count, json_sha, csv_sha):
+    cfg = SuiteConfig(
+        suite="all",
+        dual=parse_dual_arg(dual),
+        p_list=tuple(p.split(",")),
+        family=family,
+        trials=3,
+        seed=11,
+        tol_override=tol,
+    )
+    reports = run_suite(cfg)
+    assert len(reports) == count
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest()[:16] == json_sha
+    assert hashlib.sha256(reports_to_csv(reports).encode()).hexdigest()[:16] == csv_sha

@@ -7,8 +7,7 @@ import pytest
 from dualnorm.dualmodel import Field, mix_seed, preset_dual, random_field, zero_field
 from dualnorm.inequalities import (
     ModulusEstimate,
-    clarkson_hs_check,
-    clarkson_sch_check,
+    clarkson_check,
     convexity_lower_bound,
     default_eps_bins,
     hilbert_convexity_modulus,
@@ -60,12 +59,16 @@ def unit_pair(seed_a, seed_b, p, family="sch", model=S3):
 
 # -- Clarkson -----------------------------------------------------------------
 
+CLARKSON_IDS = ["clarkson_sch_check", "clarkson_hs_check"]
 
-@pytest.mark.parametrize("check,family", [(clarkson_sch_check, "sch"), (clarkson_hs_check, "hs")])
+
+@pytest.mark.parametrize(
+    "family", ["sch", "hs"], ids=["clarkson_sch_check-sch", "clarkson_hs_check-hs"]
+)
 @pytest.mark.parametrize("p", [1.3, 2.0, 2.4])
-def test_clarkson_zero_second_argument_is_equality(check, family, p):
+def test_clarkson_zero_second_argument_is_equality(family, p):
     h1 = random_field(S3, 1)
-    rep = check(h1, zero_field(S3), p)
+    rep = clarkson_check(h1, zero_field(S3), p, family)
     assert rep.passed
     assert abs(rep.slack) <= 1e-12 * max(1.0, rep.rhs)
     q = p / (p - 1.0)
@@ -73,23 +76,23 @@ def test_clarkson_zero_second_argument_is_equality(check, family, p):
     assert rep.lhs == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("check", [clarkson_sch_check, clarkson_hs_check])
-def test_clarkson_parallelogram_equality_at_p2(check):
+@pytest.mark.parametrize("family", ["sch", "hs"], ids=CLARKSON_IDS)
+def test_clarkson_parallelogram_equality_at_p2(family):
     for k in range(100):
         h1 = random_field(S3, mix_seed("cl2", k, 0))
         h2 = random_field(S3, mix_seed("cl2", k, 1))
-        rep = check(h1, h2, 2.0)
+        rep = clarkson_check(h1, h2, 2.0, family)
         assert rep.passed
         assert abs(rep.slack) <= 1e-11 * max(1.0, rep.rhs)
 
 
-@pytest.mark.parametrize("check", [clarkson_sch_check, clarkson_hs_check])
+@pytest.mark.parametrize("family", ["sch", "hs"], ids=CLARKSON_IDS)
 @pytest.mark.parametrize("p", [1.3, 1.7, 2.4, 4.0])
-def test_clarkson_random_pairs(check, p):
+def test_clarkson_random_pairs(family, p):
     for k in range(300):
         h1 = random_field(S3, mix_seed("cl", p, k, 0))
         h2 = random_field(S3, mix_seed("cl", p, k, 1))
-        rep = check(h1, h2, p)
+        rep = clarkson_check(h1, h2, p, family)
         assert rep.passed, f"Clarkson violated at p={p}, draw {k}: {rep}"
 
 
@@ -101,23 +104,23 @@ def test_clarkson_case_ii_agrees_with_case_i_for_conjugate():
     for k in range(200):
         h1 = random_field(S3, mix_seed("cldual", k, 0))
         h2 = random_field(S3, mix_seed("cldual", k, 1))
-        assert clarkson_sch_check(h1, h2, p).passed
-        assert clarkson_sch_check(h1, h2, q).passed
+        assert clarkson_check(h1, h2, p, "sch").passed
+        assert clarkson_check(h1, h2, q, "sch").passed
 
 
 def test_clarkson_rejects_endpoints():
     h = random_field(S3, 1)
     for bad in (1.0, math.inf):
         with pytest.raises(ValueError):
-            clarkson_sch_check(h, h, bad)
+            clarkson_check(h, h, bad, "sch")
 
 
 def test_clarkson_pass_is_scale_invariant():
     h1 = random_field(S3, 51)
     h2 = random_field(S3, 52)
     for p in (1.3, 2.4):
-        base = clarkson_sch_check(h1, h2, p)
-        scaled = clarkson_sch_check(17.0 * h1, 17.0 * h2, p)
+        base = clarkson_check(h1, h2, p, "sch")
+        scaled = clarkson_check(17.0 * h1, 17.0 * h2, p, "sch")
         assert base.passed == scaled.passed
         # slack scales like the norms themselves (first-power report)
         assert scaled.slack == pytest.approx(17.0 * base.slack, rel=1e-9, abs=1e-12)
