@@ -50,13 +50,12 @@ from .norms import (
     lp_sch_norm,
 )
 from .report import (
-    TOL_REL,
     CheckReport,
-    digest_inputs,
     equality_report,
     inequality_report,
     reports_to_csv,
     reports_to_json,
+    tolerance,
 )
 
 __all__ = ["SuiteConfig", "SUITES", "run_suite", "emit_report", "main"]
@@ -109,12 +108,6 @@ def _interior(cfg: SuiteConfig) -> list[ExponentP]:
     return [p for p in cfg.p_list if 1.0 < p.value < math.inf]
 
 
-def _report(make, cfg: SuiteConfig, case_id, p, lhs, rhs, digest, anchor, rel=TOL_REL):
-    """A suite-level report from ``make`` with tolerance ``rel * max(1, |rhs|)``."""
-    tol = rel * max(1.0, abs(rhs))
-    return make(cfg.suite, case_id, float(p), lhs, rhs, tol, digest, anchor)
-
-
 def _suite_norms(cfg: SuiteConfig):
     for p in cfg.p_list:
         for k in range(cfg.trials):
@@ -124,22 +117,20 @@ def _suite_norms(cfg: SuiteConfig):
             for family in cfg.families:
                 n1 = field_norm(h1, p, family)
                 n2 = field_norm(h2, p, family)
-                yield _report(
-                    inequality_report, cfg, f"triangle.{family}[p={p}][{k:04d}]", p,
-                    field_norm(h1 + h2, p, family), n1 + n2,
-                    digest_inputs(h1, h2, p.value, family), "triangle",
+                yield inequality_report(
+                    cfg.suite, f"triangle.{family}[p={p}][{k:04d}]", p,
+                    field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p.value, family), "triangle",
                 )
-                yield _report(
-                    equality_report, cfg, f"homogeneity.{family}[p={p}][{k:04d}]", p,
-                    field_norm(alpha * h1, p, family), alpha * n1,
-                    digest_inputs(h1, p.value, family, alpha), "homogeneity",
+                yield equality_report(
+                    cfg.suite, f"homogeneity.{family}[p={p}][{k:04d}]", p,
+                    field_norm(alpha * h1, p, family), alpha * n1, (h1, p.value, family, alpha),
+                    "homogeneity",
                 )
     for k in range(cfg.trials):
         h = _draw(cfg, "p2", k, "a")
-        yield _report(
-            equality_report, cfg, f"p2_coincidence[{k:04d}]", 2.0,
-            lp_sch_norm(h, 2.0), lp_hs_norm(h, 2.0), digest_inputs(h), "p2_coincidence",
-            rel=1e-12,
+        yield equality_report(
+            cfg.suite, f"p2_coincidence[{k:04d}]", 2.0,
+            lp_sch_norm(h, 2.0), lp_hs_norm(h, 2.0), (h,), "p2_coincidence", rel=1e-12,
         )
 
 
@@ -176,22 +167,21 @@ def _suite_duality(cfg: SuiteConfig):
             h, other = _pair(cfg, p, k)
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
-            digest = digest_inputs(h, p.value)
-            yield _report(
-                equality_report, cfg, f"extremizer_unit[p={p}][{k:04d}]", p,
-                lp_sch_norm(f, p.conjugate()), 1.0, digest, "extremizer", rel=1e-9,
+            inputs = (h, p.value)
+            yield equality_report(
+                cfg.suite, f"extremizer_unit[p={p}][{k:04d}]", p,
+                lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,
             )
-            yield _report(
-                equality_report, cfg, f"extremizer_pairing[p={p}][{k:04d}]", p,
-                abs(pairing(h, f)), norm, digest, "extremizer", rel=1e-9,
+            yield equality_report(
+                cfg.suite, f"extremizer_pairing[p={p}][{k:04d}]", p,
+                abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
             )
             probe = dual_norm_via_search(
                 h, p, trials=5, seed=mix_seed(cfg.seed, cfg.suite, p, k, "probe"),
                 include_extremizer=False,
             )
-            yield _report(
-                inequality_report, cfg, f"search_bound[p={p}][{k:04d}]", p,
-                probe, norm, digest, "dual_supremum",
+            yield inequality_report(
+                cfg.suite, f"search_bound[p={p}][{k:04d}]", p, probe, norm, inputs, "dual_supremum"
             )
             if p.value > 1.0:
                 yield direct_sum_dual_pair_check(
@@ -214,11 +204,10 @@ def _suite_interpolation(cfg: SuiteConfig):
         for k in range(cfg.trials):
             h, f = _pair(cfg, p, k)
             norms0, norms1 = boundary_witness_norms(h, spec)
-            yield _report(
-                equality_report, cfg, f"boundary_norms[p={p}][{k:04d}]", p,
+            yield equality_report(
+                cfg.suite, f"boundary_norms[p={p}][{k:04d}]", p,
                 max(norms0 + norms1, key=lambda v: abs(v - 1.0)), 1.0,
-                digest_inputs(h, spec.p0.value, spec.p1.value, spec.theta), "boundary_witness",
-                rel=1e-9,
+                (h, spec.p0.value, spec.p1.value, spec.theta), "boundary_witness", rel=1e-9,
             )
             yield three_lines_check(
                 h, f, spec, suite=cfg.suite, case_id=f"three_lines[p={p}][{k:04d}]"
@@ -259,9 +248,9 @@ def _suite_two_point(cfg: SuiteConfig):
                     lhs, rhs = max(crits), ineq.two_point_upper_constant(p)
                 else:
                     lhs, rhs = ineq.two_point_lower_constant(p), min(crits)
-                yield _report(
-                    inequality_report, cfg, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
-                    digest_inputs(p.value, family, cfg.seed, cfg.trials), "critical_constant",
+                yield inequality_report(
+                    cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
+                    (p.value, family, cfg.seed, cfg.trials), "critical_constant",
                 )
 
 
@@ -275,45 +264,41 @@ def _suite_moduli(cfg: SuiteConfig):
             )
             occupied = [est for est in convexity if not est.skipped]
             for est in occupied:
-                yield _report(
-                    inequality_report, cfg,
-                    f"convexity.{family}[p={p}][eps={est.epsilon_or_t:.1f}]", p,
+                yield inequality_report(
+                    cfg.suite, f"convexity.{family}[p={p}][eps={est.epsilon_or_t:.1f}]", p,
                     est.bound, est.estimate,
-                    digest_inputs(p.value, family, est.epsilon_or_t, cfg.seed, samples),
-                    "convexity_lower",
+                    (p.value, family, est.epsilon_or_t, cfg.seed, samples), "convexity_lower",
                 )
-            yield _report(
-                inequality_report, cfg, f"convexity_bins.{family}[p={p}]", p,
+            yield inequality_report(
+                cfg.suite, f"convexity_bins.{family}[p={p}]", p,
                 float(len(occupied)), float(len(convexity)),
-                digest_inputs(p.value, family, cfg.seed, samples), "bin_occupancy", rel=0.0,
+                (p.value, family, cfg.seed, samples), "bin_occupancy", rel=0.0,
             )
             smoothness = ineq.modulus_smoothness_sample(
                 cfg.dual, p, family, samples=samples, seed=seed
             )
             for est in smoothness:
-                yield _report(
-                    inequality_report, cfg,
-                    f"smoothness.{family}[p={p}][t={est.epsilon_or_t:.2f}]", p,
+                yield inequality_report(
+                    cfg.suite, f"smoothness.{family}[p={p}][t={est.epsilon_or_t:.2f}]", p,
                     est.estimate, est.bound,
-                    digest_inputs(p.value, family, est.epsilon_or_t, cfg.seed, samples),
-                    "smoothness_upper",
+                    (p.value, family, est.epsilon_or_t, cfg.seed, samples), "smoothness_upper",
                 )
 
 
-def _suite_type_cotype(cfg: SuiteConfig, n_terms: int = 5):
+def _suite_type_cotype(cfg: SuiteConfig):
     for p in _interior(cfg):
         for family in cfg.families:
             for k in range(cfg.trials):
-                fields = [_draw(cfg, p, family, k, j) for j in range(n_terms)]
+                fields = [_draw(cfg, p, family, k, j) for j in range(5)]
                 yield ineq.type_cotype_check(
                     fields, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
                 )
                 if p.value == 2.0:
                     l2 = math.sqrt(sum(field_norm(f, 2.0, family) ** 2 for f in fields))
-                    yield _report(
-                        equality_report, cfg, f"hilbert_equality.{family}[{k:04d}]", 2.0,
+                    yield equality_report(
+                        cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0,
                         ineq.rademacher_average(fields, 2.0, family, r=2.0), l2,
-                        digest_inputs(fields, family), "sign_average_identity",
+                        (fields, family), "sign_average_identity",
                     )
 
 
@@ -357,7 +342,7 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
 
 
 def _retolerate(r: CheckReport, tol_rel: float) -> CheckReport:
-    tol = tol_rel * max(1.0, abs(r.rhs))
+    tol = tolerance(r.rhs, tol_rel)
     return replace(r, tol=tol, passed=r.slack >= -tol)
 
 
@@ -481,6 +466,8 @@ def _cmd_field(args) -> int:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read field file {args.path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"field file {args.path} does not hold a JSON object")
         try:
             if "dual" in doc:
                 model, payload = decode_model(doc["dual"]), doc.get("field", doc)

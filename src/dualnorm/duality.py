@@ -20,7 +20,7 @@ import numpy as np
 from . import matcore
 from .dualmodel import Field, mix_seed
 from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm, random_unit_field
-from .report import TOL_REL, CheckReport, digest_inputs, inequality_report
+from .report import CheckReport, inequality_report
 
 __all__ = [
     "pairing",
@@ -115,8 +115,5 @@ def direct_sum_dual_pair_check(
     rhs = direct_sum_norm(f1, f2, q, DirectSumSpec(s, 1.0 / w)) * direct_sum_norm(
         h1, h2, p, spec
     )
-    tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(h1, h2, f1, f2, p.value, r.value, w)
-    return inequality_report(
-        suite, case_id, float(p), lhs, rhs, tol, digest, "direct_sum_duality"
-    )
+    inputs = (h1, h2, f1, f2, p.value, r.value, w)
+    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "direct_sum_duality")

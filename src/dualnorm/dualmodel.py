@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DISTRIBUTIONS = ("ginibre", "hermitian", "psd")
+MAX_DIM = 256  # blocks beyond 256 x 256 are out of scope
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class DualModel:
         if len(set(labels)) != len(labels):
             raise ValueError("entry labels must be unique")
         for lab, dim in self.entries:
-            if dim < 1:
-                raise ValueError(f"entry {lab!r} has non-positive dim {dim}")
+            if not 1 <= dim <= MAX_DIM:
+                raise ValueError(f"entry {lab!r} has dim {dim}, outside [1, {MAX_DIM}]")
         object.__setattr__(self, "entries", tuple((str(l), int(d)) for l, d in self.entries))
 
     @property
@@ -73,6 +74,8 @@ def preset_dual(kind: str, arg=None) -> DualModel:
     dim, entries of dims 1..arg), "s3" (dims 1, 1, 2), or "custom"
     (arg = iterable of dims).
     """
+    if arg is None and kind in ("torus", "su2_trunc", "custom"):
+        raise ValueError(f"the {kind} preset needs an argument, as in {kind}(3)")
     if kind == "torus":
         n = int(arg)
         if n < 1:
@@ -80,8 +83,8 @@ def preset_dual(kind: str, arg=None) -> DualModel:
         return DualModel("torus(%d)" % n, tuple((f"k{i}", 1) for i in range(n)))
     if kind == "su2_trunc":
         n = int(arg)
-        if n < 1:
-            raise ValueError("su2_trunc preset needs max dim >= 1")
+        if not 1 <= n <= MAX_DIM:
+            raise ValueError(f"su2_trunc preset needs max dim in [1, {MAX_DIM}]")
         return DualModel("su2_trunc(%d)" % n, tuple((f"d{d}", d) for d in range(1, n + 1)))
     if kind == "s3":
         return DualModel("s3", (("triv", 1), ("sgn", 1), ("std", 2)))
@@ -242,6 +245,8 @@ def encode_field(field: Field) -> dict:
 
 
 def decode_field(data: dict, model: DualModel) -> Field:
+    if not isinstance(data, dict):
+        raise ValueError(f"a field document must be a JSON object, got {type(data).__name__}")
     if data.get("model") != model.name:
         raise ValueError(
             f"field document is for model {data.get('model')!r}, expected {model.name!r}"
@@ -250,7 +255,7 @@ def decode_field(data: dict, model: DualModel) -> Field:
     try:
         for raw in data["blocks"]:
             blocks.append(np.array([[complex(re, im) for re, im in row] for row in raw]))
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
     return Field(model, tuple(blocks))
 

@@ -26,14 +26,7 @@ import numpy as np
 
 from .dualmodel import DualModel, Field, mix_seed
 from .norms import ExponentP, field_norm, random_unit_field
-from .report import (
-    TOL_REL,
-    CheckReport,
-    check_report,
-    digest_inputs,
-    equality_report,
-    inequality_report,
-)
+from .report import CheckReport, check_report, equality_report, inequality_report, tolerance
 
 __all__ = [
     "ModulusEstimate",
@@ -96,11 +89,9 @@ def clarkson_check(
     else:
         lhs = (mid_plus**p + mid_minus**p) ** (1.0 / p)
         rhs = (0.5 * (n1**q + n2**q)) ** (1.0 / q)
-    tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(h1, h2, p, family)
     case = "i" if p <= 2.0 else "ii"
     return inequality_report(
-        suite, case_id, p, lhs, rhs, tol, digest, f"clarkson.{family}.case_{case}"
+        suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"clarkson.{family}.case_{case}"
     )
 
 
@@ -133,12 +124,8 @@ def two_point_check(
     else:
         lhs = math.sqrt(n1**2 + two_point_lower_constant(p) * n2**2)
         rhs = mean_p
-    tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(h1, h2, p, family)
     side = "upper" if p >= 2.0 else "lower"
-    return inequality_report(
-        suite, case_id, p, lhs, rhs, tol, digest, f"two_point.{side}"
-    )
+    return inequality_report(suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"two_point.{side}")
 
 
 def two_point_equality_check(
@@ -151,9 +138,7 @@ def two_point_equality_check(
         0.5 * (field_norm(h1 + h2, 2.0, family) ** 2 + field_norm(h1 - h2, 2.0, family) ** 2)
     )
     rhs = math.sqrt(n1**2 + n2**2)
-    tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(h1, h2, family)
-    return equality_report(suite, case_id, 2.0, mean2, rhs, tol, digest, "parallelogram")
+    return equality_report(suite, case_id, 2.0, mean2, rhs, (h1, h2, family), "parallelogram")
 
 
 def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch") -> float:
@@ -230,10 +215,10 @@ class ModulusEstimate:
     def skipped(self) -> bool:
         return self.samples == 0
 
-    def passed(self, tol: float = TOL_REL) -> bool:
+    def passed(self) -> bool:
         if self.skipped:
             return True
-        margin = tol * max(1.0, abs(self.bound))
+        margin = tolerance(self.bound)
         if self.kind == "convexity_lower":
             return self.estimate >= self.bound - margin
         if self.kind == "smoothness_upper":
@@ -399,9 +384,8 @@ def type_cotype_check(
         lower = lp_sum
         upper = math.sqrt(two_point_upper_constant(pv)) * l2_sum
     slack = min(avg2 - lower, upper - avg2)
-    tol = TOL_REL * max(1.0, upper)
-    digest = digest_inputs(fields, pv, family)
-    return check_report(suite, case_id, pv, lower, upper, slack, tol, digest, "type_cotype")
+    inputs = (fields, pv, family)
+    return check_report(suite, case_id, pv, lower, upper, slack, inputs, "type_cotype")
 
 
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------
@@ -427,12 +411,10 @@ def kadec_klee_gap(
     mid = field_norm(0.5 * (hn + h), pv, family)
     n1 = field_norm(hn, pv, family)
     n2 = field_norm(h, pv, family)
-    lhs = diff**e
-    rhs = (0.5 * (n1**f + n2**f)) ** (e / f) - mid**e
-    tol = TOL_REL * max(1.0, (0.5 * (n1**f + n2**f)) ** (e / f))
-    digest = digest_inputs(hn, h, pv, family)
+    power_mean = (0.5 * (n1**f + n2**f)) ** (e / f)
+    rhs = power_mean - mid**e
     return inequality_report(
-        suite, case_id, pv, lhs, rhs, tol, digest, "kadec_klee_gap"
+        suite, case_id, pv, diff**e, rhs, (hn, h, pv, family), "kadec_klee_gap", scale=power_mean
     )
 
 
@@ -459,8 +441,5 @@ def unconditional_sum_bound(
         power = pv
     lhs = sum(v**power for v in norms)
     rhs = constant * sum(convexity_lower_bound(pv, v) for v in norms if v > 0.0)
-    tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(fields, pv, family)
-    return inequality_report(
-        suite, case_id, pv, lhs, rhs, tol, digest, "unconditional_sum"
-    )
+    inputs = (fields, pv, family)
+    return inequality_report(suite, case_id, pv, lhs, rhs, inputs, "unconditional_sum")

@@ -33,7 +33,7 @@ from . import matcore
 from .dualmodel import Field
 from .duality import dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
-from .report import CheckReport, check_report, digest_inputs, inequality_report
+from .report import CheckReport, check_report, inequality_report
 
 __all__ = [
     "InterpSpec",
@@ -151,7 +151,6 @@ def three_lines_check(
     spec: InterpSpec,
     t_grid=DEFAULT_T_GRID,
     *,
-    tol: float = 1e-9,
     suite="interpolation",
     case_id="three_lines",
 ) -> CheckReport:
@@ -169,9 +168,9 @@ def three_lines_check(
     f_unit = (1.0 / lp_sch_norm(f_dual, q)) * f_dual
     values.append(abs(pairing(h_unit, f_unit)))
     lhs = max(values)
-    digest = digest_inputs(h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
+    inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
     return inequality_report(
-        suite, case_id, float(spec.p), lhs, 1.0, tol, digest, "strip_maximum"
+        suite, case_id, float(spec.p), lhs, 1.0, inputs, "strip_maximum", rel=1e-9
     )
 
 
@@ -189,7 +188,6 @@ def interp_norm_consistency(
     spec: InterpSpec,
     t_grid=DEFAULT_T_GRID,
     *,
-    tol: float = 1e-8,
     suite="interpolation",
     case_id="norm_consistency",
 ) -> CheckReport:
@@ -213,5 +211,7 @@ def interp_norm_consistency(
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm
     slack = min(upper_slack, lower_slack)
-    digest = digest_inputs(h, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
-    return check_report(suite, case_id, p, norm, boundary_max, slack, tol, digest, "equal_norms")
+    inputs = (h, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
+    return check_report(
+        suite, case_id, p, norm, boundary_max, slack, inputs, "equal_norms", rel=1e-8, scale=1.0
+    )

@@ -28,7 +28,7 @@ from .dualmodel import (
     field_product,
     random_field,
 )
-from .report import TOL_REL, CheckReport, digest_inputs, equality_report, inequality_report
+from .report import CheckReport, equality_report, inequality_report
 
 __all__ = [
     "ExponentP",
@@ -158,10 +158,7 @@ def embedding_check(h: Field, p, *, suite="norms", case_id="embedding") -> Check
     sch = lp_sch_norm(h, pv)
     hs = lp_hs_norm(h, pv)
     lhs, rhs = (sch, hs) if pv <= 2 else (hs, sch)
-    tol = TOL_REL * max(1.0, rhs)
-    return inequality_report(
-        suite, case_id, pv, lhs, rhs, tol, digest_inputs(h, pv), "embedding"
-    )
+    return inequality_report(suite, case_id, pv, lhs, rhs, (h, pv), "embedding")
 
 
 def holder_check(
@@ -176,9 +173,8 @@ def holder_check(
     r = math.inf if inv_r == 0.0 else 1.0 / inv_r
     lhs = lp_sch_norm(field_product(h1, h2), r)
     rhs = lp_sch_norm(h1, p) * lp_sch_norm(h2, q)
-    tol = TOL_REL * max(1.0, rhs)
-    digest = digest_inputs(h1, h2, p.value, q.value)
-    return inequality_report(suite, case_id, float(p), lhs, rhs, tol, digest, "holder")
+    inputs = (h1, h2, p.value, q.value)
+    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "holder")
 
 
 def adjoint_norm_check(
@@ -192,10 +188,8 @@ def adjoint_norm_check(
         field_norm(field_abs(h), pv, family),
     )
     lo, hi = min(values), max(values)
-    tol = TOL_REL * max(1.0, hi)
-    digest = digest_inputs(h, pv, family)
     return equality_report(
-        suite, case_id, pv, hi, lo, tol, digest, f"adjoint_invariance.{family}"
+        suite, case_id, pv, hi, lo, (h, pv, family), f"adjoint_invariance.{family}", scale=hi
     )
 
 

@@ -7,8 +7,9 @@ inequality ``lhs <= rhs`` the slack is ``rhs - lhs``; for an equality
 both.
 
 Reports serialize to JSON (stable key order) and RFC-4180 CSV; parsing the
-JSON back yields equal reports.  Input digests are made here as well, with
-fields serialized in their JSON wire format.
+JSON back yields equal reports.  The constructors derive each report's
+tolerance and input digest here, so a check states only its ``lhs``, ``rhs``,
+anchor and inputs; fields are digested in their JSON wire format.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .dualmodel import Field, encode_field
 __all__ = [
     "TOL_REL",
     "CheckReport",
+    "tolerance",
     "check_report",
     "inequality_report",
     "equality_report",
@@ -82,8 +84,20 @@ class CheckReport:
 _FIELDS = tuple(f.name for f in fields(CheckReport))
 
 
-def check_report(suite, case_id, p, lhs, rhs, slack, tol, digest, anchor) -> CheckReport:
-    """Report with an explicit slack; ``passed`` is exactly ``slack >= -tol``."""
+def tolerance(scale, rel=TOL_REL) -> float:
+    """Absolute tolerance ``rel * max(1, |scale|)`` of a check whose values have size ``scale``."""
+    return rel * max(1.0, abs(scale))
+
+
+def check_report(
+    suite, case_id, p, lhs, rhs, slack, inputs, anchor, rel=TOL_REL, scale=None
+) -> CheckReport:
+    """Report with an explicit slack; ``passed`` is exactly ``slack >= -tol``.
+
+    ``tol`` is ``tolerance(scale, rel)``, where ``scale`` defaults to ``rhs``,
+    and ``inputs_digest`` is ``digest_inputs(*inputs)``.
+    """
+    tol = tolerance(rhs if scale is None else scale, rel)
     return CheckReport(
         suite=suite,
         case_id=case_id,
@@ -93,19 +107,23 @@ def check_report(suite, case_id, p, lhs, rhs, slack, tol, digest, anchor) -> Che
         slack=float(slack),
         tol=float(tol),
         passed=bool(slack >= -tol),
-        inputs_digest=digest,
+        inputs_digest=digest_inputs(*inputs),
         anchor=anchor,
     )
 
 
-def inequality_report(suite, case_id, p, lhs, rhs, tol, digest, anchor) -> CheckReport:
+def inequality_report(
+    suite, case_id, p, lhs, rhs, inputs, anchor, *, rel=TOL_REL, scale=None
+) -> CheckReport:
     """Report for an assertion lhs <= rhs (slack = rhs - lhs)."""
-    return check_report(suite, case_id, p, lhs, rhs, rhs - lhs, tol, digest, anchor)
+    return check_report(suite, case_id, p, lhs, rhs, rhs - lhs, inputs, anchor, rel, scale)
 
 
-def equality_report(suite, case_id, p, lhs, rhs, tol, digest, anchor) -> CheckReport:
+def equality_report(
+    suite, case_id, p, lhs, rhs, inputs, anchor, *, rel=TOL_REL, scale=None
+) -> CheckReport:
     """Report for an assertion lhs = rhs (slack = -|lhs - rhs|)."""
-    return check_report(suite, case_id, p, lhs, rhs, -abs(rhs - lhs), tol, digest, anchor)
+    return check_report(suite, case_id, p, lhs, rhs, -abs(rhs - lhs), inputs, anchor, rel, scale)
 
 
 def _encode(obj):

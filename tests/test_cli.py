@@ -19,13 +19,16 @@ from dualnorm.cli import (
 from dualnorm.dualmodel import encode_field, parse_dual_arg, preset_dual, random_field
 from dualnorm.norms import ExponentP
 from dualnorm.report import (
+    TOL_REL,
     CheckReport,
+    check_report,
     digest_inputs,
     equality_report,
     inequality_report,
     reports_from_json,
     reports_to_csv,
     reports_to_json,
+    tolerance,
 )
 
 
@@ -93,7 +96,7 @@ def test_report_json_roundtrip(tmp_path):
 
 
 def test_report_inf_exponent_serialization():
-    rep = inequality_report("s", "c", math.inf, 1.0, 2.0, 1e-10, "ab", "x")
+    rep = inequality_report("s", "c", math.inf, 1.0, 2.0, ("ab",), "x")
     d = rep.as_dict()
     assert d["p"] == "inf"
     assert CheckReport.from_dict(json.loads(json.dumps(d))) == rep
@@ -108,6 +111,19 @@ def test_digest_encodes_fields_in_wire_format():
         digest_inputs(object())
 
 
+def test_constructors_derive_tolerance_and_digest():
+    assert tolerance(0.5) == TOL_REL
+    assert tolerance(-3.0, 1e-6) == tolerance(3.0, 1e-6) == 3e-6
+    h = random_field(preset_dual("s3"), 1)
+    rep = inequality_report("s", "c", 2.0, 4.0, 3.0, (h, 2.0), "x")
+    assert rep.tol == 3.0 * TOL_REL and rep.inputs_digest == digest_inputs(h, 2.0)
+    assert not rep.passed
+    rep = equality_report("s", "c", 2.0, 1.0, -5.0, (), "x", rel=1e-3, scale=-20.0)
+    assert rep.tol == tolerance(20.0, 1e-3) and rep.inputs_digest == digest_inputs()
+    rep = check_report("s", "c", 2.0, 1.0, -5.0, -1e-3, (h,), "x", rel=1e-3)
+    assert rep.tol == 5e-3 and rep.passed and rep.inputs_digest == digest_inputs(h)
+
+
 def test_emit_csv_empty_and_failing(tmp_path):
     path = tmp_path / "rep.csv"
     emit_report([], "csv", str(path))
@@ -115,7 +131,7 @@ def test_emit_csv_empty_and_failing(tmp_path):
     assert text.splitlines()[0].startswith("suite,case_id,p,")
     assert len(text.splitlines()) == 1
 
-    failing = equality_report("s", "c", 2.0, 1.0, 5.0, 1e-10, "ab", "x")
+    failing = equality_report("s", "c", 2.0, 1.0, 5.0, ("ab",), "x")
     assert not failing.passed
     emit_report([failing], "csv", str(path))
     rows = path.read_text().splitlines()
@@ -166,6 +182,8 @@ def test_main_verify_fraction_and_inf_exponents(tmp_path):
 def test_main_bad_preset_is_config_error(capsys):
     code = main(["verify", "clarkson", "--dual", "torus(zero)", "--trials", "2"])
     assert code == EXIT_CONFIG_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert main(["verify", "clarkson", "--dual", "torus", "--trials", "2"]) == EXIT_CONFIG_ERROR
     assert "error:" in capsys.readouterr().err
 
 
@@ -225,6 +243,31 @@ def test_main_field_show_wrong_block_shape_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["field", "show", str(path)]) == EXIT_CONFIG_ERROR
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ["[1, 2]", "5", '"dual"', '{"dual": {"name": "s3", "entries": [{"label": "triv", "dim": 1}, '
+     '{"label": "sgn", "dim": 1}, {"label": "std", "dim": 2}]}, "field": [1]}'],
+    ids=["list", "number", "string", "field_list"],
+)
+def test_main_field_show_non_object_is_config_error(doc, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    path.write_text(doc)
+    assert main(["field", "show", str(path), "--dual", "s3"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_main_oversized_block_is_config_error(monkeypatch, capsys):
+    def no_draw(*args):
+        raise AssertionError("a rejected model must not reach a draw")
+
+    monkeypatch.setattr("dualnorm.cli.random_field", no_draw)
+    big = "custom(1,300)"
+    assert main(["verify", "norms", "--dual", big, "--trials", "1"]) == EXIT_CONFIG_ERROR
+    assert main(["field", "random", "--dual", big]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_main_overflowing_model_dim_is_config_error(tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualnorm import matcore
 from dualnorm.dualmodel import (
@@ -53,6 +55,13 @@ def test_model_validation():
         DualModel("bad", (("a", 1), ("a", 2)))
     with pytest.raises(ValueError):
         DualModel("bad", (("a", 0),))
+    with pytest.raises(ValueError):
+        DualModel("big", (("a", 257),))
+    with pytest.raises(ValueError):
+        parse_dual_arg("su2_trunc(300)")
+    with pytest.raises(ValueError):
+        parse_dual_arg("torus")
+    assert preset_dual("custom", [256]).dims == (256,)
 
 
 def test_random_field_deterministic():
@@ -164,3 +173,56 @@ def test_mix_seed_is_stable():
     assert mix_seed(1, "a") != mix_seed("1", "a")
     assert isinstance(mix_seed(123), int)
     assert 0 <= mix_seed("anything", 7) < 2**64
+
+
+# -- fuzz of the input decoders -----------------------------------------------
+#
+# Documents and preset strings come from outside the program, so a decoder may
+# only raise ValueError.  Integers stay small and lists short, so no case
+# builds a large model.
+
+_WIRE_KEYS = ["name", "entries", "label", "dim", "model", "blocks"]
+_KEYS = st.sampled_from(_WIRE_KEYS) | st.text(max_size=4)
+_SCALARS = st.none() | st.booleans() | st.integers(-64, 64) | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=16,
+)
+MODEL_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"name": JSON_VALUES, "entries": st.lists(st.dictionaries(_KEYS, JSON_VALUES), max_size=3)}
+)
+FIELD_DOCS = JSON_VALUES | st.fixed_dictionaries(
+    {"model": st.just("s3") | JSON_VALUES, "blocks": JSON_VALUES}
+)
+PRESET_ARGS = st.lists(st.integers(-64, 64).map(str) | st.text(" ,()x-", max_size=3), max_size=4)
+PRESETS = st.text("torus2_ckm3(),0- ", max_size=12) | st.builds(
+    "{}({})".format,
+    st.sampled_from(["torus", "su2_trunc", "s3", "custom", "nosuch", ""]),
+    PRESET_ARGS.map(",".join),
+) | st.sampled_from(["torus", "su2_trunc", "custom", "s3("])
+
+
+def _raises_only_value_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(MODEL_DOCS)
+def test_decode_model_raises_only_value_error(doc):
+    _raises_only_value_error(decode_model, doc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(FIELD_DOCS)
+def test_decode_field_raises_only_value_error(doc):
+    _raises_only_value_error(decode_field, doc, preset_dual("s3"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(PRESETS)
+def test_parse_dual_arg_raises_only_value_error(text):
+    _raises_only_value_error(parse_dual_arg, text)
