@@ -50,12 +50,12 @@ from .norms import (
     lp_sch_norm,
 )
 from .report import (
+    TOL_REL,
     CheckReport,
     equality_report,
     inequality_report,
     reports_to_csv,
     reports_to_json,
-    tolerance,
 )
 
 __all__ = ["SuiteConfig", "SUITES", "run_suite", "emit_report", "main"]
@@ -342,7 +342,8 @@ def run_suite(config: SuiteConfig) -> list[CheckReport]:
 
 
 def _retolerate(r: CheckReport, tol_rel: float) -> CheckReport:
-    tol = tolerance(r.rhs, tol_rel)
+    """``r`` with its own tolerance rule (``rel``, ``scale``) rescaled from TOL_REL to ``tol_rel``."""
+    tol = r.tol * (tol_rel / TOL_REL)
     return replace(r, tol=tol, passed=r.slack >= -tol)
 
 
@@ -395,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--family", choices=["sch", "hs", "both"], default="both")
     verify.add_argument("--trials", type=int, default=10)
     verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--tol", type=float, default=None, help="override the relative tolerance")
+    verify.add_argument("--tol", type=float, default=None, help="scale every check's own tolerance by TOL / 1e-10")
     verify.add_argument("--out", default=None, help="report file path")
     verify.add_argument("--format", choices=["json", "csv"], default="json")
 

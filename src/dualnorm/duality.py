@@ -75,9 +75,8 @@ def dual_norm_via_search(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     q = p.conjugate()
-    norm = lp_sch_norm(h, p)
     best = 0.0
-    if include_extremizer and norm > 0.0 and not p.is_inf:
+    if include_extremizer and not p.is_inf and lp_sch_norm(h, p) > 0.0:
         best = abs(pairing(h, dual_extremizer(h, p)))
     for k in range(trials):
         f = random_unit_field(h.model, q, mix_seed(seed, "dual_search", k))

@@ -39,6 +39,7 @@ __all__ = [
 
 DISTRIBUTIONS = ("ginibre", "hermitian", "psd")
 MAX_DIM = 256  # blocks beyond 256 x 256 are out of scope
+MAX_ENTRIES = 4096  # models beyond 4096 entries are out of scope
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class DualModel:
     entries: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        if not self.entries:
-            raise ValueError("a dual model needs at least one entry")
+        if not 1 <= len(self.entries) <= MAX_ENTRIES:
+            raise ValueError(f"a dual model needs between 1 and {MAX_ENTRIES} entries")
         labels = [lab for lab, _ in self.entries]
         if len(set(labels)) != len(labels):
             raise ValueError("entry labels must be unique")
@@ -78,8 +79,8 @@ def preset_dual(kind: str, arg=None) -> DualModel:
         raise ValueError(f"the {kind} preset needs an argument, as in {kind}(3)")
     if kind == "torus":
         n = int(arg)
-        if n < 1:
-            raise ValueError("torus preset needs at least one entry")
+        if not 1 <= n <= MAX_ENTRIES:
+            raise ValueError(f"torus preset needs an entry count in [1, {MAX_ENTRIES}]")
         return DualModel("torus(%d)" % n, tuple((f"k{i}", 1) for i in range(n)))
     if kind == "su2_trunc":
         n = int(arg)

@@ -18,13 +18,14 @@ Because the boundary norms are constant, the witnesses do not decay as
 |Im z| grows; nothing is lost by sampling the boundary on a bounded t-grid,
 and no check below depends on behaviour at infinity.
 
-Zero singular values are mapped to zero for every exponent (including 0),
-so the powers act on the support only.
+witness_f and witness_g factor each block once and return the witness as a
+function of z.  Zero singular values are mapped to zero for every exponent
+(including 0), so the powers act on the support only.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,64 +86,53 @@ class InterpSpec:
         return cls(p0, p1, theta)
 
 
-def _exponent_path(p: float, inv0: float, inv1: float, z: complex) -> complex:
-    """p/p(z) where 1/p(z) interpolates the endpoint reciprocals along the strip."""
-    return p * ((1 - z) * inv0 + z * inv1)
+def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[[complex], Field]:
+    """z -> |A*|^w(z) A blockwise for h at unit r-norm, w(z) = r((1 - z) inv0 + z inv1) - 1.
 
-
-def _witness_blocks(h: Field, w: complex) -> Field:
-    """Blockwise |A*|^w A via the SVD A = U S V*: equals U S^(w+1) V*, 0 -> 0."""
-    blocks = []
-    for block in h.blocks:
-        f = matcore.svd(block)
-        powered = np.zeros(f.sigma.shape, dtype=np.complex128)
-        pos = f.sigma > 0
-        powered[pos] = np.exp((w + 1.0) * np.log(f.sigma[pos]))
-        blocks.append((f.u * powered) @ f.vstar)
-    return Field(h.model, tuple(blocks))
-
-
-def _check_strip(z: complex) -> complex:
-    z = complex(z)
-    if not (-1e-12 <= z.real <= 1 + 1e-12):
-        raise ValueError(f"z = {z} lies outside the closed unit strip")
-    return z
-
-
-def witness_f(h: Field, spec: InterpSpec, z: complex) -> Field:
-    """Witness at z for h (normalized internally to unit derived-p norm)."""
-    z = _check_strip(z)
-    p = spec.p.value
-    norm = lp_sch_norm(h, p)
+    Each block of the normalized field is factored once, A = U S V*; the
+    witness at z is U S^(w(z)+1) V*, with zero singular values mapped to 0.
+    """
+    norm = lp_sch_norm(h, r)
     if norm == 0.0:
         raise ValueError("the zero field has no witness normalization")
-    w = _exponent_path(p, 1.0 / spec.p0.value, 1.0 / spec.p1.value, z) - 1.0
-    return _witness_blocks((1.0 / norm) * h, w)
+    factors = [matcore.svd(block) for block in ((1.0 / norm) * h).blocks]
+
+    def at(z: complex) -> Field:
+        z = complex(z)
+        if not (-1e-12 <= z.real <= 1 + 1e-12):
+            raise ValueError(f"z = {z} lies outside the closed unit strip")
+        w = r.value * ((1 - z) * inv0 + z * inv1) - 1.0
+        blocks = []
+        for f in factors:
+            powered = np.zeros(f.sigma.shape, dtype=np.complex128)
+            pos = f.sigma > 0
+            powered[pos] = np.exp((w + 1.0) * np.log(f.sigma[pos]))
+            blocks.append((f.u * powered) @ f.vstar)
+        return Field(h.model, tuple(blocks))
+
+    return at
 
 
-def witness_g(f: Field, spec: InterpSpec, z: complex) -> Field:
-    """Dual witness at z: same construction with the conjugate exponents.
+def witness_f(h: Field, spec: InterpSpec) -> Callable[[complex], Field]:
+    """z -> witness of h at z (h normalized internally to unit derived-p norm)."""
+    return _witness(h, spec.p, spec.p0.inv(), spec.p1.inv())
+
+
+def witness_g(f: Field, spec: InterpSpec) -> Callable[[complex], Field]:
+    """z -> dual witness of f at z: the same construction with the conjugate exponents.
 
     f is normalized internally to unit q-norm, q conjugate to the derived
     exponent; q0, q1 are the conjugates of p0, p1 (1/inf = 0 at endpoints).
     """
-    z = _check_strip(z)
-    p = spec.p
-    if p.value == 1.0:
+    if spec.p.value == 1.0:
         raise ValueError("dual witness needs derived exponent > 1")
-    q = p.conjugate()
-    norm = lp_sch_norm(f, q)
-    if norm == 0.0:
-        raise ValueError("the zero field has no witness normalization")
-    inv_q0 = spec.p0.conjugate().inv()
-    inv_q1 = spec.p1.conjugate().inv()
-    w = _exponent_path(q.value, inv_q0, inv_q1, z) - 1.0
-    return _witness_blocks((1.0 / norm) * f, w)
+    return _witness(f, spec.p.conjugate(), spec.p0.conjugate().inv(), spec.p1.conjugate().inv())
 
 
-def strip_function(h: Field, f_dual: Field, spec: InterpSpec, z: complex) -> complex:
-    """<witness of h, dual witness of f_dual> at a strip point."""
-    return pairing(witness_f(h, spec, z), witness_g(f_dual, spec, z))
+def strip_function(h: Field, f_dual: Field, spec: InterpSpec) -> Callable[[complex], complex]:
+    """z -> <witness of h, dual witness of f_dual> at a strip point."""
+    wf, wg = witness_f(h, spec), witness_g(f_dual, spec)
+    return lambda z: pairing(wf(z), wg(z))
 
 
 def three_lines_check(
@@ -159,13 +149,13 @@ def three_lines_check(
     Samples |<f(z), g(z)>| at z = it and z = 1 + it over the grid and at
     z = theta (where the pairing is just <h, f_dual> after normalization).
     """
+    strip = strip_function(h, f_dual, spec)
     values = []
     for t in t_grid:
-        values.append(abs(strip_function(h, f_dual, spec, 1j * t)))
-        values.append(abs(strip_function(h, f_dual, spec, 1.0 + 1j * t)))
-    q = spec.p.conjugate()
+        values.append(abs(strip(1j * t)))
+        values.append(abs(strip(1.0 + 1j * t)))
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
-    f_unit = (1.0 / lp_sch_norm(f_dual, q)) * f_dual
+    f_unit = (1.0 / lp_sch_norm(f_dual, spec.p.conjugate())) * f_dual
     values.append(abs(pairing(h_unit, f_unit)))
     lhs = max(values)
     inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
@@ -176,11 +166,11 @@ def three_lines_check(
 
 def boundary_witness_norms(h: Field, spec: InterpSpec, t_grid=DEFAULT_T_GRID):
     """(||f(it)||_p0, ||f(1+it)||_p1) over the grid, for unit-normalized h."""
-    out0, out1 = [], []
-    for t in t_grid:
-        out0.append(lp_sch_norm(witness_f(h, spec, 1j * t), spec.p0))
-        out1.append(lp_sch_norm(witness_f(h, spec, 1.0 + 1j * t), spec.p1))
-    return out0, out1
+    wf = witness_f(h, spec)
+    return (
+        [lp_sch_norm(wf(1j * t), spec.p0) for t in t_grid],
+        [lp_sch_norm(wf(1.0 + 1j * t), spec.p1) for t in t_grid],
+    )
 
 
 def interp_norm_consistency(
@@ -198,10 +188,8 @@ def interp_norm_consistency(
     |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
     """
     p = spec.p
+    bounds0, bounds1 = boundary_witness_norms(h, spec, t_grid)  # raises for the zero field
     norm = lp_sch_norm(h, p)
-    if norm == 0.0:
-        raise ValueError("consistency check needs a nonzero field")
-    bounds0, bounds1 = boundary_witness_norms(h, spec, t_grid)
     boundary_max = norm * max(max(bounds0), max(bounds1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm
     h_unit = (1.0 / norm) * h

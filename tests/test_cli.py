@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -270,6 +271,13 @@ def test_main_oversized_block_is_config_error(monkeypatch, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+def test_main_oversized_entry_count_is_config_error(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "norms", "--dual", "torus(100000000)", "--trials", "1"]) == EXIT_CONFIG_ERROR
+    assert time.perf_counter() - start < 1.0  # rejected before any entry is built
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_main_overflowing_model_dim_is_config_error(tmp_path, capsys):
     model = '{"name": "big", "entries": [{"label": "a", "dim": 1e400}]}'
     dual = tmp_path / "big.json"
@@ -289,9 +297,25 @@ def test_main_malformed_env_seed_is_config_error(monkeypatch, capsys):
 
 
 def test_tol_override_loosens(tmp_path):
-    cfg = small_config(suite="norms", trials=2, tol_override=1e-6)
-    for r in run_suite(cfg):
-        assert r.tol == pytest.approx(1e-6 * max(1.0, abs(r.rhs)))
+    # every check keeps its own rule (rel=, scale=); --tol scales it by T / TOL_REL
+    base = run_suite(small_config(suite="norms", trials=2))
+    loose = run_suite(small_config(suite="norms", trials=2, tol_override=1e-6))
+    assert [r.case_id for r in loose] == [r.case_id for r in base]
+    for b, r in zip(base, loose):
+        assert r.tol == pytest.approx(b.tol * 1e4) and r.tol > b.tol
+
+
+def test_default_tol_override_leaves_report_bytes_unchanged(tmp_path):
+    args = ["verify", "all", "--dual", "su2_trunc(4)", "--p", "1.5,2,3", "--trials", "3"]
+    assert main([*args, "--out", str(tmp_path / "plain.json")]) == EXIT_OK
+    assert main([*args, "--tol", "1e-10", "--out", str(tmp_path / "tol.json")]) == EXIT_OK
+    assert (tmp_path / "tol.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_tol_override_keeps_exact_counts_exact():
+    reports = run_suite(small_config(suite="moduli", trials=50, tol_override=1e-6))
+    bins = [r for r in reports if r.case_id.startswith("convexity_bins")]
+    assert bins and all(r.tol == 0.0 for r in bins)
 
 
 # -- golden report bytes ---------------------------------------------------------
@@ -302,7 +326,7 @@ def test_tol_override_loosens(tmp_path):
 GOLDEN = [
     ("s3", "1,1.5,2,3,inf", "both", None, 344, "850a6070743c3ce0", "94cf18ad1d7966e6"),
     ("su2_trunc(4)", "1.5,2,3", "both", None, 279, "6e0706c73e94b422", "74420c89039453cd"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "c5b0eaa12bfa518f", "5c54821735dbc70e"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "b82311868ced4fe3", "9b705b651c5adb87"),
     ("custom(1,3)", "1.5,2.5", "hs", None, 128, "245d7dac0a0e58d4", "e43c50f7b3781970"),
 ]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dualnorm import matcore
 from dualnorm.dualmodel import (
+    MAX_ENTRIES,
     DualModel,
     Field,
     decode_field,
@@ -61,7 +62,12 @@ def test_model_validation():
         parse_dual_arg("su2_trunc(300)")
     with pytest.raises(ValueError):
         parse_dual_arg("torus")
+    with pytest.raises(ValueError):
+        DualModel("long", tuple((f"k{i}", 1) for i in range(MAX_ENTRIES + 1)))
+    with pytest.raises(ValueError):
+        parse_dual_arg(f"torus({MAX_ENTRIES + 1})")
     assert preset_dual("custom", [256]).dims == (256,)
+    assert len(preset_dual("torus", MAX_ENTRIES)) == MAX_ENTRIES
 
 
 def test_random_field_deterministic():

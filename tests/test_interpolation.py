@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dualnorm.dualmodel import Field, mix_seed, preset_dual, random_field
+from dualnorm import matcore
+from dualnorm.dualmodel import Field, mix_seed, parse_dual_arg, preset_dual, random_field
 from dualnorm.duality import dual_extremizer, pairing
 from dualnorm.interpolation import (
     DEFAULT_T_GRID,
@@ -77,7 +78,7 @@ def test_witness_recovers_field_at_theta(spec):
     m = preset_dual("su2_trunc", 3)
     h = random_field(m, 11)
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
-    w = witness_f(h, spec, spec.theta)
+    w = witness_f(h, spec)(spec.theta)
     assert max_block_diff(w, h_unit) <= 1e-10
 
 
@@ -89,7 +90,7 @@ def test_witness_diagonal_block_at_left_edge():
     spec = SPEC_1_2
     p = float(spec.p)
     norm = lp_sch_norm(h, p)
-    w = witness_f(h, spec, 0.0)
+    w = witness_f(h, spec)(0.0)
     expected = np.diag([(v / norm) ** (p / spec.p0.value) for v in (1.0, 2.0)])
     assert np.allclose(w.blocks[0], expected, atol=1e-12)
 
@@ -101,7 +102,7 @@ def test_witness_scalar_entries_match_classical_formula():
     h = Field(m, tuple(np.array([[v]]) for v in values))
     spec = SPEC_1_2
     for z in (0.3 + 0.4j, 0.8 - 1.0j, 0.0 + 2.0j):
-        w = witness_f(h, spec, z)
+        w = witness_f(h, spec)(z)
         oracle, _ = scalar_witness_oracle(
             values, weights, spec.p0.value, spec.p1.value, spec.theta, z
         )
@@ -124,21 +125,53 @@ def test_dual_witness_recovers_field_and_boundary_norms(spec):
     f = random_field(m, 13)
     q = spec.p.conjugate()
     f_unit = (1.0 / lp_sch_norm(f, q)) * f
-    g_at_theta = witness_g(f, spec, spec.theta)
-    assert max_block_diff(g_at_theta, f_unit) <= 1e-10
+    g = witness_g(f, spec)
+    assert max_block_diff(g(spec.theta), f_unit) <= 1e-10
     q0 = spec.p0.conjugate()
     q1 = spec.p1.conjugate()
     for t in (-2.0, -0.5, 0.0, 0.5, 2.0):
-        assert lp_sch_norm(witness_g(f, spec, 1j * t), q0) == pytest.approx(1.0, abs=1e-9)
-        assert lp_sch_norm(witness_g(f, spec, 1 + 1j * t), q1) == pytest.approx(1.0, abs=1e-9)
+        assert lp_sch_norm(g(1j * t), q0) == pytest.approx(1.0, abs=1e-9)
+        assert lp_sch_norm(g(1 + 1j * t), q1) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", [SPEC_1_2, SPEC_2_4])
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
+@pytest.mark.parametrize("dual_side", [False, True])
+def test_witness_matches_eigh_oracle(spec, dual, dual_side):
+    # |A*|^w A = (A A*)^(w/2) A, computed through eigh rather than the SVD
+    if dual_side:
+        witness, r = witness_g, spec.p.conjugate()
+        inv0, inv1 = spec.p0.conjugate().inv(), spec.p1.conjugate().inv()
+    else:
+        witness, r = witness_f, spec.p
+        inv0, inv1 = spec.p0.inv(), spec.p1.inv()
+    for k in range(3):
+        h = random_field(parse_dual_arg(dual), mix_seed("oracle", dual, k))
+        h_unit = (1.0 / lp_sch_norm(h, r)) * h
+        at = witness(h, spec)
+        for z in (0.0, 1.0, -1.5j, 0.5j, 1 + 0.75j, 1 - 2j):
+            w = r.value * ((1 - z) * inv0 + z * inv1) - 1.0
+            for a, got in zip(h_unit.blocks, at(z).blocks):
+                expected = matcore.psd_power(a @ a.conj().T, w / 2) @ a
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_three_lines_factors_each_block_once(monkeypatch):
+    calls = []
+    svd = matcore.svd
+    monkeypatch.setattr(matcore, "svd", lambda a: calls.append(a.shape) or svd(a))
+    m = preset_dual("s3")
+    three_lines_check(random_field(m, 1), random_field(m, 2), SPEC_1_2)
+    assert len(calls) == 2 * len(m.entries)  # one factorization per block per witness
 
 
 def test_witness_rejects_points_off_strip():
     h = random_field(preset_dual("s3"), 1)
+    w = witness_f(h, SPEC_1_2)
     with pytest.raises(ValueError):
-        witness_f(h, SPEC_1_2, -0.5)
+        w(-0.5)
     with pytest.raises(ValueError):
-        witness_f(h, SPEC_1_2, 1.5 + 1j)
+        w(1.5 + 1j)
 
 
 # -- three lines ----------------------------------------------------------------
@@ -172,10 +205,9 @@ def test_three_lines_scalar_instance_constant_along_vertical_lines():
     m = preset_dual("torus", 1)
     h = Field(m, (np.array([[2.0]]),))
     f = Field(m, (np.array([[0.7]]),))
+    strip = strip_function(h, f, SPEC_1_2)
     for t in (-2.0, 0.0, 1.0):
-        assert abs(strip_function(h, f, SPEC_1_2, 0.5 + 1j * t)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert abs(strip(0.5 + 1j * t)) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- norm consistency ------------------------------------------------------------
@@ -193,7 +225,7 @@ def test_consistency_equal_endpoints_exact():
     m = preset_dual("su2_trunc", 3)
     h = random_field(m, 3)
     spec = InterpSpec(ExponentP(2.0), ExponentP(2.0), 0.5)
-    w = witness_f(h, spec, 0.25 + 0.5j)
+    w = witness_f(h, spec)(0.25 + 0.5j)
     h_unit = (1.0 / lp_sch_norm(h, 2.0)) * h
     assert max_block_diff(w, h_unit) <= 1e-12  # witness constant in z
     rep = interp_norm_consistency(h, spec)
@@ -222,8 +254,7 @@ def test_discrete_cauchy_riemann_residual_small():
     spec = SPEC_1_2
     fd = 1e-4
 
-    def val(z):
-        return strip_function(h, f, spec, z)
+    val = strip_function(h, f, spec)
 
     for x in np.linspace(0.3, 0.7, 5):
         for y in np.linspace(-0.2, 0.2, 5):
