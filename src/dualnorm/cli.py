@@ -213,7 +213,7 @@ def _suite_interpolation(cfg: SuiteConfig):
                 h, f, spec, suite=cfg.suite, case_id=f"three_lines[p={p}][{k:04d}]"
             )
             yield interp_norm_consistency(
-                h, spec, suite=cfg.suite, case_id=f"consistency[p={p}][{k:04d}]"
+                h, spec, (norms0, norms1), suite=cfg.suite, case_id=f"consistency[p={p}][{k:04d}]"
             )
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "zero_field",
     "identity_field",
     "random_field",
+    "random_stacks",
     "field_adjoint",
     "field_abs",
     "field_lincomb",
@@ -177,22 +178,39 @@ def identity_field(model: DualModel) -> Field:
 def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
     """Deterministic random field: one rng stream per (model, seed, dist).
 
-    ginibre: i.i.d. standard complex normal entries (unit E|z|^2);
+    ginibre: i.i.d. standard complex normal entries (unit E|z|^2), the
+    draw of random_stacks(model, [seed]);
     hermitian: Hermitian part (A + A*)/2 of a ginibre draw;
     psd: A* A of a ginibre draw.
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for d in model.dims:
-        a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-        if dist == "hermitian":
-            a = (a + a.conj().T) / 2
-        elif dist == "psd":
-            a = a.conj().T @ a
-        blocks.append(a)
+    blocks = [s[0] for s in random_stacks(model, [seed])]
+    if dist == "hermitian":
+        blocks = [(a + a.conj().T) / 2 for a in blocks]
+    elif dist == "psd":
+        blocks = [a.conj().T @ a for a in blocks]
     return Field(model, tuple(blocks))
+
+
+def random_stacks(model: DualModel, seeds) -> list[np.ndarray]:
+    """Ginibre fields for many seeds: one (len(seeds), d, d) stack per model entry.
+
+    Row i of every stack is the field of seeds[i], drawn from
+    default_rng(seeds[i]) by one standard_normal(sum 2 d^2) call read in
+    entry order: a block's d^2 real parts, then its d^2 imaginary parts.
+    """
+    sizes = [d * d for d in model.dims]
+    normals = np.empty((len(seeds), 2 * sum(sizes)))
+    for seed, row in zip(seeds, normals):
+        np.random.default_rng(seed).standard_normal(out=row)
+    stacks, start = [], 0
+    for d, size in zip(model.dims, sizes):
+        re = normals[:, start : start + size].reshape(-1, d, d)
+        im = normals[:, start + size : start + 2 * size].reshape(-1, d, d)
+        stacks.append((re + 1j * im) / np.sqrt(2))
+        start += 2 * size
+    return stacks
 
 
 def field_adjoint(h: Field) -> Field:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualmodel import DualModel, Field, mix_seed
-from .norms import ExponentP, field_norm, random_unit_field
+from .dualmodel import DualModel, Field, mix_seed, random_stacks
+from .norms import ExponentP, field_norm, stacked_norm
 from .report import CheckReport, check_report, equality_report, inequality_report, tolerance
 
 __all__ = [
@@ -231,22 +231,58 @@ def default_eps_bins() -> tuple[float, ...]:
     return tuple(round(0.1 * k, 10) for k in range(1, 20))
 
 
-def _unit_pair(model: DualModel, p: float, family: str, seed: int, draw: int):
-    """A pair of unit-norm fields whose separation sweeps the whole of (0, 2).
+# Complex entries held per stacked batch of fields (every entry's stack of
+# one chunk of draws): bounds the samplers' memory whatever the model size.
+_CHUNK_ENTRIES = 1 << 16
 
-    The first field is a normalized ginibre draw; the second mixes it with an
-    independent draw at a uniformly random angle, so near-equal and
-    near-antipodal pairs both occur.  Only unit-norm membership matters for
-    soundness of the modulus estimates.
+
+def _draws(model: DualModel, seed: int, draws: range):
+    """Draws of the pairs k in ``draws``: ginibre stacks a and b, and cos t, sin t.
+
+    t is each pair's mixing angle, uniform on [0, pi].  Pair k reads its own
+    three streams, mix_seed(seed, k, "a" | "b" | "t"), so a pair's values
+    never depend on the chunk it is drawn in.
     """
-    h1 = random_unit_field(model, p, mix_seed(seed, draw, "a"), family)
-    g = random_unit_field(model, p, mix_seed(seed, draw, "b"), family)
-    t = np.random.default_rng(mix_seed(seed, draw, "t")).uniform(0.0, math.pi)
-    mixed = math.cos(t) * h1 + math.sin(t) * g
-    norm = field_norm(mixed, p, family)
-    if norm == 0.0:  # measure-zero degenerate mix; fall back to the raw draw
-        mixed, norm = g, 1.0
-    return h1, (1.0 / norm) * mixed
+    a = random_stacks(model, [mix_seed(seed, k, "a") for k in draws])
+    b = random_stacks(model, [mix_seed(seed, k, "b") for k in draws])
+    t = np.array(
+        [np.random.default_rng(mix_seed(seed, k, "t")).uniform(0.0, math.pi) for k in draws]
+    )
+    return a, b, np.cos(t), np.sin(t)
+
+
+def _scaled(alpha: np.ndarray, stacks) -> list[np.ndarray]:
+    """Field i of the batch times alpha[i]."""
+    alpha = alpha[:, None, None]
+    return [alpha * s for s in stacks]
+
+
+def _unit(stacks, p: float, family: str) -> list[np.ndarray]:
+    norm = stacked_norm(stacks, p, family)
+    if not norm.all():
+        raise ZeroDivisionError("a ginibre draw has zero norm")
+    return _scaled(1.0 / norm, stacks)
+
+
+def _unit_pairs(model: DualModel, p: float, family: str, seed: int, samples: int):
+    """Yield chunks (h1, h2) of unit-norm pairs whose separation sweeps the whole of (0, 2).
+
+    h1 is a normalized ginibre draw; h2 mixes it with an independent draw
+    at a uniformly random angle, so near-equal and near-antipodal pairs both
+    occur.  Only unit-norm membership matters for soundness of the modulus
+    estimates.  Each chunk holds a batch of pairs as per-entry stacks.
+    """
+    step = max(1, _CHUNK_ENTRIES // sum(d * d for d in model.dims))
+    for start in range(0, samples, step):
+        a, b, cos_t, sin_t = _draws(model, seed, range(start, min(start + step, samples)))
+        h1, g = _unit(a, p, family), _unit(b, p, family)
+        mixed = [x + y for x, y in zip(_scaled(cos_t, h1), _scaled(sin_t, g))]
+        norm = stacked_norm(mixed, p, family)
+        flat = norm == 0.0  # measure-zero degenerate mix; fall back to the raw draw
+        if flat.any():
+            mixed = [np.where(flat[:, None, None], y, m) for y, m in zip(g, mixed)]
+            norm = np.where(flat, 1.0, norm)
+        yield h1, _scaled(1.0 / norm, mixed)
 
 
 def modulus_convexity_sample(
@@ -260,9 +296,10 @@ def modulus_convexity_sample(
 ) -> list[ModulusEstimate]:
     """Per-bin sampled infimum of 1 - ||(H1+H2)/2|| over unit pairs.
 
-    Pairs are binned by ||H1 - H2||; each bin's estimate is compared against
-    the proved lower bound at the bin's lower edge (the bound is increasing,
-    so that comparison is sound for every pair landing in the bin).
+    Pairs are binned by ||H1 - H2||, each in the first bin whose range
+    [e, e + bin_width) holds it; each bin's estimate is compared against the
+    proved lower bound at the bin's lower edge (the bound is increasing, so
+    that comparison is sound for every pair landing in the bin).
     """
     pv = _finite_interior(p)
     edges = tuple(float(e) for e in (default_eps_bins() if eps_bins is None else eps_bins))
@@ -270,16 +307,16 @@ def modulus_convexity_sample(
         raise ValueError("bin edges must lie in [0, 2]")
     best = {e: math.inf for e in edges}
     counts = {e: 0 for e in edges}
-    for k in range(samples):
-        h1, h2 = _unit_pair(model, pv, family, seed, k)
-        eps = field_norm(h1 - h2, pv, family)
-        midgap = 1.0 - field_norm(0.5 * (h1 + h2), pv, family)
+    for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
+        eps = stacked_norm([x - y for x, y in zip(h1, h2)], pv, family)
+        midgap = 1.0 - stacked_norm([0.5 * (x + y) for x, y in zip(h1, h2)], pv, family)
+        free = np.ones(eps.shape, dtype=bool)
         for e in edges:
-            if e <= eps < e + bin_width:
-                counts[e] += 1
-                if midgap < best[e]:
-                    best[e] = midgap
-                break
+            hit = free & (e <= eps) & (eps < e + bin_width)
+            if hit.any():
+                counts[e] += int(hit.sum())
+                best[e] = min(best[e], float(midgap[hit].min()))
+                free &= ~hit
     out = []
     for e in edges:
         n = counts[e]
@@ -310,15 +347,13 @@ def modulus_smoothness_sample(
     if any(t < 0.0 for t in ts):
         raise ValueError("smoothness grid points must be non-negative")
     best = [-math.inf] * len(ts)
-    for k in range(samples):
-        h1, h2 = _unit_pair(model, pv, family, seed, k)
+    for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
         for i, t in enumerate(ts):
             val = (
-                field_norm(h1 + t * h2, pv, family)
-                + field_norm(h1 - t * h2, pv, family)
+                stacked_norm([x + t * y for x, y in zip(h1, h2)], pv, family)
+                + stacked_norm([x - t * y for x, y in zip(h1, h2)], pv, family)
             ) / 2.0 - 1.0
-            if val > best[i]:
-                best[i] = val
+            best[i] = max(best[i], float(val.max()))
     return [
         ModulusEstimate(
             epsilon_or_t=t,

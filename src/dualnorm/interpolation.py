@@ -176,6 +176,7 @@ def boundary_witness_norms(h: Field, spec: InterpSpec, t_grid=DEFAULT_T_GRID):
 def interp_norm_consistency(
     h: Field,
     spec: InterpSpec,
+    boundary_norms,
     t_grid=DEFAULT_T_GRID,
     *,
     suite="interpolation",
@@ -183,12 +184,14 @@ def interp_norm_consistency(
 ) -> CheckReport:
     """Two-sided finite-scale consistency of the derived-exponent norm.
 
+    ``boundary_norms`` is ``boundary_witness_norms(h, spec, t_grid)``, which
+    the caller has already taken (and which raises for the zero field).
     Upper: ||h||_p is at most the largest boundary norm of the witness
     scaled back by ||h||_p.  Lower: the norming functional realizes
     |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
     """
     p = spec.p
-    bounds0, bounds1 = boundary_witness_norms(h, spec, t_grid)  # raises for the zero field
+    bounds0, bounds1 = boundary_norms
     norm = lp_sch_norm(h, p)
     boundary_max = norm * max(max(bounds0), max(bounds1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm

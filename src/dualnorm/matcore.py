@@ -27,6 +27,7 @@ __all__ = [
     "matabs",
     "psd_power",
     "schatten_norm",
+    "stacked_schatten_norm",
     "hs_norm",
     "trace",
 ]
@@ -157,6 +158,24 @@ def psd_power(a: np.ndarray, w: complex) -> np.ndarray:
     return out
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError("SVD did not converge") from exc
+
+
+def _schatten_from_sigma(s: np.ndarray, p: float):
+    """Schatten p-norm from singular values sorted non-increasing along the last axis."""
+    if math.isinf(p):
+        return s[..., 0]
+    if p == 1.0:
+        return s.sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((s * s).sum(axis=-1))
+    return (s**p).sum(axis=-1) ** (1.0 / p)
+
+
 def schatten_norm(a: np.ndarray, p: float) -> float:
     """Schatten p-norm: (sum sigma_i^p)^(1/p); p = inf gives the operator norm."""
     a = _require_square(cmatrix(a))
@@ -165,17 +184,21 @@ def schatten_norm(a: np.ndarray, p: float) -> float:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     if a.shape[0] == 1:
         return abs(complex(a[0, 0]))
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("SVD did not converge") from exc
-    if math.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    if p == 1.0:
-        return float(np.sum(s))
-    if p == 2.0:
-        return float(np.sqrt(np.sum(s * s)))
-    return float(np.sum(s**p) ** (1.0 / p))
+    s = _singular_values(a)
+    if not s.size:  # the 0 x 0 matrix
+        return 0.0
+    return float(_schatten_from_sigma(s, p))
+
+
+def stacked_schatten_norm(stack: np.ndarray, p: float) -> np.ndarray:
+    """schatten_norm of every matrix of an (n, d, d) stack, from one stacked SVD.
+
+    The stack is trusted internal data (finite, complex128, d >= 1): nothing
+    is validated.
+    """
+    if stack.shape[-1] == 1:
+        return np.abs(stack.reshape(stack.shape[:-2]))
+    return _schatten_from_sigma(_singular_values(stack), float(p))
 
 
 def hs_norm(a: np.ndarray) -> float:

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import matcore
 from .dualmodel import (
     DualModel,
@@ -37,6 +39,7 @@ __all__ = [
     "lp_sch_norm",
     "lp_hs_norm",
     "field_norm",
+    "stacked_norm",
     "random_unit_field",
     "embedding_check",
     "holder_check",
@@ -122,6 +125,11 @@ def lp_sch_norm(h: Field, p) -> float:
     return total ** (1.0 / p)
 
 
+def _hs_weight(dim: int, p: float) -> float:
+    # dim^(2 - p/2) in log space; the exponent may be negative for p > 4
+    return math.exp((2.0 - p / 2.0) * math.log(dim)) if dim > 1 else 1.0
+
+
 def lp_hs_norm(h: Field, p) -> float:
     """Hilbert-Schmidt-family norm with dim^(2 - p/2) weights; see module doc."""
     p = _pval(p)
@@ -132,9 +140,7 @@ def lp_hs_norm(h: Field, p) -> float:
         )
     total = 0.0
     for (_, dim), block in zip(h.model.entries, h.blocks):
-        # dim^(2 - p/2) in log space; the exponent may be negative for p > 4
-        weight = math.exp((2.0 - p / 2.0) * math.log(dim)) if dim > 1 else 1.0
-        total += weight * matcore.hs_norm(block) ** p
+        total += _hs_weight(dim, p) * matcore.hs_norm(block) ** p
     return total ** (1.0 / p)
 
 
@@ -144,6 +150,34 @@ def field_norm(h: Field, p, family: str) -> float:
     if family == "hs":
         return lp_hs_norm(h, p)
     raise ValueError(f"unknown norm family {family!r}")
+
+
+def stacked_norm(blocks, p, family: str) -> np.ndarray:
+    """field_norm of a batch of n fields, held as one (n, d, d) stack per model entry.
+
+    ``blocks`` lists the stacks in entry order; element i of the result is
+    the norm of the field made of every stack's i-th block.  Each entry
+    takes one batched reduction: a stacked SVD (singular values only) in the
+    Schatten family, a sum of squares in the Hilbert-Schmidt family.
+    """
+    p = _pval(p)
+    dims = [b.shape[-1] for b in blocks]
+    if family == "sch":
+        values = [matcore.stacked_schatten_norm(b, p) for b in blocks]
+        if math.isinf(p):
+            return np.max(values, axis=0)
+        weights = dims
+    elif family == "hs":
+        values = [np.linalg.norm(b, axis=(-2, -1)) for b in blocks]
+        if math.isinf(p):
+            return np.max([v / math.sqrt(d) for d, v in zip(dims, values)], axis=0)
+        weights = [_hs_weight(d, p) for d in dims]
+    else:
+        raise ValueError(f"unknown norm family {family!r}")
+    total = 0.0
+    for w, v in zip(weights, values):
+        total = total + w * v**p
+    return total ** (1.0 / p)
 
 
 def random_unit_field(model: DualModel, p, seed: int, family: str = "sch") -> Field:

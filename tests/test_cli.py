@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from dualnorm import interpolation, matcore
 from dualnorm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -312,6 +313,21 @@ def test_default_tol_override_leaves_report_bytes_unchanged(tmp_path):
     assert (tmp_path / "tol.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+def test_interpolation_trial_builds_each_witness_once(monkeypatch):
+    svds, witnesses = [], []
+    svd, witness_f = matcore.svd, interpolation.witness_f
+    monkeypatch.setattr(matcore, "svd", lambda a: svds.append(a.shape) or svd(a))
+    monkeypatch.setattr(
+        interpolation, "witness_f", lambda h, spec: witnesses.append(h) or witness_f(h, spec)
+    )
+    reports = run_suite(small_config(suite="interpolation", trials=1))
+    assert len(reports) == 3 and all(r.passed for r in reports)
+    # h's witness serves the boundary-norm and consistency reports, the
+    # three-lines check builds its own pair; the dual extremizer adds a polar
+    assert len(witnesses) == 2
+    assert len(svds) == 4 * len(preset_dual("s3").entries)
+
+
 def test_tol_override_keeps_exact_counts_exact():
     reports = run_suite(small_config(suite="moduli", trials=50, tol_override=1e-6))
     bins = [r for r in reports if r.case_id.startswith("convexity_bins")]
@@ -324,10 +340,10 @@ def test_tol_override_keeps_exact_counts_exact():
 # pin the report bytes: a refactor of the suites must leave them unchanged, and
 # a deliberate change to the numbers (a new draw layout) updates them here.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 344, "850a6070743c3ce0", "94cf18ad1d7966e6"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 279, "6e0706c73e94b422", "74420c89039453cd"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "b82311868ced4fe3", "9b705b651c5adb87"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 128, "245d7dac0a0e58d4", "e43c50f7b3781970"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 344, "2253f0ca9fc88bba", "a93965275001dfe5"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 279, "53a3e6b5f53d1a7b", "e63f44b1dee3f638"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "21f07ab9e4b6e321", "61707305fc92af64"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 128, "22e6c8fc775a0346", "f0d78a5b671f3227"),
 ]
 
 

@@ -23,6 +23,7 @@ from dualnorm.dualmodel import (
     parse_dual_arg,
     preset_dual,
     random_field,
+    random_stacks,
     zero_field,
 )
 
@@ -77,6 +78,39 @@ def test_random_field_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(f1.blocks, f2.blocks))
     f3 = random_field(m, 43, "ginibre")
     assert any(not np.array_equal(a, b) for a, b in zip(f1.blocks, f3.blocks))
+
+
+def per_block_draw(model, seed, dist):
+    """The draw layout random_field keeps: per block, d x d real parts, then d x d imaginary."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for d in model.dims:
+        a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+        if dist == "hermitian":
+            a = (a + a.conj().T) / 2
+        elif dist == "psd":
+            a = a.conj().T @ a
+        blocks.append(a)
+    return blocks
+
+
+@pytest.mark.parametrize("dist", ["ginibre", "hermitian", "psd"])
+def test_random_field_keeps_per_block_draw_layout(dist):
+    m = preset_dual("custom", [1, 1, 2, 3])
+    for k in range(50):
+        seed = mix_seed("layout", k)
+        got = random_field(m, seed, dist).blocks
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, per_block_draw(m, seed, dist)))
+
+
+def test_random_stacks_hold_random_field_draws_bit_for_bit():
+    m = preset_dual("custom", [1, 3, 2])
+    seeds = [mix_seed("stack", k) for k in range(9)]
+    stacks = random_stacks(m, seeds)
+    assert [s.shape for s in stacks] == [(9, d, d) for d in m.dims]
+    for i, seed in enumerate(seeds):
+        for stack, block in zip(stacks, random_field(m, seed).blocks):
+            assert stack[i].tobytes() == block.tobytes()
 
 
 def test_random_field_hermitian():

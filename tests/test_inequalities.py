@@ -1,10 +1,21 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from dualnorm.dualmodel import Field, mix_seed, preset_dual, random_field, zero_field
+from dualnorm import inequalities
+from dualnorm.dualmodel import (
+    Field,
+    mix_seed,
+    parse_dual_arg,
+    preset_dual,
+    random_field,
+    random_stacks,
+    zero_field,
+)
 from dualnorm.inequalities import (
     ModulusEstimate,
     clarkson_check,
@@ -25,7 +36,7 @@ from dualnorm.inequalities import (
     type_cotype_check,
     unconditional_sum_bound,
 )
-from dualnorm.norms import field_norm, lp_sch_norm
+from dualnorm.norms import field_norm, lp_sch_norm, random_unit_field
 
 S3 = preset_dual("s3")
 
@@ -265,6 +276,153 @@ def test_modulus_smoothness_bounds_p3(family):
 def test_modulus_empty_bin_flagged():
     ests = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(0.5,), samples=0, seed=0)
     assert ests[0].skipped and ests[0].passed()
+    smooth = modulus_smoothness_sample(S3, 1.5, "sch", samples=0, seed=0)
+    assert all(math.isnan(est.estimate) and est.skipped for est in smooth)
+
+
+# Per-pair loop over Fields: the reference the batched samplers are checked
+# against (same draws, scalar norms, one pair at a time).
+
+
+def loop_unit_pair(model, p, family, seed, draw):
+    h1 = random_unit_field(model, p, mix_seed(seed, draw, "a"), family)
+    g = random_unit_field(model, p, mix_seed(seed, draw, "b"), family)
+    t = np.random.default_rng(mix_seed(seed, draw, "t")).uniform(0.0, math.pi)
+    mixed = math.cos(t) * h1 + math.sin(t) * g
+    norm = field_norm(mixed, p, family)
+    if norm == 0.0:
+        mixed, norm = g, 1.0
+    return h1, (1.0 / norm) * mixed
+
+
+def loop_convexity_sample(model, p, family, edges, samples, seed, bin_width=0.1):
+    """(counts, best) per bin edge; a pair lands in the first bin that holds it."""
+    best = {e: math.inf for e in edges}
+    counts = {e: 0 for e in edges}
+    for k in range(samples):
+        h1, h2 = loop_unit_pair(model, p, family, seed, k)
+        eps = field_norm(h1 - h2, p, family)
+        midgap = 1.0 - field_norm(0.5 * (h1 + h2), p, family)
+        for e in edges:
+            if e <= eps < e + bin_width:
+                counts[e] += 1
+                best[e] = min(best[e], midgap)
+                break
+    return counts, best
+
+
+def loop_smoothness_sample(model, p, family, t_grid, samples, seed):
+    best = [-math.inf] * len(t_grid)
+    for k in range(samples):
+        h1, h2 = loop_unit_pair(model, p, family, seed, k)
+        for i, t in enumerate(t_grid):
+            val = (field_norm(h1 + t * h2, p, family) + field_norm(h1 - t * h2, p, family)) / 2.0
+            best[i] = max(best[i], val - 1.0)
+    return best
+
+
+def assert_matches_loop(model, p, family, samples, seed, eps_bins=None, bin_width=0.1):
+    edges = default_eps_bins() if eps_bins is None else eps_bins
+    counts, best = loop_convexity_sample(model, p, family, edges, samples, seed, bin_width)
+    ests = modulus_convexity_sample(
+        model, p, family, eps_bins=edges, samples=samples, seed=seed, bin_width=bin_width
+    )
+    for est in ests:
+        assert est.samples == counts[est.epsilon_or_t], est
+        if est.samples:
+            ref = best[est.epsilon_or_t]
+            assert est.estimate == pytest.approx(ref, rel=1e-12, abs=0.0), est
+    t_grid = (0.1, 0.5, 1.0)
+    smooth = modulus_smoothness_sample(model, p, family, t_grid=t_grid, samples=samples, seed=seed)
+    for est, ref in zip(smooth, loop_smoothness_sample(model, p, family, t_grid, samples, seed)):
+        assert est.estimate == pytest.approx(ref, rel=1e-12, abs=0.0), est
+    return ests
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)", "custom(1,3)"])
+@pytest.mark.parametrize("family", ["sch", "hs"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_moduli_samplers_match_loop_oracle(dual, family, p):
+    assert_matches_loop(parse_dual_arg(dual), p, family, 120, mix_seed("oracle", dual, family, p))
+
+
+def test_modulus_convexity_overlapping_bins_first_match_only():
+    # [0.5, 0.6) and [0.55, 0.65) overlap: a pair in [0.55, 0.6) counts in 0.5 only
+    seed = 5
+    ests = assert_matches_loop(S3, 1.5, "sch", 400, seed, eps_bins=(0.5, 0.55))
+    alone = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(0.5,), samples=400, seed=seed)
+    assert ests[0] == alone[0] and ests[0].samples > 0 and ests[1].samples > 0
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)"])
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_moduli_samplers_independent_of_chunk_size(monkeypatch, dual, family):
+    model = parse_dual_arg(dual)
+
+    def run():
+        conv = modulus_convexity_sample(model, 1.5, family, samples=150, seed=21)
+        smooth = modulus_smoothness_sample(model, 3.0, family, samples=150, seed=21)
+        return repr(conv + smooth)
+
+    whole = run()
+    per_field = sum(d * d for d in model.dims)
+    for budget in (1, 7 * per_field):  # one pair per chunk; 7 per chunk with a ragged tail
+        monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
+        assert run() == whole
+
+
+def test_moduli_samplers_build_no_field(monkeypatch):
+    built = []
+    post_init = Field.__post_init__
+    monkeypatch.setattr(Field, "__post_init__", lambda self: built.append(1) or post_init(self))
+    modulus_convexity_sample(S3, 1.5, "sch", samples=20, seed=1)
+    modulus_smoothness_sample(S3, 1.5, "hs", samples=20, seed=1)
+    assert built == []
+
+
+def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
+    # b = -a and cos t = sin t: the mixed field is exactly 0, so h2 falls
+    # back to the normalized b, which is -h1 (separation 2, midpoint 0)
+    def antipodal(model, seed, draws):
+        a = random_stacks(model, [mix_seed(seed, k, "a") for k in draws])
+        half = np.full(len(draws), math.sqrt(0.5))
+        return a, [-x for x in a], half, half
+
+    monkeypatch.setattr(inequalities, "_draws", antipodal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by the zero norm
+        conv = modulus_convexity_sample(
+            S3, 1.5, "sch", eps_bins=(1.9,), samples=30, seed=3, bin_width=0.2
+        )
+        smooth = modulus_smoothness_sample(S3, 1.5, "sch", samples=30, seed=3)
+    assert conv[0].samples == 30 and conv[0].estimate == 1.0
+    for est in smooth:  # (|1 - t| + |1 + t|)/2 - 1 = 0 for t <= 1
+        assert est.estimate == pytest.approx(0.0, abs=1e-15)
+
+
+def test_moduli_zero_norm_draw_raises(monkeypatch):
+    def zero_a(model, seed, draws):
+        a = [np.zeros((len(draws), d, d), dtype=complex) for d in model.dims]
+        b = random_stacks(model, [mix_seed(seed, k, "b") for k in draws])
+        return a, b, np.ones(len(draws)), np.zeros(len(draws))
+
+    monkeypatch.setattr(inequalities, "_draws", zero_a)
+    with pytest.raises(ZeroDivisionError):
+        modulus_convexity_sample(S3, 1.5, "sch", samples=3, seed=0)
+
+
+def test_moduli_sampler_memory_bounded_by_chunk():
+    # unchunked, one 2000-pair stack of custom(64) fields alone would take 131 MB
+    model = preset_dual("custom", [64])
+    tracemalloc.start()
+    try:
+        modulus_convexity_sample(model, 1.5, "hs", samples=2000, seed=4)
+        modulus_smoothness_sample(model, 3.0, "hs", samples=2000, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = 16 * inequalities._CHUNK_ENTRIES  # one complex128 batch of fields
+    assert peak <= 16 * chunk_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_default_bins_cover_unit_interval():

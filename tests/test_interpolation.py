@@ -217,7 +217,7 @@ def test_consistency_random_fields():
     m = preset_dual("s3")
     for k in range(50):
         h = random_field(m, mix_seed("cons", k))
-        rep = interp_norm_consistency(h, SPEC_1_2)
+        rep = interp_norm_consistency(h, SPEC_1_2, boundary_witness_norms(h, SPEC_1_2))
         assert rep.passed, f"consistency failed at draw {k}: {rep}"
 
 
@@ -228,7 +228,7 @@ def test_consistency_equal_endpoints_exact():
     w = witness_f(h, spec)(0.25 + 0.5j)
     h_unit = (1.0 / lp_sch_norm(h, 2.0)) * h
     assert max_block_diff(w, h_unit) <= 1e-12  # witness constant in z
-    rep = interp_norm_consistency(h, spec)
+    rep = interp_norm_consistency(h, spec, boundary_witness_norms(h, spec))
     assert rep.passed and abs(rep.rhs - rep.lhs) <= 1e-10 * max(1.0, rep.lhs)
 
 
@@ -238,7 +238,7 @@ def test_consistency_scalar_model_matches_classical_interpolation():
     m = preset_dual("torus", 4)
     for k in range(25):
         h = random_field(m, mix_seed("scons", k))
-        rep = interp_norm_consistency(h, SPEC_2_4)
+        rep = interp_norm_consistency(h, SPEC_2_4, boundary_witness_norms(h, SPEC_2_4))
         assert rep.passed
 
 

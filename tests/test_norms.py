@@ -11,6 +11,7 @@ from dualnorm.dualmodel import (
     mix_seed,
     preset_dual,
     random_field,
+    random_stacks,
     zero_field,
 )
 from dualnorm.norms import (
@@ -23,6 +24,7 @@ from dualnorm.norms import (
     holder_check,
     lp_hs_norm,
     lp_sch_norm,
+    stacked_norm,
 )
 
 CBRT5 = 5.0 ** (1.0 / 3.0)  # 1.7099759466766968
@@ -115,6 +117,22 @@ def test_lp_hs_norm_matches_oracle(seed):
     m = preset_dual("su2_trunc", 3)
     h = random_field(m, seed)
     assert lp_hs_norm(h, 2.5) == pytest.approx(hs_norm_oracle(h, 2.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 5.0, math.inf])
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_stacked_norm_matches_field_norm(p, family):
+    m = preset_dual("custom", [1, 2, 3, 1])
+    seeds = [mix_seed("stacked", k) for k in range(12)]
+    norms = stacked_norm(random_stacks(m, seeds), p, family)
+    expected = [field_norm(random_field(m, s), p, family) for s in seeds]
+    assert norms.shape == (12,)
+    assert norms == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_stacked_norm_rejects_unknown_family():
+    with pytest.raises(ValueError):
+        stacked_norm(random_stacks(preset_dual("s3"), [1]), 2.0, "op")
 
 
 @pytest.mark.parametrize("seed", range(20))
