@@ -449,7 +449,10 @@ def _cmd_verify(args) -> int:
 def _cmd_field(args) -> int:
     if args.field_command == "random":
         model = _load_dual(args.dual)
-        field = random_field(model, _default_seed(args.seed), args.dist)
+        try:
+            field = random_field(model, _default_seed(args.seed), args.dist)
+        except ValueError as exc:  # a seed outside the stream keys [0, 2^128)
+            raise ConfigError(f"cannot draw a field: {exc}") from exc
         doc = {"dual": encode_model(model), "field": encode_field(field)}
         text = json.dumps(doc, indent=2) + "\n"
         if args.out:

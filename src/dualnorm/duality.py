@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field, mix_seed
-from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm, random_unit_field
+from .dualmodel import Field, mix_seed, random_stacks
+from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm, stacked_norm
 from .report import CheckReport, inequality_report
 
 __all__ = [
@@ -78,8 +78,10 @@ def dual_norm_via_search(
     best = 0.0
     if include_extremizer and not p.is_inf and lp_sch_norm(h, p) > 0.0:
         best = abs(pairing(h, dual_extremizer(h, p)))
-    for k in range(trials):
-        f = random_unit_field(h.model, q, mix_seed(seed, "dual_search", k))
+    probes = random_stacks(h.model, mix_seed(seed, "dual_search"), rows=trials)
+    norms = stacked_norm(probes, q, "sch")
+    for k in range(trials):  # probe k is row k of the search's stream, at unit q-norm
+        f = Field(h.model, tuple(s[k] / norms[k] for s in probes))
         best = max(best, abs(pairing(h, f)))
     return best
 

@@ -27,6 +27,7 @@ __all__ = [
     "identity_field",
     "random_field",
     "random_stacks",
+    "random_uniforms",
     "field_adjoint",
     "field_abs",
     "field_lincomb",
@@ -176,16 +177,16 @@ def identity_field(model: DualModel) -> Field:
 
 
 def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
-    """Deterministic random field: one rng stream per (model, seed, dist).
+    """Deterministic random field: row 0 of the stream keyed by ``seed``.
 
-    ginibre: i.i.d. standard complex normal entries (unit E|z|^2), the
-    draw of random_stacks(model, [seed]);
+    ginibre: i.i.d. standard complex normal entries (unit E|z|^2), row 0
+    of random_stacks(model, seed);
     hermitian: Hermitian part (A + A*)/2 of a ginibre draw;
     psd: A* A of a ginibre draw.
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
-    blocks = [s[0] for s in random_stacks(model, [seed])]
+    blocks = [s[0] for s in random_stacks(model, seed)]
     if dist == "hermitian":
         blocks = [(a + a.conj().T) / 2 for a in blocks]
     elif dist == "psd":
@@ -193,23 +194,55 @@ def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
     return Field(model, tuple(blocks))
 
 
-def random_stacks(model: DualModel, seeds) -> list[np.ndarray]:
-    """Ginibre fields for many seeds: one (len(seeds), d, d) stack per model entry.
+# -- keyed counter-based draws ---------------------------------------------
+#
+# Every draw is a fixed slice of one Philox stream, addressed by (key, row):
+# row r of a draw of `stride` words per row reads the stream's words
+# [r * stride, (r + 1) * stride).  A row's bits depend on its key and its
+# index only, never on which rows are read with it or in what order.
 
-    Row i of every stack is the field of seeds[i], drawn from
-    default_rng(seeds[i]) by one standard_normal(sum 2 d^2) call read in
-    entry order: a block's d^2 real parts, then its d^2 imaginary parts.
+_PHILOX_BLOCK = 4  # 64-bit words per Philox counter value
+
+
+def random_uniforms(key: int, start: int = 0, rows: int = 1) -> np.ndarray:
+    """Uniforms on [0, 1) of rows start .. start + rows - 1: row r is word r of the stream.
+
+    A word's top 53 bits make its uniform.
+    """
+    if start < 0 or rows < 0:
+        raise ValueError(f"start and rows must be non-negative, got {start} and {rows}")
+    skip = start % _PHILOX_BLOCK
+    # a bit generator per call: no state is shared between calls or threads
+    bits = np.random.Philox(key=key, counter=start // _PHILOX_BLOCK)
+    words = bits.random_raw(skip + rows)[skip:]
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> list[np.ndarray]:
+    """Ginibre fields of rows start .. start + rows - 1: one (rows, d, d) stack per entry.
+
+    Row r reads the words [r * stride, (r + 1) * stride) of the stream keyed
+    by ``key``, where stride is 2 sum d^2 rounded up to a Philox block.  Word
+    pairs become standard normals by Box-Muller (u1 = 1 - U keeps the log
+    finite), read in entry order: a block's d^2 real parts, then its d^2
+    imaginary parts, each scaled by 1/sqrt(2) for unit E|z|^2.
     """
     sizes = [d * d for d in model.dims]
-    normals = np.empty((len(seeds), 2 * sum(sizes)))
-    for seed, row in zip(seeds, normals):
-        np.random.default_rng(seed).standard_normal(out=row)
-    stacks, start = [], 0
+    width = 2 * sum(sizes)
+    stride = -(-width // _PHILOX_BLOCK) * _PHILOX_BLOCK
+    u = random_uniforms(key, start * stride, rows * stride).reshape(rows, stride)
+    radius = np.sqrt(-np.log(1.0 - u[:, 0:width:2]))  # sqrt(-2 log u1) / sqrt(2)
+    angle = (2.0 * np.pi) * u[:, 1:width:2]
+    scaled = np.empty((rows, width))
+    np.multiply(radius, np.cos(angle), out=scaled[:, 0::2])
+    np.multiply(radius, np.sin(angle), out=scaled[:, 1::2])
+    stacks, offset = [], 0
     for d, size in zip(model.dims, sizes):
-        re = normals[:, start : start + size].reshape(-1, d, d)
-        im = normals[:, start + size : start + 2 * size].reshape(-1, d, d)
-        stacks.append((re + 1j * im) / np.sqrt(2))
-        start += 2 * size
+        z = np.empty((rows, d, d), dtype=np.complex128)
+        z.real = scaled[:, offset : offset + size].reshape(rows, d, d)
+        z.imag = scaled[:, offset + size : offset + 2 * size].reshape(rows, d, d)
+        stacks.append(z)
+        offset += 2 * size
     return stacks
 
 

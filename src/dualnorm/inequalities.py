@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualmodel import DualModel, Field, mix_seed, random_stacks
+from .dualmodel import DualModel, Field, mix_seed, random_stacks, random_uniforms
 from .norms import ExponentP, field_norm, stacked_norm
 from .report import CheckReport, check_report, equality_report, inequality_report, tolerance
 
@@ -236,18 +236,18 @@ def default_eps_bins() -> tuple[float, ...]:
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _draws(model: DualModel, seed: int, draws: range):
-    """Draws of the pairs k in ``draws``: ginibre stacks a and b, and cos t, sin t.
+def _draws(model: DualModel, keys, start: int, rows: int):
+    """Pairs start .. start + rows - 1: ginibre stacks a and b, and cos t, sin t.
 
-    t is each pair's mixing angle, uniform on [0, pi].  Pair k reads its own
-    three streams, mix_seed(seed, k, "a" | "b" | "t"), so a pair's values
-    never depend on the chunk it is drawn in.
+    t is each pair's mixing angle, uniform on [0, pi].  ``keys`` are the
+    three stream keys of the sampler call (a, b, t), and pair k reads row k
+    of each stream, so a pair's values never depend on the chunk it is
+    drawn in.
     """
-    a = random_stacks(model, [mix_seed(seed, k, "a") for k in draws])
-    b = random_stacks(model, [mix_seed(seed, k, "b") for k in draws])
-    t = np.array(
-        [np.random.default_rng(mix_seed(seed, k, "t")).uniform(0.0, math.pi) for k in draws]
-    )
+    key_a, key_b, key_t = keys
+    a = random_stacks(model, key_a, start, rows)
+    b = random_stacks(model, key_b, start, rows)
+    t = math.pi * random_uniforms(key_t, start, rows)
     return a, b, np.cos(t), np.sin(t)
 
 
@@ -272,9 +272,12 @@ def _unit_pairs(model: DualModel, p: float, family: str, seed: int, samples: int
     occur.  Only unit-norm membership matters for soundness of the modulus
     estimates.  Each chunk holds a batch of pairs as per-entry stacks.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
+    keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
     step = max(1, _CHUNK_ENTRIES // sum(d * d for d in model.dims))
     for start in range(0, samples, step):
-        a, b, cos_t, sin_t = _draws(model, seed, range(start, min(start + step, samples)))
+        a, b, cos_t, sin_t = _draws(model, keys, start, min(step, samples - start))
         h1, g = _unit(a, p, family), _unit(b, p, family)
         mixed = [x + y for x, y in zip(_scaled(cos_t, h1), _scaled(sin_t, g))]
         norm = stacked_norm(mixed, p, family)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -32,6 +34,9 @@ from dualnorm.report import (
     reports_to_json,
     tolerance,
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def small_config(suite="clarkson", **kw):
@@ -228,6 +233,29 @@ def test_main_field_random_and_show(tmp_path, capsys):
     assert "su2_trunc(3)" in out and "sch-2 norm" in out
 
 
+@pytest.mark.parametrize("seed", ["-3", str(2**128)])
+def test_main_field_random_seed_outside_keys_is_config_error(seed, capsys):
+    # stream keys lie in [0, 2^128)
+    assert main(["field", "random", "--dual", "s3", "--seed", seed]) == EXIT_CONFIG_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*args):
+        argv = [sys.executable, "-m", "dualnorm", "verify", "norms", "--trials", "1", *args]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run("--dual", "s3")
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert "checks passed" in ok.stdout
+    bad = run("--dual", "nosuch(3)")
+    assert bad.returncode == EXIT_CONFIG_ERROR
+    assert "error:" in bad.stderr and "Traceback" not in bad.stderr
+
+
 def test_main_env_seed_default(tmp_path, monkeypatch):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     monkeypatch.setenv("DUALNORM_SEED", "77")
@@ -340,10 +368,10 @@ def test_tol_override_keeps_exact_counts_exact():
 # pin the report bytes: a refactor of the suites must leave them unchanged, and
 # a deliberate change to the numbers (a new draw layout) updates them here.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 344, "2253f0ca9fc88bba", "a93965275001dfe5"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 279, "53a3e6b5f53d1a7b", "e63f44b1dee3f638"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "21f07ab9e4b6e321", "61707305fc92af64"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 128, "22e6c8fc775a0346", "f0d78a5b671f3227"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "368f262b35326398", "5578337816203fa7"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "d3fdabbe1e6c44cf", "b8a8e7fc3dce7613"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "4f52573e384c7e29", "193ced4f8ddbc585"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "ea54c9d8a55f8116", "640130d20bf65a79"),
 ]
 
 

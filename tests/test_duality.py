@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualnorm import matcore
+from dualnorm import duality, matcore
 from dualnorm.duality import (
     dual_extremizer,
     dual_norm_via_search,
@@ -16,6 +16,7 @@ from dualnorm.dualmodel import (
     mix_seed,
     preset_dual,
     random_field,
+    random_stacks,
     zero_field,
 )
 from dualnorm.norms import DirectSumSpec, ExponentP, lp_sch_norm
@@ -183,6 +184,24 @@ def test_search_random_trials_never_exceed_norm():
         norm = lp_sch_norm(h, p)
         val = dual_norm_via_search(h, p, trials=10, seed=k, include_extremizer=False)
         assert val <= norm + 1e-10 * max(1.0, norm)
+
+
+def test_search_probes_are_rows_of_one_stream(monkeypatch):
+    # the batched search against a per-probe loop: probe k is row k of one keyed stream
+    m = preset_dual("su2_trunc", 3)
+    h = random_field(m, mix_seed("rows"))
+    q = ExponentP(1.5).conjugate()
+    key = mix_seed(5, "dual_search")
+    expected = 0.0
+    for k in range(8):
+        f = Field(m, tuple(s[0] for s in random_stacks(m, key, start=k, rows=1)))
+        expected = max(expected, abs(pairing(h, (1.0 / lp_sch_norm(f, q)) * f)))
+    calls = []
+    mix = duality.mix_seed
+    monkeypatch.setattr(duality, "mix_seed", lambda *parts: calls.append(parts) or mix(*parts))
+    got = dual_norm_via_search(h, 1.5, trials=8, seed=5, include_extremizer=False)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert calls == [(5, "dual_search")]
 
 
 # -- direct-sum duality -------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dualnorm.dualmodel import (
     preset_dual,
     random_field,
     random_stacks,
+    random_uniforms,
     zero_field,
 )
 
@@ -80,37 +82,85 @@ def test_random_field_deterministic():
     assert any(not np.array_equal(a, b) for a, b in zip(f1.blocks, f3.blocks))
 
 
-def per_block_draw(model, seed, dist):
-    """The draw layout random_field keeps: per block, d x d real parts, then d x d imaginary."""
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for d in model.dims:
-        a = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-        if dist == "hermitian":
-            a = (a + a.conj().T) / 2
-        elif dist == "psd":
-            a = a.conj().T @ a
-        blocks.append(a)
-    return blocks
+def keyed_normals(key, width, row):
+    """Row ``row`` of the keyed layout from raw Philox words: Box-Muller over word pairs."""
+    stride = -(-width // 4) * 4
+    words = np.random.Philox(key=key).random_raw((row + 1) * stride)[row * stride :][:width]
+    u = [int(w >> 11) * 2.0**-53 for w in words]
+    out = []
+    for u1, u2 in zip(u[0::2], u[1::2]):
+        radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+        out += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    return out
+
+
+def test_random_stacks_follow_keyed_layout():
+    m = preset_dual("custom", [1, 3, 2])
+    width = 2 * sum(d * d for d in m.dims)  # 28 normals: a stride of exactly 7 Philox blocks
+    key = mix_seed("layout")
+    stacks = random_stacks(m, key, start=0, rows=3)
+    for row in range(3):
+        normals, offset = keyed_normals(key, width, row), 0
+        for d, stack in zip(m.dims, stacks):
+            re = np.array(normals[offset : offset + d * d]).reshape(d, d)
+            im = np.array(normals[offset + d * d : offset + 2 * d * d]).reshape(d, d)
+            assert np.allclose(stack[row], (re + 1j * im) / np.sqrt(2), rtol=1e-14, atol=1e-15)
+            offset += 2 * d * d
+
+
+@pytest.mark.parametrize("dims", [[1, 3, 2], [1, 1, 2], [1]])  # strides 28, 12 and 4 words
+def test_random_stacks_rows_independent_of_split(dims):
+    m = preset_dual("custom", dims)
+    key = mix_seed("split")
+    whole = random_stacks(m, key, start=0, rows=23)
+    assert [s.shape for s in whole] == [(23, d, d) for d in m.dims]
+    for chunk in (1, 4, 7):  # 23 rows in chunks of 7 leave a ragged tail of 2
+        parts = [random_stacks(m, key, start, min(chunk, 23 - start)) for start in range(0, 23, chunk)]
+        for i, stack in enumerate(whole):
+            assert np.concatenate([p[i] for p in parts]).tobytes() == stack.tobytes()
+    shifted = random_stacks(m, key, start=5, rows=3)
+    assert all(a.tobytes() == b[5:8].tobytes() for a, b in zip(shifted, whole))
+    uniforms = random_uniforms(key, start=0, rows=23)
+    assert random_uniforms(key, start=9, rows=5).tobytes() == uniforms[9:14].tobytes()
+    assert ((0.0 <= uniforms) & (uniforms < 1.0)).all()
 
 
 @pytest.mark.parametrize("dist", ["ginibre", "hermitian", "psd"])
-def test_random_field_keeps_per_block_draw_layout(dist):
+def test_random_field_is_row_zero_of_its_key(dist):
     m = preset_dual("custom", [1, 1, 2, 3])
-    for k in range(50):
-        seed = mix_seed("layout", k)
+    for k in range(20):
+        seed = mix_seed("row0", k)
+        blocks = [s[0] for s in random_stacks(m, seed, start=0, rows=2)]
+        if dist == "hermitian":
+            blocks = [(a + a.conj().T) / 2 for a in blocks]
+        elif dist == "psd":
+            blocks = [a.conj().T @ a for a in blocks]
         got = random_field(m, seed, dist).blocks
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, per_block_draw(m, seed, dist)))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, blocks))
 
 
-def test_random_stacks_hold_random_field_draws_bit_for_bit():
-    m = preset_dual("custom", [1, 3, 2])
-    seeds = [mix_seed("stack", k) for k in range(9)]
-    stacks = random_stacks(m, seeds)
-    assert [s.shape for s in stacks] == [(9, d, d) for d in m.dims]
-    for i, seed in enumerate(seeds):
-        for stack, block in zip(stacks, random_field(m, seed).blocks):
-            assert stack[i].tobytes() == block.tobytes()
+def test_random_stacks_normals_are_standard():
+    # 4096 rows x 32 complex entries = 262144 real normals (real and imaginary parts)
+    stacks = random_stacks(preset_dual("custom", [4, 4]), mix_seed("dist"), rows=4096)
+    z = np.sqrt(2) * np.concatenate([s.ravel() for s in stacks])
+    x = np.sort(np.concatenate([z.real, z.imag]))
+    n = x.size
+    assert abs(x.mean()) < 5 / math.sqrt(n)
+    assert abs(x.var() - 1.0) < 5 * math.sqrt(2 / n)
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2))) for v in x])
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.95 / math.sqrt(n)  # the KS critical value at level 0.001
+
+
+def test_random_stacks_reject_negative_rows():
+    m = preset_dual("s3")
+    with pytest.raises(ValueError):
+        random_stacks(m, 1, start=-1)
+    with pytest.raises(ValueError):
+        random_stacks(m, 1, rows=-1)
+    with pytest.raises(ValueError):
+        random_uniforms(1, start=-2, rows=3)
+    assert [s.shape for s in random_stacks(m, 1, start=4, rows=0)] == [(0, 1, 1), (0, 1, 1), (0, 2, 2)]
 
 
 def test_random_field_hermitian():

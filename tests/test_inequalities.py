@@ -14,6 +14,7 @@ from dualnorm.dualmodel import (
     preset_dual,
     random_field,
     random_stacks,
+    random_uniforms,
     zero_field,
 )
 from dualnorm.inequalities import (
@@ -36,7 +37,7 @@ from dualnorm.inequalities import (
     type_cotype_check,
     unconditional_sum_bound,
 )
-from dualnorm.norms import field_norm, lp_sch_norm, random_unit_field
+from dualnorm.norms import field_norm, lp_sch_norm
 
 S3 = preset_dual("s3")
 
@@ -284,10 +285,15 @@ def test_modulus_empty_bin_flagged():
 # against (same draws, scalar norms, one pair at a time).
 
 
+def unit_row(model, p, family, key, row):
+    h = Field(model, tuple(s[0] for s in random_stacks(model, key, start=row, rows=1)))
+    return (1.0 / field_norm(h, p, family)) * h
+
+
 def loop_unit_pair(model, p, family, seed, draw):
-    h1 = random_unit_field(model, p, mix_seed(seed, draw, "a"), family)
-    g = random_unit_field(model, p, mix_seed(seed, draw, "b"), family)
-    t = np.random.default_rng(mix_seed(seed, draw, "t")).uniform(0.0, math.pi)
+    h1 = unit_row(model, p, family, mix_seed(seed, "a"), draw)
+    g = unit_row(model, p, family, mix_seed(seed, "b"), draw)
+    t = math.pi * random_uniforms(mix_seed(seed, "t"), start=draw, rows=1)[0]
     mixed = math.cos(t) * h1 + math.sin(t) * g
     norm = field_norm(mixed, p, family)
     if norm == 0.0:
@@ -383,9 +389,9 @@ def test_moduli_samplers_build_no_field(monkeypatch):
 def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
     # b = -a and cos t = sin t: the mixed field is exactly 0, so h2 falls
     # back to the normalized b, which is -h1 (separation 2, midpoint 0)
-    def antipodal(model, seed, draws):
-        a = random_stacks(model, [mix_seed(seed, k, "a") for k in draws])
-        half = np.full(len(draws), math.sqrt(0.5))
+    def antipodal(model, keys, start, rows):
+        a = random_stacks(model, keys[0], start, rows)
+        half = np.full(rows, math.sqrt(0.5))
         return a, [-x for x in a], half, half
 
     monkeypatch.setattr(inequalities, "_draws", antipodal)
@@ -401,14 +407,34 @@ def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
 
 
 def test_moduli_zero_norm_draw_raises(monkeypatch):
-    def zero_a(model, seed, draws):
-        a = [np.zeros((len(draws), d, d), dtype=complex) for d in model.dims]
-        b = random_stacks(model, [mix_seed(seed, k, "b") for k in draws])
-        return a, b, np.ones(len(draws)), np.zeros(len(draws))
+    def zero_a(model, keys, start, rows):
+        a = [np.zeros((rows, d, d), dtype=complex) for d in model.dims]
+        b = random_stacks(model, keys[1], start, rows)
+        return a, b, np.ones(rows), np.zeros(rows)
 
     monkeypatch.setattr(inequalities, "_draws", zero_a)
     with pytest.raises(ZeroDivisionError):
         modulus_convexity_sample(S3, 1.5, "sch", samples=3, seed=0)
+
+
+def test_moduli_samplers_reject_negative_sample_counts():
+    with pytest.raises(ValueError):
+        modulus_convexity_sample(S3, 1.5, "sch", samples=-5, seed=0)
+    with pytest.raises(ValueError):
+        modulus_smoothness_sample(S3, 1.5, "sch", samples=-5, seed=0)
+
+
+@pytest.mark.parametrize("budget", [None, 1])  # default chunks; one pair per chunk
+def test_moduli_samplers_mix_three_keys_per_call(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
+    calls = []
+    mix = inequalities.mix_seed
+    monkeypatch.setattr(inequalities, "mix_seed", lambda *parts: calls.append(parts) or mix(*parts))
+    modulus_convexity_sample(S3, 1.5, "sch", samples=500, seed=8)
+    assert calls == [(8, "a"), (8, "b"), (8, "t")]
+    modulus_smoothness_sample(S3, 3.0, "hs", samples=500, seed=8)
+    assert len(calls) == 6
 
 
 def test_moduli_sampler_memory_bounded_by_chunk():

@@ -123,16 +123,16 @@ def test_lp_hs_norm_matches_oracle(seed):
 @pytest.mark.parametrize("family", ["sch", "hs"])
 def test_stacked_norm_matches_field_norm(p, family):
     m = preset_dual("custom", [1, 2, 3, 1])
-    seeds = [mix_seed("stacked", k) for k in range(12)]
-    norms = stacked_norm(random_stacks(m, seeds), p, family)
-    expected = [field_norm(random_field(m, s), p, family) for s in seeds]
+    stacks = random_stacks(m, mix_seed("stacked"), rows=12)
+    norms = stacked_norm(stacks, p, family)
+    expected = [field_norm(Field(m, tuple(s[k] for s in stacks)), p, family) for k in range(12)]
     assert norms.shape == (12,)
     assert norms == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_stacked_norm_rejects_unknown_family():
     with pytest.raises(ValueError):
-        stacked_norm(random_stacks(preset_dual("s3"), [1]), 2.0, "op")
+        stacked_norm(random_stacks(preset_dual("s3"), 1), 2.0, "op")
 
 
 @pytest.mark.parametrize("seed", range(20))
