@@ -86,6 +86,8 @@ class SuiteConfig:
             raise ConfigError("p_list must be non-empty")
         if self.family not in (*FAMILIES, "both"):
             raise ConfigError(f"unknown family {self.family!r}")
+        if not -(2**127) <= self.seed < 2**127:  # mix_seed's 16-byte signed encoding
+            raise ConfigError(f"seed must lie in [-2^127, 2^127), got {self.seed}")
         if self.tol_override is not None and not 0.0 <= self.tol_override < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol_override}")
         object.__setattr__(self, "p_list", tuple(ExponentP.parse(p) for p in self.p_list))

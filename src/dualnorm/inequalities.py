@@ -232,7 +232,8 @@ def default_eps_bins() -> tuple[float, ...]:
 
 
 # Complex entries held per stacked batch of fields (every entry's stack of
-# one chunk of draws): bounds the samplers' memory whatever the model size.
+# one chunk of draws, or of one chunk of signed sums): bounds the memory of
+# the samplers and of the sign averages whatever the model size.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -375,8 +376,12 @@ def modulus_smoothness_sample(
 def rademacher_average(fields, p, family: str = "sch", r: float = 2.0) -> float:
     """(mean over all sign patterns of ||sum theta_j H_j||^r)^(1/r), exact.
 
-    Walks the 2^n patterns in Gray-code order so each step updates the
-    running sum by a single +-2 H_j flip.
+    The norm is even, so the mean runs over the 2^(n-1) patterns with
+    theta_0 = +1 only; pattern k sets theta_j = -1 for each set bit j - 1 of
+    k.  A chunk of patterns is one (c, n) sign matrix, contracted with each
+    entry's (n, d, d) stack of summands, and its norms take one batched
+    reduction.  A chunk's sign matrix and signed sums together hold at most
+    _CHUNK_ENTRIES entries, whatever n.
     """
     fields = list(fields)
     n = len(fields)
@@ -384,20 +389,23 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0) -> float:
         return 0.0
     if n > RADEMACHER_MAX_TERMS:
         raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {n})")
-    if r <= 0:
-        raise ValueError("average order r must be positive")
-    current = fields[0]
-    for f in fields[1:]:
-        current = current + f
-    signs = [1] * n
-    total = field_norm(current, p, family) ** r
-    for k in range(1, 2**n):
-        j = (k & -k).bit_length() - 1  # Gray code: flip the lowest set bit
-        flip = -2.0 * signs[j]
-        current = current + flip * fields[j]
-        signs[j] = -signs[j]
-        total += field_norm(current, p, family) ** r
-    return (total / 2**n) ** (1.0 / r)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"average order r must be positive and finite, got {r}")
+    model = fields[0].model
+    if any(f.model != model for f in fields):
+        raise ValueError("fields live over different dual models")
+    stacks = [np.stack(blocks).view(np.float64) for blocks in zip(*(f.blocks for f in fields))]
+    half = 2 ** (n - 1)
+    step = max(1, _CHUNK_ENTRIES // (n + sum(d * d for d in model.dims)))
+    total = 0.0
+    for start in range(0, half, step):
+        k = np.arange(start, min(start + step, half))
+        signs = np.ones((k.size, n))
+        signs[:, 1:] -= 2.0 * ((k[:, None] >> np.arange(n - 1)) & 1)
+        # real signs times the real view of each stack: (re, im) pairs sum alike
+        sums = [np.tensordot(signs, s, axes=1).view(np.complex128) for s in stacks]
+        total += float(np.sum(stacked_norm(sums, p, family) ** r))
+    return (total / half) ** (1.0 / r)
 
 
 def type_cotype_check(

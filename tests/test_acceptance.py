@@ -278,7 +278,7 @@ def test_criterion_10_oracle_equivalences():
         if abs(val - oracle) > 1e-9 * max(1.0, oracle):
             rng_violations.append(("schatten", k))
 
-    # (b) Gray-code Rademacher average against a from-scratch enumerator
+    # (b) the chunked Rademacher average against a from-scratch enumerator
     for n in (1, 2, 3, 4, 5):
         fields = [random_field(S3, mix_seed("acc10b", n, j)) for j in range(n)]
         patterns = list(itertools.product((1.0, -1.0), repeat=n))

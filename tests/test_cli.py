@@ -318,6 +318,23 @@ def test_main_overflowing_model_dim_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+def test_main_verify_seed_outside_mix_range_is_config_error(seed, monkeypatch, capsys):
+    # mix_seed encodes a seed in 16 signed bytes
+    argv = ["verify", "norms", "--dual", "s3", "--trials", "1"]
+    assert main([*argv, "--seed", str(seed)]) == EXIT_CONFIG_ERROR
+    monkeypatch.setenv("DUALNORM_SEED", str(seed))
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+def test_main_verify_accepts_seeds_at_mix_range_ends(capsys):
+    for seed in (-(2**127), 2**127 - 1):
+        argv = ["verify", "norms", "--dual", "s3", "--trials", "1", "--seed", str(seed)]
+        assert main(argv) == EXIT_OK
+
+
 def test_main_malformed_env_seed_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("DUALNORM_SEED", "abc")
     assert main(["field", "random", "--dual", "s3"]) == EXIT_CONFIG_ERROR
@@ -368,10 +385,10 @@ def test_tol_override_keeps_exact_counts_exact():
 # pin the report bytes: a refactor of the suites must leave them unchanged, and
 # a deliberate change to the numbers (a new draw layout) updates them here.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "368f262b35326398", "5578337816203fa7"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "d3fdabbe1e6c44cf", "b8a8e7fc3dce7613"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "4f52573e384c7e29", "193ced4f8ddbc585"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "ea54c9d8a55f8116", "640130d20bf65a79"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "03ac8f3fec184a2d", "3e258d3601c8d961"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "ebe4c4555526f79a", "d00df8b0e954628c"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "462ad4a097258f1a", "92cc8b3ecc0c50bd"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "9dc3c324717ef6b9", "6273b21b9336b2c5"),
 ]
 
 

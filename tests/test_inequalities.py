@@ -60,6 +60,23 @@ def enumerate_sign_average(fields, p, family, r):
     return (total / count) ** (1.0 / r)
 
 
+def gray_code_sums(fields):
+    """Every signed sum over the 2^n sign patterns, in Gray-code order (oracle path).
+
+    Each step updates the running sum by a single +-2 H_j flip.
+    """
+    current = fields[0]
+    for f in fields[1:]:
+        current = current + f
+    signs = [1] * len(fields)
+    yield current
+    for k in range(1, 2 ** len(fields)):
+        j = (k & -k).bit_length() - 1  # flip the lowest set bit
+        current = current + (-2.0 * signs[j]) * fields[j]
+        signs[j] = -signs[j]
+        yield current
+
+
 def unit_pair(seed_a, seed_b, p, family="sch", model=S3):
     h1 = random_field(model, seed_a)
     h2 = random_field(model, seed_b)
@@ -484,10 +501,77 @@ def test_rademacher_matches_independent_enumerator(n, r, p):
     assert fast == pytest.approx(oracle, rel=1e-11)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("family", ["sch", "hs"])
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
+def test_rademacher_matches_gray_code_walk(dual, family, n):
+    model = parse_dual_arg(dual)
+    fields = [random_field(model, mix_seed("gray", dual, n, j)) for j in range(n)]
+    sums = list(gray_code_sums(fields))
+    for p in (1.5, 2.0, 3.0):
+        norms = np.array([field_norm(s, p, family) for s in sums])
+        for r in (1.0, 2.0, 3.0):
+            oracle = np.mean(norms**r) ** (1.0 / r)
+            assert rademacher_average(fields, p, family, r) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_rademacher_twenty_summands_hilbert_identity():
+    # at p = r = 2 the norm is a Hilbert norm: the average is the quadratic sum
+    model = parse_dual_arg("su2_trunc(3)")
+    fields = [random_field(model, mix_seed("rad20", j)) for j in range(20)]
+    l2 = math.sqrt(sum(field_norm(f, 2.0, "hs") ** 2 for f in fields))
+    assert rademacher_average(fields, 2.0, "hs", r=2.0) == pytest.approx(l2, rel=1e-12)
+
+
+def test_rademacher_independent_of_chunk_size(monkeypatch):
+    fields = [random_field(S3, mix_seed("radchunk", j)) for j in range(9)]
+    whole = rademacher_average(fields, 3.0, "sch", r=1.5)
+    for budget in (1, 7 * (9 + 6)):  # one pattern per chunk; 7 per chunk with a ragged tail
+        monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
+        assert rademacher_average(fields, 3.0, "sch", r=1.5) == pytest.approx(whole, rel=1e-13)
+
+
+def test_rademacher_builds_no_field(monkeypatch):
+    fields = [random_field(S3, mix_seed("radfield", j)) for j in range(10)]
+    built = []
+    post_init = Field.__post_init__
+    monkeypatch.setattr(Field, "__post_init__", lambda self: built.append(1) or post_init(self))
+    rademacher_average(fields, 1.5, "sch")
+    rademacher_average(fields, 3.0, "hs")
+    assert built == []
+
+
+def test_rademacher_memory_bounded_by_chunk():
+    # unchunked, the 2^15 signed sums of 16 custom(64) fields alone would take 2 GiB
+    model = preset_dual("custom", [64])
+    fields = [random_field(model, mix_seed("radmem", j)) for j in range(16)]
+    tracemalloc.start()
+    try:
+        rademacher_average(fields, 3.0, "hs")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = 16 * inequalities._CHUNK_ENTRIES  # one complex128 batch of fields
+    assert peak <= 16 * chunk_bytes, f"peak {peak / 2**20:.1f} MiB"
+
+
 def test_rademacher_rejects_oversized_input():
     h = random_field(S3, 1)
     with pytest.raises(ValueError):
         rademacher_average([h] * 21, 2.0)
+
+
+def test_rademacher_rejects_fields_over_different_models():
+    h = random_field(S3, 1)
+    g = random_field(preset_dual("custom", [1, 1, 2]), 1)  # same dims, another model
+    with pytest.raises(ValueError, match="different dual models"):
+        rademacher_average([h, g], 2.0)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_rademacher_rejects_bad_order(r):
+    with pytest.raises(ValueError, match="average order"):
+        rademacher_average([random_field(S3, 1)], 2.0, r=r)
 
 
 def test_rademacher_empty():
