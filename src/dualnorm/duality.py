@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field, mix_seed, random_stacks
-from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm, stacked_norm
+from .dualmodel import Field, _trusted, mix_seed, random_stacks
+from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm
 from .report import CheckReport, inequality_report
 
 __all__ = [
@@ -30,14 +30,14 @@ __all__ = [
 ]
 
 
-def pairing(h: Field, f: Field) -> complex:
-    """Bilinear trace pairing sum d(xi) Tr(H(xi) F(xi)) (no conjugation)."""
+def pairing(h: Field, f: Field):
+    """Bilinear trace pairing sum d(xi) Tr(H(xi) F(xi)) (no conjugation); an array for batches."""
     if h.model != f.model:
         raise ValueError("fields live over different dual models")
     total = 0.0 + 0.0j
     for (_, dim), a, b in zip(h.model.entries, h.blocks, f.blocks):
-        total += dim * np.trace(a @ b)
-    return complex(total)
+        total = total + dim * np.trace(a @ b, axis1=-2, axis2=-1)
+    return complex(total) if np.ndim(total) == 0 else total
 
 
 def dual_extremizer(h: Field, p) -> Field:
@@ -60,7 +60,7 @@ def dual_extremizer(h: Field, p) -> Field:
         v = f.vstar.conj().T
         powered = f.sigma ** (p.value - 1.0)  # 0**0 = 1 covers the p = 1 endpoint
         blocks.append((v * powered) @ f.u.conj().T / scale)
-    return Field(h.model, tuple(blocks))
+    return _trusted(h.model, blocks)
 
 
 def dual_norm_via_search(
@@ -78,11 +78,10 @@ def dual_norm_via_search(
     best = 0.0
     if include_extremizer and not p.is_inf and lp_sch_norm(h, p) > 0.0:
         best = abs(pairing(h, dual_extremizer(h, p)))
-    probes = random_stacks(h.model, mix_seed(seed, "dual_search"), rows=trials)
-    norms = stacked_norm(probes, q, "sch")
-    for k in range(trials):  # probe k is row k of the search's stream, at unit q-norm
-        f = Field(h.model, tuple(s[k] / norms[k] for s in probes))
-        best = max(best, abs(pairing(h, f)))
+    if trials:  # probe k is row k of the search's stream, at unit q-norm
+        probes = random_stacks(h.model, mix_seed(seed, "dual_search"), rows=trials)
+        units = (1.0 / lp_sch_norm(probes, q)) * probes
+        best = max(best, float(np.abs(pairing(h, units)).max()))
     return best
 
 

@@ -6,7 +6,12 @@ for the first few irreducible-representation classes of a compact group; a
 Presets cover the torus (all dims 1), truncated SU(2) (dims 1..N) and the
 symmetric group S3 (dims 1, 1, 2).
 
-Both types are immutable; field arithmetic returns new fields.
+A Field is also a batch of fields: every entry's block is a ``(*batch, dim,
+dim)`` array with the same batch shape (``()`` for a single field).
+
+Both types are immutable; field arithmetic returns new fields.  Data is
+validated where it enters: ``Field(...)`` checks and copies its arrays,
+while fields the package computes go through :func:`_trusted`.
 """
 
 from __future__ import annotations
@@ -118,41 +123,55 @@ def parse_dual_arg(text: str) -> DualModel:
 
 @dataclass(frozen=True)
 class Field:
-    """One square complex block per dual-model entry."""
+    """One square complex block per dual-model entry: ``blocks[i]`` is ``(*batch, d_i, d_i)``."""
 
     model: DualModel
     blocks: tuple[np.ndarray, ...]
+
+    __array_ufunc__ = None  # array * field defers to __rmul__
 
     def __post_init__(self):
         if len(self.blocks) != len(self.model):
             raise ValueError(
                 f"field has {len(self.blocks)} blocks for {len(self.model)} entries"
             )
-        frozen = []
+        blocks = []
         for (lab, dim), b in zip(self.model.entries, self.blocks):
-            b = matcore.cmatrix(b)
-            if b.shape != (dim, dim):
-                raise ValueError(f"block for {lab!r} has shape {b.shape}, expected {(dim, dim)}")
-            b = b.copy()  # private buffer: callers keep their arrays writable
+            b = np.array(b, dtype=np.complex128)  # private copy: callers keep their arrays
+            if b.shape[-2:] != (dim, dim):
+                raise ValueError(f"block for {lab!r} has shape {b.shape}, not (..., {dim}, {dim})")
+            if not np.isfinite(b).all():
+                raise ValueError(f"block for {lab!r} has non-finite entries")
             b.flags.writeable = False
-            frozen.append(b)
-        object.__setattr__(self, "blocks", tuple(frozen))
+            blocks.append(b)
+        batches = {b.shape[:-2] for b in blocks}
+        if len(batches) > 1:
+            raise ValueError(f"entries have different batch shapes: {sorted(batches)}")
+        object.__setattr__(self, "blocks", tuple(blocks))
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return self.blocks[0].shape[:-2]
 
     def map_blocks(self, fn) -> "Field":
-        return Field(self.model, tuple(fn(b) for b in self.blocks))
+        """Apply ``fn`` to each entry's block (stack); it must keep shapes and finiteness."""
+        return _trusted(self.model, [fn(b) for b in self.blocks])
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_model(self, other)
-        return Field(self.model, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return _trusted(self.model, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other: "Field") -> "Field":
         _check_same_model(self, other)
-        return Field(self.model, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return _trusted(self.model, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self) -> "Field":
         return self.map_blocks(lambda b: -b)
 
-    def __rmul__(self, alpha: complex) -> "Field":
+    def __rmul__(self, alpha) -> "Field":
+        """alpha * field; an array alpha of the batch shape scales each field by its own scalar."""
+        if np.ndim(alpha):
+            alpha = np.asarray(alpha)[..., None, None]
         return self.map_blocks(lambda b: alpha * b)
 
     def __eq__(self, other) -> bool:
@@ -163,17 +182,27 @@ class Field:
         )
 
 
+def _trusted(model: DualModel, blocks) -> Field:
+    """A Field over arrays the package computed: marked read-only, neither copied nor checked."""
+    for b in blocks:
+        b.flags.writeable = False
+    field = object.__new__(Field)
+    object.__setattr__(field, "model", model)
+    object.__setattr__(field, "blocks", tuple(blocks))
+    return field
+
+
 def _check_same_model(a: Field, b: Field) -> None:
     if a.model != b.model:
         raise ValueError("fields live over different dual models")
 
 
 def zero_field(model: DualModel) -> Field:
-    return Field(model, tuple(np.zeros((d, d), dtype=np.complex128) for d in model.dims))
+    return _trusted(model, [np.zeros((d, d), dtype=np.complex128) for d in model.dims])
 
 
 def identity_field(model: DualModel) -> Field:
-    return Field(model, tuple(np.eye(d, dtype=np.complex128) for d in model.dims))
+    return _trusted(model, [np.eye(d, dtype=np.complex128) for d in model.dims])
 
 
 def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
@@ -186,12 +215,12 @@ def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
-    blocks = [s[0] for s in random_stacks(model, seed)]
+    blocks = [s[0] for s in random_stacks(model, seed).blocks]
     if dist == "hermitian":
         blocks = [(a + a.conj().T) / 2 for a in blocks]
     elif dist == "psd":
         blocks = [a.conj().T @ a for a in blocks]
-    return Field(model, tuple(blocks))
+    return _trusted(model, blocks)
 
 
 # -- keyed counter-based draws ---------------------------------------------
@@ -218,8 +247,8 @@ def random_uniforms(key: int, start: int = 0, rows: int = 1) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> list[np.ndarray]:
-    """Ginibre fields of rows start .. start + rows - 1: one (rows, d, d) stack per entry.
+def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> Field:
+    """Ginibre fields of rows start .. start + rows - 1, as a batch Field of shape (rows,).
 
     Row r reads the words [r * stride, (r + 1) * stride) of the stream keyed
     by ``key``, where stride is 2 sum d^2 rounded up to a Philox block.  Word
@@ -243,7 +272,7 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
         z.imag = scaled[:, offset + size : offset + 2 * size].reshape(rows, d, d)
         stacks.append(z)
         offset += 2 * size
-    return stacks
+    return _trusted(model, stacks)
 
 
 def field_adjoint(h: Field) -> Field:
@@ -256,14 +285,12 @@ def field_abs(h: Field) -> Field:
 
 def field_lincomb(alpha: complex, h1: Field, beta: complex, h2: Field) -> Field:
     _check_same_model(h1, h2)
-    return Field(
-        h1.model, tuple(alpha * a + beta * b for a, b in zip(h1.blocks, h2.blocks))
-    )
+    return _trusted(h1.model, [alpha * a + beta * b for a, b in zip(h1.blocks, h2.blocks)])
 
 
 def field_product(h1: Field, h2: Field) -> Field:
     _check_same_model(h1, h2)
-    return Field(h1.model, tuple(a @ b for a, b in zip(h1.blocks, h2.blocks)))
+    return _trusted(h1.model, [a @ b for a, b in zip(h1.blocks, h2.blocks)])
 
 
 # -- JSON wire formats ------------------------------------------------------
@@ -282,13 +309,23 @@ def encode_model(model: DualModel) -> dict:
 
 def decode_model(data: dict) -> DualModel:
     try:
-        entries = tuple((e["label"], int(e["dim"])) for e in data["entries"])
+        entries = tuple((e["label"], _json_number(e["dim"], int)) for e in data["entries"])
         return DualModel(str(data["name"]), entries)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dual-model document: {exc}") from exc
 
 
+def _json_number(x, kind=(int, float)):
+    """``x`` if it is a JSON number of the given kind; a JSON true or false is not one."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ValueError(f"{x!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return x
+
+
 def encode_field(field: Field) -> dict:
+    """The wire format of a single field (a batch has none)."""
+    if field.batch:
+        raise ValueError(f"cannot encode a batch of fields (batch shape {field.batch})")
     blocks = [
         [[[z.real, z.imag] for z in row] for row in block.tolist()]
         for block in field.blocks
@@ -306,7 +343,8 @@ def decode_field(data: dict, model: DualModel) -> Field:
     blocks = []
     try:
         for raw in data["blocks"]:
-            blocks.append(np.array([[complex(re, im) for re, im in row] for row in raw]))
+            rows = [[complex(_json_number(re), _json_number(im)) for re, im in r] for r in raw]
+            blocks.append(np.array(rows))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
     return Field(model, tuple(blocks))

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualmodel import DualModel, Field, mix_seed, random_stacks, random_uniforms
-from .norms import ExponentP, field_norm, stacked_norm
+from .dualmodel import DualModel, Field, _trusted, mix_seed, random_stacks, random_uniforms
+from .norms import ExponentP, field_norm
 from .report import CheckReport, check_report, equality_report, inequality_report, tolerance
 
 __all__ = [
@@ -238,7 +238,7 @@ _CHUNK_ENTRIES = 1 << 16
 
 
 def _draws(model: DualModel, keys, start: int, rows: int):
-    """Pairs start .. start + rows - 1: ginibre stacks a and b, and cos t, sin t.
+    """Pairs start .. start + rows - 1: ginibre batches a and b, and cos t, sin t.
 
     t is each pair's mixing angle, uniform on [0, pi].  ``keys`` are the
     three stream keys of the sampler call (a, b, t), and pair k reads row k
@@ -252,26 +252,13 @@ def _draws(model: DualModel, keys, start: int, rows: int):
     return a, b, np.cos(t), np.sin(t)
 
 
-def _scaled(alpha: np.ndarray, stacks) -> list[np.ndarray]:
-    """Field i of the batch times alpha[i]."""
-    alpha = alpha[:, None, None]
-    return [alpha * s for s in stacks]
-
-
-def _unit(stacks, p: float, family: str) -> list[np.ndarray]:
-    norm = stacked_norm(stacks, p, family)
-    if not norm.all():
-        raise ZeroDivisionError("a ginibre draw has zero norm")
-    return _scaled(1.0 / norm, stacks)
-
-
 def _unit_pairs(model: DualModel, p: float, family: str, seed: int, samples: int):
     """Yield chunks (h1, h2) of unit-norm pairs whose separation sweeps the whole of (0, 2).
 
     h1 is a normalized ginibre draw; h2 mixes it with an independent draw
     at a uniformly random angle, so near-equal and near-antipodal pairs both
     occur.  Only unit-norm membership matters for soundness of the modulus
-    estimates.  Each chunk holds a batch of pairs as per-entry stacks.
+    estimates.  Each chunk holds its pairs as two batch Fields.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -279,14 +266,16 @@ def _unit_pairs(model: DualModel, p: float, family: str, seed: int, samples: int
     step = max(1, _CHUNK_ENTRIES // sum(d * d for d in model.dims))
     for start in range(0, samples, step):
         a, b, cos_t, sin_t = _draws(model, keys, start, min(step, samples - start))
-        h1, g = _unit(a, p, family), _unit(b, p, family)
-        mixed = [x + y for x, y in zip(_scaled(cos_t, h1), _scaled(sin_t, g))]
-        norm = stacked_norm(mixed, p, family)
+        norm_a, norm_b = field_norm(a, p, family), field_norm(b, p, family)
+        if not (norm_a.all() and norm_b.all()):
+            raise ZeroDivisionError("a ginibre draw has zero norm")
+        h1, g = (1.0 / norm_a) * a, (1.0 / norm_b) * b
+        mixed = cos_t * h1 + sin_t * g
+        norm = field_norm(mixed, p, family)
         flat = norm == 0.0  # measure-zero degenerate mix; fall back to the raw draw
         if flat.any():
-            mixed = [np.where(flat[:, None, None], y, m) for y, m in zip(g, mixed)]
-            norm = np.where(flat, 1.0, norm)
-        yield h1, _scaled(1.0 / norm, mixed)
+            mixed, norm = mixed + flat * g, np.where(flat, 1.0, norm)
+        yield h1, (1.0 / norm) * mixed
 
 
 def modulus_convexity_sample(
@@ -312,8 +301,8 @@ def modulus_convexity_sample(
     best = {e: math.inf for e in edges}
     counts = {e: 0 for e in edges}
     for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
-        eps = stacked_norm([x - y for x, y in zip(h1, h2)], pv, family)
-        midgap = 1.0 - stacked_norm([0.5 * (x + y) for x, y in zip(h1, h2)], pv, family)
+        eps = field_norm(h1 - h2, pv, family)
+        midgap = 1.0 - field_norm(0.5 * (h1 + h2), pv, family)
         free = np.ones(eps.shape, dtype=bool)
         for e in edges:
             hit = free & (e <= eps) & (eps < e + bin_width)
@@ -353,11 +342,8 @@ def modulus_smoothness_sample(
     best = [-math.inf] * len(ts)
     for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
         for i, t in enumerate(ts):
-            val = (
-                stacked_norm([x + t * y for x, y in zip(h1, h2)], pv, family)
-                + stacked_norm([x - t * y for x, y in zip(h1, h2)], pv, family)
-            ) / 2.0 - 1.0
-            best[i] = max(best[i], float(val.max()))
+            plus, minus = field_norm(h1 + t * h2, pv, family), field_norm(h1 - t * h2, pv, family)
+            best[i] = max(best[i], float(((plus + minus) / 2.0 - 1.0).max()))
     return [
         ModulusEstimate(
             epsilon_or_t=t,
@@ -379,9 +365,9 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0) -> float:
     The norm is even, so the mean runs over the 2^(n-1) patterns with
     theta_0 = +1 only; pattern k sets theta_j = -1 for each set bit j - 1 of
     k.  A chunk of patterns is one (c, n) sign matrix, contracted with each
-    entry's (n, d, d) stack of summands, and its norms take one batched
-    reduction.  A chunk's sign matrix and signed sums together hold at most
-    _CHUNK_ENTRIES entries, whatever n.
+    entry's (n, d, d) stack of summands into a batch Field of c signed sums
+    whose norms take one batched reduction.  A chunk's sign matrix and
+    signed sums together hold at most _CHUNK_ENTRIES entries, whatever n.
     """
     fields = list(fields)
     n = len(fields)
@@ -403,8 +389,8 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0) -> float:
         signs = np.ones((k.size, n))
         signs[:, 1:] -= 2.0 * ((k[:, None] >> np.arange(n - 1)) & 1)
         # real signs times the real view of each stack: (re, im) pairs sum alike
-        sums = [np.tensordot(signs, s, axes=1).view(np.complex128) for s in stacks]
-        total += float(np.sum(stacked_norm(sums, p, family) ** r))
+        sums = _trusted(model, [np.tensordot(signs, s, axes=1).view(np.complex128) for s in stacks])
+        total += float(np.sum(field_norm(sums, p, family) ** r))
     return (total / half) ** (1.0 / r)
 
 

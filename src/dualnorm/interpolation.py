@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field
+from .dualmodel import Field, _trusted
 from .duality import dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
 from .report import CheckReport, check_report, inequality_report
@@ -108,7 +108,7 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[[comp
             pos = f.sigma > 0
             powered[pos] = np.exp((w + 1.0) * np.log(f.sigma[pos]))
             blocks.append((f.u * powered) @ f.vstar)
-        return Field(h.model, tuple(blocks))
+        return _trusted(h.model, blocks)
 
     return at
 

@@ -4,7 +4,13 @@ Everything downstream (norms, pairings, witnesses) reduces to a handful of
 operations on small dense complex matrices: adjoints, traces, singular
 values, polar decomposition, absolute values and fractional powers of
 positive semidefinite matrices.  Matrices are plain 2-D ``complex128``
-numpy arrays; :func:`cmatrix` is the validating constructor.
+numpy arrays; :func:`cmatrix` is the validating constructor, and the
+factorizations validate their input through it.
+
+The norm kernels :func:`schatten_norm` and :func:`hs_norm` (and
+:func:`adjoint`) take a matrix or a ``(*batch, d, d)`` stack and reduce over
+the last two axes.  They check shapes only: finiteness is checked where
+data enters the package.
 
 All functions are pure and never mutate their inputs.
 """
@@ -27,7 +33,6 @@ __all__ = [
     "matabs",
     "psd_power",
     "schatten_norm",
-    "stacked_schatten_norm",
     "hs_norm",
     "trace",
 ]
@@ -54,15 +59,9 @@ def cmatrix(data) -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray) -> np.ndarray:
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T.copy()
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return np.swapaxes(np.asarray(a), -1, -2).conj()
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class PolarResult:
 
 def polar(a: np.ndarray) -> PolarResult:
     """Polar decomposition a = u |a| of a square matrix."""
-    a = _require_square(cmatrix(a))
+    a = _square(cmatrix(a))
     f = svd(a)
     u = f.u @ f.vstar
     v = f.vstar.conj().T
@@ -112,12 +111,8 @@ def polar(a: np.ndarray) -> PolarResult:
 
 
 def matabs(a: np.ndarray) -> np.ndarray:
-    """Absolute value (a* a)^(1/2), computed through the SVD of a."""
-    a = _require_square(cmatrix(a))
-    f = svd(a)
-    v = f.vstar.conj().T
-    out = (v * f.sigma) @ f.vstar
-    return (out + out.conj().T) / 2
+    """Absolute value (a* a)^(1/2): the positive factor of the polar decomposition."""
+    return polar(a).absval
 
 
 def _eigh_psd(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +120,7 @@ def _eigh_psd(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues within rtol * max(eig) of zero are clipped to exactly 0.
     """
-    a = _require_square(cmatrix(a))
+    a = _square(cmatrix(a))
     scale = max(1.0, float(np.linalg.norm(a)))
     if np.linalg.norm(a - a.conj().T) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -158,17 +153,18 @@ def psd_power(a: np.ndarray, w: complex) -> np.ndarray:
     return out
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("SVD did not converge") from exc
+def _square(a) -> np.ndarray:
+    """``a`` as a complex128 matrix or stack of matrices, square over its last two axes."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValueError(f"expected non-empty square matrices, got shape {a.shape}")
+    return a
 
 
 def _schatten_from_sigma(s: np.ndarray, p: float):
     """Schatten p-norm from singular values sorted non-increasing along the last axis."""
     if math.isinf(p):
-        return s[..., 0]
+        return s.max(axis=-1)
     if p == 1.0:
         return s.sum(axis=-1)
     if p == 2.0:
@@ -176,37 +172,38 @@ def _schatten_from_sigma(s: np.ndarray, p: float):
     return (s**p).sum(axis=-1) ** (1.0 / p)
 
 
-def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm: (sum sigma_i^p)^(1/p); p = inf gives the operator norm."""
-    a = _require_square(cmatrix(a))
+def schatten_norm(a: np.ndarray, p: float):
+    """Schatten p-norm (sum sigma_i^p)^(1/p) of a matrix, or of every matrix of a stack.
+
+    p = inf gives the operator norm.  A 1 x 1 matrix's norm is |a_00| for
+    every p; larger ones take one (stacked) SVD, singular values only.
+    """
+    a = _square(a)
     p = float(p)
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    if a.shape[0] == 1:
-        return abs(complex(a[0, 0]))
-    s = _singular_values(a)
-    if not s.size:  # the 0 x 0 matrix
-        return 0.0
-    return float(_schatten_from_sigma(s, p))
+    if a.shape[-1] == 1:
+        return np.abs(a[..., 0, 0])
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError("SVD did not converge") from exc
+    return _schatten_from_sigma(s, p)
 
 
-def stacked_schatten_norm(stack: np.ndarray, p: float) -> np.ndarray:
-    """schatten_norm of every matrix of an (n, d, d) stack, from one stacked SVD.
+def hs_norm(a: np.ndarray):
+    """Hilbert-Schmidt (Frobenius) norm of a matrix, or of every matrix of a stack.
 
-    The stack is trusted internal data (finite, complex128, d >= 1): nothing
-    is validated.
+    A sum of squares over the float64 view (no conjugate copy), which needs a contiguous last axis.
     """
-    if stack.shape[-1] == 1:
-        return np.abs(stack.reshape(stack.shape[:-2]))
-    return _schatten_from_sigma(_singular_values(stack), float(p))
-
-
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    a = _square(a)
+    if a.strides[-1] != a.itemsize:
+        a = np.ascontiguousarray(a)
+    x = a.view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", x, x))
 
 
 def trace(a: np.ndarray) -> complex:
     """Sum of diagonal entries."""
-    a = _require_square(cmatrix(a))
+    a = _square(cmatrix(a))
     return complex(np.trace(a))

@@ -7,6 +7,9 @@ For a field H over entries of dimensions d(xi):
 * Hilbert-Schmidt family: ||H||_hs,p  = (sum d(xi)^(2-p/2) ||H(xi)||_HS^p)^(1/p),
   with sup of d(xi)^(-1/2) ||H(xi)||_HS at p = inf.
 
+Each norm takes one matcore reduction per entry, and is a float for a field
+and an array for a batch of fields.
+
 The two coincide at p = 2.  For p <= 2 the Schatten norm is dominated by the
 Hilbert-Schmidt one, for p >= 2 the domination reverses; products obey the
 Holder inequality in the Schatten family.  The check functions here verify
@@ -39,7 +42,6 @@ __all__ = [
     "lp_sch_norm",
     "lp_hs_norm",
     "field_norm",
-    "stacked_norm",
     "random_unit_field",
     "embedding_check",
     "holder_check",
@@ -114,70 +116,45 @@ class DirectSumSpec:
             raise ValueError(f"direct-sum weight must be positive, got {self.w}")
 
 
-def lp_sch_norm(h: Field, p) -> float:
+def _lp(values, weights, p: float):
+    """(sum_i w_i v_i^p)^(1/p) over the entries' norms v_i; max_i w_i v_i at p = inf.
+
+    A float for a single field, an array of the batch shape for a batch.
+    """
+    if math.isinf(p):
+        norm = np.max([w * v for w, v in zip(weights, values)], axis=0)
+    else:
+        norm = sum(w * v**p for w, v in zip(weights, values)) ** (1.0 / p)
+    return float(norm) if np.ndim(norm) == 0 else norm
+
+
+def lp_sch_norm(h: Field, p):
     """Schatten-family norm (sum d ||block||_Sp^p)^(1/p); sup of op norms at inf."""
     p = _pval(p)
-    if math.isinf(p):
-        return max(matcore.schatten_norm(b, math.inf) for b in h.blocks)
-    total = 0.0
-    for (_, dim), block in zip(h.model.entries, h.blocks):
-        total += dim * matcore.schatten_norm(block, p) ** p
-    return total ** (1.0 / p)
+    weights = [1] * len(h.model) if math.isinf(p) else h.model.dims
+    return _lp([matcore.schatten_norm(b, p) for b in h.blocks], weights, p)
 
 
 def _hs_weight(dim: int, p: float) -> float:
-    # dim^(2 - p/2) in log space; the exponent may be negative for p > 4
+    # dim^(2 - p/2) in log space (the exponent may be negative for p > 4); dim^(-1/2) at inf
+    if math.isinf(p):
+        return 1.0 / math.sqrt(dim)
     return math.exp((2.0 - p / 2.0) * math.log(dim)) if dim > 1 else 1.0
 
 
-def lp_hs_norm(h: Field, p) -> float:
+def lp_hs_norm(h: Field, p):
     """Hilbert-Schmidt-family norm with dim^(2 - p/2) weights; see module doc."""
     p = _pval(p)
-    if math.isinf(p):
-        return max(
-            matcore.hs_norm(b) / math.sqrt(dim)
-            for (_, dim), b in zip(h.model.entries, h.blocks)
-        )
-    total = 0.0
-    for (_, dim), block in zip(h.model.entries, h.blocks):
-        total += _hs_weight(dim, p) * matcore.hs_norm(block) ** p
-    return total ** (1.0 / p)
+    weights = [_hs_weight(d, p) for d in h.model.dims]
+    return _lp([matcore.hs_norm(b) for b in h.blocks], weights, p)
 
 
-def field_norm(h: Field, p, family: str) -> float:
+def field_norm(h: Field, p, family: str):
     if family == "sch":
         return lp_sch_norm(h, p)
     if family == "hs":
         return lp_hs_norm(h, p)
     raise ValueError(f"unknown norm family {family!r}")
-
-
-def stacked_norm(blocks, p, family: str) -> np.ndarray:
-    """field_norm of a batch of n fields, held as one (n, d, d) stack per model entry.
-
-    ``blocks`` lists the stacks in entry order; element i of the result is
-    the norm of the field made of every stack's i-th block.  Each entry
-    takes one batched reduction: a stacked SVD (singular values only) in the
-    Schatten family, a sum of squares in the Hilbert-Schmidt family.
-    """
-    p = _pval(p)
-    dims = [b.shape[-1] for b in blocks]
-    if family == "sch":
-        values = [matcore.stacked_schatten_norm(b, p) for b in blocks]
-        if math.isinf(p):
-            return np.max(values, axis=0)
-        weights = dims
-    elif family == "hs":
-        values = [np.linalg.norm(b, axis=(-2, -1)) for b in blocks]
-        if math.isinf(p):
-            return np.max([v / math.sqrt(d) for d, v in zip(dims, values)], axis=0)
-        weights = [_hs_weight(d, p) for d in dims]
-    else:
-        raise ValueError(f"unknown norm family {family!r}")
-    total = 0.0
-    for w, v in zip(weights, values):
-        total = total + w * v**p
-    return total ** (1.0 / p)
 
 
 def random_unit_field(model: DualModel, p, seed: int, family: str = "sch") -> Field:

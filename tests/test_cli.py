@@ -318,6 +318,37 @@ def test_main_overflowing_model_dim_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+S3_ENTRIES = '[{"label": "triv", "dim": 1}, {"label": "sgn", "dim": 1}, {"label": "std", "dim": %s}]'
+
+
+@pytest.mark.parametrize("dim", ["2.5", '"2"', "true"], ids=["float", "string", "bool"])
+def test_main_malformed_model_dim_is_config_error(dim, tmp_path, capsys):
+    model = '{"name": "s3", "entries": %s}' % (S3_ENTRIES % dim)
+    dual = tmp_path / "model.json"
+    dual.write_text(model)
+    assert main(["verify", "norms", "--dual", str(dual), "--trials", "1"]) == EXIT_CONFIG_ERROR
+    field = tmp_path / "field.json"
+    field.write_text('{"dual": %s, "field": {"model": "s3", "blocks": []}}' % model)
+    assert main(["field", "show", str(field)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["[true, 0.0]", "[Infinity, 0.0]", "[0.0, NaN]"])
+def test_main_field_show_bad_entry_is_config_error(entry, tmp_path):
+    model = '{"name": "s3", "entries": %s}' % (S3_ENTRIES % 2)
+    blocks = '[[[%s]], [[[1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]' % entry
+    path = tmp_path / "field.json"
+    path.write_text('{"dual": %s, "field": {"model": "s3", "blocks": %s}}' % (model, blocks))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-m", "dualnorm", "field", "show", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == EXIT_CONFIG_ERROR
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
 def test_main_verify_seed_outside_mix_range_is_config_error(seed, monkeypatch, capsys):
     # mix_seed encodes a seed in 16 signed bytes
@@ -385,10 +416,10 @@ def test_tol_override_keeps_exact_counts_exact():
 # pin the report bytes: a refactor of the suites must leave them unchanged, and
 # a deliberate change to the numbers (a new draw layout) updates them here.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "03ac8f3fec184a2d", "3e258d3601c8d961"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "ebe4c4555526f79a", "d00df8b0e954628c"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "462ad4a097258f1a", "92cc8b3ecc0c50bd"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "9dc3c324717ef6b9", "6273b21b9336b2c5"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "69b312d0b941a44e", "14898175ae258459"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "50df597d2d106839", "c168c83077107cb8"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "001c20e09f9ec841", "70c9a041585efe1a"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "7127dad41f299d97", "7c2463dc4368149b"),
 ]
 
 

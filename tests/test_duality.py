@@ -194,7 +194,7 @@ def test_search_probes_are_rows_of_one_stream(monkeypatch):
     key = mix_seed(5, "dual_search")
     expected = 0.0
     for k in range(8):
-        f = Field(m, tuple(s[0] for s in random_stacks(m, key, start=k, rows=1)))
+        f = Field(m, tuple(s[0] for s in random_stacks(m, key, start=k, rows=1).blocks))
         expected = max(expected, abs(pairing(h, (1.0 / lp_sch_norm(f, q)) * f)))
     calls = []
     mix = duality.mix_seed

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualnorm import matcore
+from dualnorm import inequalities, matcore
 from dualnorm.dualmodel import (
     MAX_ENTRIES,
     DualModel,
@@ -98,7 +98,7 @@ def test_random_stacks_follow_keyed_layout():
     m = preset_dual("custom", [1, 3, 2])
     width = 2 * sum(d * d for d in m.dims)  # 28 normals: a stride of exactly 7 Philox blocks
     key = mix_seed("layout")
-    stacks = random_stacks(m, key, start=0, rows=3)
+    stacks = random_stacks(m, key, start=0, rows=3).blocks
     for row in range(3):
         normals, offset = keyed_normals(key, width, row), 0
         for d, stack in zip(m.dims, stacks):
@@ -112,13 +112,13 @@ def test_random_stacks_follow_keyed_layout():
 def test_random_stacks_rows_independent_of_split(dims):
     m = preset_dual("custom", dims)
     key = mix_seed("split")
-    whole = random_stacks(m, key, start=0, rows=23)
+    whole = random_stacks(m, key, start=0, rows=23).blocks
     assert [s.shape for s in whole] == [(23, d, d) for d in m.dims]
     for chunk in (1, 4, 7):  # 23 rows in chunks of 7 leave a ragged tail of 2
-        parts = [random_stacks(m, key, start, min(chunk, 23 - start)) for start in range(0, 23, chunk)]
+        parts = [random_stacks(m, key, start, min(chunk, 23 - start)).blocks for start in range(0, 23, chunk)]
         for i, stack in enumerate(whole):
             assert np.concatenate([p[i] for p in parts]).tobytes() == stack.tobytes()
-    shifted = random_stacks(m, key, start=5, rows=3)
+    shifted = random_stacks(m, key, start=5, rows=3).blocks
     assert all(a.tobytes() == b[5:8].tobytes() for a, b in zip(shifted, whole))
     uniforms = random_uniforms(key, start=0, rows=23)
     assert random_uniforms(key, start=9, rows=5).tobytes() == uniforms[9:14].tobytes()
@@ -130,7 +130,7 @@ def test_random_field_is_row_zero_of_its_key(dist):
     m = preset_dual("custom", [1, 1, 2, 3])
     for k in range(20):
         seed = mix_seed("row0", k)
-        blocks = [s[0] for s in random_stacks(m, seed, start=0, rows=2)]
+        blocks = [s[0] for s in random_stacks(m, seed, start=0, rows=2).blocks]
         if dist == "hermitian":
             blocks = [(a + a.conj().T) / 2 for a in blocks]
         elif dist == "psd":
@@ -141,7 +141,7 @@ def test_random_field_is_row_zero_of_its_key(dist):
 
 def test_random_stacks_normals_are_standard():
     # 4096 rows x 32 complex entries = 262144 real normals (real and imaginary parts)
-    stacks = random_stacks(preset_dual("custom", [4, 4]), mix_seed("dist"), rows=4096)
+    stacks = random_stacks(preset_dual("custom", [4, 4]), mix_seed("dist"), rows=4096).blocks
     z = np.sqrt(2) * np.concatenate([s.ravel() for s in stacks])
     x = np.sort(np.concatenate([z.real, z.imag]))
     n = x.size
@@ -160,7 +160,7 @@ def test_random_stacks_reject_negative_rows():
         random_stacks(m, 1, rows=-1)
     with pytest.raises(ValueError):
         random_uniforms(1, start=-2, rows=3)
-    assert [s.shape for s in random_stacks(m, 1, start=4, rows=0)] == [(0, 1, 1), (0, 1, 1), (0, 2, 2)]
+    assert [s.shape for s in random_stacks(m, 1, start=4, rows=0).blocks] == [(0, 1, 1), (0, 1, 1), (0, 2, 2)]
 
 
 def test_random_field_hermitian():
@@ -230,6 +230,79 @@ def test_field_blocks_immutable():
     h = random_field(preset_dual("s3"), 2)
     with pytest.raises(ValueError):
         h.blocks[0][0, 0] = 1.0
+
+
+# -- validation where data enters --------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_field_rejects_non_finite_blocks(bad):
+    m = preset_dual("s3")
+    std = np.eye(2, dtype=complex)
+    std[1, 0] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        Field(m, (np.eye(1), np.eye(1), std))
+
+
+def test_field_rejects_entries_with_different_batch_shapes():
+    m = preset_dual("s3")
+    with pytest.raises(ValueError, match="batch shapes"):
+        Field(m, (np.zeros((3, 1, 1)), np.zeros((3, 1, 1)), np.zeros((4, 2, 2))))
+    with pytest.raises(ValueError, match="batch shapes"):
+        Field(m, (np.eye(1), np.zeros((2, 1, 1)), np.zeros((2, 2, 2))))
+    batch = Field(m, (np.zeros((3, 1, 1)), np.ones((3, 1, 1)), np.zeros((3, 2, 2))))
+    assert batch.batch == (3,) and random_field(m, 1).batch == ()
+
+
+def test_field_copies_the_callers_arrays():
+    m = preset_dual("s3")
+    std = np.arange(4, dtype=complex).reshape(2, 2)
+    h = Field(m, (np.eye(1), np.eye(1), std))
+    std[0, 0] = 99.0
+    assert h.blocks[2][0, 0] == 0.0
+    assert std.flags.writeable  # the caller's array stays writable
+
+
+def test_computed_fields_are_read_only():
+    m = preset_dual("s3")
+    h = random_field(m, 4)
+    pairs = inequalities._unit_pairs(m, 1.5, "sch", seed=2, samples=5)
+    computed = [h + h, h - h, -h, 2.5 * h, field_product(h, h), field_adjoint(h),
+                random_stacks(m, 3, rows=4), *next(pairs)]
+    for f in computed:
+        for b in f.blocks:
+            assert not b.flags.writeable
+            with pytest.raises(ValueError):
+                b[..., 0, 0] = 1.0
+
+
+def test_array_scalars_scale_each_field_of_a_batch():
+    m = preset_dual("s3")
+    batch = random_stacks(m, 8, rows=3)
+    alpha = np.array([1.0, -2.0, 0.5j])
+    scaled = alpha * batch
+    for k in range(3):
+        for a, b in zip(scaled.blocks, batch.blocks):
+            assert np.array_equal(a[k], alpha[k] * b[k])
+
+
+def test_encode_field_rejects_a_batch():
+    with pytest.raises(ValueError, match="batch"):
+        encode_field(random_stacks(preset_dual("s3"), 1, rows=2))
+
+
+@pytest.mark.parametrize("dim", [2.5, "3", True, None])
+def test_decode_model_requires_integer_dims(dim):
+    doc = {"name": "m", "entries": [{"label": "a", "dim": dim}]}
+    with pytest.raises(ValueError, match="malformed dual-model document"):
+        decode_model(doc)
+
+
+@pytest.mark.parametrize("entry", [[True, 0.0], [1.0, False], ["1", 0.0], [1.0], None])
+def test_decode_field_requires_numeric_entry_pairs(entry):
+    doc = {"model": "torus(1)", "blocks": [[[entry]]]}
+    with pytest.raises(ValueError, match="malformed field document"):
+        decode_field(doc, preset_dual("torus", 1))
 
 
 def test_model_serialization_roundtrip():

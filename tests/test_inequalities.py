@@ -303,7 +303,7 @@ def test_modulus_empty_bin_flagged():
 
 
 def unit_row(model, p, family, key, row):
-    h = Field(model, tuple(s[0] for s in random_stacks(model, key, start=row, rows=1)))
+    h = Field(model, tuple(s[0] for s in random_stacks(model, key, start=row, rows=1).blocks))
     return (1.0 / field_norm(h, p, family)) * h
 
 
@@ -409,7 +409,7 @@ def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
     def antipodal(model, keys, start, rows):
         a = random_stacks(model, keys[0], start, rows)
         half = np.full(rows, math.sqrt(0.5))
-        return a, [-x for x in a], half, half
+        return a, -a, half, half
 
     monkeypatch.setattr(inequalities, "_draws", antipodal)
     with warnings.catch_warnings():
@@ -425,7 +425,7 @@ def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
 
 def test_moduli_zero_norm_draw_raises(monkeypatch):
     def zero_a(model, keys, start, rows):
-        a = [np.zeros((rows, d, d), dtype=complex) for d in model.dims]
+        a = Field(model, tuple(np.zeros((rows, d, d)) for d in model.dims))
         b = random_stacks(model, keys[1], start, rows)
         return a, b, np.ones(rows), np.zeros(rows)
 

@@ -233,6 +233,32 @@ def test_hs_norm_equals_schatten_2(seed):
     assert abs(hs - matcore.schatten_norm(a, 2.0)) <= 1e-12 * max(1.0, hs)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
+    rng = np.random.default_rng(d)
+    stack = np.stack([random_complex(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+    for p in (1.0, 2.5, math.inf):
+        got = matcore.schatten_norm(stack, p)
+        assert got.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert got[idx] == pytest.approx(matcore.schatten_norm(stack[idx], p), rel=1e-14)
+    hs = matcore.hs_norm(stack)
+    for idx in np.ndindex(2, 3):
+        assert hs[idx] == pytest.approx(np.linalg.norm(stack[idx]), rel=1e-14)
+    # a last axis that is not contiguous (the adjoint of a stack is a strided view)
+    star = matcore.adjoint(stack)
+    assert star.strides[-1] != star.itemsize or d == 1
+    assert matcore.hs_norm(star) == pytest.approx(hs, rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), np.zeros((4, 2, 1))])
+def test_norm_kernels_reject_non_square_input(bad):
+    with pytest.raises(ValueError):
+        matcore.schatten_norm(bad, 2.0)
+    with pytest.raises(ValueError):
+        matcore.hs_norm(bad)
+
+
 # -- trace --------------------------------------------------------------------
 
 

@@ -24,7 +24,6 @@ from dualnorm.norms import (
     holder_check,
     lp_hs_norm,
     lp_sch_norm,
-    stacked_norm,
 )
 
 CBRT5 = 5.0 ** (1.0 / 3.0)  # 1.7099759466766968
@@ -46,6 +45,34 @@ def hs_norm_oracle(h, p):
             np.sqrt(np.sum(np.abs(block) ** 2))
         ) ** p
     return total ** (1.0 / p)
+
+
+# Per-block loops through matcore, one matrix at a time: the oracle for the
+# norms, which reduce each entry's whole stack of blocks at once.
+
+
+def loop_sch_norm(h, p):
+    if math.isinf(p):
+        return max(matcore.schatten_norm(b, math.inf) for b in h.blocks)
+    total = 0.0
+    for (_, dim), block in zip(h.model.entries, h.blocks):
+        total += dim * matcore.schatten_norm(block, p) ** p
+    return total ** (1.0 / p)
+
+
+def loop_hs_norm(h, p):
+    if math.isinf(p):
+        return max(
+            matcore.hs_norm(b) / math.sqrt(dim) for (_, dim), b in zip(h.model.entries, h.blocks)
+        )
+    total = 0.0
+    for (_, dim), block in zip(h.model.entries, h.blocks):
+        weight = math.exp((2.0 - p / 2.0) * math.log(dim)) if dim > 1 else 1.0
+        total += weight * matcore.hs_norm(block) ** p
+    return total ** (1.0 / p)
+
+
+LOOP_NORMS = {"sch": loop_sch_norm, "hs": loop_hs_norm}
 
 
 def two_entry_field():
@@ -122,17 +149,27 @@ def test_lp_hs_norm_matches_oracle(seed):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 5.0, math.inf])
 @pytest.mark.parametrize("family", ["sch", "hs"])
 def test_stacked_norm_matches_field_norm(p, family):
+    # the norm of a batch Field against the per-block loop, row by row
     m = preset_dual("custom", [1, 2, 3, 1])
-    stacks = random_stacks(m, mix_seed("stacked"), rows=12)
-    norms = stacked_norm(stacks, p, family)
-    expected = [field_norm(Field(m, tuple(s[k] for s in stacks)), p, family) for k in range(12)]
-    assert norms.shape == (12,)
-    assert norms == pytest.approx(expected, rel=1e-13, abs=0.0)
+    batch = random_stacks(m, mix_seed("stacked"), rows=12)
+    norms = field_norm(batch, p, family)
+    rows = [Field(m, tuple(b[k] for b in batch.blocks)) for k in range(12)]
+    assert batch.batch == (12,) and norms.shape == (12,)
+    assert norms == pytest.approx([LOOP_NORMS[family](h, p) for h in rows], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_single_field_norm_is_a_float_matching_the_loop(family):
+    h = random_field(preset_dual("custom", [1, 2, 3, 1]), 11)
+    for p in (1.0, 1.5, 2.0, 3.0, 5.0, math.inf):
+        value = field_norm(h, p, family)
+        assert type(value) is float
+        assert value == pytest.approx(LOOP_NORMS[family](h, p), rel=1e-13, abs=0.0)
 
 
 def test_stacked_norm_rejects_unknown_family():
     with pytest.raises(ValueError):
-        stacked_norm(random_stacks(preset_dual("s3"), 1), 2.0, "op")
+        field_norm(random_stacks(preset_dual("s3"), 1, rows=3), 2.0, "op")
 
 
 @pytest.mark.parametrize("seed", range(20))
