@@ -58,7 +58,7 @@ from .report import (
     reports_to_json,
 )
 
-__all__ = ["SuiteConfig", "SUITES", "run_suite", "emit_report", "main"]
+__all__ = ["ConfigError", "SuiteConfig", "SUITES", "run_suite", "emit_report", "main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

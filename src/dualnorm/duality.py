@@ -13,8 +13,6 @@ pairing still returns ||H||_1); that endpoint is supported here.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import matcore
@@ -36,12 +34,12 @@ def pairing(h: Field, f: Field):
         raise ValueError("fields live over different dual models")
     total = 0.0 + 0.0j
     for (_, dim), a, b in zip(h.model.entries, h.blocks, f.blocks):
-        total = total + dim * np.trace(a @ b, axis1=-2, axis2=-1)
-    return complex(total) if np.ndim(total) == 0 else total
+        total = total + dim * matcore.trace(a @ b)
+    return total
 
 
 def dual_extremizer(h: Field, p) -> Field:
-    """Unit-q-norm field F with <H, F> = ||H||_sch,p.
+    """Unit-q-norm field F with <H, F> = ||H||_sch,p; row by row for a batch.
 
     Blockwise, with H(xi) = W S V* a singular value decomposition,
     |H|^(p-1) U* = V S^(p-1) W*; the zero singular values contribute 0 for
@@ -51,15 +49,15 @@ def dual_extremizer(h: Field, p) -> Field:
     if p.is_inf:
         raise ValueError("the extremizer needs a finite exponent")
     norm = lp_sch_norm(h, p)
-    if norm == 0.0:
+    if np.any(norm == 0.0):
         raise ValueError("the zero field has no norming functional")
-    scale = norm ** (p.value - 1.0)
+    scale = np.asarray(norm ** (p.value - 1.0))[..., None, None]
     blocks = []
     for block in h.blocks:
         f = matcore.svd(block)
-        v = f.vstar.conj().T
         powered = f.sigma ** (p.value - 1.0)  # 0**0 = 1 covers the p = 1 endpoint
-        blocks.append((v * powered) @ f.u.conj().T / scale)
+        v, wstar = matcore.adjoint(f.vstar), matcore.adjoint(f.u)
+        blocks.append(matcore.svd_compose(v, powered, wstar) / scale)
     return _trusted(h.model, blocks)
 
 

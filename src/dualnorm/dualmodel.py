@@ -217,9 +217,9 @@ def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
         raise ValueError(f"unknown distribution {dist!r}")
     blocks = [s[0] for s in random_stacks(model, seed).blocks]
     if dist == "hermitian":
-        blocks = [(a + a.conj().T) / 2 for a in blocks]
+        blocks = [(a + matcore.adjoint(a)) / 2 for a in blocks]
     elif dist == "psd":
-        blocks = [a.conj().T @ a for a in blocks]
+        blocks = [matcore.adjoint(a) @ a for a in blocks]
     return _trusted(model, blocks)
 
 

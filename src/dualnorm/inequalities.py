@@ -34,6 +34,7 @@ __all__ = [
     "two_point_lower_constant",
     "clarkson_check",
     "two_point_check",
+    "two_point_equality_check",
     "two_point_critical_constant",
     "convexity_lower_bound",
     "smoothness_upper_bound",

@@ -19,8 +19,10 @@ Because the boundary norms are constant, the witnesses do not decay as
 and no check below depends on behaviour at infinity.
 
 witness_f and witness_g factor each block once and return the witness as a
-function of z.  Zero singular values are mapped to zero for every exponent
-(including 0), so the powers act on the support only.
+function of z.  At one strip point it is a Field; at an array of strip points
+it is a batch Field of batch shape np.shape(z), so the checks below evaluate
+the whole boundary grid in one call.  Zero singular values are mapped to zero
+for every exponent (including 0), so the powers act on the support only.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "witness_g",
     "strip_function",
     "three_lines_check",
+    "boundary_witness_norms",
     "interp_norm_consistency",
 ]
 
@@ -86,39 +89,45 @@ class InterpSpec:
         return cls(p0, p1, theta)
 
 
-def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[[complex], Field]:
+def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., Field]:
     """z -> |A*|^w(z) A blockwise for h at unit r-norm, w(z) = r((1 - z) inv0 + z inv1) - 1.
 
     Each block of the normalized field is factored once, A = U S V*; the
     witness at z is U S^(w(z)+1) V*, with zero singular values mapped to 0.
+    An array of strip points gives a batch Field of batch shape np.shape(z).
     """
+    if h.batch:
+        raise ValueError(
+            f"a witness takes a single field, not a batch of shape {h.batch}: "
+            "its batch axes hold the strip points"
+        )
     norm = lp_sch_norm(h, r)
     if norm == 0.0:
         raise ValueError("the zero field has no witness normalization")
     factors = [matcore.svd(block) for block in ((1.0 / norm) * h).blocks]
 
-    def at(z: complex) -> Field:
-        z = complex(z)
-        if not (-1e-12 <= z.real <= 1 + 1e-12):
+    def at(z) -> Field:
+        z = np.asarray(z, dtype=np.complex128)
+        if not np.all((-1e-12 <= z.real) & (z.real <= 1 + 1e-12)):
             raise ValueError(f"z = {z} lies outside the closed unit strip")
         w = r.value * ((1 - z) * inv0 + z * inv1) - 1.0
         blocks = []
         for f in factors:
-            powered = np.zeros(f.sigma.shape, dtype=np.complex128)
+            powered = np.zeros(z.shape + f.sigma.shape, dtype=np.complex128)
             pos = f.sigma > 0
-            powered[pos] = np.exp((w + 1.0) * np.log(f.sigma[pos]))
-            blocks.append((f.u * powered) @ f.vstar)
+            powered[..., pos] = np.exp((w[..., None] + 1.0) * np.log(f.sigma[pos]))
+            blocks.append(matcore.svd_compose(f.u, powered, f.vstar))
         return _trusted(h.model, blocks)
 
     return at
 
 
-def witness_f(h: Field, spec: InterpSpec) -> Callable[[complex], Field]:
+def witness_f(h: Field, spec: InterpSpec) -> Callable[..., Field]:
     """z -> witness of h at z (h normalized internally to unit derived-p norm)."""
     return _witness(h, spec.p, spec.p0.inv(), spec.p1.inv())
 
 
-def witness_g(f: Field, spec: InterpSpec) -> Callable[[complex], Field]:
+def witness_g(f: Field, spec: InterpSpec) -> Callable[..., Field]:
     """z -> dual witness of f at z: the same construction with the conjugate exponents.
 
     f is normalized internally to unit q-norm, q conjugate to the derived
@@ -129,63 +138,50 @@ def witness_g(f: Field, spec: InterpSpec) -> Callable[[complex], Field]:
     return _witness(f, spec.p.conjugate(), spec.p0.conjugate().inv(), spec.p1.conjugate().inv())
 
 
-def strip_function(h: Field, f_dual: Field, spec: InterpSpec) -> Callable[[complex], complex]:
-    """z -> <witness of h, dual witness of f_dual> at a strip point."""
+def strip_function(h: Field, f_dual: Field, spec: InterpSpec) -> Callable[..., complex]:
+    """z -> <witness of h, dual witness of f_dual> at a strip point; an array for an array of them."""
     wf, wg = witness_f(h, spec), witness_g(f_dual, spec)
     return lambda z: pairing(wf(z), wg(z))
 
 
+def _edges() -> np.ndarray:
+    """The boundary grid as a (2, n) array: row 0 is z = it, row 1 is z = 1 + it."""
+    t = np.asarray(DEFAULT_T_GRID)
+    return np.stack([1j * t, 1.0 + 1j * t])
+
+
 def three_lines_check(
-    h: Field,
-    f_dual: Field,
-    spec: InterpSpec,
-    t_grid=DEFAULT_T_GRID,
-    *,
-    suite="interpolation",
-    case_id="three_lines",
+    h: Field, f_dual: Field, spec: InterpSpec, *, suite="interpolation", case_id="three_lines"
 ) -> CheckReport:
     """Boundary and interior values of the strip function stay below 1.
 
     Samples |<f(z), g(z)>| at z = it and z = 1 + it over the grid and at
     z = theta (where the pairing is just <h, f_dual> after normalization).
     """
-    strip = strip_function(h, f_dual, spec)
-    values = []
-    for t in t_grid:
-        values.append(abs(strip(1j * t)))
-        values.append(abs(strip(1.0 + 1j * t)))
+    boundary = strip_function(h, f_dual, spec)(_edges())
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
     f_unit = (1.0 / lp_sch_norm(f_dual, spec.p.conjugate())) * f_dual
-    values.append(abs(pairing(h_unit, f_unit)))
-    lhs = max(values)
-    inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
+    lhs = max(map(abs, boundary.ravel().tolist() + [pairing(h_unit, f_unit)]))
+    inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
     return inequality_report(
         suite, case_id, float(spec.p), lhs, 1.0, inputs, "strip_maximum", rel=1e-9
     )
 
 
-def boundary_witness_norms(h: Field, spec: InterpSpec, t_grid=DEFAULT_T_GRID):
+def boundary_witness_norms(h: Field, spec: InterpSpec):
     """(||f(it)||_p0, ||f(1+it)||_p1) over the grid, for unit-normalized h."""
-    wf = witness_f(h, spec)
-    return (
-        [lp_sch_norm(wf(1j * t), spec.p0) for t in t_grid],
-        [lp_sch_norm(wf(1.0 + 1j * t), spec.p1) for t in t_grid],
-    )
+    w = witness_f(h, spec)(_edges())
+    left, right = w.map_blocks(lambda b: b[0]), w.map_blocks(lambda b: b[1])
+    return lp_sch_norm(left, spec.p0).tolist(), lp_sch_norm(right, spec.p1).tolist()
 
 
 def interp_norm_consistency(
-    h: Field,
-    spec: InterpSpec,
-    boundary_norms,
-    t_grid=DEFAULT_T_GRID,
-    *,
-    suite="interpolation",
-    case_id="norm_consistency",
+    h: Field, spec: InterpSpec, boundary_norms, *, suite="interpolation", case_id="norm_consistency"
 ) -> CheckReport:
     """Two-sided finite-scale consistency of the derived-exponent norm.
 
-    ``boundary_norms`` is ``boundary_witness_norms(h, spec, t_grid)``, which
-    the caller has already taken (and which raises for the zero field).
+    ``boundary_norms`` is ``boundary_witness_norms(h, spec)``, which the
+    caller has already taken (and which raises for the zero field).
     Upper: ||h||_p is at most the largest boundary norm of the witness
     scaled back by ||h||_p.  Lower: the norming functional realizes
     |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
@@ -202,7 +198,7 @@ def interp_norm_consistency(
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm
     slack = min(upper_slack, lower_slack)
-    inputs = (h, spec.p0.value, spec.p1.value, spec.theta, list(t_grid))
+    inputs = (h, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
     return check_report(
         suite, case_id, p, norm, boundary_max, slack, inputs, "equal_norms", rel=1e-8, scale=1.0
     )

@@ -3,14 +3,15 @@
 Everything downstream (norms, pairings, witnesses) reduces to a handful of
 operations on small dense complex matrices: adjoints, traces, singular
 values, polar decomposition, absolute values and fractional powers of
-positive semidefinite matrices.  Matrices are plain 2-D ``complex128``
-numpy arrays; :func:`cmatrix` is the validating constructor, and the
-factorizations validate their input through it.
+positive semidefinite matrices.
 
-The norm kernels :func:`schatten_norm` and :func:`hs_norm` (and
-:func:`adjoint`) take a matrix or a ``(*batch, d, d)`` stack and reduce over
-the last two axes.  They check shapes only: finiteness is checked where
-data enters the package.
+Every kernel except :func:`psd_power` takes a square matrix or a
+``(*batch, d, d)`` stack of them and works over the last two axes.  The
+kernels check shapes only (through ``_square``): finiteness is checked where
+data enters the package, and there is no validating constructor here.
+:func:`psd_power` is the eigh-based reference the tests compare the SVD
+route against; it takes one matrix and rejects non-finite, non-Hermitian
+and non-PSD input.
 
 All functions are pure and never mutate their inputs.
 """
@@ -26,9 +27,9 @@ __all__ = [
     "FactorizationError",
     "SvdResult",
     "PolarResult",
-    "cmatrix",
     "adjoint",
     "svd",
+    "svd_compose",
     "polar",
     "matabs",
     "psd_power",
@@ -46,39 +47,31 @@ class FactorizationError(RuntimeError):
     """A matrix factorization (SVD / eigendecomposition) failed to converge."""
 
 
-def cmatrix(data) -> np.ndarray:
-    """Validate and coerce ``data`` to a 2-D complex128 array.
-
-    Raises ValueError for non-2-D input or non-finite entries.
-    """
-    a = np.asarray(data, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix of a stack."""
     return np.swapaxes(np.asarray(a), -1, -2).conj()
 
 
+def svd_compose(u: np.ndarray, values: np.ndarray, vstar: np.ndarray) -> np.ndarray:
+    """u @ diag(values) @ vstar, broadcast over stacks (``values`` along its last axis)."""
+    return (u * values[..., None, :]) @ vstar
+
+
 @dataclass(frozen=True)
 class SvdResult:
-    """Factorization a = u @ diag(sigma) @ vstar with unitary u, vstar."""
+    """Factorization a = u @ diag(sigma) @ vstar with unitary u, vstar (stacked for a stack)."""
 
     u: np.ndarray
     sigma: np.ndarray
     vstar: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vstar
+        return svd_compose(self.u, self.sigma, self.vstar)
 
 
 def svd(a: np.ndarray) -> SvdResult:
-    """Singular value decomposition with sigma sorted non-increasing."""
-    a = cmatrix(a)
+    """Singular value decomposition of a square matrix or stack, sigma non-increasing."""
+    a = _square(a)
     try:
         u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
@@ -99,15 +92,12 @@ class PolarResult:
 
 
 def polar(a: np.ndarray) -> PolarResult:
-    """Polar decomposition a = u |a| of a square matrix."""
-    a = _square(cmatrix(a))
+    """Polar decomposition a = u |a| of a square matrix, or of every matrix of a stack."""
     f = svd(a)
-    u = f.u @ f.vstar
-    v = f.vstar.conj().T
-    absval = (v * f.sigma) @ f.vstar
+    absval = svd_compose(adjoint(f.vstar), f.sigma, f.vstar)
     # symmetrize against roundoff; |a| is Hermitian by construction
-    absval = (absval + absval.conj().T) / 2
-    return PolarResult(u=u, absval=absval)
+    absval = (absval + adjoint(absval)) / 2
+    return PolarResult(u=f.u @ f.vstar, absval=absval)
 
 
 def matabs(a: np.ndarray) -> np.ndarray:
@@ -120,7 +110,9 @@ def _eigh_psd(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues within rtol * max(eig) of zero are clipped to exactly 0.
     """
-    a = _square(cmatrix(a))
+    a = _square(a)
+    if a.ndim != 2 or not np.isfinite(a).all():
+        raise ValueError(f"expected one finite matrix, got shape {a.shape}")
     scale = max(1.0, float(np.linalg.norm(a)))
     if np.linalg.norm(a - a.conj().T) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -203,7 +195,7 @@ def hs_norm(a: np.ndarray):
     return np.sqrt(np.einsum("...ij,...ij->...", x, x))
 
 
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries."""
-    a = _square(cmatrix(a))
-    return complex(np.trace(a))
+def trace(a: np.ndarray):
+    """Sum of diagonal entries: a complex for a matrix, an array for a stack."""
+    t = np.trace(_square(a), axis1=-2, axis2=-1)
+    return complex(t) if t.ndim == 0 else t

@@ -69,14 +69,15 @@ class ExponentP:
         """Accept "inf", decimals like "2.5", and fractions like "3/2"."""
         if isinstance(text, ExponentP):
             return text
-        if isinstance(text, (int, float)):
-            return cls(float(text))
-        s = str(text).strip().lower()
-        if s in ("inf", "infinity", "oo"):
-            return cls(math.inf)
-        if "/" in s:
-            return cls(float(Fraction(s)))
-        return cls(float(s))
+        try:
+            if isinstance(text, (int, float)):
+                return cls(float(text))
+            s = str(text).strip().lower()
+            if s in ("inf", "infinity", "oo"):
+                return cls(math.inf)
+            return cls(float(Fraction(s)) if "/" in s else float(s))
+        except (ZeroDivisionError, OverflowError) as exc:  # 1/0, or too large for a float
+            raise ValueError(f"malformed exponent {text!r}: {exc}") from exc
 
     @property
     def is_inf(self) -> bool:

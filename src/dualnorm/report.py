@@ -30,6 +30,7 @@ __all__ = [
     "check_report",
     "inequality_report",
     "equality_report",
+    "canonical_json",
     "digest_inputs",
     "reports_to_json",
     "reports_from_json",

@@ -194,6 +194,14 @@ def test_main_bad_preset_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["1/0", "2,0/0"])
+def test_main_exponent_with_zero_denominator_is_config_error(p, capsys):
+    code = main(["verify", "norms", "--dual", "s3", "--p", p, "--trials", "1"])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_main_unwritable_output_is_config_error(tmp_path):
     code = main(
         [
@@ -418,8 +426,8 @@ def test_tol_override_keeps_exact_counts_exact():
 GOLDEN = [
     ("s3", "1,1.5,2,3,inf", "both", None, 345, "69b312d0b941a44e", "14898175ae258459"),
     ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "50df597d2d106839", "c168c83077107cb8"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "001c20e09f9ec841", "70c9a041585efe1a"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "7127dad41f299d97", "7c2463dc4368149b"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "33e450684a3a975a", "08c7e54578ebd382"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "2549f4401a48fdfc", "696951b3df974e49"),
 ]
 
 

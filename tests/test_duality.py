@@ -14,6 +14,7 @@ from dualnorm.dualmodel import (
     Field,
     identity_field,
     mix_seed,
+    parse_dual_arg,
     preset_dual,
     random_field,
     random_stacks,
@@ -159,6 +160,27 @@ def test_extremizer_rejects_zero_and_inf():
         dual_extremizer(zero_field(m), 2.0)
     with pytest.raises(ValueError):
         dual_extremizer(random_field(m, 1), math.inf)
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_extremizer_of_a_batch_normalizes_each_row_by_its_own_norm(dual, p):
+    m = parse_dual_arg(dual)
+    hs = random_stacks(m, mix_seed("extremizer batch", dual), rows=4)
+    hs = np.array([0.5, 1.0, 3.0, 10.0]) * hs  # rows of different norms
+    batch = dual_extremizer(hs, p)
+    assert batch.batch == (4,)
+    for k in range(4):
+        one = dual_extremizer(Field(m, tuple(b[k] for b in hs.blocks)), p)
+        for got, want in zip(batch.blocks, one.blocks):
+            assert np.max(np.abs(got[k] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_extremizer_of_a_batch_rejects_a_zero_row():
+    m = preset_dual("s3")
+    hs = np.array([1.0, 0.0, 2.0]) * random_stacks(m, 5, rows=3)
+    with pytest.raises(ValueError, match="zero field"):
+        dual_extremizer(hs, 2.0)
 
 
 # -- supremum search ----------------------------------------------------------

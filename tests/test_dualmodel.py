@@ -28,6 +28,7 @@ from dualnorm.dualmodel import (
     random_uniforms,
     zero_field,
 )
+from dualnorm.norms import ExponentP
 
 
 def test_preset_torus_dims():
@@ -197,6 +198,18 @@ def test_field_abs_blockwise():
     absf = field_abs(h)
     for raw, blk in zip(h.blocks, absf.blocks):
         assert np.allclose(blk, matcore.matabs(raw))
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
+def test_field_abs_of_a_batch_matches_row_by_row(dual):
+    m = parse_dual_arg(dual)
+    hs = random_stacks(m, mix_seed("abs batch", dual), rows=4)
+    batch = field_abs(hs)
+    assert batch.batch == (4,)
+    for k in range(4):
+        one = field_abs(Field(m, tuple(b[k] for b in hs.blocks)))
+        for got, want in zip(batch.blocks, one.blocks):
+            assert np.max(np.abs(got[k] - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -389,3 +402,17 @@ def test_decode_field_raises_only_value_error(doc):
 @given(PRESETS)
 def test_parse_dual_arg_raises_only_value_error(text):
     _raises_only_value_error(parse_dual_arg, text)
+
+
+EXPONENTS = (
+    st.text("0123456789/.-+e inf", max_size=12)
+    | st.builds("{}/{}".format, st.integers(0, 10**400), st.integers(0, 3))
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(EXPONENTS)
+def test_exponent_parse_raises_only_value_error(text):
+    _raises_only_value_error(ExponentP.parse, text)

@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from dualnorm import matcore
-from dualnorm.dualmodel import Field, mix_seed, parse_dual_arg, preset_dual, random_field
+from dualnorm import interpolation, matcore
+from dualnorm.dualmodel import (
+    Field,
+    mix_seed,
+    parse_dual_arg,
+    preset_dual,
+    random_field,
+    random_stacks,
+)
 from dualnorm.duality import dual_extremizer, pairing
 from dualnorm.interpolation import (
     DEFAULT_T_GRID,
@@ -114,7 +121,7 @@ def test_witness_scalar_entries_match_classical_formula():
 @pytest.mark.parametrize("seed", range(10))
 def test_witness_boundary_norms_are_one(spec, seed):
     h = random_field(preset_dual("s3"), mix_seed("bnorm", seed))
-    n0, n1 = boundary_witness_norms(h, spec, t_grid=(-2.0, -1.0, 0.0, 1.0, 2.0))
+    n0, n1 = boundary_witness_norms(h, spec)
     for v in n0 + n1:
         assert v == pytest.approx(1.0, abs=1e-9)
 
@@ -165,6 +172,42 @@ def test_three_lines_factors_each_block_once(monkeypatch):
     assert len(calls) == 2 * len(m.entries)  # one factorization per block per witness
 
 
+@pytest.mark.parametrize("dual_side", [False, True])
+def test_witness_at_an_array_of_points_is_a_batch(dual_side):
+    h = random_field(preset_dual("s3"), 7)
+    at = (witness_g if dual_side else witness_f)(h, SPEC_2_4)
+    zs = np.array([0.0, 1.0, -1.5j, 0.5j, 1 + 0.75j, 0.3 - 2j])
+    batch = at(zs)
+    assert batch.batch == (6,)
+    for k, z in enumerate(zs):
+        one = at(z)
+        assert one.batch == ()
+        assert all(np.array_equal(b[k], a) for b, a in zip(batch.blocks, one.blocks))
+    assert at(zs.reshape(2, 3)).batch == (2, 3)
+
+
+def test_witness_rejects_a_batch_field():
+    hs = random_stacks(preset_dual("s3"), 3, rows=2)
+    for witness in (witness_f, witness_g):
+        with pytest.raises(ValueError, match="single field"):
+            witness(hs, SPEC_1_2)
+
+
+def test_boundary_norms_and_three_lines_evaluate_the_grid_as_one_batch(monkeypatch):
+    m = preset_dual("s3")
+    h, f = random_field(m, 1), random_field(m, 2)
+    norms, pairs = [], []
+    schatten, pair = matcore.schatten_norm, interpolation.pairing
+    monkeypatch.setattr(matcore, "schatten_norm", lambda a, p: norms.append(p) or schatten(a, p))
+    monkeypatch.setattr(interpolation, "pairing", lambda a, b: pairs.append(a.batch) or pair(a, b))
+    n0, n1 = boundary_witness_norms(h, SPEC_1_2)
+    # one normalization, then one norm per strip edge: one kernel call per entry each
+    assert len(norms) == 3 * len(m.entries)
+    assert len(n0) == len(n1) == len(DEFAULT_T_GRID)
+    three_lines_check(h, f, SPEC_1_2)
+    assert pairs == [(2, len(DEFAULT_T_GRID)), ()]  # the boundary grid, then the center
+
+
 def test_witness_rejects_points_off_strip():
     h = random_field(preset_dual("s3"), 1)
     w = witness_f(h, SPEC_1_2)
@@ -172,6 +215,8 @@ def test_witness_rejects_points_off_strip():
         w(-0.5)
     with pytest.raises(ValueError):
         w(1.5 + 1j)
+    with pytest.raises(ValueError):
+        w(np.array([0.5, 1.5]))
 
 
 # -- three lines ----------------------------------------------------------------

@@ -180,6 +180,10 @@ def test_psd_power_rejects_non_psd():
         matcore.psd_power(np.diag([1.0, -1.0]), 0.5)
     with pytest.raises(ValueError):
         matcore.psd_power(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+    # the eigh reference takes one matrix and checks finiteness itself
+    for bad in (np.stack([np.eye(2), np.eye(2)]), np.diag([np.inf, 1.0]), np.zeros(2)):
+        with pytest.raises(ValueError):
+            matcore.psd_power(bad, 0.5)
 
 
 # -- schatten / hs norms ------------------------------------------------------
@@ -249,14 +253,36 @@ def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
     star = matcore.adjoint(stack)
     assert star.strides[-1] != star.itemsize or d == 1
     assert matcore.hs_norm(star) == pytest.approx(hs, rel=1e-14)
+    # the factorizations and the trace work matrix by matrix as well
+    f, pol = matcore.svd(stack), matcore.polar(stack)
+    ab, tr = matcore.matabs(stack), matcore.trace(stack)
+    assert f.sigma.shape == (2, 3, d) and tr.shape == (2, 3)
+
+    def close(x, y):
+        return np.max(np.abs(x - y)) <= 1e-14 * max(1.0, np.max(np.abs(y)))
+
+    for idx in np.ndindex(2, 3):
+        one = matcore.svd(stack[idx])
+        assert close(f.sigma[idx], one.sigma) and close(f.reconstruct()[idx], one.reconstruct())
+        assert close(pol.u[idx], matcore.polar(stack[idx]).u)
+        assert close(pol.absval[idx], matcore.polar(stack[idx]).absval)
+        assert close(ab[idx], matcore.matabs(stack[idx]))
+        assert abs(tr[idx] - matcore.trace(stack[idx])) <= 1e-14 * max(1.0, abs(tr[idx]))
 
 
 @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), np.zeros((4, 2, 1))])
 def test_norm_kernels_reject_non_square_input(bad):
-    with pytest.raises(ValueError):
-        matcore.schatten_norm(bad, 2.0)
-    with pytest.raises(ValueError):
-        matcore.hs_norm(bad)
+    kernels = [
+        lambda a: matcore.schatten_norm(a, 2.0),
+        matcore.hs_norm,
+        matcore.svd,
+        matcore.polar,
+        matcore.matabs,
+        matcore.trace,
+    ]
+    for kernel in kernels:
+        with pytest.raises(ValueError):
+            kernel(bad)
 
 
 # -- trace --------------------------------------------------------------------
@@ -287,11 +313,3 @@ def test_trace_cyclicity_under_fractional_power(seed):
     rhs = np.sum(np.maximum(np.linalg.eigvalsh(rb @ a @ rb), 0.0) ** 1.5)
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
-
-def test_cmatrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        matcore.cmatrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        matcore.cmatrix([[np.inf, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        matcore.trace(np.ones((2, 3)))
