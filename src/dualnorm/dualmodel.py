@@ -11,12 +11,15 @@ dim)`` array with the same batch shape (``()`` for a single field).
 
 Both types are immutable; field arithmetic returns new fields.  Data is
 validated where it enters: ``Field(...)`` checks and copies its arrays,
-while fields the package computes go through :func:`_trusted`.
+while fields the package computes go through :func:`_trusted`.  Blocks can
+never be made writable again, so :attr:`Field.wire_json` is cached safely.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +145,7 @@ class Field:
                 raise ValueError(f"block for {lab!r} has shape {b.shape}, not (..., {dim}, {dim})")
             if not np.isfinite(b).all():
                 raise ValueError(f"block for {lab!r} has non-finite entries")
-            b.flags.writeable = False
-            blocks.append(b)
+            blocks.append(_locked(b))
         batches = {b.shape[:-2] for b in blocks}
         if len(batches) > 1:
             raise ValueError(f"entries have different batch shapes: {sorted(batches)}")
@@ -152,6 +154,15 @@ class Field:
     @property
     def batch(self) -> tuple[int, ...]:
         return self.blocks[0].shape[:-2]
+
+    @functools.cached_property
+    def wire_json(self) -> str:
+        """Canonical JSON text of :func:`encode_field` (sorted keys, no spaces), computed once."""
+        return json.dumps(encode_field(self), sort_keys=True, separators=(",", ":"))
+
+    def __reduce__(self):
+        """Copies and unpickled fields lock their blocks again and recompute the cache."""
+        return (_trusted, (self.model, self.blocks))
 
     def map_blocks(self, fn) -> "Field":
         """Apply ``fn`` to each entry's block (stack); it must keep shapes and finiteness."""
@@ -183,13 +194,19 @@ class Field:
 
 
 def _trusted(model: DualModel, blocks) -> Field:
-    """A Field over arrays the package computed: marked read-only, neither copied nor checked."""
-    for b in blocks:
-        b.flags.writeable = False
+    """A Field over arrays the package computed: locked read-only, neither copied nor checked."""
     field = object.__new__(Field)
     object.__setattr__(field, "model", model)
-    object.__setattr__(field, "blocks", tuple(blocks))
+    object.__setattr__(field, "blocks", tuple(map(_locked, blocks)))
     return field
+
+
+def _locked(b: np.ndarray) -> np.ndarray:
+    """A read-only view of ``b`` that cannot be made writable: ``b`` and its base are locked."""
+    b.setflags(write=False)  # about half the cost of setting b.flags.writeable
+    if isinstance(b.base, np.ndarray) and b.base.flags.writeable:
+        b.base.setflags(write=False)
+    return b.view()
 
 
 def _check_same_model(a: Field, b: Field) -> None:

@@ -134,6 +134,16 @@ def _encode(obj):
 
 
 def canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)``, with each
+    Field, also inside a list or tuple, spliced in as its cached wire text."""
+    return _canonical(obj)
+
+
+def _canonical(obj) -> str:
+    if isinstance(obj, Field):
+        return obj.wire_json
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_canonical(x) for x in obj) + "]"
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
 
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from dualnorm import interpolation, matcore
+from dualnorm import dualmodel, interpolation, matcore, report
 from dualnorm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -20,7 +20,13 @@ from dualnorm.cli import (
     main,
     run_suite,
 )
-from dualnorm.dualmodel import encode_field, parse_dual_arg, preset_dual, random_field
+from dualnorm.dualmodel import (
+    encode_field,
+    parse_dual_arg,
+    preset_dual,
+    random_field,
+    random_stacks,
+)
 from dualnorm.norms import ExponentP
 from dualnorm.report import (
     TOL_REL,
@@ -116,6 +122,43 @@ def test_digest_encodes_fields_in_wire_format():
     assert digest_inputs(h1) != digest_inputs(h2)
     with pytest.raises(TypeError):
         digest_inputs(object())
+
+
+def _canonical_oracle(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=report._encode)
+
+
+def test_canonical_json_matches_its_one_line_form():
+    m = preset_dual("s3")
+    h1, h2 = random_field(m, 1), random_field(m, 2, "psd")
+    cases = [
+        h1, [h1, h2], (h1, h2), (h1, 2.0, "sch"), [h1, [h2, (h1,)], "hs"], [], (),
+        2.0, math.inf, -math.inf, -0.0, 1e-300, "sch", None, True, 3,
+        {"h": encode_field(h1), "p": 2.0, "fs": [encode_field(h2)]},
+        [{"b": 1, "a": [h1]}, h2],
+    ]
+    for obj in cases:
+        assert report.canonical_json(obj) == _canonical_oracle(obj), obj
+    assert digest_inputs(h1, 2.0) == digest_inputs(encode_field(h1), 2.0)
+
+
+def test_digest_of_a_batch_raises_every_time():
+    batch = random_stacks(preset_dual("s3"), 1, rows=2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="batch"):
+            digest_inputs(batch)
+        with pytest.raises(ValueError, match="batch"):
+            digest_inputs([random_field(preset_dual("s3"), 1), batch])
+
+
+def test_verify_all_encodes_each_field_once(tmp_path, monkeypatch):
+    encoded = []
+    encode = dualmodel.encode_field
+    monkeypatch.setattr(dualmodel, "encode_field", lambda f: encoded.append(f) or encode(f))
+    argv = ["verify", "all", "--dual", "custom(16,32)", "--p", "1.5,2,3", "--family", "both",
+            "--trials", "2", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == EXIT_OK
+    assert encoded and len(encoded) == len({id(f) for f in encoded})
 
 
 def test_constructors_derive_tolerance_and_digest():

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dualnorm.dualmodel import (
     MAX_ENTRIES,
     DualModel,
     Field,
+    _trusted,
     decode_field,
     decode_model,
     encode_field,
@@ -29,6 +32,7 @@ from dualnorm.dualmodel import (
     zero_field,
 )
 from dualnorm.norms import ExponentP
+from dualnorm.report import digest_inputs
 
 
 def test_preset_torus_dims():
@@ -289,6 +293,49 @@ def test_computed_fields_are_read_only():
                 b[..., 0, 0] = 1.0
 
 
+def test_block_locks_cannot_be_lifted():
+    m = preset_dual("s3")
+    h = random_field(m, 4)
+    pairs = inequalities._unit_pairs(m, 1.5, "sch", seed=2, samples=5)
+    fields = {
+        "user": Field(m, (np.eye(1), 2 * np.eye(1), np.arange(4.0).reshape(2, 2))),
+        "scaled": 2.0 * h, "sum": h + h, "mapped": h.map_blocks(lambda b: b),
+        "adjoint": field_adjoint(h), "drawn": h, "hermitian": random_field(m, 4, "hermitian"),
+        "batch": random_stacks(m, 3, rows=4), "pair": next(pairs)[0],
+        "decoded": decode_field(encode_field(h), m), "zero": zero_field(m),
+        # complex views of writable float arrays, as rademacher_average builds its sums
+        "view": _trusted(m, [np.zeros((d, 2 * d)).view(np.complex128) for d in m.dims]),
+    }
+    h.wire_json  # copies lock their blocks again and do not carry the cached text
+    copies = {"pickled": pickle.loads(pickle.dumps(h)), "deep": copy.deepcopy(h), "copy": copy.copy(h)}
+    for g in copies.values():
+        assert g == h and "wire_json" not in vars(g)
+    fields.update(copies)
+    for name, f in fields.items():
+        for b in f.blocks:
+            with pytest.raises(ValueError):
+                b.flags.writeable = True
+            assert not b.flags.writeable, name
+
+
+def _wire_oracle(h):
+    return json.dumps(encode_field(h), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("dual", ["torus(3)", "custom(1,3)", "s3", "su2_trunc(4)", "custom(16,32)"])
+def test_wire_json_matches_the_dumped_encoding(dual):
+    m = parse_dual_arg(dual)
+    h = random_field(m, 11)
+    for scale in (1.0, -1.0, -0.0, 0.0, 1e-300, 1e16, 1e300):
+        f = scale * h
+        assert f.wire_json == _wire_oracle(f)
+        assert f.wire_json is f.wire_json  # computed once
+        decoded = decode_field(encode_field(f), m)
+        assert decoded.wire_json == f.wire_json  # the cache holds content, not identity
+        assert digest_inputs(decoded) == digest_inputs(f)
+    assert Field(m, h.blocks).wire_json == h.wire_json
+
+
 def test_array_scalars_scale_each_field_of_a_batch():
     m = preset_dual("s3")
     batch = random_stacks(m, 8, rows=3)
@@ -300,8 +347,12 @@ def test_array_scalars_scale_each_field_of_a_batch():
 
 
 def test_encode_field_rejects_a_batch():
+    batch = random_stacks(preset_dual("s3"), 1, rows=2)
     with pytest.raises(ValueError, match="batch"):
-        encode_field(random_stacks(preset_dual("s3"), 1, rows=2))
+        encode_field(batch)
+    for _ in range(2):  # the cached wire text raises each time: no failure is cached
+        with pytest.raises(ValueError, match="batch"):
+            batch.wire_json
 
 
 @pytest.mark.parametrize("dim", [2.5, "3", True, None])
