@@ -364,12 +364,21 @@ def emit_report(reports, format: str, path: str) -> None:
         raise ConfigError(f"cannot write report to {path}: {exc}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``; failing to read or parse it is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read {what} from {path}: {exc}") from exc
+
+
 def _load_dual(text: str) -> DualModel:
     if text.endswith(".json") or os.path.sep in text:
+        doc = _read_json(text, "a dual model")
         try:
-            with open(text) as fh:
-                return decode_model(json.load(fh))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            return decode_model(doc)
+        except ValueError as exc:
             raise ConfigError(f"cannot load dual model from {text}: {exc}") from exc
     try:
         return parse_dual_arg(text)
@@ -467,11 +476,7 @@ def _cmd_field(args) -> int:
             print(text, end="")
         return EXIT_OK
     if args.field_command == "show":
-        try:
-            with open(args.path) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read field file {args.path}: {exc}") from exc
+        doc = _read_json(args.path, "a field")
         if not isinstance(doc, dict):
             raise ConfigError(f"field file {args.path} does not hold a JSON object")
         try:

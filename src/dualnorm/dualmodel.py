@@ -12,14 +12,13 @@ dim)`` array with the same batch shape (``()`` for a single field).
 Both types are immutable; field arithmetic returns new fields.  Data is
 validated where it enters: ``Field(...)`` checks and copies its arrays,
 while fields the package computes go through :func:`_trusted`.  Blocks can
-never be made writable again, so :attr:`Field.wire_json` is cached safely.
+never be made writable again.  Reports digest a field as its model, its dims
+and a hash of its block bytes; the JSON wire format below is for field files.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,13 +154,8 @@ class Field:
     def batch(self) -> tuple[int, ...]:
         return self.blocks[0].shape[:-2]
 
-    @functools.cached_property
-    def wire_json(self) -> str:
-        """Canonical JSON text of :func:`encode_field` (sorted keys, no spaces), computed once."""
-        return json.dumps(encode_field(self), sort_keys=True, separators=(",", ":"))
-
     def __reduce__(self):
-        """Copies and unpickled fields lock their blocks again and recompute the cache."""
+        """Copies and unpickled fields lock their blocks again."""
         return (_trusted, (self.model, self.blocks))
 
     def map_blocks(self, fn) -> "Field":

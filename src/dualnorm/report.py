@@ -9,7 +9,8 @@ both.
 Reports serialize to JSON (stable key order) and RFC-4180 CSV; parsing the
 JSON back yields equal reports.  The constructors derive each report's
 tolerance and input digest here, so a check states only its ``lhs``, ``rhs``,
-anchor and inputs; fields are digested in their JSON wire format.
+anchor and inputs; a field is digested as its model, its dims and a hash of its
+block bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .dualmodel import Field, encode_field
+import numpy as np
+
+from .dualmodel import Field
 
 __all__ = [
     "TOL_REL",
@@ -129,29 +132,26 @@ def equality_report(
 
 def _encode(obj):
     if isinstance(obj, Field):
-        return encode_field(obj)
+        if obj.batch:
+            raise ValueError(f"cannot digest a batch of fields (batch shape {obj.batch})")
+        h = hashlib.sha256()
+        for b in obj.blocks:
+            h.update(np.ascontiguousarray(b, dtype="<c16").tobytes())
+        return {"model": obj.model.name, "dims": list(obj.model.dims),
+                "blocks_sha256": h.hexdigest()}
     raise TypeError(f"cannot digest an object of type {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)``, with each
-    Field, also inside a list or tuple, spliced in as its cached wire text."""
-    return _canonical(obj)
-
-
-def _canonical(obj) -> str:
-    if isinstance(obj, Field):
-        return obj.wire_json
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(x) for x in obj) + "]"
+    """Sorted-key JSON without spaces; a Field becomes its model, dims and block hash."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
 
 
 def digest_inputs(*parts) -> str:
     """Short deterministic digest of the (serialized) inputs of a check.
 
-    Parts are JSON values, :class:`Field` objects (serialized in their wire
-    format) or lists of them.
+    Parts are JSON values, :class:`Field` objects (their model, dims and the
+    sha256 of their little-endian complex128 block bytes) or lists of them.
     """
     h = hashlib.sha256()
     for part in parts:

@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from dualnorm import dualmodel, interpolation, matcore, report
+from dualnorm import cli, dualmodel, interpolation, matcore
 from dualnorm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -21,7 +22,7 @@ from dualnorm.cli import (
     run_suite,
 )
 from dualnorm.dualmodel import (
-    encode_field,
+    decode_field,
     parse_dual_arg,
     preset_dual,
     random_field,
@@ -117,29 +118,10 @@ def test_report_inf_exponent_serialization():
 
 def test_digest_encodes_fields_in_wire_format():
     h1, h2 = random_field(preset_dual("s3"), 1), random_field(preset_dual("s3"), 2)
-    assert digest_inputs(h1, 2.0) == digest_inputs(encode_field(h1), 2.0)
-    assert digest_inputs([h1, h2]) == digest_inputs([encode_field(h1), encode_field(h2)])
     assert digest_inputs(h1) != digest_inputs(h2)
+    assert digest_inputs([h1, h2]) != digest_inputs(h1, h2)
     with pytest.raises(TypeError):
         digest_inputs(object())
-
-
-def _canonical_oracle(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=report._encode)
-
-
-def test_canonical_json_matches_its_one_line_form():
-    m = preset_dual("s3")
-    h1, h2 = random_field(m, 1), random_field(m, 2, "psd")
-    cases = [
-        h1, [h1, h2], (h1, h2), (h1, 2.0, "sch"), [h1, [h2, (h1,)], "hs"], [], (),
-        2.0, math.inf, -math.inf, -0.0, 1e-300, "sch", None, True, 3,
-        {"h": encode_field(h1), "p": 2.0, "fs": [encode_field(h2)]},
-        [{"b": 1, "a": [h1]}, h2],
-    ]
-    for obj in cases:
-        assert report.canonical_json(obj) == _canonical_oracle(obj), obj
-    assert digest_inputs(h1, 2.0) == digest_inputs(encode_field(h1), 2.0)
 
 
 def test_digest_of_a_batch_raises_every_time():
@@ -151,14 +133,22 @@ def test_digest_of_a_batch_raises_every_time():
             digest_inputs([random_field(preset_dual("s3"), 1), batch])
 
 
-def test_verify_all_encodes_each_field_once(tmp_path, monkeypatch):
+def test_only_field_random_encodes_fields(tmp_path, monkeypatch):
     encoded = []
     encode = dualmodel.encode_field
-    monkeypatch.setattr(dualmodel, "encode_field", lambda f: encoded.append(f) or encode(f))
+    counting = lambda f: encoded.append(f) or encode(f)
+    monkeypatch.setattr(dualmodel, "encode_field", counting)
+    monkeypatch.setattr(cli, "encode_field", counting)
     argv = ["verify", "all", "--dual", "custom(16,32)", "--p", "1.5,2,3", "--family", "both",
             "--trials", "2", "--out", str(tmp_path / "r.json")]
     assert main(argv) == EXIT_OK
-    assert encoded and len(encoded) == len({id(f) for f in encoded})
+    assert len(encoded) == 0  # digests hash block bytes
+    path = tmp_path / "f.json"
+    assert main(["field", "random", "--dual", "s3", "--out", str(path)]) == EXIT_OK
+    assert len(encoded) == 1
+    # the written field digests exactly like the field that was drawn
+    doc = json.loads(path.read_text())
+    assert digest_inputs(decode_field(doc["field"], preset_dual("s3"))) == digest_inputs(encoded[0])
 
 
 def test_constructors_derive_tolerance_and_digest():
@@ -400,6 +390,32 @@ def test_main_field_show_bad_entry_is_config_error(entry, tmp_path):
     assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
+DEEP = "[" * 200000  # nested past the JSON decoder's recursion limit
+DEEP_FIELD = '{"dual": {"name": "s3", "entries": %s}, "field": %s}' % (S3_ENTRIES % 2, DEEP)
+
+
+@pytest.mark.parametrize(
+    "content,argv",
+    [
+        (b"\xff\xfe{}", ["field", "show"]),
+        (DEEP.encode(), ["field", "show"]),
+        (DEEP.encode(), ["verify", "norms", "--dual"]),
+        (DEEP_FIELD.encode(), ["field", "show"]),
+    ],
+    ids=["show-not-utf8", "show-deep", "dual-deep", "show-deep-field"],
+)
+def test_main_malformed_json_is_config_error(content, argv, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run(
+        [sys.executable, "-m", "dualnorm", *argv, str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == EXIT_CONFIG_ERROR
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
 def test_main_verify_seed_outside_mix_range_is_config_error(seed, monkeypatch, capsys):
     # mix_seed encodes a seed in 16 signed bytes
@@ -465,19 +481,31 @@ def test_tol_override_keeps_exact_counts_exact():
 
 # sha256 prefixes of the JSON and CSV of `verify all` (seed 11, 3 trials).  They
 # pin the report bytes: a refactor of the suites must leave them unchanged, and
-# a deliberate change to the numbers (a new draw layout) updates them here.
+# a deliberate change to the numbers (a new draw layout) updates them here.  The
+# last two columns see no digest: the JSON hash with every `inputs_digest` blank,
+# and the number of distinct digests, so a change to how inputs are digested
+# moves only the first two hashes.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "69b312d0b941a44e", "14898175ae258459"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "50df597d2d106839", "c168c83077107cb8"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "33e450684a3a975a", "08c7e54578ebd382"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "2549f4401a48fdfc", "696951b3df974e49"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "a069e79473a89afc", "5dfeaf23dfab5e20",
+     "687019e58cdb9aa2", 313),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "e9eb85f8e677bbff", "139ef71781a68fc6",
+     "6d2ce2f022909726", 252),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "659a3fdf3bbcbbfe", "2e90fc7da23fca37",
+     "2d52934a0f32a9f1", 174),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "9e400452d7c4a963", "d9ff4437f3f665d1",
+     "e95410cc9398c18d", 113),
 ]
 
 
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize(
-    "dual,p,family,tol,count,json_sha,csv_sha", GOLDEN, ids=[g[0] for g in GOLDEN]
+    "dual,p,family,tol,count,json_sha,csv_sha,blind_sha,digests", GOLDEN,
+    ids=[g[0] for g in GOLDEN],
 )
-def test_golden_report_bytes(dual, p, family, tol, count, json_sha, csv_sha):
+def test_golden_report_bytes(dual, p, family, tol, count, json_sha, csv_sha, blind_sha, digests):
     cfg = SuiteConfig(
         suite="all",
         dual=parse_dual_arg(dual),
@@ -489,5 +517,8 @@ def test_golden_report_bytes(dual, p, family, tol, count, json_sha, csv_sha):
     )
     reports = run_suite(cfg)
     assert len(reports) == count
-    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest()[:16] == json_sha
-    assert hashlib.sha256(reports_to_csv(reports).encode()).hexdigest()[:16] == csv_sha
+    blind = [replace(r, inputs_digest="") for r in reports]
+    assert _sha(reports_to_json(blind)) == blind_sha
+    assert len({r.inputs_digest for r in reports}) == digests
+    assert _sha(reports_to_json(reports)) == json_sha
+    assert _sha(reports_to_csv(reports)) == csv_sha
