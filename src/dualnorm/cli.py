@@ -13,6 +13,7 @@ Exit status: 0 all checks passed, 1 at least one verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -88,8 +89,14 @@ class SuiteConfig:
             raise ConfigError(f"unknown family {self.family!r}")
         if not -(2**127) <= self.seed < 2**127:  # mix_seed's 16-byte signed encoding
             raise ConfigError(f"seed must lie in [-2^127, 2^127), got {self.seed}")
-        if self.tol_override is not None and not 0.0 <= self.tol_override < math.inf:
-            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tol_override}")
+        # --tol scales every tolerance by tol_override / TOL_REL; an infinite
+        # factor would turn an exact check's tol (0) into nan
+        if self.tol_override is not None and not (
+            self.tol_override >= 0.0 and math.isfinite(self.tol_override / TOL_REL)
+        ):
+            raise ConfigError(
+                f"tolerance TOL must be >= 0 with TOL / {TOL_REL:g} finite, got {self.tol_override}"
+            )
         object.__setattr__(self, "p_list", tuple(ExponentP.parse(p) for p in self.p_list))
 
     @property
@@ -393,6 +400,7 @@ def _parse_p_list(text: str) -> tuple[ExponentP, ...]:
         raise ConfigError(f"bad exponent list {text!r}: {exc}") from exc
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualnorm",

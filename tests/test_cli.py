@@ -254,13 +254,51 @@ def test_main_tol_override_can_force_failures(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+# --tol scales each tolerance by TOL / 1e-10: above about 1.8e298 that factor is
+# inf, and an exact check's tolerance (rel=0, as convexity_bins) would be 0 * inf = nan
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "2e298"])
 def test_main_rejects_bad_tolerance(tol, capsys):
     code = main(["verify", "adjoint", "--dual", "s3", "--p", "2", "--trials", "2", "--tol", tol])
     assert code == EXIT_CONFIG_ERROR
     assert "error:" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         small_config(tol_override=float(tol))
+
+
+def test_main_calls_share_one_parser_but_not_its_arguments(tmp_path, monkeypatch, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["verify", "norms", "--dual", "s3", "--p", "2", "--trials", "1"]
+
+    def report(seed):
+        cfg = SuiteConfig(suite="norms", dual=preset_dual("s3"), p_list=("2",), family="both",
+                          trials=1, seed=seed)
+        return reports_to_json(run_suite(cfg)).encode()
+
+    first, second, third = (tmp_path / f"{name}.json" for name in ("first", "second", "third"))
+    monkeypatch.setenv("DUALNORM_SEED", "6")
+    assert main([*argv, "--seed", "5", "--out", str(first)]) == EXIT_OK
+    # no --seed: the seed falls back to DUALNORM_SEED, not to the last call's 5
+    assert main([*argv, "--out", str(second)]) == EXIT_OK
+    # no --out: nothing is written, neither to the last call's file nor anywhere else
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.delenv("DUALNORM_SEED")
+    assert main([*argv, "--out", str(third)]) == EXIT_OK
+    assert first.read_bytes() == report(5)
+    assert second.read_bytes() == report(6)
+    assert third.read_bytes() == report(0)
+    assert len({first.read_bytes(), second.read_bytes(), third.read_bytes()}) == 3
+
+    # help text: the cached parser prints what a freshly built one prints, every time
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(["verify", "--help"])
+    fresh = capsys.readouterr().out
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0 and capsys.readouterr().out == fresh
 
 
 def test_main_field_random_and_show(tmp_path, capsys):
@@ -472,9 +510,10 @@ def test_interpolation_trial_builds_each_witness_once(monkeypatch):
 
 
 def test_tol_override_keeps_exact_counts_exact():
-    reports = run_suite(small_config(suite="moduli", trials=50, tol_override=1e-6))
-    bins = [r for r in reports if r.case_id.startswith("convexity_bins")]
-    assert bins and all(r.tol == 0.0 for r in bins)
+    for tol in (1e-6, 1e298):  # up to the largest accepted tolerances
+        reports = run_suite(small_config(suite="moduli", trials=50, tol_override=tol))
+        bins = [r for r in reports if r.case_id.startswith("convexity_bins")]
+        assert bins and all(r.tol == 0.0 for r in bins)
 
 
 # -- golden report bytes ---------------------------------------------------------
@@ -486,10 +525,10 @@ def test_tol_override_keeps_exact_counts_exact():
 # and the number of distinct digests, so a change to how inputs are digested
 # moves only the first two hashes.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "a069e79473a89afc", "5dfeaf23dfab5e20",
-     "687019e58cdb9aa2", 313),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "e9eb85f8e677bbff", "139ef71781a68fc6",
-     "6d2ce2f022909726", 252),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "d4fb6b3a5caae81f", "d8e67b1936066273",
+     "5c9839af19321ae1", 313),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "dd3efe577004d76c", "a11da0bb73cf5643",
+     "e90f460cb048b1ae", 252),
     ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "659a3fdf3bbcbbfe", "2e90fc7da23fca37",
      "2d52934a0f32a9f1", 174),
     ("custom(1,3)", "1.5,2.5", "hs", None, 127, "9e400452d7c4a963", "d9ff4437f3f665d1",

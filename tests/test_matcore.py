@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualnorm import matcore
+from dualnorm.dualmodel import preset_dual
+from dualnorm.inequalities import modulus_convexity_sample
 
 RNG_CAP = 10**6
 
@@ -268,6 +270,70 @@ def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
         assert close(pol.absval[idx], matcore.polar(stack[idx]).absval)
         assert close(ab[idx], matcore.matabs(stack[idx]))
         assert abs(tr[idx] - matcore.trace(stack[idx])) <= 1e-14 * max(1.0, abs(tr[idx]))
+
+
+def _stacks_2x2(n=400):
+    """Adversarial (n, 2, 2) stacks for the closed-form singular values."""
+    rng = np.random.default_rng(2)
+
+    def ginibre():
+        return rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+
+    g, u = ginibre(), np.linalg.qr(ginibre())[0]
+    rank1 = np.einsum("ni,nj->nij", ginibre()[:, 0], ginibre()[:, 1])
+    return {
+        "ginibre": g,
+        "unitary": u,
+        "unitary_noise": u * (1 + 1e-12 * ginibre()),
+        "rank1": rank1,
+        "near_rank1": rank1 + 1e-13 * ginibre(),
+        "zero_first_column": g * np.array([0.0, 1.0]),
+        "zero_row": g * np.array([[1.0], [0.0]]),
+        "zero": np.zeros((n, 2, 2), dtype=complex),
+        "diagonal": g * np.eye(2),
+        "graded": g * np.array([[1e8, 1.0], [1.0, 1e-8]]),
+        "graded_reversed": g * np.array([[1e-8, 1.0], [1.0, 1e8]]),
+        "subnormal_first_column": g * np.array([1e-315, 1.0]),
+        "scaled_1e300": 1e300 * g,
+        "scaled_1e-300": 1e-300 * g,
+        "scaled_1e-310": 1e-310 * g,
+    }
+
+
+@pytest.mark.parametrize("family", list(_stacks_2x2()))
+def test_sigma2_matches_lapack_singular_values(family):
+    a = _stacks_2x2()[family]
+    ref = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        s = matcore._sigma2(a)
+    assert s.shape == ref.shape and np.all(s[:, 0] >= s[:, 1])
+    # the one extra term is the subnormal spacing: the 1e-310 stack's singular values
+    # lie below the normal range, where any two correctly rounded results may differ
+    # by one step of 4.9e-324 (2.5e-14 of s0 there)
+    bound = 1e-14 * ref[:, :1] + np.finfo(np.float64).smallest_subnormal
+    assert np.all(np.abs(s - ref) <= bound)
+
+
+def test_stacked_2x2_schatten_norms_never_call_lapack(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    rng = np.random.default_rng(3)
+
+    def count(a):
+        calls.clear()
+        for p in (1.0, 1.5, 2.0, math.inf):
+            matcore.schatten_norm(a, p)
+        return len(calls)
+
+    stack2 = np.stack([random_complex(rng, 2) for _ in range(5)])
+    stack3 = np.stack([random_complex(rng, 3) for _ in range(5)])
+    assert count(stack2) == 0 and count(stack2[:1]) == 0
+    assert count(stack2[0]) == 4  # a single 2 x 2 matrix keeps LAPACK
+    assert count(stack3) == 4
+    calls.clear()
+    modulus_convexity_sample(preset_dual("s3"), 2.0, "sch", samples=200, seed=5)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), np.zeros((4, 2, 1))])
