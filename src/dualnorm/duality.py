@@ -41,9 +41,11 @@ def pairing(h: Field, f: Field):
 def dual_extremizer(h: Field, p) -> Field:
     """Unit-q-norm field F with <H, F> = ||H||_sch,p; row by row for a batch.
 
-    Blockwise, with H(xi) = W S V* a singular value decomposition,
-    |H|^(p-1) U* = V S^(p-1) W*; the zero singular values contribute 0 for
-    p > 1 and 1 for p = 1 (unitary completion of the partial isometry).
+    Blockwise, with H(xi) = W S V* a singular value decomposition (the
+    field's memoized ``svd_factors``), |H|^(p-1) U* = V S^(p-1) W*; the zero
+    singular values contribute 0 for p > 1 and 1 for p = 1 (unitary
+    completion of the partial isometry).  F does not change when H is scaled
+    by a positive number.
     """
     p = ExponentP.parse(p)
     if p.is_inf:
@@ -53,8 +55,7 @@ def dual_extremizer(h: Field, p) -> Field:
         raise ValueError("the zero field has no norming functional")
     scale = np.asarray(norm ** (p.value - 1.0))[..., None, None]
     blocks = []
-    for block in h.blocks:
-        f = matcore.svd(block)
+    for f in h.svd_factors:
         powered = f.sigma ** (p.value - 1.0)  # 0**0 = 1 covers the p = 1 endpoint
         v, wstar = matcore.adjoint(f.vstar), matcore.adjoint(f.u)
         blocks.append(matcore.svd_compose(v, powered, wstar) / scale)

@@ -12,14 +12,21 @@ dim)`` array with the same batch shape (``()`` for a single field).
 Both types are immutable; field arithmetic returns new fields.  Data is
 validated where it enters: ``Field(...)`` checks and copies its arrays,
 while fields the package computes go through :func:`_trusted`.  Blocks can
-never be made writable again.  Reports digest a field as its model, its dims
-and a hash of its block bytes; the JSON wire format below is for field files.
+never be made writable again, so a field memoizes what it costs a
+factorization to learn: each entry's singular values
+(``Field.singular_values``) and each entry's SVD (``Field.svd_factors``),
+computed on first use by :mod:`matcore` and then shared by every norm,
+extremizer and witness of that field.  The two memos never feed each other,
+so a value never depends on the order of calls; copies and unpickled fields
+start with none.  Reports digest a field as its model, its dims and a hash of
+its block bytes; the JSON wire format below is for field files.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +64,7 @@ class DualModel:
 
     name: str
     entries: tuple[tuple[str, int], ...]
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)  # entry dims, in order
 
     def __post_init__(self):
         if not 1 <= len(self.entries) <= MAX_ENTRIES:
@@ -68,10 +76,7 @@ class DualModel:
             if not 1 <= dim <= MAX_DIM:
                 raise ValueError(f"entry {lab!r} has dim {dim}, outside [1, {MAX_DIM}]")
         object.__setattr__(self, "entries", tuple((str(l), int(d)) for l, d in self.entries))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.entries)
+        object.__setattr__(self, "dims", tuple(d for _, d in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -155,8 +160,21 @@ class Field:
         return self.blocks[0].shape[:-2]
 
     def __reduce__(self):
-        """Copies and unpickled fields lock their blocks again."""
+        """Copies and unpickled fields lock their blocks again (and carry no memo)."""
         return (_trusted, (self.model, self.blocks))
+
+    @functools.cached_property
+    def singular_values(self) -> tuple[np.ndarray, ...]:
+        """Each entry's ``matcore.singular_values``, computed once per field (read-only)."""
+        return tuple(_locked(matcore.singular_values(b)) for b in self.blocks)
+
+    @functools.cached_property
+    def svd_factors(self) -> tuple[matcore.SvdResult, ...]:
+        """Each entry's ``matcore.svd``, computed once per field (read-only arrays)."""
+        return tuple(
+            matcore.SvdResult(*map(_locked, (f.u, f.sigma, f.vstar)))
+            for f in map(matcore.svd, self.blocks)
+        )
 
     def map_blocks(self, fn) -> "Field":
         """Apply ``fn`` to each entry's block (stack); it must keep shapes and finiteness."""

@@ -407,6 +407,11 @@ def type_cotype_check(
     fields = list(fields)
     pv = _finite_interior(p)
     avg2 = rademacher_average(fields, pv, family, r=2.0)
+    return _type_cotype_report(fields, pv, family, avg2, suite, case_id)
+
+
+def _type_cotype_report(fields, pv: float, family: str, avg2: float, suite, case_id) -> CheckReport:
+    """type_cotype_check's report for the L2 sign average ``avg2`` of ``fields``."""
     norms = [field_norm(f, pv, family) for f in fields]
     l2_sum = math.sqrt(sum(v * v for v in norms))
     lp_sum = sum(v**pv for v in norms) ** (1.0 / pv) if norms else 0.0

@@ -18,7 +18,8 @@ Because the boundary norms are constant, the witnesses do not decay as
 |Im z| grows; nothing is lost by sampling the boundary on a bounded t-grid,
 and no check below depends on behaviour at infinity.
 
-witness_f and witness_g factor each block once and return the witness as a
+witness_f and witness_g read each block's factors from the field's memo (one
+SVD per block, shared with the dual extremizer) and return the witness as a
 function of z.  At one strip point it is a Field; at an array of strip points
 it is a batch Field of batch shape np.shape(z), so the checks below evaluate
 the whole boundary grid in one call.  Zero singular values are mapped to zero
@@ -90,11 +91,12 @@ class InterpSpec:
 
 
 def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., Field]:
-    """z -> |A*|^w(z) A blockwise for h at unit r-norm, w(z) = r((1 - z) inv0 + z inv1) - 1.
+    """z -> |A*|^w(z) A blockwise for A = h / ||h||_r, w(z) = r((1 - z) inv0 + z inv1) - 1.
 
-    Each block of the normalized field is factored once, A = U S V*; the
-    witness at z is U S^(w(z)+1) V*, with zero singular values mapped to 0.
-    An array of strip points gives a batch Field of batch shape np.shape(z).
+    The witness reads h's memoized factors, h = U S V* blockwise, so A =
+    U (S / ||h||_r) V* and the witness at z is U (S / ||h||_r)^(w(z)+1) V*,
+    with zero singular values mapped to 0.  An array of strip points gives a
+    batch Field of batch shape np.shape(z).
     """
     if h.batch:
         raise ValueError(
@@ -104,7 +106,7 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., 
     norm = lp_sch_norm(h, r)
     if norm == 0.0:
         raise ValueError("the zero field has no witness normalization")
-    factors = [matcore.svd(block) for block in ((1.0 / norm) * h).blocks]
+    factors = [(f.u, f.sigma / norm, f.vstar) for f in h.svd_factors]
 
     def at(z) -> Field:
         z = np.asarray(z, dtype=np.complex128)
@@ -112,11 +114,11 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., 
             raise ValueError(f"z = {z} lies outside the closed unit strip")
         w = r.value * ((1 - z) * inv0 + z * inv1) - 1.0
         blocks = []
-        for f in factors:
-            powered = np.zeros(z.shape + f.sigma.shape, dtype=np.complex128)
-            pos = f.sigma > 0
-            powered[..., pos] = np.exp((w[..., None] + 1.0) * np.log(f.sigma[pos]))
-            blocks.append(matcore.svd_compose(f.u, powered, f.vstar))
+        for u, sigma, vstar in factors:
+            powered = np.zeros(z.shape + sigma.shape, dtype=np.complex128)
+            pos = sigma > 0
+            powered[..., pos] = np.exp((w[..., None] + 1.0) * np.log(sigma[pos]))
+            blocks.append(matcore.svd_compose(u, powered, vstar))
         return _trusted(h.model, blocks)
 
     return at
@@ -191,9 +193,8 @@ def interp_norm_consistency(
     norm = lp_sch_norm(h, p)
     boundary_max = norm * max(max(bounds0), max(bounds1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm
-    h_unit = (1.0 / norm) * h
-    if p.value > 1.0:
-        center = abs(pairing(h_unit, dual_extremizer(h_unit, p)))
+    if p.value > 1.0:  # the extremizer of h is that of h / ||h|| (scale-invariant)
+        center = abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
     else:
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm

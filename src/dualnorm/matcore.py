@@ -9,10 +9,12 @@ Every kernel except :func:`psd_power` takes a square matrix or a
 ``(*batch, d, d)`` stack of them and works over the last two axes.  The
 kernels check shapes only (through ``_square``): finiteness is checked where
 data enters the package, and there is no validating constructor here.
-Singular values come from LAPACK, except that :func:`schatten_norm` reads
-those of a stack of 2 x 2 matrices off a closed form (``_sigma2``), which
+:func:`singular_values` is the one source of singular values: ``|a|`` for
+1 x 1 blocks, a closed form for a stack of 2 x 2 matrices (``_sigma2``, which
 breaks even with one stacked SVD call at about 24 matrices and is 9x faster
-at 500.
+at 500), and LAPACK, values only, otherwise.  :func:`schatten_norm` reduces
+them, except at p = 2, where S_2 is the Hilbert-Schmidt class and the norm
+is the Frobenius sum :func:`hs_norm`, with no factorization.
 :func:`psd_power` is the eigh-based reference the tests compare the SVD
 route against; it takes one matrix and rejects non-finite, non-Hermitian
 and non-PSD input.
@@ -37,6 +39,7 @@ __all__ = [
     "polar",
     "matabs",
     "psd_power",
+    "singular_values",
     "schatten_norm",
     "hs_norm",
     "trace",
@@ -158,10 +161,13 @@ def _square(a) -> np.ndarray:
 
 
 def _schatten_from_sigma(s: np.ndarray, p: float):
-    """Schatten p-norm from singular values sorted non-increasing along the last axis."""
+    """Schatten p-norm from singular values sorted non-increasing along the last axis.
+
+    A single singular value (a 1 x 1 block) is its own norm for every p.
+    """
     if math.isinf(p):
         return s.max(axis=-1)
-    if p == 1.0:
+    if p == 1.0 or s.shape[-1] == 1:
         return s.sum(axis=-1)
     if p == 2.0:
         return np.sqrt((s * s).sum(axis=-1))
@@ -198,27 +204,37 @@ def _sigma2(a: np.ndarray) -> np.ndarray:
     return np.ldexp(np.stack([s0, s1], axis=-1), e[..., None])
 
 
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a square matrix or stack, non-increasing along the last axis.
+
+    ``|a_00|`` for 1 x 1 matrices, the closed form ``_sigma2`` for a stack of
+    2 x 2 matrices, and one (stacked) LAPACK SVD, values only, otherwise.
+    """
+    a = _square(a)
+    if a.shape[-1] == 1:
+        return np.abs(a[..., 0, :])
+    if a.shape[-1] == 2 and a.ndim > 2:
+        return _sigma2(a)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError("SVD did not converge") from exc
+
+
 def schatten_norm(a: np.ndarray, p: float):
     """Schatten p-norm (sum sigma_i^p)^(1/p) of a matrix, or of every matrix of a stack.
 
     p = inf gives the operator norm.  A 1 x 1 matrix's norm is |a_00| for
-    every p, and a stack of 2 x 2 matrices takes its singular values in
-    closed form (``_sigma2``); a single 2 x 2 matrix and larger ones take one
-    (stacked) SVD, singular values only.
+    every p; otherwise p = 2 gives the Frobenius norm :func:`hs_norm`, with
+    no factorization, and every other p reduces :func:`singular_values`.
     """
     a = _square(a)
     p = float(p)
     if p < 1:
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    if a.shape[-1] == 1:
-        return np.abs(a[..., 0, 0])
-    if a.shape[-1] == 2 and a.ndim > 2:
-        return _schatten_from_sigma(_sigma2(a), p)
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("SVD did not converge") from exc
-    return _schatten_from_sigma(s, p)
+    if p == 2.0 and a.shape[-1] > 1:
+        return hs_norm(a)
+    return _schatten_from_sigma(singular_values(a), p)
 
 
 def hs_norm(a: np.ndarray):

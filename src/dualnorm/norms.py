@@ -7,8 +7,12 @@ For a field H over entries of dimensions d(xi):
 * Hilbert-Schmidt family: ||H||_hs,p  = (sum d(xi)^(2-p/2) ||H(xi)||_HS^p)^(1/p),
   with sup of d(xi)^(-1/2) ||H(xi)||_HS at p = inf.
 
-Each norm takes one matcore reduction per entry, and is a float for a field
-and an array for a batch of fields.
+Each norm is a float for a field and an array for a batch of fields.  The
+Schatten family reduces the field's memoized singular values
+(``Field.singular_values``), so one field's norms at several exponents cost
+one factorization per entry; at p = 2 it takes the Frobenius norm of each
+block instead (S_2 is the Hilbert-Schmidt class), with no factorization.
+The Hilbert-Schmidt family takes one Frobenius norm per entry.
 
 The two coincide at p = 2.  For p <= 2 the Schatten norm is dominated by the
 Hilbert-Schmidt one, for p >= 2 the domination reverses; products obey the
@@ -130,10 +134,20 @@ def _lp(values, weights, p: float):
 
 
 def lp_sch_norm(h: Field, p):
-    """Schatten-family norm (sum d ||block||_Sp^p)^(1/p); sup of op norms at inf."""
+    """Schatten-family norm (sum d ||block||_Sp^p)^(1/p); sup of op norms at inf.
+
+    Frobenius norms at p = 2, and a reduction of ``h.singular_values`` at every other p.
+    """
     p = _pval(p)
+    if p == 2.0:
+        return _lp([matcore.schatten_norm(b, p) for b in h.blocks], h.model.dims, p)
+    return _sch_norm_from_sigma(h, p)
+
+
+def _sch_norm_from_sigma(h: Field, p: float):
+    """The Schatten-family norm reduced from ``h.singular_values``, at any p (2 included)."""
     weights = [1] * len(h.model) if math.isinf(p) else h.model.dims
-    return _lp([matcore.schatten_norm(b, p) for b in h.blocks], weights, p)
+    return _lp([matcore._schatten_from_sigma(s, p) for s in h.singular_values], weights, p)
 
 
 def _hs_weight(dim: int, p: float) -> float:

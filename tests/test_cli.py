@@ -7,9 +7,10 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from dualnorm import cli, dualmodel, interpolation, matcore
+from dualnorm import cli, dualmodel, inequalities, interpolation, matcore
 from dualnorm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -504,9 +505,64 @@ def test_interpolation_trial_builds_each_witness_once(monkeypatch):
     reports = run_suite(small_config(suite="interpolation", trials=1))
     assert len(reports) == 3 and all(r.passed for r in reports)
     # h's witness serves the boundary-norm and consistency reports, the
-    # three-lines check builds its own pair; the dual extremizer adds a polar
+    # three-lines check builds its own pair; every witness and the dual
+    # extremizer read the factors h and f memoize: one SVD per entry each
     assert len(witnesses) == 2
-    assert len(svds) == 4 * len(preset_dual("s3").entries)
+    assert len(svds) == 2 * len(preset_dual("s3").entries)
+
+
+def test_duality_trial_factors_h_once_per_entry(monkeypatch):
+    cfg = small_config(suite="duality", trials=1)
+    h, _ = cli._pair(cfg, cfg.p_list[0], 0)
+    seen = {"singular_values": [], "svd": []}
+    for name, arrays in seen.items():
+        kernel = getattr(matcore, name)
+        monkeypatch.setattr(matcore, name, lambda a, k=kernel, got=arrays: got.append(a) or k(a))
+    reports = run_suite(cfg)
+    assert len(reports) == 4 and all(r.passed for r in reports)
+    # the norm, the extremizer, the search bound and the direct sum share h's
+    # memo: one values-only and one full SVD per entry
+    for arrays in seen.values():
+        assert [sum(np.array_equal(a, b) for a in arrays) for b in h.blocks] == [1, 1, 1]
+
+
+def test_p2_coincidence_fails_when_the_frobenius_route_is_off(monkeypatch, capsys):
+    args = dict(suite="norms", p_list=tuple(map(ExponentP, (1.5, 2.0, 3.0))), family="both", trials=3)
+    good = run_suite(small_config(**args))
+    hs_norm = matcore.hs_norm
+    monkeypatch.setattr(matcore, "hs_norm", lambda a: (1 + 1e-9) * hs_norm(a))
+    bad = run_suite(small_config(**args))
+    assert [r.case_id for r in bad] == [r.case_id for r in good] and all(r.passed for r in good)
+    # every other record still passes, and the Schatten family away from p = 2,
+    # which takes no Frobenius sum, keeps its bytes
+    for g, b in zip(good, bad):
+        assert b.passed != g.case_id.startswith("p2_coincidence"), g.case_id
+        if g.case_id.startswith(("triangle.sch", "homogeneity.sch")) and "[p=2.0]" not in g.case_id:
+            assert b == g
+    capsys.readouterr()
+    assert main(["verify", "norms", "--dual", "s3", "--trials", "2"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "FAIL norms/p2_coincidence[0000]", "FAIL norms/p2_coincidence[0001]"
+    ]
+
+
+def test_type_cotype_at_p2_computes_each_sign_average_once(monkeypatch):
+    calls = []
+    average = inequalities.rademacher_average
+    monkeypatch.setattr(
+        inequalities, "rademacher_average", lambda *a, **kw: calls.append(a[2]) or average(*a, **kw)
+    )
+    cfg = small_config(suite="type_cotype", p_list=(ExponentP(2.0),), family="both", trials=1)
+    reports = run_suite(cfg)
+    assert len(reports) == 4 and all(r.passed for r in reports)
+    assert calls == ["sch", "hs"]
+    for family in ("sch", "hs"):
+        fields = [cli._draw(cfg, ExponentP(2.0), family, 0, j) for j in range(5)]
+        (shared,) = [r for r in reports if r.case_id == f"{family}[p=2.0][0000]"]
+        assert shared == inequalities.type_cotype_check(
+            fields, 2.0, family, suite="type_cotype", case_id=shared.case_id
+        )
 
 
 def test_tol_override_keeps_exact_counts_exact():
@@ -525,14 +581,14 @@ def test_tol_override_keeps_exact_counts_exact():
 # and the number of distinct digests, so a change to how inputs are digested
 # moves only the first two hashes.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "d4fb6b3a5caae81f", "d8e67b1936066273",
-     "5c9839af19321ae1", 313),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "dd3efe577004d76c", "a11da0bb73cf5643",
-     "e90f460cb048b1ae", 252),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "659a3fdf3bbcbbfe", "2e90fc7da23fca37",
-     "2d52934a0f32a9f1", 174),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "9e400452d7c4a963", "d9ff4437f3f665d1",
-     "e95410cc9398c18d", 113),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "6fbc338565ef8db5", "43a0a986ff77624f",
+     "c0b7228acaa4f6ad", 313),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "3b182d23c6a72000", "107025649a019ee8",
+     "1516ef08f9745d8d", 252),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "ea76f18d1c716f69", "2515c34a7e4af29d",
+     "d3c4b6cad4b467cc", 174),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "27ab169f568dd2b4", "4b8f8ff018a6a01c",
+     "b78c8c494a6a07c8", 113),
 ]
 
 

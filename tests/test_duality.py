@@ -132,6 +132,18 @@ def test_extremizer_saturation_property(p):
         assert abs(pairing(h, f)) == pytest.approx(norm, rel=1e-9)
 
 
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_extremizer_is_invariant_under_positive_scaling(dual, p):
+    # interpolation pairs h / ||h|| with the extremizer of h itself
+    for k in range(5):
+        h = random_field(parse_dual_arg(dual), mix_seed("scale", p, k))
+        f = dual_extremizer(h, p)
+        for c in (1e-3, 1.0 / lp_sch_norm(h, p), 7.5):
+            for a, b in zip(dual_extremizer(c * h, p).blocks, f.blocks):
+                assert np.linalg.norm(a - b) <= 1e-12 * max(1.0, np.linalg.norm(b))
+
+
 def test_extremizer_trace_norm_endpoint_unitary():
     # at p = 1 the construction degenerates to the adjoint of the polar
     # unitary: sup-norm one, pairing equal to the trace norm

@@ -458,3 +458,49 @@ EXPONENTS = (
 @given(EXPONENTS)
 def test_exponent_parse_raises_only_value_error(text):
     _raises_only_value_error(ExponentP.parse, text)
+
+
+# -- per-field factorization memo ------------------------------------------
+
+
+@pytest.mark.parametrize("dual", ["torus(3)", "s3", "su2_trunc(4)", "custom(16,32)"])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_memoized_factorizations_equal_fresh_kernel_calls(dual, rows):
+    m = parse_dual_arg(dual)
+    h = random_field(m, 5) if rows is None else random_stacks(m, 5, rows=rows)
+    assert h.singular_values is h.singular_values and h.svd_factors is h.svd_factors
+    for b, s, f in zip(h.blocks, h.singular_values, h.svd_factors):
+        fresh = matcore.svd(b)
+        assert np.array_equal(s, matcore.singular_values(b))
+        for got, want in ((f.u, fresh.u), (f.sigma, fresh.sigma), (f.vstar, fresh.vstar)):
+            assert np.array_equal(got, want)
+        for a in (s, f.u, f.sigma, f.vstar):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+
+
+def test_copies_carry_no_memo():
+    h = random_field(preset_dual("s3"), 4)
+    h.singular_values, h.svd_factors  # fill both memos
+    copies = [pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)]
+    for g in copies:
+        assert g == h and not {"singular_values", "svd_factors"} & set(vars(g))
+        assert np.array_equal(g.singular_values[2], h.singular_values[2])
+
+
+def test_memo_stays_out_of_equality_and_repr():
+    m = preset_dual("s3")
+    h, g = random_field(m, 4), random_field(m, 4)
+    h.singular_values  # fill h's memo only
+    assert h == g and "singular_values" not in repr(h)
+
+
+def test_model_dims_is_computed_once_and_outside_equality_and_repr():
+    m = preset_dual("su2_trunc", 4)
+    assert m.dims is m.dims and m.dims == (1, 2, 3, 4)
+    assert "dims" not in repr(m)
+    same = DualModel(m.name, m.entries)
+    assert same == m and hash(same) == hash(m)
+    assert pickle.loads(pickle.dumps(m)).dims == m.dims
+    with pytest.raises(TypeError):
+        DualModel(m.name, m.entries, (1, 2, 3, 4))

@@ -196,13 +196,16 @@ def test_witness_rejects_a_batch_field():
 def test_boundary_norms_and_three_lines_evaluate_the_grid_as_one_batch(monkeypatch):
     m = preset_dual("s3")
     h, f = random_field(m, 1), random_field(m, 2)
-    norms, pairs = [], []
-    schatten, pair = matcore.schatten_norm, interpolation.pairing
-    monkeypatch.setattr(matcore, "schatten_norm", lambda a, p: norms.append(p) or schatten(a, p))
+    kernels, pairs = [], []
+    for name in ("singular_values", "hs_norm"):  # the two reduction kernels
+        kernel = getattr(matcore, name)
+        monkeypatch.setattr(matcore, name, lambda a, k=kernel, n=name: kernels.append(n) or k(a))
+    pair = interpolation.pairing
     monkeypatch.setattr(interpolation, "pairing", lambda a, b: pairs.append(a.batch) or pair(a, b))
     n0, n1 = boundary_witness_norms(h, SPEC_1_2)
-    # one normalization, then one norm per strip edge: one kernel call per entry each
-    assert len(norms) == 3 * len(m.entries)
+    # one normalization, then one norm per strip edge: one kernel call per entry
+    # each (singular values, except the Frobenius sum of the 2 x 2 entry at p1 = 2)
+    assert len(kernels) == 3 * len(m.entries) and kernels.count("hs_norm") == 1
     assert len(n0) == len(n1) == len(DEFAULT_T_GRID)
     three_lines_check(h, f, SPEC_1_2)
     assert pairs == [(2, len(DEFAULT_T_GRID)), ()]  # the boundary grid, then the center

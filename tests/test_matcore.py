@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualnorm import matcore
-from dualnorm.dualmodel import preset_dual
+from dualnorm.dualmodel import parse_dual_arg, preset_dual, random_stacks
 from dualnorm.inequalities import modulus_convexity_sample
 
 RNG_CAP = 10**6
@@ -329,17 +329,71 @@ def test_stacked_2x2_schatten_norms_never_call_lapack(monkeypatch):
     stack2 = np.stack([random_complex(rng, 2) for _ in range(5)])
     stack3 = np.stack([random_complex(rng, 3) for _ in range(5)])
     assert count(stack2) == 0 and count(stack2[:1]) == 0
-    assert count(stack2[0]) == 4  # a single 2 x 2 matrix keeps LAPACK
-    assert count(stack3) == 4
+    # a single 2 x 2 matrix keeps LAPACK; p = 2 is a Frobenius sum, with no SVD
+    assert count(stack2[0]) == 3
+    assert count(stack3) == 3
     calls.clear()
     modulus_convexity_sample(preset_dual("s3"), 2.0, "sch", samples=200, seed=5)
     assert calls == []
+
+
+def _p2_cases():
+    """Blocks and stacks for the Frobenius route at p = 2: model draws, rank 1, huge, tiny."""
+    cases = {}
+    for dual in ("s3", "su2_trunc(4)", "custom(16,32)"):
+        for b in random_stacks(parse_dual_arg(dual), 5, rows=4).blocks:
+            d = b.shape[-1]
+            cases[f"{dual}:{d}:batch"], cases[f"{dual}:{d}:single"] = b, b[0]
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 16):
+        rank1 = np.stack([random_complex(rng, d, 1) @ random_complex(rng, 1, d) for _ in range(4)])
+        cases[f"rank1:{d}:batch"], cases[f"rank1:{d}:single"] = rank1, rank1[0]
+    for name, a in list(cases.items()):
+        for scale in (1e150, 1e-150):
+            cases[f"{name}*{scale:g}"] = scale * a
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_p2_cases()))
+def test_schatten_2_is_the_frobenius_norm_of_the_singular_values(name):
+    a = _p2_cases()[name]
+    ref = matcore._schatten_from_sigma(np.linalg.svd(a, compute_uv=False), 2.0)
+    got = matcore.schatten_norm(a, 2.0)
+    assert np.shape(got) == np.shape(ref)
+    if a.shape[-1] == 1:
+        assert np.array_equal(got, np.abs(a[..., 0, 0]))
+    else:
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+def test_one_by_one_blocks_are_their_modulus_at_every_p(batch):
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(batch + (1, 1)) + 1j * rng.standard_normal(batch + (1, 1))
+    exact = np.abs(a[..., 0, 0])
+    assert np.array_equal(matcore.singular_values(a), exact[..., None])
+    for p in (1.0, 4 / 3, 1.5, 2.0, 3.0, math.inf):
+        got = matcore.schatten_norm(a, p)
+        assert np.array_equal(got, exact) and type(got) is type(exact), p
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4, 1, 1), (2, 2), (5, 2, 2), (3, 3), (2, 4, 4)])
+def test_singular_values_is_the_one_source_of_schatten_norms(shape):
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = matcore.singular_values(a)
+    assert s.shape == shape[:-1] and np.all(s[..., :-1] >= s[..., 1:])
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert np.all(np.abs(s - ref) <= 1e-14 * ref[..., :1])
+    for p in (1.0, 1.5, 3.0, math.inf):
+        assert np.array_equal(matcore.schatten_norm(a, p), matcore._schatten_from_sigma(s, p))
 
 
 @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), np.zeros((4, 2, 1))])
 def test_norm_kernels_reject_non_square_input(bad):
     kernels = [
         lambda a: matcore.schatten_norm(a, 2.0),
+        matcore.singular_values,
         matcore.hs_norm,
         matcore.svd,
         matcore.polar,

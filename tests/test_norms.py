@@ -330,3 +330,29 @@ def test_product_of_unitary_fields_keeps_inf_norm():
     assert lp_sch_norm(u, math.inf) == pytest.approx(1.0, abs=1e-12)
     prod = field_product(u, u)
     assert lp_sch_norm(prod, math.inf) == pytest.approx(1.0, abs=1e-11)
+
+
+def test_norms_of_one_field_at_several_exponents_share_one_factorization(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    h = random_field(preset_dual("custom", [1, 2, 3]), 8)
+    first = lp_sch_norm(h, 1.5)
+    assert len(calls) == 2  # one values-only SVD per entry of dim >= 2
+    others = [lp_sch_norm(h, p) for p in (1.0, 3.0, math.inf, "4/3", 1.5)]
+    assert len(calls) == 2 and others[-1] == first
+    lp_sch_norm(h, 2.0)  # Frobenius sums: no factorization at all
+    lp_sch_norm(random_field(h.model, 8), 2.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_sch_norm_from_the_memo_matches_the_kernel_bitwise(p):
+    for h in (random_field(preset_dual("su2_trunc", 4), 3), random_stacks(preset_dual("s3"), 3, rows=5)):
+        weights = [1] * len(h.model) if math.isinf(p) else h.model.dims
+        values = [matcore.schatten_norm(b, p) for b in h.blocks]
+        if math.isinf(p):
+            want = np.max([w * v for w, v in zip(weights, values)], axis=0)
+        else:
+            want = sum(w * v**p for w, v in zip(weights, values)) ** (1.0 / p)
+        assert np.array_equal(lp_sch_norm(h, p), want)
