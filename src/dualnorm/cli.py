@@ -98,7 +98,12 @@ class SuiteConfig:
             raise ConfigError(
                 f"tolerance TOL must be >= 0 with TOL / {TOL_REL:g} finite, got {self.tol_override}"
             )
-        object.__setattr__(self, "p_list", tuple(ExponentP.parse(p) for p in self.p_list))
+        # an exponent equal in value to an earlier one would repeat its case ids
+        p_list = tuple(dict.fromkeys(ExponentP.parse(p) for p in self.p_list))
+        for p in p_list:  # p and 2p (an interpolation endpoint) need conjugates: 2p <= 2^53
+            if 2**52 < p.value < math.inf:
+                raise ConfigError(f"exponent {p} exceeds 2^52, too large for a conjugate; use inf")
+        object.__setattr__(self, "p_list", p_list)
 
     @property
     def families(self) -> tuple[str, ...]:
@@ -308,7 +313,7 @@ def _suite_type_cotype(cfg: SuiteConfig):
                 else:  # one sign average serves both reports
                     avg2 = ineq.rademacher_average(fields, 2.0, family, r=2.0)
                     yield ineq._type_cotype_report(fields, 2.0, family, avg2, cfg.suite, case_id)
-                    l2 = math.sqrt(sum(field_norm(f, 2.0, family) ** 2 for f in fields))
+                    l2 = matcore.power_sum([field_norm(f, 2.0, family) for f in fields], 2.0)
                     yield equality_report(
                         cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0, avg2, l2,
                         (fields, family), "sign_average_identity",

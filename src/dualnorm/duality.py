@@ -5,7 +5,7 @@ the Schatten-family p-norm: ||H||_p equals the supremum of |<H, F>| over
 unit-q-norm F (1/p + 1/q = 1), and the supremum is attained by the explicit
 field built from the polar decomposition of each block,
 
-    F(xi) = |H(xi)|^(p-1) U*(xi) / ||H||_p^(p-1),   H(xi) = U(xi) |H(xi)|.
+    F(xi) = (|H(xi)| / ||H||_p)^(p-1) U*(xi),   H(xi) = U(xi) |H(xi)|.
 
 At p = 1 the same formula degenerates to F = U* (so ||F||_inf = 1 and the
 pairing still returns ||H||_1); that endpoint is supported here.
@@ -53,12 +53,12 @@ def dual_extremizer(h: Field, p) -> Field:
     norm = lp_sch_norm(h, p)
     if np.any(norm == 0.0):
         raise ValueError("the zero field has no norming functional")
-    scale = np.asarray(norm ** (p.value - 1.0))[..., None, None]
+    norm = np.asarray(norm)[..., None]
     blocks = []
     for f in h.svd_factors:
-        powered = f.sigma ** (p.value - 1.0)  # 0**0 = 1 covers the p = 1 endpoint
+        powered = (f.sigma / norm) ** (p.value - 1.0)  # at most 1; 0**0 = 1 at p = 1
         v, wstar = matcore.adjoint(f.vstar), matcore.adjoint(f.u)
-        blocks.append(matcore.svd_compose(v, powered, wstar) / scale)
+        blocks.append(matcore.svd_compose(v, powered, wstar))
     return _trusted(h.model, blocks)
 
 

@@ -8,13 +8,15 @@ parallelogram identity:
 * sampled lower bounds on the modulus of convexity and upper bounds on the
   modulus of smoothness,
 * exhaustive Rademacher sign averages and the type/cotype comparisons,
-* the rearranged-Clarkson gap behind the Kadec-Klee property, and the
-  finite comparison behind unconditional-convergence summability.
+* the rearranged-Clarkson gap behind the Kadec-Klee property (in units of
+  its power mean), and the finite comparison behind summability.
 
-All sampling is seeded and deterministic; sampled infima over-estimate the
-true modulus of convexity and sampled suprema under-estimate the modulus of
-smoothness, so every assertion against the proved bounds is sound
-regardless of how the samples land.
+Each sum or mean of powers of norms is ``matcore.power_sum``, and the bounds
+raise eps/2 <= 1, so no exponent in (1, inf) overflows.  All sampling is
+seeded and deterministic; sampled infima over-estimate the true modulus of
+convexity and sampled suprema under-estimate the modulus of smoothness, so
+every assertion against the proved bounds is sound regardless of how the
+samples land.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualmodel import DualModel, Field, _trusted, mix_seed, random_stacks, random_uniforms
+from .matcore import power_sum
 from .norms import ExponentP, field_norm
 from .report import CheckReport, check_report, equality_report, inequality_report, tolerance
 
@@ -71,6 +74,11 @@ def _finite_interior(p) -> float:
     return pv
 
 
+def _mean(a: float, b: float, r: float) -> float:
+    """The power mean ((a^r + b^r) / 2)^(1/r)."""
+    return 0.5 ** (1.0 / r) * power_sum((a, b), r)
+
+
 # -- Clarkson inequalities ---------------------------------------------------
 
 
@@ -84,12 +92,9 @@ def clarkson_check(
     mid_minus = field_norm(0.5 * (h1 - h2), p, family)
     n1 = field_norm(h1, p, family)
     n2 = field_norm(h2, p, family)
-    if p <= 2.0:
-        lhs = (mid_plus**q + mid_minus**q) ** (1.0 / q)
-        rhs = (0.5 * (n1**p + n2**p)) ** (1.0 / p)
-    else:
-        lhs = (mid_plus**p + mid_minus**p) ** (1.0 / p)
-        rhs = (0.5 * (n1**q + n2**q)) ** (1.0 / q)
+    e, f = (q, p) if p <= 2.0 else (p, q)
+    lhs = power_sum((mid_plus, mid_minus), e)
+    rhs = _mean(n1, n2, f)
     case = "i" if p <= 2.0 else "ii"
     return inequality_report(
         suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"clarkson.{family}.case_{case}"
@@ -101,9 +106,7 @@ def clarkson_check(
 
 def _mean_p(h1: Field, h2: Field, p: float, family: str) -> float:
     """(average of ||H1 + H2||^p and ||H1 - H2||^p)^(1/p)."""
-    return (
-        0.5 * (field_norm(h1 + h2, p, family) ** p + field_norm(h1 - h2, p, family) ** p)
-    ) ** (1.0 / p)
+    return _mean(field_norm(h1 + h2, p, family), field_norm(h1 - h2, p, family), p)
 
 
 def two_point_check(
@@ -121,9 +124,9 @@ def two_point_check(
     mean_p = _mean_p(h1, h2, p, family)
     if p >= 2.0:
         lhs = mean_p
-        rhs = math.sqrt(n1**2 + two_point_upper_constant(p) * n2**2)
+        rhs = power_sum((n1, math.sqrt(two_point_upper_constant(p)) * n2), 2.0)
     else:
-        lhs = math.sqrt(n1**2 + two_point_lower_constant(p) * n2**2)
+        lhs = power_sum((n1, math.sqrt(two_point_lower_constant(p)) * n2), 2.0)
         rhs = mean_p
     side = "upper" if p >= 2.0 else "lower"
     return inequality_report(suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"two_point.{side}")
@@ -135,10 +138,8 @@ def two_point_equality_check(
     """p = 2: both two-point sides agree with constant exactly 1."""
     n1 = field_norm(h1, 2.0, family)
     n2 = field_norm(h2, 2.0, family)
-    mean2 = math.sqrt(
-        0.5 * (field_norm(h1 + h2, 2.0, family) ** 2 + field_norm(h1 - h2, 2.0, family) ** 2)
-    )
-    rhs = math.sqrt(n1**2 + n2**2)
+    mean2 = _mean_p(h1, h2, 2.0, family)
+    rhs = power_sum((n1, n2), 2.0)
     return equality_report(suite, case_id, 2.0, mean2, rhs, (h1, h2, family), "parallelogram")
 
 
@@ -171,16 +172,17 @@ def hilbert_smoothness_modulus(t: float) -> float:
 def convexity_lower_bound(p, eps: float) -> float:
     """Proved lower bound for the modulus of convexity at eps.
 
-    1 < p <= 2: max(eps^q/(q 2^q), c_p eps^2 / 8) with q conjugate to p;
-    p > 2:      eps^p/(p 2^p).
+    1 < p <= 2: max((eps/2)^q / q, c_p eps^2 / 8) with q conjugate to p;
+    p > 2:      (eps/2)^p / p.
+    eps <= 2, so (eps/2)^q underflows to 0 at extreme exponents and never overflows.
     """
     pv = _finite_interior(p)
     if eps <= 0.0:
         return 0.0
     if pv <= 2.0:
         q = pv / (pv - 1.0)
-        return max(eps**q / (q * 2.0**q), two_point_lower_constant(pv) * eps**2 / 8.0)
-    return eps**pv / (pv * 2.0**pv)
+        return max((eps / 2.0) ** q / q, two_point_lower_constant(pv) * eps**2 / 8.0)
+    return (eps / 2.0) ** pv / pv
 
 
 def smoothness_upper_bound(p, t: float) -> float:
@@ -413,8 +415,8 @@ def type_cotype_check(
 def _type_cotype_report(fields, pv: float, family: str, avg2: float, suite, case_id) -> CheckReport:
     """type_cotype_check's report for the L2 sign average ``avg2`` of ``fields``."""
     norms = [field_norm(f, pv, family) for f in fields]
-    l2_sum = math.sqrt(sum(v * v for v in norms))
-    lp_sum = sum(v**pv for v in norms) ** (1.0 / pv) if norms else 0.0
+    l2_sum = power_sum(norms, 2.0)
+    lp_sum = power_sum(norms, pv)
     if pv <= 2.0:
         lower = math.sqrt(two_point_lower_constant(pv)) * l2_sum
         upper = lp_sum
@@ -434,26 +436,24 @@ def kadec_klee_gap(
 ) -> CheckReport:
     """Rearranged Clarkson bound forcing norm convergence.
 
-    With e = q for p <= 2 and e = p for p >= 2 (q conjugate), the midpoint
-    difference obeys
+    With e = q for p <= 2 and e = p for p >= 2 (q conjugate, f the other one)
+    and m = ((||Hn||^f + ||H||^f) / 2)^(1/f), the midpoint difference obeys
 
-        ||(Hn - H)/2||^e <= (avg of ||Hn||, ||H|| powers)^(e/f) - ||(Hn + H)/2||^e,
+        ||(Hn - H)/2||^e <= m^e - ||(Hn + H)/2||^e.
 
-    and the right side (the reported rhs) tends to 0 whenever ||Hn|| -> ||H||
-    and ||(Hn + H)/2|| -> ||H||.
+    Both sides are homogeneous of degree e, so the report gives them in units
+    of m^e: lhs = (||(Hn - H)/2|| / m)^e and rhs = 1 - (||(Hn + H)/2|| / m)^e,
+    both in [0, 1].  The rhs tends to 0 whenever ||Hn|| -> ||H|| and
+    ||(Hn + H)/2|| -> ||H||.
     """
     pv = _finite_interior(p)
     q = pv / (pv - 1.0)
     e, f = (q, pv) if pv <= 2.0 else (pv, q)
     diff = field_norm(0.5 * (hn - h), pv, family)
     mid = field_norm(0.5 * (hn + h), pv, family)
-    n1 = field_norm(hn, pv, family)
-    n2 = field_norm(h, pv, family)
-    power_mean = (0.5 * (n1**f + n2**f)) ** (e / f)
-    rhs = power_mean - mid**e
-    return inequality_report(
-        suite, case_id, pv, diff**e, rhs, (hn, h, pv, family), "kadec_klee_gap", scale=power_mean
-    )
+    m = _mean(field_norm(hn, pv, family), field_norm(h, pv, family), f) or 1.0  # 0: both are 0
+    lhs, rhs = (diff / m) ** e, 1.0 - (mid / m) ** e
+    return inequality_report(suite, case_id, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap")
 
 
 def unconditional_sum_bound(
@@ -461,8 +461,9 @@ def unconditional_sum_bound(
 ) -> CheckReport:
     """Finite comparison behind summability of unconditionally convergent series.
 
-    sum ||H_j||^max(2,p) <= K * sum (convexity lower bound at ||H_j||), with
-    K = 8/c_p for p <= 2 and K = p 2^p for p > 2.  This is an arithmetic
+    sum ||H_j||^e <= K * sum (convexity lower bound at ||H_j||), e = max(2, p),
+    K = 8/c_p for p <= 2 and p 2^p for p > 2, reported in units of 2^e (no
+    term exceeds 1, so no exponent overflows).  This is an arithmetic
     consistency check on the bound functions; norms above 2 are rejected
     because the modulus is only defined up to separation 2.
     """
@@ -471,13 +472,8 @@ def unconditional_sum_bound(
     over = [v for v in norms if v > 2.0]
     if over:
         raise ValueError(f"{len(over)} summand norm(s) exceed 2; rescale the inputs")
-    if pv <= 2.0:
-        constant = 8.0 / two_point_lower_constant(pv)
-        power = 2.0
-    else:
-        constant = pv * 2.0**pv
-        power = pv
-    lhs = sum(v**power for v in norms)
+    lhs = sum((v / 2.0) ** max(2.0, pv) for v in norms)
+    constant = 2.0 / two_point_lower_constant(pv) if pv <= 2.0 else pv  # K / 2^e
     rhs = constant * sum(convexity_lower_bound(pv, v) for v in norms if v > 0.0)
     inputs = (fields, pv, family)
     return inequality_report(suite, case_id, pv, lhs, rhs, inputs, "unconditional_sum")

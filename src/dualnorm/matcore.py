@@ -15,6 +15,8 @@ breaks even with one stacked SVD call at about 24 matrices and is 9x faster
 at 500), and LAPACK, values only, otherwise.  :func:`schatten_norm` reduces
 them, except at p = 2, where S_2 is the Hilbert-Schmidt class and the norm
 is the Frobenius sum :func:`hs_norm`, with no factorization.
+:func:`power_sum` forms every l^p sum of the package, scaled by its largest
+term so that no exponent in [1, inf] overflows.
 :func:`psd_power` is the eigh-based reference the tests compare the SVD
 route against; it takes one matrix and rejects non-finite, non-Hermitian
 and non-PSD input.
@@ -24,6 +26,7 @@ All functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +43,7 @@ __all__ = [
     "matabs",
     "psd_power",
     "singular_values",
+    "power_sum",
     "schatten_norm",
     "hs_norm",
     "trace",
@@ -160,18 +164,38 @@ def _square(a) -> np.ndarray:
     return a
 
 
-def _schatten_from_sigma(s: np.ndarray, p: float):
-    """Schatten p-norm from singular values sorted non-increasing along the last axis.
+# Added to power_sum's largest term: a positive scale with no zero guard.
+_TINY = float(np.finfo(np.float64).tiny)
 
-    A single singular value (a 1 x 1 block) is its own norm for every p.
+
+def power_sum(values, r: float):
+    """(sum_i v_i^r)^(1/r) of non-negative values v_i, and their maximum at r = inf.
+
+    ``values`` is a sequence of floats (a float back; 0 if empty) or of
+    same-shape arrays, reduced elementwise (so an array is reduced over its
+    first axis), in any order.  Each term is divided by the largest
+    (+ _TINY) before it is raised to r, so no power overflows for any r in
+    [1, inf] and a term that underflows is below rounding (E. Anderson,
+    "Algorithm 978: Safe Scaling in the Level 1 BLAS", TOMS 2017).
     """
-    if math.isinf(p):
-        return s.max(axis=-1)
-    if p == 1.0 or s.shape[-1] == 1:
-        return s.sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt((s * s).sum(axis=-1))
-    return (s**p).sum(axis=-1) ** (1.0 / p)
+    arrays = len(values) > 0 and isinstance(values[0], np.ndarray)
+    top = functools.reduce(np.maximum, values) if arrays else max(values, default=0.0)
+    if math.isinf(r):
+        return top
+    c = top + _TINY
+    return sum((v / c) ** r for v in values) ** (1.0 / r) * c
+
+
+def _power_sum_sorted(s: np.ndarray, r: float):
+    """:func:`power_sum` over the last axis of ``s``, sorted non-increasing along it (sigma)."""
+    # one matrix's few values as Python floats: +4% small_blocks_all items/s (5 pairs, 2 cores)
+    if s.ndim == 1:
+        return np.float64(power_sum(s.tolist(), r))
+    top = s[..., 0]
+    if math.isinf(r) or s.shape[-1] == 1:
+        return top
+    rest = s[..., 1:] / (top + _TINY)[..., None]
+    return (1.0 + (rest**r).sum(axis=-1)) ** (1.0 / r) * top
 
 
 def _sigma2(a: np.ndarray) -> np.ndarray:
@@ -234,7 +258,7 @@ def schatten_norm(a: np.ndarray, p: float):
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     if p == 2.0 and a.shape[-1] > 1:
         return hs_norm(a)
-    return _schatten_from_sigma(singular_values(a), p)
+    return _power_sum_sorted(singular_values(a), p)
 
 
 def hs_norm(a: np.ndarray):

@@ -12,7 +12,9 @@ Schatten family reduces the field's memoized singular values
 (``Field.singular_values``), so one field's norms at several exponents cost
 one factorization per entry; at p = 2 it takes the Frobenius norm of each
 block instead (S_2 is the Hilbert-Schmidt class), with no factorization.
-The Hilbert-Schmidt family takes one Frobenius norm per entry.
+The Hilbert-Schmidt family takes one Frobenius norm per entry.  Both sum
+the entries' norms through ``matcore.power_sum``, each entry's weight folded
+into its norm as a factor, so no p in [1, inf] overflows.
 
 The two coincide at p = 2.  For p <= 2 the Schatten norm is dominated by the
 Hilbert-Schmidt one, for p >= 2 the domination reverses; products obey the
@@ -25,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import matcore
 from .dualmodel import (
@@ -88,10 +88,13 @@ class ExponentP:
         return math.isinf(self.value)
 
     def conjugate(self) -> "ExponentP":
+        """q with 1/p + 1/q = 1; a finite p above 2^53, where p - 1 rounds to p, has none."""
         if self.is_inf:
             return ExponentP(1.0)
         if self.value == 1.0:
             return ExponentP(math.inf)
+        if self.value > 2**53:
+            raise ValueError(f"exponent {self} exceeds 2^53, too large for a conjugate; use inf")
         return ExponentP(self.value / (self.value - 1.0))
 
     def inv(self) -> float:
@@ -121,16 +124,15 @@ class DirectSumSpec:
             raise ValueError(f"direct-sum weight must be positive, got {self.w}")
 
 
-def _lp(values, weights, p: float):
-    """(sum_i w_i v_i^p)^(1/p) over the entries' norms v_i; max_i w_i v_i at p = inf.
+def _lp(h: Field, values, power: float, p: float):
+    """power_sum at p of the entries' norms v_i, each scaled by d_i^power.
 
+    The scale d^power carries the family's weight d^(p power) into the sum:
+    1/p for sch and 2/p - 1/2 for hs, which at p = inf give 1 and d^(-1/2).
     A float for a single field, an array of the batch shape for a batch.
     """
-    if math.isinf(p):
-        norm = np.max([w * v for w, v in zip(weights, values)], axis=0)
-    else:
-        norm = sum(w * v**p for w, v in zip(weights, values)) ** (1.0 / p)
-    return float(norm) if np.ndim(norm) == 0 else norm
+    terms = [d**power * v for d, v in zip(h.model.dims, values)]
+    return matcore.power_sum(terms if h.batch else [float(t) for t in terms], p)
 
 
 def lp_sch_norm(h: Field, p):
@@ -140,28 +142,19 @@ def lp_sch_norm(h: Field, p):
     """
     p = _pval(p)
     if p == 2.0:
-        return _lp([matcore.schatten_norm(b, p) for b in h.blocks], h.model.dims, p)
+        return _lp(h, [matcore.schatten_norm(b, p) for b in h.blocks], 1.0 / p, p)
     return _sch_norm_from_sigma(h, p)
 
 
 def _sch_norm_from_sigma(h: Field, p: float):
     """The Schatten-family norm reduced from ``h.singular_values``, at any p (2 included)."""
-    weights = [1] * len(h.model) if math.isinf(p) else h.model.dims
-    return _lp([matcore._schatten_from_sigma(s, p) for s in h.singular_values], weights, p)
-
-
-def _hs_weight(dim: int, p: float) -> float:
-    # dim^(2 - p/2) in log space (the exponent may be negative for p > 4); dim^(-1/2) at inf
-    if math.isinf(p):
-        return 1.0 / math.sqrt(dim)
-    return math.exp((2.0 - p / 2.0) * math.log(dim)) if dim > 1 else 1.0
+    return _lp(h, [matcore._power_sum_sorted(s, p) for s in h.singular_values], 1.0 / p, p)
 
 
 def lp_hs_norm(h: Field, p):
     """Hilbert-Schmidt-family norm with dim^(2 - p/2) weights; see module doc."""
     p = _pval(p)
-    weights = [_hs_weight(d, p) for d in h.model.dims]
-    return _lp([matcore.hs_norm(b) for b in h.blocks], weights, p)
+    return _lp(h, [matcore.hs_norm(b) for b in h.blocks], 2.0 / p - 0.5, p)
 
 
 def field_norm(h: Field, p, family: str):
@@ -226,4 +219,4 @@ def direct_sum_norm(x: Field, y: Field, p, spec: DirectSumSpec, family: str = "s
     if spec.r.is_inf:
         return max(nx, spec.w * ny)
     r = spec.r.value
-    return (nx**r + spec.w * ny**r) ** (1.0 / r)
+    return matcore.power_sum([nx, spec.w ** (1.0 / r) * ny], r)

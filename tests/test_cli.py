@@ -236,6 +236,49 @@ def test_main_exponent_with_zero_denominator_is_config_error(p, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# Every exponent in [1, inf] the paper covers, from just above 1 to far beyond
+# the 1024 at which a raw 2^p or v^p overflows binary64.
+GATE_EXPONENTS = "1,1.0001,1.001,1.01,200,400,1100,1e6,inf"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dual", ["s3", "torus(3)", "su2_trunc(4)", "custom(1,3)"])
+def test_every_valid_exponent_passes_without_overflow(dual, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    argv = ["verify", "all", "--dual", dual, "--p", GATE_EXPONENTS, "--trials", "2"]
+    argv += ["--out", str(out)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err and "FAIL" not in captured.out
+    reports = reports_from_json(out.read_text())
+    assert reports and all(r.passed for r in reports)
+    assert {r.p for r in reports} >= {1.0001, 1100.0, 1e6, math.inf}
+
+
+@pytest.mark.parametrize("p", ["1e17", "1.5,9007199254740994", "4503599627370497"])
+def test_main_exponent_above_2_pow_52_is_config_error(p, capsys):
+    # p - 1 rounds to p above 2^53, so p would have conjugate 1; interpolation takes 2p
+    code = main(["verify", "interpolation", "--dual", "s3", "--p", p, "--trials", "1"])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "inf" in err and "Traceback" not in err
+    with pytest.raises(ConfigError):
+        small_config(p_list=(ExponentP(1e17),))
+    assert small_config(p_list=(ExponentP(2.0**52), "1e400")).p_list[-1].is_inf
+
+
+def test_repeated_exponents_run_once(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["verify", "norms", "--dual", "s3", "--trials", "1", "--out"]
+    assert main([*argv, str(a), "--p", "1.5,3/2,2"]) == EXIT_OK
+    assert main([*argv, str(b), "--p", "1.5,2"]) == EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    ids = [r.case_id for r in reports_from_json(a.read_text())]
+    assert len(ids) == len(set(ids))
+    repeated = small_config(p_list=("2", 2.0, "4/2", "3", "2"))
+    assert repeated.p_list == (ExponentP(2.0), ExponentP(3.0))
+
+
 def test_main_unwritable_output_is_config_error(tmp_path):
     code = main(
         [
@@ -581,14 +624,14 @@ def test_tol_override_keeps_exact_counts_exact():
 # and the number of distinct digests, so a change to how inputs are digested
 # moves only the first two hashes.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "6fbc338565ef8db5", "43a0a986ff77624f",
-     "c0b7228acaa4f6ad", 313),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "3b182d23c6a72000", "107025649a019ee8",
-     "1516ef08f9745d8d", 252),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "ea76f18d1c716f69", "2515c34a7e4af29d",
-     "d3c4b6cad4b467cc", 174),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "27ab169f568dd2b4", "4b8f8ff018a6a01c",
-     "b78c8c494a6a07c8", 113),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "1d68b24d4f740bd5", "569ec9ed1fe827f2",
+     "bfd674803eb751ec", 313),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "21c792993df59d5e", "1459d473dc99044d",
+     "9b74ecc87e31d61e", 252),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "ef3b66dd44b56fe9", "3d6b77ed381d00c6",
+     "6df227a03cee31df", 174),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "1f87fcb6807243fe", "f8628505fe738362",
+     "e965e504ad53c76a", 113),
 ]
 
 

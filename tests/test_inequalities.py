@@ -623,6 +623,45 @@ def test_type_cotype_matches_exhaustive_enumerator(p):
         assert oracle <= math.sqrt(two_point_upper_constant(p)) * l2 + 1e-10
 
 
+@pytest.mark.parametrize("p", [4 / 3, 1.5, 2.0, 3.0, 5.0])
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_scaled_check_sides_match_the_inline_forms_at_moderate_p(p, family):
+    # the unscaled (a^r + b^r)^(1/r) forms are the oracle where they cannot overflow
+    model = preset_dual("su2_trunc", 4)
+    h1, h2 = random_field(model, 40), random_field(model, 41)
+    fields = [random_field(S3, mix_seed("inline", j)) for j in range(5)]
+    q = p / (p - 1.0)
+    e, f = (q, p) if p <= 2.0 else (p, q)
+    n = lambda x: field_norm(x, p, family)  # noqa: E731
+    rel = dict(rel=1e-14, abs=0.0)
+
+    rep = clarkson_check(h1, h2, p, family)
+    mid_plus, mid_minus = n(0.5 * (h1 + h2)), n(0.5 * (h1 - h2))
+    assert rep.lhs == pytest.approx((mid_plus**e + mid_minus**e) ** (1 / e), **rel)
+    assert rep.rhs == pytest.approx((0.5 * (n(h1) ** f + n(h2) ** f)) ** (1 / f), **rel)
+
+    mean_p = (0.5 * (n(h1 + h2) ** p + n(h1 - h2) ** p)) ** (1 / p)
+    constant = two_point_upper_constant(p) if p >= 2.0 else two_point_lower_constant(p)
+    root = math.sqrt(n(h1) ** 2 + constant * n(h2) ** 2)
+    rep = two_point_check(h1, h2, p, family)
+    sides = (mean_p, root) if p >= 2.0 else (root, mean_p)
+    assert (rep.lhs, rep.rhs) == pytest.approx(sides, **rel)
+
+    m = (0.5 * (n(h1) ** f + n(h2) ** f)) ** (1 / f)
+    rep = kadec_klee_gap(h1, h2, p, family)
+    assert rep.lhs == pytest.approx(mid_minus**e / m**e, **rel)
+    assert rep.rhs == pytest.approx(1.0 - mid_plus**e / m**e, **rel)
+
+    norms = [field_norm(x, p, family) for x in fields]
+    l2, lp = math.sqrt(sum(v * v for v in norms)), sum(v**p for v in norms) ** (1 / p)
+    rep = type_cotype_check(fields, p, family)
+    if p <= 2.0:
+        sides = (math.sqrt(two_point_lower_constant(p)) * l2, lp)
+    else:
+        sides = (lp, math.sqrt(two_point_upper_constant(p)) * l2)
+    assert (rep.lhs, rep.rhs) == pytest.approx(sides, **rel)
+
+
 # -- Kadec-Klee gap ----------------------------------------------------------------
 
 
@@ -638,12 +677,10 @@ def test_kadec_klee_identical_fields():
 def test_kadec_klee_antipodal_equality(p):
     h = random_field(S3, 9)
     rep = kadec_klee_gap(-1.0 * h, h, p)
-    q = p / (p - 1.0)
-    e = q if p <= 2.0 else p
-    expected = lp_sch_norm(h, p) ** e
+    # in units of the power mean m = ||h||: ||(-h - h)/2|| / m = 1 and (-h + h)/2 = 0
     assert rep.passed
-    assert rep.lhs == pytest.approx(expected, rel=1e-11)
-    assert rep.rhs == pytest.approx(expected, rel=1e-11)
+    assert rep.lhs == pytest.approx(1.0, rel=1e-11)
+    assert rep.rhs == pytest.approx(1.0, rel=1e-11)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -690,7 +727,18 @@ def test_unconditional_geometric_norms():
     partial = 0.0
     for j in range(10):
         partial += (2.0**-j) ** 3.0
-    assert rep.lhs == pytest.approx(partial, rel=1e-12)
+    assert rep.lhs == pytest.approx(partial / 2.0**3, rel=1e-12)  # in units of 2^p
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 1100.0, 1e6])
+def test_unconditional_norms_near_2_at_any_exponent(p):
+    h = random_field(S3, 15)
+    fields = [(c / lp_sch_norm(h, p)) * h for c in (1.999, 1.99, 1.0, 0.5)]
+    rep = unconditional_sum_bound(fields, p)
+    assert rep.passed and math.isfinite(rep.lhs) and math.isfinite(rep.rhs)
+    assert 0.0 < rep.lhs <= 4.0
+    if p > 2.0:
+        assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
 
 def test_unconditional_rejects_oversized_norms():

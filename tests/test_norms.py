@@ -9,6 +9,7 @@ from dualnorm.dualmodel import (
     field_product,
     identity_field,
     mix_seed,
+    parse_dual_arg,
     preset_dual,
     random_field,
     random_stacks,
@@ -92,6 +93,15 @@ def test_exponent_conjugates():
     assert p.conjugate().conjugate().value == pytest.approx(p.value, rel=1e-15)
 
 
+def test_exponents_above_2_pow_53_have_no_conjugate():
+    # 2^53 + 2 - 1 rounds to 2^53 + 2: the quotient would be exactly 1
+    assert ExponentP(2.0**53).conjugate().value == 2.0**53 / (2.0**53 - 1.0)
+    for p in (2.0**53 + 2, 1e17, 1e300):
+        with pytest.raises(ValueError, match="inf"):
+            ExponentP(p).conjugate()
+    assert ExponentP.parse("1e400").is_inf and ExponentP.parse("1e400").conjugate().value == 1.0
+
+
 def test_exponent_parse():
     assert ExponentP.parse("inf").is_inf
     assert ExponentP.parse("3/2").value == 1.5
@@ -165,6 +175,16 @@ def test_single_field_norm_is_a_float_matching_the_loop(family):
         value = field_norm(h, p, family)
         assert type(value) is float
         assert value == pytest.approx(LOOP_NORMS[family](h, p), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)", "custom(16,32)"])
+def test_scaled_power_sums_match_the_inline_loops_at_moderate_p(dual):
+    # where (sum w v^p)^(1/p) cannot overflow, the unscaled per-block loop is the oracle
+    h = random_field(parse_dual_arg(dual), 31)
+    for p in (1.0, 4 / 3, 1.5, 2.0, 3.0, 5.0, 8.0, math.inf):
+        for family in ("sch", "hs"):
+            want = LOOP_NORMS[family](h, p)
+            assert field_norm(h, p, family) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_stacked_norm_rejects_unknown_family():
@@ -349,10 +369,7 @@ def test_norms_of_one_field_at_several_exponents_share_one_factorization(monkeyp
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_sch_norm_from_the_memo_matches_the_kernel_bitwise(p):
     for h in (random_field(preset_dual("su2_trunc", 4), 3), random_stacks(preset_dual("s3"), 3, rows=5)):
-        weights = [1] * len(h.model) if math.isinf(p) else h.model.dims
         values = [matcore.schatten_norm(b, p) for b in h.blocks]
-        if math.isinf(p):
-            want = np.max([w * v for w, v in zip(weights, values)], axis=0)
-        else:
-            want = sum(w * v**p for w, v in zip(weights, values)) ** (1.0 / p)
+        terms = [d ** (1.0 / p) * v for d, v in zip(h.model.dims, values)]
+        want = matcore.power_sum(terms if h.batch else [float(t) for t in terms], p)
         assert np.array_equal(lp_sch_norm(h, p), want)
