@@ -2,9 +2,14 @@
 
 ``dualnorm verify <suite>`` builds a dual model, draws seeded random fields,
 runs one of the named check suites and emits machine-readable reports.
-Report content is a pure function of the configuration: seeds for trial k
-of a given case are mixed from (base seed, suite, case, k), so suites are
-independent and insensitive to execution order.
+Report content is a pure function of the configuration: trial k of a case
+reads row k of that case's keyed streams, one per (base seed, suite, case,
+role), and each check runs once per chunk of trials on their batch Field.
+So suites are independent, and a trial's reports depend neither on
+execution order nor on how many trials run or how they are chunked.  Two
+suites draw one field at a time: interpolation, whose batch axes hold strip
+points, reads trial k as row 0 of a stream keyed by (..., case, k, role),
+and kadec_klee draws once per exponent.
 
 Exit status: 0 all checks passed, 1 at least one verification failure,
 2 configuration or I/O error.
@@ -20,6 +25,8 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import inequalities as ineq
 from . import matcore
 from .dualmodel import (
@@ -31,9 +38,10 @@ from .dualmodel import (
     mix_seed,
     parse_dual_arg,
     random_field,
+    random_stacks,
 )
 from .duality import (
-    direct_sum_dual_pair_check,
+    _direct_sum_pair_reports,
     dual_extremizer,
     dual_norm_via_search,
     pairing,
@@ -43,11 +51,11 @@ from .norms import (
     FAMILIES,
     DirectSumSpec,
     ExponentP,
+    _adjoint_reports,
+    _embedding_reports,
+    _holder_reports,
     _sch_norm_from_sigma,
-    adjoint_norm_check,
-    embedding_check,
     field_norm,
-    holder_check,
     lp_hs_norm,
     lp_sch_norm,
 )
@@ -58,6 +66,7 @@ from .report import (
     inequality_report,
     reports_to_csv,
     reports_to_json,
+    row_reports,
 )
 
 __all__ = ["ConfigError", "SuiteConfig", "SUITES", "run_suite", "emit_report", "main"]
@@ -111,11 +120,34 @@ class SuiteConfig:
 
 
 def _draw(cfg: SuiteConfig, *parts):
+    """Row 0 of the stream keyed by (base seed, suite, *parts): the one-field draws."""
     return random_field(cfg.dual, mix_seed(cfg.seed, cfg.suite, *parts))
 
 
 def _pair(cfg: SuiteConfig, *parts):
     return _draw(cfg, *parts, "a"), _draw(cfg, *parts, "b")
+
+
+def _trials(cfg: SuiteConfig, *parts, roles=("a", "b"), fields_per_trial=1):
+    """Yield each chunk of a case's trials: their indices, and a batch Field of draws per role.
+
+    Trial k reads row k of the stream keyed by (base seed, suite, *parts,
+    role), so its fields depend neither on the chunk nor on the trial count.
+    A chunk holds at most ``inequalities._CHUNK_ENTRIES`` complex entries
+    per batch Field, also for a batch that holds ``fields_per_trial`` fields
+    of each trial.
+    """
+    keys = [mix_seed(cfg.seed, cfg.suite, *parts, role) for role in roles]
+    step = max(1, ineq._CHUNK_ENTRIES // (fields_per_trial * sum(d * d for d in cfg.dual.dims)))
+    for start in range(0, cfg.trials, step):
+        rows = min(step, cfg.trials - start)
+        draws = [random_stacks(cfg.dual, key, start, rows) for key in keys]
+        yield range(start, start + rows), draws
+
+
+def _case_ids(prefix: str, ks) -> list[str]:
+    """The case ids ``prefix[kkkk]`` of trials ``ks``."""
+    return [f"{prefix}[{k:04d}]" for k in ks]
 
 
 def _interior(cfg: SuiteConfig) -> list[ExponentP]:
@@ -125,28 +157,26 @@ def _interior(cfg: SuiteConfig) -> list[ExponentP]:
 
 def _suite_norms(cfg: SuiteConfig):
     for p in cfg.p_list:
-        for k in range(cfg.trials):
-            h1, h2 = _pair(cfg, p, k)
-            yield embedding_check(h1, p, suite=cfg.suite, case_id=f"embedding[p={p}][{k:04d}]")
-            alpha = 0.5 + ((k % 7) + 1) * 0.25
+        for ks, (h1, h2) in _trials(cfg, p):
+            yield from _embedding_reports(h1, p, cfg.suite, _case_ids(f"embedding[p={p}]", ks))
+            alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
             for family in cfg.families:
                 n1 = field_norm(h1, p, family)
                 n2 = field_norm(h2, p, family)
-                yield inequality_report(
-                    cfg.suite, f"triangle.{family}[p={p}][{k:04d}]", p,
+                yield from row_reports(
+                    inequality_report, cfg.suite, _case_ids(f"triangle.{family}[p={p}]", ks), p,
                     field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p.value, family), "triangle",
                 )
-                yield equality_report(
-                    cfg.suite, f"homogeneity.{family}[p={p}][{k:04d}]", p,
+                yield from row_reports(
+                    equality_report, cfg.suite, _case_ids(f"homogeneity.{family}[p={p}]", ks), p,
                     field_norm(alpha * h1, p, family), alpha * n1, (h1, p.value, family, alpha),
                     "homogeneity",
                 )
-    for k in range(cfg.trials):
+    for ks, (h,) in _trials(cfg, "p2", roles=("a",)):
         # S_2 = HS, from singular values on one side and Frobenius sums on the
         # other: the HS family shares its kernel with the Schatten norm at p = 2
-        h = _draw(cfg, "p2", k, "a")
-        yield equality_report(
-            cfg.suite, f"p2_coincidence[{k:04d}]", 2.0,
+        yield from row_reports(
+            equality_report, cfg.suite, _case_ids("p2_coincidence", ks), 2.0,
             _sch_norm_from_sigma(h, 2.0), lp_hs_norm(h, 2.0), (h,), "p2_coincidence", rel=1e-12,
         )
 
@@ -154,56 +184,58 @@ def _suite_norms(cfg: SuiteConfig):
 def _suite_holder(cfg: SuiteConfig):
     inf = ExponentP(math.inf)
     for p in cfg.p_list:
-        for k in range(cfg.trials):
-            h1, h2 = _pair(cfg, p, k)
-            cases = [
-                (p, p.conjugate(), f"conjugate[p={p}][{k:04d}]"),
-                (inf, inf, f"inf_both[{k:04d}][p={p}]"),
-            ]
-            if not p.is_inf:
-                cases.append((inf, p, f"inf_left[r={p}][{k:04d}]"))
+        cases = [
+            (p, p.conjugate(), "conjugate[p={p}][{k:04d}]"),
+            (inf, inf, "inf_both[{k:04d}][p={p}]"),
+        ]
+        if not p.is_inf:
+            cases.append((inf, p, "inf_left[r={p}][{k:04d}]"))
+        for ks, (h1, h2) in _trials(cfg, p):
             for a, b, case_id in cases:
-                yield holder_check(h1, h2, a, b, suite=cfg.suite, case_id=case_id)
+                ids = [case_id.format(p=p, k=k) for k in ks]
+                yield from _holder_reports(h1, h2, a, b, cfg.suite, ids)
 
 
 def _suite_adjoint(cfg: SuiteConfig):
     for p in cfg.p_list:
         for family in cfg.families:
-            for k in range(cfg.trials):
-                h = _draw(cfg, p, family, k, "a")
-                yield adjoint_norm_check(
-                    h, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
-                )
+            for ks, (h,) in _trials(cfg, p, family, roles=("a",)):
+                ids = _case_ids(f"{family}[p={p}]", ks)
+                yield from _adjoint_reports(h, p, family, cfg.suite, ids)
+
+
+_PROBES = 5  # random unit fields per duality trial in the dual-norm search
 
 
 def _suite_duality(cfg: SuiteConfig):
+    spec = DirectSumSpec(ExponentP(1.5), 3.0)
     for p in cfg.p_list:
         if p.is_inf:
             continue
-        for k in range(cfg.trials):
-            h, other = _pair(cfg, p, k)
+        probe_seed = mix_seed(cfg.seed, cfg.suite, p, "probe")
+        for ks, (h, other) in _trials(cfg, p, fields_per_trial=_PROBES):
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
             inputs = (h, p.value)
-            yield equality_report(
-                cfg.suite, f"extremizer_unit[p={p}][{k:04d}]", p,
+            yield from row_reports(
+                equality_report, cfg.suite, _case_ids(f"extremizer_unit[p={p}]", ks), p,
                 lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,
             )
-            yield equality_report(
-                cfg.suite, f"extremizer_pairing[p={p}][{k:04d}]", p,
-                abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
+            yield from row_reports(
+                equality_report, cfg.suite, _case_ids(f"extremizer_pairing[p={p}]", ks), p,
+                np.abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
             )
             probe = dual_norm_via_search(
-                h, p, trials=5, seed=mix_seed(cfg.seed, cfg.suite, p, k, "probe"),
-                include_extremizer=False,
+                h, p, trials=_PROBES, seed=probe_seed, include_extremizer=False, start=ks.start
             )
-            yield inequality_report(
-                cfg.suite, f"search_bound[p={p}][{k:04d}]", p, probe, norm, inputs, "dual_supremum"
+            yield from row_reports(
+                inequality_report, cfg.suite, _case_ids(f"search_bound[p={p}]", ks), p,
+                probe, norm, inputs, "dual_supremum",
             )
             if p.value > 1.0:
-                yield direct_sum_dual_pair_check(
-                    h, other, f, dual_extremizer(other, p), p, DirectSumSpec(ExponentP(1.5), 3.0),
-                    suite=cfg.suite, case_id=f"direct_sum[p={p}][{k:04d}]",
+                yield from _direct_sum_pair_reports(
+                    h, other, f, dual_extremizer(other, p), p, spec,
+                    cfg.suite, _case_ids(f"direct_sum[p={p}]", ks),
                 )
 
 
@@ -236,35 +268,30 @@ def _suite_interpolation(cfg: SuiteConfig):
 
 def _suite_clarkson(cfg: SuiteConfig):
     for p in _interior(cfg):
-        for k in range(cfg.trials):
-            h1, h2 = _pair(cfg, p, k)
+        for ks, (h1, h2) in _trials(cfg, p):
             for family in cfg.families:
-                yield ineq.clarkson_check(
-                    h1, h2, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
-                )
+                ids = _case_ids(f"{family}[p={p}]", ks)
+                yield from ineq._clarkson_reports(h1, h2, p, family, cfg.suite, ids)
 
 
 def _suite_two_point(cfg: SuiteConfig):
     for p in _interior(cfg):
         for family in cfg.families:
             crits = []
-            for k in range(cfg.trials):
-                h1, h2 = _pair(cfg, p, family, k)
-                yield ineq.two_point_check(
-                    h1, h2, p, family, suite=cfg.suite, case_id=f"{family}[p={p}][{k:04d}]"
-                )
-                crit = ineq.two_point_critical_constant(h1, h2, p, family)
-                if not math.isnan(crit):
-                    crits.append(crit)
+            for ks, (h1, h2) in _trials(cfg, p, family):
+                ids = _case_ids(f"{family}[p={p}]", ks)
+                yield from ineq._two_point_reports(h1, h2, p, family, cfg.suite, ids)
+                crits.append(ineq._critical_constants(h1, h2, p, family))
                 if p.value == 2.0:
-                    yield ineq.two_point_equality_check(
-                        h1, h2, family, suite=cfg.suite, case_id=f"parallelogram.{family}[{k:04d}]"
-                    )
-            if crits:
+                    ids = _case_ids(f"parallelogram.{family}", ks)
+                    yield from ineq._parallelogram_reports(h1, h2, family, cfg.suite, ids)
+            crits = np.concatenate(crits)
+            crits = crits[~np.isnan(crits)]
+            if crits.size:
                 if p.value >= 2.0:
-                    lhs, rhs = max(crits), ineq.two_point_upper_constant(p)
+                    lhs, rhs = crits.max(), ineq.two_point_upper_constant(p)
                 else:
-                    lhs, rhs = ineq.two_point_lower_constant(p), min(crits)
+                    lhs, rhs = ineq.two_point_lower_constant(p), crits.min()
                 yield inequality_report(
                     cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
                     (p.value, family, cfg.seed, cfg.trials), "critical_constant",
@@ -305,18 +332,16 @@ def _suite_moduli(cfg: SuiteConfig):
 def _suite_type_cotype(cfg: SuiteConfig):
     for p in _interior(cfg):
         for family in cfg.families:
-            for k in range(cfg.trials):
-                fields = [_draw(cfg, p, family, k, j) for j in range(5)]
-                case_id = f"{family}[p={p}][{k:04d}]"
-                if p.value != 2.0:
-                    yield ineq.type_cotype_check(fields, p, family, suite=cfg.suite, case_id=case_id)
-                else:  # one sign average serves both reports
-                    avg2 = ineq.rademacher_average(fields, 2.0, family, r=2.0)
-                    yield ineq._type_cotype_report(fields, 2.0, family, avg2, cfg.suite, case_id)
+            # the sign average stacks the five summands of each trial
+            for ks, fields in _trials(cfg, p, family, roles=range(5), fields_per_trial=5):
+                avg2 = ineq.rademacher_average(fields, p, family, r=2.0)
+                ids = _case_ids(f"{family}[p={p}]", ks)
+                yield from ineq._type_cotype_reports(fields, p.value, family, avg2, cfg.suite, ids)
+                if p.value == 2.0:  # the same sign average against the quadratic sum of norms
                     l2 = matcore.power_sum([field_norm(f, 2.0, family) for f in fields], 2.0)
-                    yield equality_report(
-                        cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0, avg2, l2,
-                        (fields, family), "sign_average_identity",
+                    yield from row_reports(
+                        equality_report, cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),
+                        2.0, avg2, l2, (fields, family), "sign_average_identity",
                     )
 
 

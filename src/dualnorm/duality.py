@@ -13,12 +13,14 @@ pairing still returns ||H||_1); that endpoint is supported here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import matcore
 from .dualmodel import Field, _trusted, mix_seed, random_stacks
 from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm
-from .report import CheckReport, inequality_report
+from .report import CheckReport, inequality_report, row_reports
 
 __all__ = [
     "pairing",
@@ -63,25 +65,38 @@ def dual_extremizer(h: Field, p) -> Field:
 
 
 def dual_norm_via_search(
-    h: Field, p, trials: int, seed: int, include_extremizer: bool = True
-) -> float:
-    """Max of |<H, F>| over random unit-q-norm fields F.
+    h: Field, p, trials: int, seed: int, include_extremizer: bool = True, start: int = 0
+):
+    """Max of |<H, F>| over random unit-q-norm fields F; an array for a batch ``h``.
 
     With the extremizer included as trial 0 this returns ||H||_sch,p (up to
     rounding); random trials alone give a lower bound that never exceeds it.
+    Probe j of row k of ``h`` is row (start + k) * trials + j of the search's
+    stream, so a single field reads rows 0 .. trials - 1, and a batch that
+    is rows ``start ..`` of a larger one reads the probes of those rows.
     """
     p = ExponentP.parse(p)
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    if start < 0:
+        raise ValueError("start must be non-negative")
     q = p.conjugate()
-    best = 0.0
-    if include_extremizer and not p.is_inf and lp_sch_norm(h, p) > 0.0:
-        best = abs(pairing(h, dual_extremizer(h, p)))
-    if trials:  # probe k is row k of the search's stream, at unit q-norm
-        probes = random_stacks(h.model, mix_seed(seed, "dual_search"), rows=trials)
-        units = (1.0 / lp_sch_norm(probes, q)) * probes
-        best = max(best, float(np.abs(pairing(h, units)).max()))
-    return best
+    best = np.zeros(h.batch)
+    if include_extremizer and not p.is_inf:
+        live = np.asarray(lp_sch_norm(h, p)) > 0.0  # a zero field pairs to 0 with every F
+        if live.all():
+            best = np.abs(pairing(h, dual_extremizer(h, p)))
+        elif live.any():
+            best[live] = np.abs(pairing(h[live], dual_extremizer(h[live], p)))
+    if trials:
+        rows = math.prod(h.batch)
+        key = mix_seed(seed, "dual_search")
+        probes = random_stacks(h.model, key, start * trials, rows * trials)
+        units = (1.0 / lp_sch_norm(probes, q)) * probes  # at unit q-norm
+        per_row = units.map_blocks(lambda b: b.reshape(*h.batch, trials, *b.shape[-2:]))
+        h_rows = h.map_blocks(lambda b: b[..., None, :, :])
+        best = np.maximum(best, np.abs(pairing(h_rows, per_row)).max(axis=-1))
+    return best if h.batch else float(best)
 
 
 def direct_sum_dual_pair_check(
@@ -101,6 +116,11 @@ def direct_sum_dual_pair_check(
     (q, s, 1/w)-norm of (f1, f2) and the (p, r, w)-norm of (h1, h2),
     where q, s are the conjugates of p, r.
     """
+    return _direct_sum_pair_reports(h1, h2, f1, f2, p, spec, suite, [case_id])[0]
+
+
+def _direct_sum_pair_reports(h1, h2, f1, f2, p, spec: DirectSumSpec, suite, case_ids):
+    """direct_sum_dual_pair_check's report for each row of the batches (one for single fields)."""
     p = ExponentP.parse(p)
     r = spec.r
     if p.is_inf or p.value == 1.0 or r.is_inf or r.value == 1.0:
@@ -115,4 +135,6 @@ def direct_sum_dual_pair_check(
         h1, h2, p, spec
     )
     inputs = (h1, h2, f1, f2, p.value, r.value, w)
-    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "direct_sum_duality")
+    return row_reports(
+        inequality_report, suite, case_ids, float(p), lhs, rhs, inputs, "direct_sum_duality"
+    )

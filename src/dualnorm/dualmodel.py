@@ -7,7 +7,8 @@ Presets cover the torus (all dims 1), truncated SU(2) (dims 1..N) and the
 symmetric group S3 (dims 1, 1, 2).
 
 A Field is also a batch of fields: every entry's block is a ``(*batch, dim,
-dim)`` array with the same batch shape (``()`` for a single field).
+dim)`` array with the same batch shape (``()`` for a single field), and
+``h[k]`` is row k of a batch.
 
 Both types are immutable; field arithmetic returns new fields.  Data is
 validated where it enters: ``Field(...)`` checks and copies its arrays,
@@ -175,6 +176,18 @@ class Field:
             matcore.SvdResult(*map(_locked, (f.u, f.sigma, f.vstar)))
             for f in map(matcore.svd, self.blocks)
         )
+
+    def __getitem__(self, index) -> "Field":
+        """Rows of a batch: every entry's stack indexed by ``index`` over its batch axes.
+
+        ``h[k]`` is row k of a batch of shape ``(n,)``: a single field whose
+        blocks are views of the batch's.
+        """
+        index = index if isinstance(index, tuple) else (index,)
+        if any(i is Ellipsis for i in index):
+            raise IndexError("an Ellipsis would reach the matrix axes of a field")
+        np.empty(self.batch, dtype=bool)[index]  # IndexError unless it fits the batch axes
+        return _trusted(self.model, [b[index] for b in self.blocks])
 
     def map_blocks(self, fn) -> "Field":
         """Apply ``fn`` to each entry's block (stack); it must keep shapes and finiteness."""

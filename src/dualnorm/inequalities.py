@@ -29,7 +29,14 @@ import numpy as np
 from .dualmodel import DualModel, Field, _trusted, mix_seed, random_stacks, random_uniforms
 from .matcore import power_sum
 from .norms import ExponentP, field_norm
-from .report import CheckReport, check_report, equality_report, inequality_report, tolerance
+from .report import (
+    CheckReport,
+    check_report,
+    equality_report,
+    inequality_report,
+    row_reports,
+    tolerance,
+)
 
 __all__ = [
     "ModulusEstimate",
@@ -74,18 +81,27 @@ def _finite_interior(p) -> float:
     return pv
 
 
-def _mean(a: float, b: float, r: float) -> float:
-    """The power mean ((a^r + b^r) / 2)^(1/r)."""
+def _mean(a, b, r: float):
+    """The power mean ((a^r + b^r) / 2)^(1/r), elementwise for arrays."""
     return 0.5 ** (1.0 / r) * power_sum((a, b), r)
 
 
 # -- Clarkson inequalities ---------------------------------------------------
+#
+# Each check's math is one private ``_<check>_reports`` helper that takes
+# batches of any shape and returns a report per row; the public check is
+# its one-row case.
 
 
 def clarkson_check(
     h1: Field, h2: Field, p, family: str, *, suite="clarkson", case_id="clarkson"
 ) -> CheckReport:
     """Clarkson inequality in the given family (case i for p <= 2, case ii above)."""
+    return _clarkson_reports(h1, h2, p, family, suite, [case_id])[0]
+
+
+def _clarkson_reports(h1: Field, h2: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
+    """clarkson_check's report for each row of the batches ``h1``, ``h2``."""
     p = _finite_interior(p)
     q = p / (p - 1.0)
     mid_plus = field_norm(0.5 * (h1 + h2), p, family)
@@ -96,17 +112,20 @@ def clarkson_check(
     lhs = power_sum((mid_plus, mid_minus), e)
     rhs = _mean(n1, n2, f)
     case = "i" if p <= 2.0 else "ii"
-    return inequality_report(
-        suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"clarkson.{family}.case_{case}"
+    return row_reports(
+        inequality_report, suite, case_ids, p, lhs, rhs, (h1, h2, p, family),
+        f"clarkson.{family}.case_{case}",
     )
 
 
 # -- Two-point inequalities with explicit constants --------------------------
 
 
-def _mean_p(h1: Field, h2: Field, p: float, family: str) -> float:
-    """(average of ||H1 + H2||^p and ||H1 - H2||^p)^(1/p)."""
-    return _mean(field_norm(h1 + h2, p, family), field_norm(h1 - h2, p, family), p)
+def _two_point_norms(h1: Field, h2: Field, p: float, family: str):
+    """||H1||, ||H2|| and (average of ||H1 + H2||^p and ||H1 - H2||^p)^(1/p)."""
+    n1 = field_norm(h1, p, family)
+    n2 = field_norm(h2, p, family)
+    return n1, n2, _mean(field_norm(h1 + h2, p, family), field_norm(h1 - h2, p, family), p)
 
 
 def two_point_check(
@@ -118,10 +137,13 @@ def two_point_check(
     p <= 2: reversed form with (p-1)/(p+1) on the left.  At p = 2 both reduce
     to the parallelogram identity with constant 1.
     """
+    return _two_point_reports(h1, h2, p, family, suite, [case_id])[0]
+
+
+def _two_point_reports(h1: Field, h2: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
+    """two_point_check's report for each row of the batches ``h1``, ``h2``."""
     p = _finite_interior(p)
-    n1 = field_norm(h1, p, family)
-    n2 = field_norm(h2, p, family)
-    mean_p = _mean_p(h1, h2, p, family)
+    n1, n2, mean_p = _two_point_norms(h1, h2, p, family)
     if p >= 2.0:
         lhs = mean_p
         rhs = power_sum((n1, math.sqrt(two_point_upper_constant(p)) * n2), 2.0)
@@ -129,18 +151,25 @@ def two_point_check(
         lhs = power_sum((n1, math.sqrt(two_point_lower_constant(p)) * n2), 2.0)
         rhs = mean_p
     side = "upper" if p >= 2.0 else "lower"
-    return inequality_report(suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"two_point.{side}")
+    return row_reports(
+        inequality_report, suite, case_ids, p, lhs, rhs, (h1, h2, p, family), f"two_point.{side}"
+    )
 
 
 def two_point_equality_check(
     h1: Field, h2: Field, family: str = "sch", *, suite="two_point", case_id="parallelogram"
 ) -> CheckReport:
     """p = 2: both two-point sides agree with constant exactly 1."""
-    n1 = field_norm(h1, 2.0, family)
-    n2 = field_norm(h2, 2.0, family)
-    mean2 = _mean_p(h1, h2, 2.0, family)
+    return _parallelogram_reports(h1, h2, family, suite, [case_id])[0]
+
+
+def _parallelogram_reports(h1: Field, h2: Field, family: str, suite, case_ids) -> list[CheckReport]:
+    """two_point_equality_check's report for each row of the batches ``h1``, ``h2``."""
+    n1, n2, mean2 = _two_point_norms(h1, h2, 2.0, family)
     rhs = power_sum((n1, n2), 2.0)
-    return equality_report(suite, case_id, 2.0, mean2, rhs, (h1, h2, family), "parallelogram")
+    return row_reports(
+        equality_report, suite, case_ids, 2.0, mean2, rhs, (h1, h2, family), "parallelogram"
+    )
 
 
 def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch") -> float:
@@ -148,12 +177,14 @@ def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch") ->
 
     nan when ||H2|| = 0 (any constant works there).
     """
-    pv = _finite_interior(p)
-    n1 = field_norm(h1, pv, family)
-    n2 = field_norm(h2, pv, family)
-    if n2 == 0.0:
-        return math.nan
-    return (_mean_p(h1, h2, pv, family) ** 2 - n1**2) / n2**2
+    return float(_critical_constants(h1, h2, p, family))
+
+
+def _critical_constants(h1: Field, h2: Field, p, family: str):
+    """two_point_critical_constant of each row of the batches ``h1``, ``h2``."""
+    n1, n2, mean_p = _two_point_norms(h1, h2, _finite_interior(p), family)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(n2 == 0.0, math.nan, (np.square(mean_p) - np.square(n1)) / np.square(n2))
 
 
 # -- Moduli of convexity and smoothness --------------------------------------
@@ -238,6 +269,10 @@ def default_eps_bins() -> tuple[float, ...]:
 # one chunk of draws, or of one chunk of signed sums): bounds the memory of
 # the samplers and of the sign averages whatever the model size.
 _CHUNK_ENTRIES = 1 << 16
+# Complex entries of rademacher_average's table of partial signed sums.  Not
+# a chunk size: it sets how each sum's additions are grouped, so a change to
+# it moves sign averages in the last bits.
+_SIGN_TABLE_ENTRIES = 1 << 16
 
 
 def _draws(model: DualModel, keys, start: int, rows: int):
@@ -362,15 +397,24 @@ def modulus_smoothness_sample(
 # -- Rademacher averages, type and cotype ------------------------------------
 
 
-def rademacher_average(fields, p, family: str = "sch", r: float = 2.0) -> float:
+def rademacher_average(fields, p, family: str = "sch", r: float = 2.0):
     """(mean over all sign patterns of ||sum theta_j H_j||^r)^(1/r), exact.
 
-    The norm is even, so the mean runs over the 2^(n-1) patterns with
-    theta_0 = +1 only; pattern k sets theta_j = -1 for each set bit j - 1 of
-    k.  A chunk of patterns is one (c, n) sign matrix, contracted with each
-    entry's (n, d, d) stack of summands into a batch Field of c signed sums
-    whose norms take one batched reduction.  A chunk's sign matrix and
-    signed sums together hold at most _CHUNK_ENTRIES entries, whatever n.
+    A float for single fields; for batches of one batch shape, an array of
+    that shape whose row k averages row k of every summand.  The norm is
+    even, so the mean runs over the 2^(n-1) patterns with theta_0 = +1 only;
+    pattern k sets theta_j = -1 for each set bit j - 1 of k.
+
+    Pattern k's sum is low[k mod 2^L] + high[k >> L]: ``low`` is the table
+    of the 2^L sums H_0 +- H_1 ... +- H_L, built by doubling, and high[h]
+    adds +- H_(L+1) ... +- H_(n-1) in that order, once per run of patterns
+    that share h.  L is the largest that keeps the table within
+    _SIGN_TABLE_ENTRIES complex entries (0 if one summand exceeds it), so it
+    depends only on n and the summands' size, and every sum is formed the
+    same way whatever the chunk.  A chunk of patterns is a batch Field of
+    shape (c, *batch) of at most _CHUNK_ENTRIES complex entries (c >= 1),
+    whose norms take one batched reduction, and the running total adds them
+    in pattern order.
     """
     fields = list(fields)
     n = len(fields)
@@ -380,21 +424,40 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0) -> float:
         raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {n})")
     if not 0.0 < r < math.inf:
         raise ValueError(f"average order r must be positive and finite, got {r}")
-    model = fields[0].model
+    model, batch = fields[0].model, fields[0].batch
     if any(f.model != model for f in fields):
         raise ValueError("fields live over different dual models")
+    if any(f.batch != batch for f in fields):
+        raise ValueError("fields have different batch shapes")
+    # (n, *batch, d, 2d) real views: real signs sum (re, im) pairs alike
     stacks = [np.stack(blocks).view(np.float64) for blocks in zip(*(f.blocks for f in fields))]
+    size = math.prod(batch) * sum(d * d for d in model.dims)
+    bits = min(n - 1, max(0, (_SIGN_TABLE_ENTRIES // size).bit_length() - 1))
+    low = [s[:1] for s in stacks]
+    for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j
+        low = [np.concatenate([t + s[j], t - s[j]]) for t, s in zip(low, stacks)]
     half = 2 ** (n - 1)
-    step = max(1, _CHUNK_ENTRIES // (n + sum(d * d for d in model.dims)))
-    total = 0.0
+    step = max(1, _CHUNK_ENTRIES // size)
+    total = np.zeros((1, *batch))
     for start in range(0, half, step):
-        k = np.arange(start, min(start + step, half))
-        signs = np.ones((k.size, n))
-        signs[:, 1:] -= 2.0 * ((k[:, None] >> np.arange(n - 1)) & 1)
-        # real signs times the real view of each stack: (re, im) pairs sum alike
-        sums = _trusted(model, [np.tensordot(signs, s, axes=1).view(np.complex128) for s in stacks])
-        total += float(np.sum(field_norm(sums, p, family) ** r))
-    return (total / half) ** (1.0 / r)
+        stop = min(start + step, half)
+        sums = [np.empty((stop - start, *s.shape[1:])) for s in stacks]
+        for h in range(start >> bits, ((stop - 1) >> bits) + 1):  # each run of equal high bits
+            first, last = max(start, h << bits), min(stop, (h + 1) << bits)
+            for out, t, s in zip(sums, low, stacks):
+                high = np.zeros(s.shape[1:])
+                for j in range(bits + 1, n):
+                    if (h >> (j - 1 - bits)) & 1:
+                        high -= s[j]
+                    else:
+                        high += s[j]
+                lo = first - (h << bits)
+                np.add(t[lo : lo + last - first], high, out=out[first - start : last - start])
+        sums = [x.view(np.complex128) for x in sums]
+        terms = field_norm(_trusted(model, sums), p, family) ** r
+        total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
+    average = (total[0] / half) ** (1.0 / r)
+    return average if batch else float(average)
 
 
 def type_cotype_check(
@@ -409,11 +472,11 @@ def type_cotype_check(
     fields = list(fields)
     pv = _finite_interior(p)
     avg2 = rademacher_average(fields, pv, family, r=2.0)
-    return _type_cotype_report(fields, pv, family, avg2, suite, case_id)
+    return _type_cotype_reports(fields, pv, family, avg2, suite, [case_id])[0]
 
 
-def _type_cotype_report(fields, pv: float, family: str, avg2: float, suite, case_id) -> CheckReport:
-    """type_cotype_check's report for the L2 sign average ``avg2`` of ``fields``."""
+def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_ids):
+    """type_cotype_check's report for each row of ``fields``, given their L2 sign average ``avg2``."""
     norms = [field_norm(f, pv, family) for f in fields]
     l2_sum = power_sum(norms, 2.0)
     lp_sum = power_sum(norms, pv)
@@ -423,9 +486,11 @@ def _type_cotype_report(fields, pv: float, family: str, avg2: float, suite, case
     else:
         lower = lp_sum
         upper = math.sqrt(two_point_upper_constant(pv)) * l2_sum
-    slack = min(avg2 - lower, upper - avg2)
-    inputs = (fields, pv, family)
-    return check_report(suite, case_id, pv, lower, upper, slack, inputs, "type_cotype")
+    slack = np.minimum(avg2 - lower, upper - avg2)
+    return row_reports(
+        check_report, suite, case_ids, pv, lower, upper, (fields, pv, family), "type_cotype",
+        slack=slack,
+    )
 
 
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------

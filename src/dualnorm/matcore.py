@@ -14,7 +14,8 @@ data enters the package, and there is no validating constructor here.
 breaks even with one stacked SVD call at about 24 matrices and is 9x faster
 at 500), and LAPACK, values only, otherwise.  :func:`schatten_norm` reduces
 them, except at p = 2, where S_2 is the Hilbert-Schmidt class and the norm
-is the Frobenius sum :func:`hs_norm`, with no factorization.
+is the Frobenius sum :func:`hs_norm`, with no factorization, rescaled for
+the matrices whose plain sum of squares would overflow or underflow.
 :func:`power_sum` forms every l^p sum of the package, scaled by its largest
 term so that no exponent in [1, inf] overflows.
 :func:`psd_power` is the eigh-based reference the tests compare the SVD
@@ -261,16 +262,35 @@ def schatten_norm(a: np.ndarray, p: float):
     return _power_sum_sorted(singular_values(a), p)
 
 
+# hs_norm recomputes, rescaled, a result below this (its squares near underflow).
+_HS_RESCALE_BELOW = 1e-150
+
+
 def hs_norm(a: np.ndarray):
     """Hilbert-Schmidt (Frobenius) norm of a matrix, or of every matrix of a stack.
 
-    A sum of squares over the float64 view (no conjugate copy), which needs a contiguous last axis.
+    A sum of squares over the float64 view (no conjugate copy), which needs a
+    contiguous last axis.  A matrix whose sum overflows, or whose result lies
+    below _HS_RESCALE_BELOW, where squares lose digits to underflow, is summed
+    again after the exact power-of-two scaling of ``_sigma2``.
     """
     a = _square(a)
     if a.strides[-1] != a.itemsize:
         a = np.ascontiguousarray(a)
     x = a.view(np.float64)
-    return np.sqrt(np.einsum("...ij,...ij->...", x, x))
+    norms = np.sqrt(np.einsum("...ij,...ij->...", x, x))
+    low = high = norms
+    if norms.ndim:
+        low, high = norms.min(initial=math.inf), norms.max(initial=0.0)
+    if _HS_RESCALE_BELOW <= low and high < math.inf:
+        return norms
+    redo = ~(norms >= _HS_RESCALE_BELOW) | (norms == math.inf)
+    x = x[redo]
+    e = np.maximum(np.frexp(np.abs(x).max(axis=(-2, -1)))[1], -1022)  # 2^-e stays finite
+    x = x * np.ldexp(1.0, -e)[:, None, None]
+    norms = np.array(norms)
+    norms[redo] = np.ldexp(np.sqrt(np.einsum("...ij,...ij->...", x, x)), e)
+    return norms[()]
 
 
 def trace(a: np.ndarray):

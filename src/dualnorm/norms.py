@@ -19,14 +19,19 @@ into its norm as a factor, so no p in [1, inf] overflows.
 The two coincide at p = 2.  For p <= 2 the Schatten norm is dominated by the
 Hilbert-Schmidt one, for p >= 2 the domination reverses; products obey the
 Holder inequality in the Schatten family.  The check functions here verify
-those facts numerically and return CheckReports.
+those facts numerically and return CheckReports.  Each check's math is one
+private ``_<check>_reports`` helper that takes batches of any shape and
+returns a report per row; the public check is its one-row case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import matcore
 from .dualmodel import (
@@ -37,7 +42,7 @@ from .dualmodel import (
     field_product,
     random_field,
 )
-from .report import CheckReport, equality_report, inequality_report
+from .report import CheckReport, equality_report, inequality_report, row_reports
 
 __all__ = [
     "ExponentP",
@@ -173,17 +178,27 @@ def random_unit_field(model: DualModel, p, seed: int, family: str = "sch") -> Fi
 
 def embedding_check(h: Field, p, *, suite="norms", case_id="embedding") -> CheckReport:
     """One-sided domination between the two families, direction set by p vs 2."""
+    return _embedding_reports(h, p, suite, [case_id])[0]
+
+
+def _embedding_reports(h: Field, p, suite, case_ids) -> list[CheckReport]:
+    """embedding_check's report for each row of the batch ``h`` (one for a single field)."""
     pv = _pval(p)
     sch = lp_sch_norm(h, pv)
     hs = lp_hs_norm(h, pv)
     lhs, rhs = (sch, hs) if pv <= 2 else (hs, sch)
-    return inequality_report(suite, case_id, pv, lhs, rhs, (h, pv), "embedding")
+    return row_reports(inequality_report, suite, case_ids, pv, lhs, rhs, (h, pv), "embedding")
 
 
 def holder_check(
     h1: Field, h2: Field, p, q, *, suite="holder", case_id="holder"
 ) -> CheckReport:
     """||H1 H2||_r <= ||H1||_p ||H2||_q in the Schatten family, 1/r = 1/p + 1/q."""
+    return _holder_reports(h1, h2, p, q, suite, [case_id])[0]
+
+
+def _holder_reports(h1: Field, h2: Field, p, q, suite, case_ids) -> list[CheckReport]:
+    """holder_check's report for each row of the batches ``h1``, ``h2``."""
     p = ExponentP.parse(p)
     q = ExponentP.parse(q)
     inv_r = p.inv() + q.inv()
@@ -193,30 +208,37 @@ def holder_check(
     lhs = lp_sch_norm(field_product(h1, h2), r)
     rhs = lp_sch_norm(h1, p) * lp_sch_norm(h2, q)
     inputs = (h1, h2, p.value, q.value)
-    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "holder")
+    return row_reports(inequality_report, suite, case_ids, float(p), lhs, rhs, inputs, "holder")
 
 
 def adjoint_norm_check(
     h: Field, p, family: str = "sch", *, suite="adjoint", case_id="adjoint"
 ) -> CheckReport:
     """||H|| = ||H*|| = || |H| || in the chosen family."""
+    return _adjoint_reports(h, p, family, suite, [case_id])[0]
+
+
+def _adjoint_reports(h: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
+    """adjoint_norm_check's report for each row of the batch ``h``."""
     pv = _pval(p)
     values = (
         field_norm(h, pv, family),
         field_norm(field_adjoint(h), pv, family),
         field_norm(field_abs(h), pv, family),
     )
-    lo, hi = min(values), max(values)
-    return equality_report(
-        suite, case_id, pv, hi, lo, (h, pv, family), f"adjoint_invariance.{family}", scale=hi
+    lo, hi = functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
+    return row_reports(
+        equality_report, suite, case_ids, pv, hi, lo, (h, pv, family),
+        f"adjoint_invariance.{family}", scale=hi,
     )
 
 
-def direct_sum_norm(x: Field, y: Field, p, spec: DirectSumSpec, family: str = "sch") -> float:
-    """(||x||^r + w ||y||^r)^(1/r) on the family-p norms; max(||x||, w ||y||) at r = inf."""
+def direct_sum_norm(x: Field, y: Field, p, spec: DirectSumSpec, family: str = "sch"):
+    """(||x||^r + w ||y||^r)^(1/r) on the family-p norms; max(||x||, w ||y||) at r = inf.
+
+    A float for single fields, an array of the batch shape for batches.
+    """
     nx = field_norm(x, p, family)
     ny = field_norm(y, p, family)
-    if spec.r.is_inf:
-        return max(nx, spec.w * ny)
-    r = spec.r.value
-    return matcore.power_sum([nx, spec.w ** (1.0 / r) * ny], r)
+    weight = spec.w if spec.r.is_inf else spec.w ** (1.0 / spec.r.value)
+    return matcore.power_sum([nx, weight * ny], spec.r.value)

@@ -33,6 +33,7 @@ __all__ = [
     "check_report",
     "inequality_report",
     "equality_report",
+    "row_reports",
     "canonical_json",
     "digest_inputs",
     "reports_to_json",
@@ -128,6 +129,32 @@ def equality_report(
 ) -> CheckReport:
     """Report for an assertion lhs = rhs (slack = -|lhs - rhs|)."""
     return check_report(suite, case_id, p, lhs, rhs, -abs(rhs - lhs), inputs, anchor, rel, scale)
+
+
+def row_reports(build, suite, case_ids, p, lhs, rhs, inputs, anchor, **kw) -> list[CheckReport]:
+    """``build``'s report (one of the constructors above) for each row of a batch check.
+
+    Row i is case ``case_ids[i]``: it takes element i of ``lhs``, ``rhs`` and
+    of each array keyword (``slack``, ``scale``), and row i of each batch
+    Field in ``inputs``, lists of fields included.  Scalars and single
+    fields serve every row, so a check on single fields is one row.
+    """
+
+    if len(case_ids) == 1 and np.ndim(lhs) == 0:  # one check on single fields
+        return [build(suite, case_ids[0], p, lhs, rhs, inputs=inputs, anchor=anchor, **kw)]
+
+    def row(x, i):
+        if isinstance(x, Field):
+            return x[i] if x.batch else x
+        if isinstance(x, (list, tuple)):
+            return type(x)(row(y, i) for y in x)
+        return x[i] if np.ndim(x) else x
+
+    return [
+        build(suite, case_id, p, row(lhs, i), row(rhs, i), inputs=row(inputs, i), anchor=anchor,
+              **{name: row(value, i) for name, value in kw.items()})
+        for i, case_id in enumerate(case_ids)
+    ]
 
 
 def _encode(obj):

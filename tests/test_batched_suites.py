@@ -1,0 +1,377 @@
+"""The batched verify suites against per-field oracles.
+
+A batched suite draws trial k of a case as row k of one keyed stream per
+(suite, case, role) and runs each check once on the batch.  Every report it
+makes is compared here with the same check applied to that row's fields one
+at a time: the public per-field check where there is one, and the check
+restated from per-field norms otherwise.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dualnorm import inequalities
+from dualnorm.cli import SuiteConfig, main, run_suite
+from dualnorm.dualmodel import (
+    Field,
+    mix_seed,
+    parse_dual_arg,
+    random_field,
+    random_stacks,
+    zero_field,
+)
+from dualnorm.duality import (
+    direct_sum_dual_pair_check,
+    dual_extremizer,
+    dual_norm_via_search,
+    pairing,
+)
+from dualnorm.inequalities import (
+    clarkson_check,
+    rademacher_average,
+    two_point_check,
+    two_point_critical_constant,
+    two_point_equality_check,
+    two_point_lower_constant,
+    two_point_upper_constant,
+    type_cotype_check,
+)
+from dualnorm.norms import (
+    DirectSumSpec,
+    ExponentP,
+    adjoint_norm_check,
+    embedding_check,
+    field_norm,
+    holder_check,
+    lp_hs_norm,
+    lp_sch_norm,
+)
+from dualnorm.report import equality_report, inequality_report, reports_to_json
+
+DUALS = ["s3", "su2_trunc(4)", "custom(1,3)"]
+P_LIST = (ExponentP(1.5), ExponentP(2.0), ExponentP(3.0))
+TRIALS = 3
+SEED = 17
+INF = ExponentP(math.inf)
+BATCHED = ["norms", "holder", "adjoint", "clarkson", "two_point", "type_cotype", "duality"]
+
+
+def config(suite, dual, trials=TRIALS, **kw):
+    return SuiteConfig(
+        suite=suite, dual=parse_dual_arg(dual), p_list=P_LIST, family="both",
+        trials=trials, seed=SEED, **kw,
+    )
+
+
+def row(cfg, k, *parts):
+    """Trial k's field of the stream keyed by (seed, suite, *parts), drawn on its own."""
+    return random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, *parts), start=k)[0]
+
+
+def ids(name, p, trials=TRIALS):
+    return [(f"{name}[p={p}][{k:04d}]", k) for k in range(trials)]
+
+
+def oracle_norms(cfg):
+    for p in cfg.p_list:
+        for case_id, k in ids("embedding", p):
+            yield embedding_check(row(cfg, k, p, "a"), p, suite=cfg.suite, case_id=case_id)
+        for family in cfg.families:
+            for k in range(cfg.trials):
+                h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+                alpha = 0.5 + ((k % 7) + 1) * 0.25
+                n1, n2 = field_norm(h1, p, family), field_norm(h2, p, family)
+                yield inequality_report(
+                    cfg.suite, f"triangle.{family}[p={p}][{k:04d}]", p,
+                    field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p.value, family), "triangle",
+                )
+                yield equality_report(
+                    cfg.suite, f"homogeneity.{family}[p={p}][{k:04d}]", p,
+                    field_norm(alpha * h1, p, family), alpha * n1, (h1, p.value, family, alpha),
+                    "homogeneity",
+                )
+    for k in range(cfg.trials):
+        h = row(cfg, k, "p2", "a")
+        yield equality_report(
+            cfg.suite, f"p2_coincidence[{k:04d}]", 2.0, sch2_from_lapack(h), lp_hs_norm(h, 2.0),
+            (h,), "p2_coincidence", rel=1e-12,
+        )
+
+
+def sch2_from_lapack(h):
+    """||h||_sch,2 from LAPACK's singular values, entry by entry."""
+    sigma = [np.linalg.svd(b, compute_uv=False) for b in h.blocks]
+    return math.sqrt(sum(d * float(np.sum(s**2)) for d, s in zip(h.model.dims, sigma)))
+
+
+def oracle_holder(cfg):
+    for p in cfg.p_list:
+        for k in range(cfg.trials):
+            h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            cases = [
+                (p, p.conjugate(), f"conjugate[p={p}][{k:04d}]"),
+                (INF, INF, f"inf_both[{k:04d}][p={p}]"),
+            ]
+            if not p.is_inf:
+                cases.append((INF, p, f"inf_left[r={p}][{k:04d}]"))
+            for a, b, case_id in cases:
+                yield holder_check(h1, h2, a, b, suite=cfg.suite, case_id=case_id)
+
+
+def oracle_adjoint(cfg):
+    for p in cfg.p_list:
+        for family in cfg.families:
+            for case_id, k in ids(family, p):
+                h = row(cfg, k, p, family, "a")
+                yield adjoint_norm_check(h, p, family, suite=cfg.suite, case_id=case_id)
+
+
+def oracle_clarkson(cfg):
+    for p in cfg.p_list:
+        for family in cfg.families:
+            for case_id, k in ids(family, p):
+                h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+                yield clarkson_check(h1, h2, p, family, suite=cfg.suite, case_id=case_id)
+
+
+def oracle_two_point(cfg):
+    for p in cfg.p_list:
+        for family in cfg.families:
+            crits = []
+            for case_id, k in ids(family, p):
+                h1, h2 = row(cfg, k, p, family, "a"), row(cfg, k, p, family, "b")
+                yield two_point_check(h1, h2, p, family, suite=cfg.suite, case_id=case_id)
+                crits.append(two_point_critical_constant(h1, h2, p, family))
+                if p.value == 2.0:
+                    yield two_point_equality_check(
+                        h1, h2, family, suite=cfg.suite, case_id=f"parallelogram.{family}[{k:04d}]"
+                    )
+            if p.value >= 2.0:
+                lhs, rhs = max(crits), two_point_upper_constant(p)
+            else:
+                lhs, rhs = two_point_lower_constant(p), min(crits)
+            yield inequality_report(
+                cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
+                (p.value, family, cfg.seed, cfg.trials), "critical_constant",
+            )
+
+
+def oracle_type_cotype(cfg):
+    for p in cfg.p_list:
+        for family in cfg.families:
+            for case_id, k in ids(family, p):
+                fields = [row(cfg, k, p, family, j) for j in range(5)]
+                yield type_cotype_check(fields, p, family, suite=cfg.suite, case_id=case_id)
+                if p.value == 2.0:
+                    yield equality_report(
+                        cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0,
+                        rademacher_average(fields, 2.0, family, r=2.0),
+                        math.sqrt(sum(field_norm(f, 2.0, family) ** 2 for f in fields)),
+                        (fields, family), "sign_average_identity",
+                    )
+
+
+def oracle_duality(cfg):
+    spec = DirectSumSpec(ExponentP(1.5), 3.0)
+    for p in cfg.p_list:
+        seed = mix_seed(cfg.seed, cfg.suite, p, "probe")
+        # the direct-sum check digests the extremizers it is given, which the
+        # suite computes on the batch: take their rows (checked against the
+        # per-field extremizers below), so that the digests can agree
+        stream = [random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, p, role), rows=cfg.trials)
+                  for role in ("a", "b")]
+        f_rows, g_rows = (dual_extremizer(batch, p) for batch in stream)
+        for k in range(cfg.trials):
+            h, other = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            norm, f, inputs = lp_sch_norm(h, p), dual_extremizer(h, p), (h, p.value)
+            for a, b in zip(f.blocks, f_rows[k].blocks):
+                np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+            yield equality_report(
+                cfg.suite, f"extremizer_unit[p={p}][{k:04d}]", p,
+                lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,
+            )
+            yield equality_report(
+                cfg.suite, f"extremizer_pairing[p={p}][{k:04d}]", p,
+                abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
+            )
+            # probe j of trial k is row 5k + j of the case's search stream, at unit q-norm
+            probes = random_stacks(cfg.dual, mix_seed(seed, "dual_search"), 5 * k, 5)
+            units = [(1.0 / lp_sch_norm(probes[j], p.conjugate())) * probes[j] for j in range(5)]
+            yield inequality_report(
+                cfg.suite, f"search_bound[p={p}][{k:04d}]", p,
+                max(abs(pairing(h, u)) for u in units), norm, inputs, "dual_supremum",
+            )
+            yield direct_sum_dual_pair_check(
+                h, other, f_rows[k], g_rows[k], p, spec,
+                suite=cfg.suite, case_id=f"direct_sum[p={p}][{k:04d}]",
+            )
+
+
+ORACLES = {
+    "norms": oracle_norms,
+    "holder": oracle_holder,
+    "adjoint": oracle_adjoint,
+    "clarkson": oracle_clarkson,
+    "two_point": oracle_two_point,
+    "type_cotype": oracle_type_cotype,
+    "duality": oracle_duality,
+}
+
+
+def assert_same_report(got, want, rel=1e-12):
+    for name in ("suite", "case_id", "anchor", "p"):
+        assert getattr(got, name) == getattr(want, name)
+    assert got.inputs_digest == want.inputs_digest, got.case_id
+    assert got.passed == want.passed, got.case_id
+    assert got.lhs == pytest.approx(want.lhs, rel=rel, abs=0.0), got.case_id
+    assert got.rhs == pytest.approx(want.rhs, rel=rel, abs=0.0), got.case_id
+    assert got.tol == pytest.approx(want.tol, rel=rel, abs=0.0), got.case_id
+    # the slack is a difference of the two sides: its rounding is relative to their size
+    assert abs(got.slack - want.slack) <= rel * max(1.0, abs(want.lhs), abs(want.rhs)), got.case_id
+
+
+@pytest.mark.parametrize("suite", BATCHED)
+@pytest.mark.parametrize("dual", DUALS)
+def test_batched_reports_match_per_field_checks(dual, suite):
+    cfg = config(suite, dual)
+    got = {r.case_id: r for r in run_suite(cfg)}
+    want = list(ORACLES[suite](cfg))
+    assert sorted(got) == sorted(r.case_id for r in want)
+    for w in want:
+        assert_same_report(got[w.case_id], w)
+    assert all(r.passed for r in got.values())
+
+
+# -- batch forms of the sign average and the dual-norm search ------------------
+
+
+def gray_code_norms(fields, p, family):
+    """The norms of all 2^n signed sums, each sum updated by one +-2 H_j flip (oracle path)."""
+    current = fields[0]
+    for f in fields[1:]:
+        current = current + f
+    signs = [1] * len(fields)
+    norms = [field_norm(current, p, family)]
+    for k in range(1, 2 ** len(fields)):
+        j = (k & -k).bit_length() - 1
+        current = current + (-2.0 * signs[j]) * fields[j]
+        signs[j] = -signs[j]
+        norms.append(field_norm(current, p, family))
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("dual", DUALS)
+@pytest.mark.parametrize("family", ["sch", "hs"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_rademacher_average_of_a_batch_is_its_rows_averages(dual, family, n):
+    model = parse_dual_arg(dual)
+    batches = [random_stacks(model, mix_seed("radbatch", dual, n, j), rows=4) for j in range(n)]
+    for p in (1.5, 2.0, 3.0):
+        for r in (1.0, 2.0, 3.0):
+            got = rademacher_average(batches, p, family, r)
+            assert got.shape == (4,)
+            for k in range(4):
+                rows = [b[k] for b in batches]
+                assert got[k] == pytest.approx(rademacher_average(rows, p, family, r), rel=1e-12)
+                oracle = np.mean(gray_code_norms(rows, p, family) ** r) ** (1.0 / r)
+                assert got[k] == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("table", [1, 4 * 6 * 3])  # no low bit in the table; two of them
+def test_rademacher_average_splits_its_sums_at_any_table_size(monkeypatch, table):
+    monkeypatch.setattr(inequalities, "_SIGN_TABLE_ENTRIES", table)
+    model = parse_dual_arg("s3")
+    batches = [random_stacks(model, mix_seed("radsplit", j), rows=3) for j in range(6)]
+    got = rademacher_average(batches, 3.0, "sch", r=1.5)
+    for k in range(3):
+        norms = gray_code_norms([b[k] for b in batches], 3.0, "sch")
+        assert got[k] == pytest.approx(np.mean(norms**1.5) ** (1 / 1.5), rel=1e-12)
+
+
+def test_rademacher_average_keeps_the_batch_shape_and_rejects_mixed_batches():
+    model = parse_dual_arg("s3")
+    grid = [random_stacks(model, j, rows=6).map_blocks(lambda b: b.reshape(2, 3, *b.shape[1:]))
+            for j in range(3)]
+    got = rademacher_average(grid, 3.0, "sch")
+    assert got.shape == (2, 3)
+    assert got[1, 2] == rademacher_average([g[1, 2] for g in grid], 3.0, "sch")
+    with pytest.raises(ValueError, match="batch"):
+        rademacher_average([grid[0], grid[1][0]], 3.0, "sch")
+
+
+@pytest.mark.parametrize("dual", DUALS)
+@pytest.mark.parametrize("include_extremizer", [False, True])
+def test_dual_norm_search_of_a_batch_reads_each_rows_probes(dual, include_extremizer):
+    model = parse_dual_arg(dual)
+    batch = random_stacks(model, 31, start=2, rows=3)
+    for p in (1.5, 3.0, math.inf):
+        got = dual_norm_via_search(batch, p, trials=4, seed=9, start=2,
+                                   include_extremizer=include_extremizer)
+        assert got.shape == (3,)
+        for k in range(3):
+            want = dual_norm_via_search(batch[k], p, trials=4, seed=9, start=2 + k,
+                                        include_extremizer=include_extremizer)
+            assert got[k] == pytest.approx(want, rel=1e-12)
+
+
+def test_dual_norm_search_of_a_single_field_reads_rows_zero_to_trials():
+    model = parse_dual_arg("su2_trunc(4)")
+    h = random_field(model, 4)
+    probes = random_stacks(model, mix_seed(6, "dual_search"), rows=5)
+    want = max(abs(pairing(h, (1.0 / lp_sch_norm(probes[j], 3.0)) * probes[j])) for j in range(5))
+    got = dual_norm_via_search(h, 1.5, trials=5, seed=6, include_extremizer=False)
+    assert type(got) is float and got == pytest.approx(want, rel=1e-12)
+
+
+def test_dual_norm_search_pairs_a_zero_row_to_zero():
+    model = parse_dual_arg("s3")
+    h = random_field(model, 2)
+    batch = Field(model, tuple(np.stack([b, 0 * b, b]) for b in h.blocks))
+    got = dual_norm_via_search(batch, 1.5, trials=3, seed=1)
+    assert got[1] == 0.0
+    assert got[0] == got[2] == pytest.approx(lp_sch_norm(h, 1.5), rel=1e-12)
+    assert dual_norm_via_search(zero_field(model), 1.5, trials=3, seed=1) == 0.0
+
+
+# -- layout: rows of keyed streams, in chunks -----------------------------------
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)"])
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, dual):
+    cfg = config("all", dual, trials=5)
+    whole = reports_to_json(run_suite(cfg))
+    per_field = sum(d * d for d in cfg.dual.dims)
+    for budget in (1, 2 * per_field):  # one trial per chunk; two per chunk with a ragged tail
+        monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
+        assert reports_to_json(run_suite(cfg)) == whole
+
+
+@pytest.mark.parametrize("dual", DUALS)
+def test_trial_reports_do_not_depend_on_the_trial_count(dual):
+    three = run_suite(config("all", dual, trials=3))
+    five = {(r.suite, r.case_id): r for r in run_suite(config("all", dual, trials=5))}
+    # critical_aggregate aggregates over all trials, and the moduli suite's
+    # trial count is its sample count
+    kept = [r for r in three if r.suite != "moduli" and "critical_aggregate" not in r.case_id]
+    assert {r.suite for r in kept} == {r.suite for r in three} - {"moduli"}
+    for r in kept:
+        assert five[r.suite, r.case_id] == r, (r.suite, r.case_id)
+
+
+@pytest.mark.parametrize("suite", BATCHED)
+def test_many_trials_stay_within_chunk_memory(suite, capsys):
+    # 400 trials on custom(16,32): unchunked, each batch of draws alone would take 8 MB
+    argv = ["verify", suite, "--dual", "custom(16,32)", "--p", "3", "--family", "sch",
+            "--trials", "400", "--seed", "2"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("checks passed\n")
+    chunk_bytes = 16 * inequalities._CHUNK_ENTRIES  # one complex128 batch of fields
+    assert peak <= 16 * chunk_bytes, f"peak {peak / 2**20:.1f} MiB"

@@ -24,6 +24,7 @@ from dualnorm.cli import (
 )
 from dualnorm.dualmodel import (
     decode_field,
+    mix_seed,
     parse_dual_arg,
     preset_dual,
     random_field,
@@ -556,7 +557,7 @@ def test_interpolation_trial_builds_each_witness_once(monkeypatch):
 
 def test_duality_trial_factors_h_once_per_entry(monkeypatch):
     cfg = small_config(suite="duality", trials=1)
-    h, _ = cli._pair(cfg, cfg.p_list[0], 0)
+    h = random_stacks(cfg.dual, mix_seed(cfg.seed, "duality", cfg.p_list[0], "a"))
     seen = {"singular_values": [], "svd": []}
     for name, arrays in seen.items():
         kernel = getattr(matcore, name)
@@ -601,7 +602,8 @@ def test_type_cotype_at_p2_computes_each_sign_average_once(monkeypatch):
     assert len(reports) == 4 and all(r.passed for r in reports)
     assert calls == ["sch", "hs"]
     for family in ("sch", "hs"):
-        fields = [cli._draw(cfg, ExponentP(2.0), family, 0, j) for j in range(5)]
+        keys = [mix_seed(cfg.seed, "type_cotype", ExponentP(2.0), family, j) for j in range(5)]
+        fields = [random_field(cfg.dual, key) for key in keys]
         (shared,) = [r for r in reports if r.case_id == f"{family}[p=2.0][0000]"]
         assert shared == inequalities.type_cotype_check(
             fields, 2.0, family, suite="type_cotype", case_id=shared.case_id
@@ -620,18 +622,20 @@ def test_tol_override_keeps_exact_counts_exact():
 # sha256 prefixes of the JSON and CSV of `verify all` (seed 11, 3 trials).  They
 # pin the report bytes: a refactor of the suites must leave them unchanged, and
 # a deliberate change to the numbers (a new draw layout) updates them here.  The
-# last two columns see no digest: the JSON hash with every `inputs_digest` blank,
+# next two columns see no digest: the JSON hash with every `inputs_digest` blank,
 # and the number of distinct digests, so a change to how inputs are digested
-# moves only the first two hashes.
+# moves only the first two hashes.  The last column hashes the ordered
+# (suite, case_id, anchor) list alone; it has not moved since trials were drawn
+# as rows of one stream per case, which moved every number and digest.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "1d68b24d4f740bd5", "569ec9ed1fe827f2",
-     "bfd674803eb751ec", 313),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "21c792993df59d5e", "1459d473dc99044d",
-     "9b74ecc87e31d61e", 252),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "ef3b66dd44b56fe9", "3d6b77ed381d00c6",
-     "6df227a03cee31df", 174),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "1f87fcb6807243fe", "f8628505fe738362",
-     "e965e504ad53c76a", 113),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "4af14a5857209f9e", "433114e770e3c8f7",
+     "e4b5a5194d2c8454", 313, "43e1f23a06689e47"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "0d4b6c8c090e9b0a", "d17bc17866e7536d",
+     "7a557db36130e185", 252, "e23f14cc1f25b55a"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "86ebcfba21fd78f3", "1b87476693689f0d",
+     "e19d3b0f5332208e", 174, "27befb38b782994d"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "a68dfdc27e765b93", "45683ce93dafcfe8",
+     "ccfa2e2dd35d37ea", 113, "5cae59af955de0c5"),
 ]
 
 
@@ -639,11 +643,7 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize(
-    "dual,p,family,tol,count,json_sha,csv_sha,blind_sha,digests", GOLDEN,
-    ids=[g[0] for g in GOLDEN],
-)
-def test_golden_report_bytes(dual, p, family, tol, count, json_sha, csv_sha, blind_sha, digests):
+def _golden_reports(dual, p, family, tol):
     cfg = SuiteConfig(
         suite="all",
         dual=parse_dual_arg(dual),
@@ -653,10 +653,31 @@ def test_golden_report_bytes(dual, p, family, tol, count, json_sha, csv_sha, bli
         seed=11,
         tol_override=tol,
     )
-    reports = run_suite(cfg)
+    return run_suite(cfg)
+
+
+@pytest.mark.parametrize(
+    "dual,p,family,tol,count,json_sha,csv_sha,blind_sha,digests,layout_sha", GOLDEN,
+    ids=[g[0] for g in GOLDEN],
+)
+def test_golden_report_bytes(dual, p, family, tol, count, json_sha, csv_sha, blind_sha, digests,
+                             layout_sha):
+    reports = _golden_reports(dual, p, family, tol)
     assert len(reports) == count
     blind = [replace(r, inputs_digest="") for r in reports]
     assert _sha(reports_to_json(blind)) == blind_sha
     assert len({r.inputs_digest for r in reports}) == digests
     assert _sha(reports_to_json(reports)) == json_sha
     assert _sha(reports_to_csv(reports)) == csv_sha
+
+
+@pytest.mark.parametrize(
+    "dual,p,family,tol,count,json_sha,csv_sha,blind_sha,digests,layout_sha", GOLDEN,
+    ids=[g[0] for g in GOLDEN],
+)
+def test_golden_case_layout(dual, p, family, tol, count, json_sha, csv_sha, blind_sha, digests,
+                            layout_sha):
+    reports = _golden_reports(dual, p, family, tol)
+    layout = [[r.suite, r.case_id, r.anchor] for r in reports]
+    assert len(reports) == count and _sha(json.dumps(layout)) == layout_sha
+    assert all(r.passed for r in reports)

@@ -302,6 +302,8 @@ def test_block_locks_cannot_be_lifted():
         "scaled": 2.0 * h, "sum": h + h, "mapped": h.map_blocks(lambda b: b),
         "adjoint": field_adjoint(h), "drawn": h, "hermitian": random_field(m, 4, "hermitian"),
         "batch": random_stacks(m, 3, rows=4), "pair": next(pairs)[0],
+        "row": random_stacks(m, 3, rows=4)[1],
+        "rows": random_stacks(m, 3, rows=4)[np.array([True, False, True, False])],
         "decoded": decode_field(encode_field(h), m), "zero": zero_field(m),
         # complex views of writable float arrays, as rademacher_average builds its sums
         "view": _trusted(m, [np.zeros((d, 2 * d)).view(np.complex128) for d in m.dims]),
@@ -338,6 +340,22 @@ def test_array_scalars_scale_each_field_of_a_batch():
     for k in range(3):
         for a, b in zip(scaled.blocks, batch.blocks):
             assert np.array_equal(a[k], alpha[k] * b[k])
+
+
+def test_rows_of_a_batch_are_fields():
+    m = preset_dual("s3")
+    batch = random_stacks(m, 8, rows=4)
+    for k in range(4):
+        assert batch[k] == random_stacks(m, 8, start=k)[0]
+        assert batch[k].batch == () and digest_inputs(batch[k]) == digest_inputs(batch[k:k + 1][0])
+    assert batch[1:3].batch == (2,) and batch[np.array([True, False, False, True])][1] == batch[3]
+    grid = batch.map_blocks(lambda b: b.reshape(2, 2, *b.shape[1:]))
+    assert grid[1].batch == (2,) and grid[1, 0] == batch[2] and grid[:, 1][0] == batch[1]
+    for bad in (4, (0, 0, 0), (Ellipsis, 0)):  # past the rows, or into the matrix axes
+        with pytest.raises(IndexError):
+            grid[bad] if isinstance(bad, tuple) else batch[bad]
+    with pytest.raises(IndexError):
+        random_field(m, 1)[0]
 
 
 def test_encode_field_rejects_a_batch():

@@ -18,7 +18,7 @@ from dualnorm.norms import DirectSumSpec, direct_sum_norm, lp_hs_norm, lp_sch_no
 
 EXPONENTS = [1.0, 1.0001, 1.5, 3.0, 200.0, 1100.0, 1e6, math.inf]
 DUALS = ["s3", "su2_trunc(4)", "custom(16,32)"]
-SCALES = [1.0, 1e150, 1e-150]
+SCALES = [1.0, 1e150, 1e-150, 1e160, 1e-160, 1e-170]  # hs_norm rescales beyond 1e+-154
 REL = 1e-13
 
 
@@ -147,9 +147,10 @@ def test_a_single_term_is_its_own_power_sum(r):
         assert matcore._power_sum_sorted(np.array([[v]]), r).tolist() == [v]
 
 
-def test_batch_norms_match_mpmath_row_by_row():
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e-170])
+def test_batch_norms_match_mpmath_row_by_row(scale):
     model = parse_dual_arg("su2_trunc(4)")
-    batch = 1e150 * random_stacks(model, 9, rows=4)
+    batch = scale * random_stacks(model, 9, rows=4)
     rows = [Field(model, tuple(b[k] for b in batch.blocks)) for k in range(4)]
     with mpmath.workdps(50):
         for p in (1.0001, 3.0, 1100.0, math.inf):
