@@ -6,10 +6,9 @@ Report content is a pure function of the configuration: trial k of a case
 reads row k of that case's keyed streams, one per (base seed, suite, case,
 role), and each check runs once per chunk of trials on their batch Field.
 So suites are independent, and a trial's reports depend neither on
-execution order nor on how many trials run or how they are chunked.  Two
-suites draw one field at a time: interpolation, whose batch axes hold strip
-points, reads trial k as row 0 of a stream keyed by (..., case, k, role),
-and kadec_klee draws once per exponent.
+execution order nor on how many trials run or how they are chunked.
+kadec_klee draws the fields of each exponent once, as row 0 of its role
+streams, and runs its sequence of trials in the same chunks.
 
 Exit status: 0 all checks passed, 1 at least one verification failure,
 2 configuration or I/O error.
@@ -46,7 +45,14 @@ from .duality import (
     dual_norm_via_search,
     pairing,
 )
-from .interpolation import InterpSpec, boundary_witness_norms, interp_norm_consistency, three_lines_check
+from .interpolation import (
+    DEFAULT_T_GRID,
+    InterpSpec,
+    _boundary_norm_reports,
+    _boundary_norms,
+    _consistency_reports,
+    _three_lines_reports,
+)
 from .norms import (
     FAMILIES,
     DirectSumSpec,
@@ -119,13 +125,15 @@ class SuiteConfig:
         return FAMILIES if self.family == "both" else (self.family,)
 
 
-def _draw(cfg: SuiteConfig, *parts):
-    """Row 0 of the stream keyed by (base seed, suite, *parts): the one-field draws."""
-    return random_field(cfg.dual, mix_seed(cfg.seed, cfg.suite, *parts))
+def _chunks(cfg: SuiteConfig, fields_per_trial=1):
+    """The trial indices of each chunk of a case, as ranges in trial order.
 
-
-def _pair(cfg: SuiteConfig, *parts):
-    return _draw(cfg, *parts, "a"), _draw(cfg, *parts, "b")
+    A chunk holds at most ``inequalities._CHUNK_ENTRIES`` complex entries
+    per batch Field, also for a batch that holds ``fields_per_trial`` fields
+    of each trial.
+    """
+    step = max(1, ineq._CHUNK_ENTRIES // (fields_per_trial * sum(d * d for d in cfg.dual.dims)))
+    return (range(start, min(start + step, cfg.trials)) for start in range(0, cfg.trials, step))
 
 
 def _trials(cfg: SuiteConfig, *parts, roles=("a", "b"), fields_per_trial=1):
@@ -133,16 +141,11 @@ def _trials(cfg: SuiteConfig, *parts, roles=("a", "b"), fields_per_trial=1):
 
     Trial k reads row k of the stream keyed by (base seed, suite, *parts,
     role), so its fields depend neither on the chunk nor on the trial count.
-    A chunk holds at most ``inequalities._CHUNK_ENTRIES`` complex entries
-    per batch Field, also for a batch that holds ``fields_per_trial`` fields
-    of each trial.
+    The chunks are those of ``_chunks``.
     """
     keys = [mix_seed(cfg.seed, cfg.suite, *parts, role) for role in roles]
-    step = max(1, ineq._CHUNK_ENTRIES // (fields_per_trial * sum(d * d for d in cfg.dual.dims)))
-    for start in range(0, cfg.trials, step):
-        rows = min(step, cfg.trials - start)
-        draws = [random_stacks(cfg.dual, key, start, rows) for key in keys]
-        yield range(start, start + rows), draws
+    for ks in _chunks(cfg, fields_per_trial):
+        yield ks, [random_stacks(cfg.dual, key, ks.start, len(ks)) for key in keys]
 
 
 def _case_ids(prefix: str, ks) -> list[str]:
@@ -250,20 +253,15 @@ def _interp_spec_for(p: ExponentP) -> InterpSpec:
 def _suite_interpolation(cfg: SuiteConfig):
     for p in _interior(cfg):
         spec = _interp_spec_for(p)
-        for k in range(cfg.trials):
-            h, f = _pair(cfg, p, k)
-            norms0, norms1 = boundary_witness_norms(h, spec)
-            yield equality_report(
-                cfg.suite, f"boundary_norms[p={p}][{k:04d}]", p,
-                max(norms0 + norms1, key=lambda v: abs(v - 1.0)), 1.0,
-                (h, spec.p0.value, spec.p1.value, spec.theta), "boundary_witness", rel=1e-9,
-            )
-            yield three_lines_check(
-                h, f, spec, suite=cfg.suite, case_id=f"three_lines[p={p}][{k:04d}]"
-            )
-            yield interp_norm_consistency(
-                h, spec, (norms0, norms1), suite=cfg.suite, case_id=f"consistency[p={p}][{k:04d}]"
-            )
+        # a chunk's witnesses are batches of its trials at every boundary point
+        for ks, (h, f) in _trials(cfg, p, fields_per_trial=2 * len(DEFAULT_T_GRID)):
+            norms = _boundary_norms(h, spec)
+            ids = _case_ids(f"boundary_norms[p={p}]", ks)
+            yield from _boundary_norm_reports(h, spec, norms, cfg.suite, ids)
+            ids = _case_ids(f"three_lines[p={p}]", ks)
+            yield from _three_lines_reports(h, f, spec, cfg.suite, ids)
+            ids = _case_ids(f"consistency[p={p}]", ks)
+            yield from _consistency_reports(h, spec, norms, cfg.suite, ids)
 
 
 def _suite_clarkson(cfg: SuiteConfig):
@@ -279,12 +277,13 @@ def _suite_two_point(cfg: SuiteConfig):
         for family in cfg.families:
             crits = []
             for ks, (h1, h2) in _trials(cfg, p, family):
+                norms = ineq._two_point_norms(h1, h2, p.value, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._two_point_reports(h1, h2, p, family, cfg.suite, ids)
-                crits.append(ineq._critical_constants(h1, h2, p, family))
+                yield from ineq._two_point_reports(h1, h2, p.value, family, norms, cfg.suite, ids)
+                crits.append(ineq._critical_constants(norms))
                 if p.value == 2.0:
                     ids = _case_ids(f"parallelogram.{family}", ks)
-                    yield from ineq._parallelogram_reports(h1, h2, family, cfg.suite, ids)
+                    yield from ineq._parallelogram_reports(h1, h2, family, norms, cfg.suite, ids)
             crits = np.concatenate(crits)
             crits = crits[~np.isnan(crits)]
             if crits.size:
@@ -347,12 +346,14 @@ def _suite_type_cotype(cfg: SuiteConfig):
 
 def _suite_kadec_klee(cfg: SuiteConfig):
     for p in _interior(cfg):
-        h, d = _pair(cfg, p)
-        for n in range(1, cfg.trials + 1):
-            yield ineq.kadec_klee_gap(
-                h + (1.0 / n) * d, h, p, suite=cfg.suite, case_id=f"gap[p={p}][n={n:04d}]"
-            )
-        base = _draw(cfg, p, "sum")
+        h, d, base = (
+            random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, p, role))[0]
+            for role in ("a", "b", "sum")
+        )
+        for ks in _chunks(cfg):  # trial k is the gap of h + (1/n) d at n = k + 1
+            n = np.arange(ks.start + 1, ks.stop + 1)
+            ids = [f"gap[p={p}][n={m:04d}]" for m in n]
+            yield from ineq._kadec_klee_reports(h + (1.0 / n) * d, h, p, "sch", cfg.suite, ids)
         base_norm = lp_sch_norm(base, p)
         scaled = [(2.0**-j / base_norm) * base for j in range(5)]
         yield ineq.unconditional_sum_bound(scaled, p, suite=cfg.suite, case_id=f"sum_bound[p={p}]")

@@ -57,6 +57,7 @@ __all__ = [
 DISTRIBUTIONS = ("ginibre", "hermitian", "psd")
 MAX_DIM = 256  # blocks beyond 256 x 256 are out of scope
 MAX_ENTRIES = 4096  # models beyond 4096 entries are out of scope
+MAX_FIELD_ENTRIES = 2**23  # complex entries of one field (128 MiB); su2_trunc(256) has 5,625,216
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,9 @@ class DualModel:
         for lab, dim in self.entries:
             if not 1 <= dim <= MAX_DIM:
                 raise ValueError(f"entry {lab!r} has dim {dim}, outside [1, {MAX_DIM}]")
+        size = sum(int(dim) ** 2 for _, dim in self.entries)
+        if size > MAX_FIELD_ENTRIES:
+            raise ValueError(f"a field would hold {size} entries, more than {MAX_FIELD_ENTRIES}")
         object.__setattr__(self, "entries", tuple((str(l), int(d)) for l, d in self.entries))
         object.__setattr__(self, "dims", tuple(d for _, d in self.entries))
 

@@ -137,13 +137,14 @@ def two_point_check(
     p <= 2: reversed form with (p-1)/(p+1) on the left.  At p = 2 both reduce
     to the parallelogram identity with constant 1.
     """
-    return _two_point_reports(h1, h2, p, family, suite, [case_id])[0]
-
-
-def _two_point_reports(h1: Field, h2: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
-    """two_point_check's report for each row of the batches ``h1``, ``h2``."""
     p = _finite_interior(p)
-    n1, n2, mean_p = _two_point_norms(h1, h2, p, family)
+    norms = _two_point_norms(h1, h2, p, family)
+    return _two_point_reports(h1, h2, p, family, norms, suite, [case_id])[0]
+
+
+def _two_point_reports(h1: Field, h2: Field, p: float, family: str, norms, suite, case_ids):
+    """two_point_check's report for each row of the batches ``h1``, ``h2``, given their norms."""
+    n1, n2, mean_p = norms
     if p >= 2.0:
         lhs = mean_p
         rhs = power_sum((n1, math.sqrt(two_point_upper_constant(p)) * n2), 2.0)
@@ -160,12 +161,13 @@ def two_point_equality_check(
     h1: Field, h2: Field, family: str = "sch", *, suite="two_point", case_id="parallelogram"
 ) -> CheckReport:
     """p = 2: both two-point sides agree with constant exactly 1."""
-    return _parallelogram_reports(h1, h2, family, suite, [case_id])[0]
+    norms = _two_point_norms(h1, h2, 2.0, family)
+    return _parallelogram_reports(h1, h2, family, norms, suite, [case_id])[0]
 
 
-def _parallelogram_reports(h1: Field, h2: Field, family: str, suite, case_ids) -> list[CheckReport]:
-    """two_point_equality_check's report for each row of the batches ``h1``, ``h2``."""
-    n1, n2, mean2 = _two_point_norms(h1, h2, 2.0, family)
+def _parallelogram_reports(h1: Field, h2: Field, family: str, norms, suite, case_ids):
+    """two_point_equality_check's report for each row of ``h1``, ``h2``, given their norms at 2."""
+    n1, n2, mean2 = norms
     rhs = power_sum((n1, n2), 2.0)
     return row_reports(
         equality_report, suite, case_ids, 2.0, mean2, rhs, (h1, h2, family), "parallelogram"
@@ -177,12 +179,12 @@ def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch") ->
 
     nan when ||H2|| = 0 (any constant works there).
     """
-    return float(_critical_constants(h1, h2, p, family))
+    return float(_critical_constants(_two_point_norms(h1, h2, _finite_interior(p), family)))
 
 
-def _critical_constants(h1: Field, h2: Field, p, family: str):
-    """two_point_critical_constant of each row of the batches ``h1``, ``h2``."""
-    n1, n2, mean_p = _two_point_norms(h1, h2, _finite_interior(p), family)
+def _critical_constants(norms):
+    """two_point_critical_constant of each row, from its ``_two_point_norms``."""
+    n1, n2, mean_p = norms
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(n2 == 0.0, math.nan, (np.square(mean_p) - np.square(n1)) / np.square(n2))
 
@@ -511,14 +513,22 @@ def kadec_klee_gap(
     both in [0, 1].  The rhs tends to 0 whenever ||Hn|| -> ||H|| and
     ||(Hn + H)/2|| -> ||H||.
     """
+    return _kadec_klee_reports(hn, h, p, family, suite, [case_id])[0]
+
+
+def _kadec_klee_reports(hn: Field, h: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
+    """kadec_klee_gap's report for each row of the batch ``hn`` (``h`` a batch or one field)."""
     pv = _finite_interior(p)
     q = pv / (pv - 1.0)
     e, f = (q, pv) if pv <= 2.0 else (pv, q)
     diff = field_norm(0.5 * (hn - h), pv, family)
     mid = field_norm(0.5 * (hn + h), pv, family)
-    m = _mean(field_norm(hn, pv, family), field_norm(h, pv, family), f) or 1.0  # 0: both are 0
+    m = _mean(field_norm(hn, pv, family), field_norm(h, pv, family), f)
+    m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
     lhs, rhs = (diff / m) ** e, 1.0 - (mid / m) ** e
-    return inequality_report(suite, case_id, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap")
+    return row_reports(
+        inequality_report, suite, case_ids, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap"
+    )
 
 
 def unconditional_sum_bound(

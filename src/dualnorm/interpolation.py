@@ -20,10 +20,14 @@ and no check below depends on behaviour at infinity.
 
 witness_f and witness_g read each block's factors from the field's memo (one
 SVD per block, shared with the dual extremizer) and return the witness as a
-function of z.  At one strip point it is a Field; at an array of strip points
-it is a batch Field of batch shape np.shape(z), so the checks below evaluate
-the whole boundary grid in one call.  Zero singular values are mapped to zero
-for every exponent (including 0), so the powers act on the support only.
+function of z.  The witness of a field, or of a batch Field h, at strip
+points z is a batch Field of batch shape h.batch + np.shape(z) (a single
+Field for a single field at one point), so the checks below evaluate the
+whole boundary grid of every row in one call.  Each check's math is one
+private ``_<check>_reports`` helper over batches that returns a report per
+row, and the public check is its one-row case.  Zero singular values are
+mapped to zero for every exponent (including 0), so the powers act on the
+support only.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from . import matcore
 from .dualmodel import Field, _trusted
 from .duality import dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
-from .report import CheckReport, check_report, inequality_report
+from .report import CheckReport, check_report, equality_report, inequality_report, row_reports
 
 __all__ = [
     "InterpSpec",
@@ -95,17 +99,14 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., 
 
     The witness reads h's memoized factors, h = U S V* blockwise, so A =
     U (S / ||h||_r) V* and the witness at z is U (S / ||h||_r)^(w(z)+1) V*,
-    with zero singular values mapped to 0.  An array of strip points gives a
-    batch Field of batch shape np.shape(z).
+    with zero singular values mapped to 0.  For strip points z it is a batch
+    Field of batch shape h.batch + np.shape(z): row k of a batch h at z is
+    the witness of h[k] at z.
     """
-    if h.batch:
-        raise ValueError(
-            f"a witness takes a single field, not a batch of shape {h.batch}: "
-            "its batch axes hold the strip points"
-        )
     norm = lp_sch_norm(h, r)
-    if norm == 0.0:
+    if np.any(norm == 0.0):
         raise ValueError("the zero field has no witness normalization")
+    norm = np.asarray(norm)[..., None]
     factors = [(f.u, f.sigma / norm, f.vstar) for f in h.svd_factors]
 
     def at(z) -> Field:
@@ -113,11 +114,14 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., 
         if not np.all((-1e-12 <= z.real) & (z.real <= 1 + 1e-12)):
             raise ValueError(f"z = {z} lies outside the closed unit strip")
         w = r.value * ((1 - z) * inv0 + z * inv1) - 1.0
+        axes = h.batch + (1,) * z.ndim  # h's batch axes, then one axis per axis of z
         blocks = []
         for u, sigma, vstar in factors:
-            powered = np.zeros(z.shape + sigma.shape, dtype=np.complex128)
+            sigma = sigma.reshape(axes + sigma.shape[-1:])
             pos = sigma > 0
-            powered[..., pos] = np.exp((w[..., None] + 1.0) * np.log(sigma[pos]))
+            logs = np.log(np.where(pos, sigma, 1.0))
+            powered = np.where(pos, np.exp((w[..., None] + 1.0) * logs), 0.0)
+            u, vstar = u.reshape(axes + u.shape[-2:]), vstar.reshape(axes + vstar.shape[-2:])
             blocks.append(matcore.svd_compose(u, powered, vstar))
         return _trusted(h.model, blocks)
 
@@ -141,7 +145,7 @@ def witness_g(f: Field, spec: InterpSpec) -> Callable[..., Field]:
 
 
 def strip_function(h: Field, f_dual: Field, spec: InterpSpec) -> Callable[..., complex]:
-    """z -> <witness of h, dual witness of f_dual> at a strip point; an array for an array of them."""
+    """z -> <witness of h, dual witness of f_dual>, a value of shape h.batch + np.shape(z)."""
     wf, wg = witness_f(h, spec), witness_g(f_dual, spec)
     return lambda z: pairing(wf(z), wg(z))
 
@@ -160,21 +164,44 @@ def three_lines_check(
     Samples |<f(z), g(z)>| at z = it and z = 1 + it over the grid and at
     z = theta (where the pairing is just <h, f_dual> after normalization).
     """
-    boundary = strip_function(h, f_dual, spec)(_edges())
+    return _three_lines_reports(h, f_dual, spec, suite, [case_id])[0]
+
+
+def _three_lines_reports(h: Field, f_dual: Field, spec: InterpSpec, suite, case_ids):
+    """three_lines_check's report for each row of the batches ``h``, ``f_dual``."""
+    boundary = np.abs(strip_function(h, f_dual, spec)(_edges()))
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
     f_unit = (1.0 / lp_sch_norm(f_dual, spec.p.conjugate())) * f_dual
-    lhs = max(map(abs, boundary.ravel().tolist() + [pairing(h_unit, f_unit)]))
+    lhs = np.maximum(boundary.max(axis=(-2, -1)), np.abs(pairing(h_unit, f_unit)))
     inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
-    return inequality_report(
-        suite, case_id, float(spec.p), lhs, 1.0, inputs, "strip_maximum", rel=1e-9
+    return row_reports(
+        inequality_report, suite, case_ids, float(spec.p), lhs, 1.0, inputs, "strip_maximum",
+        rel=1e-9,
     )
 
 
 def boundary_witness_norms(h: Field, spec: InterpSpec):
     """(||f(it)||_p0, ||f(1+it)||_p1) over the grid, for unit-normalized h."""
-    w = witness_f(h, spec)(_edges())
-    left, right = w.map_blocks(lambda b: b[0]), w.map_blocks(lambda b: b[1])
-    return lp_sch_norm(left, spec.p0).tolist(), lp_sch_norm(right, spec.p1).tolist()
+    norms0, norms1 = _boundary_norms(h, spec)
+    return norms0.tolist(), norms1.tolist()
+
+
+def _boundary_norms(h: Field, spec: InterpSpec):
+    """boundary_witness_norms of each row of the batch ``h``: arrays of shape h.batch + (n,)."""
+    at, (left, right) = witness_f(h, spec), _edges()
+    return lp_sch_norm(at(left), spec.p0), lp_sch_norm(at(right), spec.p1)
+
+
+def _boundary_norm_reports(h: Field, spec: InterpSpec, boundary_norms, suite, case_ids):
+    """Per row of ``h``, given its ``_boundary_norms``: the one farthest from 1 must equal 1."""
+    norms = np.concatenate(boundary_norms, axis=-1)
+    farthest = np.abs(norms - 1.0).argmax(axis=-1, keepdims=True)
+    worst = np.take_along_axis(norms, farthest, axis=-1)[..., 0]
+    inputs = (h, spec.p0.value, spec.p1.value, spec.theta)
+    return row_reports(
+        equality_report, suite, case_ids, float(spec.p), worst, 1.0, inputs, "boundary_witness",
+        rel=1e-9,
+    )
 
 
 def interp_norm_consistency(
@@ -188,18 +215,24 @@ def interp_norm_consistency(
     scaled back by ||h||_p.  Lower: the norming functional realizes
     |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
     """
+    boundary_norms = tuple(map(np.asarray, boundary_norms))
+    return _consistency_reports(h, spec, boundary_norms, suite, [case_id])[0]
+
+
+def _consistency_reports(h: Field, spec: InterpSpec, boundary_norms, suite, case_ids):
+    """interp_norm_consistency's report for each row of ``h``, given its ``_boundary_norms``."""
     p = spec.p
     bounds0, bounds1 = boundary_norms
     norm = lp_sch_norm(h, p)
-    boundary_max = norm * max(max(bounds0), max(bounds1))
+    boundary_max = norm * np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm
     if p.value > 1.0:  # the extremizer of h is that of h / ||h|| (scale-invariant)
-        center = abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
+        center = np.abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
     else:
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm
-    slack = min(upper_slack, lower_slack)
     inputs = (h, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
-    return check_report(
-        suite, case_id, p, norm, boundary_max, slack, inputs, "equal_norms", rel=1e-8, scale=1.0
+    return row_reports(
+        check_report, suite, case_ids, p, norm, boundary_max, inputs, "equal_norms",
+        slack=np.minimum(upper_slack, lower_slack), rel=1e-8, scale=1.0,
     )

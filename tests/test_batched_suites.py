@@ -1,10 +1,11 @@
 """The batched verify suites against per-field oracles.
 
 A batched suite draws trial k of a case as row k of one keyed stream per
-(suite, case, role) and runs each check once on the batch.  Every report it
-makes is compared here with the same check applied to that row's fields one
-at a time: the public per-field check where there is one, and the check
-restated from per-field norms otherwise.
+(suite, case, role) and runs each check once on the batch (kadec_klee draws
+row 0 of each role once per exponent and checks its sequence of gaps as
+batches).  Every report it makes is compared here with the same check
+applied to that row's fields one at a time: the public per-field check where
+there is one, and the check restated from per-field norms otherwise.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from dualnorm import inequalities
-from dualnorm.cli import SuiteConfig, main, run_suite
+from dualnorm.cli import SuiteConfig, _interp_spec_for, main, run_suite
 from dualnorm.dualmodel import (
     Field,
     mix_seed,
@@ -31,6 +32,7 @@ from dualnorm.duality import (
 )
 from dualnorm.inequalities import (
     clarkson_check,
+    kadec_klee_gap,
     rademacher_average,
     two_point_check,
     two_point_critical_constant,
@@ -38,6 +40,12 @@ from dualnorm.inequalities import (
     two_point_lower_constant,
     two_point_upper_constant,
     type_cotype_check,
+    unconditional_sum_bound,
+)
+from dualnorm.interpolation import (
+    boundary_witness_norms,
+    interp_norm_consistency,
+    three_lines_check,
 )
 from dualnorm.norms import (
     DirectSumSpec,
@@ -56,7 +64,10 @@ P_LIST = (ExponentP(1.5), ExponentP(2.0), ExponentP(3.0))
 TRIALS = 3
 SEED = 17
 INF = ExponentP(math.inf)
-BATCHED = ["norms", "holder", "adjoint", "clarkson", "two_point", "type_cotype", "duality"]
+BATCHED = [
+    "norms", "holder", "adjoint", "clarkson", "two_point", "type_cotype", "duality",
+    "interpolation", "kadec_klee",
+]
 
 
 def config(suite, dual, trials=TRIALS, **kw):
@@ -210,6 +221,37 @@ def oracle_duality(cfg):
             )
 
 
+def oracle_interpolation(cfg):
+    for p in cfg.p_list:
+        spec = _interp_spec_for(p)
+        for k in range(cfg.trials):
+            h, f = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            norms0, norms1 = boundary_witness_norms(h, spec)
+            yield equality_report(
+                cfg.suite, f"boundary_norms[p={p}][{k:04d}]", p,
+                max(norms0 + norms1, key=lambda v: abs(v - 1.0)), 1.0,
+                (h, spec.p0.value, spec.p1.value, spec.theta), "boundary_witness", rel=1e-9,
+            )
+            yield three_lines_check(
+                h, f, spec, suite=cfg.suite, case_id=f"three_lines[p={p}][{k:04d}]"
+            )
+            yield interp_norm_consistency(
+                h, spec, (norms0, norms1), suite=cfg.suite, case_id=f"consistency[p={p}][{k:04d}]"
+            )
+
+
+def oracle_kadec_klee(cfg):
+    for p in cfg.p_list:
+        # one h, d and sum base per exponent: row 0 of each role's stream
+        h, d, base = (row(cfg, 0, p, role) for role in ("a", "b", "sum"))
+        for n in range(1, cfg.trials + 1):
+            yield kadec_klee_gap(
+                h + (1.0 / n) * d, h, p, suite=cfg.suite, case_id=f"gap[p={p}][n={n:04d}]"
+            )
+        scaled = [(2.0**-j / lp_sch_norm(base, p)) * base for j in range(5)]
+        yield unconditional_sum_bound(scaled, p, suite=cfg.suite, case_id=f"sum_bound[p={p}]")
+
+
 ORACLES = {
     "norms": oracle_norms,
     "holder": oracle_holder,
@@ -218,6 +260,8 @@ ORACLES = {
     "two_point": oracle_two_point,
     "type_cotype": oracle_type_cotype,
     "duality": oracle_duality,
+    "interpolation": oracle_interpolation,
+    "kadec_klee": oracle_kadec_klee,
 }
 
 

@@ -413,11 +413,18 @@ def test_main_field_show_non_object_is_config_error(doc, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_main_oversized_block_is_config_error(monkeypatch, capsys):
-    def no_draw(*args):
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Make every draw the CLI can reach fail: a rejected model must not reach one."""
+
+    def draw(*args):
         raise AssertionError("a rejected model must not reach a draw")
 
-    monkeypatch.setattr("dualnorm.cli.random_field", no_draw)
+    for name in ("random_field", "random_stacks"):
+        monkeypatch.setattr(cli, name, draw)
+
+
+def test_main_oversized_block_is_config_error(no_draw, capsys):
     big = "custom(1,300)"
     assert main(["verify", "norms", "--dual", big, "--trials", "1"]) == EXIT_CONFIG_ERROR
     assert main(["field", "random", "--dual", big]) == EXIT_CONFIG_ERROR
@@ -429,6 +436,18 @@ def test_main_oversized_entry_count_is_config_error(capsys):
     assert main(["verify", "norms", "--dual", "torus(100000000)", "--trials", "1"]) == EXIT_CONFIG_ERROR
     assert time.perf_counter() - start < 1.0  # rejected before any entry is built
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_oversized_field_is_config_error(no_draw, tmp_path, capsys):
+    # every dim and the entry count are in range, but one field would take 4 GiB
+    doc = {"name": "big", "entries": [{"label": f"e{i}", "dim": 256} for i in range(4096)]}
+    with pytest.raises(ValueError, match="entries"):
+        dualmodel.decode_model(doc)
+    dual = tmp_path / "big.json"
+    dual.write_text(json.dumps(doc))
+    assert main(["verify", "norms", "--dual", str(dual), "--trials", "1"]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("error:")
+    assert sum(d * d for d in parse_dual_arg("su2_trunc(256)").dims) == 5_625_216
 
 
 def test_main_overflowing_model_dim_is_config_error(tmp_path, capsys):
@@ -628,14 +647,14 @@ def test_tol_override_keeps_exact_counts_exact():
 # (suite, case_id, anchor) list alone; it has not moved since trials were drawn
 # as rows of one stream per case, which moved every number and digest.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "4af14a5857209f9e", "433114e770e3c8f7",
-     "e4b5a5194d2c8454", 313, "43e1f23a06689e47"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "0d4b6c8c090e9b0a", "d17bc17866e7536d",
-     "7a557db36130e185", 252, "e23f14cc1f25b55a"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "86ebcfba21fd78f3", "1b87476693689f0d",
-     "e19d3b0f5332208e", 174, "27befb38b782994d"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "a68dfdc27e765b93", "45683ce93dafcfe8",
-     "ccfa2e2dd35d37ea", 113, "5cae59af955de0c5"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "8cd1810c92e3d742", "e74065786c48d964",
+     "7d0e8c57d2b23353", 313, "43e1f23a06689e47"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "8b5519659643cb0f", "3541702cc790279b",
+     "597375a0afb7ff48", 252, "e23f14cc1f25b55a"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "0b638ce547f14246", "1ca096e248c15dd4",
+     "666038dfdd776d2f", 174, "27befb38b782994d"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "a6a44a7cd81bfa6a", "be16685f3612a25d",
+     "22ec9f7a54264388", 113, "5cae59af955de0c5"),
 ]
 
 

@@ -186,11 +186,16 @@ def test_witness_at_an_array_of_points_is_a_batch(dual_side):
     assert at(zs.reshape(2, 3)).batch == (2, 3)
 
 
-def test_witness_rejects_a_batch_field():
-    hs = random_stacks(preset_dual("s3"), 3, rows=2)
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
+def test_witness_of_a_batch_holds_each_rows_witness(dual):
+    hs = random_stacks(parse_dual_arg(dual), 3, rows=3)
     for witness in (witness_f, witness_g):
-        with pytest.raises(ValueError, match="single field"):
-            witness(hs, SPEC_1_2)
+        batch = witness(hs, SPEC_1_2)(interpolation._edges())
+        assert batch.batch == (3, 2, len(DEFAULT_T_GRID))
+        for k in range(3):
+            # equal up to rounding: a single field sums its singular values in another order
+            one = witness(hs[k], SPEC_1_2)(interpolation._edges())
+            assert max_block_diff(batch[k], one) <= 1e-13 * max_block_diff(one, 0 * one)
 
 
 def test_boundary_norms_and_three_lines_evaluate_the_grid_as_one_batch(monkeypatch):
