@@ -125,26 +125,15 @@ class SuiteConfig:
         return FAMILIES if self.family == "both" else (self.family,)
 
 
-def _chunks(cfg: SuiteConfig, fields_per_trial=1):
-    """The trial indices of each chunk of a case, as ranges in trial order.
-
-    A chunk holds at most ``inequalities._CHUNK_ENTRIES`` complex entries
-    per batch Field, also for a batch that holds ``fields_per_trial`` fields
-    of each trial.
-    """
-    step = max(1, ineq._CHUNK_ENTRIES // (fields_per_trial * sum(d * d for d in cfg.dual.dims)))
-    return (range(start, min(start + step, cfg.trials)) for start in range(0, cfg.trials, step))
-
-
 def _trials(cfg: SuiteConfig, *parts, roles=("a", "b"), fields_per_trial=1):
     """Yield each chunk of a case's trials: their indices, and a batch Field of draws per role.
 
     Trial k reads row k of the stream keyed by (base seed, suite, *parts,
     role), so its fields depend neither on the chunk nor on the trial count.
-    The chunks are those of ``_chunks``.
+    The chunks are ``inequalities._chunks`` of ``fields_per_trial`` fields a trial.
     """
     keys = [mix_seed(cfg.seed, cfg.suite, *parts, role) for role in roles]
-    for ks in _chunks(cfg, fields_per_trial):
+    for ks in ineq._chunks(cfg.dual, cfg.trials, fields_per_trial):
         yield ks, [random_stacks(cfg.dual, key, ks.start, len(ks)) for key in keys]
 
 
@@ -350,7 +339,7 @@ def _suite_kadec_klee(cfg: SuiteConfig):
             random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, p, role))[0]
             for role in ("a", "b", "sum")
         )
-        for ks in _chunks(cfg):  # trial k is the gap of h + (1/n) d at n = k + 1
+        for ks in ineq._chunks(cfg.dual, cfg.trials):  # trial k: the gap of h + d / (k + 1)
             n = np.arange(ks.start + 1, ks.stop + 1)
             ids = [f"gap[p={p}][n={m:04d}]" for m in n]
             yield from ineq._kadec_klee_reports(h + (1.0 / n) * d, h, p, "sch", cfg.suite, ids)

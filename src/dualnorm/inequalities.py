@@ -268,13 +268,20 @@ def default_eps_bins() -> tuple[float, ...]:
 
 
 # Complex entries held per stacked batch of fields (every entry's stack of
-# one chunk of draws, or of one chunk of signed sums): bounds the memory of
-# the samplers and of the sign averages whatever the model size.
+# one chunk of draws, of trials or of signed sums; see _chunks): bounds the
+# memory of the suites, samplers and sign averages whatever the model size.
 _CHUNK_ENTRIES = 1 << 16
 # Complex entries of rademacher_average's table of partial signed sums.  Not
 # a chunk size: it sets how each sum's additions are grouped, so a change to
 # it moves sign averages in the last bits.
 _SIGN_TABLE_ENTRIES = 1 << 16
+
+
+def _chunks(model: DualModel, rows: int, fields_per_row: int = 1):
+    """Rows 0 .. rows - 1 as ranges, in order: each of at least one row, and of at most
+    _CHUNK_ENTRIES complex entries at ``fields_per_row`` fields of ``model`` a row."""
+    step = max(1, _CHUNK_ENTRIES // (fields_per_row * sum(d * d for d in model.dims)))
+    return (range(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def _draws(model: DualModel, keys, start: int, rows: int):
@@ -303,9 +310,8 @@ def _unit_pairs(model: DualModel, p: float, family: str, seed: int, samples: int
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
-    step = max(1, _CHUNK_ENTRIES // sum(d * d for d in model.dims))
-    for start in range(0, samples, step):
-        a, b, cos_t, sin_t = _draws(model, keys, start, min(step, samples - start))
+    for chunk in _chunks(model, samples):
+        a, b, cos_t, sin_t = _draws(model, keys, chunk.start, len(chunk))
         norm_a, norm_b = field_norm(a, p, family), field_norm(b, p, family)
         if not (norm_a.all() and norm_b.all()):
             raise ZeroDivisionError("a ginibre draw has zero norm")
@@ -439,10 +445,9 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0):
     for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j
         low = [np.concatenate([t + s[j], t - s[j]]) for t, s in zip(low, stacks)]
     half = 2 ** (n - 1)
-    step = max(1, _CHUNK_ENTRIES // size)
     total = np.zeros((1, *batch))
-    for start in range(0, half, step):
-        stop = min(start + step, half)
+    for chunk in _chunks(model, half, math.prod(batch)):
+        start, stop = chunk.start, chunk.stop
         sums = [np.empty((stop - start, *s.shape[1:])) for s in stacks]
         for h in range(start >> bits, ((stop - 1) >> bits) + 1):  # each run of equal high bits
             first, last = max(start, h << bits), min(stop, (h + 1) << bits)
@@ -458,7 +463,7 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0):
         sums = [x.view(np.complex128) for x in sums]
         terms = field_norm(_trusted(model, sums), p, family) ** r
         total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
-    average = (total[0] / half) ** (1.0 / r)
+    average = np.power(total[0] / half, 1.0 / r)
     return average if batch else float(average)
 
 
@@ -525,7 +530,7 @@ def _kadec_klee_reports(hn: Field, h: Field, p, family: str, suite, case_ids) ->
     mid = field_norm(0.5 * (hn + h), pv, family)
     m = _mean(field_norm(hn, pv, family), field_norm(h, pv, family), f)
     m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
-    lhs, rhs = (diff / m) ** e, 1.0 - (mid / m) ** e
+    lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
     return row_reports(
         inequality_report, suite, case_ids, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap"
     )

@@ -10,14 +10,16 @@ Every kernel except :func:`psd_power` takes a square matrix or a
 kernels check shapes only (through ``_square``): finiteness is checked where
 data enters the package, and there is no validating constructor here.
 :func:`singular_values` is the one source of singular values: ``|a|`` for
-1 x 1 blocks, a closed form for a stack of 2 x 2 matrices (``_sigma2``, which
-breaks even with one stacked SVD call at about 24 matrices and is 9x faster
-at 500), and LAPACK, values only, otherwise.  :func:`schatten_norm` reduces
-them, except at p = 2, where S_2 is the Hilbert-Schmidt class and the norm
-is the Frobenius sum :func:`hs_norm`, with no factorization, rescaled for
-the matrices whose plain sum of squares would overflow or underflow.
-:func:`power_sum` forms every l^p sum of the package, scaled by its largest
-term so that no exponent in [1, inf] overflows.
+1 x 1 blocks, a closed form for 2 x 2 matrices (``_sigma2``; a single matrix
+is the one-row stack), and LAPACK, values only, otherwise.
+:func:`schatten_norm` reduces them, except at p = 2, where S_2 is the
+Hilbert-Schmidt class and the norm is the Frobenius sum :func:`hs_norm`, with
+no factorization, rescaled for the matrices whose plain sum of squares would
+overflow or underflow.  :func:`power_sum` forms every l^p sum of the package,
+scaled by its largest term so that no exponent in [1, inf] overflows.
+A single matrix must reduce to the bits of its row in a stack: no reduction
+forks on the number of rows, and every power is ``np.power``, since ``**`` on
+a float scalar calls C ``pow``, which may differ from the array loop.
 :func:`psd_power` is the eigh-based reference the tests compare the SVD
 route against; it takes one matrix and rejects non-finite, non-Hermitian
 and non-PSD input.
@@ -172,31 +174,30 @@ _TINY = float(np.finfo(np.float64).tiny)
 def power_sum(values, r: float):
     """(sum_i v_i^r)^(1/r) of non-negative values v_i, and their maximum at r = inf.
 
-    ``values`` is a sequence of floats (a float back; 0 if empty) or of
-    same-shape arrays, reduced elementwise (so an array is reduced over its
-    first axis), in any order.  Each term is divided by the largest
-    (+ _TINY) before it is raised to r, so no power overflows for any r in
-    [1, inf] and a term that underflows is below rounding (E. Anderson,
-    "Algorithm 978: Safe Scaling in the Level 1 BLAS", TOMS 2017).
+    ``values`` is a sequence of floats or of same-shape arrays, reduced
+    elementwise (so an array is reduced over its first axis), in any order;
+    a result of shape () is a float (0 if ``values`` is empty).  Each term
+    is divided by the largest (+ _TINY) before it is raised to r, so no
+    power overflows for any r in [1, inf] and a term that underflows is
+    below rounding (E. Anderson, "Algorithm 978: Safe Scaling in the Level 1
+    BLAS", TOMS 2017).
     """
-    arrays = len(values) > 0 and isinstance(values[0], np.ndarray)
-    top = functools.reduce(np.maximum, values) if arrays else max(values, default=0.0)
-    if math.isinf(r):
-        return top
-    c = top + _TINY
-    return sum((v / c) ** r for v in values) ** (1.0 / r) * c
+    if not len(values):
+        return 0.0
+    top = functools.reduce(np.maximum, values)
+    if not math.isinf(r):
+        c = top + _TINY
+        top = np.power(sum(np.power(v / c, r) for v in values), 1.0 / r) * c
+    return top if np.ndim(top) else float(top)
 
 
 def _power_sum_sorted(s: np.ndarray, r: float):
     """:func:`power_sum` over the last axis of ``s``, sorted non-increasing along it (sigma)."""
-    # one matrix's few values as Python floats: +4% small_blocks_all items/s (5 pairs, 2 cores)
-    if s.ndim == 1:
-        return np.float64(power_sum(s.tolist(), r))
-    top = s[..., 0]
+    top = s[..., 0][()]  # a numpy scalar for one matrix's values
     if math.isinf(r) or s.shape[-1] == 1:
         return top
     rest = s[..., 1:] / (top + _TINY)[..., None]
-    return (1.0 + (rest**r).sum(axis=-1)) ** (1.0 / r) * top
+    return np.power(1.0 + np.power(rest, r).sum(axis=-1), 1.0 / r) * top
 
 
 def _sigma2(a: np.ndarray) -> np.ndarray:
@@ -232,14 +233,14 @@ def _sigma2(a: np.ndarray) -> np.ndarray:
 def singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values of a square matrix or stack, non-increasing along the last axis.
 
-    ``|a_00|`` for 1 x 1 matrices, the closed form ``_sigma2`` for a stack of
-    2 x 2 matrices, and one (stacked) LAPACK SVD, values only, otherwise.
+    ``|a_00|`` for 1 x 1 matrices, the closed form ``_sigma2`` for 2 x 2
+    matrices, and one (stacked) LAPACK SVD, values only, otherwise.
     """
     a = _square(a)
     if a.shape[-1] == 1:
         return np.abs(a[..., 0, :])
-    if a.shape[-1] == 2 and a.ndim > 2:
-        return _sigma2(a)
+    if a.shape[-1] == 2:
+        return _sigma2(a) if a.ndim > 2 else _sigma2(a[None])[0]
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -7,11 +7,12 @@ For a field H over entries of dimensions d(xi):
 * Hilbert-Schmidt family: ||H||_hs,p  = (sum d(xi)^(2-p/2) ||H(xi)||_HS^p)^(1/p),
   with sup of d(xi)^(-1/2) ||H(xi)||_HS at p = inf.
 
-Each norm is a float for a field and an array for a batch of fields.  The
-Schatten family reduces the field's memoized singular values
-(``Field.singular_values``), so one field's norms at several exponents cost
-one factorization per entry; at p = 2 it takes the Frobenius norm of each
-block instead (S_2 is the Hilbert-Schmidt class), with no factorization.
+Each norm is a float for a field and an array for a batch of fields, and
+a field's norm is its row's in a batch, bit for bit.  The Schatten family
+reduces the field's memoized singular values (``Field.singular_values``), so
+one field's norms at several exponents cost one factorization per entry; at
+p = 2 it takes the Frobenius norm of each block instead (S_2 is the
+Hilbert-Schmidt class), with no factorization.
 The Hilbert-Schmidt family takes one Frobenius norm per entry.  Both sum
 the entries' norms through ``matcore.power_sum``, each entry's weight folded
 into its norm as a factor, so no p in [1, inf] overflows.
@@ -75,7 +76,7 @@ class ExponentP:
 
     @classmethod
     def parse(cls, text) -> "ExponentP":
-        """Accept "inf", decimals like "2.5", and fractions like "3/2"."""
+        """Accept "inf", finite decimals like "2.5" (not "1e400"), and fractions like "3/2"."""
         if isinstance(text, ExponentP):
             return text
         try:
@@ -84,7 +85,10 @@ class ExponentP:
             s = str(text).strip().lower()
             if s in ("inf", "infinity", "oo"):
                 return cls(math.inf)
-            return cls(float(Fraction(s)) if "/" in s else float(s))
+            v = float(Fraction(s)) if "/" in s else float(s)
+            if math.isinf(v):
+                raise OverflowError("not a finite float; write inf for infinity")
+            return cls(v)
         except (ZeroDivisionError, OverflowError) as exc:  # 1/0, or too large for a float
             raise ValueError(f"malformed exponent {text!r}: {exc}") from exc
 
@@ -136,8 +140,7 @@ def _lp(h: Field, values, power: float, p: float):
     1/p for sch and 2/p - 1/2 for hs, which at p = inf give 1 and d^(-1/2).
     A float for a single field, an array of the batch shape for a batch.
     """
-    terms = [d**power * v for d, v in zip(h.model.dims, values)]
-    return matcore.power_sum(terms if h.batch else [float(t) for t in terms], p)
+    return matcore.power_sum([d**power * v for d, v in zip(h.model.dims, values)], p)
 
 
 def lp_sch_norm(h: Field, p):

@@ -256,7 +256,7 @@ def test_every_valid_exponent_passes_without_overflow(dual, tmp_path, capsys):
     assert {r.p for r in reports} >= {1.0001, 1100.0, 1e6, math.inf}
 
 
-@pytest.mark.parametrize("p", ["1e17", "1.5,9007199254740994", "4503599627370497"])
+@pytest.mark.parametrize("p", ["1e17", "1.5,9007199254740994", "4503599627370497", "1e400"])
 def test_main_exponent_above_2_pow_52_is_config_error(p, capsys):
     # p - 1 rounds to p above 2^53, so p would have conjugate 1; interpolation takes 2p
     code = main(["verify", "interpolation", "--dual", "s3", "--p", p, "--trials", "1"])
@@ -265,7 +265,7 @@ def test_main_exponent_above_2_pow_52_is_config_error(p, capsys):
     assert err.startswith("error:") and "inf" in err and "Traceback" not in err
     with pytest.raises(ConfigError):
         small_config(p_list=(ExponentP(1e17),))
-    assert small_config(p_list=(ExponentP(2.0**52), "1e400")).p_list[-1].is_inf
+    assert small_config(p_list=(ExponentP(2.0**52), math.inf)).p_list[-1].is_inf
 
 
 def test_repeated_exponents_run_once(tmp_path):
@@ -647,12 +647,12 @@ def test_tol_override_keeps_exact_counts_exact():
 # (suite, case_id, anchor) list alone; it has not moved since trials were drawn
 # as rows of one stream per case, which moved every number and digest.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "8cd1810c92e3d742", "e74065786c48d964",
-     "7d0e8c57d2b23353", 313, "43e1f23a06689e47"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "8b5519659643cb0f", "3541702cc790279b",
-     "597375a0afb7ff48", 252, "e23f14cc1f25b55a"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "0b638ce547f14246", "1ca096e248c15dd4",
-     "666038dfdd776d2f", 174, "27befb38b782994d"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "b4906446c7c3e4d2", "e65e694f2f9eb883",
+     "30df78d1ee326a21", 313, "43e1f23a06689e47"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "707cd9f1625197a1", "8fc6663c403fb468",
+     "575f3770d4107ab0", 252, "e23f14cc1f25b55a"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "acfa92393701e0b8", "26d99fce67ae4089",
+     "0c2f89241d75c2e0", 174, "27befb38b782994d"),
     ("custom(1,3)", "1.5,2.5", "hs", None, 127, "a6a44a7cd81bfa6a", "be16685f3612a25d",
      "22ec9f7a54264388", 113, "5cae59af955de0c5"),
 ]

@@ -273,7 +273,7 @@ def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
 
 
 def _stacks_2x2(n=400):
-    """Adversarial (n, 2, 2) stacks for the closed-form singular values."""
+    """Adversarial (n, 2, 2) stacks, and single matrices, for the closed-form singular values."""
     rng = np.random.default_rng(2)
 
     def ginibre():
@@ -297,6 +297,10 @@ def _stacks_2x2(n=400):
         "scaled_1e300": 1e300 * g,
         "scaled_1e-300": 1e-300 * g,
         "scaled_1e-310": 1e-310 * g,
+        "single": g[0],
+        "single_scaled_1e160": 1e160 * g[1],
+        "single_scaled_1e-160": 1e-160 * g[2],
+        "single_zero_first_column": g[3] * np.array([0.0, 1.0]),
     }
 
 
@@ -305,12 +309,12 @@ def test_sigma2_matches_lapack_singular_values(family):
     a = _stacks_2x2()[family]
     ref = np.linalg.svd(a, compute_uv=False)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        s = matcore._sigma2(a)
-    assert s.shape == ref.shape and np.all(s[:, 0] >= s[:, 1])
+        s = matcore._sigma2(a) if a.ndim > 2 else matcore.singular_values(a)
+    assert s.shape == ref.shape and np.all(s[..., 0] >= s[..., 1])
     # the one extra term is the subnormal spacing: the 1e-310 stack's singular values
     # lie below the normal range, where any two correctly rounded results may differ
     # by one step of 4.9e-324 (2.5e-14 of s0 there)
-    bound = 1e-14 * ref[:, :1] + np.finfo(np.float64).smallest_subnormal
+    bound = 1e-14 * ref[..., :1] + np.finfo(np.float64).smallest_subnormal
     assert np.all(np.abs(s - ref) <= bound)
 
 
@@ -328,9 +332,8 @@ def test_stacked_2x2_schatten_norms_never_call_lapack(monkeypatch):
 
     stack2 = np.stack([random_complex(rng, 2) for _ in range(5)])
     stack3 = np.stack([random_complex(rng, 3) for _ in range(5)])
-    assert count(stack2) == 0 and count(stack2[:1]) == 0
-    # a single 2 x 2 matrix keeps LAPACK; p = 2 is a Frobenius sum, with no SVD
-    assert count(stack2[0]) == 3
+    # a single 2 x 2 matrix is the one-row stack
+    assert count(stack2) == 0 and count(stack2[:1]) == 0 and count(stack2[0]) == 0
     assert count(stack3) == 3
     calls.clear()
     modulus_convexity_sample(preset_dual("s3"), 2.0, "sch", samples=200, seed=5)
