@@ -114,7 +114,10 @@ class SuiteConfig:
                 f"tolerance TOL must be >= 0 with TOL / {TOL_REL:g} finite, got {self.tol_override}"
             )
         # an exponent equal in value to an earlier one would repeat its case ids
-        p_list = tuple(dict.fromkeys(ExponentP.parse(p) for p in self.p_list))
+        try:
+            p_list = tuple(dict.fromkeys(ExponentP.parse(p) for p in self.p_list))
+        except ValueError as exc:
+            raise ConfigError(f"bad exponent: {exc}") from exc
         for p in p_list:  # p and 2p (an interpolation endpoint) need conjugates: 2p <= 2^53
             if 2**52 < p.value < math.inf:
                 raise ConfigError(f"exponent {p} exceeds 2^52, too large for a conjugate; use inf")

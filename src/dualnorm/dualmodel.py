@@ -20,13 +20,16 @@ computed on first use by :mod:`matcore` and then shared by every norm,
 extremizer and witness of that field.  The two memos never feed each other,
 so a value never depends on the order of calls; copies and unpickled fields
 start with none.  Reports digest a field as its model, its dims and a hash of
-its block bytes; the JSON wire format below is for field files.
+its block bytes, kept the same way for each row (``Field.block_sha256``), so
+every report of a batch shares one hash per row; the JSON wire format below
+is for field files.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +183,24 @@ class Field:
             matcore.SvdResult(*map(_locked, (f.u, f.sigma, f.vstar)))
             for f in map(matcore.svd, self.blocks)
         )
+
+    @functools.cached_property
+    def block_sha256(self) -> tuple[str, ...]:
+        """Each row's sha256 (hex) of its little-endian complex128 block bytes, computed once.
+
+        One digest per row of the batch, in C order of the batch axes (one
+        for a single field); a row hashes its entries' blocks in entry order.
+        """
+        n = math.prod(self.batch)
+        rows = [np.ascontiguousarray(b, dtype="<c16").reshape(n, d * d)
+                for b, d in zip(self.blocks, self.model.dims)]
+        digests = []
+        for k in range(n):
+            h = hashlib.sha256()
+            for r in rows:
+                h.update(r[k])
+            digests.append(h.hexdigest())
+        return tuple(digests)
 
     def __getitem__(self, index) -> "Field":
         """Rows of a batch: every entry's stack indexed by ``index`` over its batch axes.

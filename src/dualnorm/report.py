@@ -11,6 +11,12 @@ JSON back yields equal reports.  The constructors derive each report's
 tolerance and input digest here, so a check states only its ``lhs``, ``rhs``,
 anchor and inputs; a field is digested as its model, its dims and a hash of its
 block bytes.
+
+A batch check digests its rows once per chunk: ``row_reports`` encodes each
+shared input once and takes each batch row's block hash from the Field's memo
+(``Field.block_sha256``), so every report of the chunk that names the row
+shares it.  JSON is written from a fixed per-report template with the bytes
+``json.dumps(..., indent=2)`` would write.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ def check_report(
         slack=float(slack),
         tol=float(tol),
         passed=bool(slack >= -tol),
-        inputs_digest=digest_inputs(*inputs),
+        inputs_digest=inputs.digest if isinstance(inputs, _Digested) else digest_inputs(*inputs),
         anchor=anchor,
     )
 
@@ -131,41 +137,73 @@ def equality_report(
     return check_report(suite, case_id, p, lhs, rhs, -abs(rhs - lhs), inputs, anchor, rel, scale)
 
 
+@dataclass(frozen=True)
+class _Digested:
+    """Inputs whose digest ``row_reports`` has computed: the constructors take it as it is."""
+
+    digest: str
+
+
 def row_reports(build, suite, case_ids, p, lhs, rhs, inputs, anchor, **kw) -> list[CheckReport]:
     """``build``'s report (one of the constructors above) for each row of a batch check.
 
     Row i is case ``case_ids[i]``: it takes element i of ``lhs``, ``rhs`` and
     of each array keyword (``slack``, ``scale``), and row i of each batch
     Field in ``inputs``, lists of fields included.  Scalars and single
-    fields serve every row, so a check on single fields is one row.
+    fields serve every row, so a check on single fields is one row.  Each
+    row's digest is ``digest_inputs`` of its inputs, with every shared part
+    encoded once and every batch row hashed once per Field.
     """
 
     if len(case_ids) == 1 and np.ndim(lhs) == 0:  # one check on single fields
         return [build(suite, case_ids[0], p, lhs, rhs, inputs=inputs, anchor=anchor, **kw)]
 
-    def row(x, i):
-        if isinstance(x, Field):
-            return x[i] if x.batch else x
-        if isinstance(x, (list, tuple)):
-            return type(x)(row(y, i) for y in x)
-        return x[i] if np.ndim(x) else x
-
+    n = len(case_ids)
+    parts = [_row_texts(x, n) for x in inputs]
+    digests = [_digest(_at(t, i) for t in parts) for i in range(n)]
+    columns = {name: _rows(value, n) for name, value in kw.items()}
     return [
-        build(suite, case_id, p, row(lhs, i), row(rhs, i), inputs=row(inputs, i), anchor=anchor,
-              **{name: row(value, i) for name, value in kw.items()})
-        for i, case_id in enumerate(case_ids)
+        build(suite, case_id, p, lhs_i, rhs_i, inputs=_Digested(digest), anchor=anchor,
+              **{name: column[i] for name, column in columns.items()})
+        for i, (case_id, lhs_i, rhs_i, digest)
+        in enumerate(zip(case_ids, _rows(lhs, n), _rows(rhs, n), digests))
     ]
+
+
+def _rows(x, n) -> list:
+    """Element i of an array ``x`` for each row i, as Python numbers; a scalar serves every row."""
+    return np.asarray(x).tolist() if np.ndim(x) else [x] * n
+
+
+def _row_texts(x, n):
+    """``canonical_json`` of row i of input part ``x`` for i < n; one text if the rows share it."""
+    if isinstance(x, Field):
+        if len(x.batch) != 1:
+            return canonical_json(x)  # a single field; a batch of batches raises
+        # the keys of _encode's document, sorted: blocks_sha256 comes first
+        tail = canonical_json({"dims": list(x.model.dims), "model": x.model.name})[1:]
+        return [f'{{"blocks_sha256":"{sha}",{tail}' for sha in x.block_sha256]
+    if isinstance(x, (list, tuple)):
+        items = [_row_texts(y, n) for y in x]
+        if all(isinstance(t, str) for t in items):
+            return "[" + ",".join(items) + "]"
+        return ["[" + ",".join(_at(t, i) for t in items) + "]" for i in range(n)]
+    if np.ndim(x):
+        return [canonical_json(x[i]) for i in range(n)]
+    return canonical_json(x)
+
+
+def _at(texts, i):
+    """Row i's text of a part: its one shared text, or element i of its per-row texts."""
+    return texts if isinstance(texts, str) else texts[i]
 
 
 def _encode(obj):
     if isinstance(obj, Field):
         if obj.batch:
             raise ValueError(f"cannot digest a batch of fields (batch shape {obj.batch})")
-        h = hashlib.sha256()
-        for b in obj.blocks:
-            h.update(np.ascontiguousarray(b, dtype="<c16").tobytes())
         return {"model": obj.model.name, "dims": list(obj.model.dims),
-                "blocks_sha256": h.hexdigest()}
+                "blocks_sha256": obj.block_sha256[0]}
     raise TypeError(f"cannot digest an object of type {type(obj).__name__}")
 
 
@@ -180,16 +218,39 @@ def digest_inputs(*parts) -> str:
     Parts are JSON values, :class:`Field` objects (their model, dims and the
     sha256 of their little-endian complex128 block bytes) or lists of them.
     """
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(canonical_json(part).encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()[:16]
+    return _digest(map(canonical_json, parts))
+
+
+def _digest(texts) -> str:
+    """The sha256 of the texts, each followed by a NUL byte, cut to 16 hex digits."""
+    return hashlib.sha256("".join(t + "\x00" for t in texts).encode("utf-8")).hexdigest()[:16]
+
+
+# One report of the JSON array: the bytes json.dumps(..., indent=2) writes for it.
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in _FIELDS) + "\n  }"
+_JSON_BOOL = {True: "true", False: "false"}
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x) -> str:
+    """A float as json.dumps writes it: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
 def reports_to_json(reports) -> str:
-    rows = [r.as_dict() for r in reports]
-    return json.dumps(rows, indent=2, sort_keys=False) + "\n"
+    """``json.dumps([r.as_dict() for r in reports], indent=2) + "\\n"``, filled in per report."""
+    rows = [
+        _JSON_ROW % (
+            _json_str(r.suite), _json_str(r.case_id),
+            '"inf"' if math.isinf(r.p) else _json_float(r.p),
+            _json_float(r.lhs), _json_float(r.rhs), _json_float(r.slack), _json_float(r.tol),
+            _JSON_BOOL[r.passed], _json_str(r.inputs_digest), _json_str(r.anchor),
+        )
+        for r in reports
+    ]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
 def reports_from_json(text: str) -> list[CheckReport]:

@@ -97,6 +97,14 @@ def test_suite_config_validation():
         small_config(family="weird")
 
 
+@pytest.mark.parametrize("p", ["1e400", "abc", "0.5"])
+def test_suite_config_malformed_exponent_is_config_error(p, capsys):
+    with pytest.raises(ConfigError, match="exponent"):
+        SuiteConfig(suite="norms", dual=parse_dual_arg("s3"), p_list=(p,))
+    assert main(["verify", "norms", "--dual", "s3", "--p", p, "--trials", "1"]) == EXIT_CONFIG_ERROR
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_report_invariant_passed_iff_slack_above_tol():
     reports = run_suite(small_config(suite="all", trials=2))
     for r in reports:
@@ -700,3 +708,15 @@ def test_golden_case_layout(dual, p, family, tol, count, json_sha, csv_sha, blin
     layout = [[r.suite, r.case_id, r.anchor] for r in reports]
     assert len(reports) == count and _sha(json.dumps(layout)) == layout_sha
     assert all(r.passed for r in reports)
+
+
+def test_cli_report_files_hold_the_bytes_of_the_stdlib_writers(tmp_path):
+    argv = ["verify", "all", "--dual", "s3", "--p", "1.5,2,3", "--family", "both", "--trials", "3"]
+    path = tmp_path / "x.json"
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    text = path.read_bytes().decode("utf-8")
+    reports = reports_from_json(text)
+    assert text == json.dumps([r.as_dict() for r in reports], indent=2) + "\n"
+    csv_path = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(csv_path), "--format", "csv"]) == EXIT_OK
+    assert csv_path.read_bytes().decode("utf-8") == reports_to_csv(reports)

@@ -376,5 +376,5 @@ def test_sch_norm_from_the_memo_matches_the_kernel_bitwise(p):
     for h in (random_field(preset_dual("su2_trunc", 4), 3), random_stacks(preset_dual("s3"), 3, rows=5)):
         values = [matcore.schatten_norm(b, p) for b in h.blocks]
         terms = [d ** (1.0 / p) * v for d, v in zip(h.model.dims, values)]
-        want = matcore.power_sum(terms if h.batch else [float(t) for t in terms], p)
+        want = matcore.power_sum(terms, p)
         assert np.array_equal(lp_sch_norm(h, p), want)
