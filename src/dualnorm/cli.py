@@ -39,29 +39,24 @@ from .dualmodel import (
     random_field,
     random_stacks,
 )
-from .duality import (
-    _direct_sum_pair_reports,
-    dual_extremizer,
-    dual_norm_via_search,
-    pairing,
-)
+from .duality import direct_sum_dual_pair_check, dual_extremizer, dual_norm_via_search, pairing
 from .interpolation import (
     DEFAULT_T_GRID,
     InterpSpec,
     _boundary_norm_reports,
     _boundary_norms,
-    _consistency_reports,
-    _three_lines_reports,
+    interp_norm_consistency,
+    three_lines_check,
 )
 from .norms import (
     FAMILIES,
     DirectSumSpec,
     ExponentP,
-    _adjoint_reports,
-    _embedding_reports,
-    _holder_reports,
     _sch_norm_from_sigma,
+    adjoint_norm_check,
+    embedding_check,
     field_norm,
+    holder_check,
     lp_hs_norm,
     lp_sch_norm,
 )
@@ -72,7 +67,6 @@ from .report import (
     inequality_report,
     reports_to_csv,
     reports_to_json,
-    row_reports,
 )
 
 __all__ = ["ConfigError", "SuiteConfig", "SUITES", "run_suite", "emit_report", "main"]
@@ -153,25 +147,26 @@ def _interior(cfg: SuiteConfig) -> list[ExponentP]:
 def _suite_norms(cfg: SuiteConfig):
     for p in cfg.p_list:
         for ks, (h1, h2) in _trials(cfg, p):
-            yield from _embedding_reports(h1, p, cfg.suite, _case_ids(f"embedding[p={p}]", ks))
+            ids = _case_ids(f"embedding[p={p}]", ks)
+            yield from embedding_check(h1, p, suite=cfg.suite, case_id=ids)
             alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
             for family in cfg.families:
                 n1 = field_norm(h1, p, family)
                 n2 = field_norm(h2, p, family)
-                yield from row_reports(
-                    inequality_report, cfg.suite, _case_ids(f"triangle.{family}[p={p}]", ks), p,
+                yield from inequality_report(
+                    cfg.suite, _case_ids(f"triangle.{family}[p={p}]", ks), p,
                     field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p.value, family), "triangle",
                 )
-                yield from row_reports(
-                    equality_report, cfg.suite, _case_ids(f"homogeneity.{family}[p={p}]", ks), p,
+                yield from equality_report(
+                    cfg.suite, _case_ids(f"homogeneity.{family}[p={p}]", ks), p,
                     field_norm(alpha * h1, p, family), alpha * n1, (h1, p.value, family, alpha),
                     "homogeneity",
                 )
     for ks, (h,) in _trials(cfg, "p2", roles=("a",)):
         # S_2 = HS, from singular values on one side and Frobenius sums on the
         # other: the HS family shares its kernel with the Schatten norm at p = 2
-        yield from row_reports(
-            equality_report, cfg.suite, _case_ids("p2_coincidence", ks), 2.0,
+        yield from equality_report(
+            cfg.suite, _case_ids("p2_coincidence", ks), 2.0,
             _sch_norm_from_sigma(h, 2.0), lp_hs_norm(h, 2.0), (h,), "p2_coincidence", rel=1e-12,
         )
 
@@ -188,7 +183,7 @@ def _suite_holder(cfg: SuiteConfig):
         for ks, (h1, h2) in _trials(cfg, p):
             for a, b, case_id in cases:
                 ids = [case_id.format(p=p, k=k) for k in ks]
-                yield from _holder_reports(h1, h2, a, b, cfg.suite, ids)
+                yield from holder_check(h1, h2, a, b, suite=cfg.suite, case_id=ids)
 
 
 def _suite_adjoint(cfg: SuiteConfig):
@@ -196,7 +191,7 @@ def _suite_adjoint(cfg: SuiteConfig):
         for family in cfg.families:
             for ks, (h,) in _trials(cfg, p, family, roles=("a",)):
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from _adjoint_reports(h, p, family, cfg.suite, ids)
+                yield from adjoint_norm_check(h, p, family, suite=cfg.suite, case_id=ids)
 
 
 _PROBES = 5  # random unit fields per duality trial in the dual-norm search
@@ -212,25 +207,25 @@ def _suite_duality(cfg: SuiteConfig):
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
             inputs = (h, p.value)
-            yield from row_reports(
-                equality_report, cfg.suite, _case_ids(f"extremizer_unit[p={p}]", ks), p,
+            yield from equality_report(
+                cfg.suite, _case_ids(f"extremizer_unit[p={p}]", ks), p,
                 lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,
             )
-            yield from row_reports(
-                equality_report, cfg.suite, _case_ids(f"extremizer_pairing[p={p}]", ks), p,
+            yield from equality_report(
+                cfg.suite, _case_ids(f"extremizer_pairing[p={p}]", ks), p,
                 np.abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
             )
             probe = dual_norm_via_search(
                 h, p, trials=_PROBES, seed=probe_seed, include_extremizer=False, start=ks.start
             )
-            yield from row_reports(
-                inequality_report, cfg.suite, _case_ids(f"search_bound[p={p}]", ks), p,
+            yield from inequality_report(
+                cfg.suite, _case_ids(f"search_bound[p={p}]", ks), p,
                 probe, norm, inputs, "dual_supremum",
             )
             if p.value > 1.0:
-                yield from _direct_sum_pair_reports(
+                yield from direct_sum_dual_pair_check(
                     h, other, f, dual_extremizer(other, p), p, spec,
-                    cfg.suite, _case_ids(f"direct_sum[p={p}]", ks),
+                    suite=cfg.suite, case_id=_case_ids(f"direct_sum[p={p}]", ks),
                 )
 
 
@@ -251,9 +246,9 @@ def _suite_interpolation(cfg: SuiteConfig):
             ids = _case_ids(f"boundary_norms[p={p}]", ks)
             yield from _boundary_norm_reports(h, spec, norms, cfg.suite, ids)
             ids = _case_ids(f"three_lines[p={p}]", ks)
-            yield from _three_lines_reports(h, f, spec, cfg.suite, ids)
+            yield from three_lines_check(h, f, spec, suite=cfg.suite, case_id=ids)
             ids = _case_ids(f"consistency[p={p}]", ks)
-            yield from _consistency_reports(h, spec, norms, cfg.suite, ids)
+            yield from interp_norm_consistency(h, spec, norms, suite=cfg.suite, case_id=ids)
 
 
 def _suite_clarkson(cfg: SuiteConfig):
@@ -261,7 +256,7 @@ def _suite_clarkson(cfg: SuiteConfig):
         for ks, (h1, h2) in _trials(cfg, p):
             for family in cfg.families:
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._clarkson_reports(h1, h2, p, family, cfg.suite, ids)
+                yield from ineq.clarkson_check(h1, h2, p, family, suite=cfg.suite, case_id=ids)
 
 
 def _suite_two_point(cfg: SuiteConfig):
@@ -330,8 +325,8 @@ def _suite_type_cotype(cfg: SuiteConfig):
                 yield from ineq._type_cotype_reports(fields, p.value, family, avg2, cfg.suite, ids)
                 if p.value == 2.0:  # the same sign average against the quadratic sum of norms
                     l2 = matcore.power_sum([field_norm(f, 2.0, family) for f in fields], 2.0)
-                    yield from row_reports(
-                        equality_report, cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),
+                    yield from equality_report(
+                        cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),
                         2.0, avg2, l2, (fields, family), "sign_average_identity",
                     )
 
@@ -345,7 +340,7 @@ def _suite_kadec_klee(cfg: SuiteConfig):
         for ks in ineq._chunks(cfg.dual, cfg.trials):  # trial k: the gap of h + d / (k + 1)
             n = np.arange(ks.start + 1, ks.stop + 1)
             ids = [f"gap[p={p}][n={m:04d}]" for m in n]
-            yield from ineq._kadec_klee_reports(h + (1.0 / n) * d, h, p, "sch", cfg.suite, ids)
+            yield from ineq.kadec_klee_gap(h + (1.0 / n) * d, h, p, suite=cfg.suite, case_id=ids)
         base_norm = lp_sch_norm(base, p)
         scaled = [(2.0**-j / base_norm) * base for j in range(5)]
         yield ineq.unconditional_sum_bound(scaled, p, suite=cfg.suite, case_id=f"sum_bound[p={p}]")

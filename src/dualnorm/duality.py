@@ -9,6 +9,10 @@ field built from the polar decomposition of each block,
 
 At p = 1 the same formula degenerates to F = U* (so ||F||_inf = 1 and the
 pairing still returns ||H||_1); that endpoint is supported here.
+
+Each function takes a field or a batch of fields: a value is a float for a
+field and an array for a batch, and the direct-sum check gives one report
+under one case id and one report per row under a list of case ids.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from . import matcore
 from .dualmodel import Field, _trusted, mix_seed, random_stacks
 from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm
-from .report import CheckReport, inequality_report, row_reports
+from .report import inequality_report
 
 __all__ = [
     "pairing",
@@ -109,18 +113,13 @@ def direct_sum_dual_pair_check(
     *,
     suite="duality",
     case_id="direct_sum_pair",
-) -> CheckReport:
+):
     """Boundedness of the weighted dual pairing on a two-slot direct sum.
 
     |<h1,f1> + w^(1/r - 1/s) <h2,f2>| is at most the product of the
     (q, s, 1/w)-norm of (f1, f2) and the (p, r, w)-norm of (h1, h2),
     where q, s are the conjugates of p, r.
     """
-    return _direct_sum_pair_reports(h1, h2, f1, f2, p, spec, suite, [case_id])[0]
-
-
-def _direct_sum_pair_reports(h1, h2, f1, f2, p, spec: DirectSumSpec, suite, case_ids):
-    """direct_sum_dual_pair_check's report for each row of the batches (one for single fields)."""
     p = ExponentP.parse(p)
     r = spec.r
     if p.is_inf or p.value == 1.0 or r.is_inf or r.value == 1.0:
@@ -135,6 +134,4 @@ def _direct_sum_pair_reports(h1, h2, f1, f2, p, spec: DirectSumSpec, suite, case
         h1, h2, p, spec
     )
     inputs = (h1, h2, f1, f2, p.value, r.value, w)
-    return row_reports(
-        inequality_report, suite, case_ids, float(p), lhs, rhs, inputs, "direct_sum_duality"
-    )
+    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "direct_sum_duality")

@@ -94,7 +94,7 @@ def preset_dual(kind: str, arg=None) -> DualModel:
     """Build a preset dual model.
 
     kind: "torus" (arg = number of 1-dim entries), "su2_trunc" (arg = max
-    dim, entries of dims 1..arg), "s3" (dims 1, 1, 2), or "custom"
+    dim, entries of dims 1..arg), "s3" (dims 1, 1, 2; no arg), or "custom"
     (arg = iterable of dims).
     """
     if arg is None and kind in ("torus", "su2_trunc", "custom"):
@@ -110,6 +110,8 @@ def preset_dual(kind: str, arg=None) -> DualModel:
             raise ValueError(f"su2_trunc preset needs max dim in [1, {MAX_DIM}]")
         return DualModel("su2_trunc(%d)" % n, tuple((f"d{d}", d) for d in range(1, n + 1)))
     if kind == "s3":
+        if arg is not None:
+            raise ValueError(f"the s3 preset takes no argument, got {arg!r}")
         return DualModel("s3", (("triv", 1), ("sgn", 1), ("std", 2)))
     if kind == "custom":
         dims = [int(d) for d in arg]

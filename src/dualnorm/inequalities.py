@@ -17,6 +17,11 @@ seeded and deterministic; sampled infima over-estimate the true modulus of
 convexity and sampled suprema under-estimate the modulus of smoothness, so
 every assertion against the proved bounds is sound regardless of how the
 samples land.
+
+Each check is one function for fields and batches: one case id gives the
+report of single fields, and a list of case ids gives one report per row of
+batch fields.  Where a suite shares norms between anchors, a private
+``_<check>_reports`` helper takes them precomputed.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .report import (
     check_report,
     equality_report,
     inequality_report,
-    row_reports,
     tolerance,
 )
 
@@ -87,21 +91,10 @@ def _mean(a, b, r: float):
 
 
 # -- Clarkson inequalities ---------------------------------------------------
-#
-# Each check's math is one private ``_<check>_reports`` helper that takes
-# batches of any shape and returns a report per row; the public check is
-# its one-row case.
 
 
-def clarkson_check(
-    h1: Field, h2: Field, p, family: str, *, suite="clarkson", case_id="clarkson"
-) -> CheckReport:
+def clarkson_check(h1: Field, h2: Field, p, family: str, *, suite="clarkson", case_id="clarkson"):
     """Clarkson inequality in the given family (case i for p <= 2, case ii above)."""
-    return _clarkson_reports(h1, h2, p, family, suite, [case_id])[0]
-
-
-def _clarkson_reports(h1: Field, h2: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
-    """clarkson_check's report for each row of the batches ``h1``, ``h2``."""
     p = _finite_interior(p)
     q = p / (p - 1.0)
     mid_plus = field_norm(0.5 * (h1 + h2), p, family)
@@ -112,9 +105,8 @@ def _clarkson_reports(h1: Field, h2: Field, p, family: str, suite, case_ids) -> 
     lhs = power_sum((mid_plus, mid_minus), e)
     rhs = _mean(n1, n2, f)
     case = "i" if p <= 2.0 else "ii"
-    return row_reports(
-        inequality_report, suite, case_ids, p, lhs, rhs, (h1, h2, p, family),
-        f"clarkson.{family}.case_{case}",
+    return inequality_report(
+        suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"clarkson.{family}.case_{case}"
     )
 
 
@@ -130,7 +122,7 @@ def _two_point_norms(h1: Field, h2: Field, p: float, family: str):
 
 def two_point_check(
     h1: Field, h2: Field, p, family: str = "sch", *, suite="two_point", case_id="two_point"
-) -> CheckReport:
+):
     """Two-point inequality with the proved constant substituted.
 
     p >= 2: (avg of ||H1 +- H2||^p)^(1/p) <= (||H1||^2 + (2p-1) ||H2||^2)^(1/2);
@@ -139,10 +131,10 @@ def two_point_check(
     """
     p = _finite_interior(p)
     norms = _two_point_norms(h1, h2, p, family)
-    return _two_point_reports(h1, h2, p, family, norms, suite, [case_id])[0]
+    return _two_point_reports(h1, h2, p, family, norms, suite, case_id)
 
 
-def _two_point_reports(h1: Field, h2: Field, p: float, family: str, norms, suite, case_ids):
+def _two_point_reports(h1: Field, h2: Field, p: float, family: str, norms, suite, case_id):
     """two_point_check's report for each row of the batches ``h1``, ``h2``, given their norms."""
     n1, n2, mean_p = norms
     if p >= 2.0:
@@ -152,26 +144,23 @@ def _two_point_reports(h1: Field, h2: Field, p: float, family: str, norms, suite
         lhs = power_sum((n1, math.sqrt(two_point_lower_constant(p)) * n2), 2.0)
         rhs = mean_p
     side = "upper" if p >= 2.0 else "lower"
-    return row_reports(
-        inequality_report, suite, case_ids, p, lhs, rhs, (h1, h2, p, family), f"two_point.{side}"
-    )
+    inputs = (h1, h2, p, family)
+    return inequality_report(suite, case_id, p, lhs, rhs, inputs, f"two_point.{side}")
 
 
 def two_point_equality_check(
     h1: Field, h2: Field, family: str = "sch", *, suite="two_point", case_id="parallelogram"
-) -> CheckReport:
+):
     """p = 2: both two-point sides agree with constant exactly 1."""
     norms = _two_point_norms(h1, h2, 2.0, family)
-    return _parallelogram_reports(h1, h2, family, norms, suite, [case_id])[0]
+    return _parallelogram_reports(h1, h2, family, norms, suite, case_id)
 
 
-def _parallelogram_reports(h1: Field, h2: Field, family: str, norms, suite, case_ids):
+def _parallelogram_reports(h1: Field, h2: Field, family: str, norms, suite, case_id):
     """two_point_equality_check's report for each row of ``h1``, ``h2``, given their norms at 2."""
     n1, n2, mean2 = norms
     rhs = power_sum((n1, n2), 2.0)
-    return row_reports(
-        equality_report, suite, case_ids, 2.0, mean2, rhs, (h1, h2, family), "parallelogram"
-    )
+    return equality_report(suite, case_id, 2.0, mean2, rhs, (h1, h2, family), "parallelogram")
 
 
 def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch") -> float:
@@ -469,7 +458,7 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0):
 
 def type_cotype_check(
     fields, p, family: str = "sch", *, suite="type_cotype", case_id="type_cotype"
-) -> CheckReport:
+):
     """Two-sided comparison of the L2 sign average with power sums of norms.
 
     1 < p <= 2: sqrt(c_p) (sum ||H_j||^2)^(1/2) <= avg <= (sum ||H_j||^p)^(1/p);
@@ -479,10 +468,10 @@ def type_cotype_check(
     fields = list(fields)
     pv = _finite_interior(p)
     avg2 = rademacher_average(fields, pv, family, r=2.0)
-    return _type_cotype_reports(fields, pv, family, avg2, suite, [case_id])[0]
+    return _type_cotype_reports(fields, pv, family, avg2, suite, case_id)
 
 
-def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_ids):
+def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_id):
     """type_cotype_check's report for each row of ``fields``, given their L2 sign average ``avg2``."""
     norms = [field_norm(f, pv, family) for f in fields]
     l2_sum = power_sum(norms, 2.0)
@@ -494,10 +483,8 @@ def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_ids):
         lower = lp_sum
         upper = math.sqrt(two_point_upper_constant(pv)) * l2_sum
     slack = np.minimum(avg2 - lower, upper - avg2)
-    return row_reports(
-        check_report, suite, case_ids, pv, lower, upper, (fields, pv, family), "type_cotype",
-        slack=slack,
-    )
+    inputs = (fields, pv, family)
+    return check_report(suite, case_id, pv, lower, upper, slack, inputs, "type_cotype")
 
 
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------
@@ -505,7 +492,7 @@ def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_ids):
 
 def kadec_klee_gap(
     hn: Field, h: Field, p, family: str = "sch", *, suite="kadec_klee", case_id="gap"
-) -> CheckReport:
+):
     """Rearranged Clarkson bound forcing norm convergence.
 
     With e = q for p <= 2 and e = p for p >= 2 (q conjugate, f the other one)
@@ -518,11 +505,6 @@ def kadec_klee_gap(
     both in [0, 1].  The rhs tends to 0 whenever ||Hn|| -> ||H|| and
     ||(Hn + H)/2|| -> ||H||.
     """
-    return _kadec_klee_reports(hn, h, p, family, suite, [case_id])[0]
-
-
-def _kadec_klee_reports(hn: Field, h: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
-    """kadec_klee_gap's report for each row of the batch ``hn`` (``h`` a batch or one field)."""
     pv = _finite_interior(p)
     q = pv / (pv - 1.0)
     e, f = (q, pv) if pv <= 2.0 else (pv, q)
@@ -531,9 +513,7 @@ def _kadec_klee_reports(hn: Field, h: Field, p, family: str, suite, case_ids) ->
     m = _mean(field_norm(hn, pv, family), field_norm(h, pv, family), f)
     m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
     lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
-    return row_reports(
-        inequality_report, suite, case_ids, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap"
-    )
+    return inequality_report(suite, case_id, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap")
 
 
 def unconditional_sum_bound(

@@ -23,11 +23,11 @@ SVD per block, shared with the dual extremizer) and return the witness as a
 function of z.  The witness of a field, or of a batch Field h, at strip
 points z is a batch Field of batch shape h.batch + np.shape(z) (a single
 Field for a single field at one point), so the checks below evaluate the
-whole boundary grid of every row in one call.  Each check's math is one
-private ``_<check>_reports`` helper over batches that returns a report per
-row, and the public check is its one-row case.  Zero singular values are
-mapped to zero for every exponent (including 0), so the powers act on the
-support only.
+whole boundary grid of every row in one call.  Each check is one function
+for fields and batches: one case id gives the report of single fields, and
+a list of case ids gives one report per row of batch fields.  Zero singular
+values are mapped to zero for every exponent (including 0), so the powers
+act on the support only.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import matcore
 from .dualmodel import Field, _trusted
 from .duality import dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
-from .report import CheckReport, check_report, equality_report, inequality_report, row_reports
+from .report import check_report, equality_report, inequality_report
 
 __all__ = [
     "InterpSpec",
@@ -158,25 +158,19 @@ def _edges() -> np.ndarray:
 
 def three_lines_check(
     h: Field, f_dual: Field, spec: InterpSpec, *, suite="interpolation", case_id="three_lines"
-) -> CheckReport:
+):
     """Boundary and interior values of the strip function stay below 1.
 
     Samples |<f(z), g(z)>| at z = it and z = 1 + it over the grid and at
     z = theta (where the pairing is just <h, f_dual> after normalization).
     """
-    return _three_lines_reports(h, f_dual, spec, suite, [case_id])[0]
-
-
-def _three_lines_reports(h: Field, f_dual: Field, spec: InterpSpec, suite, case_ids):
-    """three_lines_check's report for each row of the batches ``h``, ``f_dual``."""
     boundary = np.abs(strip_function(h, f_dual, spec)(_edges()))
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
     f_unit = (1.0 / lp_sch_norm(f_dual, spec.p.conjugate())) * f_dual
     lhs = np.maximum(boundary.max(axis=(-2, -1)), np.abs(pairing(h_unit, f_unit)))
     inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
-    return row_reports(
-        inequality_report, suite, case_ids, float(spec.p), lhs, 1.0, inputs, "strip_maximum",
-        rel=1e-9,
+    return inequality_report(
+        suite, case_id, float(spec.p), lhs, 1.0, inputs, "strip_maximum", rel=1e-9
     )
 
 
@@ -198,15 +192,14 @@ def _boundary_norm_reports(h: Field, spec: InterpSpec, boundary_norms, suite, ca
     farthest = np.abs(norms - 1.0).argmax(axis=-1, keepdims=True)
     worst = np.take_along_axis(norms, farthest, axis=-1)[..., 0]
     inputs = (h, spec.p0.value, spec.p1.value, spec.theta)
-    return row_reports(
-        equality_report, suite, case_ids, float(spec.p), worst, 1.0, inputs, "boundary_witness",
-        rel=1e-9,
+    return equality_report(
+        suite, case_ids, float(spec.p), worst, 1.0, inputs, "boundary_witness", rel=1e-9
     )
 
 
 def interp_norm_consistency(
     h: Field, spec: InterpSpec, boundary_norms, *, suite="interpolation", case_id="norm_consistency"
-) -> CheckReport:
+):
     """Two-sided finite-scale consistency of the derived-exponent norm.
 
     ``boundary_norms`` is ``boundary_witness_norms(h, spec)``, which the
@@ -215,14 +208,8 @@ def interp_norm_consistency(
     scaled back by ||h||_p.  Lower: the norming functional realizes
     |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
     """
-    boundary_norms = tuple(map(np.asarray, boundary_norms))
-    return _consistency_reports(h, spec, boundary_norms, suite, [case_id])[0]
-
-
-def _consistency_reports(h: Field, spec: InterpSpec, boundary_norms, suite, case_ids):
-    """interp_norm_consistency's report for each row of ``h``, given its ``_boundary_norms``."""
     p = spec.p
-    bounds0, bounds1 = boundary_norms
+    bounds0, bounds1 = map(np.asarray, boundary_norms)
     norm = lp_sch_norm(h, p)
     boundary_max = norm * np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm
@@ -232,7 +219,7 @@ def _consistency_reports(h: Field, spec: InterpSpec, boundary_norms, suite, case
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm
     inputs = (h, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
-    return row_reports(
-        check_report, suite, case_ids, p, norm, boundary_max, inputs, "equal_norms",
-        slack=np.minimum(upper_slack, lower_slack), rel=1e-8, scale=1.0,
+    return check_report(
+        suite, case_id, p, norm, boundary_max, np.minimum(upper_slack, lower_slack), inputs,
+        "equal_norms", rel=1e-8, scale=1.0,
     )

@@ -20,9 +20,10 @@ into its norm as a factor, so no p in [1, inf] overflows.
 The two coincide at p = 2.  For p <= 2 the Schatten norm is dominated by the
 Hilbert-Schmidt one, for p >= 2 the domination reverses; products obey the
 Holder inequality in the Schatten family.  The check functions here verify
-those facts numerically and return CheckReports.  Each check's math is one
-private ``_<check>_reports`` helper that takes batches of any shape and
-returns a report per row; the public check is its one-row case.
+those facts numerically and return CheckReports.  Each check is one
+function for fields and batches: with one case id it returns the report of
+single fields, and with a list of case ids, one per row, the report of each
+row of batch fields.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .dualmodel import (
     field_product,
     random_field,
 )
-from .report import CheckReport, equality_report, inequality_report, row_reports
+from .report import equality_report, inequality_report
 
 __all__ = [
     "ExponentP",
@@ -179,29 +180,17 @@ def random_unit_field(model: DualModel, p, seed: int, family: str = "sch") -> Fi
     return (1.0 / field_norm(h, p, family)) * h
 
 
-def embedding_check(h: Field, p, *, suite="norms", case_id="embedding") -> CheckReport:
+def embedding_check(h: Field, p, *, suite="norms", case_id="embedding"):
     """One-sided domination between the two families, direction set by p vs 2."""
-    return _embedding_reports(h, p, suite, [case_id])[0]
-
-
-def _embedding_reports(h: Field, p, suite, case_ids) -> list[CheckReport]:
-    """embedding_check's report for each row of the batch ``h`` (one for a single field)."""
     pv = _pval(p)
     sch = lp_sch_norm(h, pv)
     hs = lp_hs_norm(h, pv)
     lhs, rhs = (sch, hs) if pv <= 2 else (hs, sch)
-    return row_reports(inequality_report, suite, case_ids, pv, lhs, rhs, (h, pv), "embedding")
+    return inequality_report(suite, case_id, pv, lhs, rhs, (h, pv), "embedding")
 
 
-def holder_check(
-    h1: Field, h2: Field, p, q, *, suite="holder", case_id="holder"
-) -> CheckReport:
+def holder_check(h1: Field, h2: Field, p, q, *, suite="holder", case_id="holder"):
     """||H1 H2||_r <= ||H1||_p ||H2||_q in the Schatten family, 1/r = 1/p + 1/q."""
-    return _holder_reports(h1, h2, p, q, suite, [case_id])[0]
-
-
-def _holder_reports(h1: Field, h2: Field, p, q, suite, case_ids) -> list[CheckReport]:
-    """holder_check's report for each row of the batches ``h1``, ``h2``."""
     p = ExponentP.parse(p)
     q = ExponentP.parse(q)
     inv_r = p.inv() + q.inv()
@@ -211,18 +200,11 @@ def _holder_reports(h1: Field, h2: Field, p, q, suite, case_ids) -> list[CheckRe
     lhs = lp_sch_norm(field_product(h1, h2), r)
     rhs = lp_sch_norm(h1, p) * lp_sch_norm(h2, q)
     inputs = (h1, h2, p.value, q.value)
-    return row_reports(inequality_report, suite, case_ids, float(p), lhs, rhs, inputs, "holder")
+    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "holder")
 
 
-def adjoint_norm_check(
-    h: Field, p, family: str = "sch", *, suite="adjoint", case_id="adjoint"
-) -> CheckReport:
+def adjoint_norm_check(h: Field, p, family: str = "sch", *, suite="adjoint", case_id="adjoint"):
     """||H|| = ||H*|| = || |H| || in the chosen family."""
-    return _adjoint_reports(h, p, family, suite, [case_id])[0]
-
-
-def _adjoint_reports(h: Field, p, family: str, suite, case_ids) -> list[CheckReport]:
-    """adjoint_norm_check's report for each row of the batch ``h``."""
     pv = _pval(p)
     values = (
         field_norm(h, pv, family),
@@ -230,9 +212,8 @@ def _adjoint_reports(h: Field, p, family: str, suite, case_ids) -> list[CheckRep
         field_norm(field_abs(h), pv, family),
     )
     lo, hi = functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
-    return row_reports(
-        equality_report, suite, case_ids, pv, hi, lo, (h, pv, family),
-        f"adjoint_invariance.{family}", scale=hi,
+    return equality_report(
+        suite, case_id, pv, hi, lo, (h, pv, family), f"adjoint_invariance.{family}", scale=hi
     )
 
 

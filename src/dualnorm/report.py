@@ -12,11 +12,13 @@ tolerance and input digest here, so a check states only its ``lhs``, ``rhs``,
 anchor and inputs; a field is digested as its model, its dims and a hash of its
 block bytes.
 
-A batch check digests its rows once per chunk: ``row_reports`` encodes each
-shared input once and takes each batch row's block hash from the Field's memo
-(``Field.block_sha256``), so every report of the chunk that names the row
-shares it.  JSON is written from a fixed per-report template with the bytes
-``json.dumps(..., indent=2)`` would write.
+A float for a field, an array for a batch: a constructor given one case id
+returns one report, and given a list of n case ids returns one report per
+row of a batch check.  It encodes each shared input once and takes each
+batch row's block hash from the Field's memo (``Field.block_sha256``), so
+every report of the chunk that names the row shares it.  JSON is written
+from a fixed per-report template with the bytes ``json.dumps(..., indent=2)``
+would write.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "check_report",
     "inequality_report",
     "equality_report",
-    "row_reports",
     "canonical_json",
     "digest_inputs",
     "reports_to_json",
@@ -102,77 +103,69 @@ def tolerance(scale, rel=TOL_REL) -> float:
 
 def check_report(
     suite, case_id, p, lhs, rhs, slack, inputs, anchor, rel=TOL_REL, scale=None
-) -> CheckReport:
+) -> CheckReport | list[CheckReport]:
     """Report with an explicit slack; ``passed`` is exactly ``slack >= -tol``.
 
     ``tol`` is ``tolerance(scale, rel)``, where ``scale`` defaults to ``rhs``,
     and ``inputs_digest`` is ``digest_inputs(*inputs)``.
+
+    One case id gives one report.  A list of n case ids gives a list of n
+    reports, one per row of a batch check: row i takes element i of each
+    array among ``lhs``, ``rhs``, ``slack`` and ``scale``, and row i of each
+    batch Field in ``inputs``, lists of fields included.  Scalars and single
+    fields serve every row.  Each row's digest is ``digest_inputs`` of its
+    inputs, with every shared part encoded once and every batch row hashed
+    once per Field.
     """
-    tol = tolerance(rhs if scale is None else scale, rel)
-    return CheckReport(
-        suite=suite,
-        case_id=case_id,
-        p=float(p),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        tol=float(tol),
-        passed=bool(slack >= -tol),
-        inputs_digest=inputs.digest if isinstance(inputs, _Digested) else digest_inputs(*inputs),
-        anchor=anchor,
-    )
+    one = isinstance(case_id, str)
+    ids = [case_id] if one else case_id
+    n = len(ids)
+    if one:
+        digests = [digest_inputs(*inputs)]
+    else:
+        parts = [_row_texts(x, n) for x in inputs]
+        digests = [_digest(_at(t, i) for t in parts) for i in range(n)]
+    tols = [tolerance(x, rel) for x in _rows(rhs if scale is None else scale, n)]
+    reports = [
+        CheckReport(
+            suite=suite,
+            case_id=id_,
+            p=float(p),
+            lhs=float(lhs_i),
+            rhs=float(rhs_i),
+            slack=float(slack_i),
+            tol=float(tol),
+            passed=bool(slack_i >= -tol),
+            inputs_digest=digest,
+            anchor=anchor,
+        )
+        for id_, lhs_i, rhs_i, slack_i, tol, digest
+        in zip(ids, _rows(lhs, n), _rows(rhs, n), _rows(slack, n), tols, digests)
+    ]
+    return reports[0] if one else reports
 
 
 def inequality_report(
     suite, case_id, p, lhs, rhs, inputs, anchor, *, rel=TOL_REL, scale=None
-) -> CheckReport:
+) -> CheckReport | list[CheckReport]:
     """Report for an assertion lhs <= rhs (slack = rhs - lhs)."""
     return check_report(suite, case_id, p, lhs, rhs, rhs - lhs, inputs, anchor, rel, scale)
 
 
 def equality_report(
     suite, case_id, p, lhs, rhs, inputs, anchor, *, rel=TOL_REL, scale=None
-) -> CheckReport:
+) -> CheckReport | list[CheckReport]:
     """Report for an assertion lhs = rhs (slack = -|lhs - rhs|)."""
     return check_report(suite, case_id, p, lhs, rhs, -abs(rhs - lhs), inputs, anchor, rel, scale)
 
 
-@dataclass(frozen=True)
-class _Digested:
-    """Inputs whose digest ``row_reports`` has computed: the constructors take it as it is."""
-
-    digest: str
-
-
-def row_reports(build, suite, case_ids, p, lhs, rhs, inputs, anchor, **kw) -> list[CheckReport]:
-    """``build``'s report (one of the constructors above) for each row of a batch check.
-
-    Row i is case ``case_ids[i]``: it takes element i of ``lhs``, ``rhs`` and
-    of each array keyword (``slack``, ``scale``), and row i of each batch
-    Field in ``inputs``, lists of fields included.  Scalars and single
-    fields serve every row, so a check on single fields is one row.  Each
-    row's digest is ``digest_inputs`` of its inputs, with every shared part
-    encoded once and every batch row hashed once per Field.
-    """
-
-    if len(case_ids) == 1 and np.ndim(lhs) == 0:  # one check on single fields
-        return [build(suite, case_ids[0], p, lhs, rhs, inputs=inputs, anchor=anchor, **kw)]
-
-    n = len(case_ids)
-    parts = [_row_texts(x, n) for x in inputs]
-    digests = [_digest(_at(t, i) for t in parts) for i in range(n)]
-    columns = {name: _rows(value, n) for name, value in kw.items()}
-    return [
-        build(suite, case_id, p, lhs_i, rhs_i, inputs=_Digested(digest), anchor=anchor,
-              **{name: column[i] for name, column in columns.items()})
-        for i, (case_id, lhs_i, rhs_i, digest)
-        in enumerate(zip(case_ids, _rows(lhs, n), _rows(rhs, n), digests))
-    ]
-
-
 def _rows(x, n) -> list:
-    """Element i of an array ``x`` for each row i, as Python numbers; a scalar serves every row."""
-    return np.asarray(x).tolist() if np.ndim(x) else [x] * n
+    """Element i of an array ``x`` for each row i < n, as Python numbers; a scalar serves all."""
+    if not np.ndim(x):
+        return [x] * n
+    if np.shape(x) != (n,):
+        raise ValueError(f"an array of shape {np.shape(x)} for {n} case id(s)")
+    return np.asarray(x).tolist()
 
 
 def _row_texts(x, n):
@@ -180,6 +173,8 @@ def _row_texts(x, n):
     if isinstance(x, Field):
         if len(x.batch) != 1:
             return canonical_json(x)  # a single field; a batch of batches raises
+        if x.batch != (n,):
+            raise ValueError(f"a batch Field of {x.batch[0]} rows for {n} case ids")
         # the keys of _encode's document, sorted: blocks_sha256 comes first
         tail = canonical_json({"dims": list(x.model.dims), "model": x.model.name})[1:]
         return [f'{{"blocks_sha256":"{sha}",{tail}' for sha in x.block_sha256]
@@ -189,7 +184,7 @@ def _row_texts(x, n):
             return "[" + ",".join(items) + "]"
         return ["[" + ",".join(_at(t, i) for t in items) + "]" for i in range(n)]
     if np.ndim(x):
-        return [canonical_json(x[i]) for i in range(n)]
+        return [canonical_json(v) for v in _rows(x, n)]
     return canonical_json(x)
 
 

@@ -427,6 +427,38 @@ def test_a_single_field_reduces_bit_for_bit_as_its_row_of_a_batch(dual):
     assert all(pairing(h[k], g[k]) == pairs[k] for k in range(3))
 
 
+INTERP = _interp_spec_for(ExponentP(3.0))
+# each check on fields h, g, e: one function for single fields and for batches
+MERGED_CHECKS = {
+    "embedding": lambda h, g, e, **kw: embedding_check(h, 1.5, **kw),
+    "holder": lambda h, g, e, **kw: holder_check(h, g, 3.0, 1.5, **kw),
+    "adjoint": lambda h, g, e, **kw: adjoint_norm_check(h, 3.0, "hs", **kw),
+    "clarkson": lambda h, g, e, **kw: clarkson_check(h, g, 1.5, "sch", **kw),
+    "kadec_klee": lambda h, g, e, **kw: kadec_klee_gap(h, g, 3.0, **kw),
+    "direct_sum": lambda h, g, e, **kw: direct_sum_dual_pair_check(
+        h, g, e, h, 3.0, DirectSumSpec(ExponentP(1.5), 3.0), **kw
+    ),
+    "three_lines": lambda h, g, e, **kw: three_lines_check(h, g, INTERP, **kw),
+    "consistency": lambda h, g, e, **kw: interp_norm_consistency(
+        h, INTERP, boundary_witness_norms(h, INTERP), **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(MERGED_CHECKS))
+def test_a_check_of_a_batch_takes_one_case_id_per_row(check):
+    model = parse_dual_arg("s3")
+    fields = [random_stacks(model, mix_seed("merged", role), rows=3) for role in "hge"]
+    run = MERGED_CHECKS[check]
+    with pytest.raises(ValueError, match="batch"):  # the default case id names one report
+        run(*fields)
+    with pytest.raises(ValueError, match="rows"):
+        run(*fields, case_id=["r0", "r1"])
+    ids = ["r0", "r1", "r2"]
+    reports = run(*fields, case_id=ids)
+    assert reports == [run(*(x[k] for x in fields), case_id=ids[k]) for k in range(3)]
+
+
 # -- layout: rows of keyed streams, in chunks -----------------------------------
 
 

@@ -439,6 +439,14 @@ def test_main_oversized_block_is_config_error(no_draw, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+@pytest.mark.parametrize("dual", ["s3(1)", "s3()"])
+def test_main_s3_with_an_argument_is_config_error(dual, no_draw, capsys):
+    assert main(["field", "random", "--dual", dual]) == EXIT_CONFIG_ERROR
+    assert main(["verify", "norms", "--dual", dual, "--trials", "1"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "no argument" in err
+
+
 def test_main_oversized_entry_count_is_config_error(capsys):
     start = time.perf_counter()
     assert main(["verify", "norms", "--dual", "torus(100000000)", "--trials", "1"]) == EXIT_CONFIG_ERROR

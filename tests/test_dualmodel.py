@@ -47,6 +47,15 @@ def test_preset_s3_dims():
     assert preset_dual("s3").dims == (1, 1, 2)
 
 
+@pytest.mark.parametrize("text", ["s3(1)", "s3()"])
+def test_preset_s3_takes_no_argument(text):
+    with pytest.raises(ValueError, match="no argument"):
+        parse_dual_arg(text)
+    with pytest.raises(ValueError, match="no argument"):
+        preset_dual("s3", 1)
+    assert parse_dual_arg(" s3 ") == preset_dual("s3")
+
+
 def test_preset_custom_and_parse():
     assert preset_dual("custom", [2, 3]).dims == (2, 3)
     assert parse_dual_arg("torus(5)").dims == (1,) * 5

@@ -1,9 +1,10 @@
 """The report layer's batch paths against their one-row oracles.
 
-``row_reports`` digests a batch check's rows from each batch Field's
-memoized row hashes; the oracle is the public constructor called on row
-``k`` of every input, built from ``h[k]`` views.  ``reports_to_json`` fills
-a fixed template per report; the oracle is ``json.dumps(..., indent=2)``.
+A constructor given a list of case ids digests a batch check's rows from
+each batch Field's memoized row hashes; the oracle is the same constructor
+given one case id and row ``k`` of every input, built from ``h[k]`` views.
+``reports_to_json`` fills a fixed template per report; the oracle is
+``json.dumps(..., indent=2)``.
 """
 
 import hashlib
@@ -23,7 +24,6 @@ from dualnorm.report import (
     equality_report,
     inequality_report,
     reports_to_json,
-    row_reports,
 )
 
 ROWS = 4
@@ -56,7 +56,7 @@ def _input_mixes(model):
 
 @pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)", "custom(16,32)"])
 @pytest.mark.parametrize("mix", list(_input_mixes(parse_dual_arg("s3"))))
-def test_row_reports_match_the_one_row_constructors(dual, mix):
+def test_a_list_of_case_ids_matches_the_one_row_constructors(dual, mix):
     inputs = _input_mixes(parse_dual_arg(dual))[mix]
     ids = [f"c[{k:04d}]" for k in range(ROWS)]
     lhs = np.linspace(0.5, 2.0, ROWS)
@@ -69,7 +69,7 @@ def test_row_reports_match_the_one_row_constructors(dual, mix):
         (check_report, dict(slack=slack, scale=1.0)),
     ]
     for build, kw in cases:
-        reports = row_reports(build, "s", ids, 2.0, lhs, rhs, inputs, "a", **kw)
+        reports = build("s", ids, 2.0, lhs, rhs, inputs=inputs, anchor="a", **kw)
         for k, r in enumerate(reports):
             assert r.inputs_digest == digest_inputs(*_row(inputs, k))
             assert r == build("s", ids[k], 2.0, lhs[k], rhs[k], inputs=_row(inputs, k), anchor="a",
@@ -85,8 +85,8 @@ def test_a_batch_hashes_each_row_once_across_reports(monkeypatch):
     monkeypatch.setattr(hashlib, "sha256", lambda *data: made.append(data) or sha256(*data))
     ids = [f"c[{k:04d}]" for k in range(ROWS)]
     lhs = np.zeros(ROWS)
-    first = row_reports(inequality_report, "s", ids, 2.0, lhs, 1.0, (h, 2.0), "a")
-    second = row_reports(equality_report, "s", ids, 2.0, lhs, 0.0, ([h, h], "sch"), "a")
+    first = inequality_report("s", ids, 2.0, lhs, 1.0, (h, 2.0), "a")
+    second = equality_report("s", ids, 2.0, lhs, 0.0, ([h, h], "sch"), "a")
     # each row's blocks once, then one digest per report
     assert len(made) == ROWS + len(first) + len(second)
     monkeypatch.undo()
@@ -98,7 +98,22 @@ def test_row_of_a_batch_of_batches_raises():
     h = random_stacks(parse_dual_arg("s3"), 1, rows=6)
     deep = h.map_blocks(lambda b: b.reshape(2, 3, *b.shape[-2:]))
     with pytest.raises(ValueError, match="batch"):
-        row_reports(inequality_report, "s", ["a", "b"], 2.0, np.zeros(2), 1.0, (deep,), "x")
+        inequality_report("s", ["a", "b"], 2.0, np.zeros(2), 1.0, (deep,), "x")
+
+
+def test_rows_that_do_not_match_the_case_ids_raise():
+    h = random_stacks(parse_dual_arg("s3"), 1, rows=3)
+    ids = ["a", "b", "c"]
+    with pytest.raises(ValueError, match="batch"):  # a batch under one case id
+        inequality_report("s", "a", 2.0, 0.0, 1.0, (h,), "x")
+    with pytest.raises(ValueError, match="rows"):  # a batch of 3 rows for 2 ids
+        inequality_report("s", ids[:2], 2.0, 0.0, 1.0, (h,), "x")
+    with pytest.raises(ValueError, match="shape"):  # values of 3 rows for 2 ids
+        inequality_report("s", ids[:2], 2.0, np.zeros(3), 1.0, (2.0,), "x")
+    with pytest.raises(ValueError, match="shape"):  # a per-row input of 2 rows for 3 ids
+        inequality_report("s", ids, 2.0, 0.0, 1.0, (h, np.ones(2)), "x")
+    with pytest.raises(ValueError, match="shape"):
+        check_report("s", ids, 2.0, 0.0, 1.0, np.zeros(4), (h,), "x")
 
 
 # -- the JSON writer -----------------------------------------------------------
