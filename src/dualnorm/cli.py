@@ -43,8 +43,8 @@ from .duality import direct_sum_dual_pair_check, dual_extremizer, dual_norm_via_
 from .interpolation import (
     DEFAULT_T_GRID,
     InterpSpec,
-    _boundary_norm_reports,
-    _boundary_norms,
+    boundary_witness_check,
+    boundary_witness_norms,
     interp_norm_consistency,
     three_lines_check,
 )
@@ -230,11 +230,10 @@ def _suite_duality(cfg: SuiteConfig):
 
 
 def _interp_spec_for(p: ExponentP) -> InterpSpec:
+    """The strip of endpoints 1 and 2 below p = 2, and of 2 and 2p above it (both 2 at p = 2)."""
     if p.value < 2.0:
         return InterpSpec.for_target(1.0, 2.0, p)
-    if p.value == 2.0:
-        return InterpSpec(ExponentP(2.0), ExponentP(2.0), 0.5)
-    return InterpSpec.for_target(2.0, 2.0 * p.value, p)
+    return InterpSpec.for_target(2.0, 2.0 * p.value if p.value > 2.0 else 2.0, p)
 
 
 def _suite_interpolation(cfg: SuiteConfig):
@@ -242,9 +241,9 @@ def _suite_interpolation(cfg: SuiteConfig):
         spec = _interp_spec_for(p)
         # a chunk's witnesses are batches of its trials at every boundary point
         for ks, (h, f) in _trials(cfg, p, fields_per_trial=2 * len(DEFAULT_T_GRID)):
-            norms = _boundary_norms(h, spec)
+            norms = boundary_witness_norms(h, spec)
             ids = _case_ids(f"boundary_norms[p={p}]", ks)
-            yield from _boundary_norm_reports(h, spec, norms, cfg.suite, ids)
+            yield from boundary_witness_check(h, spec, norms, suite=cfg.suite, case_id=ids)
             ids = _case_ids(f"three_lines[p={p}]", ks)
             yield from three_lines_check(h, f, spec, suite=cfg.suite, case_id=ids)
             ids = _case_ids(f"consistency[p={p}]", ks)
@@ -386,11 +385,7 @@ def emit_report(reports, format: str, path: str) -> None:
         text = reports_to_csv(reports)
     else:
         raise ConfigError(f"unknown report format {format!r}")
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write report to {path}: {exc}") from exc
+    _write_text(path, text, "report")
 
 
 def _read_json(path: str, what: str):
@@ -400,6 +395,15 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write ``text`` to ``path`` as is; failing to write it is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def _load_dual(text: str) -> DualModel:
@@ -413,13 +417,6 @@ def _load_dual(text: str) -> DualModel:
         return parse_dual_arg(text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _parse_p_list(text: str) -> tuple[ExponentP, ...]:
-    try:
-        return tuple(ExponentP.parse(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad exponent list {text!r}: {exc}") from exc
 
 
 @functools.cache  # one parser per process; parse_args keeps no state in it
@@ -468,7 +465,7 @@ def _cmd_verify(args) -> int:
     config = SuiteConfig(
         suite=args.suite,
         dual=_load_dual(args.dual),
-        p_list=_parse_p_list(args.p),
+        p_list=tuple(args.p.split(",")),
         family=args.family,
         trials=args.trials,
         seed=_default_seed(args.seed),
@@ -497,11 +494,7 @@ def _cmd_field(args) -> int:
         doc = {"dual": encode_model(model), "field": encode_field(field)}
         text = json.dumps(doc, indent=2) + "\n"
         if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+            _write_text(args.out, text, "a field")
         else:
             print(text, end="")
         return EXIT_OK

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,17 +75,18 @@ class DualModel:
     def __post_init__(self):
         if not 1 <= len(self.entries) <= MAX_ENTRIES:
             raise ValueError(f"a dual model needs between 1 and {MAX_ENTRIES} entries")
-        labels = [lab for lab, _ in self.entries]
-        if len(set(labels)) != len(labels):
-            raise ValueError("entry labels must be unique")
         for lab, dim in self.entries:
-            if not 1 <= dim <= MAX_DIM:
-                raise ValueError(f"entry {lab!r} has dim {dim}, outside [1, {MAX_DIM}]")
-        size = sum(int(dim) ** 2 for _, dim in self.entries)
+            integral = isinstance(dim, numbers.Integral) and not isinstance(dim, bool)
+            if not (integral and 1 <= dim <= MAX_DIM):
+                raise ValueError(f"entry {lab!r} has dim {dim!r}, not an integer in [1, {MAX_DIM}]")
+        entries = tuple((str(lab), int(dim)) for lab, dim in self.entries)
+        if len({lab for lab, _ in entries}) != len(entries):
+            raise ValueError("entry labels must be unique")
+        size = sum(dim**2 for _, dim in entries)
         if size > MAX_FIELD_ENTRIES:
             raise ValueError(f"a field would hold {size} entries, more than {MAX_FIELD_ENTRIES}")
-        object.__setattr__(self, "entries", tuple((str(l), int(d)) for l, d in self.entries))
-        object.__setattr__(self, "dims", tuple(d for _, d in self.entries))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "dims", tuple(d for _, d in entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -130,8 +132,11 @@ def parse_dual_arg(text: str) -> DualModel:
             if not text.endswith(")"):
                 raise ValueError("missing closing parenthesis")
             kind, _, inner = text[:-1].partition("(")
+            items = [s.strip() for s in inner.split(",")]
+            if kind != "s3" and not all(s.isascii() and s.isdigit() for s in items):
+                raise ValueError(f"the items in parentheses must be decimal integers, got {inner!r}")
             if kind == "custom":
-                return preset_dual("custom", [s for s in inner.split(",") if s])
+                return preset_dual("custom", [int(s) for s in items])
             return preset_dual(kind, inner)
         return preset_dual(text)
     except ValueError as exc:
@@ -378,8 +383,10 @@ def encode_model(model: DualModel) -> dict:
 
 def decode_model(data: dict) -> DualModel:
     try:
-        entries = tuple((e["label"], _json_number(e["dim"], int)) for e in data["entries"])
-        return DualModel(str(data["name"]), entries)
+        entries = tuple(
+            (_json_string(e["label"]), _json_number(e["dim"], int)) for e in data["entries"]
+        )
+        return DualModel(_json_string(data["name"]), entries)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dual-model document: {exc}") from exc
 
@@ -388,6 +395,13 @@ def _json_number(x, kind=(int, float)):
     """``x`` if it is a JSON number of the given kind; a JSON true or false is not one."""
     if isinstance(x, bool) or not isinstance(x, kind):
         raise ValueError(f"{x!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return x
+
+
+def _json_string(x) -> str:
+    """``x`` if it is a JSON string."""
+    if not isinstance(x, str):
+        raise ValueError(f"{x!r} is not a JSON string")
     return x
 
 

@@ -163,12 +163,14 @@ def _parallelogram_reports(h1: Field, h2: Field, family: str, norms, suite, case
     return equality_report(suite, case_id, 2.0, mean2, rhs, (h1, h2, family), "parallelogram")
 
 
-def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch") -> float:
+def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch"):
     """The constant that makes the two-point inequality tight for this pair.
 
-    nan when ||H2|| = 0 (any constant works there).
+    nan when ||H2|| = 0 (any constant works there).  A float for single
+    fields, an array of the batch shape for batches.
     """
-    return float(_critical_constants(_two_point_norms(h1, h2, _finite_interior(p), family)))
+    c = _critical_constants(_two_point_norms(h1, h2, _finite_interior(p), family))
+    return c if np.ndim(c) else float(c)
 
 
 def _critical_constants(norms):

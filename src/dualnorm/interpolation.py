@@ -23,11 +23,11 @@ SVD per block, shared with the dual extremizer) and return the witness as a
 function of z.  The witness of a field, or of a batch Field h, at strip
 points z is a batch Field of batch shape h.batch + np.shape(z) (a single
 Field for a single field at one point), so the checks below evaluate the
-whole boundary grid of every row in one call.  Each check is one function
-for fields and batches: one case id gives the report of single fields, and
-a list of case ids gives one report per row of batch fields.  Zero singular
-values are mapped to zero for every exponent (including 0), so the powers
-act on the support only.
+whole boundary grid of every row in one call.  Every anchor of the suite
+has a public check, and each is one function for fields and batches: one
+case id gives the report of single fields, and a list of case ids gives one
+report per row of batch fields.  Zero singular values are mapped to zero
+for every exponent (including 0), so the powers act on the support only.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "strip_function",
     "three_lines_check",
     "boundary_witness_norms",
+    "boundary_witness_check",
     "interp_norm_consistency",
 ]
 
@@ -175,25 +176,24 @@ def three_lines_check(
 
 
 def boundary_witness_norms(h: Field, spec: InterpSpec):
-    """(||f(it)||_p0, ||f(1+it)||_p1) over the grid, for unit-normalized h."""
-    norms0, norms1 = _boundary_norms(h, spec)
-    return norms0.tolist(), norms1.tolist()
+    """(||f(it)||_p0, ||f(1+it)||_p1) over the grid, for unit-normalized h.
 
-
-def _boundary_norms(h: Field, spec: InterpSpec):
-    """boundary_witness_norms of each row of the batch ``h``: arrays of shape h.batch + (n,)."""
+    Two lists of grid values; for a batch h, two lists of one such list per row.
+    """
     at, (left, right) = witness_f(h, spec), _edges()
-    return lp_sch_norm(at(left), spec.p0), lp_sch_norm(at(right), spec.p1)
+    return lp_sch_norm(at(left), spec.p0).tolist(), lp_sch_norm(at(right), spec.p1).tolist()
 
 
-def _boundary_norm_reports(h: Field, spec: InterpSpec, boundary_norms, suite, case_ids):
-    """Per row of ``h``, given its ``_boundary_norms``: the one farthest from 1 must equal 1."""
+def boundary_witness_check(
+    h: Field, spec: InterpSpec, boundary_norms, *, suite="interpolation", case_id="boundary_witness"
+):
+    """The boundary norm farthest from 1 equals 1, given ``boundary_witness_norms(h, spec)``."""
     norms = np.concatenate(boundary_norms, axis=-1)
     farthest = np.abs(norms - 1.0).argmax(axis=-1, keepdims=True)
     worst = np.take_along_axis(norms, farthest, axis=-1)[..., 0]
     inputs = (h, spec.p0.value, spec.p1.value, spec.theta)
     return equality_report(
-        suite, case_ids, float(spec.p), worst, 1.0, inputs, "boundary_witness", rel=1e-9
+        suite, case_id, float(spec.p), worst, 1.0, inputs, "boundary_witness", rel=1e-9
     )
 
 

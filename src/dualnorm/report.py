@@ -14,11 +14,12 @@ block bytes.
 
 A float for a field, an array for a batch: a constructor given one case id
 returns one report, and given a list of n case ids returns one report per
-row of a batch check.  It encodes each shared input once and takes each
-batch row's block hash from the Field's memo (``Field.block_sha256``), so
-every report of the chunk that names the row shares it.  JSON is written
-from a fixed per-report template with the bytes ``json.dumps(..., indent=2)``
-would write.
+row of a batch check.  One encoder digests both: it encodes each shared
+input once and takes each batch row's block hash from the Field's memo
+(``Field.block_sha256``), so every report of the chunk that names the row
+shares it; ``digest_inputs`` is a separate encoder, the tests' oracle.  JSON
+is written from a fixed per-report template with the bytes
+``json.dumps(..., indent=2)`` would write.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def check_report(
     """Report with an explicit slack; ``passed`` is exactly ``slack >= -tol``.
 
     ``tol`` is ``tolerance(scale, rel)``, where ``scale`` defaults to ``rhs``,
-    and ``inputs_digest`` is ``digest_inputs(*inputs)``.
+    and ``inputs_digest`` equals ``digest_inputs(*inputs)``.
 
     One case id gives one report.  A list of n case ids gives a list of n
     reports, one per row of a batch check: row i takes element i of each
@@ -115,16 +116,13 @@ def check_report(
     batch Field in ``inputs``, lists of fields included.  Scalars and single
     fields serve every row.  Each row's digest is ``digest_inputs`` of its
     inputs, with every shared part encoded once and every batch row hashed
-    once per Field.
+    once per Field.  One case id takes no batch.
     """
     one = isinstance(case_id, str)
     ids = [case_id] if one else case_id
     n = len(ids)
-    if one:
-        digests = [digest_inputs(*inputs)]
-    else:
-        parts = [_row_texts(x, n) for x in inputs]
-        digests = [_digest(_at(t, i) for t in parts) for i in range(n)]
+    parts = [_row_texts(x, None if one else n) for x in inputs]
+    digests = [_digest(_at(t, i) for t in parts) for i in range(n)]
     tols = [tolerance(x, rel) for x in _rows(rhs if scale is None else scale, n)]
     reports = [
         CheckReport(
@@ -168,24 +166,28 @@ def _rows(x, n) -> list:
     return np.asarray(x).tolist()
 
 
+# JSON text as canonical_json writes it, for every part but a Field
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _row_texts(x, n):
-    """``canonical_json`` of row i of input part ``x`` for i < n; one text if the rows share it."""
+    """``canonical_json`` of row i < n of input part ``x``, one text if shared (n None: one case id)."""
     if isinstance(x, Field):
-        if len(x.batch) != 1:
-            return canonical_json(x)  # a single field; a batch of batches raises
-        if x.batch != (n,):
-            raise ValueError(f"a batch Field of {x.batch[0]} rows for {n} case ids")
+        if x.batch not in ((), (n,)):
+            ids = "one" if n is None else n
+            raise ValueError(f"a batch Field of {x.batch} rows for {ids} case id(s)")
         # the keys of _encode's document, sorted: blocks_sha256 comes first
-        tail = canonical_json({"dims": list(x.model.dims), "model": x.model.name})[1:]
-        return [f'{{"blocks_sha256":"{sha}",{tail}' for sha in x.block_sha256]
+        tail = _compact({"dims": list(x.model.dims), "model": x.model.name})[1:]
+        texts = [f'{{"blocks_sha256":"{sha}",{tail}' for sha in x.block_sha256]
+        return texts if x.batch else texts[0]
     if isinstance(x, (list, tuple)):
         items = [_row_texts(y, n) for y in x]
         if all(isinstance(t, str) for t in items):
             return "[" + ",".join(items) + "]"
         return ["[" + ",".join(_at(t, i) for t in items) + "]" for i in range(n)]
-    if np.ndim(x):
-        return [canonical_json(v) for v in _rows(x, n)]
-    return canonical_json(x)
+    if n is not None and np.ndim(x):
+        return [_compact(v) for v in _rows(x, n)]
+    return _compact(x)
 
 
 def _at(texts, i):

@@ -47,6 +47,7 @@ from dualnorm.inequalities import (
 )
 from dualnorm.interpolation import (
     _edges,
+    boundary_witness_check,
     boundary_witness_norms,
     interp_norm_consistency,
     three_lines_check,
@@ -440,6 +441,9 @@ MERGED_CHECKS = {
     ),
     "three_lines": lambda h, g, e, **kw: three_lines_check(h, g, INTERP, **kw),
     "consistency": lambda h, g, e, **kw: interp_norm_consistency(
+        h, INTERP, boundary_witness_norms(h, INTERP), **kw
+    ),
+    "boundary_witness": lambda h, g, e, **kw: boundary_witness_check(
         h, INTERP, boundary_witness_norms(h, INTERP), **kw
     ),
 }

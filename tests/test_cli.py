@@ -447,6 +447,50 @@ def test_main_s3_with_an_argument_is_config_error(dual, no_draw, capsys):
     assert err.count("error:") == 2 and "no argument" in err
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--dual", "custom(1,,2)"), ("--dual", "custom(1,2,)"), ("--dual", "custom(,1)"),
+        ("--dual", "torus(1_0)"), ("--dual", "su2_trunc(0_3)"), ("--dual", "torus(\u0663)"),
+        ("--p", "1.5,,2"), ("--p", "1.5,2,"), ("--p", ",2"), ("--p", ""),
+    ],
+    ids=lambda option: f"{option[0][2:]}={option[1]}",
+)
+def test_main_malformed_list_item_is_config_error(option, no_draw, capsys):
+    assert main(["verify", "norms", "--trials", "1", *option]) == EXIT_CONFIG_ERROR
+    if option[0] == "--dual":
+        assert main(["field", "random", *option]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": "x", "entries": [{"label": 1, "dim": 1}, {"label": "1", "dim": 2}]},
+        {"name": None, "entries": [{"label": "a", "dim": 1}]},
+    ],
+    ids=["int_label", "null_name"],
+)
+def test_main_model_with_a_non_string_name_or_label_is_config_error(doc, no_draw, tmp_path, capsys):
+    dual = tmp_path / "model.json"
+    dual.write_text(json.dumps(doc))
+    assert main(["verify", "norms", "--dual", str(dual), "--trials", "1"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "not a JSON string" in err and "Traceback" not in err
+
+
+def test_main_field_random_out_holds_the_printed_bytes(tmp_path, capsys):
+    argv = ["field", "random", "--dual", "su2_trunc(3)", "--seed", "4"]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    path = tmp_path / "f.json"
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == printed.encode("utf-8")
+    assert main([*argv, "--out", str(tmp_path / "no" / "f.json")]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("error: cannot write a field to ")
+
+
 def test_main_oversized_entry_count_is_config_error(capsys):
     start = time.perf_counter()
     assert main(["verify", "norms", "--dual", "torus(100000000)", "--trials", "1"]) == EXIT_CONFIG_ERROR

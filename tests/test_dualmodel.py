@@ -66,6 +66,52 @@ def test_preset_custom_and_parse():
         parse_dual_arg("nosuch(3)")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["custom(1,,2)", "custom(1,2,)", "custom(,1)", "custom()", "custom(1,\u0662)", "torus(1_0)",
+     "torus(\u0663)", "torus(+3)", "torus()", "su2_trunc(0_3)", "su2_trunc(3.0)"],
+)
+def test_preset_list_items_are_ascii_decimals(text):
+    with pytest.raises(ValueError, match="decimal"):
+        parse_dual_arg(text)
+
+
+def test_preset_list_items_may_have_spaces_around_them():
+    assert parse_dual_arg("torus( 3 )") == preset_dual("torus", 3)
+    assert parse_dual_arg("su2_trunc(04)") == preset_dual("su2_trunc", 4)
+    assert parse_dual_arg(" custom(1, 2 ,2) ") == preset_dual("custom", [1, 2, 2])
+
+
+@pytest.mark.parametrize("text", ["s3", "torus(3)", "su2_trunc(4)", "custom(1,3,2)"])
+def test_decode_model_inverts_encode_model(text):
+    m = parse_dual_arg(text)
+    assert decode_model(encode_model(m)) == m
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": "x", "entries": [{"label": 1, "dim": 1}, {"label": "1", "dim": 2}]},
+        {"name": None, "entries": [{"label": "a", "dim": 1}]},
+        {"name": ["x"], "entries": [{"label": "a", "dim": 1}]},
+        {"name": "x", "entries": [{"label": None, "dim": 1}]},
+    ],
+    ids=["int_label", "null_name", "list_name", "null_label"],
+)
+def test_decode_model_takes_string_names_and_labels(doc):
+    with pytest.raises(ValueError, match="not a JSON string"):
+        decode_model(doc)
+
+
+def test_model_labels_are_unique_as_stored_and_dims_are_integers():
+    with pytest.raises(ValueError, match="unique"):
+        DualModel("x", ((1, 1), ("1", 2)))
+    for dim in (1.7, 2.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            DualModel("x", (("a", dim),))
+    assert DualModel("x", ((1, np.int64(2)),)).entries == (("1", 2),)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         DualModel("bad", ())

@@ -204,6 +204,23 @@ def test_two_point_critical_constant_nan_for_zero():
     assert math.isnan(two_point_critical_constant(h, zero_field(S3), 3.0))
 
 
+def test_two_point_critical_constant_of_a_batch_holds_each_rows_constant():
+    model = preset_dual("su2_trunc", 3)
+    h1 = random_stacks(model, mix_seed("crit", 1), rows=4)
+    h2 = np.array([1.0, 2.0, 0.0, 0.5]) * random_stacks(model, mix_seed("crit", 2), rows=4)
+    for p in (1.5, 2.0, 3.0):
+        for family in ("sch", "hs"):
+            crits = two_point_critical_constant(h1, h2, p, family)
+            assert crits.shape == (4,)
+            for k in range(4):
+                one = two_point_critical_constant(h1[k], h2[k], p, family)
+                assert type(one) is float
+                if k == 2:  # h2 is zero in row 2
+                    assert math.isnan(one) and math.isnan(crits[k])
+                else:
+                    assert one == crits[k], (p, family, k)
+
+
 # -- moduli bounds ---------------------------------------------------------------
 
 

@@ -17,6 +17,7 @@ from dualnorm.duality import dual_extremizer, pairing
 from dualnorm.interpolation import (
     DEFAULT_T_GRID,
     InterpSpec,
+    boundary_witness_check,
     boundary_witness_norms,
     interp_norm_consistency,
     strip_function,
@@ -24,7 +25,9 @@ from dualnorm.interpolation import (
     witness_f,
     witness_g,
 )
+from dualnorm.cli import _interp_spec_for
 from dualnorm.norms import ExponentP, lp_sch_norm
+from dualnorm.report import equality_report
 
 SPEC_1_2 = InterpSpec.for_target(1.0, 2.0, 1.5)
 SPEC_2_4 = InterpSpec.for_target(2.0, 4.0, 3.0)
@@ -263,6 +266,26 @@ def test_three_lines_scalar_instance_constant_along_vertical_lines():
 
 
 # -- norm consistency ------------------------------------------------------------
+
+
+def test_suite_strip_specs_below_at_and_above_2():
+    assert _interp_spec_for(ExponentP(1.5)) == InterpSpec.for_target(1.0, 2.0, 1.5)
+    assert _interp_spec_for(ExponentP(2.0)) == InterpSpec(ExponentP(2.0), ExponentP(2.0), 0.5)
+    assert _interp_spec_for(ExponentP(3.0)) == InterpSpec.for_target(2.0, 6.0, 3.0)
+
+
+@pytest.mark.parametrize("spec", [SPEC_1_2, SPEC_2_4, InterpSpec.for_target(2.0, 2.0, 2.0)])
+def test_boundary_witness_check_reports_the_norm_farthest_from_one(spec):
+    h = random_field(preset_dual("su2_trunc", 3), mix_seed("bw", spec.p.value))
+    norms = boundary_witness_norms(h, spec)
+    rep = boundary_witness_check(h, spec, norms)
+    worst = max(norms[0] + norms[1], key=lambda v: abs(v - 1.0))
+    inputs = (h, spec.p0.value, spec.p1.value, spec.theta)
+    assert rep == equality_report(
+        "interpolation", "boundary_witness", float(spec.p), worst, 1.0, inputs, "boundary_witness",
+        rel=1e-9,
+    )
+    assert rep.passed
 
 
 def test_consistency_random_fields():
