@@ -30,6 +30,8 @@ from . import inequalities as ineq
 from . import matcore
 from .dualmodel import (
     DualModel,
+    _ascii_float,
+    _ascii_int,
     decode_field,
     decode_model,
     encode_field,
@@ -287,9 +289,9 @@ def _suite_moduli(cfg: SuiteConfig):
     samples = cfg.trials
     for p in _interior(cfg):
         for family in cfg.families:
-            seed = mix_seed(cfg.seed, cfg.suite, p, family)
-            convexity = ineq.modulus_convexity_sample(
-                cfg.dual, p, family, samples=samples, seed=seed
+            convexity, smoothness = ineq._moduli_pass(
+                cfg.dual, p, family, ineq.default_eps_bins(), ineq._SMOOTHNESS_T_GRID, samples,
+                mix_seed(cfg.seed, cfg.suite, p, family),
             )
             occupied = [est for est in convexity if not est.skipped]
             for est in occupied:
@@ -302,9 +304,6 @@ def _suite_moduli(cfg: SuiteConfig):
                 cfg.suite, f"convexity_bins.{family}[p={p}]", p,
                 float(len(occupied)), float(len(convexity)),
                 (p.value, family, cfg.seed, samples), "bin_occupancy", rel=0.0,
-            )
-            smoothness = ineq.modulus_smoothness_sample(
-                cfg.dual, p, family, samples=samples, seed=seed
             )
             for est in smoothness:
                 yield inequality_report(
@@ -432,9 +431,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--dual", default="s3", help="preset like s3, torus(4), su2_trunc(3), custom(1,2,2), or a .json file")
     verify.add_argument("--p", default="1.5,2,3", help="comma-separated exponents; inf and fractions like 3/2 allowed")
     verify.add_argument("--family", choices=["sch", "hs", "both"], default="both")
-    verify.add_argument("--trials", type=int, default=10)
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--tol", type=float, default=None, help="scale every check's own tolerance by TOL / 1e-10")
+    verify.add_argument("--trials", type=_ascii_int, default=10)
+    verify.add_argument("--seed", type=_ascii_int, default=None)
+    verify.add_argument("--tol", type=_ascii_float, default=None, help="scale every check's own tolerance by TOL / 1e-10")
     verify.add_argument("--out", default=None, help="report file path")
     verify.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -442,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     field_sub = field.add_subparsers(dest="field_command", required=True)
     rand = field_sub.add_parser("random", help="draw a seeded random field as JSON")
     rand.add_argument("--dual", default="s3")
-    rand.add_argument("--seed", type=int, default=None)
+    rand.add_argument("--seed", type=_ascii_int, default=None)
     rand.add_argument("--dist", choices=["ginibre", "hermitian", "psd"], default="ginibre")
     rand.add_argument("--out", default=None)
     show = field_sub.add_parser("show", help="summarize a field JSON file")
@@ -456,7 +455,7 @@ def _default_seed(explicit: int | None) -> int:
         return explicit
     env = os.environ.get("DUALNORM_SEED")
     try:
-        return int(env) if env else 0
+        return _ascii_int(env) if env else 0
     except ValueError as exc:
         raise ConfigError(f"DUALNORM_SEED must be an integer, got {env!r}") from exc
 

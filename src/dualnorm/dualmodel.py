@@ -124,6 +124,20 @@ def preset_dual(kind: str, arg=None) -> DualModel:
     raise ValueError(f"unknown dual preset kind {kind!r}")
 
 
+def _ascii_int(text: str) -> int:
+    """int(text), for ASCII text with no underscore: "-1" or " 2 ", but not "1_0" or "٣"."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a decimal integer in ASCII digits")
+    return int(text)
+
+
+def _ascii_float(text: str) -> float:
+    """float(text), for ASCII text with no underscore: "2." or "1e-10", but not "1_5" or "１.５"."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a decimal number in ASCII digits")
+    return float(text)
+
+
 def parse_dual_arg(text: str) -> DualModel:
     """Parse a preset string like "torus(4)", "su2_trunc(3)", "s3", "custom(1,2,2)"."""
     text = text.strip()
@@ -133,11 +147,11 @@ def parse_dual_arg(text: str) -> DualModel:
                 raise ValueError("missing closing parenthesis")
             kind, _, inner = text[:-1].partition("(")
             items = [s.strip() for s in inner.split(",")]
-            if kind != "s3" and not all(s.isascii() and s.isdigit() for s in items):
+            if kind != "s3" and not all(s.isdigit() for s in items):  # no sign, no empty item
                 raise ValueError(f"the items in parentheses must be decimal integers, got {inner!r}")
             if kind == "custom":
-                return preset_dual("custom", [int(s) for s in items])
-            return preset_dual(kind, inner)
+                return preset_dual("custom", [_ascii_int(s) for s in items])
+            return preset_dual(kind, inner if kind == "s3" else _ascii_int(inner))
         return preset_dual(text)
     except ValueError as exc:
         raise ValueError(f"malformed dual preset {text!r}: {exc}") from exc

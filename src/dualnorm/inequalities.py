@@ -5,8 +5,8 @@ parallelogram identity:
 
 * Clarkson inequalities (midpoint vs endpoints, conjugate exponents),
 * two-point inequalities with explicit constants 2p - 1 and (p-1)/(p+1),
-* sampled lower bounds on the modulus of convexity and upper bounds on the
-  modulus of smoothness,
+* sampled lower bounds on the modulus of convexity and upper bounds on the modulus
+  of smoothness, from one pass over the same unit pairs (the two samplers are its views),
 * exhaustive Rademacher sign averages and the type/cotype comparisons,
 * the rearranged-Clarkson gap behind the Kadec-Klee property (in units of
   its power mean), and the finite comparison behind summability.
@@ -65,6 +65,7 @@ __all__ = [
 
 RADEMACHER_MAX_TERMS = 20
 DEFAULT_BIN_WIDTH = 0.1
+_SMOOTHNESS_T_GRID = (0.1, 0.5, 1.0)  # modulus_smoothness_sample's default t-grid
 
 
 def two_point_upper_constant(p) -> float:
@@ -279,7 +280,7 @@ def _draws(model: DualModel, keys, start: int, rows: int):
     """Pairs start .. start + rows - 1: ginibre batches a and b, and cos t, sin t.
 
     t is each pair's mixing angle, uniform on [0, pi].  ``keys`` are the
-    three stream keys of the sampler call (a, b, t), and pair k reads row k
+    three stream keys of the moduli pass (a, b, t), and pair k reads row k
     of each stream, so a pair's values never depend on the chunk it is
     drawn in.
     """
@@ -315,6 +316,42 @@ def _unit_pairs(model: DualModel, p: float, family: str, seed: int, samples: int
         yield h1, (1.0 / norm) * mixed
 
 
+def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed, bin_width=DEFAULT_BIN_WIDTH):
+    """Both samplers' estimates, (convexity, smoothness), from one walk over the same unit pairs.
+
+    An empty grid (``eps_bins`` or ``t_grid``) forms none of its estimate's norms.
+    """
+    pv = _finite_interior(p)
+    edges = tuple(float(e) for e in eps_bins)
+    if any(not (0.0 <= e <= 2.0) for e in edges):
+        raise ValueError("bin edges must lie in [0, 2]")
+    ts = [float(t) for t in t_grid]
+    if any(t < 0.0 for t in ts):
+        raise ValueError("smoothness grid points must be non-negative")
+    lowest, counts = {e: math.inf for e in edges}, {e: 0 for e in edges}
+    highest = [-math.inf] * len(ts)
+    for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
+        if edges:
+            eps = field_norm(h1 - h2, pv, family)
+            midgap = 1.0 - field_norm(0.5 * (h1 + h2), pv, family)
+            free = np.ones(eps.shape, dtype=bool)
+            for e in edges:
+                hit = free & (e <= eps) & (eps < e + bin_width)
+                if hit.any():
+                    counts[e] += int(hit.sum())
+                    lowest[e] = min(lowest[e], float(midgap[hit].min()))
+                    free &= ~hit
+        for i, t in enumerate(ts):
+            plus, minus = field_norm(h1 + t * h2, pv, family), field_norm(h1 - t * h2, pv, family)
+            highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
+    return (
+        [ModulusEstimate(e, lowest[e] if counts[e] else math.nan, convexity_lower_bound(pv, e),
+                         "convexity_lower", counts[e]) for e in edges],
+        [ModulusEstimate(t, highest[i] if samples else math.nan, smoothness_upper_bound(pv, t),
+                         "smoothness_upper", samples) for i, t in enumerate(ts)],
+    )
+
+
 def modulus_convexity_sample(
     model: DualModel,
     p,
@@ -331,66 +368,20 @@ def modulus_convexity_sample(
     proved lower bound at the bin's lower edge (the bound is increasing, so
     that comparison is sound for every pair landing in the bin).
     """
-    pv = _finite_interior(p)
-    edges = tuple(float(e) for e in (default_eps_bins() if eps_bins is None else eps_bins))
-    if any(not (0.0 <= e <= 2.0) for e in edges):
-        raise ValueError("bin edges must lie in [0, 2]")
-    best = {e: math.inf for e in edges}
-    counts = {e: 0 for e in edges}
-    for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
-        eps = field_norm(h1 - h2, pv, family)
-        midgap = 1.0 - field_norm(0.5 * (h1 + h2), pv, family)
-        free = np.ones(eps.shape, dtype=bool)
-        for e in edges:
-            hit = free & (e <= eps) & (eps < e + bin_width)
-            if hit.any():
-                counts[e] += int(hit.sum())
-                best[e] = min(best[e], float(midgap[hit].min()))
-                free &= ~hit
-    out = []
-    for e in edges:
-        n = counts[e]
-        est = best[e] if n else math.nan
-        out.append(
-            ModulusEstimate(
-                epsilon_or_t=e,
-                estimate=est,
-                bound=convexity_lower_bound(pv, e),
-                kind="convexity_lower",
-                samples=n,
-            )
-        )
-    return out
+    edges = default_eps_bins() if eps_bins is None else eps_bins
+    return _moduli_pass(model, p, family, edges, (), samples, seed, bin_width)[0]
 
 
 def modulus_smoothness_sample(
     model: DualModel,
     p,
     family: str,
-    t_grid=(0.1, 0.5, 1.0),
+    t_grid=_SMOOTHNESS_T_GRID,
     samples: int = 1000,
     seed: int = 0,
 ) -> list[ModulusEstimate]:
     """Per-t sampled supremum of (||H1 + t H2|| + ||H1 - t H2||)/2 - 1."""
-    pv = _finite_interior(p)
-    ts = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in ts):
-        raise ValueError("smoothness grid points must be non-negative")
-    best = [-math.inf] * len(ts)
-    for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
-        for i, t in enumerate(ts):
-            plus, minus = field_norm(h1 + t * h2, pv, family), field_norm(h1 - t * h2, pv, family)
-            best[i] = max(best[i], float(((plus + minus) / 2.0 - 1.0).max()))
-    return [
-        ModulusEstimate(
-            epsilon_or_t=t,
-            estimate=(best[i] if samples else math.nan),
-            bound=smoothness_upper_bound(pv, t),
-            kind="smoothness_upper",
-            samples=samples,
-        )
-        for i, t in enumerate(ts)
-    ]
+    return _moduli_pass(model, p, family, (), t_grid, samples, seed)[1]
 
 
 # -- Rademacher averages, type and cotype ------------------------------------

@@ -39,6 +39,8 @@ from . import matcore
 from .dualmodel import (
     DualModel,
     Field,
+    _ascii_float,
+    _ascii_int,
     field_abs,
     field_adjoint,
     field_product,
@@ -77,7 +79,9 @@ class ExponentP:
 
     @classmethod
     def parse(cls, text) -> "ExponentP":
-        """Accept "inf", finite decimals like "2.5" (not "1e400"), and fractions like "3/2"."""
+        """Accept "inf" (or "infinity", "oo"), finite decimals like "2.", "2.50" or "1e1"
+        (not "1e400") and fractions like "3/2", in ASCII digits: "1_5" and "٣" are malformed.
+        """
         if isinstance(text, ExponentP):
             return text
         try:
@@ -86,7 +90,8 @@ class ExponentP:
             s = str(text).strip().lower()
             if s in ("inf", "infinity", "oo"):
                 return cls(math.inf)
-            v = float(Fraction(s)) if "/" in s else float(s)
+            num, slash, den = s.partition("/")
+            v = float(Fraction(_ascii_int(num), _ascii_int(den))) if slash else _ascii_float(s)
             if math.isinf(v):
                 raise OverflowError("not a finite float; write inf for infinity")
             return cls(v)

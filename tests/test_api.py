@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import re
@@ -29,6 +30,42 @@ def test_all_lists_exactly_the_public_functions_and_classes(name):
     for attr in listed - defined:
         obj = getattr(module, attr)
         assert not (inspect.isfunction(obj) or inspect.isclass(obj) or inspect.ismodule(obj)), attr
+
+
+# Every private name cli takes from a library module: a new one shows up here
+CLI_PRIVATE_NAMES = {
+    ("dualmodel", "_ascii_float"),
+    ("dualmodel", "_ascii_int"),
+    ("inequalities", "_SMOOTHNESS_T_GRID"),
+    ("inequalities", "_chunks"),
+    ("inequalities", "_critical_constants"),
+    ("inequalities", "_moduli_pass"),
+    ("inequalities", "_parallelogram_reports"),
+    ("inequalities", "_two_point_norms"),
+    ("inequalities", "_two_point_reports"),
+    ("inequalities", "_type_cotype_reports"),
+    ("norms", "_sch_norm_from_sigma"),
+}
+
+
+def test_cli_takes_only_the_listed_private_names():
+    cli = importlib.import_module("dualnorm.cli")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    own = [n for n in imports if n.level == 1 or (n.module or "").split(".")[0] == "dualnorm"]
+    modules, taken = {}, set()  # modules: local name -> dualnorm module
+    for node in own:
+        module = (node.module or "").removeprefix("dualnorm").lstrip(".")
+        for alias in node.names:
+            if not module:  # from . import inequalities as ineq
+                modules[alias.asname or alias.name] = alias.name
+            elif alias.name.startswith("_"):
+                taken.add((module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and node.attr.startswith("_"):
+                taken.add((modules[node.value.id], node.attr))
+    assert modules and taken == CLI_PRIVATE_NAMES
 
 
 def readme_commands():

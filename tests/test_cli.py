@@ -595,6 +595,45 @@ def test_main_verify_accepts_seeds_at_mix_range_ends(capsys):
         assert main(argv) == EXIT_OK
 
 
+# int(), float() and Fraction() take underscores and non-ASCII digits, so each
+# of these once ran silently with a number nobody wrote ("1_5" as 15, "٣" as 3)
+@pytest.mark.parametrize(
+    "argv,env_seed",
+    [
+        (["verify", "norms", "--p", "1_5"], None),
+        (["verify", "norms", "--p", "\u0663"], None),
+        (["verify", "norms", "--p", "\uff11.\uff15"], None),
+        (["verify", "norms", "--p", "30/2_0"], None),
+        (["verify", "norms", "--trials", "1_0"], None),
+        (["verify", "norms", "--trials", "\u0662"], None),
+        (["verify", "norms", "--seed", "\u0663"], None),
+        (["verify", "norms", "--tol", "1_0e-10"], None),
+        (["verify", "norms"], "\u0661"),
+        (["field", "random", "--seed", "\u0663"], None),
+        (["field", "random"], "\u0661"),
+    ],
+)
+def test_main_numbers_take_only_ascii_digits_without_underscores(argv, env_seed, no_draw,
+                                                                 monkeypatch, capsys):
+    if env_seed is not None:
+        monkeypatch.setenv("DUALNORM_SEED", env_seed)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error from the parser
+        code = exc.code
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_main_numbers_keep_their_ascii_spellings():
+    args = cli._build_parser().parse_args(
+        ["verify", "norms", "--trials", " +2 ", "--seed", "-1", "--tol", "2.50e-10"]
+    )
+    assert (args.trials, args.seed, args.tol) == (2, -1, 2.5e-10)
+    assert cli._build_parser().parse_args(["field", "random", "--seed", "07"]).seed == 7
+
+
 def test_main_malformed_env_seed_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("DUALNORM_SEED", "abc")
     assert main(["field", "random", "--dual", "s3"]) == EXIT_CONFIG_ERROR

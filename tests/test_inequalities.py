@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualnorm import inequalities
+from dualnorm.cli import SuiteConfig, run_suite
 from dualnorm.dualmodel import (
     Field,
     mix_seed,
@@ -469,6 +470,55 @@ def test_moduli_samplers_mix_three_keys_per_call(monkeypatch, budget):
     assert calls == [(8, "a"), (8, "b"), (8, "t")]
     modulus_smoothness_sample(S3, 3.0, "hs", samples=500, seed=8)
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("budget", [None, 1])  # default chunks; one pair per chunk
+def test_moduli_suite_draws_each_pair_once(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
+    draws, keys = [], []
+    draw, mix = inequalities._draws, inequalities.mix_seed
+    monkeypatch.setattr(inequalities, "_draws", lambda *args: draws.append(1) or draw(*args))
+    monkeypatch.setattr(inequalities, "mix_seed", lambda *parts: keys.append(parts) or mix(*parts))
+    cfg = SuiteConfig(suite="moduli", dual=parse_dual_arg("su2_trunc(3)"), p_list=("1.5", "3"),
+                      family="both", trials=40, seed=2)
+    assert run_suite(cfg)
+    runs = 2 * 2  # (p, family)
+    assert len(draws) == runs * len(list(inequalities._chunks(cfg.dual, cfg.trials)))
+    assert len(keys) == runs * 3 and [k[1] for k in keys] == ["a", "b", "t"] * runs
+
+
+@pytest.mark.parametrize(
+    "eps_bins,t_grid,bin_width",
+    [(default_eps_bins(), (0.1, 0.5, 1.0), 0.1), ((0.5, 0.55, 1.2), (0.0, 0.3, 2.0), 0.2)],
+    ids=["default", "custom"],
+)
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_moduli_pass_returns_both_views(eps_bins, t_grid, bin_width, family):
+    model = parse_dual_arg("su2_trunc(3)")
+    both = inequalities._moduli_pass(model, 1.5, family, eps_bins, t_grid, 60, 9, bin_width)
+    conv = modulus_convexity_sample(model, 1.5, family, eps_bins, 60, 9, bin_width)
+    smooth = modulus_smoothness_sample(model, 1.5, family, t_grid, 60, 9)
+    assert both == (conv, smooth) and any(est.samples for est in conv)
+
+
+def test_moduli_views_form_only_their_own_norms(monkeypatch):
+    monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", 1)  # one pair per chunk
+    calls = []
+    norm = inequalities.field_norm
+    monkeypatch.setattr(inequalities, "field_norm", lambda *a: calls.append(1) or norm(*a))
+
+    def norms_per_pair(run, *args, **kwargs):
+        calls.clear()
+        run(S3, 1.5, "sch", *args, **kwargs)
+        return len(calls) / 10
+
+    t_grid = (0.1, 0.5, 1.0, 2.0)
+    unit = 3  # the two draws and their mix, to normalize
+    assert norms_per_pair(modulus_convexity_sample, samples=10) == unit + 2
+    assert norms_per_pair(modulus_smoothness_sample, t_grid, samples=10) == unit + 2 * len(t_grid)
+    both = norms_per_pair(inequalities._moduli_pass, default_eps_bins(), t_grid, 10, 0)
+    assert both == unit + 2 + 2 * len(t_grid)
 
 
 def test_moduli_sampler_memory_bounded_by_chunk():

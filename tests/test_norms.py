@@ -118,6 +118,23 @@ def test_exponent_parse():
         ExponentP(float("nan"))
 
 
+@pytest.mark.parametrize(
+    "text,value",
+    [("2", 2.0), ("+2", 2.0), (" 2 ", 2.0), ("2.", 2.0), ("2.50", 2.5), ("1e1", 10.0),
+     ("1E1", 10.0), ("3/2", 1.5), ("inf", math.inf), ("INF", math.inf),
+     ("Infinity", math.inf), ("oo", math.inf)],
+)
+def test_exponent_parse_keeps_ascii_spellings(text, value):
+    assert ExponentP.parse(text).value == value
+
+
+# float() and Fraction() would read these as 15, 3, 1.5, 1.5 and 1.5
+@pytest.mark.parametrize("text", ["1_5", "\u0663", "\uff11.\uff15", "30/2_0", "3/\u0662", "1e400"])
+def test_exponent_parse_takes_only_ascii_digits_without_underscores(text):
+    with pytest.raises(ValueError):
+        ExponentP.parse(text)
+
+
 def test_exponent_inv_endpoint():
     assert ExponentP(math.inf).inv() == 0.0
     assert ExponentP(4.0).inv() == 0.25
