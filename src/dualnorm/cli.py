@@ -36,6 +36,7 @@ from .dualmodel import (
     decode_model,
     encode_field,
     encode_model,
+    field_product,
     mix_seed,
     parse_dual_arg,
     random_field,
@@ -54,11 +55,11 @@ from .norms import (
     FAMILIES,
     DirectSumSpec,
     ExponentP,
+    _holder_reports,
     _sch_norm_from_sigma,
     adjoint_norm_check,
     embedding_check,
-    field_norm,
-    holder_check,
+    field_norms,
     lp_hs_norm,
     lp_sch_norm,
 )
@@ -148,21 +149,19 @@ def _interior(cfg: SuiteConfig) -> list[ExponentP]:
 
 def _suite_norms(cfg: SuiteConfig):
     for p in cfg.p_list:
-        for ks, (h1, h2) in _trials(cfg, p):
+        for ks, (h1, h2) in _trials(cfg, p, fields_per_trial=4):
             ids = _case_ids(f"embedding[p={p}]", ks)
             yield from embedding_check(h1, p, suite=cfg.suite, case_id=ids)
             alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
             for family in cfg.families:
-                n1 = field_norm(h1, p, family)
-                n2 = field_norm(h2, p, family)
+                n1, n2, n_sum, n_scaled = field_norms((h1, h2, h1 + h2, alpha * h1), p, family)
                 yield from inequality_report(
                     cfg.suite, _case_ids(f"triangle.{family}[p={p}]", ks), p,
-                    field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p.value, family), "triangle",
+                    n_sum, n1 + n2, (h1, h2, p.value, family), "triangle",
                 )
                 yield from equality_report(
                     cfg.suite, _case_ids(f"homogeneity.{family}[p={p}]", ks), p,
-                    field_norm(alpha * h1, p, family), alpha * n1, (h1, p.value, family, alpha),
-                    "homogeneity",
+                    n_scaled, alpha * n1, (h1, p.value, family, alpha), "homogeneity",
                 )
     for ks, (h,) in _trials(cfg, "p2", roles=("a",)):
         # S_2 = HS, from singular values on one side and Frobenius sums on the
@@ -183,15 +182,16 @@ def _suite_holder(cfg: SuiteConfig):
         if not p.is_inf:
             cases.append((inf, p, "inf_left[r={p}][{k:04d}]"))
         for ks, (h1, h2) in _trials(cfg, p):
+            product = field_product(h1, h2)  # its singular values serve every case
             for a, b, case_id in cases:
                 ids = [case_id.format(p=p, k=k) for k in ks]
-                yield from holder_check(h1, h2, a, b, suite=cfg.suite, case_id=ids)
+                yield from _holder_reports(h1, h2, product, a, b, cfg.suite, ids)
 
 
 def _suite_adjoint(cfg: SuiteConfig):
     for p in cfg.p_list:
         for family in cfg.families:
-            for ks, (h,) in _trials(cfg, p, family, roles=("a",)):
+            for ks, (h,) in _trials(cfg, p, family, roles=("a",), fields_per_trial=3):
                 ids = _case_ids(f"{family}[p={p}]", ks)
                 yield from adjoint_norm_check(h, p, family, suite=cfg.suite, case_id=ids)
 
@@ -254,7 +254,7 @@ def _suite_interpolation(cfg: SuiteConfig):
 
 def _suite_clarkson(cfg: SuiteConfig):
     for p in _interior(cfg):
-        for ks, (h1, h2) in _trials(cfg, p):
+        for ks, (h1, h2) in _trials(cfg, p, fields_per_trial=4):
             for family in cfg.families:
                 ids = _case_ids(f"{family}[p={p}]", ks)
                 yield from ineq.clarkson_check(h1, h2, p, family, suite=cfg.suite, case_id=ids)
@@ -264,7 +264,7 @@ def _suite_two_point(cfg: SuiteConfig):
     for p in _interior(cfg):
         for family in cfg.families:
             crits = []
-            for ks, (h1, h2) in _trials(cfg, p, family):
+            for ks, (h1, h2) in _trials(cfg, p, family, fields_per_trial=4):
                 norms = ineq._two_point_norms(h1, h2, p.value, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
                 yield from ineq._two_point_reports(h1, h2, p.value, family, norms, cfg.suite, ids)
@@ -322,7 +322,7 @@ def _suite_type_cotype(cfg: SuiteConfig):
                 ids = _case_ids(f"{family}[p={p}]", ks)
                 yield from ineq._type_cotype_reports(fields, p.value, family, avg2, cfg.suite, ids)
                 if p.value == 2.0:  # the same sign average against the quadratic sum of norms
-                    l2 = matcore.power_sum([field_norm(f, 2.0, family) for f in fields], 2.0)
+                    l2 = matcore.power_sum(field_norms(fields, 2.0, family), 2.0)
                     yield from equality_report(
                         cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),
                         2.0, avg2, l2, (fields, family), "sign_average_identity",
@@ -335,7 +335,7 @@ def _suite_kadec_klee(cfg: SuiteConfig):
             random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, p, role))[0]
             for role in ("a", "b", "sum")
         )
-        for ks in ineq._chunks(cfg.dual, cfg.trials):  # trial k: the gap of h + d / (k + 1)
+        for ks in ineq._chunks(cfg.dual, cfg.trials, 4):  # trial k: the gap of h + d / (k + 1)
             n = np.arange(ks.start + 1, ks.stop + 1)
             ids = [f"gap[p={p}][n={m:04d}]" for m in n]
             yield from ineq.kadec_klee_gap(h + (1.0 / n) * d, h, p, suite=cfg.suite, case_id=ids)
@@ -418,6 +418,16 @@ def _load_dual(text: str) -> DualModel:
         raise ConfigError(str(exc)) from exc
 
 
+def _typed(parse, name: str):
+    """``parse`` as an argparse ``type=``, called ``name`` in usage errors: "invalid int value"."""
+
+    def typed(text):
+        return parse(text)
+
+    typed.__name__ = name
+    return typed
+
+
 @functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -425,15 +435,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify norm identities and inequalities over truncated unitary duals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ascii_int = _typed(_ascii_int, "int")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     verify.add_argument("--dual", default="s3", help="preset like s3, torus(4), su2_trunc(3), custom(1,2,2), or a .json file")
     verify.add_argument("--p", default="1.5,2,3", help="comma-separated exponents; inf and fractions like 3/2 allowed")
     verify.add_argument("--family", choices=["sch", "hs", "both"], default="both")
-    verify.add_argument("--trials", type=_ascii_int, default=10)
-    verify.add_argument("--seed", type=_ascii_int, default=None)
-    verify.add_argument("--tol", type=_ascii_float, default=None, help="scale every check's own tolerance by TOL / 1e-10")
+    verify.add_argument("--trials", type=ascii_int, default=10)
+    verify.add_argument("--seed", type=ascii_int, default=None)
+    verify.add_argument("--tol", type=_typed(_ascii_float, "float"), default=None, help="scale every check's own tolerance by TOL / 1e-10")
     verify.add_argument("--out", default=None, help="report file path")
     verify.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -441,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     field_sub = field.add_subparsers(dest="field_command", required=True)
     rand = field_sub.add_parser("random", help="draw a seeded random field as JSON")
     rand.add_argument("--dual", default="s3")
-    rand.add_argument("--seed", type=_ascii_int, default=None)
+    rand.add_argument("--seed", type=ascii_int, default=None)
     rand.add_argument("--dist", choices=["ginibre", "hermitian", "psd"], default="ginibre")
     rand.add_argument("--out", default=None)
     show = field_sub.add_parser("show", help="summarize a field JSON file")

@@ -20,8 +20,9 @@ samples land.
 
 Each check is one function for fields and batches: one case id gives the
 report of single fields, and a list of case ids gives one report per row of
-batch fields.  Where a suite shares norms between anchors, a private
-``_<check>_reports`` helper takes them precomputed.
+batch fields.  A check takes its norms at one exponent from one
+``field_norms`` call, and where a suite shares norms between anchors, a
+private ``_<check>_reports`` helper takes them precomputed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dualmodel import DualModel, Field, _trusted, mix_seed, random_stacks, random_uniforms
 from .matcore import power_sum
-from .norms import ExponentP, field_norm
+from .norms import ExponentP, field_norm, field_norms
 from .report import (
     CheckReport,
     check_report,
@@ -98,10 +99,7 @@ def clarkson_check(h1: Field, h2: Field, p, family: str, *, suite="clarkson", ca
     """Clarkson inequality in the given family (case i for p <= 2, case ii above)."""
     p = _finite_interior(p)
     q = p / (p - 1.0)
-    mid_plus = field_norm(0.5 * (h1 + h2), p, family)
-    mid_minus = field_norm(0.5 * (h1 - h2), p, family)
-    n1 = field_norm(h1, p, family)
-    n2 = field_norm(h2, p, family)
+    mid_plus, mid_minus, n1, n2 = field_norms((0.5 * (h1 + h2), 0.5 * (h1 - h2), h1, h2), p, family)
     e, f = (q, p) if p <= 2.0 else (p, q)
     lhs = power_sum((mid_plus, mid_minus), e)
     rhs = _mean(n1, n2, f)
@@ -116,9 +114,8 @@ def clarkson_check(h1: Field, h2: Field, p, family: str, *, suite="clarkson", ca
 
 def _two_point_norms(h1: Field, h2: Field, p: float, family: str):
     """||H1||, ||H2|| and (average of ||H1 + H2||^p and ||H1 - H2||^p)^(1/p)."""
-    n1 = field_norm(h1, p, family)
-    n2 = field_norm(h2, p, family)
-    return n1, n2, _mean(field_norm(h1 + h2, p, family), field_norm(h1 - h2, p, family), p)
+    n1, n2, plus, minus = field_norms((h1, h2, h1 + h2, h1 - h2), p, family)
+    return n1, n2, _mean(plus, minus, p)
 
 
 def two_point_check(
@@ -291,20 +288,24 @@ def _draws(model: DualModel, keys, start: int, rows: int):
     return a, b, np.cos(t), np.sin(t)
 
 
-def _unit_pairs(model: DualModel, p: float, family: str, seed: int, samples: int):
+def _unit_pairs(
+    model: DualModel, p: float, family: str, seed: int, samples: int, fields_per_row: int = 1
+):
     """Yield chunks (h1, h2) of unit-norm pairs whose separation sweeps the whole of (0, 2).
 
     h1 is a normalized ginibre draw; h2 mixes it with an independent draw
     at a uniformly random angle, so near-equal and near-antipodal pairs both
     occur.  Only unit-norm membership matters for soundness of the modulus
-    estimates.  Each chunk holds its pairs as two batch Fields.
+    estimates.  Each chunk holds its pairs as two batch Fields, and is a
+    ``_chunks`` range of ``fields_per_row`` fields a pair: the fields the
+    caller stacks from each pair.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
-    for chunk in _chunks(model, samples):
+    for chunk in _chunks(model, samples, fields_per_row):
         a, b, cos_t, sin_t = _draws(model, keys, chunk.start, len(chunk))
-        norm_a, norm_b = field_norm(a, p, family), field_norm(b, p, family)
+        norm_a, norm_b = field_norms((a, b), p, family)
         if not (norm_a.all() and norm_b.all()):
             raise ZeroDivisionError("a ginibre draw has zero norm")
         h1, g = (1.0 / norm_a) * a, (1.0 / norm_b) * b
@@ -330,10 +331,17 @@ def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed, bin_width=DE
         raise ValueError("smoothness grid points must be non-negative")
     lowest, counts = {e: math.inf for e in edges}, {e: 0 for e in edges}
     highest = [-math.inf] * len(ts)
-    for h1, h2 in _unit_pairs(model, pv, family, seed, samples):
+    stacked = 2 * len(ts) + (2 if edges else 0)  # fields per pair in the stack of its norms
+    for h1, h2 in _unit_pairs(model, pv, family, seed, samples, max(1, stacked)):
+        fields = [x for t in ts for x in (h1 + t * h2, h1 - t * h2)]
         if edges:
-            eps = field_norm(h1 - h2, pv, family)
-            midgap = 1.0 - field_norm(0.5 * (h1 + h2), pv, family)
+            fields += [h1 - h2, 0.5 * (h1 + h2)]
+        norms = field_norms(fields, pv, family)
+        for i in range(len(ts)):
+            plus, minus = norms[2 * i], norms[2 * i + 1]
+            highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
+        if edges:
+            eps, midgap = norms[-2], 1.0 - norms[-1]
             free = np.ones(eps.shape, dtype=bool)
             for e in edges:
                 hit = free & (e <= eps) & (eps < e + bin_width)
@@ -341,9 +349,6 @@ def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed, bin_width=DE
                     counts[e] += int(hit.sum())
                     lowest[e] = min(lowest[e], float(midgap[hit].min()))
                     free &= ~hit
-        for i, t in enumerate(ts):
-            plus, minus = field_norm(h1 + t * h2, pv, family), field_norm(h1 - t * h2, pv, family)
-            highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
     return (
         [ModulusEstimate(e, lowest[e] if counts[e] else math.nan, convexity_lower_bound(pv, e),
                          "convexity_lower", counts[e]) for e in edges],
@@ -466,7 +471,7 @@ def type_cotype_check(
 
 def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_id):
     """type_cotype_check's report for each row of ``fields``, given their L2 sign average ``avg2``."""
-    norms = [field_norm(f, pv, family) for f in fields]
+    norms = field_norms(fields, pv, family)
     l2_sum = power_sum(norms, 2.0)
     lp_sum = power_sum(norms, pv)
     if pv <= 2.0:
@@ -501,9 +506,12 @@ def kadec_klee_gap(
     pv = _finite_interior(p)
     q = pv / (pv - 1.0)
     e, f = (q, pv) if pv <= 2.0 else (pv, q)
-    diff = field_norm(0.5 * (hn - h), pv, family)
-    mid = field_norm(0.5 * (hn + h), pv, family)
-    m = _mean(field_norm(hn, pv, family), field_norm(h, pv, family), f)
+    batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
+    fields = [0.5 * (hn - h), 0.5 * (hn + h)] + [
+        x.map_blocks(lambda b: np.broadcast_to(b, batch + b.shape[-2:])) for x in (hn, h)
+    ]
+    diff, mid, n_hn, n_h = field_norms(fields, pv, family)
+    m = _mean(n_hn, n_h, f)
     m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
     lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
     return inequality_report(suite, case_id, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap")
@@ -521,7 +529,7 @@ def unconditional_sum_bound(
     because the modulus is only defined up to separation 2.
     """
     pv = _finite_interior(p)
-    norms = [field_norm(f, pv, family) for f in fields]
+    norms = field_norms(fields, pv, family)
     over = [v for v in norms if v > 2.0]
     if over:
         raise ValueError(f"{len(over)} summand norm(s) exceed 2; rescale the inputs")

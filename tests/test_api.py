@@ -44,6 +44,7 @@ CLI_PRIVATE_NAMES = {
     ("inequalities", "_two_point_norms"),
     ("inequalities", "_two_point_reports"),
     ("inequalities", "_type_cotype_reports"),
+    ("norms", "_holder_reports"),
     ("norms", "_sch_norm_from_sigma"),
 }
 

@@ -626,6 +626,23 @@ def test_main_numbers_take_only_ascii_digits_without_underscores(argv, env_seed,
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (["verify", "norms", "--trials", "1_0"], "int"),
+        (["verify", "norms", "--seed", "1_0"], "int"),
+        (["verify", "norms", "--tol", "1_0"], "float"),
+        (["field", "random", "--seed", "\u0663"], "int"),
+    ],
+)
+def test_main_malformed_numbers_name_the_builtin_type(argv, kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    option, value = argv[-2:]
+    assert f"argument {option}: invalid {kind} value: {value!r}\n" in capsys.readouterr().err
+
+
 def test_main_numbers_keep_their_ascii_spellings():
     args = cli._build_parser().parse_args(
         ["verify", "norms", "--trials", " +2 ", "--seed", "-1", "--tol", "2.50e-10"]
@@ -673,6 +690,18 @@ def test_interpolation_trial_builds_each_witness_once(monkeypatch):
     assert len(svds) == 2 * len(preset_dual("s3").entries)
 
 
+def test_holder_chunk_factors_each_field_once(monkeypatch):
+    calls = []
+    kernel = matcore.singular_values
+    monkeypatch.setattr(matcore, "singular_values", lambda a: calls.append(a.shape) or kernel(a))
+    cfg = small_config(suite="holder", dual=preset_dual("su2_trunc", 4), trials=3)
+    reports = run_suite(cfg)
+    assert len(reports) == 3 * cfg.trials and all(r.passed for r in reports)
+    # h1, h2 and the product h1 h2 each memoize one values-only factorization
+    # per entry, which the conjugate, inf_both and inf_left cases share
+    assert len(calls) == 3 * len(cfg.dual.entries)
+
+
 def test_duality_trial_factors_h_once_per_entry(monkeypatch):
     cfg = small_config(suite="duality", trials=1)
     h = random_stacks(cfg.dual, mix_seed(cfg.seed, "duality", cfg.p_list[0], "a"))
@@ -682,8 +711,9 @@ def test_duality_trial_factors_h_once_per_entry(monkeypatch):
         monkeypatch.setattr(matcore, name, lambda a, k=kernel, got=arrays: got.append(a) or k(a))
     reports = run_suite(cfg)
     assert len(reports) == 4 and all(r.passed for r in reports)
-    # the norm, the extremizer, the search bound and the direct sum share h's
-    # memo: one values-only and one full SVD per entry
+    # the norm, the extremizer and the search bound share h's memo (the direct
+    # sum reduces h in one stack with the other field): one values-only and
+    # one full SVD of h's own blocks per entry
     for arrays in seen.values():
         assert [sum(np.array_equal(a, b) for a in arrays) for b in h.blocks] == [1, 1, 1]
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualnorm import inequalities
+from dualnorm import inequalities, norms
 from dualnorm.cli import SuiteConfig, run_suite
 from dualnorm.dualmodel import (
     Field,
@@ -502,16 +502,25 @@ def test_moduli_pass_returns_both_views(eps_bins, t_grid, bin_width, family):
     assert both == (conv, smooth) and any(est.samples for est in conv)
 
 
+def count_reduced_rows(monkeypatch):
+    """The batch rows of every field_norm call, direct or through field_norms, appended to a list."""
+    rows = []
+    norm = norms.field_norm
+    for module in (inequalities, norms):
+        monkeypatch.setattr(
+            module, "field_norm", lambda h, *a: rows.append(math.prod(h.batch)) or norm(h, *a)
+        )
+    return rows
+
+
 def test_moduli_views_form_only_their_own_norms(monkeypatch):
     monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", 1)  # one pair per chunk
-    calls = []
-    norm = inequalities.field_norm
-    monkeypatch.setattr(inequalities, "field_norm", lambda *a: calls.append(1) or norm(*a))
+    rows = count_reduced_rows(monkeypatch)
 
     def norms_per_pair(run, *args, **kwargs):
-        calls.clear()
+        rows.clear()
         run(S3, 1.5, "sch", *args, **kwargs)
-        return len(calls) / 10
+        return sum(rows) / 10
 
     t_grid = (0.1, 0.5, 1.0, 2.0)
     unit = 3  # the two draws and their mix, to normalize
@@ -519,6 +528,22 @@ def test_moduli_views_form_only_their_own_norms(monkeypatch):
     assert norms_per_pair(modulus_smoothness_sample, t_grid, samples=10) == unit + 2 * len(t_grid)
     both = norms_per_pair(inequalities._moduli_pass, default_eps_bins(), t_grid, 10, 0)
     assert both == unit + 2 + 2 * len(t_grid)
+
+
+@pytest.mark.parametrize(
+    "suite,per_chunk,per_p",
+    [("two_point", 1, 0), ("clarkson", 1, 0), ("adjoint", 1, 0), ("kadec_klee", 1, 1),
+     ("moduli", 3, 0)],  # moduli: the unit pairs take two, their draws and then the mix
+)
+def test_a_check_reduces_its_norms_at_one_exponent_in_one_call(monkeypatch, suite, per_chunk,
+                                                               per_p):
+    monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", 1)  # one trial per chunk
+    rows = count_reduced_rows(monkeypatch)
+    cfg = SuiteConfig(suite=suite, dual=parse_dual_arg("s3"), p_list=("1.5", "3"),
+                      family="both", trials=3, seed=5)
+    assert all(r.passed for r in run_suite(cfg))
+    families = 1 if suite == "kadec_klee" else 2  # the Kadec-Klee suite is Schatten only
+    assert len(rows) == len(cfg.p_list) * families * (cfg.trials * per_chunk + per_p)
 
 
 def test_moduli_sampler_memory_bounded_by_chunk():

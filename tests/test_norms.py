@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualnorm import matcore
+from dualnorm import matcore, norms
 from dualnorm.dualmodel import (
     Field,
     field_product,
@@ -22,6 +22,7 @@ from dualnorm.norms import (
     direct_sum_norm,
     embedding_check,
     field_norm,
+    field_norms,
     holder_check,
     lp_hs_norm,
     lp_sch_norm,
@@ -207,6 +208,46 @@ def test_scaled_power_sums_match_the_inline_loops_at_moderate_p(dual):
         for family in ("sch", "hs"):
             want = LOOP_NORMS[family](h, p)
             assert field_norm(h, p, family) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)", "custom(16,32)", "torus(3)"])
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_field_norms_are_each_fields_norm_bit_for_bit(dual, family):
+    model = parse_dual_arg(dual)
+    draws = random_stacks(model, mix_seed("field_norms", dual), rows=3)
+    # rows of entries near 1, 1e-200 and 1e200: hs_norm rescales the last two,
+    # and _sigma2 scales each 2 x 2 block by its own power of two
+    extreme = np.array([1.0, 1e-200, 1e200]) * draws
+    single = [draws[0], 1e-200 * draws[1], 1e200 * draws[2], draws[1]]
+    lp_sch_norm(single[3], 3.0)  # a field with memoized singular values
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        for fields in (single, single[:1], [draws, extreme, draws - extreme], [extreme]):
+            got = field_norms(fields, p, family)
+            want = [field_norm(f, p, family) for f in fields]
+            assert [type(g) for g in got] == [type(w) for w in want]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (p, len(fields))
+
+
+def test_field_norms_stack_fields_of_at_most_the_bound(monkeypatch):
+    calls = []
+    norm = norms.field_norm
+    monkeypatch.setattr(norms, "field_norm", lambda h, *a: calls.append(h.batch) or norm(h, *a))
+    model = preset_dual("su2_trunc", 4)  # 30 complex entries a row
+    most = norms._STACK_FIELD_ENTRIES // 30
+    for rows, batches in ((most, [(3, most)]), (most + 1, [(most + 1,)] * 3)):
+        fields = [random_stacks(model, mix_seed("bound", k), rows=rows) for k in range(3)]
+        calls.clear()
+        norms.field_norms(fields, 1.5, "sch")
+        assert calls == batches  # one stack, or one reduction per field
+
+
+def test_field_norms_reject_mixed_models_and_batch_shapes():
+    h = random_stacks(preset_dual("s3"), 1, rows=2)
+    with pytest.raises(ValueError, match="different dual models"):
+        field_norms([h, random_stacks(preset_dual("custom", [1, 1, 2]), 1, rows=2)], 2.0, "sch")
+    with pytest.raises(ValueError, match="batch shapes"):
+        field_norms([h, h[0]], 2.0, "sch")
+    assert field_norms([], 2.0, "sch") == []
 
 
 def test_stacked_norm_rejects_unknown_family():
