@@ -5,7 +5,6 @@ from .dualmodel import (
     Field,
     field_abs,
     field_adjoint,
-    field_lincomb,
     field_product,
     identity_field,
     preset_dual,
@@ -38,7 +37,6 @@ __all__ = [
     "dual_norm_via_search",
     "field_abs",
     "field_adjoint",
-    "field_lincomb",
     "field_norm",
     "field_product",
     "identity_field",

@@ -151,7 +151,7 @@ def _suite_norms(cfg: SuiteConfig):
     for p in cfg.p_list:
         for ks, (h1, h2) in _trials(cfg, p, fields_per_trial=4):
             ids = _case_ids(f"embedding[p={p}]", ks)
-            yield from embedding_check(h1, p, suite=cfg.suite, case_id=ids)
+            yield from embedding_check(h1, p, case_id=ids)
             alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
             for family in cfg.families:
                 n1, n2, n_sum, n_scaled = field_norms((h1, h2, h1 + h2, alpha * h1), p, family)
@@ -185,7 +185,7 @@ def _suite_holder(cfg: SuiteConfig):
             product = field_product(h1, h2)  # its singular values serve every case
             for a, b, case_id in cases:
                 ids = [case_id.format(p=p, k=k) for k in ks]
-                yield from _holder_reports(h1, h2, product, a, b, cfg.suite, ids)
+                yield from _holder_reports(h1, h2, product, a, b, ids)
 
 
 def _suite_adjoint(cfg: SuiteConfig):
@@ -193,7 +193,7 @@ def _suite_adjoint(cfg: SuiteConfig):
         for family in cfg.families:
             for ks, (h,) in _trials(cfg, p, family, roles=("a",), fields_per_trial=3):
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from adjoint_norm_check(h, p, family, suite=cfg.suite, case_id=ids)
+                yield from adjoint_norm_check(h, p, family, case_id=ids)
 
 
 _PROBES = 5  # random unit fields per duality trial in the dual-norm search
@@ -217,18 +217,15 @@ def _suite_duality(cfg: SuiteConfig):
                 cfg.suite, _case_ids(f"extremizer_pairing[p={p}]", ks), p,
                 np.abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
             )
-            probe = dual_norm_via_search(
-                h, p, trials=_PROBES, seed=probe_seed, include_extremizer=False, start=ks.start
-            )
+            probe = dual_norm_via_search(h, p, trials=_PROBES, seed=probe_seed, start=ks.start)
             yield from inequality_report(
                 cfg.suite, _case_ids(f"search_bound[p={p}]", ks), p,
                 probe, norm, inputs, "dual_supremum",
             )
             if p.value > 1.0:
-                yield from direct_sum_dual_pair_check(
-                    h, other, f, dual_extremizer(other, p), p, spec,
-                    suite=cfg.suite, case_id=_case_ids(f"direct_sum[p={p}]", ks),
-                )
+                ids = _case_ids(f"direct_sum[p={p}]", ks)
+                f_other = dual_extremizer(other, p)
+                yield from direct_sum_dual_pair_check(h, other, f, f_other, p, spec, case_id=ids)
 
 
 def _interp_spec_for(p: ExponentP) -> InterpSpec:
@@ -245,11 +242,11 @@ def _suite_interpolation(cfg: SuiteConfig):
         for ks, (h, f) in _trials(cfg, p, fields_per_trial=2 * len(DEFAULT_T_GRID)):
             norms = boundary_witness_norms(h, spec)
             ids = _case_ids(f"boundary_norms[p={p}]", ks)
-            yield from boundary_witness_check(h, spec, norms, suite=cfg.suite, case_id=ids)
+            yield from boundary_witness_check(h, spec, norms, case_id=ids)
             ids = _case_ids(f"three_lines[p={p}]", ks)
-            yield from three_lines_check(h, f, spec, suite=cfg.suite, case_id=ids)
+            yield from three_lines_check(h, f, spec, case_id=ids)
             ids = _case_ids(f"consistency[p={p}]", ks)
-            yield from interp_norm_consistency(h, spec, norms, suite=cfg.suite, case_id=ids)
+            yield from interp_norm_consistency(h, spec, norms, case_id=ids)
 
 
 def _suite_clarkson(cfg: SuiteConfig):
@@ -257,7 +254,7 @@ def _suite_clarkson(cfg: SuiteConfig):
         for ks, (h1, h2) in _trials(cfg, p, fields_per_trial=4):
             for family in cfg.families:
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq.clarkson_check(h1, h2, p, family, suite=cfg.suite, case_id=ids)
+                yield from ineq.clarkson_check(h1, h2, p, family, case_id=ids)
 
 
 def _suite_two_point(cfg: SuiteConfig):
@@ -267,11 +264,11 @@ def _suite_two_point(cfg: SuiteConfig):
             for ks, (h1, h2) in _trials(cfg, p, family, fields_per_trial=4):
                 norms = ineq._two_point_norms(h1, h2, p.value, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._two_point_reports(h1, h2, p.value, family, norms, cfg.suite, ids)
+                yield from ineq._two_point_reports(h1, h2, p.value, family, norms, ids)
                 crits.append(ineq._critical_constants(norms))
                 if p.value == 2.0:
                     ids = _case_ids(f"parallelogram.{family}", ks)
-                    yield from ineq._parallelogram_reports(h1, h2, family, norms, cfg.suite, ids)
+                    yield from ineq._parallelogram_reports(h1, h2, family, norms, ids)
             crits = np.concatenate(crits)
             crits = crits[~np.isnan(crits)]
             if crits.size:
@@ -318,11 +315,12 @@ def _suite_type_cotype(cfg: SuiteConfig):
         for family in cfg.families:
             # the sign average stacks the five summands of each trial
             for ks, fields in _trials(cfg, p, family, roles=range(5), fields_per_trial=5):
-                avg2 = ineq.rademacher_average(fields, p, family, r=2.0)
+                avg2 = ineq.rademacher_average(fields, p, family)
+                norms = field_norms(fields, p.value, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._type_cotype_reports(fields, p.value, family, avg2, cfg.suite, ids)
+                yield from ineq._type_cotype_reports(fields, p.value, family, norms, avg2, ids)
                 if p.value == 2.0:  # the same sign average against the quadratic sum of norms
-                    l2 = matcore.power_sum(field_norms(fields, 2.0, family), 2.0)
+                    l2 = matcore.power_sum(norms, 2.0)
                     yield from equality_report(
                         cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),
                         2.0, avg2, l2, (fields, family), "sign_average_identity",
@@ -338,10 +336,10 @@ def _suite_kadec_klee(cfg: SuiteConfig):
         for ks in ineq._chunks(cfg.dual, cfg.trials, 4):  # trial k: the gap of h + d / (k + 1)
             n = np.arange(ks.start + 1, ks.stop + 1)
             ids = [f"gap[p={p}][n={m:04d}]" for m in n]
-            yield from ineq.kadec_klee_gap(h + (1.0 / n) * d, h, p, suite=cfg.suite, case_id=ids)
+            yield from ineq.kadec_klee_gap(h + (1.0 / n) * d, h, p, case_id=ids)
         base_norm = lp_sch_norm(base, p)
         scaled = [(2.0**-j / base_norm) * base for j in range(5)]
-        yield ineq.unconditional_sum_bound(scaled, p, suite=cfg.suite, case_id=f"sum_bound[p={p}]")
+        yield ineq.unconditional_sum_bound(scaled, p, case_id=f"sum_bound[p={p}]")
 
 
 SUITES = {

@@ -68,16 +68,15 @@ def dual_extremizer(h: Field, p) -> Field:
     return _trusted(h.model, blocks)
 
 
-def dual_norm_via_search(
-    h: Field, p, trials: int, seed: int, include_extremizer: bool = True, start: int = 0
-):
+def dual_norm_via_search(h: Field, p, trials: int, seed: int, start: int = 0):
     """Max of |<H, F>| over random unit-q-norm fields F; an array for a batch ``h``.
 
-    With the extremizer included as trial 0 this returns ||H||_sch,p (up to
-    rounding); random trials alone give a lower bound that never exceeds it.
-    Probe j of row k of ``h`` is row (start + k) * trials + j of the search's
-    stream, so a single field reads rows 0 .. trials - 1, and a batch that
-    is rows ``start ..`` of a larger one reads the probes of those rows.
+    The random probes alone give a lower bound on ||H||_sch,p that never
+    exceeds it (``dual_extremizer`` attains the norm); with no trials, and
+    for a zero field, it is 0.  Probe j of row k of ``h`` is row
+    (start + k) * trials + j of the search's stream, so a single field reads
+    rows 0 .. trials - 1, and a batch that is rows ``start ..`` of a larger
+    one reads the probes of those rows.
     """
     p = ExponentP.parse(p)
     if trials < 0:
@@ -86,12 +85,6 @@ def dual_norm_via_search(
         raise ValueError("start must be non-negative")
     q = p.conjugate()
     best = np.zeros(h.batch)
-    if include_extremizer and not p.is_inf:
-        live = np.asarray(lp_sch_norm(h, p)) > 0.0  # a zero field pairs to 0 with every F
-        if live.all():
-            best = np.abs(pairing(h, dual_extremizer(h, p)))
-        elif live.any():
-            best[live] = np.abs(pairing(h[live], dual_extremizer(h[live], p)))
     if trials:
         rows = math.prod(h.batch)
         key = mix_seed(seed, "dual_search")
@@ -99,7 +92,7 @@ def dual_norm_via_search(
         units = (1.0 / lp_sch_norm(probes, q)) * probes  # at unit q-norm
         per_row = units.map_blocks(lambda b: b.reshape(*h.batch, trials, *b.shape[-2:]))
         h_rows = h.map_blocks(lambda b: b[..., None, :, :])
-        best = np.maximum(best, np.abs(pairing(h_rows, per_row)).max(axis=-1))
+        best = np.abs(pairing(h_rows, per_row)).max(axis=-1)
     return best if h.batch else float(best)
 
 
@@ -111,7 +104,6 @@ def direct_sum_dual_pair_check(
     p,
     spec: DirectSumSpec,
     *,
-    suite="duality",
     case_id="direct_sum_pair",
 ):
     """Boundedness of the weighted dual pairing on a two-slot direct sum.
@@ -134,4 +126,4 @@ def direct_sum_dual_pair_check(
         h1, h2, p, spec
     )
     inputs = (h1, h2, f1, f2, p.value, r.value, w)
-    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "direct_sum_duality")
+    return inequality_report("duality", case_id, float(p), lhs, rhs, inputs, "direct_sum_duality")

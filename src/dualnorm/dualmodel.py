@@ -49,7 +49,6 @@ __all__ = [
     "random_uniforms",
     "field_adjoint",
     "field_abs",
-    "field_lincomb",
     "field_product",
     "encode_model",
     "decode_model",
@@ -369,11 +368,6 @@ def field_adjoint(h: Field) -> Field:
 
 def field_abs(h: Field) -> Field:
     return h.map_blocks(matcore.matabs)
-
-
-def field_lincomb(alpha: complex, h1: Field, beta: complex, h2: Field) -> Field:
-    _check_same_model(h1, h2)
-    return _trusted(h1.model, [alpha * a + beta * b for a, b in zip(h1.blocks, h2.blocks)])
 
 
 def field_product(h1: Field, h2: Field) -> Field:

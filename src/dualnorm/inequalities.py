@@ -95,7 +95,7 @@ def _mean(a, b, r: float):
 # -- Clarkson inequalities ---------------------------------------------------
 
 
-def clarkson_check(h1: Field, h2: Field, p, family: str, *, suite="clarkson", case_id="clarkson"):
+def clarkson_check(h1: Field, h2: Field, p, family: str, *, case_id="clarkson"):
     """Clarkson inequality in the given family (case i for p <= 2, case ii above)."""
     p = _finite_interior(p)
     q = p / (p - 1.0)
@@ -105,7 +105,7 @@ def clarkson_check(h1: Field, h2: Field, p, family: str, *, suite="clarkson", ca
     rhs = _mean(n1, n2, f)
     case = "i" if p <= 2.0 else "ii"
     return inequality_report(
-        suite, case_id, p, lhs, rhs, (h1, h2, p, family), f"clarkson.{family}.case_{case}"
+        "clarkson", case_id, p, lhs, rhs, (h1, h2, p, family), f"clarkson.{family}.case_{case}"
     )
 
 
@@ -118,9 +118,7 @@ def _two_point_norms(h1: Field, h2: Field, p: float, family: str):
     return n1, n2, _mean(plus, minus, p)
 
 
-def two_point_check(
-    h1: Field, h2: Field, p, family: str = "sch", *, suite="two_point", case_id="two_point"
-):
+def two_point_check(h1: Field, h2: Field, p, family: str = "sch", *, case_id="two_point"):
     """Two-point inequality with the proved constant substituted.
 
     p >= 2: (avg of ||H1 +- H2||^p)^(1/p) <= (||H1||^2 + (2p-1) ||H2||^2)^(1/2);
@@ -129,10 +127,10 @@ def two_point_check(
     """
     p = _finite_interior(p)
     norms = _two_point_norms(h1, h2, p, family)
-    return _two_point_reports(h1, h2, p, family, norms, suite, case_id)
+    return _two_point_reports(h1, h2, p, family, norms, case_id)
 
 
-def _two_point_reports(h1: Field, h2: Field, p: float, family: str, norms, suite, case_id):
+def _two_point_reports(h1: Field, h2: Field, p: float, family: str, norms, case_id):
     """two_point_check's report for each row of the batches ``h1``, ``h2``, given their norms."""
     n1, n2, mean_p = norms
     if p >= 2.0:
@@ -143,22 +141,20 @@ def _two_point_reports(h1: Field, h2: Field, p: float, family: str, norms, suite
         rhs = mean_p
     side = "upper" if p >= 2.0 else "lower"
     inputs = (h1, h2, p, family)
-    return inequality_report(suite, case_id, p, lhs, rhs, inputs, f"two_point.{side}")
+    return inequality_report("two_point", case_id, p, lhs, rhs, inputs, f"two_point.{side}")
 
 
-def two_point_equality_check(
-    h1: Field, h2: Field, family: str = "sch", *, suite="two_point", case_id="parallelogram"
-):
+def two_point_equality_check(h1: Field, h2: Field, family: str = "sch", *, case_id="parallelogram"):
     """p = 2: both two-point sides agree with constant exactly 1."""
     norms = _two_point_norms(h1, h2, 2.0, family)
-    return _parallelogram_reports(h1, h2, family, norms, suite, case_id)
+    return _parallelogram_reports(h1, h2, family, norms, case_id)
 
 
-def _parallelogram_reports(h1: Field, h2: Field, family: str, norms, suite, case_id):
+def _parallelogram_reports(h1: Field, h2: Field, family: str, norms, case_id):
     """two_point_equality_check's report for each row of ``h1``, ``h2``, given their norms at 2."""
     n1, n2, mean2 = norms
     rhs = power_sum((n1, n2), 2.0)
-    return equality_report(suite, case_id, 2.0, mean2, rhs, (h1, h2, family), "parallelogram")
+    return equality_report("two_point", case_id, 2.0, mean2, rhs, (h1, h2, family), "parallelogram")
 
 
 def two_point_critical_constant(h1: Field, h2: Field, p, family: str = "sch"):
@@ -317,7 +313,7 @@ def _unit_pairs(
         yield h1, (1.0 / norm) * mixed
 
 
-def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed, bin_width=DEFAULT_BIN_WIDTH):
+def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed):
     """Both samplers' estimates, (convexity, smoothness), from one walk over the same unit pairs.
 
     An empty grid (``eps_bins`` or ``t_grid``) forms none of its estimate's norms.
@@ -344,7 +340,7 @@ def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed, bin_width=DE
             eps, midgap = norms[-2], 1.0 - norms[-1]
             free = np.ones(eps.shape, dtype=bool)
             for e in edges:
-                hit = free & (e <= eps) & (eps < e + bin_width)
+                hit = free & (e <= eps) & (eps < e + DEFAULT_BIN_WIDTH)
                 if hit.any():
                     counts[e] += int(hit.sum())
                     lowest[e] = min(lowest[e], float(midgap[hit].min()))
@@ -364,17 +360,17 @@ def modulus_convexity_sample(
     eps_bins=None,
     samples: int = 1000,
     seed: int = 0,
-    bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> list[ModulusEstimate]:
     """Per-bin sampled infimum of 1 - ||(H1+H2)/2|| over unit pairs.
 
     Pairs are binned by ||H1 - H2||, each in the first bin whose range
-    [e, e + bin_width) holds it; each bin's estimate is compared against the
+    [e, e + DEFAULT_BIN_WIDTH) holds it (a width of 0.1, the spacing of
+    ``default_eps_bins``); each bin's estimate is compared against the
     proved lower bound at the bin's lower edge (the bound is increasing, so
     that comparison is sound for every pair landing in the bin).
     """
     edges = default_eps_bins() if eps_bins is None else eps_bins
-    return _moduli_pass(model, p, family, edges, (), samples, seed, bin_width)[0]
+    return _moduli_pass(model, p, family, edges, (), samples, seed)[0]
 
 
 def modulus_smoothness_sample(
@@ -392,8 +388,8 @@ def modulus_smoothness_sample(
 # -- Rademacher averages, type and cotype ------------------------------------
 
 
-def rademacher_average(fields, p, family: str = "sch", r: float = 2.0):
-    """(mean over all sign patterns of ||sum theta_j H_j||^r)^(1/r), exact.
+def rademacher_average(fields, p, family: str = "sch"):
+    """(mean over all sign patterns of ||sum theta_j H_j||^2)^(1/2), exact: the L2 sign average.
 
     A float for single fields; for batches of one batch shape, an array of
     that shape whose row k averages row k of every summand.  The norm is
@@ -417,8 +413,6 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0):
         return 0.0
     if n > RADEMACHER_MAX_TERMS:
         raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {n})")
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"average order r must be positive and finite, got {r}")
     model, batch = fields[0].model, fields[0].batch
     if any(f.model != model for f in fields):
         raise ValueError("fields live over different dual models")
@@ -448,15 +442,13 @@ def rademacher_average(fields, p, family: str = "sch", r: float = 2.0):
                 lo = first - (h << bits)
                 np.add(t[lo : lo + last - first], high, out=out[first - start : last - start])
         sums = [x.view(np.complex128) for x in sums]
-        terms = field_norm(_trusted(model, sums), p, family) ** r
+        terms = field_norm(_trusted(model, sums), p, family) ** 2.0
         total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
-    average = np.power(total[0] / half, 1.0 / r)
+    average = np.power(total[0] / half, 1.0 / 2.0)
     return average if batch else float(average)
 
 
-def type_cotype_check(
-    fields, p, family: str = "sch", *, suite="type_cotype", case_id="type_cotype"
-):
+def type_cotype_check(fields, p, family: str = "sch", *, case_id="type_cotype"):
     """Two-sided comparison of the L2 sign average with power sums of norms.
 
     1 < p <= 2: sqrt(c_p) (sum ||H_j||^2)^(1/2) <= avg <= (sum ||H_j||^p)^(1/p);
@@ -465,13 +457,15 @@ def type_cotype_check(
     """
     fields = list(fields)
     pv = _finite_interior(p)
-    avg2 = rademacher_average(fields, pv, family, r=2.0)
-    return _type_cotype_reports(fields, pv, family, avg2, suite, case_id)
+    avg2 = rademacher_average(fields, pv, family)
+    return _type_cotype_reports(fields, pv, family, field_norms(fields, pv, family), avg2, case_id)
 
 
-def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_id):
-    """type_cotype_check's report for each row of ``fields``, given their L2 sign average ``avg2``."""
-    norms = field_norms(fields, pv, family)
+def _type_cotype_reports(fields, pv: float, family: str, norms, avg2, case_id):
+    """type_cotype_check's report for each row of ``fields``, given their norms and sign average.
+
+    ``norms`` is ``field_norms(fields, pv, family)`` and ``avg2`` their L2 sign average.
+    """
     l2_sum = power_sum(norms, 2.0)
     lp_sum = power_sum(norms, pv)
     if pv <= 2.0:
@@ -482,15 +476,13 @@ def _type_cotype_reports(fields, pv: float, family: str, avg2, suite, case_id):
         upper = math.sqrt(two_point_upper_constant(pv)) * l2_sum
     slack = np.minimum(avg2 - lower, upper - avg2)
     inputs = (fields, pv, family)
-    return check_report(suite, case_id, pv, lower, upper, slack, inputs, "type_cotype")
+    return check_report("type_cotype", case_id, pv, lower, upper, slack, inputs, "type_cotype")
 
 
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------
 
 
-def kadec_klee_gap(
-    hn: Field, h: Field, p, family: str = "sch", *, suite="kadec_klee", case_id="gap"
-):
+def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap"):
     """Rearranged Clarkson bound forcing norm convergence.
 
     With e = q for p <= 2 and e = p for p >= 2 (q conjugate, f the other one)
@@ -514,12 +506,11 @@ def kadec_klee_gap(
     m = _mean(n_hn, n_h, f)
     m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
     lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
-    return inequality_report(suite, case_id, pv, lhs, rhs, (hn, h, pv, family), "kadec_klee_gap")
+    inputs = (hn, h, pv, family)
+    return inequality_report("kadec_klee", case_id, pv, lhs, rhs, inputs, "kadec_klee_gap")
 
 
-def unconditional_sum_bound(
-    fields, p, family: str = "sch", *, suite="kadec_klee", case_id="sum_bound"
-) -> CheckReport:
+def unconditional_sum_bound(fields, p, family: str = "sch", *, case_id="sum_bound") -> CheckReport:
     """Finite comparison behind summability of unconditionally convergent series.
 
     sum ||H_j||^e <= K * sum (convexity lower bound at ||H_j||), e = max(2, p),
@@ -537,4 +528,4 @@ def unconditional_sum_bound(
     constant = 2.0 / two_point_lower_constant(pv) if pv <= 2.0 else pv  # K / 2^e
     rhs = constant * sum(convexity_lower_bound(pv, v) for v in norms if v > 0.0)
     inputs = (fields, pv, family)
-    return inequality_report(suite, case_id, pv, lhs, rhs, inputs, "unconditional_sum")
+    return inequality_report("kadec_klee", case_id, pv, lhs, rhs, inputs, "unconditional_sum")

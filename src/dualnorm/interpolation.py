@@ -157,9 +157,7 @@ def _edges() -> np.ndarray:
     return np.stack([1j * t, 1.0 + 1j * t])
 
 
-def three_lines_check(
-    h: Field, f_dual: Field, spec: InterpSpec, *, suite="interpolation", case_id="three_lines"
-):
+def three_lines_check(h: Field, f_dual: Field, spec: InterpSpec, *, case_id="three_lines"):
     """Boundary and interior values of the strip function stay below 1.
 
     Samples |<f(z), g(z)>| at z = it and z = 1 + it over the grid and at
@@ -171,7 +169,7 @@ def three_lines_check(
     lhs = np.maximum(boundary.max(axis=(-2, -1)), np.abs(pairing(h_unit, f_unit)))
     inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
     return inequality_report(
-        suite, case_id, float(spec.p), lhs, 1.0, inputs, "strip_maximum", rel=1e-9
+        "interpolation", case_id, float(spec.p), lhs, 1.0, inputs, "strip_maximum", rel=1e-9
     )
 
 
@@ -185,7 +183,7 @@ def boundary_witness_norms(h: Field, spec: InterpSpec):
 
 
 def boundary_witness_check(
-    h: Field, spec: InterpSpec, boundary_norms, *, suite="interpolation", case_id="boundary_witness"
+    h: Field, spec: InterpSpec, boundary_norms, *, case_id="boundary_witness"
 ):
     """The boundary norm farthest from 1 equals 1, given ``boundary_witness_norms(h, spec)``."""
     norms = np.concatenate(boundary_norms, axis=-1)
@@ -193,12 +191,12 @@ def boundary_witness_check(
     worst = np.take_along_axis(norms, farthest, axis=-1)[..., 0]
     inputs = (h, spec.p0.value, spec.p1.value, spec.theta)
     return equality_report(
-        suite, case_id, float(spec.p), worst, 1.0, inputs, "boundary_witness", rel=1e-9
+        "interpolation", case_id, float(spec.p), worst, 1.0, inputs, "boundary_witness", rel=1e-9
     )
 
 
 def interp_norm_consistency(
-    h: Field, spec: InterpSpec, boundary_norms, *, suite="interpolation", case_id="norm_consistency"
+    h: Field, spec: InterpSpec, boundary_norms, *, case_id="norm_consistency"
 ):
     """Two-sided finite-scale consistency of the derived-exponent norm.
 
@@ -218,8 +216,9 @@ def interp_norm_consistency(
     else:
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm
+    slack = np.minimum(upper_slack, lower_slack)
     inputs = (h, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
     return check_report(
-        suite, case_id, p, norm, boundary_max, np.minimum(upper_slack, lower_slack), inputs,
+        "interpolation", case_id, p, norm, boundary_max, slack, inputs,
         "equal_norms", rel=1e-8, scale=1.0,
     )

@@ -220,21 +220,21 @@ def random_unit_field(model: DualModel, p, seed: int, family: str = "sch") -> Fi
     return (1.0 / field_norm(h, p, family)) * h
 
 
-def embedding_check(h: Field, p, *, suite="norms", case_id="embedding"):
+def embedding_check(h: Field, p, *, case_id="embedding"):
     """One-sided domination between the two families, direction set by p vs 2."""
     pv = _pval(p)
     sch = lp_sch_norm(h, pv)
     hs = lp_hs_norm(h, pv)
     lhs, rhs = (sch, hs) if pv <= 2 else (hs, sch)
-    return inequality_report(suite, case_id, pv, lhs, rhs, (h, pv), "embedding")
+    return inequality_report("norms", case_id, pv, lhs, rhs, (h, pv), "embedding")
 
 
-def holder_check(h1: Field, h2: Field, p, q, *, suite="holder", case_id="holder"):
+def holder_check(h1: Field, h2: Field, p, q, *, case_id="holder"):
     """||H1 H2||_r <= ||H1||_p ||H2||_q in the Schatten family, 1/r = 1/p + 1/q."""
-    return _holder_reports(h1, h2, field_product(h1, h2), p, q, suite, case_id)
+    return _holder_reports(h1, h2, field_product(h1, h2), p, q, case_id)
 
 
-def _holder_reports(h1: Field, h2: Field, product: Field, p, q, suite, case_id):
+def _holder_reports(h1: Field, h2: Field, product: Field, p, q, case_id):
     """holder_check's report for each row of ``h1``, ``h2``, given their product ``h1 h2``."""
     p = ExponentP.parse(p)
     q = ExponentP.parse(q)
@@ -245,16 +245,16 @@ def _holder_reports(h1: Field, h2: Field, product: Field, p, q, suite, case_id):
     lhs = lp_sch_norm(product, r)
     rhs = lp_sch_norm(h1, p) * lp_sch_norm(h2, q)
     inputs = (h1, h2, p.value, q.value)
-    return inequality_report(suite, case_id, float(p), lhs, rhs, inputs, "holder")
+    return inequality_report("holder", case_id, float(p), lhs, rhs, inputs, "holder")
 
 
-def adjoint_norm_check(h: Field, p, family: str = "sch", *, suite="adjoint", case_id="adjoint"):
+def adjoint_norm_check(h: Field, p, family: str = "sch", *, case_id="adjoint"):
     """||H|| = ||H*|| = || |H| || in the chosen family."""
     pv = _pval(p)
     values = field_norms((h, field_adjoint(h), field_abs(h)), pv, family)
     lo, hi = functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
     return equality_report(
-        suite, case_id, pv, hi, lo, (h, pv, family), f"adjoint_invariance.{family}", scale=hi
+        "adjoint", case_id, pv, hi, lo, (h, pv, family), f"adjoint_invariance.{family}", scale=hi
     )
 
 

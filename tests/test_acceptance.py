@@ -180,7 +180,7 @@ def test_criterion_06_type_cotype():
             if not rep.passed:
                 violations.append((p, k, "two-sided"))
             if p == 2.0:
-                avg2 = rademacher_average(fields, 2.0, "sch", r=2.0)
+                avg2 = rademacher_average(fields, 2.0, "sch")
                 norms = [lp_sch_norm(f, 2.0) for f in fields]
                 l2 = math.sqrt(sum(v * v for v in norms))
                 if abs(avg2 - l2) > 1e-10 * max(1.0, l2):
@@ -286,7 +286,7 @@ def test_criterion_10_oracle_equivalences():
                 acc = acc + s * f
             total += lp_sch_norm(acc, 2.5) ** 2
         oracle = math.sqrt(total / len(patterns))
-        val = rademacher_average(fields, 2.5, "sch", r=2.0)
+        val = rademacher_average(fields, 2.5, "sch")
         if abs(val - oracle) > 1e-11 * max(1.0, oracle):
             rng_violations.append(("rademacher", n))
 

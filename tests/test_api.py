@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from dualnorm.cli import EXIT_OK, main
+from dualnorm import duality, inequalities, interpolation, norms
+from dualnorm.cli import EXIT_OK, SUITES, main
+from dualnorm.dualmodel import mix_seed, preset_dual, random_field
+from dualnorm.report import CheckReport
 
 MODULES = ["cli", "dualmodel", "duality", "inequalities", "interpolation", "matcore", "norms", "report"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,6 +33,58 @@ def test_all_lists_exactly_the_public_functions_and_classes(name):
     for attr in listed - defined:
         obj = getattr(module, attr)
         assert not (inspect.isfunction(obj) or inspect.isclass(obj) or inspect.ismodule(obj)), attr
+
+
+# The report builders take a suite name; every check names its own
+REPORT_BUILDERS = {("report", "check_report"), ("report", "equality_report"),
+                   ("report", "inequality_report")}
+
+
+def test_only_the_report_builders_take_a_suite():
+    taking = set()
+    for name in MODULES:
+        module = importlib.import_module(f"dualnorm.{name}")
+        for attr, obj in vars(module).items():
+            public = not attr.startswith("_") and getattr(obj, "__module__", "") == module.__name__
+            if public and inspect.isfunction(obj) and "suite" in inspect.signature(obj).parameters:
+                taking.add((name, attr))
+    assert taking == REPORT_BUILDERS
+
+
+def test_each_check_reports_under_the_suite_that_runs_it():
+    h1, h2, f1, f2, f3 = fields = [random_field(preset_dual("s3"), mix_seed("api", j))
+                                   for j in range(5)]
+    spec = interpolation.InterpSpec.for_target(1.0, 2.0, 1.5)
+    witness = interpolation.boundary_witness_norms(h1, spec)
+    small = [(2.0**-j / norms.lp_sch_norm(h1, 1.5)) * h1 for j in range(3)]
+    reports = {  # the SUITES key of a suite -> the reports of the public checks it runs
+        "norms": [norms.embedding_check(h1, 1.5)],
+        "holder": [norms.holder_check(h1, h2, 1.5, 3.0)],
+        "adjoint": [norms.adjoint_norm_check(h1, 1.5)],
+        "duality": [
+            duality.direct_sum_dual_pair_check(h1, h2, f1, f2, 1.5, norms.DirectSumSpec(1.5, 3.0))
+        ],
+        "interpolation": [
+            interpolation.three_lines_check(h1, f3, spec),
+            interpolation.boundary_witness_check(h1, spec, witness),
+            interpolation.interp_norm_consistency(h1, spec, witness),
+        ],
+        "clarkson": [inequalities.clarkson_check(h1, h2, 1.5, "sch")],
+        "two_point": [
+            inequalities.two_point_check(h1, h2, 1.5),
+            inequalities.two_point_equality_check(h1, h2),
+        ],
+        "type_cotype": [inequalities.type_cotype_check(fields, 1.5)],
+        "kadec_klee": [
+            inequalities.kadec_klee_gap(h2, h1, 1.5),
+            inequalities.unconditional_sum_bound(small, 1.5),
+        ],
+    }
+    assert set(reports) == set(SUITES) - {"moduli"}  # the moduli suite runs no public check
+    assert sum(map(len, reports.values())) == 13
+    for suite, made in reports.items():
+        for report in made:
+            assert isinstance(report, CheckReport) and report.suite == suite, report.anchor
 
 
 # Every private name cli takes from a library module: a new one shows up here

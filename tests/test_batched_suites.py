@@ -97,7 +97,7 @@ def ids(name, p, trials=TRIALS):
 def oracle_norms(cfg):
     for p in cfg.p_list:
         for case_id, k in ids("embedding", p):
-            yield embedding_check(row(cfg, k, p, "a"), p, suite=cfg.suite, case_id=case_id)
+            yield embedding_check(row(cfg, k, p, "a"), p, case_id=case_id)
         for family in cfg.families:
             for k in range(cfg.trials):
                 h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
@@ -137,7 +137,7 @@ def oracle_holder(cfg):
             if not p.is_inf:
                 cases.append((INF, p, f"inf_left[r={p}][{k:04d}]"))
             for a, b, case_id in cases:
-                yield holder_check(h1, h2, a, b, suite=cfg.suite, case_id=case_id)
+                yield holder_check(h1, h2, a, b, case_id=case_id)
 
 
 def oracle_adjoint(cfg):
@@ -145,7 +145,7 @@ def oracle_adjoint(cfg):
         for family in cfg.families:
             for case_id, k in ids(family, p):
                 h = row(cfg, k, p, family, "a")
-                yield adjoint_norm_check(h, p, family, suite=cfg.suite, case_id=case_id)
+                yield adjoint_norm_check(h, p, family, case_id=case_id)
 
 
 def oracle_clarkson(cfg):
@@ -153,7 +153,7 @@ def oracle_clarkson(cfg):
         for family in cfg.families:
             for case_id, k in ids(family, p):
                 h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
-                yield clarkson_check(h1, h2, p, family, suite=cfg.suite, case_id=case_id)
+                yield clarkson_check(h1, h2, p, family, case_id=case_id)
 
 
 def oracle_two_point(cfg):
@@ -162,11 +162,11 @@ def oracle_two_point(cfg):
             crits = []
             for case_id, k in ids(family, p):
                 h1, h2 = row(cfg, k, p, family, "a"), row(cfg, k, p, family, "b")
-                yield two_point_check(h1, h2, p, family, suite=cfg.suite, case_id=case_id)
+                yield two_point_check(h1, h2, p, family, case_id=case_id)
                 crits.append(two_point_critical_constant(h1, h2, p, family))
                 if p.value == 2.0:
                     yield two_point_equality_check(
-                        h1, h2, family, suite=cfg.suite, case_id=f"parallelogram.{family}[{k:04d}]"
+                        h1, h2, family, case_id=f"parallelogram.{family}[{k:04d}]"
                     )
             if p.value >= 2.0:
                 lhs, rhs = max(crits), two_point_upper_constant(p)
@@ -183,11 +183,11 @@ def oracle_type_cotype(cfg):
         for family in cfg.families:
             for case_id, k in ids(family, p):
                 fields = [row(cfg, k, p, family, j) for j in range(5)]
-                yield type_cotype_check(fields, p, family, suite=cfg.suite, case_id=case_id)
+                yield type_cotype_check(fields, p, family, case_id=case_id)
                 if p.value == 2.0:
                     yield equality_report(
                         cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0,
-                        rademacher_average(fields, 2.0, family, r=2.0),
+                        rademacher_average(fields, 2.0, family),
                         math.sqrt(sum(field_norm(f, 2.0, family) ** 2 for f in fields)),
                         (fields, family), "sign_average_identity",
                     )
@@ -219,7 +219,7 @@ def oracle_duality(cfg):
             # equals the suite's only if they are the batch's rows, bit for bit
             yield direct_sum_dual_pair_check(
                 h, other, f, dual_extremizer(other, p), p, spec,
-                suite=cfg.suite, case_id=f"direct_sum[p={p}][{k:04d}]",
+                case_id=f"direct_sum[p={p}][{k:04d}]",
             )
 
 
@@ -234,11 +234,9 @@ def oracle_interpolation(cfg):
                 max(norms0 + norms1, key=lambda v: abs(v - 1.0)), 1.0,
                 (h, spec.p0.value, spec.p1.value, spec.theta), "boundary_witness", rel=1e-9,
             )
-            yield three_lines_check(
-                h, f, spec, suite=cfg.suite, case_id=f"three_lines[p={p}][{k:04d}]"
-            )
+            yield three_lines_check(h, f, spec, case_id=f"three_lines[p={p}][{k:04d}]")
             yield interp_norm_consistency(
-                h, spec, (norms0, norms1), suite=cfg.suite, case_id=f"consistency[p={p}][{k:04d}]"
+                h, spec, (norms0, norms1), case_id=f"consistency[p={p}][{k:04d}]"
             )
 
 
@@ -247,11 +245,9 @@ def oracle_kadec_klee(cfg):
         # one h, d and sum base per exponent: row 0 of each role's stream
         h, d, base = (row(cfg, 0, p, role) for role in ("a", "b", "sum"))
         for n in range(1, cfg.trials + 1):
-            yield kadec_klee_gap(
-                h + (1.0 / n) * d, h, p, suite=cfg.suite, case_id=f"gap[p={p}][n={n:04d}]"
-            )
+            yield kadec_klee_gap(h + (1.0 / n) * d, h, p, case_id=f"gap[p={p}][n={n:04d}]")
         scaled = [(2.0**-j / lp_sch_norm(base, p)) * base for j in range(5)]
-        yield unconditional_sum_bound(scaled, p, suite=cfg.suite, case_id=f"sum_bound[p={p}]")
+        yield unconditional_sum_bound(scaled, p, case_id=f"sum_bound[p={p}]")
 
 
 ORACLES = {
@@ -324,14 +320,13 @@ def test_rademacher_average_of_a_batch_is_its_rows_averages(dual, family, n):
     model = parse_dual_arg(dual)
     batches = [random_stacks(model, mix_seed("radbatch", dual, n, j), rows=4) for j in range(n)]
     for p in (1.5, 2.0, 3.0):
-        for r in (1.0, 2.0, 3.0):
-            got = rademacher_average(batches, p, family, r)
-            assert got.shape == (4,)
-            for k in range(4):
-                rows = [b[k] for b in batches]
-                assert got[k] == pytest.approx(rademacher_average(rows, p, family, r), rel=1e-12)
-                oracle = np.mean(gray_code_norms(rows, p, family) ** r) ** (1.0 / r)
-                assert got[k] == pytest.approx(oracle, rel=1e-12)
+        got = rademacher_average(batches, p, family)
+        assert got.shape == (4,)
+        for k in range(4):
+            rows = [b[k] for b in batches]
+            assert got[k] == pytest.approx(rademacher_average(rows, p, family), rel=1e-12)
+            oracle = np.mean(gray_code_norms(rows, p, family) ** 2) ** 0.5
+            assert got[k] == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("table", [1, 4 * 6 * 3])  # no low bit in the table; two of them
@@ -339,10 +334,10 @@ def test_rademacher_average_splits_its_sums_at_any_table_size(monkeypatch, table
     monkeypatch.setattr(inequalities, "_SIGN_TABLE_ENTRIES", table)
     model = parse_dual_arg("s3")
     batches = [random_stacks(model, mix_seed("radsplit", j), rows=3) for j in range(6)]
-    got = rademacher_average(batches, 3.0, "sch", r=1.5)
+    got = rademacher_average(batches, 3.0, "sch")
     for k in range(3):
         norms = gray_code_norms([b[k] for b in batches], 3.0, "sch")
-        assert got[k] == pytest.approx(np.mean(norms**1.5) ** (1 / 1.5), rel=1e-12)
+        assert got[k] == pytest.approx(np.mean(norms**2) ** 0.5, rel=1e-12)
 
 
 def test_rademacher_average_keeps_the_batch_shape_and_rejects_mixed_batches():
@@ -357,17 +352,14 @@ def test_rademacher_average_keeps_the_batch_shape_and_rejects_mixed_batches():
 
 
 @pytest.mark.parametrize("dual", DUALS)
-@pytest.mark.parametrize("include_extremizer", [False, True])
-def test_dual_norm_search_of_a_batch_reads_each_rows_probes(dual, include_extremizer):
+def test_dual_norm_search_of_a_batch_reads_each_rows_probes(dual):
     model = parse_dual_arg(dual)
     batch = random_stacks(model, 31, start=2, rows=3)
     for p in (1.5, 3.0, math.inf):
-        got = dual_norm_via_search(batch, p, trials=4, seed=9, start=2,
-                                   include_extremizer=include_extremizer)
+        got = dual_norm_via_search(batch, p, trials=4, seed=9, start=2)
         assert got.shape == (3,)
         for k in range(3):
-            want = dual_norm_via_search(batch[k], p, trials=4, seed=9, start=2 + k,
-                                        include_extremizer=include_extremizer)
+            want = dual_norm_via_search(batch[k], p, trials=4, seed=9, start=2 + k)
             assert got[k] == pytest.approx(want, rel=1e-12)
 
 
@@ -376,7 +368,7 @@ def test_dual_norm_search_of_a_single_field_reads_rows_zero_to_trials():
     h = random_field(model, 4)
     probes = random_stacks(model, mix_seed(6, "dual_search"), rows=5)
     want = max(abs(pairing(h, (1.0 / lp_sch_norm(probes[j], 3.0)) * probes[j])) for j in range(5))
-    got = dual_norm_via_search(h, 1.5, trials=5, seed=6, include_extremizer=False)
+    got = dual_norm_via_search(h, 1.5, trials=5, seed=6)
     assert type(got) is float and got == pytest.approx(want, rel=1e-12)
 
 
@@ -386,7 +378,9 @@ def test_dual_norm_search_pairs_a_zero_row_to_zero():
     batch = Field(model, tuple(np.stack([b, 0 * b, b]) for b in h.blocks))
     got = dual_norm_via_search(batch, 1.5, trials=3, seed=1)
     assert got[1] == 0.0
-    assert got[0] == got[2] == pytest.approx(lp_sch_norm(h, 1.5), rel=1e-12)
+    for k in (0, 2):  # row k reads the probes of row k of a batch, however many rows are zero
+        want = dual_norm_via_search(h, 1.5, trials=3, seed=1, start=k)
+        assert 0.0 < want and got[k] == pytest.approx(want, rel=1e-12)
     assert dual_norm_via_search(zero_field(model), 1.5, trials=3, seed=1) == 0.0
 
 

@@ -753,9 +753,7 @@ def test_type_cotype_at_p2_computes_each_sign_average_once(monkeypatch):
         keys = [mix_seed(cfg.seed, "type_cotype", ExponentP(2.0), family, j) for j in range(5)]
         fields = [random_field(cfg.dual, key) for key in keys]
         (shared,) = [r for r in reports if r.case_id == f"{family}[p=2.0][0000]"]
-        assert shared == inequalities.type_cotype_check(
-            fields, 2.0, family, suite="type_cotype", case_id=shared.case_id
-        )
+        assert shared == inequalities.type_cotype_check(fields, 2.0, family, case_id=shared.case_id)
 
 
 def test_tol_override_keeps_exact_counts_exact():

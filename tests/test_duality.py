@@ -203,20 +203,13 @@ def test_search_zero_field():
     assert dual_norm_via_search(zero_field(m), 2.0, trials=5, seed=0) == 0.0
 
 
-def test_search_extremizer_only_recovers_norm():
-    m = preset_dual("su2_trunc", 3)
-    h = random_field(m, 17)
-    val = dual_norm_via_search(h, 1.5, trials=0, seed=0)
-    assert val == pytest.approx(lp_sch_norm(h, 1.5), rel=1e-9)
-
-
 def test_search_random_trials_never_exceed_norm():
     m = preset_dual("s3")
     p = 2.2
     for k in range(100):
         h = random_field(m, mix_seed("search", k))
         norm = lp_sch_norm(h, p)
-        val = dual_norm_via_search(h, p, trials=10, seed=k, include_extremizer=False)
+        val = dual_norm_via_search(h, p, trials=10, seed=k)
         assert val <= norm + 1e-10 * max(1.0, norm)
 
 
@@ -233,7 +226,7 @@ def test_search_probes_are_rows_of_one_stream(monkeypatch):
     calls = []
     mix = duality.mix_seed
     monkeypatch.setattr(duality, "mix_seed", lambda *parts: calls.append(parts) or mix(*parts))
-    got = dual_norm_via_search(h, 1.5, trials=8, seed=5, include_extremizer=False)
+    got = dual_norm_via_search(h, 1.5, trials=8, seed=5)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert calls == [(5, "dual_search")]
 

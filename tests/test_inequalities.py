@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualnorm import inequalities, norms
+from dualnorm import cli, inequalities, norms
 from dualnorm.cli import SuiteConfig, run_suite
 from dualnorm.dualmodel import (
     Field,
@@ -266,9 +266,7 @@ def test_modulus_convexity_hilbert_case_matches_closed_form():
 
 
 def test_modulus_convexity_small_eps_estimates_vanish():
-    ests = modulus_convexity_sample(
-        S3, 1.5, "sch", eps_bins=(0.05,), samples=4000, seed=3, bin_width=0.05
-    )
+    ests = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(0.05,), samples=4000, seed=3)
     est = ests[0]
     assert not est.skipped
     assert 0.0 <= est.estimate <= 0.01
@@ -336,7 +334,7 @@ def loop_unit_pair(model, p, family, seed, draw):
     return h1, (1.0 / norm) * mixed
 
 
-def loop_convexity_sample(model, p, family, edges, samples, seed, bin_width=0.1):
+def loop_convexity_sample(model, p, family, edges, samples, seed):
     """(counts, best) per bin edge; a pair lands in the first bin that holds it."""
     best = {e: math.inf for e in edges}
     counts = {e: 0 for e in edges}
@@ -345,7 +343,7 @@ def loop_convexity_sample(model, p, family, edges, samples, seed, bin_width=0.1)
         eps = field_norm(h1 - h2, p, family)
         midgap = 1.0 - field_norm(0.5 * (h1 + h2), p, family)
         for e in edges:
-            if e <= eps < e + bin_width:
+            if e <= eps < e + 0.1:
                 counts[e] += 1
                 best[e] = min(best[e], midgap)
                 break
@@ -362,12 +360,10 @@ def loop_smoothness_sample(model, p, family, t_grid, samples, seed):
     return best
 
 
-def assert_matches_loop(model, p, family, samples, seed, eps_bins=None, bin_width=0.1):
+def assert_matches_loop(model, p, family, samples, seed, eps_bins=None):
     edges = default_eps_bins() if eps_bins is None else eps_bins
-    counts, best = loop_convexity_sample(model, p, family, edges, samples, seed, bin_width)
-    ests = modulus_convexity_sample(
-        model, p, family, eps_bins=edges, samples=samples, seed=seed, bin_width=bin_width
-    )
+    counts, best = loop_convexity_sample(model, p, family, edges, samples, seed)
+    ests = modulus_convexity_sample(model, p, family, eps_bins=edges, samples=samples, seed=seed)
     for est in ests:
         assert est.samples == counts[est.epsilon_or_t], est
         if est.samples:
@@ -432,11 +428,11 @@ def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
     monkeypatch.setattr(inequalities, "_draws", antipodal)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division by the zero norm
-        conv = modulus_convexity_sample(
-            S3, 1.5, "sch", eps_bins=(1.9,), samples=30, seed=3, bin_width=0.2
-        )
+        # bins [1.9, 2.0) and [2.0, 2.1): a separation of 2 lands in one of them, however it rounds
+        conv = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(1.9, 2.0), samples=30, seed=3)
         smooth = modulus_smoothness_sample(S3, 1.5, "sch", samples=30, seed=3)
-    assert conv[0].samples == 30 and conv[0].estimate == 1.0
+    assert sum(est.samples for est in conv) == 30
+    assert all(est.estimate == 1.0 for est in conv if est.samples)
     for est in smooth:  # (|1 - t| + |1 + t|)/2 - 1 = 0 for t <= 1
         assert est.estimate == pytest.approx(0.0, abs=1e-15)
 
@@ -489,15 +485,15 @@ def test_moduli_suite_draws_each_pair_once(monkeypatch, budget):
 
 
 @pytest.mark.parametrize(
-    "eps_bins,t_grid,bin_width",
-    [(default_eps_bins(), (0.1, 0.5, 1.0), 0.1), ((0.5, 0.55, 1.2), (0.0, 0.3, 2.0), 0.2)],
+    "eps_bins,t_grid",
+    [(default_eps_bins(), (0.1, 0.5, 1.0)), ((0.5, 0.55, 1.2), (0.0, 0.3, 2.0))],
     ids=["default", "custom"],
 )
 @pytest.mark.parametrize("family", ["sch", "hs"])
-def test_moduli_pass_returns_both_views(eps_bins, t_grid, bin_width, family):
+def test_moduli_pass_returns_both_views(eps_bins, t_grid, family):
     model = parse_dual_arg("su2_trunc(3)")
-    both = inequalities._moduli_pass(model, 1.5, family, eps_bins, t_grid, 60, 9, bin_width)
-    conv = modulus_convexity_sample(model, 1.5, family, eps_bins, 60, 9, bin_width)
+    both = inequalities._moduli_pass(model, 1.5, family, eps_bins, t_grid, 60, 9)
+    conv = modulus_convexity_sample(model, 1.5, family, eps_bins, 60, 9)
     smooth = modulus_smoothness_sample(model, 1.5, family, t_grid, 60, 9)
     assert both == (conv, smooth) and any(est.samples for est in conv)
 
@@ -546,6 +542,20 @@ def test_a_check_reduces_its_norms_at_one_exponent_in_one_call(monkeypatch, suit
     assert len(rows) == len(cfg.p_list) * families * (cfg.trials * per_chunk + per_p)
 
 
+def test_type_cotype_at_p2_reduces_its_summands_once(monkeypatch):
+    # the type/cotype bounds and the Hilbert equality read one field_norms list per chunk
+    calls = []
+    stacked = norms.field_norms
+    for module in (cli, inequalities):
+        monkeypatch.setattr(module, "field_norms", lambda *a: calls.append(a[1:]) or stacked(*a))
+    cfg = SuiteConfig(suite="type_cotype", dual=parse_dual_arg("su2_trunc(4)"), p_list=("2",),
+                      family="sch", trials=10, seed=0)
+    reports = run_suite(cfg)
+    assert len(reports) == 2 * cfg.trials and all(r.passed for r in reports)
+    chunks = len(list(inequalities._chunks(cfg.dual, cfg.trials, 5)))
+    assert calls == [(2.0, "sch")] * chunks
+
+
 def test_moduli_sampler_memory_bounded_by_chunk():
     # unchunked, one 2000-pair stack of custom(64) fields alone would take 131 MB
     model = preset_dual("custom", [64])
@@ -571,25 +581,22 @@ def test_default_bins_cover_unit_interval():
 
 def test_rademacher_single_field():
     h = random_field(S3, 4)
-    for r in (1.0, 2.0, 3.0):
-        assert rademacher_average([h], 2.0, "sch", r) == pytest.approx(
-            lp_sch_norm(h, 2.0), rel=1e-12
-        )
+    assert rademacher_average([h], 2.0, "sch") == pytest.approx(lp_sch_norm(h, 2.0), rel=1e-12)
 
 
 def test_rademacher_two_fields_parallelogram():
     h1 = random_field(S3, 5)
     h2 = random_field(S3, 6)
-    avg = rademacher_average([h1, h2], 2.0, "sch", r=2.0)
+    avg = rademacher_average([h1, h2], 2.0, "sch")
     oracle = math.sqrt(lp_sch_norm(h1, 2.0) ** 2 + lp_sch_norm(h2, 2.0) ** 2)
     assert avg == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,r,p", [(3, 2.0, 2.0), (3, 1.0, 1.5), (4, 2.0, 3.0), (5, 3.0, 2.5)])
-def test_rademacher_matches_independent_enumerator(n, r, p):
+@pytest.mark.parametrize("n,p", [(3, 2.0), (3, 1.5), (4, 3.0), (5, 2.5)])
+def test_rademacher_matches_independent_enumerator(n, p):
     fields = [random_field(S3, mix_seed("rad", n, j)) for j in range(n)]
-    fast = rademacher_average(fields, p, "sch", r)
-    oracle = enumerate_sign_average(fields, p, "sch", r)
+    fast = rademacher_average(fields, p, "sch")
+    oracle = enumerate_sign_average(fields, p, "sch", 2.0)
     assert fast == pytest.approx(oracle, rel=1e-11)
 
 
@@ -602,17 +609,16 @@ def test_rademacher_matches_gray_code_walk(dual, family, n):
     sums = list(gray_code_sums(fields))
     for p in (1.5, 2.0, 3.0):
         norms = np.array([field_norm(s, p, family) for s in sums])
-        for r in (1.0, 2.0, 3.0):
-            oracle = np.mean(norms**r) ** (1.0 / r)
-            assert rademacher_average(fields, p, family, r) == pytest.approx(oracle, rel=1e-12)
+        oracle = np.mean(norms**2) ** 0.5
+        assert rademacher_average(fields, p, family) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_rademacher_twenty_summands_hilbert_identity():
-    # at p = r = 2 the norm is a Hilbert norm: the average is the quadratic sum
+    # at p = 2 the norm is a Hilbert norm: the L2 average is the quadratic sum
     model = parse_dual_arg("su2_trunc(3)")
     fields = [random_field(model, mix_seed("rad20", j)) for j in range(20)]
     l2 = math.sqrt(sum(field_norm(f, 2.0, "hs") ** 2 for f in fields))
-    assert rademacher_average(fields, 2.0, "hs", r=2.0) == pytest.approx(l2, rel=1e-12)
+    assert rademacher_average(fields, 2.0, "hs") == pytest.approx(l2, rel=1e-12)
 
 
 @pytest.mark.parametrize("table", [None, 6 * 4])  # every low bit in the table; 2 of 8 in it
@@ -620,10 +626,10 @@ def test_rademacher_independent_of_chunk_size(monkeypatch, table):
     if table is not None:
         monkeypatch.setattr(inequalities, "_SIGN_TABLE_ENTRIES", table)
     fields = [random_field(S3, mix_seed("radchunk", j)) for j in range(9)]
-    whole = rademacher_average(fields, 3.0, "sch", r=1.5)
+    whole = rademacher_average(fields, 3.0, "sch")
     for budget in (1, 7 * 6):  # one pattern per chunk; 7 per chunk with a ragged tail
         monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
-        assert rademacher_average(fields, 3.0, "sch", r=1.5) == whole
+        assert rademacher_average(fields, 3.0, "sch") == whole
 
 
 def test_rademacher_builds_no_field(monkeypatch):
@@ -663,12 +669,6 @@ def test_rademacher_rejects_fields_over_different_models():
         rademacher_average([h, g], 2.0)
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
-def test_rademacher_rejects_bad_order(r):
-    with pytest.raises(ValueError, match="average order"):
-        rademacher_average([random_field(S3, 1)], 2.0, r=r)
-
-
 def test_rademacher_empty():
     assert rademacher_average([], 2.0) == 0.0
 
@@ -688,7 +688,7 @@ def test_type_cotype_equalities_at_p2():
     rep = type_cotype_check(fields, 2.0)
     assert rep.passed
     # with constant 1 the sign average equals the quadratic sum exactly
-    avg2 = rademacher_average(fields, 2.0, "sch", r=2.0)
+    avg2 = rademacher_average(fields, 2.0, "sch")
     l2 = math.sqrt(sum(lp_sch_norm(f, 2.0) ** 2 for f in fields))
     assert avg2 == pytest.approx(l2, rel=1e-10)
 
@@ -704,7 +704,7 @@ def test_type_cotype_random_draws(p):
 @pytest.mark.parametrize("p", [1.4, 2.0, 3.0])
 def test_type_cotype_matches_exhaustive_enumerator(p):
     fields = [random_field(S3, mix_seed("tcx", p, j)) for j in range(4)]
-    avg = rademacher_average(fields, p, "sch", r=2.0)
+    avg = rademacher_average(fields, p, "sch")
     oracle = enumerate_sign_average(fields, p, "sch", 2.0)
     assert avg == pytest.approx(oracle, rel=1e-11)
     norms = [lp_sch_norm(f, p) for f in fields]
