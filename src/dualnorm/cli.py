@@ -116,7 +116,7 @@ class SuiteConfig:
         except ValueError as exc:
             raise ConfigError(f"bad exponent: {exc}") from exc
         for p in p_list:  # p and 2p (an interpolation endpoint) need conjugates: 2p <= 2^53
-            if 2**52 < p.value < math.inf:
+            if 2**52 < p < math.inf:
                 raise ConfigError(f"exponent {p} exceeds 2^52, too large for a conjugate; use inf")
         object.__setattr__(self, "p_list", p_list)
 
@@ -144,7 +144,7 @@ def _case_ids(prefix: str, ks) -> list[str]:
 
 def _interior(cfg: SuiteConfig) -> list[ExponentP]:
     """The exponents of the run strictly inside (1, inf)."""
-    return [p for p in cfg.p_list if 1.0 < p.value < math.inf]
+    return [p for p in cfg.p_list if 1.0 < p < math.inf]
 
 
 def _suite_norms(cfg: SuiteConfig):
@@ -157,11 +157,11 @@ def _suite_norms(cfg: SuiteConfig):
                 n1, n2, n_sum, n_scaled = field_norms((h1, h2, h1 + h2, alpha * h1), p, family)
                 yield from inequality_report(
                     cfg.suite, _case_ids(f"triangle.{family}[p={p}]", ks), p,
-                    n_sum, n1 + n2, (h1, h2, p.value, family), "triangle",
+                    n_sum, n1 + n2, (h1, h2, p, family), "triangle",
                 )
                 yield from equality_report(
                     cfg.suite, _case_ids(f"homogeneity.{family}[p={p}]", ks), p,
-                    n_scaled, alpha * n1, (h1, p.value, family, alpha), "homogeneity",
+                    n_scaled, alpha * n1, (h1, p, family, alpha), "homogeneity",
                 )
     for ks, (h,) in _trials(cfg, "p2", roles=("a",)):
         # S_2 = HS, from singular values on one side and Frobenius sums on the
@@ -208,7 +208,7 @@ def _suite_duality(cfg: SuiteConfig):
         for ks, (h, other) in _trials(cfg, p, fields_per_trial=_PROBES):
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
-            inputs = (h, p.value)
+            inputs = (h, p)
             yield from equality_report(
                 cfg.suite, _case_ids(f"extremizer_unit[p={p}]", ks), p,
                 lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,
@@ -222,7 +222,7 @@ def _suite_duality(cfg: SuiteConfig):
                 cfg.suite, _case_ids(f"search_bound[p={p}]", ks), p,
                 probe, norm, inputs, "dual_supremum",
             )
-            if p.value > 1.0:
+            if p > 1.0:
                 ids = _case_ids(f"direct_sum[p={p}]", ks)
                 f_other = dual_extremizer(other, p)
                 yield from direct_sum_dual_pair_check(h, other, f, f_other, p, spec, case_id=ids)
@@ -230,9 +230,9 @@ def _suite_duality(cfg: SuiteConfig):
 
 def _interp_spec_for(p: ExponentP) -> InterpSpec:
     """The strip of endpoints 1 and 2 below p = 2, and of 2 and 2p above it (both 2 at p = 2)."""
-    if p.value < 2.0:
+    if p < 2.0:
         return InterpSpec.for_target(1.0, 2.0, p)
-    return InterpSpec.for_target(2.0, 2.0 * p.value if p.value > 2.0 else 2.0, p)
+    return InterpSpec.for_target(2.0, 2.0 * p if p > 2.0 else 2.0, p)
 
 
 def _suite_interpolation(cfg: SuiteConfig):
@@ -262,23 +262,23 @@ def _suite_two_point(cfg: SuiteConfig):
         for family in cfg.families:
             crits = []
             for ks, (h1, h2) in _trials(cfg, p, family, fields_per_trial=4):
-                norms = ineq._two_point_norms(h1, h2, p.value, family)
+                norms = ineq._two_point_norms(h1, h2, p, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._two_point_reports(h1, h2, p.value, family, norms, ids)
+                yield from ineq._two_point_reports(h1, h2, p, family, norms, ids)
                 crits.append(ineq._critical_constants(norms))
-                if p.value == 2.0:
+                if p == 2.0:
                     ids = _case_ids(f"parallelogram.{family}", ks)
                     yield from ineq._parallelogram_reports(h1, h2, family, norms, ids)
             crits = np.concatenate(crits)
             crits = crits[~np.isnan(crits)]
             if crits.size:
-                if p.value >= 2.0:
+                if p >= 2.0:
                     lhs, rhs = crits.max(), ineq.two_point_upper_constant(p)
                 else:
                     lhs, rhs = ineq.two_point_lower_constant(p), crits.min()
                 yield inequality_report(
                     cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
-                    (p.value, family, cfg.seed, cfg.trials), "critical_constant",
+                    (p, family, cfg.seed, cfg.trials), "critical_constant",
                 )
 
 
@@ -295,18 +295,18 @@ def _suite_moduli(cfg: SuiteConfig):
                 yield inequality_report(
                     cfg.suite, f"convexity.{family}[p={p}][eps={est.epsilon_or_t:.1f}]", p,
                     est.bound, est.estimate,
-                    (p.value, family, est.epsilon_or_t, cfg.seed, samples), "convexity_lower",
+                    (p, family, est.epsilon_or_t, cfg.seed, samples), "convexity_lower",
                 )
             yield inequality_report(
                 cfg.suite, f"convexity_bins.{family}[p={p}]", p,
                 float(len(occupied)), float(len(convexity)),
-                (p.value, family, cfg.seed, samples), "bin_occupancy", rel=0.0,
+                (p, family, cfg.seed, samples), "bin_occupancy", rel=0.0,
             )
             for est in smoothness:
                 yield inequality_report(
                     cfg.suite, f"smoothness.{family}[p={p}][t={est.epsilon_or_t:.2f}]", p,
                     est.estimate, est.bound,
-                    (p.value, family, est.epsilon_or_t, cfg.seed, samples), "smoothness_upper",
+                    (p, family, est.epsilon_or_t, cfg.seed, samples), "smoothness_upper",
                 )
 
 
@@ -316,10 +316,10 @@ def _suite_type_cotype(cfg: SuiteConfig):
             # the sign average stacks the five summands of each trial
             for ks, fields in _trials(cfg, p, family, roles=range(5), fields_per_trial=5):
                 avg2 = ineq.rademacher_average(fields, p, family)
-                norms = field_norms(fields, p.value, family)
+                norms = field_norms(fields, p, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._type_cotype_reports(fields, p.value, family, norms, avg2, ids)
-                if p.value == 2.0:  # the same sign average against the quadratic sum of norms
+                yield from ineq._type_cotype_reports(fields, p, family, norms, avg2, ids)
+                if p == 2.0:  # the same sign average against the quadratic sum of norms
                     l2 = matcore.power_sum(norms, 2.0)
                     yield from equality_report(
                         cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),

@@ -62,7 +62,7 @@ def dual_extremizer(h: Field, p) -> Field:
     norm = np.asarray(norm)[..., None]
     blocks = []
     for f in h.svd_factors:
-        powered = (f.sigma / norm) ** (p.value - 1.0)  # at most 1; 0**0 = 1 at p = 1
+        powered = (f.sigma / norm) ** (p - 1.0)  # at most 1; 0**0 = 1 at p = 1
         v, wstar = matcore.adjoint(f.vstar), matcore.adjoint(f.u)
         blocks.append(matcore.svd_compose(v, powered, wstar))
     return _trusted(h.model, blocks)
@@ -114,16 +114,14 @@ def direct_sum_dual_pair_check(
     """
     p = ExponentP.parse(p)
     r = spec.r
-    if p.is_inf or p.value == 1.0 or r.is_inf or r.value == 1.0:
+    if p.is_inf or p == 1.0 or r.is_inf or r == 1.0:
         raise ValueError("direct-sum duality needs all exponents strictly inside (1, inf)")
     q = p.conjugate()
     s = r.conjugate()
     w = spec.w
-    lhs = abs(
-        pairing(h1, f1) + w ** (r.inv() - s.inv()) * pairing(h2, f2)
-    )
+    lhs = abs(pairing(h1, f1) + w ** (1.0 / r - 1.0 / s) * pairing(h2, f2))
     rhs = direct_sum_norm(f1, f2, q, DirectSumSpec(s, 1.0 / w)) * direct_sum_norm(
         h1, h2, p, spec
     )
-    inputs = (h1, h2, f1, f2, p.value, r.value, w)
-    return inequality_report("duality", case_id, float(p), lhs, rhs, inputs, "direct_sum_duality")
+    inputs = (h1, h2, f1, f2, p, r, w)
+    return inequality_report("duality", case_id, p, lhs, rhs, inputs, "direct_sum_duality")

@@ -71,20 +71,20 @@ _SMOOTHNESS_T_GRID = (0.1, 0.5, 1.0)  # modulus_smoothness_sample's default t-gr
 
 def two_point_upper_constant(p) -> float:
     """2p - 1: valid coefficient of ||H2||^2 in the upper two-point bound, p >= 2."""
-    return 2.0 * float(ExponentP.parse(p)) - 1.0
+    return 2.0 * ExponentP.parse(p) - 1.0
 
 
 def two_point_lower_constant(p) -> float:
     """(p-1)/(p+1): valid coefficient in the lower two-point bound, 1 < p <= 2."""
-    pv = float(ExponentP.parse(p))
-    return (pv - 1.0) / (pv + 1.0)
+    p = ExponentP.parse(p)
+    return (p - 1.0) / (p + 1.0)
 
 
-def _finite_interior(p) -> float:
-    pv = float(ExponentP.parse(p))
-    if not (1.0 < pv < math.inf):
-        raise ValueError(f"exponent must lie strictly inside (1, inf), got {pv}")
-    return pv
+def _finite_interior(p) -> ExponentP:
+    p = ExponentP.parse(p)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"exponent must lie strictly inside (1, inf), got {p}")
+    return p
 
 
 def _mean(a, b, r: float):
@@ -122,8 +122,9 @@ def two_point_check(h1: Field, h2: Field, p, family: str = "sch", *, case_id="tw
     """Two-point inequality with the proved constant substituted.
 
     p >= 2: (avg of ||H1 +- H2||^p)^(1/p) <= (||H1||^2 + (2p-1) ||H2||^2)^(1/2);
-    p <= 2: reversed form with (p-1)/(p+1) on the left.  At p = 2 both reduce
-    to the parallelogram identity with constant 1.
+    p <= 2: reversed form with (p-1)/(p+1) on the left.  At p = 2 the upper
+    form applies, with 2p - 1 = 3; the parallelogram identity, with constant
+    1, is ``two_point_equality_check``.
     """
     p = _finite_interior(p)
     norms = _two_point_norms(h1, h2, p, family)
@@ -194,13 +195,13 @@ def convexity_lower_bound(p, eps: float) -> float:
     p > 2:      (eps/2)^p / p.
     eps <= 2, so (eps/2)^q underflows to 0 at extreme exponents and never overflows.
     """
-    pv = _finite_interior(p)
+    p = _finite_interior(p)
     if eps <= 0.0:
         return 0.0
-    if pv <= 2.0:
-        q = pv / (pv - 1.0)
-        return max((eps / 2.0) ** q / q, two_point_lower_constant(pv) * eps**2 / 8.0)
-    return (eps / 2.0) ** pv / pv
+    if p <= 2.0:
+        q = p / (p - 1.0)
+        return max((eps / 2.0) ** q / q, two_point_lower_constant(p) * eps**2 / 8.0)
+    return (eps / 2.0) ** p / p
 
 
 def smoothness_upper_bound(p, t: float) -> float:
@@ -208,13 +209,13 @@ def smoothness_upper_bound(p, t: float) -> float:
 
     1 < p <= 2: t^p / p;  p > 2: min(t^q / q, C_p t^2 / 2), q conjugate to p.
     """
-    pv = _finite_interior(p)
+    p = _finite_interior(p)
     if t <= 0.0:
         return 0.0
-    if pv <= 2.0:
-        return t**pv / pv
-    q = pv / (pv - 1.0)
-    return min(t**q / q, two_point_upper_constant(pv) * t * t / 2.0)
+    if p <= 2.0:
+        return t**p / p
+    q = p / (p - 1.0)
+    return min(t**q / q, two_point_upper_constant(p) * t * t / 2.0)
 
 
 @dataclass(frozen=True)
@@ -318,7 +319,7 @@ def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed):
 
     An empty grid (``eps_bins`` or ``t_grid``) forms none of its estimate's norms.
     """
-    pv = _finite_interior(p)
+    p = _finite_interior(p)
     edges = tuple(float(e) for e in eps_bins)
     if any(not (0.0 <= e <= 2.0) for e in edges):
         raise ValueError("bin edges must lie in [0, 2]")
@@ -328,16 +329,17 @@ def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed):
     lowest, counts = {e: math.inf for e in edges}, {e: 0 for e in edges}
     highest = [-math.inf] * len(ts)
     stacked = 2 * len(ts) + (2 if edges else 0)  # fields per pair in the stack of its norms
-    for h1, h2 in _unit_pairs(model, pv, family, seed, samples, max(1, stacked)):
+    for h1, h2 in _unit_pairs(model, p, family, seed, samples, max(1, stacked)):
         fields = [x for t in ts for x in (h1 + t * h2, h1 - t * h2)]
         if edges:
             fields += [h1 - h2, 0.5 * (h1 + h2)]
-        norms = field_norms(fields, pv, family)
+        norms = field_norms(fields, p, family)
         for i in range(len(ts)):
             plus, minus = norms[2 * i], norms[2 * i + 1]
             highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
         if edges:
-            eps, midgap = norms[-2], 1.0 - norms[-1]
+            # unit pairs lie at most 2 apart: a separation rounded up to 2 counts just below it
+            eps, midgap = np.minimum(norms[-2], np.nextafter(2.0, 0.0)), 1.0 - norms[-1]
             free = np.ones(eps.shape, dtype=bool)
             for e in edges:
                 hit = free & (e <= eps) & (eps < e + DEFAULT_BIN_WIDTH)
@@ -346,9 +348,9 @@ def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed):
                     lowest[e] = min(lowest[e], float(midgap[hit].min()))
                     free &= ~hit
     return (
-        [ModulusEstimate(e, lowest[e] if counts[e] else math.nan, convexity_lower_bound(pv, e),
+        [ModulusEstimate(e, lowest[e] if counts[e] else math.nan, convexity_lower_bound(p, e),
                          "convexity_lower", counts[e]) for e in edges],
-        [ModulusEstimate(t, highest[i] if samples else math.nan, smoothness_upper_bound(pv, t),
+        [ModulusEstimate(t, highest[i] if samples else math.nan, smoothness_upper_bound(p, t),
                          "smoothness_upper", samples) for i, t in enumerate(ts)],
     )
 
@@ -365,9 +367,11 @@ def modulus_convexity_sample(
 
     Pairs are binned by ||H1 - H2||, each in the first bin whose range
     [e, e + DEFAULT_BIN_WIDTH) holds it (a width of 0.1, the spacing of
-    ``default_eps_bins``); each bin's estimate is compared against the
-    proved lower bound at the bin's lower edge (the bound is increasing, so
-    that comparison is sound for every pair landing in the bin).
+    ``default_eps_bins``), a separation measured at 2 or above counting as
+    just below 2 (unit pairs lie at most 2 apart); each bin's estimate is
+    compared against the proved lower bound at the bin's lower edge (the
+    bound is increasing, so that comparison is sound for every pair landing
+    in the bin).
     """
     edges = default_eps_bins() if eps_bins is None else eps_bins
     return _moduli_pass(model, p, family, edges, (), samples, seed)[0]
@@ -456,27 +460,27 @@ def type_cotype_check(fields, p, family: str = "sch", *, case_id="type_cotype"):
     The reported slack is the smaller of the two one-sided slacks.
     """
     fields = list(fields)
-    pv = _finite_interior(p)
-    avg2 = rademacher_average(fields, pv, family)
-    return _type_cotype_reports(fields, pv, family, field_norms(fields, pv, family), avg2, case_id)
+    p = _finite_interior(p)
+    avg2 = rademacher_average(fields, p, family)
+    return _type_cotype_reports(fields, p, family, field_norms(fields, p, family), avg2, case_id)
 
 
-def _type_cotype_reports(fields, pv: float, family: str, norms, avg2, case_id):
+def _type_cotype_reports(fields, p: float, family: str, norms, avg2, case_id):
     """type_cotype_check's report for each row of ``fields``, given their norms and sign average.
 
-    ``norms`` is ``field_norms(fields, pv, family)`` and ``avg2`` their L2 sign average.
+    ``norms`` is ``field_norms(fields, p, family)`` and ``avg2`` their L2 sign average.
     """
     l2_sum = power_sum(norms, 2.0)
-    lp_sum = power_sum(norms, pv)
-    if pv <= 2.0:
-        lower = math.sqrt(two_point_lower_constant(pv)) * l2_sum
+    lp_sum = power_sum(norms, p)
+    if p <= 2.0:
+        lower = math.sqrt(two_point_lower_constant(p)) * l2_sum
         upper = lp_sum
     else:
         lower = lp_sum
-        upper = math.sqrt(two_point_upper_constant(pv)) * l2_sum
+        upper = math.sqrt(two_point_upper_constant(p)) * l2_sum
     slack = np.minimum(avg2 - lower, upper - avg2)
-    inputs = (fields, pv, family)
-    return check_report("type_cotype", case_id, pv, lower, upper, slack, inputs, "type_cotype")
+    inputs = (fields, p, family)
+    return check_report("type_cotype", case_id, p, lower, upper, slack, inputs, "type_cotype")
 
 
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------
@@ -495,19 +499,19 @@ def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap"
     both in [0, 1].  The rhs tends to 0 whenever ||Hn|| -> ||H|| and
     ||(Hn + H)/2|| -> ||H||.
     """
-    pv = _finite_interior(p)
-    q = pv / (pv - 1.0)
-    e, f = (q, pv) if pv <= 2.0 else (pv, q)
+    p = _finite_interior(p)
+    q = p / (p - 1.0)
+    e, f = (q, p) if p <= 2.0 else (p, q)
     batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
     fields = [0.5 * (hn - h), 0.5 * (hn + h)] + [
         x.map_blocks(lambda b: np.broadcast_to(b, batch + b.shape[-2:])) for x in (hn, h)
     ]
-    diff, mid, n_hn, n_h = field_norms(fields, pv, family)
+    diff, mid, n_hn, n_h = field_norms(fields, p, family)
     m = _mean(n_hn, n_h, f)
     m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
     lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
-    inputs = (hn, h, pv, family)
-    return inequality_report("kadec_klee", case_id, pv, lhs, rhs, inputs, "kadec_klee_gap")
+    inputs = (hn, h, p, family)
+    return inequality_report("kadec_klee", case_id, p, lhs, rhs, inputs, "kadec_klee_gap")
 
 
 def unconditional_sum_bound(fields, p, family: str = "sch", *, case_id="sum_bound") -> CheckReport:
@@ -519,13 +523,13 @@ def unconditional_sum_bound(fields, p, family: str = "sch", *, case_id="sum_boun
     consistency check on the bound functions; norms above 2 are rejected
     because the modulus is only defined up to separation 2.
     """
-    pv = _finite_interior(p)
-    norms = field_norms(fields, pv, family)
+    p = _finite_interior(p)
+    norms = field_norms(fields, p, family)
     over = [v for v in norms if v > 2.0]
     if over:
         raise ValueError(f"{len(over)} summand norm(s) exceed 2; rescale the inputs")
-    lhs = sum((v / 2.0) ** max(2.0, pv) for v in norms)
-    constant = 2.0 / two_point_lower_constant(pv) if pv <= 2.0 else pv  # K / 2^e
-    rhs = constant * sum(convexity_lower_bound(pv, v) for v in norms if v > 0.0)
-    inputs = (fields, pv, family)
-    return inequality_report("kadec_klee", case_id, pv, lhs, rhs, inputs, "unconditional_sum")
+    lhs = sum((v / 2.0) ** max(2.0, p) for v in norms)
+    constant = 2.0 / two_point_lower_constant(p) if p <= 2.0 else p  # K / 2^e
+    rhs = constant * sum(convexity_lower_bound(p, v) for v in norms if v > 0.0)
+    inputs = (fields, p, family)
+    return inequality_report("kadec_klee", case_id, p, lhs, rhs, inputs, "unconditional_sum")

@@ -76,7 +76,7 @@ class InterpSpec:
 
     @property
     def p(self) -> ExponentP:
-        inv = (1.0 - self.theta) / self.p0.value + self.theta / self.p1.value
+        inv = (1.0 - self.theta) / self.p0 + self.theta / self.p1
         return ExponentP(1.0 / inv)
 
     @classmethod
@@ -85,11 +85,11 @@ class InterpSpec:
         p0 = ExponentP.parse(p0)
         p1 = ExponentP.parse(p1)
         p = ExponentP.parse(p)
-        if p0.value == p1.value:
-            if p.value != p0.value:
+        if p0 == p1:
+            if p != p0:
                 raise ValueError("equal endpoints only interpolate to themselves")
             return cls(p0, p1, 0.5)
-        theta = (1.0 / p0.value - 1.0 / p.value) / (1.0 / p0.value - 1.0 / p1.value)
+        theta = (1.0 / p0 - 1.0 / p) / (1.0 / p0 - 1.0 / p1)
         if not (0.0 < theta < 1.0):
             raise ValueError(f"target exponent {p} is not between {p0} and {p1}")
         return cls(p0, p1, theta)
@@ -114,7 +114,7 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., 
         z = np.asarray(z, dtype=np.complex128)
         if not np.all((-1e-12 <= z.real) & (z.real <= 1 + 1e-12)):
             raise ValueError(f"z = {z} lies outside the closed unit strip")
-        w = r.value * ((1 - z) * inv0 + z * inv1) - 1.0
+        w = r * ((1 - z) * inv0 + z * inv1) - 1.0
         axes = h.batch + (1,) * z.ndim  # h's batch axes, then one axis per axis of z
         blocks = []
         for u, sigma, vstar in factors:
@@ -131,7 +131,7 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., 
 
 def witness_f(h: Field, spec: InterpSpec) -> Callable[..., Field]:
     """z -> witness of h at z (h normalized internally to unit derived-p norm)."""
-    return _witness(h, spec.p, spec.p0.inv(), spec.p1.inv())
+    return _witness(h, spec.p, 1.0 / spec.p0, 1.0 / spec.p1)
 
 
 def witness_g(f: Field, spec: InterpSpec) -> Callable[..., Field]:
@@ -140,9 +140,9 @@ def witness_g(f: Field, spec: InterpSpec) -> Callable[..., Field]:
     f is normalized internally to unit q-norm, q conjugate to the derived
     exponent; q0, q1 are the conjugates of p0, p1 (1/inf = 0 at endpoints).
     """
-    if spec.p.value == 1.0:
+    if spec.p == 1.0:
         raise ValueError("dual witness needs derived exponent > 1")
-    return _witness(f, spec.p.conjugate(), spec.p0.conjugate().inv(), spec.p1.conjugate().inv())
+    return _witness(f, spec.p.conjugate(), 1.0 / spec.p0.conjugate(), 1.0 / spec.p1.conjugate())
 
 
 def strip_function(h: Field, f_dual: Field, spec: InterpSpec) -> Callable[..., complex]:
@@ -167,9 +167,9 @@ def three_lines_check(h: Field, f_dual: Field, spec: InterpSpec, *, case_id="thr
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
     f_unit = (1.0 / lp_sch_norm(f_dual, spec.p.conjugate())) * f_dual
     lhs = np.maximum(boundary.max(axis=(-2, -1)), np.abs(pairing(h_unit, f_unit)))
-    inputs = (h, f_dual, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
+    inputs = (h, f_dual, spec.p0, spec.p1, spec.theta, list(DEFAULT_T_GRID))
     return inequality_report(
-        "interpolation", case_id, float(spec.p), lhs, 1.0, inputs, "strip_maximum", rel=1e-9
+        "interpolation", case_id, spec.p, lhs, 1.0, inputs, "strip_maximum", rel=1e-9
     )
 
 
@@ -189,9 +189,9 @@ def boundary_witness_check(
     norms = np.concatenate(boundary_norms, axis=-1)
     farthest = np.abs(norms - 1.0).argmax(axis=-1, keepdims=True)
     worst = np.take_along_axis(norms, farthest, axis=-1)[..., 0]
-    inputs = (h, spec.p0.value, spec.p1.value, spec.theta)
+    inputs = (h, spec.p0, spec.p1, spec.theta)
     return equality_report(
-        "interpolation", case_id, float(spec.p), worst, 1.0, inputs, "boundary_witness", rel=1e-9
+        "interpolation", case_id, spec.p, worst, 1.0, inputs, "boundary_witness", rel=1e-9
     )
 
 
@@ -211,13 +211,13 @@ def interp_norm_consistency(
     norm = lp_sch_norm(h, p)
     boundary_max = norm * np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm
-    if p.value > 1.0:  # the extremizer of h is that of h / ||h|| (scale-invariant)
+    if p > 1.0:  # the extremizer of h is that of h / ||h|| (scale-invariant)
         center = np.abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
     else:
         center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
     lower_slack = center - 1.0                 # norming functional reaches the norm
     slack = np.minimum(upper_slack, lower_slack)
-    inputs = (h, spec.p0.value, spec.p1.value, spec.theta, list(DEFAULT_T_GRID))
+    inputs = (h, spec.p0, spec.p1, spec.theta, list(DEFAULT_T_GRID))
     return check_report(
         "interpolation", case_id, p, norm, boundary_max, slack, inputs,
         "equal_norms", rel=1e-8, scale=1.0,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,28 +71,30 @@ __all__ = [
 FAMILIES = ("sch", "hs")
 
 
-@dataclass(frozen=True)
-class ExponentP:
-    """An exponent in [1, inf], with conjugate-exponent arithmetic (1/inf = 0)."""
+class ExponentP(float):
+    """An exponent p in [1, inf]: a float, checked when made from a number or by ``parse``."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = float(self.value)
-        if math.isnan(v) or v < 1:
-            raise ValueError(f"exponent must lie in [1, inf], got {self.value}")
-        object.__setattr__(self, "value", v)
+    def __new__(cls, value):
+        if not isinstance(value, numbers.Real):
+            raise TypeError(f"ExponentP takes a number, got {value!r}; use ExponentP.parse on text")
+        p = super().__new__(cls, value)
+        if math.isnan(p) or p < 1:
+            raise ValueError(f"exponent must lie in [1, inf], got {value}")
+        return p
 
     @classmethod
     def parse(cls, text) -> "ExponentP":
-        """Accept "inf" (or "infinity", "oo"), finite decimals like "2.", "2.50" or "1e1"
-        (not "1e400") and fractions like "3/2", in ASCII digits: "1_5" and "٣" are malformed.
+        """Accept a number, "inf" (or "infinity", "oo"), finite decimals like "2.", "2.50" or
+        "1e1" (not "1e400") and fractions like "3/2", in ASCII digits: "1_5" and "٣" are
+        malformed.  A number keeps its value: np.float32(1.1) is float(np.float32(1.1)).
         """
         if isinstance(text, ExponentP):
             return text
         try:
-            if isinstance(text, (int, float)):
-                return cls(float(text))
+            if isinstance(text, numbers.Real):
+                return cls(text)
             s = str(text).strip().lower()
             if s in ("inf", "infinity", "oo"):
                 return cls(math.inf)
@@ -105,30 +108,18 @@ class ExponentP:
 
     @property
     def is_inf(self) -> bool:
-        return math.isinf(self.value)
+        return math.isinf(self)
 
     def conjugate(self) -> "ExponentP":
-        """q with 1/p + 1/q = 1; a finite p above 2^53, where p - 1 rounds to p, has none."""
+        """The Hölder conjugate q, 1/p + 1/q = 1, not float's complex conjugate (the identity);
+        a finite p above 2^53, where p - 1 rounds to p, has none."""
         if self.is_inf:
             return ExponentP(1.0)
-        if self.value == 1.0:
+        if self == 1.0:
             return ExponentP(math.inf)
-        if self.value > 2**53:
+        if self > 2**53:
             raise ValueError(f"exponent {self} exceeds 2^53, too large for a conjugate; use inf")
-        return ExponentP(self.value / (self.value - 1.0))
-
-    def inv(self) -> float:
-        return 0.0 if self.is_inf else 1.0 / self.value
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __str__(self) -> str:
-        return "inf" if self.is_inf else repr(self.value)
-
-
-def _pval(p) -> float:
-    return float(ExponentP.parse(p).value)
+        return ExponentP(self / (self - 1.0))
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ def lp_sch_norm(h: Field, p):
 
     Frobenius norms at p = 2, and a reduction of ``h.singular_values`` at every other p.
     """
-    p = _pval(p)
+    p = ExponentP.parse(p)
     if p == 2.0:
         return _lp(h, [matcore.schatten_norm(b, p) for b in h.blocks], 1.0 / p, p)
     return _sch_norm_from_sigma(h, p)
@@ -172,7 +163,7 @@ def _sch_norm_from_sigma(h: Field, p: float):
 
 def lp_hs_norm(h: Field, p):
     """Hilbert-Schmidt-family norm with dim^(2 - p/2) weights; see module doc."""
-    p = _pval(p)
+    p = ExponentP.parse(p)
     return _lp(h, [matcore.hs_norm(b) for b in h.blocks], 2.0 / p - 0.5, p)
 
 
@@ -222,11 +213,11 @@ def random_unit_field(model: DualModel, p, seed: int, family: str = "sch") -> Fi
 
 def embedding_check(h: Field, p, *, case_id="embedding"):
     """One-sided domination between the two families, direction set by p vs 2."""
-    pv = _pval(p)
-    sch = lp_sch_norm(h, pv)
-    hs = lp_hs_norm(h, pv)
-    lhs, rhs = (sch, hs) if pv <= 2 else (hs, sch)
-    return inequality_report("norms", case_id, pv, lhs, rhs, (h, pv), "embedding")
+    p = ExponentP.parse(p)
+    sch = lp_sch_norm(h, p)
+    hs = lp_hs_norm(h, p)
+    lhs, rhs = (sch, hs) if p <= 2 else (hs, sch)
+    return inequality_report("norms", case_id, p, lhs, rhs, (h, p), "embedding")
 
 
 def holder_check(h1: Field, h2: Field, p, q, *, case_id="holder"):
@@ -238,23 +229,22 @@ def _holder_reports(h1: Field, h2: Field, product: Field, p, q, case_id):
     """holder_check's report for each row of ``h1``, ``h2``, given their product ``h1 h2``."""
     p = ExponentP.parse(p)
     q = ExponentP.parse(q)
-    inv_r = p.inv() + q.inv()
+    inv_r = 1.0 / p + 1.0 / q
     if inv_r > 1.0 + 1e-15:
         raise ValueError(f"incompatible exponents: 1/{p} + 1/{q} exceeds 1")
     r = math.inf if inv_r == 0.0 else 1.0 / inv_r
     lhs = lp_sch_norm(product, r)
     rhs = lp_sch_norm(h1, p) * lp_sch_norm(h2, q)
-    inputs = (h1, h2, p.value, q.value)
-    return inequality_report("holder", case_id, float(p), lhs, rhs, inputs, "holder")
+    return inequality_report("holder", case_id, p, lhs, rhs, (h1, h2, p, q), "holder")
 
 
 def adjoint_norm_check(h: Field, p, family: str = "sch", *, case_id="adjoint"):
     """||H|| = ||H*|| = || |H| || in the chosen family."""
-    pv = _pval(p)
-    values = field_norms((h, field_adjoint(h), field_abs(h)), pv, family)
+    p = ExponentP.parse(p)
+    values = field_norms((h, field_adjoint(h), field_abs(h)), p, family)
     lo, hi = functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
     return equality_report(
-        "adjoint", case_id, pv, hi, lo, (h, pv, family), f"adjoint_invariance.{family}", scale=hi
+        "adjoint", case_id, p, hi, lo, (h, p, family), f"adjoint_invariance.{family}", scale=hi
     )
 
 
@@ -264,5 +254,5 @@ def direct_sum_norm(x: Field, y: Field, p, spec: DirectSumSpec, family: str = "s
     A float for single fields, an array of the batch shape for batches.
     """
     nx, ny = field_norms((x, y), p, family)
-    weight = spec.w if spec.r.is_inf else spec.w ** (1.0 / spec.r.value)
-    return matcore.power_sum([nx, weight * ny], spec.r.value)
+    weight = spec.w if spec.r.is_inf else spec.w ** (1.0 / spec.r)
+    return matcore.power_sum([nx, weight * ny], spec.r)

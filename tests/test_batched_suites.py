@@ -105,11 +105,11 @@ def oracle_norms(cfg):
                 n1, n2 = field_norm(h1, p, family), field_norm(h2, p, family)
                 yield inequality_report(
                     cfg.suite, f"triangle.{family}[p={p}][{k:04d}]", p,
-                    field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p.value, family), "triangle",
+                    field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p, family), "triangle",
                 )
                 yield equality_report(
                     cfg.suite, f"homogeneity.{family}[p={p}][{k:04d}]", p,
-                    field_norm(alpha * h1, p, family), alpha * n1, (h1, p.value, family, alpha),
+                    field_norm(alpha * h1, p, family), alpha * n1, (h1, p, family, alpha),
                     "homogeneity",
                 )
     for k in range(cfg.trials):
@@ -164,17 +164,17 @@ def oracle_two_point(cfg):
                 h1, h2 = row(cfg, k, p, family, "a"), row(cfg, k, p, family, "b")
                 yield two_point_check(h1, h2, p, family, case_id=case_id)
                 crits.append(two_point_critical_constant(h1, h2, p, family))
-                if p.value == 2.0:
+                if p == 2.0:
                     yield two_point_equality_check(
                         h1, h2, family, case_id=f"parallelogram.{family}[{k:04d}]"
                     )
-            if p.value >= 2.0:
+            if p >= 2.0:
                 lhs, rhs = max(crits), two_point_upper_constant(p)
             else:
                 lhs, rhs = two_point_lower_constant(p), min(crits)
             yield inequality_report(
                 cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
-                (p.value, family, cfg.seed, cfg.trials), "critical_constant",
+                (p, family, cfg.seed, cfg.trials), "critical_constant",
             )
 
 
@@ -184,7 +184,7 @@ def oracle_type_cotype(cfg):
             for case_id, k in ids(family, p):
                 fields = [row(cfg, k, p, family, j) for j in range(5)]
                 yield type_cotype_check(fields, p, family, case_id=case_id)
-                if p.value == 2.0:
+                if p == 2.0:
                     yield equality_report(
                         cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0,
                         rademacher_average(fields, 2.0, family),
@@ -199,7 +199,7 @@ def oracle_duality(cfg):
         seed = mix_seed(cfg.seed, cfg.suite, p, "probe")
         for k in range(cfg.trials):
             h, other = row(cfg, k, p, "a"), row(cfg, k, p, "b")
-            norm, f, inputs = lp_sch_norm(h, p), dual_extremizer(h, p), (h, p.value)
+            norm, f, inputs = lp_sch_norm(h, p), dual_extremizer(h, p), (h, p)
             yield equality_report(
                 cfg.suite, f"extremizer_unit[p={p}][{k:04d}]", p,
                 lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,
@@ -232,7 +232,7 @@ def oracle_interpolation(cfg):
             yield equality_report(
                 cfg.suite, f"boundary_norms[p={p}][{k:04d}]", p,
                 max(norms0 + norms1, key=lambda v: abs(v - 1.0)), 1.0,
-                (h, spec.p0.value, spec.p1.value, spec.theta), "boundary_witness", rel=1e-9,
+                (h, spec.p0, spec.p1, spec.theta), "boundary_witness", rel=1e-9,
             )
             yield three_lines_check(h, f, spec, case_id=f"three_lines[p={p}][{k:04d}]")
             yield interp_norm_consistency(

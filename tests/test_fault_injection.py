@@ -39,7 +39,7 @@ def _scaled(fn):
 
 def _hs_weight_d_1_minus_half_p(fn):
     def lp_hs_norm(h, p):  # the weight d^(1 - p/2) in place of d^(2 - p/2)
-        p = norms._pval(p)
+        p = norms.ExponentP.parse(p)
         return norms._lp(h, [matcore.hs_norm(b) for b in h.blocks], 1.0 / p - 0.5, p)
 
     return lp_hs_norm

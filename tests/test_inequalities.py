@@ -340,7 +340,7 @@ def loop_convexity_sample(model, p, family, edges, samples, seed):
     counts = {e: 0 for e in edges}
     for k in range(samples):
         h1, h2 = loop_unit_pair(model, p, family, seed, k)
-        eps = field_norm(h1 - h2, p, family)
+        eps = min(field_norm(h1 - h2, p, family), math.nextafter(2.0, 0.0))  # unit pairs: <= 2
         midgap = 1.0 - field_norm(0.5 * (h1 + h2), p, family)
         for e in edges:
             if e <= eps < e + 0.1:
@@ -417,24 +417,34 @@ def test_moduli_samplers_build_no_field(monkeypatch):
     assert built == []
 
 
-def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
+def _antipodal_draws(model, keys, start, rows):
     # b = -a and cos t = sin t: the mixed field is exactly 0, so h2 falls
     # back to the normalized b, which is -h1 (separation 2, midpoint 0)
-    def antipodal(model, keys, start, rows):
-        a = random_stacks(model, keys[0], start, rows)
-        half = np.full(rows, math.sqrt(0.5))
-        return a, -a, half, half
+    a = random_stacks(model, keys[0], start, rows)
+    half = np.full(rows, math.sqrt(0.5))
+    return a, -a, half, half
 
-    monkeypatch.setattr(inequalities, "_draws", antipodal)
+
+def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
+    monkeypatch.setattr(inequalities, "_draws", _antipodal_draws)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division by the zero norm
-        # bins [1.9, 2.0) and [2.0, 2.1): a separation of 2 lands in one of them, however it rounds
+        # bins [1.9, 2.0) and [2.0, 2.1): a separation of 2 counts just below 2, however it
+        # rounds, so the first bin takes all 30 pairs and the second none
         conv = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(1.9, 2.0), samples=30, seed=3)
         smooth = modulus_smoothness_sample(S3, 1.5, "sch", samples=30, seed=3)
     assert sum(est.samples for est in conv) == 30
     assert all(est.estimate == 1.0 for est in conv if est.samples)
     for est in smooth:  # (|1 - t| + |1 + t|)/2 - 1 = 0 for t <= 1
         assert est.estimate == pytest.approx(0.0, abs=1e-15)
+
+
+def test_moduli_separation_rounded_to_2_lands_in_the_last_default_bin(monkeypatch):
+    # about two in three antipodal pairs measure a separation of 2.0 or above
+    monkeypatch.setattr(inequalities, "_draws", _antipodal_draws)
+    conv = modulus_convexity_sample(S3, 1.5, "sch", samples=30, seed=3)
+    assert [est.samples for est in conv] == [0] * 18 + [30]
+    assert conv[-1].estimate == 1.0
 
 
 def test_moduli_zero_norm_draw_raises(monkeypatch):

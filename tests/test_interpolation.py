@@ -74,10 +74,10 @@ def test_exponent_path_boundary_real_parts():
     for spec in (SPEC_1_2, SPEC_2_4):
         p = float(spec.p)
         for t in np.arange(-2.0, 2.01, 0.25):
-            w0 = p * ((1 - 1j * t) / spec.p0.value + 1j * t / spec.p1.value)
-            w1 = p * ((1 - (1 + 1j * t)) / spec.p0.value + (1 + 1j * t) / spec.p1.value)
-            assert abs(w0.real - p / spec.p0.value) <= 1e-14
-            assert abs(w1.real - p / spec.p1.value) <= 1e-14
+            w0 = p * ((1 - 1j * t) / spec.p0 + 1j * t / spec.p1)
+            w1 = p * ((1 - (1 + 1j * t)) / spec.p0 + (1 + 1j * t) / spec.p1)
+            assert abs(w0.real - p / spec.p0) <= 1e-14
+            assert abs(w1.real - p / spec.p1) <= 1e-14
 
 
 # -- witness functions ----------------------------------------------------------
@@ -101,7 +101,7 @@ def test_witness_diagonal_block_at_left_edge():
     p = float(spec.p)
     norm = lp_sch_norm(h, p)
     w = witness_f(h, spec)(0.0)
-    expected = np.diag([(v / norm) ** (p / spec.p0.value) for v in (1.0, 2.0)])
+    expected = np.diag([(v / norm) ** (p / spec.p0) for v in (1.0, 2.0)])
     assert np.allclose(w.blocks[0], expected, atol=1e-12)
 
 
@@ -114,7 +114,7 @@ def test_witness_scalar_entries_match_classical_formula():
     for z in (0.3 + 0.4j, 0.8 - 1.0j, 0.0 + 2.0j):
         w = witness_f(h, spec)(z)
         oracle, _ = scalar_witness_oracle(
-            values, weights, spec.p0.value, spec.p1.value, spec.theta, z
+            values, weights, spec.p0, spec.p1, spec.theta, z
         )
         for blk, val in zip(w.blocks, oracle):
             assert abs(complex(blk[0, 0]) - val) <= 1e-12
@@ -151,16 +151,16 @@ def test_witness_matches_eigh_oracle(spec, dual, dual_side):
     # |A*|^w A = (A A*)^(w/2) A, computed through eigh rather than the SVD
     if dual_side:
         witness, r = witness_g, spec.p.conjugate()
-        inv0, inv1 = spec.p0.conjugate().inv(), spec.p1.conjugate().inv()
+        inv0, inv1 = 1.0 / spec.p0.conjugate(), 1.0 / spec.p1.conjugate()
     else:
         witness, r = witness_f, spec.p
-        inv0, inv1 = spec.p0.inv(), spec.p1.inv()
+        inv0, inv1 = 1.0 / spec.p0, 1.0 / spec.p1
     for k in range(3):
         h = random_field(parse_dual_arg(dual), mix_seed("oracle", dual, k))
         h_unit = (1.0 / lp_sch_norm(h, r)) * h
         at = witness(h, spec)
         for z in (0.0, 1.0, -1.5j, 0.5j, 1 + 0.75j, 1 - 2j):
-            w = r.value * ((1 - z) * inv0 + z * inv1) - 1.0
+            w = r * ((1 - z) * inv0 + z * inv1) - 1.0
             for a, got in zip(h_unit.blocks, at(z).blocks):
                 expected = matcore.psd_power(a @ a.conj().T, w / 2) @ a
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -276,13 +276,13 @@ def test_suite_strip_specs_below_at_and_above_2():
 
 @pytest.mark.parametrize("spec", [SPEC_1_2, SPEC_2_4, InterpSpec.for_target(2.0, 2.0, 2.0)])
 def test_boundary_witness_check_reports_the_norm_farthest_from_one(spec):
-    h = random_field(preset_dual("su2_trunc", 3), mix_seed("bw", spec.p.value))
+    h = random_field(preset_dual("su2_trunc", 3), mix_seed("bw", spec.p))
     norms = boundary_witness_norms(h, spec)
     rep = boundary_witness_check(h, spec, norms)
     worst = max(norms[0] + norms[1], key=lambda v: abs(v - 1.0))
-    inputs = (h, spec.p0.value, spec.p1.value, spec.theta)
+    inputs = (h, spec.p0, spec.p1, spec.theta)
     assert rep == equality_report(
-        "interpolation", "boundary_witness", float(spec.p), worst, 1.0, inputs, "boundary_witness",
+        "interpolation", "boundary_witness", spec.p, worst, 1.0, inputs, "boundary_witness",
         rel=1e-9,
     )
     assert rep.passed

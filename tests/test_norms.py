@@ -1,9 +1,12 @@
 import math
+import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dualnorm import matcore, norms
+from dualnorm.cli import SuiteConfig
 from dualnorm.dualmodel import (
     Field,
     field_product,
@@ -27,6 +30,7 @@ from dualnorm.norms import (
     lp_hs_norm,
     lp_sch_norm,
 )
+from dualnorm.report import digest_inputs
 
 CBRT5 = 5.0 ** (1.0 / 3.0)  # 1.7099759466766968
 
@@ -87,16 +91,17 @@ def two_entry_field():
 
 def test_exponent_conjugates():
     assert ExponentP(1.0).conjugate().is_inf
-    assert ExponentP(math.inf).conjugate().value == 1.0
-    assert ExponentP(2.0).conjugate().value == 2.0
-    assert ExponentP(3.0).conjugate().value == pytest.approx(1.5)
+    assert ExponentP(math.inf).conjugate() == 1.0
+    assert ExponentP(2.0).conjugate() == 2.0
+    assert ExponentP(3.0).conjugate() == pytest.approx(1.5)
     p = ExponentP(1.4)
-    assert p.conjugate().conjugate().value == pytest.approx(p.value, rel=1e-15)
+    assert p.conjugate().conjugate() == pytest.approx(p, rel=1e-15)
+    assert isinstance(p.conjugate(), ExponentP)
 
 
 def test_exponents_above_2_pow_53_have_no_conjugate():
     # 2^53 + 2 - 1 rounds to 2^53 + 2: the quotient would be exactly 1
-    assert ExponentP(2.0**53).conjugate().value == 2.0**53 / (2.0**53 - 1.0)
+    assert ExponentP(2.0**53).conjugate() == 2.0**53 / (2.0**53 - 1.0)
     for p in (2.0**53 + 2, 1e17, 1e300):
         with pytest.raises(ValueError, match="inf"):
             ExponentP(p).conjugate()
@@ -110,9 +115,8 @@ def test_exponent_parse():
     for text in ("-1E999", "+inf"):  # only inf, infinity and oo spell infinity
         with pytest.raises(ValueError, match="malformed exponent"):
             ExponentP.parse(text)
-    assert ExponentP.parse("3/2").value == 1.5
-    assert ExponentP.parse("2.5").value == 2.5
-    assert ExponentP.parse(2).value == 2.0
+    assert ExponentP.parse("2.5") == 2.5
+    assert ExponentP.parse(2) == 2.0
     with pytest.raises(ValueError):
         ExponentP(0.5)
     with pytest.raises(ValueError):
@@ -126,7 +130,7 @@ def test_exponent_parse():
      ("Infinity", math.inf), ("oo", math.inf)],
 )
 def test_exponent_parse_keeps_ascii_spellings(text, value):
-    assert ExponentP.parse(text).value == value
+    assert ExponentP.parse(text) == value
 
 
 # float() and Fraction() would read these as 15, 3, 1.5, 1.5 and 1.5
@@ -137,8 +141,52 @@ def test_exponent_parse_takes_only_ascii_digits_without_underscores(text):
 
 
 def test_exponent_inv_endpoint():
-    assert ExponentP(math.inf).inv() == 0.0
-    assert ExponentP(4.0).inv() == 0.25
+    assert 1.0 / ExponentP(math.inf) == 0.0
+    assert 1.0 / ExponentP(4.0) == 0.25
+
+
+def test_exponent_is_a_float():
+    p = ExponentP.parse("3/2")
+    assert isinstance(p, float) and type(p) is ExponentP and p == 1.5
+    assert not {"value", "inv", "__float__", "__str__"} & set(vars(ExponentP))
+
+
+def test_exponent_prints_as_its_float():
+    assert f"{ExponentP(2.0)}" == "2.0"
+    assert f"{ExponentP(math.inf)}" == "inf"
+    assert str(ExponentP(1e16)) == "1e+16"
+
+
+def test_exponent_digests_as_its_float():
+    assert digest_inputs(ExponentP(1.5)) == digest_inputs(1.5)
+    assert digest_inputs([ExponentP(math.inf)]) == digest_inputs([math.inf])
+
+
+def test_exponent_pickles():
+    for p in (ExponentP(1.5), ExponentP(math.inf)):
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and type(back) is ExponentP and isinstance(back, float)
+
+
+# text has one grammar, ExponentP.parse; float() would read "1_5" as 15 and "٣" as 3
+@pytest.mark.parametrize("text", ["2", "1_5", "\u0663", "inf", "3/2"])
+def test_exponent_constructor_takes_numbers_only(text):
+    with pytest.raises(TypeError, match="ExponentP.parse"):
+        ExponentP(text)
+
+
+def test_exponent_keeps_the_value_of_a_number():
+    x = np.float32(1.1)
+    assert ExponentP.parse(x) == float(x) == ExponentP(x)  # 1.100000023841858, not 1.1
+    assert ExponentP.parse(np.int64(3)) == 3.0
+    assert ExponentP.parse(Fraction(3, 2)) == 1.5
+    h = random_field(preset_dual("s3"), 1)
+    assert lp_sch_norm(h, x) == lp_sch_norm(h, float(x))
+
+
+def test_suite_config_keeps_one_exponent_per_value():
+    cfg = SuiteConfig(suite="norms", dual=parse_dual_arg("s3"), p_list=("2", "2.0", 2))
+    assert cfg.p_list == (2.0,) and type(cfg.p_list[0]) is ExponentP
 
 
 # -- norm formulas ------------------------------------------------------------
