@@ -32,6 +32,7 @@ from .dualmodel import (
     DualModel,
     _ascii_float,
     _ascii_int,
+    _is_integer,
     decode_field,
     decode_model,
     encode_field,
@@ -94,6 +95,11 @@ class SuiteConfig:
     tol_override: float | None = None
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.p_list:

@@ -17,12 +17,12 @@ never be made writable again, so a field memoizes what it costs a
 factorization to learn: each entry's singular values
 (``Field.singular_values``) and each entry's SVD (``Field.svd_factors``),
 computed on first use by :mod:`matcore` and then shared by every norm,
-extremizer and witness of that field.  The two memos never feed each other,
-so a value never depends on the order of calls; copies and unpickled fields
-start with none.  Reports digest a field as its model, its dims and a hash of
-its block bytes, kept the same way for each row (``Field.block_sha256``), so
-every report of a batch shares one hash per row; the JSON wire format below
-is for field files.
+extremizer and witness of that field, and by its absolute value |H|
+(:func:`field_abs`).  The two memos never feed each other, so a value never
+depends on the order of calls; copies and unpickled fields start with none.
+Reports digest a field as its model, its dims and a hash of its block bytes,
+kept the same way for each row (``Field.block_sha256``), so every report of a
+batch shares one hash per row; the JSON wire format below is for field files.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ class DualModel:
         if not 1 <= len(self.entries) <= MAX_ENTRIES:
             raise ValueError(f"a dual model needs between 1 and {MAX_ENTRIES} entries")
         for lab, dim in self.entries:
-            integral = isinstance(dim, numbers.Integral) and not isinstance(dim, bool)
-            if not (integral and 1 <= dim <= MAX_DIM):
+            if not (_is_integer(dim) and 1 <= dim <= MAX_DIM):
                 raise ValueError(f"entry {lab!r} has dim {dim!r}, not an integer in [1, {MAX_DIM}]")
         entries = tuple((str(lab), int(dim)) for lab, dim in self.entries)
         if len({lab for lab, _ in entries}) != len(entries):
@@ -91,31 +90,37 @@ class DualModel:
         return len(self.entries)
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an integer (``numbers.Integral``) other than a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def preset_dual(kind: str, arg=None) -> DualModel:
     """Build a preset dual model.
 
     kind: "torus" (arg = number of 1-dim entries), "su2_trunc" (arg = max
     dim, entries of dims 1..arg), "s3" (dims 1, 1, 2; no arg), or "custom"
-    (arg = iterable of dims).
+    (arg = non-string iterable of dims).  Counts and dims are integers
+    (``numbers.Integral``, not bool), as in ``DualModel``.
     """
     if arg is None and kind in ("torus", "su2_trunc", "custom"):
         raise ValueError(f"the {kind} preset needs an argument, as in {kind}(3)")
     if kind == "torus":
-        n = int(arg)
-        if not 1 <= n <= MAX_ENTRIES:
-            raise ValueError(f"torus preset needs an entry count in [1, {MAX_ENTRIES}]")
-        return DualModel("torus(%d)" % n, tuple((f"k{i}", 1) for i in range(n)))
+        if not (_is_integer(arg) and 1 <= arg <= MAX_ENTRIES):
+            raise ValueError(f"torus preset needs an entry count in [1, {MAX_ENTRIES}], got {arg!r}")
+        return DualModel("torus(%d)" % arg, tuple((f"k{i}", 1) for i in range(arg)))
     if kind == "su2_trunc":
-        n = int(arg)
-        if not 1 <= n <= MAX_DIM:
-            raise ValueError(f"su2_trunc preset needs max dim in [1, {MAX_DIM}]")
-        return DualModel("su2_trunc(%d)" % n, tuple((f"d{d}", d) for d in range(1, n + 1)))
+        if not (_is_integer(arg) and 1 <= arg <= MAX_DIM):
+            raise ValueError(f"su2_trunc preset needs max dim in [1, {MAX_DIM}], got {arg!r}")
+        return DualModel("su2_trunc(%d)" % arg, tuple((f"d{d}", d) for d in range(1, arg + 1)))
     if kind == "s3":
         if arg is not None:
             raise ValueError(f"the s3 preset takes no argument, got {arg!r}")
         return DualModel("s3", (("triv", 1), ("sgn", 1), ("std", 2)))
     if kind == "custom":
-        dims = [int(d) for d in arg]
+        if isinstance(arg, (str, bytes)) or not hasattr(arg, "__iter__"):
+            raise ValueError(f"custom preset needs an iterable of dims, got {arg!r}")
+        dims = list(arg)  # DualModel checks each dim
         if not dims:
             raise ValueError("custom preset needs a non-empty dim list")
         name = "custom(%s)" % ",".join(str(d) for d in dims)
@@ -367,7 +372,12 @@ def field_adjoint(h: Field) -> Field:
 
 
 def field_abs(h: Field) -> Field:
-    return h.map_blocks(matcore.matabs)
+    """|H| = (H* H)^(1/2) blockwise: V S V* from the memoized SVD H = W S V*, made Hermitian."""
+    blocks = []
+    for f in h.svd_factors:
+        a = matcore.svd_compose(matcore.adjoint(f.vstar), f.sigma, f.vstar)
+        blocks.append((a + matcore.adjoint(a)) / 2)  # against roundoff
+    return _trusted(h.model, blocks)
 
 
 def field_product(h1: Field, h2: Field) -> Field:

@@ -254,12 +254,12 @@ def default_eps_bins() -> tuple[float, ...]:
 
 
 # Complex entries held per stacked batch of fields (every entry's stack of
-# one chunk of draws, of trials or of signed sums; see _chunks): bounds the
-# memory of the suites, samplers and sign averages whatever the model size.
+# one chunk of draws or of trials; see _chunks): bounds the memory of the
+# suites and samplers whatever the model size.
 _CHUNK_ENTRIES = 1 << 16
-# Complex entries of rademacher_average's table of partial signed sums.  Not
-# a chunk size: it sets how each sum's additions are grouped, so a change to
-# it moves sign averages in the last bits.
+# Complex entries of rademacher_average's table of partial signed sums, and
+# so of its chunks, one run of the table each.  It also sets how each sum's
+# additions are grouped, so a change to it moves sign averages in the last bits.
 _SIGN_TABLE_ENTRIES = 1 << 16
 
 
@@ -405,11 +405,9 @@ def rademacher_average(fields, p, family: str = "sch"):
     adds +- H_(L+1) ... +- H_(n-1) in that order, once per run of patterns
     that share h.  L is the largest that keeps the table within
     _SIGN_TABLE_ENTRIES complex entries (0 if one summand exceeds it), so it
-    depends only on n and the summands' size, and every sum is formed the
-    same way whatever the chunk.  A chunk of patterns is a batch Field of
-    shape (c, *batch) of at most _CHUNK_ENTRIES complex entries (c >= 1),
-    whose norms take one batched reduction, and the running total adds them
-    in pattern order.
+    depends only on n and the summands' size.  Each run is one chunk: a batch
+    Field of shape (2^L, *batch) whose norms take one batched reduction, and
+    the running total adds them in pattern order.
     """
     fields = list(fields)
     n = len(fields)
@@ -431,21 +429,16 @@ def rademacher_average(fields, p, family: str = "sch"):
         low = [np.concatenate([t + s[j], t - s[j]]) for t, s in zip(low, stacks)]
     half = 2 ** (n - 1)
     total = np.zeros((1, *batch))
-    for chunk in _chunks(model, half, math.prod(batch)):
-        start, stop = chunk.start, chunk.stop
-        sums = [np.empty((stop - start, *s.shape[1:])) for s in stacks]
-        for h in range(start >> bits, ((stop - 1) >> bits) + 1):  # each run of equal high bits
-            first, last = max(start, h << bits), min(stop, (h + 1) << bits)
-            for out, t, s in zip(sums, low, stacks):
-                high = np.zeros(s.shape[1:])
-                for j in range(bits + 1, n):
-                    if (h >> (j - 1 - bits)) & 1:
-                        high -= s[j]
-                    else:
-                        high += s[j]
-                lo = first - (h << bits)
-                np.add(t[lo : lo + last - first], high, out=out[first - start : last - start])
-        sums = [x.view(np.complex128) for x in sums]
+    for h in range(half >> bits):  # each run of patterns with equal high bits h
+        sums = []
+        for t, s in zip(low, stacks):
+            high = np.zeros(s.shape[1:])
+            for j in range(bits + 1, n):
+                if (h >> (j - 1 - bits)) & 1:
+                    high -= s[j]
+                else:
+                    high += s[j]
+            sums.append((t + high).view(np.complex128))
         terms = field_norm(_trusted(model, sums), p, family) ** 2.0
         total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
     average = np.power(total[0] / half, 1.0 / 2.0)

@@ -2,8 +2,8 @@
 
 Everything downstream (norms, pairings, witnesses) reduces to a handful of
 operations on small dense complex matrices: adjoints, traces, singular
-values, polar decomposition, absolute values and fractional powers of
-positive semidefinite matrices.
+values, singular value decompositions and fractional powers of positive
+semidefinite matrices; |a| is composed from an SVD (``dualmodel.field_abs``).
 
 Every kernel except :func:`psd_power` takes a square matrix or a
 ``(*batch, d, d)`` stack of them and works over the last two axes.  The
@@ -38,12 +38,9 @@ import numpy as np
 __all__ = [
     "FactorizationError",
     "SvdResult",
-    "PolarResult",
     "adjoint",
     "svd",
     "svd_compose",
-    "polar",
-    "matabs",
     "psd_power",
     "singular_values",
     "power_sum",
@@ -79,9 +76,6 @@ class SvdResult:
     sigma: np.ndarray
     vstar: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return svd_compose(self.u, self.sigma, self.vstar)
-
 
 def svd(a: np.ndarray) -> SvdResult:
     """Singular value decomposition of a square matrix or stack, sigma non-increasing."""
@@ -91,32 +85,6 @@ def svd(a: np.ndarray) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge for shape {a.shape}") from exc
     return SvdResult(u=u, sigma=s, vstar=vh)
-
-
-@dataclass(frozen=True)
-class PolarResult:
-    """Factorization a = u @ absval with u unitary and absval Hermitian PSD.
-
-    For rank-deficient input, u is the unitary completion w @ vstar of the
-    partial isometry from the SVD a = w @ diag(sigma) @ vstar.
-    """
-
-    u: np.ndarray
-    absval: np.ndarray
-
-
-def polar(a: np.ndarray) -> PolarResult:
-    """Polar decomposition a = u |a| of a square matrix, or of every matrix of a stack."""
-    f = svd(a)
-    absval = svd_compose(adjoint(f.vstar), f.sigma, f.vstar)
-    # symmetrize against roundoff; |a| is Hermitian by construction
-    absval = (absval + adjoint(absval)) / 2
-    return PolarResult(u=f.u @ f.vstar, absval=absval)
-
-
-def matabs(a: np.ndarray) -> np.ndarray:
-    """Absolute value (a* a)^(1/2): the positive factor of the polar decomposition."""
-    return polar(a).absval
 
 
 def _eigh_psd(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:

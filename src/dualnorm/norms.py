@@ -77,7 +77,7 @@ class ExponentP(float):
     __slots__ = ()
 
     def __new__(cls, value):
-        if not isinstance(value, numbers.Real):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise TypeError(f"ExponentP takes a number, got {value!r}; use ExponentP.parse on text")
         p = super().__new__(cls, value)
         if math.isnan(p) or p < 1:
@@ -88,10 +88,13 @@ class ExponentP(float):
     def parse(cls, text) -> "ExponentP":
         """Accept a number, "inf" (or "infinity", "oo"), finite decimals like "2.", "2.50" or
         "1e1" (not "1e400") and fractions like "3/2", in ASCII digits: "1_5" and "٣" are
-        malformed.  A number keeps its value: np.float32(1.1) is float(np.float32(1.1)).
+        malformed, as is a bool.  A number keeps its value: np.float32(1.1) is
+        float(np.float32(1.1)).
         """
         if isinstance(text, ExponentP):
             return text
+        if isinstance(text, bool):
+            raise ValueError(f"malformed exponent {text!r}: a bool is not a number")
         try:
             if isinstance(text, numbers.Real):
                 return cls(text)

@@ -91,6 +91,7 @@ def test_each_check_reports_under_the_suite_that_runs_it():
 CLI_PRIVATE_NAMES = {
     ("dualmodel", "_ascii_float"),
     ("dualmodel", "_ascii_int"),
+    ("dualmodel", "_is_integer"),
     ("inequalities", "_SMOOTHNESS_T_GRID"),
     ("inequalities", "_chunks"),
     ("inequalities", "_critical_constants"),
@@ -122,6 +123,26 @@ def test_cli_takes_only_the_listed_private_names():
             if node.value.id in modules and node.attr.startswith("_"):
                 taken.add((modules[node.value.id], node.attr))
     assert modules and taken == CLI_PRIVATE_NAMES
+
+
+# The matcore names no other module of the package uses: the error type its
+# kernels raise, and the eigh reference the tests compare the SVD route against
+MATCORE_UNUSED_NAMES = {"FactorizationError", "psd_power"}
+
+
+def test_matcore_keeps_only_the_kernels_the_package_runs():
+    matcore = importlib.import_module("dualnorm.matcore")
+    used = set()
+    for path in Path(matcore.__file__).parent.glob("*.py"):
+        if path.name == "matcore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "matcore":  # matcore.svd
+                    used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "matcore":
+                used.update(alias.name for alias in node.names)  # from .matcore import power_sum
+    assert set(matcore.__all__) - used == MATCORE_UNUSED_NAMES
 
 
 def readme_commands():

@@ -97,6 +97,21 @@ def test_suite_config_validation():
         small_config(family="weird")
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [dict(trials=True), dict(seed=True), dict(seed=1.5), dict(trials=2.5), dict(seed="7"),
+     dict(p_list=(True,))],
+)
+def test_suite_config_rejects_numbers_of_the_wrong_kind(kw):
+    with pytest.raises(ConfigError):
+        small_config(**kw)
+
+
+def test_suite_config_keeps_integral_trials_and_seed_as_ints():
+    cfg = small_config(trials=np.int64(2), seed=np.int32(3))
+    assert (cfg.trials, cfg.seed) == (2, 3) and type(cfg.trials) is type(cfg.seed) is int
+
+
 @pytest.mark.parametrize("p", ["1e400", "abc", "0.5"])
 def test_suite_config_malformed_exponent_is_config_error(p, capsys):
     with pytest.raises(ConfigError, match="exponent"):

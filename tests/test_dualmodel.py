@@ -30,6 +30,7 @@ from dualnorm.dualmodel import (
     random_uniforms,
     zero_field,
 )
+from dualnorm.duality import dual_extremizer
 from dualnorm.norms import ExponentP
 from dualnorm.report import digest_inputs
 
@@ -63,6 +64,23 @@ def test_preset_custom_and_parse():
         preset_dual("custom", [])
     with pytest.raises(ValueError):
         parse_dual_arg("nosuch(3)")
+
+
+# counts and dims are integers, as in DualModel: no int() of floats, bools or text
+@pytest.mark.parametrize(
+    "kind,arg",
+    [("torus", 2.7), ("su2_trunc", 3.9), ("torus", True), ("torus", "\u0663"), ("torus", "3"),
+     ("custom", [1.5, 2]), ("custom", [True, 2]), ("custom", "12"), ("custom", 3)],
+)
+def test_preset_takes_integers_only(kind, arg):
+    with pytest.raises(ValueError):
+        preset_dual(kind, arg)
+
+
+def test_preset_takes_any_integral_counts_and_dims():
+    assert preset_dual("torus", np.int64(3)) == preset_dual("torus", 3)
+    assert preset_dual("su2_trunc", np.int32(2)).name == "su2_trunc(2)"
+    assert preset_dual("custom", (d for d in (np.int64(1), 2))) == preset_dual("custom", [1, 2])
 
 
 @pytest.mark.parametrize(
@@ -255,7 +273,7 @@ def test_field_abs_blockwise():
     h = random_field(m, 3)
     absf = field_abs(h)
     for raw, blk in zip(h.blocks, absf.blocks):
-        assert np.allclose(blk, matcore.matabs(raw))
+        assert np.allclose(blk, matcore.psd_power(matcore.adjoint(raw) @ raw, 0.5))
 
 
 @pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
@@ -268,6 +286,20 @@ def test_field_abs_of_a_batch_matches_row_by_row(dual):
         one = field_abs(Field(m, tuple(b[k] for b in hs.blocks)))
         for got, want in zip(batch.blocks, one.blocks):
             assert np.max(np.abs(got[k] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_field_abs_reads_the_svd_memo(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    h = random_field(preset_dual("custom", [1, 2, 3]), 8)
+    dual_extremizer(h, 1.5)
+    factorized = len(calls)
+    absf = field_abs(h)
+    assert len(calls) == factorized and factorized > 0
+    for f, blk in zip(h.svd_factors, absf.blocks):  # |H| = V S V*, made Hermitian
+        a = matcore.svd_compose(matcore.adjoint(f.vstar), f.sigma, f.vstar)
+        assert np.array_equal(blk, (a + matcore.adjoint(a)) / 2)
 
 
 @pytest.mark.parametrize("seed", range(5))

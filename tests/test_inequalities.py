@@ -576,7 +576,7 @@ def test_moduli_sampler_memory_bounded_by_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chunk_bytes = 16 * inequalities._CHUNK_ENTRIES  # one complex128 batch of fields
+    chunk_bytes = 16 * inequalities._SIGN_TABLE_ENTRIES  # one complex128 run of the table
     assert peak <= 16 * chunk_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -636,10 +636,16 @@ def test_rademacher_independent_of_chunk_size(monkeypatch, table):
     if table is not None:
         monkeypatch.setattr(inequalities, "_SIGN_TABLE_ENTRIES", table)
     fields = [random_field(S3, mix_seed("radchunk", j)) for j in range(9)]
+    calls = []
+    norm = inequalities.field_norm
+    monkeypatch.setattr(inequalities, "field_norm", lambda *a, **kw: calls.append(1) or norm(*a, **kw))
     whole = rademacher_average(fields, 3.0, "sch")
-    for budget in (1, 7 * 6):  # one pattern per chunk; 7 per chunk with a ragged tail
+    runs = len(calls)  # one norm call per run of the table: 2^8 patterns, 2^8 or 2^2 a run
+    assert runs == (1 if table is None else 64)
+    for budget in (1, 7 * 6):  # the trial chunk budget plays no part
         monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
-        assert rademacher_average(fields, 3.0, "sch") == whole
+        calls.clear()
+        assert rademacher_average(fields, 3.0, "sch") == whole and len(calls) == runs
 
 
 def test_rademacher_builds_no_field(monkeypatch):

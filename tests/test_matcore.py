@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualnorm import matcore
-from dualnorm.dualmodel import parse_dual_arg, preset_dual, random_stacks
+from dualnorm.dualmodel import Field, field_abs, parse_dual_arg, preset_dual, random_stacks
 from dualnorm.inequalities import modulus_convexity_sample
 
 RNG_CAP = 10**6
@@ -15,6 +15,18 @@ RNG_CAP = 10**6
 def random_complex(rng, n, m=None):
     m = n if m is None else m
     return (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2)
+
+
+def matabs(a):
+    """|a| of a square matrix or stack, through field_abs on a one-entry model."""
+    a = np.asarray(a, dtype=np.complex128)
+    return field_abs(Field(preset_dual("custom", [a.shape[-1]]), (a,))).blocks[0]
+
+
+def unitary_factor(a):
+    """The unitary factor W V* of the polar decomposition, from the SVD a = W S V*."""
+    w, _, vstar = np.linalg.svd(a)
+    return w @ vstar
 
 
 def char_poly_coeffs(m: np.ndarray) -> list[complex]:
@@ -81,63 +93,53 @@ def test_svd_contract(seed, n):
     a = random_complex(np.random.default_rng(1000 * n + seed), n)
     f = matcore.svd(a)
     scale = max(1.0, matcore.hs_norm(a))
-    assert matcore.hs_norm(f.reconstruct() - a) <= 1e-12 * scale
+    assert matcore.hs_norm(matcore.svd_compose(f.u, f.sigma, f.vstar) - a) <= 1e-12 * scale
     assert matcore.hs_norm(matcore.adjoint(f.u) @ f.u - np.eye(n)) <= 1e-12
     assert matcore.hs_norm(f.vstar @ matcore.adjoint(f.vstar) - np.eye(n)) <= 1e-12
     assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
 
 
-# -- polar --------------------------------------------------------------------
+# -- |a|, the positive factor of the polar decomposition a = u |a| ------------
 
 
 def test_polar_psd_input():
-    res = matcore.polar(np.diag([2.0, 3.0]))
-    assert np.allclose(res.u, np.eye(2), atol=1e-14)
-    assert np.allclose(res.absval, np.diag([2.0, 3.0]), atol=1e-14)
+    assert np.allclose(matabs(np.diag([2.0, 3.0])), np.diag([2.0, 3.0]), atol=1e-14)
 
 
 def test_polar_negative_identity():
-    res = matcore.polar(-np.eye(2))
-    assert np.allclose(res.u, -np.eye(2), atol=1e-14)
-    assert np.allclose(res.absval, np.eye(2), atol=1e-14)
+    assert np.allclose(matabs(-np.eye(2)), np.eye(2), atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_polar_reconstruct_and_unitary(seed):
     a = random_complex(np.random.default_rng(seed), 3)
-    res = matcore.polar(a)
+    absval = matabs(a)
     scale = max(1.0, matcore.hs_norm(a))
-    assert matcore.hs_norm(res.u @ res.absval - a) <= 1e-10 * scale
-    assert matcore.hs_norm(matcore.adjoint(res.u) @ res.u - np.eye(3)) <= 1e-12
-    herm_defect = matcore.hs_norm(res.absval - matcore.adjoint(res.absval))
+    assert matcore.hs_norm(unitary_factor(a) @ absval - a) <= 1e-10 * scale
+    herm_defect = matcore.hs_norm(absval - matcore.adjoint(absval))
     assert herm_defect <= 1e-12 * scale
-    assert np.min(np.linalg.eigvalsh(res.absval)) >= -1e-12 * scale
+    assert np.min(np.linalg.eigvalsh(absval)) >= -1e-12 * scale
 
 
-def test_polar_rank_deficient_still_unitary():
+def test_polar_rank_deficient_reconstructs():
     a = np.diag([1.0, 0.0])
-    res = matcore.polar(a)
-    assert matcore.hs_norm(matcore.adjoint(res.u) @ res.u - np.eye(2)) <= 1e-12
-    assert matcore.hs_norm(res.u @ res.absval - a) <= 1e-12
-
-
-# -- matabs -------------------------------------------------------------------
+    assert matcore.hs_norm(unitary_factor(a) @ matabs(a) - a) <= 1e-12
 
 
 def test_matabs_diagonal():
-    assert np.allclose(matcore.matabs(np.diag([-1.0, 2.0])), np.diag([1.0, 2.0]))
+    assert np.allclose(matabs(np.diag([-1.0, 2.0])), np.diag([1.0, 2.0]))
 
 
 def test_matabs_unitary_is_identity():
     rng = np.random.default_rng(5)
-    u = matcore.polar(random_complex(rng, 3)).u
-    assert np.allclose(matcore.matabs(u), np.eye(3), atol=1e-12)
+    u = unitary_factor(random_complex(rng, 3))
+    assert np.allclose(matabs(u), np.eye(3), atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_matabs_eigenvalues_are_singular_values(seed):
     a = random_complex(np.random.default_rng(seed), 4)
-    eigs = np.sort(np.linalg.eigvalsh(matcore.matabs(a)))[::-1]
+    eigs = np.sort(np.linalg.eigvalsh(matabs(a)))[::-1]
     assert np.allclose(eigs, matcore.svd(a).sigma, rtol=1e-10, atol=1e-12)
 
 
@@ -224,7 +226,7 @@ def test_schatten_adjoint_and_abs_invariance(seed, p):
     base = matcore.schatten_norm(a, p)
     tol = 1e-10 * max(1.0, base)
     assert abs(matcore.schatten_norm(matcore.adjoint(a), p) - base) <= tol
-    assert abs(matcore.schatten_norm(matcore.matabs(a), p) - base) <= tol
+    assert abs(matcore.schatten_norm(matabs(a), p) - base) <= tol
 
 
 def test_hs_norm_values():
@@ -256,8 +258,7 @@ def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
     assert star.strides[-1] != star.itemsize or d == 1
     assert matcore.hs_norm(star) == pytest.approx(hs, rel=1e-14)
     # the factorizations and the trace work matrix by matrix as well
-    f, pol = matcore.svd(stack), matcore.polar(stack)
-    ab, tr = matcore.matabs(stack), matcore.trace(stack)
+    f, ab, tr = matcore.svd(stack), matabs(stack), matcore.trace(stack)
     assert f.sigma.shape == (2, 3, d) and tr.shape == (2, 3)
 
     def close(x, y):
@@ -265,10 +266,10 @@ def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
 
     for idx in np.ndindex(2, 3):
         one = matcore.svd(stack[idx])
-        assert close(f.sigma[idx], one.sigma) and close(f.reconstruct()[idx], one.reconstruct())
-        assert close(pol.u[idx], matcore.polar(stack[idx]).u)
-        assert close(pol.absval[idx], matcore.polar(stack[idx]).absval)
-        assert close(ab[idx], matcore.matabs(stack[idx]))
+        whole = matcore.svd_compose(f.u, f.sigma, f.vstar)[idx]
+        assert close(f.sigma[idx], one.sigma)
+        assert close(whole, matcore.svd_compose(one.u, one.sigma, one.vstar))
+        assert close(ab[idx], matabs(stack[idx]))
         assert abs(tr[idx] - matcore.trace(stack[idx])) <= 1e-14 * max(1.0, abs(tr[idx]))
 
 
@@ -399,8 +400,6 @@ def test_norm_kernels_reject_non_square_input(bad):
         matcore.singular_values,
         matcore.hs_norm,
         matcore.svd,
-        matcore.polar,
-        matcore.matabs,
         matcore.trace,
     ]
     for kernel in kernels:

@@ -123,6 +123,13 @@ def test_exponent_parse():
         ExponentP(float("nan"))
 
 
+def test_exponent_is_no_bool():
+    with pytest.raises(TypeError):
+        ExponentP(True)
+    with pytest.raises(ValueError, match="bool"):
+        ExponentP.parse(True)
+
+
 @pytest.mark.parametrize(
     "text,value",
     [("2", 2.0), ("+2", 2.0), (" 2 ", 2.0), ("2.", 2.0), ("2.50", 2.5), ("1e1", 10.0),
@@ -457,7 +464,8 @@ def test_direct_sum_rejects_bad_weight():
 def test_product_of_unitary_fields_keeps_inf_norm():
     m = preset_dual("su2_trunc", 3)
     h = random_field(m, 77)
-    u = Field(m, tuple(matcore.polar(b).u for b in h.blocks))
+    svds = [np.linalg.svd(b) for b in h.blocks]
+    u = Field(m, tuple(w @ vstar for w, _, vstar in svds))  # unitary factors W V*
     assert lp_sch_norm(u, math.inf) == pytest.approx(1.0, abs=1e-12)
     prod = field_product(u, u)
     assert lp_sch_norm(prod, math.inf) == pytest.approx(1.0, abs=1e-11)
