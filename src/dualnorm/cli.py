@@ -56,11 +56,11 @@ from .norms import (
     FAMILIES,
     DirectSumSpec,
     ExponentP,
-    _holder_reports,
     _sch_norm_from_sigma,
     adjoint_norm_check,
     embedding_check,
     field_norms,
+    holder_check,
     lp_hs_norm,
     lp_sch_norm,
 )
@@ -191,7 +191,7 @@ def _suite_holder(cfg: SuiteConfig):
             product = field_product(h1, h2)  # its singular values serve every case
             for a, b, case_id in cases:
                 ids = [case_id.format(p=p, k=k) for k in ks]
-                yield from _holder_reports(h1, h2, product, a, b, ids)
+                yield from holder_check(h1, h2, a, b, product, case_id=ids)
 
 
 def _suite_adjoint(cfg: SuiteConfig):
@@ -268,16 +268,18 @@ def _suite_two_point(cfg: SuiteConfig):
         for family in cfg.families:
             crits = []
             for ks, (h1, h2) in _trials(cfg, p, family, fields_per_trial=4):
-                norms = ineq._two_point_norms(h1, h2, p, family)
+                norms = ineq.two_point_norms(h1, h2, p, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._two_point_reports(h1, h2, p, family, norms, ids)
-                crits.append(ineq._critical_constants(norms))
+                yield from ineq.two_point_check(h1, h2, p, family, norms, case_id=ids)
+                crits.append(ineq.two_point_critical_constant(norms))
                 if p == 2.0:
                     ids = _case_ids(f"parallelogram.{family}", ks)
-                    yield from ineq._parallelogram_reports(h1, h2, family, norms, ids)
+                    yield from ineq.two_point_equality_check(h1, h2, family, norms, case_id=ids)
             crits = np.concatenate(crits)
             crits = crits[~np.isnan(crits)]
             if crits.size:
+                # restates the two_point rows and cannot fail on its own; it stays while
+                # benchmarks/workloads.expected_report_count pins the report set
                 if p >= 2.0:
                     lhs, rhs = crits.max(), ineq.two_point_upper_constant(p)
                 else:
@@ -303,6 +305,8 @@ def _suite_moduli(cfg: SuiteConfig):
                     est.bound, est.estimate,
                     (p, family, est.epsilon_or_t, cfg.seed, samples), "convexity_lower",
                 )
+            # occupied bins against all bins cannot fail; the record stays while
+            # benchmarks/workloads.expected_report_count pins the report set
             yield inequality_report(
                 cfg.suite, f"convexity_bins.{family}[p={p}]", p,
                 float(len(occupied)), float(len(convexity)),
@@ -324,7 +328,7 @@ def _suite_type_cotype(cfg: SuiteConfig):
                 avg2 = ineq.rademacher_average(fields, p, family)
                 norms = field_norms(fields, p, family)
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq._type_cotype_reports(fields, p, family, norms, avg2, ids)
+                yield from ineq.type_cotype_check(fields, p, family, norms, avg2, case_id=ids)
                 if p == 2.0:  # the same sign average against the quadratic sum of norms
                     l2 = matcore.power_sum(norms, 2.0)
                     yield from equality_report(

@@ -48,7 +48,6 @@ from .dualmodel import (
     _trusted,
     field_abs,
     field_adjoint,
-    field_product,
     random_field,
 )
 from .report import equality_report, inequality_report
@@ -223,19 +222,17 @@ def embedding_check(h: Field, p, *, case_id="embedding"):
     return inequality_report("norms", case_id, p, lhs, rhs, (h, p), "embedding")
 
 
-def holder_check(h1: Field, h2: Field, p, q, *, case_id="holder"):
-    """||H1 H2||_r <= ||H1||_p ||H2||_q in the Schatten family, 1/r = 1/p + 1/q."""
-    return _holder_reports(h1, h2, field_product(h1, h2), p, q, case_id)
+def holder_check(h1: Field, h2: Field, p, q, product: Field, *, case_id="holder"):
+    """||H1 H2||_r <= ||H1||_p ||H2||_q in the Schatten family, 1/r = 1/p + 1/q.
 
-
-def _holder_reports(h1: Field, h2: Field, product: Field, p, q, case_id):
-    """holder_check's report for each row of ``h1``, ``h2``, given their product ``h1 h2``."""
+    ``product`` is ``field_product(h1, h2)``; r is at least 1, as 1/p + 1/q can round above 1.
+    """
     p = ExponentP.parse(p)
     q = ExponentP.parse(q)
     inv_r = 1.0 / p + 1.0 / q
     if inv_r > 1.0 + 1e-15:
         raise ValueError(f"incompatible exponents: 1/{p} + 1/{q} exceeds 1")
-    r = math.inf if inv_r == 0.0 else 1.0 / inv_r
+    r = math.inf if inv_r == 0.0 else max(1.0, 1.0 / inv_r)
     lhs = lp_sch_norm(product, r)
     rhs = lp_sch_norm(h1, p) * lp_sch_norm(h2, q)
     return inequality_report("holder", case_id, p, lhs, rhs, (h1, h2, p, q), "holder")

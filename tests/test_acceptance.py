@@ -14,7 +14,7 @@ import pytest
 from dualnorm import matcore
 from dualnorm.cli import SuiteConfig, emit_report, run_suite
 from dualnorm.duality import dual_extremizer, pairing
-from dualnorm.dualmodel import mix_seed, preset_dual, random_field
+from dualnorm.dualmodel import field_product, mix_seed, preset_dual, random_field
 from dualnorm.inequalities import (
     clarkson_check,
     hilbert_convexity_modulus,
@@ -26,6 +26,7 @@ from dualnorm.inequalities import (
     two_point_check,
     two_point_equality_check,
     two_point_lower_constant,
+    two_point_norms,
     two_point_upper_constant,
     type_cotype_check,
 )
@@ -33,6 +34,7 @@ from dualnorm.interpolation import InterpSpec, boundary_witness_norms, three_lin
 from dualnorm.norms import (
     ExponentP,
     field_norm,
+    field_norms,
     holder_check,
     lp_sch_norm,
     random_unit_field,
@@ -65,7 +67,7 @@ def test_criterion_01_holder_suite():
             h1 = random_field(dual, mix_seed("acc1", dual.name, k, 0))
             h2 = random_field(dual, mix_seed("acc1", dual.name, k, 1))
             for p, q in triples:
-                if not holder_check(h1, h2, p, q).passed:
+                if not holder_check(h1, h2, p, q, field_product(h1, h2)).passed:
                     violations += 1
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed <= 30.0
@@ -122,12 +124,12 @@ def test_criterion_04_two_point_constants():
         for k in range(1000):
             h1 = random_field(S3, mix_seed("acc4", p, k, 0))
             h2 = random_field(S3, mix_seed("acc4", p, k, 1))
-            if not two_point_check(h1, h2, p).passed:
+            if not two_point_check(h1, h2, p, "sch", two_point_norms(h1, h2, p, "sch")).passed:
                 violations.append((p, k))
     for k in range(200):
         h1 = random_field(S3, mix_seed("acc4", 2.0, k, 0))
         h2 = random_field(S3, mix_seed("acc4", 2.0, k, 1))
-        rep = two_point_equality_check(h1, h2)
+        rep = two_point_equality_check(h1, h2, "sch", two_point_norms(h1, h2, 2.0, "sch"))
         if abs(rep.lhs - rep.rhs) > 1e-10 * max(1.0, rep.rhs):
             violations.append((2.0, k))
     ok = not violations
@@ -176,7 +178,8 @@ def test_criterion_06_type_cotype():
     for p in (1.4, 2.0, 3.0):
         for k in range(200):
             fields = [random_field(S3, mix_seed("acc6", p, k, j)) for j in range(5)]
-            rep = type_cotype_check(fields, p)
+            norms, avg2 = field_norms(fields, p, "sch"), rademacher_average(fields, p, "sch")
+            rep = type_cotype_check(fields, p, "sch", norms, avg2)
             if not rep.passed:
                 violations.append((p, k, "two-sided"))
             if p == 2.0:

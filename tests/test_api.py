@@ -9,7 +9,7 @@ import pytest
 
 from dualnorm import duality, inequalities, interpolation, norms
 from dualnorm.cli import EXIT_OK, SUITES, main
-from dualnorm.dualmodel import mix_seed, preset_dual, random_field
+from dualnorm.dualmodel import field_product, mix_seed, preset_dual, random_field
 from dualnorm.report import CheckReport
 
 MODULES = ["cli", "dualmodel", "duality", "inequalities", "interpolation", "matcore", "norms", "report"]
@@ -40,6 +40,19 @@ REPORT_BUILDERS = {("report", "check_report"), ("report", "equality_report"),
                    ("report", "inequality_report")}
 
 
+# The public checks, one function each: the only functions of the library
+# modules that build a report
+CHECKS = {
+    ("norms", "embedding_check"), ("norms", "holder_check"), ("norms", "adjoint_norm_check"),
+    ("duality", "direct_sum_dual_pair_check"),
+    ("interpolation", "three_lines_check"), ("interpolation", "boundary_witness_check"),
+    ("interpolation", "interp_norm_consistency"),
+    ("inequalities", "clarkson_check"), ("inequalities", "two_point_check"),
+    ("inequalities", "two_point_equality_check"), ("inequalities", "type_cotype_check"),
+    ("inequalities", "kadec_klee_gap"), ("inequalities", "unconditional_sum_bound"),
+}
+
+
 def test_only_the_report_builders_take_a_suite():
     taking = set()
     for name in MODULES:
@@ -59,7 +72,7 @@ def test_each_check_reports_under_the_suite_that_runs_it():
     small = [(2.0**-j / norms.lp_sch_norm(h1, 1.5)) * h1 for j in range(3)]
     reports = {  # the SUITES key of a suite -> the reports of the public checks it runs
         "norms": [norms.embedding_check(h1, 1.5)],
-        "holder": [norms.holder_check(h1, h2, 1.5, 3.0)],
+        "holder": [norms.holder_check(h1, h2, 1.5, 3.0, field_product(h1, h2))],
         "adjoint": [norms.adjoint_norm_check(h1, 1.5)],
         "duality": [
             duality.direct_sum_dual_pair_check(h1, h2, f1, f2, 1.5, norms.DirectSumSpec(1.5, 3.0))
@@ -71,20 +84,46 @@ def test_each_check_reports_under_the_suite_that_runs_it():
         ],
         "clarkson": [inequalities.clarkson_check(h1, h2, 1.5, "sch")],
         "two_point": [
-            inequalities.two_point_check(h1, h2, 1.5),
-            inequalities.two_point_equality_check(h1, h2),
+            inequalities.two_point_check(
+                h1, h2, 1.5, "sch", inequalities.two_point_norms(h1, h2, 1.5, "sch")
+            ),
+            inequalities.two_point_equality_check(
+                h1, h2, "sch", inequalities.two_point_norms(h1, h2, 2.0, "sch")
+            ),
         ],
-        "type_cotype": [inequalities.type_cotype_check(fields, 1.5)],
+        "type_cotype": [
+            inequalities.type_cotype_check(
+                fields, 1.5, "sch", norms.field_norms(fields, 1.5, "sch"),
+                inequalities.rademacher_average(fields, 1.5, "sch"),
+            )
+        ],
         "kadec_klee": [
             inequalities.kadec_klee_gap(h2, h1, 1.5),
             inequalities.unconditional_sum_bound(small, 1.5),
         ],
     }
     assert set(reports) == set(SUITES) - {"moduli"}  # the moduli suite runs no public check
-    assert sum(map(len, reports.values())) == 13
+    assert sum(map(len, reports.values())) == len(CHECKS)
     for suite, made in reports.items():
         for report in made:
             assert isinstance(report, CheckReport) and report.suite == suite, report.anchor
+
+
+def test_only_the_checks_build_reports():
+    # a report is built in its check, never in a helper that takes the check's norms
+    building = set()
+    for name in ("norms", "inequalities", "interpolation", "duality"):
+        module = importlib.import_module(f"dualnorm.{name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call):
+                        func = call.func
+                        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                        if ("report", called) in REPORT_BUILDERS:
+                            building.add((name, node.name))
+    assert building == CHECKS
 
 
 # Every private name cli takes from a library module: a new one shows up here
@@ -94,13 +133,7 @@ CLI_PRIVATE_NAMES = {
     ("dualmodel", "_is_integer"),
     ("inequalities", "_SMOOTHNESS_T_GRID"),
     ("inequalities", "_chunks"),
-    ("inequalities", "_critical_constants"),
     ("inequalities", "_moduli_pass"),
-    ("inequalities", "_parallelogram_reports"),
-    ("inequalities", "_two_point_norms"),
-    ("inequalities", "_two_point_reports"),
-    ("inequalities", "_type_cotype_reports"),
-    ("norms", "_holder_reports"),
     ("norms", "_sch_norm_from_sigma"),
 }
 

@@ -21,6 +21,7 @@ from dualnorm import inequalities
 from dualnorm.cli import SuiteConfig, _interp_spec_for, main, run_suite
 from dualnorm.dualmodel import (
     Field,
+    field_product,
     mix_seed,
     parse_dual_arg,
     random_field,
@@ -41,6 +42,7 @@ from dualnorm.inequalities import (
     two_point_critical_constant,
     two_point_equality_check,
     two_point_lower_constant,
+    two_point_norms,
     two_point_upper_constant,
     type_cotype_check,
     unconditional_sum_bound,
@@ -61,6 +63,7 @@ from dualnorm.norms import (
     direct_sum_norm,
     embedding_check,
     field_norm,
+    field_norms,
     holder_check,
     lp_hs_norm,
     lp_sch_norm,
@@ -137,7 +140,7 @@ def oracle_holder(cfg):
             if not p.is_inf:
                 cases.append((INF, p, f"inf_left[r={p}][{k:04d}]"))
             for a, b, case_id in cases:
-                yield holder_check(h1, h2, a, b, case_id=case_id)
+                yield holder_check(h1, h2, a, b, field_product(h1, h2), case_id=case_id)
 
 
 def oracle_adjoint(cfg):
@@ -162,11 +165,13 @@ def oracle_two_point(cfg):
             crits = []
             for case_id, k in ids(family, p):
                 h1, h2 = row(cfg, k, p, family, "a"), row(cfg, k, p, family, "b")
-                yield two_point_check(h1, h2, p, family, case_id=case_id)
-                crits.append(two_point_critical_constant(h1, h2, p, family))
+                norms = two_point_norms(h1, h2, p, family)
+                yield two_point_check(h1, h2, p, family, norms, case_id=case_id)
+                crits.append(two_point_critical_constant(norms))
                 if p == 2.0:
                     yield two_point_equality_check(
-                        h1, h2, family, case_id=f"parallelogram.{family}[{k:04d}]"
+                        h1, h2, family, two_point_norms(h1, h2, 2.0, family),
+                        case_id=f"parallelogram.{family}[{k:04d}]",
                     )
             if p >= 2.0:
                 lhs, rhs = max(crits), two_point_upper_constant(p)
@@ -183,7 +188,9 @@ def oracle_type_cotype(cfg):
         for family in cfg.families:
             for case_id, k in ids(family, p):
                 fields = [row(cfg, k, p, family, j) for j in range(5)]
-                yield type_cotype_check(fields, p, family, case_id=case_id)
+                norms = field_norms(fields, p, family)
+                avg2 = rademacher_average(fields, p, family)
+                yield type_cotype_check(fields, p, family, norms, avg2, case_id=case_id)
                 if p == 2.0:
                     yield equality_report(
                         cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0,
@@ -426,7 +433,7 @@ INTERP = _interp_spec_for(ExponentP(3.0))
 # each check on fields h, g, e: one function for single fields and for batches
 MERGED_CHECKS = {
     "embedding": lambda h, g, e, **kw: embedding_check(h, 1.5, **kw),
-    "holder": lambda h, g, e, **kw: holder_check(h, g, 3.0, 1.5, **kw),
+    "holder": lambda h, g, e, **kw: holder_check(h, g, 3.0, 1.5, field_product(h, g), **kw),
     "adjoint": lambda h, g, e, **kw: adjoint_norm_check(h, 3.0, "hs", **kw),
     "clarkson": lambda h, g, e, **kw: clarkson_check(h, g, 1.5, "sch", **kw),
     "kadec_klee": lambda h, g, e, **kw: kadec_klee_gap(h, g, 3.0, **kw),

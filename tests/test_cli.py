@@ -30,7 +30,7 @@ from dualnorm.dualmodel import (
     random_field,
     random_stacks,
 )
-from dualnorm.norms import ExponentP
+from dualnorm.norms import ExponentP, field_norms
 from dualnorm.report import (
     TOL_REL,
     CheckReport,
@@ -242,6 +242,11 @@ def test_main_verify_fraction_and_inf_exponents(tmp_path):
     )
     assert code == EXIT_OK
     assert any(r.p == math.inf for r in reports_from_json(out.read_text()))
+
+
+def test_main_verify_holder_where_conjugate_reciprocals_round_above_one():
+    # 1/p + 1/p.conjugate() rounds to 1 + 2^-52 at p = 10.8 (and r to just below 1)
+    assert main(["verify", "holder", "--dual", "s3", "--p", "10.8", "--trials", "2"]) == EXIT_OK
 
 
 def test_main_bad_preset_is_config_error(capsys):
@@ -768,7 +773,11 @@ def test_type_cotype_at_p2_computes_each_sign_average_once(monkeypatch):
         keys = [mix_seed(cfg.seed, "type_cotype", ExponentP(2.0), family, j) for j in range(5)]
         fields = [random_field(cfg.dual, key) for key in keys]
         (shared,) = [r for r in reports if r.case_id == f"{family}[p=2.0][0000]"]
-        assert shared == inequalities.type_cotype_check(fields, 2.0, family, case_id=shared.case_id)
+        norms = field_norms(fields, 2.0, family)
+        avg2 = inequalities.rademacher_average(fields, 2.0, family)
+        assert shared == inequalities.type_cotype_check(
+            fields, 2.0, family, norms, avg2, case_id=shared.case_id
+        )
 
 
 def test_tol_override_keeps_exact_counts_exact():

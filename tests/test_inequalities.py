@@ -34,11 +34,12 @@ from dualnorm.inequalities import (
     two_point_critical_constant,
     two_point_equality_check,
     two_point_lower_constant,
+    two_point_norms,
     two_point_upper_constant,
     type_cotype_check,
     unconditional_sum_bound,
 )
-from dualnorm.norms import field_norm, lp_sch_norm
+from dualnorm.norms import field_norm, field_norms, lp_sch_norm
 
 S3 = preset_dual("s3")
 
@@ -169,7 +170,8 @@ def test_two_point_constants():
 def test_two_point_zero_second_argument():
     h1 = random_field(S3, 2)
     for p in (1.5, 3.0):
-        rep = two_point_check(h1, zero_field(S3), p)
+        h2 = zero_field(S3)
+        rep = two_point_check(h1, h2, p, "sch", two_point_norms(h1, h2, p, "sch"))
         assert rep.passed
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
@@ -178,7 +180,7 @@ def test_two_point_equality_at_p2_with_constant_one():
     for k in range(100):
         h1 = random_field(S3, mix_seed("tp2", k, 0))
         h2 = random_field(S3, mix_seed("tp2", k, 1))
-        rep = two_point_equality_check(h1, h2)
+        rep = two_point_equality_check(h1, h2, "sch", two_point_norms(h1, h2, 2.0, "sch"))
         assert rep.passed
         assert abs(rep.lhs - rep.rhs) <= 1e-11 * max(1.0, rep.rhs)
 
@@ -189,9 +191,10 @@ def test_two_point_random_pairs(p):
     for k in range(300):
         h1 = random_field(S3, mix_seed("tp", p, k, 0))
         h2 = random_field(S3, mix_seed("tp", p, k, 1))
-        rep = two_point_check(h1, h2, p)
+        norms = two_point_norms(h1, h2, p, "sch")
+        rep = two_point_check(h1, h2, p, "sch", norms)
         assert rep.passed, f"two-point violated at p={p}, draw {k}: {rep}"
-        crit = two_point_critical_constant(h1, h2, p)
+        crit = two_point_critical_constant(norms)
         if not math.isnan(crit):
             crits.append(crit)
     if p >= 2.0:
@@ -202,7 +205,7 @@ def test_two_point_random_pairs(p):
 
 def test_two_point_critical_constant_nan_for_zero():
     h = random_field(S3, 3)
-    assert math.isnan(two_point_critical_constant(h, zero_field(S3), 3.0))
+    assert math.isnan(two_point_critical_constant(two_point_norms(h, zero_field(S3), 3.0, "sch")))
 
 
 def test_two_point_critical_constant_of_a_batch_holds_each_rows_constant():
@@ -211,10 +214,10 @@ def test_two_point_critical_constant_of_a_batch_holds_each_rows_constant():
     h2 = np.array([1.0, 2.0, 0.0, 0.5]) * random_stacks(model, mix_seed("crit", 2), rows=4)
     for p in (1.5, 2.0, 3.0):
         for family in ("sch", "hs"):
-            crits = two_point_critical_constant(h1, h2, p, family)
+            crits = two_point_critical_constant(two_point_norms(h1, h2, p, family))
             assert crits.shape == (4,)
             for k in range(4):
-                one = two_point_critical_constant(h1[k], h2[k], p, family)
+                one = two_point_critical_constant(two_point_norms(h1[k], h2[k], p, family))
                 assert type(one) is float
                 if k == 2:  # h2 is zero in row 2
                     assert math.isnan(one) and math.isnan(crits[k])
@@ -695,16 +698,17 @@ def test_rademacher_empty():
 def test_type_cotype_single_field():
     h = random_field(S3, 7)
     for p in (1.4, 2.0, 3.0):
-        rep = type_cotype_check([h], p)
+        norms, avg2 = field_norms([h], p, "sch"), rademacher_average([h], p, "sch")
+        rep = type_cotype_check([h], p, "sch", norms, avg2)
         assert rep.passed
 
 
 def test_type_cotype_equalities_at_p2():
     fields = [random_field(S3, mix_seed("tc2", j)) for j in range(5)]
-    rep = type_cotype_check(fields, 2.0)
+    avg2 = rademacher_average(fields, 2.0, "sch")
+    rep = type_cotype_check(fields, 2.0, "sch", field_norms(fields, 2.0, "sch"), avg2)
     assert rep.passed
     # with constant 1 the sign average equals the quadratic sum exactly
-    avg2 = rademacher_average(fields, 2.0, "sch")
     l2 = math.sqrt(sum(lp_sch_norm(f, 2.0) ** 2 for f in fields))
     assert avg2 == pytest.approx(l2, rel=1e-10)
 
@@ -713,7 +717,8 @@ def test_type_cotype_equalities_at_p2():
 def test_type_cotype_random_draws(p):
     for k in range(100):
         fields = [random_field(S3, mix_seed("tc", p, k, j)) for j in range(5)]
-        rep = type_cotype_check(fields, p)
+        norms, avg2 = field_norms(fields, p, "sch"), rademacher_average(fields, p, "sch")
+        rep = type_cotype_check(fields, p, "sch", norms, avg2)
         assert rep.passed, f"type/cotype violated at p={p}, draw {k}: {rep}"
 
 
@@ -754,7 +759,7 @@ def test_scaled_check_sides_match_the_inline_forms_at_moderate_p(p, family):
     mean_p = (0.5 * (n(h1 + h2) ** p + n(h1 - h2) ** p)) ** (1 / p)
     constant = two_point_upper_constant(p) if p >= 2.0 else two_point_lower_constant(p)
     root = math.sqrt(n(h1) ** 2 + constant * n(h2) ** 2)
-    rep = two_point_check(h1, h2, p, family)
+    rep = two_point_check(h1, h2, p, family, two_point_norms(h1, h2, p, family))
     sides = (mean_p, root) if p >= 2.0 else (root, mean_p)
     assert (rep.lhs, rep.rhs) == pytest.approx(sides, **rel)
 
@@ -765,7 +770,8 @@ def test_scaled_check_sides_match_the_inline_forms_at_moderate_p(p, family):
 
     norms = [field_norm(x, p, family) for x in fields]
     l2, lp = math.sqrt(sum(v * v for v in norms)), sum(v**p for v in norms) ** (1 / p)
-    rep = type_cotype_check(fields, p, family)
+    avg2 = rademacher_average(fields, p, family)
+    rep = type_cotype_check(fields, p, family, field_norms(fields, p, family), avg2)
     if p <= 2.0:
         sides = (math.sqrt(two_point_lower_constant(p)) * l2, lp)
     else:

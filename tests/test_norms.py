@@ -364,7 +364,7 @@ def test_embedding_property(p):
 def test_holder_identity_second_factor():
     m = preset_dual("torus", 2)
     h = random_field(m, 3)
-    rep = holder_check(h, identity_field(m), 2.0, 2.0)
+    rep = holder_check(h, identity_field(m), 2.0, 2.0, field_product(h, identity_field(m)))
     assert rep.passed
 
 
@@ -373,7 +373,7 @@ def test_holder_operator_norm_submultiplicative():
     for k in range(200):
         h1 = random_field(m, mix_seed("hol-inf", k, 0))
         h2 = random_field(m, mix_seed("hol-inf", k, 1))
-        rep = holder_check(h1, h2, math.inf, math.inf)
+        rep = holder_check(h1, h2, math.inf, math.inf, field_product(h1, h2))
         assert rep.passed
         # blockwise oracle: every block obeys operator-norm submultiplicativity
         for a, b in zip(h1.blocks, h2.blocks):
@@ -388,21 +388,32 @@ def test_holder_three_finite_exponents_property():
     for k in range(1000):
         h1 = random_field(m, mix_seed("hol", k, 0))
         h2 = random_field(m, mix_seed("hol", k, 1))
-        rep = holder_check(h1, h2, 3.0, 1.5)
+        rep = holder_check(h1, h2, 3.0, 1.5, field_product(h1, h2))
         assert rep.passed, f"Holder violated at draw {k}: {rep}"
 
 
 def test_holder_non_conjugate_triple_allowed():
     m = preset_dual("s3")
     h = random_field(m, 1)
-    assert holder_check(h, h, 3.0, 4.0).passed  # r = 12/7
+    assert holder_check(h, h, 3.0, 4.0, field_product(h, h)).passed  # r = 12/7
+
+
+def test_holder_at_conjugate_exponents_whose_reciprocals_round_above_one():
+    # 1/10.8 + 1/q rounds to 1 + 2^-52 at q = 10.8's conjugate, so 1/inv_r falls below 1
+    p = ExponentP(10.8)
+    q = p.conjugate()
+    assert 1.0 / p + 1.0 / q > 1.0
+    m = preset_dual("s3")
+    h1, h2 = random_field(m, 1), random_field(m, 2)
+    rep = holder_check(h1, h2, p, q, field_product(h1, h2))
+    assert rep.passed and rep.p == p
 
 
 def test_holder_rejects_subunit_r():
     m = preset_dual("s3")
     h = random_field(m, 1)
     with pytest.raises(ValueError):
-        holder_check(h, h, 1.0, 2.0)  # 1/r = 1.5 > 1
+        holder_check(h, h, 1.0, 2.0, field_product(h, h))  # 1/r = 1.5 > 1
 
 
 # -- adjoint norm equality ----------------------------------------------------
