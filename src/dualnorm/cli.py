@@ -47,8 +47,8 @@ from .duality import direct_sum_dual_pair_check, dual_extremizer, dual_norm_via_
 from .interpolation import (
     DEFAULT_T_GRID,
     InterpSpec,
+    boundary_witness,
     boundary_witness_check,
-    boundary_witness_norms,
     interp_norm_consistency,
     three_lines_check,
 )
@@ -246,13 +246,13 @@ def _suite_interpolation(cfg: SuiteConfig):
         spec = _interp_spec_for(p)
         # a chunk's witnesses are batches of its trials at every boundary point
         for ks, (h, f) in _trials(cfg, p, fields_per_trial=2 * len(DEFAULT_T_GRID)):
-            norms = boundary_witness_norms(h, spec)
+            lines = boundary_witness(h, spec)
             ids = _case_ids(f"boundary_norms[p={p}]", ks)
-            yield from boundary_witness_check(h, spec, norms, case_id=ids)
+            yield from boundary_witness_check(h, spec, lines, case_id=ids)
             ids = _case_ids(f"three_lines[p={p}]", ks)
-            yield from three_lines_check(h, f, spec, case_id=ids)
+            yield from three_lines_check(h, f, spec, lines, case_id=ids)
             ids = _case_ids(f"consistency[p={p}]", ks)
-            yield from interp_norm_consistency(h, spec, norms, case_id=ids)
+            yield from interp_norm_consistency(h, spec, lines, case_id=ids)
 
 
 def _suite_clarkson(cfg: SuiteConfig):

@@ -22,12 +22,16 @@ witness_f and witness_g read each block's factors from the field's memo (one
 SVD per block, shared with the dual extremizer) and return the witness as a
 function of z.  The witness of a field, or of a batch Field h, at strip
 points z is a batch Field of batch shape h.batch + np.shape(z) (a single
-Field for a single field at one point), so the checks below evaluate the
-whole boundary grid of every row in one call.  Every anchor of the suite
-has a public check, and each is one function for fields and batches: one
-case id gives the report of single fields, and a list of case ids gives one
-report per row of batch fields.  Zero singular values are mapped to zero
-for every exponent (including 0), so the powers act on the support only.
+Field for a single field at one point).  boundary_witness(h, spec) is the
+witness of h on the two boundary lines, one batch Field per line over the
+t-grid, built once and taken by all three checks: the boundary-norm and
+consistency checks reduce each line's norm from its own memo, and the
+three-lines check pairs each line with the dual witness at the same points.
+Every anchor of the suite has a public check, and each is one function for
+fields and batches: one case id gives the report of single fields, and a
+list of case ids gives one report per row of batch fields.  Zero singular
+values are mapped to zero for every exponent (including 0), so the powers
+act on the support only.
 """
 
 from __future__ import annotations
@@ -48,9 +52,8 @@ __all__ = [
     "DEFAULT_T_GRID",
     "witness_f",
     "witness_g",
-    "strip_function",
+    "boundary_witness",
     "three_lines_check",
-    "boundary_witness_norms",
     "boundary_witness_check",
     "interp_norm_consistency",
 ]
@@ -145,48 +148,42 @@ def witness_g(f: Field, spec: InterpSpec) -> Callable[..., Field]:
     return _witness(f, spec.p.conjugate(), 1.0 / spec.p0.conjugate(), 1.0 / spec.p1.conjugate())
 
 
-def strip_function(h: Field, f_dual: Field, spec: InterpSpec) -> Callable[..., complex]:
-    """z -> <witness of h, dual witness of f_dual>, a value of shape h.batch + np.shape(z)."""
-    wf, wg = witness_f(h, spec), witness_g(f_dual, spec)
-    return lambda z: pairing(wf(z), wg(z))
-
-
 def _edges() -> np.ndarray:
     """The boundary grid as a (2, n) array: row 0 is z = it, row 1 is z = 1 + it."""
     t = np.asarray(DEFAULT_T_GRID)
     return np.stack([1j * t, 1.0 + 1j * t])
 
 
-def three_lines_check(h: Field, f_dual: Field, spec: InterpSpec, *, case_id="three_lines"):
+def boundary_witness(h: Field, spec: InterpSpec) -> tuple[Field, Field]:
+    """(f(it), f(1 + it)) over the t-grid: two batch Fields of batch shape h.batch + (9,)."""
+    at = witness_f(h, spec)
+    return tuple(at(z) for z in _edges())
+
+
+def three_lines_check(h: Field, f_dual: Field, spec: InterpSpec, lines, *, case_id="three_lines"):
     """Boundary and interior values of the strip function stay below 1.
 
-    Samples |<f(z), g(z)>| at z = it and z = 1 + it over the grid and at
-    z = theta (where the pairing is just <h, f_dual> after normalization).
+    Samples |<f(z), g(z)>| on ``lines = boundary_witness(h, spec)``, where the
+    dual witness g of f_dual is evaluated at the same points, and at z = theta
+    (where the pairing is just <h, f_dual> after normalization).
     """
-    boundary = np.abs(strip_function(h, f_dual, spec)(_edges()))
+    at = witness_g(f_dual, spec)
+    boundary = [np.abs(pairing(line, at(z))).max(axis=-1) for line, z in zip(lines, _edges())]
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
     f_unit = (1.0 / lp_sch_norm(f_dual, spec.p.conjugate())) * f_dual
-    lhs = np.maximum(boundary.max(axis=(-2, -1)), np.abs(pairing(h_unit, f_unit)))
+    lhs = np.maximum(np.maximum(*boundary), np.abs(pairing(h_unit, f_unit)))
     inputs = (h, f_dual, spec.p0, spec.p1, spec.theta, list(DEFAULT_T_GRID))
     return inequality_report(
         "interpolation", case_id, spec.p, lhs, 1.0, inputs, "strip_maximum", rel=1e-9
     )
 
 
-def boundary_witness_norms(h: Field, spec: InterpSpec):
-    """(||f(it)||_p0, ||f(1+it)||_p1) over the grid, for unit-normalized h.
+def boundary_witness_check(h: Field, spec: InterpSpec, lines, *, case_id="boundary_witness"):
+    """The boundary norm farthest from 1 equals 1, on ``lines = boundary_witness(h, spec)``.
 
-    Two lists of grid values; for a batch h, two lists of one such list per row.
+    The norms are ||f(it)||_p0 and ||f(1+it)||_p1, each line reduced from its own memo.
     """
-    at, (left, right) = witness_f(h, spec), _edges()
-    return lp_sch_norm(at(left), spec.p0).tolist(), lp_sch_norm(at(right), spec.p1).tolist()
-
-
-def boundary_witness_check(
-    h: Field, spec: InterpSpec, boundary_norms, *, case_id="boundary_witness"
-):
-    """The boundary norm farthest from 1 equals 1, given ``boundary_witness_norms(h, spec)``."""
-    norms = np.concatenate(boundary_norms, axis=-1)
+    norms = np.concatenate([lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)], -1)
     farthest = np.abs(norms - 1.0).argmax(axis=-1, keepdims=True)
     worst = np.take_along_axis(norms, farthest, axis=-1)[..., 0]
     inputs = (h, spec.p0, spec.p1, spec.theta)
@@ -195,19 +192,17 @@ def boundary_witness_check(
     )
 
 
-def interp_norm_consistency(
-    h: Field, spec: InterpSpec, boundary_norms, *, case_id="norm_consistency"
-):
+def interp_norm_consistency(h: Field, spec: InterpSpec, lines, *, case_id="norm_consistency"):
     """Two-sided finite-scale consistency of the derived-exponent norm.
 
-    ``boundary_norms`` is ``boundary_witness_norms(h, spec)``, which the
-    caller has already taken (and which raises for the zero field).
+    ``lines`` is ``boundary_witness(h, spec)``, which the caller has
+    already built (and which raises for the zero field).
     Upper: ||h||_p is at most the largest boundary norm of the witness
     scaled back by ||h||_p.  Lower: the norming functional realizes
     |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
     """
     p = spec.p
-    bounds0, bounds1 = map(np.asarray, boundary_norms)
+    bounds0, bounds1 = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
     norm = lp_sch_norm(h, p)
     boundary_max = norm * np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm

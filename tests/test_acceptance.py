@@ -30,7 +30,7 @@ from dualnorm.inequalities import (
     two_point_upper_constant,
     type_cotype_check,
 )
-from dualnorm.interpolation import InterpSpec, boundary_witness_norms, three_lines_check
+from dualnorm.interpolation import InterpSpec, boundary_witness, three_lines_check
 from dualnorm.norms import (
     ExponentP,
     field_norm,
@@ -201,10 +201,11 @@ def test_criterion_07_interpolation():
         for k in range(200):
             h = random_field(S3, mix_seed("acc7", p, k, 0))
             f = random_field(S3, mix_seed("acc7", p, k, 1))
-            n0, n1 = boundary_witness_norms(h, spec)
+            left, right = lines = boundary_witness(h, spec)
+            n0, n1 = lp_sch_norm(left, spec.p0).tolist(), lp_sch_norm(right, spec.p1).tolist()
             if any(abs(v - 1.0) > 1e-9 for v in n0 + n1):
                 violations.append((p, k, "boundary"))
-            rep = three_lines_check(h, f, spec)
+            rep = three_lines_check(h, f, spec, lines)
             if rep.lhs > 1.0 + 1e-9:
                 violations.append((p, k, "three lines"))
             h_unit = (1.0 / lp_sch_norm(h, p)) * h

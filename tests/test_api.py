@@ -68,7 +68,7 @@ def test_each_check_reports_under_the_suite_that_runs_it():
     h1, h2, f1, f2, f3 = fields = [random_field(preset_dual("s3"), mix_seed("api", j))
                                    for j in range(5)]
     spec = interpolation.InterpSpec.for_target(1.0, 2.0, 1.5)
-    witness = interpolation.boundary_witness_norms(h1, spec)
+    witness = interpolation.boundary_witness(h1, spec)
     small = [(2.0**-j / norms.lp_sch_norm(h1, 1.5)) * h1 for j in range(3)]
     reports = {  # the SUITES key of a suite -> the reports of the public checks it runs
         "norms": [norms.embedding_check(h1, 1.5)],
@@ -78,7 +78,7 @@ def test_each_check_reports_under_the_suite_that_runs_it():
             duality.direct_sum_dual_pair_check(h1, h2, f1, f2, 1.5, norms.DirectSumSpec(1.5, 3.0))
         ],
         "interpolation": [
-            interpolation.three_lines_check(h1, f3, spec),
+            interpolation.three_lines_check(h1, f3, spec, witness),
             interpolation.boundary_witness_check(h1, spec, witness),
             interpolation.interp_norm_consistency(h1, spec, witness),
         ],

@@ -49,8 +49,8 @@ from dualnorm.inequalities import (
 )
 from dualnorm.interpolation import (
     _edges,
+    boundary_witness,
     boundary_witness_check,
-    boundary_witness_norms,
     interp_norm_consistency,
     three_lines_check,
     witness_f,
@@ -235,15 +235,17 @@ def oracle_interpolation(cfg):
         spec = _interp_spec_for(p)
         for k in range(cfg.trials):
             h, f = row(cfg, k, p, "a"), row(cfg, k, p, "b")
-            norms0, norms1 = boundary_witness_norms(h, spec)
+            lines = boundary_witness(h, spec)
+            norms = lp_sch_norm(lines[0], spec.p0).tolist()
+            norms += lp_sch_norm(lines[1], spec.p1).tolist()
             yield equality_report(
                 cfg.suite, f"boundary_norms[p={p}][{k:04d}]", p,
-                max(norms0 + norms1, key=lambda v: abs(v - 1.0)), 1.0,
+                max(norms, key=lambda v: abs(v - 1.0)), 1.0,
                 (h, spec.p0, spec.p1, spec.theta), "boundary_witness", rel=1e-9,
             )
-            yield three_lines_check(h, f, spec, case_id=f"three_lines[p={p}][{k:04d}]")
+            yield three_lines_check(h, f, spec, lines, case_id=f"three_lines[p={p}][{k:04d}]")
             yield interp_norm_consistency(
-                h, spec, (norms0, norms1), case_id=f"consistency[p={p}][{k:04d}]"
+                h, spec, lines, case_id=f"consistency[p={p}][{k:04d}]"
             )
 
 
@@ -440,12 +442,14 @@ MERGED_CHECKS = {
     "direct_sum": lambda h, g, e, **kw: direct_sum_dual_pair_check(
         h, g, e, h, 3.0, DirectSumSpec(ExponentP(1.5), 3.0), **kw
     ),
-    "three_lines": lambda h, g, e, **kw: three_lines_check(h, g, INTERP, **kw),
+    "three_lines": lambda h, g, e, **kw: three_lines_check(
+        h, g, INTERP, boundary_witness(h, INTERP), **kw
+    ),
     "consistency": lambda h, g, e, **kw: interp_norm_consistency(
-        h, INTERP, boundary_witness_norms(h, INTERP), **kw
+        h, INTERP, boundary_witness(h, INTERP), **kw
     ),
     "boundary_witness": lambda h, g, e, **kw: boundary_witness_check(
-        h, INTERP, boundary_witness_norms(h, INTERP), **kw
+        h, INTERP, boundary_witness(h, INTERP), **kw
     ),
 }
 

@@ -695,19 +695,30 @@ def test_default_tol_override_leaves_report_bytes_unchanged(tmp_path):
 
 
 def test_interpolation_trial_builds_each_witness_once(monkeypatch):
-    svds, witnesses = [], []
-    svd, witness_f = matcore.svd, interpolation.witness_f
+    svds, witnesses, composed = [], [], []
+    svd, witness_f, compose = matcore.svd, interpolation.witness_f, matcore.svd_compose
     monkeypatch.setattr(matcore, "svd", lambda a: svds.append(a.shape) or svd(a))
     monkeypatch.setattr(
         interpolation, "witness_f", lambda h, spec: witnesses.append(h) or witness_f(h, spec)
     )
+
+    def count_compose(u, values, vstar):
+        out = compose(u, values, vstar)
+        composed.append(math.prod(out.shape[:-2]))
+        return out
+
+    monkeypatch.setattr(matcore, "svd_compose", count_compose)
     reports = run_suite(small_config(suite="interpolation", trials=1))
     assert len(reports) == 3 and all(r.passed for r in reports)
-    # h's witness serves the boundary-norm and consistency reports, the
-    # three-lines check builds its own pair; every witness and the dual
-    # extremizer read the factors h and f memoize: one SVD per entry each
-    assert len(witnesses) == 2
-    assert len(svds) == 2 * len(preset_dual("s3").entries)
+    # h's witness on the two boundary lines serves all three reports, and the
+    # three-lines check pairs it with f's dual witness on the same lines; every
+    # witness and the dual extremizer read the factors h and f memoize: one
+    # SVD per entry each
+    assert len(witnesses) == 1
+    entries = len(preset_dual("s3").entries)
+    assert len(svds) == 2 * entries
+    # per entry: 18 boundary points for each of f and g, and one extremizer
+    assert sum(composed) == 37 * entries
 
 
 def test_holder_chunk_factors_each_field_once(monkeypatch):

@@ -17,10 +17,9 @@ from dualnorm.duality import dual_extremizer, pairing
 from dualnorm.interpolation import (
     DEFAULT_T_GRID,
     InterpSpec,
+    boundary_witness,
     boundary_witness_check,
-    boundary_witness_norms,
     interp_norm_consistency,
-    strip_function,
     three_lines_check,
     witness_f,
     witness_g,
@@ -124,7 +123,8 @@ def test_witness_scalar_entries_match_classical_formula():
 @pytest.mark.parametrize("seed", range(10))
 def test_witness_boundary_norms_are_one(spec, seed):
     h = random_field(preset_dual("s3"), mix_seed("bnorm", seed))
-    n0, n1 = boundary_witness_norms(h, spec)
+    left, right = boundary_witness(h, spec)
+    n0, n1 = lp_sch_norm(left, spec.p0).tolist(), lp_sch_norm(right, spec.p1).tolist()
     for v in n0 + n1:
         assert v == pytest.approx(1.0, abs=1e-9)
 
@@ -171,7 +171,8 @@ def test_three_lines_factors_each_block_once(monkeypatch):
     svd = matcore.svd
     monkeypatch.setattr(matcore, "svd", lambda a: calls.append(a.shape) or svd(a))
     m = preset_dual("s3")
-    three_lines_check(random_field(m, 1), random_field(m, 2), SPEC_1_2)
+    h = random_field(m, 1)
+    three_lines_check(h, random_field(m, 2), SPEC_1_2, boundary_witness(h, SPEC_1_2))
     assert len(calls) == 2 * len(m.entries)  # one factorization per block per witness
 
 
@@ -209,13 +210,15 @@ def test_boundary_norms_and_three_lines_evaluate_the_grid_as_one_batch(monkeypat
         monkeypatch.setattr(matcore, name, lambda a, k=kernel, n=name: kernels.append(n) or k(a))
     pair = interpolation.pairing
     monkeypatch.setattr(interpolation, "pairing", lambda a, b: pairs.append(a.batch) or pair(a, b))
-    n0, n1 = boundary_witness_norms(h, SPEC_1_2)
+    lines = boundary_witness(h, SPEC_1_2)
+    n0, n1 = lp_sch_norm(lines[0], SPEC_1_2.p0), lp_sch_norm(lines[1], SPEC_1_2.p1)
     # one normalization, then one norm per strip edge: one kernel call per entry
     # each (singular values, except the Frobenius sum of the 2 x 2 entry at p1 = 2)
     assert len(kernels) == 3 * len(m.entries) and kernels.count("hs_norm") == 1
     assert len(n0) == len(n1) == len(DEFAULT_T_GRID)
-    three_lines_check(h, f, SPEC_1_2)
-    assert pairs == [(2, len(DEFAULT_T_GRID)), ()]  # the boundary grid, then the center
+    three_lines_check(h, f, SPEC_1_2, lines)
+    # each strip edge's grid as one batch, then the center
+    assert pairs == [(len(DEFAULT_T_GRID),)] * 2 + [()]
 
 
 def test_witness_rejects_points_off_strip():
@@ -238,7 +241,7 @@ def test_three_lines_extremizer_saturates_center(spec):
     h = random_field(m, 5)
     h_unit = (1.0 / lp_sch_norm(h, spec.p)) * h
     f = dual_extremizer(h_unit, spec.p)
-    rep = three_lines_check(h, f, spec)
+    rep = three_lines_check(h, f, spec, boundary_witness(h, spec))
     assert rep.passed
     assert abs(pairing(h_unit, f)) == pytest.approx(1.0, abs=1e-9)
 
@@ -249,7 +252,7 @@ def test_three_lines_random_pairs_bounded(spec):
     for k in range(200):
         h = random_field(m, mix_seed("tl", float(spec.p), k, 0))
         f = random_field(m, mix_seed("tl", float(spec.p), k, 1))
-        rep = three_lines_check(h, f, spec)
+        rep = three_lines_check(h, f, spec, boundary_witness(h, spec))
         assert rep.lhs <= 1.0 + 1e-9, f"strip value above 1 at draw {k}: {rep.lhs}"
         assert rep.passed
 
@@ -260,9 +263,10 @@ def test_three_lines_scalar_instance_constant_along_vertical_lines():
     m = preset_dual("torus", 1)
     h = Field(m, (np.array([[2.0]]),))
     f = Field(m, (np.array([[0.7]]),))
-    strip = strip_function(h, f, SPEC_1_2)
+    wf, wg = witness_f(h, SPEC_1_2), witness_g(f, SPEC_1_2)
     for t in (-2.0, 0.0, 1.0):
-        assert abs(strip(0.5 + 1j * t)) == pytest.approx(1.0, abs=1e-12)
+        z = 0.5 + 1j * t
+        assert abs(pairing(wf(z), wg(z))) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- norm consistency ------------------------------------------------------------
@@ -277,9 +281,10 @@ def test_suite_strip_specs_below_at_and_above_2():
 @pytest.mark.parametrize("spec", [SPEC_1_2, SPEC_2_4, InterpSpec.for_target(2.0, 2.0, 2.0)])
 def test_boundary_witness_check_reports_the_norm_farthest_from_one(spec):
     h = random_field(preset_dual("su2_trunc", 3), mix_seed("bw", spec.p))
-    norms = boundary_witness_norms(h, spec)
-    rep = boundary_witness_check(h, spec, norms)
-    worst = max(norms[0] + norms[1], key=lambda v: abs(v - 1.0))
+    lines = boundary_witness(h, spec)
+    rep = boundary_witness_check(h, spec, lines)
+    norms = lp_sch_norm(lines[0], spec.p0).tolist() + lp_sch_norm(lines[1], spec.p1).tolist()
+    worst = max(norms, key=lambda v: abs(v - 1.0))
     inputs = (h, spec.p0, spec.p1, spec.theta)
     assert rep == equality_report(
         "interpolation", "boundary_witness", spec.p, worst, 1.0, inputs, "boundary_witness",
@@ -292,7 +297,7 @@ def test_consistency_random_fields():
     m = preset_dual("s3")
     for k in range(50):
         h = random_field(m, mix_seed("cons", k))
-        rep = interp_norm_consistency(h, SPEC_1_2, boundary_witness_norms(h, SPEC_1_2))
+        rep = interp_norm_consistency(h, SPEC_1_2, boundary_witness(h, SPEC_1_2))
         assert rep.passed, f"consistency failed at draw {k}: {rep}"
 
 
@@ -303,7 +308,7 @@ def test_consistency_equal_endpoints_exact():
     w = witness_f(h, spec)(0.25 + 0.5j)
     h_unit = (1.0 / lp_sch_norm(h, 2.0)) * h
     assert max_block_diff(w, h_unit) <= 1e-12  # witness constant in z
-    rep = interp_norm_consistency(h, spec, boundary_witness_norms(h, spec))
+    rep = interp_norm_consistency(h, spec, boundary_witness(h, spec))
     assert rep.passed and abs(rep.rhs - rep.lhs) <= 1e-10 * max(1.0, rep.lhs)
 
 
@@ -313,7 +318,7 @@ def test_consistency_scalar_model_matches_classical_interpolation():
     m = preset_dual("torus", 4)
     for k in range(25):
         h = random_field(m, mix_seed("scons", k))
-        rep = interp_norm_consistency(h, SPEC_2_4, boundary_witness_norms(h, SPEC_2_4))
+        rep = interp_norm_consistency(h, SPEC_2_4, boundary_witness(h, SPEC_2_4))
         assert rep.passed
 
 
@@ -329,11 +334,12 @@ def test_discrete_cauchy_riemann_residual_small():
     spec = SPEC_1_2
     fd = 1e-4
 
-    val = strip_function(h, f, spec)
+    wf, wg = witness_f(h, spec), witness_g(f, spec)
 
     for x in np.linspace(0.3, 0.7, 5):
         for y in np.linspace(-0.2, 0.2, 5):
-            z0 = complex(x, y)
-            dx = (val(z0 + fd) - val(z0 - fd)) / (2 * fd)
-            dy = (val(z0 + 1j * fd) - val(z0 - 1j * fd)) / (2 * fd)
+            z = complex(x, y) + np.array([fd, -fd, 1j * fd, -1j * fd])
+            val = pairing(wf(z), wg(z))
+            dx = (val[0] - val[1]) / (2 * fd)
+            dy = (val[2] - val[3]) / (2 * fd)
             assert abs(dx + 1j * dy) <= 1e-6
