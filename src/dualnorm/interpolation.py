@@ -14,6 +14,10 @@ scalar function z -> <f(z), g(z)> is then bounded by 1 on both boundary
 lines, and the maximum principle pushes the bound to the interior; the
 checks here verify the computable pieces of that picture on finite grids.
 
+InterpSpec derives p from theta once; InterpSpec.for_target keeps the p it
+is given, so its witnesses and reports carry exactly the exponent asked for
+(the theta computed from it may move the derived p by an ulp or two).
+
 Because the boundary norms are constant, the witnesses do not decay as
 |Im z| grows; nothing is lost by sampling the boundary on a bounded t-grid,
 and no check below depends on behaviour at infinity.
@@ -37,7 +41,7 @@ act on the support only.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,11 +67,12 @@ DEFAULT_T_GRID = tuple(k / 2 for k in range(-4, 5))
 
 @dataclass(frozen=True)
 class InterpSpec:
-    """Endpoint exponents p0, p1 (finite) and the interior point theta."""
+    """Endpoint exponents p0, p1 (finite), the interior point theta and the exponent p there."""
 
     p0: ExponentP
     p1: ExponentP
     theta: float
+    p: ExponentP = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p0", ExponentP.parse(self.p0))
@@ -76,15 +81,12 @@ class InterpSpec:
             raise ValueError("endpoint exponents must be finite")
         if not (0.0 < self.theta < 1.0):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-
-    @property
-    def p(self) -> ExponentP:
         inv = (1.0 - self.theta) / self.p0 + self.theta / self.p1
-        return ExponentP(1.0 / inv)
+        object.__setattr__(self, "p", ExponentP(1.0 / inv))
 
     @classmethod
     def for_target(cls, p0, p1, p) -> "InterpSpec":
-        """Endpoint pair with theta chosen so the derived exponent equals p."""
+        """Endpoint pair with theta chosen for p; the spec's exponent is p itself."""
         p0 = ExponentP.parse(p0)
         p1 = ExponentP.parse(p1)
         p = ExponentP.parse(p)
@@ -95,7 +97,9 @@ class InterpSpec:
         theta = (1.0 / p0 - 1.0 / p) / (1.0 / p0 - 1.0 / p1)
         if not (0.0 < theta < 1.0):
             raise ValueError(f"target exponent {p} is not between {p0} and {p1}")
-        return cls(p0, p1, theta)
+        spec = cls(p0, p1, theta)
+        object.__setattr__(spec, "p", p)
+        return spec
 
 
 def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., Field]:

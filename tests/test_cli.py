@@ -721,6 +721,19 @@ def test_interpolation_trial_builds_each_witness_once(monkeypatch):
     assert sum(composed) == 37 * entries
 
 
+def test_interpolation_reports_carry_the_exponent_asked_for(tmp_path):
+    # theta's rounding moves the exponent derived from it by an ulp or two at
+    # these p; each report names the p of its case id, bit for bit
+    path = tmp_path / "interp.json"
+    argv = ["verify", "interpolation", "--dual", "s3", "--p", "1.46,5,7.1", "--trials", "2"]
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    assert len(doc) == 18
+    for report in doc:
+        case_p = report["case_id"].split("[p=")[1].split("]")[0]
+        assert report["p"] == float(case_p), report["case_id"]
+
+
 def test_holder_chunk_factors_each_field_once(monkeypatch):
     calls = []
     kernel = matcore.singular_values
@@ -813,8 +826,8 @@ GOLDEN = [
      "30df78d1ee326a21", 313, "43e1f23a06689e47"),
     ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "707cd9f1625197a1", "8fc6663c403fb468",
      "575f3770d4107ab0", 252, "e23f14cc1f25b55a"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "acfa92393701e0b8", "26d99fce67ae4089",
-     "0c2f89241d75c2e0", 174, "27befb38b782994d"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "e917de8a9888975e", "db7ea76ba0d385a7",
+     "e8b8ade46a3d57ef", 174, "27befb38b782994d"),
     ("custom(1,3)", "1.5,2.5", "hs", None, 127, "a6a44a7cd81bfa6a", "be16685f3612a25d",
      "22ec9f7a54264388", 113, "5cae59af955de0c5"),
 ]
