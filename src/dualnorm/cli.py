@@ -20,8 +20,10 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,6 +97,8 @@ class SuiteConfig:
     tol_override: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.dual, DualModel):
+            raise ConfigError(f"dual must be a DualModel, got {self.dual!r}")
         for name in ("trials", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):
@@ -102,23 +106,28 @@ class SuiteConfig:
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if not self.p_list:
+        if isinstance(self.p_list, (str, bytes)) or not isinstance(self.p_list, Iterable):
+            raise ConfigError(f"p_list must be a collection of exponents, got {self.p_list!r}")
+        p_list = tuple(self.p_list)
+        if not p_list:
             raise ConfigError("p_list must be non-empty")
         if self.family not in (*FAMILIES, "both"):
             raise ConfigError(f"unknown family {self.family!r}")
         if not -(2**127) <= self.seed < 2**127:  # mix_seed's 16-byte signed encoding
             raise ConfigError(f"seed must lie in [-2^127, 2^127), got {self.seed}")
-        # --tol scales every tolerance by tol_override / TOL_REL; an infinite
-        # factor would turn an exact check's tol (0) into nan
-        if self.tol_override is not None and not (
-            self.tol_override >= 0.0 and math.isfinite(self.tol_override / TOL_REL)
-        ):
-            raise ConfigError(
-                f"tolerance TOL must be >= 0 with TOL / {TOL_REL:g} finite, got {self.tol_override}"
-            )
+        tol = self.tol_override
+        if tol is not None:
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+                raise ConfigError(f"tol_override must be a real number or None, got {tol!r}")
+            # --tol scales every tolerance by tol_override / TOL_REL; an infinite
+            # factor would turn an exact check's tol (0) into nan
+            if not (tol >= 0.0 and math.isfinite(tol / TOL_REL)):
+                raise ConfigError(
+                    f"tolerance TOL must be >= 0 with TOL / {TOL_REL:g} finite, got {tol}"
+                )
         # an exponent equal in value to an earlier one would repeat its case ids
         try:
-            p_list = tuple(dict.fromkeys(ExponentP.parse(p) for p in self.p_list))
+            p_list = tuple(dict.fromkeys(ExponentP.parse(p) for p in p_list))
         except ValueError as exc:
             raise ConfigError(f"bad exponent: {exc}") from exc
         for p in p_list:  # p and 2p (an interpolation endpoint) need conjugates: 2p <= 2^53

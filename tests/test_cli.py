@@ -107,6 +107,18 @@ def test_suite_config_rejects_numbers_of_the_wrong_kind(kw):
         small_config(**kw)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [dict(dual="s3"), dict(dual=None), dict(p_list="23"), dict(p_list="1.5"),
+     dict(p_list=b"2"), dict(p_list=1.5), dict(tol_override=True), dict(tol_override="1e-6"),
+     dict(tol_override=[1e-6]), dict(tol_override=1 + 0j)],
+)
+def test_suite_config_rejects_values_of_the_wrong_kind(kw):
+    # text is not a list of exponents, and a bool is not a tolerance
+    with pytest.raises(ConfigError):
+        small_config(**kw)
+
+
 def test_suite_config_keeps_integral_trials_and_seed_as_ints():
     cfg = small_config(trials=np.int64(2), seed=np.int32(3))
     assert (cfg.trials, cfg.seed) == (2, 3) and type(cfg.trials) is type(cfg.seed) is int
