@@ -159,7 +159,10 @@ def _edges() -> np.ndarray:
 
 
 def boundary_witness(h: Field, spec: InterpSpec) -> tuple[Field, Field]:
-    """(f(it), f(1 + it)) over the t-grid: two batch Fields of batch shape h.batch + (9,)."""
+    """(f(it), f(1 + it)) over DEFAULT_T_GRID, the witness of h on the two boundary lines.
+
+    Each line is a batch Field of batch shape h.batch + (len(DEFAULT_T_GRID),).
+    """
     at = witness_f(h, spec)
     return tuple(at(z) for z in _edges())
 

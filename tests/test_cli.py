@@ -100,21 +100,13 @@ def test_suite_config_validation():
 @pytest.mark.parametrize(
     "kw",
     [dict(trials=True), dict(seed=True), dict(seed=1.5), dict(trials=2.5), dict(seed="7"),
-     dict(p_list=(True,))],
+     dict(p_list=(True,)),
+     # text is not a list of exponents, a bool is not a tolerance, a name is not a model
+     dict(p_list="23"), dict(p_list="1.5"), dict(p_list=b"2"), dict(p_list=1.5),
+     dict(tol_override=True), dict(tol_override="1e-6"), dict(tol_override=[1e-6]),
+     dict(tol_override=1 + 0j), dict(dual="s3"), dict(dual=None)],
 )
 def test_suite_config_rejects_numbers_of_the_wrong_kind(kw):
-    with pytest.raises(ConfigError):
-        small_config(**kw)
-
-
-@pytest.mark.parametrize(
-    "kw",
-    [dict(dual="s3"), dict(dual=None), dict(p_list="23"), dict(p_list="1.5"),
-     dict(p_list=b"2"), dict(p_list=1.5), dict(tol_override=True), dict(tol_override="1e-6"),
-     dict(tol_override=[1e-6]), dict(tol_override=1 + 0j)],
-)
-def test_suite_config_rejects_values_of_the_wrong_kind(kw):
-    # text is not a list of exponents, and a bool is not a tolerance
     with pytest.raises(ConfigError):
         small_config(**kw)
 
