@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -384,6 +386,28 @@ def assert_matches_loop(model, p, family, samples, seed, eps_bins=None):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_moduli_samplers_match_loop_oracle(dual, family, p):
     assert_matches_loop(parse_dual_arg(dual), p, family, 120, mix_seed("oracle", dual, family, p))
+
+
+# Both samplers' exact estimates on s3 at the benchmark's 500 samples, hashed
+# per (p, family): (kind, epsilon_or_t, estimate, bound, samples) as hex floats.
+SAMPLER_GOLDEN = [
+    (1.5, "sch", "6510c1e068cd679a"),
+    (1.5, "hs", "9eae2d78b6959af6"),
+    (2.0, "sch", "4bc4e4bd5185cd51"),
+    (2.0, "hs", "ffef3576f1c02ea8"),
+    (3.0, "sch", "a7d318894ffa2f5d"),
+    (3.0, "hs", "056a5b1a6dd62b59"),
+]
+
+
+@pytest.mark.parametrize("p,family,sha", SAMPLER_GOLDEN)
+def test_sampler_golden_bytes(p, family, sha):
+    seed = mix_seed("sampler_golden", p, family)
+    conv = modulus_convexity_sample(S3, p, family, samples=500, seed=seed)
+    smooth = modulus_smoothness_sample(S3, p, family, samples=500, seed=seed)
+    rows = [(e.kind, e.epsilon_or_t.hex(), float(e.estimate).hex(), e.bound.hex(), e.samples)
+            for e in conv + smooth]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == sha
 
 
 def test_modulus_convexity_overlapping_bins_first_match_only():
