@@ -304,7 +304,7 @@ def _suite_moduli(cfg: SuiteConfig):
     for p in _interior(cfg):
         for family in cfg.families:
             convexity, smoothness = ineq._moduli_pass(
-                cfg.dual, p, family, ineq.default_eps_bins(), ineq._SMOOTHNESS_T_GRID, samples,
+                cfg.dual, p, family, True, ineq._SMOOTHNESS_T_GRID, samples,
                 mix_seed(cfg.seed, cfg.suite, p, family),
             )
             occupied = [est for est in convexity if not est.skipped]

@@ -6,7 +6,8 @@ parallelogram identity:
 * Clarkson inequalities (midpoint vs endpoints, conjugate exponents),
 * two-point inequalities with explicit constants 2p - 1 and (p-1)/(p+1),
 * sampled lower bounds on the modulus of convexity and upper bounds on the modulus
-  of smoothness, from one pass over the same unit pairs (the two samplers are its views),
+  of smoothness, from one pass over the same unit pairs (the two samplers are its views);
+  the convexity bins are one fixed tiling of [0.1, 2) by ``CONVEXITY_EDGES``,
 * exhaustive Rademacher sign averages and the type/cotype comparisons,
 * the rearranged-Clarkson gap behind the Kadec-Klee property (in units of
   its power mean), and the finite comparison behind summability.
@@ -57,7 +58,7 @@ __all__ = [
     "smoothness_upper_bound",
     "hilbert_convexity_modulus",
     "hilbert_smoothness_modulus",
-    "default_eps_bins",
+    "CONVEXITY_EDGES",
     "modulus_convexity_sample",
     "modulus_smoothness_sample",
     "rademacher_average",
@@ -67,7 +68,9 @@ __all__ = [
 ]
 
 RADEMACHER_MAX_TERMS = 20
-DEFAULT_BIN_WIDTH = 0.1
+# The 20 edges 0.1 .. 2.0 of the 19 convexity bins, which tile [0.1, 2): bin k
+# is [CONVEXITY_EDGES[k], CONVEXITY_EDGES[k + 1]), and its estimate's lower edge.
+CONVEXITY_EDGES = tuple(round(0.1 * k, 10) for k in range(1, 21))
 _SMOOTHNESS_T_GRID = (0.1, 0.5, 1.0)  # modulus_smoothness_sample's default t-grid
 
 
@@ -239,11 +242,6 @@ class ModulusEstimate:
         raise ValueError(f"unknown modulus kind {self.kind!r}")
 
 
-def default_eps_bins() -> tuple[float, ...]:
-    """Bin lower edges 0.1 .. 1.9 (width 0.1) covering separations in (0, 2)."""
-    return tuple(round(0.1 * k, 10) for k in range(1, 20))
-
-
 # Complex entries held per stacked batch of fields (every entry's stack of
 # one chunk of draws or of trials; see _chunks): bounds the memory of the
 # suites and samplers whatever the model size.
@@ -276,22 +274,28 @@ def _draws(model: DualModel, keys, start: int, rows: int):
     return a, b, np.cos(t), np.sin(t)
 
 
-def _unit_pairs(
-    model: DualModel, p: float, family: str, seed: int, samples: int, fields_per_row: int = 1
-):
-    """Yield chunks (h1, h2) of unit-norm pairs whose separation sweeps the whole of (0, 2).
+def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
+    """Both samplers' estimates, (convexity, smoothness), from one walk over the same unit pairs.
 
     h1 is a normalized ginibre draw; h2 mixes it with an independent draw
     at a uniformly random angle, so near-equal and near-antipodal pairs both
     occur.  Only unit-norm membership matters for soundness of the modulus
-    estimates.  Each chunk holds its pairs as two batch Fields, and is a
-    ``_chunks`` range of ``fields_per_row`` fields a pair: the fields the
-    caller stacks from each pair.
+    estimates.  Each ``_chunks`` range of pairs is held as two batch Fields
+    and reduced in one stack of norms; with ``convexity`` false, or an empty
+    ``t_grid``, the pass forms none of that estimate's norms.
     """
+    p = _finite_interior(p)
+    ts = [float(t) for t in t_grid]
+    if any(t < 0.0 for t in ts):
+        raise ValueError("smoothness grid points must be non-negative")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
-    for chunk in _chunks(model, samples, fields_per_row):
+    bins = len(CONVEXITY_EDGES) - 1
+    lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
+    highest = [-math.inf] * len(ts)
+    stacked = 2 * len(ts) + (2 if convexity else 0)  # fields per pair in the stack of its norms
+    for chunk in _chunks(model, samples, max(1, stacked)):
         a, b, cos_t, sin_t = _draws(model, keys, chunk.start, len(chunk))
         norm_a, norm_b = field_norms((a, b), p, family)
         if not (norm_a.all() and norm_b.all()):
@@ -302,45 +306,26 @@ def _unit_pairs(
         flat = norm == 0.0  # measure-zero degenerate mix; fall back to the raw draw
         if flat.any():
             mixed, norm = mixed + flat * g, np.where(flat, 1.0, norm)
-        yield h1, (1.0 / norm) * mixed
-
-
-def _moduli_pass(model, p, family, eps_bins, t_grid, samples, seed):
-    """Both samplers' estimates, (convexity, smoothness), from one walk over the same unit pairs.
-
-    An empty grid (``eps_bins`` or ``t_grid``) forms none of its estimate's norms.
-    """
-    p = _finite_interior(p)
-    edges = tuple(float(e) for e in eps_bins)
-    if any(not (0.0 <= e <= 2.0) for e in edges):
-        raise ValueError("bin edges must lie in [0, 2]")
-    ts = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in ts):
-        raise ValueError("smoothness grid points must be non-negative")
-    lowest, counts = {e: math.inf for e in edges}, {e: 0 for e in edges}
-    highest = [-math.inf] * len(ts)
-    stacked = 2 * len(ts) + (2 if edges else 0)  # fields per pair in the stack of its norms
-    for h1, h2 in _unit_pairs(model, p, family, seed, samples, max(1, stacked)):
+        h2 = (1.0 / norm) * mixed
         fields = [x for t in ts for x in (h1 + t * h2, h1 - t * h2)]
-        if edges:
+        if convexity:
             fields += [h1 - h2, 0.5 * (h1 + h2)]
         norms = field_norms(fields, p, family)
         for i in range(len(ts)):
             plus, minus = norms[2 * i], norms[2 * i + 1]
             highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
-        if edges:
+        if convexity:
             # unit pairs lie at most 2 apart: a separation rounded up to 2 counts just below it
-            eps, midgap = np.minimum(norms[-2], np.nextafter(2.0, 0.0)), 1.0 - norms[-1]
-            free = np.ones(eps.shape, dtype=bool)
-            for e in edges:
-                hit = free & (e <= eps) & (eps < e + DEFAULT_BIN_WIDTH)
-                if hit.any():
-                    counts[e] += int(hit.sum())
-                    lowest[e] = min(lowest[e], float(midgap[hit].min()))
-                    free &= ~hit
+            eps = np.minimum(norms[-2], np.nextafter(2.0, 0.0))
+            k = np.searchsorted(CONVEXITY_EDGES, eps, side="right") - 1
+            hit = k >= 0  # -1: below the first edge, in no bin
+            counts += np.bincount(k[hit], minlength=bins)
+            np.minimum.at(lowest, k[hit], 1.0 - norms[-1][hit])
+    edges = CONVEXITY_EDGES[:-1] if convexity else ()
     return (
-        [ModulusEstimate(e, lowest[e] if counts[e] else math.nan, convexity_lower_bound(p, e),
-                         "convexity_lower", counts[e]) for e in edges],
+        [ModulusEstimate(e, float(lowest[k]) if counts[k] else math.nan,
+                         convexity_lower_bound(p, e), "convexity_lower", int(counts[k]))
+         for k, e in enumerate(edges)],
         [ModulusEstimate(t, highest[i] if samples else math.nan, smoothness_upper_bound(p, t),
                          "smoothness_upper", samples) for i, t in enumerate(ts)],
     )
@@ -350,22 +335,20 @@ def modulus_convexity_sample(
     model: DualModel,
     p,
     family: str,
-    eps_bins=None,
     samples: int = 1000,
     seed: int = 0,
 ) -> list[ModulusEstimate]:
     """Per-bin sampled infimum of 1 - ||(H1+H2)/2|| over unit pairs.
 
-    Pairs are binned by ||H1 - H2||, each in the first bin whose range
-    [e, e + DEFAULT_BIN_WIDTH) holds it (a width of 0.1, the spacing of
-    ``default_eps_bins``), a separation measured at 2 or above counting as
-    just below 2 (unit pairs lie at most 2 apart); each bin's estimate is
+    Pairs are binned by ||H1 - H2||: bin k is [CONVEXITY_EDGES[k],
+    CONVEXITY_EDGES[k + 1]), and the 19 bins tile [0.1, 2).  A separation
+    below 0.1 lands in no bin, and one measured at 2 or above counts as just
+    below 2 (unit pairs lie at most 2 apart).  Each bin's estimate is
     compared against the proved lower bound at the bin's lower edge (the
     bound is increasing, so that comparison is sound for every pair landing
     in the bin).
     """
-    edges = default_eps_bins() if eps_bins is None else eps_bins
-    return _moduli_pass(model, p, family, edges, (), samples, seed)[0]
+    return _moduli_pass(model, p, family, True, (), samples, seed)[0]
 
 
 def modulus_smoothness_sample(
@@ -377,7 +360,7 @@ def modulus_smoothness_sample(
     seed: int = 0,
 ) -> list[ModulusEstimate]:
     """Per-t sampled supremum of (||H1 + t H2|| + ||H1 - t H2||)/2 - 1."""
-    return _moduli_pass(model, p, family, (), t_grid, samples, seed)[1]
+    return _moduli_pass(model, p, family, False, t_grid, samples, seed)[1]
 
 
 # -- Rademacher averages, type and cotype ------------------------------------

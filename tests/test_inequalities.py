@@ -21,10 +21,10 @@ from dualnorm.dualmodel import (
     zero_field,
 )
 from dualnorm.inequalities import (
+    CONVEXITY_EDGES,
     ModulusEstimate,
     clarkson_check,
     convexity_lower_bound,
-    default_eps_bins,
     hilbert_convexity_modulus,
     hilbert_smoothness_modulus,
     kadec_klee_gap,
@@ -271,20 +271,18 @@ def test_modulus_convexity_hilbert_case_matches_closed_form():
 
 
 def test_modulus_convexity_small_eps_estimates_vanish():
-    ests = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(0.05,), samples=4000, seed=3)
+    ests = modulus_convexity_sample(S3, 1.5, "sch", samples=4000, seed=3)
     est = ests[0]
-    assert not est.skipped
+    assert est.epsilon_or_t == 0.1 and not est.skipped
     assert 0.0 <= est.estimate <= 0.01
 
 
 @pytest.mark.parametrize("family", ["sch", "hs"])
 def test_modulus_convexity_bounds_p15(family):
-    ests = modulus_convexity_sample(
-        S3, 1.5, family, eps_bins=(0.5, 1.0, 1.5), samples=3000, seed=7
-    )
+    ests = modulus_convexity_sample(S3, 1.5, family, samples=3000, seed=7)
     for est in ests:
-        assert not est.skipped
         assert est.passed(), f"convexity bound violated: {est}"
+    assert not any(est.skipped for est in ests if est.epsilon_or_t in (0.5, 1.0, 1.5))
 
 
 def test_modulus_smoothness_zero_t():
@@ -313,8 +311,8 @@ def test_modulus_smoothness_bounds_p3(family):
 
 
 def test_modulus_empty_bin_flagged():
-    ests = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(0.5,), samples=0, seed=0)
-    assert ests[0].skipped and ests[0].passed()
+    ests = modulus_convexity_sample(S3, 1.5, "sch", samples=0, seed=0)
+    assert all(est.skipped and est.passed() for est in ests)
     smooth = modulus_smoothness_sample(S3, 1.5, "sch", samples=0, seed=0)
     assert all(math.isnan(est.estimate) and est.skipped for est in smooth)
 
@@ -339,19 +337,19 @@ def loop_unit_pair(model, p, family, seed, draw):
     return h1, (1.0 / norm) * mixed
 
 
-def loop_convexity_sample(model, p, family, edges, samples, seed):
-    """(counts, best) per bin edge; a pair lands in the first bin that holds it."""
-    best = {e: math.inf for e in edges}
-    counts = {e: 0 for e in edges}
+def loop_convexity_sample(model, p, family, samples, seed):
+    """(counts, best) per lower edge; a pair lands in the bin [lower, upper) that holds it."""
+    edges = CONVEXITY_EDGES
+    best = {e: math.inf for e in edges[:-1]}
+    counts = {e: 0 for e in edges[:-1]}
     for k in range(samples):
         h1, h2 = loop_unit_pair(model, p, family, seed, k)
         eps = min(field_norm(h1 - h2, p, family), math.nextafter(2.0, 0.0))  # unit pairs: <= 2
         midgap = 1.0 - field_norm(0.5 * (h1 + h2), p, family)
-        for e in edges:
-            if e <= eps < e + 0.1:
-                counts[e] += 1
-                best[e] = min(best[e], midgap)
-                break
+        for lower, upper in zip(edges, edges[1:]):
+            if lower <= eps < upper:
+                counts[lower] += 1
+                best[lower] = min(best[lower], midgap)
     return counts, best
 
 
@@ -365,10 +363,9 @@ def loop_smoothness_sample(model, p, family, t_grid, samples, seed):
     return best
 
 
-def assert_matches_loop(model, p, family, samples, seed, eps_bins=None):
-    edges = default_eps_bins() if eps_bins is None else eps_bins
-    counts, best = loop_convexity_sample(model, p, family, edges, samples, seed)
-    ests = modulus_convexity_sample(model, p, family, eps_bins=edges, samples=samples, seed=seed)
+def assert_matches_loop(model, p, family, samples, seed):
+    counts, best = loop_convexity_sample(model, p, family, samples, seed)
+    ests = modulus_convexity_sample(model, p, family, samples=samples, seed=seed)
     for est in ests:
         assert est.samples == counts[est.epsilon_or_t], est
         if est.samples:
@@ -410,14 +407,6 @@ def test_sampler_golden_bytes(p, family, sha):
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == sha
 
 
-def test_modulus_convexity_overlapping_bins_first_match_only():
-    # [0.5, 0.6) and [0.55, 0.65) overlap: a pair in [0.55, 0.6) counts in 0.5 only
-    seed = 5
-    ests = assert_matches_loop(S3, 1.5, "sch", 400, seed, eps_bins=(0.5, 0.55))
-    alone = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(0.5,), samples=400, seed=seed)
-    assert ests[0] == alone[0] and ests[0].samples > 0 and ests[1].samples > 0
-
-
 @pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)"])
 @pytest.mark.parametrize("family", ["sch", "hs"])
 def test_moduli_samplers_independent_of_chunk_size(monkeypatch, dual, family):
@@ -456,9 +445,8 @@ def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
     monkeypatch.setattr(inequalities, "_draws", _antipodal_draws)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no division by the zero norm
-        # bins [1.9, 2.0) and [2.0, 2.1): a separation of 2 counts just below 2, however it
-        # rounds, so the first bin takes all 30 pairs and the second none
-        conv = modulus_convexity_sample(S3, 1.5, "sch", eps_bins=(1.9, 2.0), samples=30, seed=3)
+        # a separation of 2 counts just below 2, however it rounds, so no pair is dropped
+        conv = modulus_convexity_sample(S3, 1.5, "sch", samples=30, seed=3)
         smooth = modulus_smoothness_sample(S3, 1.5, "sch", samples=30, seed=3)
     assert sum(est.samples for est in conv) == 30
     assert all(est.estimate == 1.0 for est in conv if est.samples)
@@ -522,15 +510,13 @@ def test_moduli_suite_draws_each_pair_once(monkeypatch, budget):
 
 
 @pytest.mark.parametrize(
-    "eps_bins,t_grid",
-    [(default_eps_bins(), (0.1, 0.5, 1.0)), ((0.5, 0.55, 1.2), (0.0, 0.3, 2.0))],
-    ids=["default", "custom"],
+    "t_grid", [(0.1, 0.5, 1.0), (0.0, 0.3, 2.0)], ids=["default", "custom"]
 )
 @pytest.mark.parametrize("family", ["sch", "hs"])
-def test_moduli_pass_returns_both_views(eps_bins, t_grid, family):
+def test_moduli_pass_returns_both_views(t_grid, family):
     model = parse_dual_arg("su2_trunc(3)")
-    both = inequalities._moduli_pass(model, 1.5, family, eps_bins, t_grid, 60, 9)
-    conv = modulus_convexity_sample(model, 1.5, family, eps_bins, 60, 9)
+    both = inequalities._moduli_pass(model, 1.5, family, True, t_grid, 60, 9)
+    conv = modulus_convexity_sample(model, 1.5, family, 60, 9)
     smooth = modulus_smoothness_sample(model, 1.5, family, t_grid, 60, 9)
     assert both == (conv, smooth) and any(est.samples for est in conv)
 
@@ -559,7 +545,7 @@ def test_moduli_views_form_only_their_own_norms(monkeypatch):
     unit = 3  # the two draws and their mix, to normalize
     assert norms_per_pair(modulus_convexity_sample, samples=10) == unit + 2
     assert norms_per_pair(modulus_smoothness_sample, t_grid, samples=10) == unit + 2 * len(t_grid)
-    both = norms_per_pair(inequalities._moduli_pass, default_eps_bins(), t_grid, 10, 0)
+    both = norms_per_pair(inequalities._moduli_pass, True, t_grid, 10, 0)
     assert both == unit + 2 + 2 * len(t_grid)
 
 
@@ -608,9 +594,39 @@ def test_moduli_sampler_memory_bounded_by_chunk():
 
 
 def test_default_bins_cover_unit_interval():
-    bins = default_eps_bins()
-    assert bins[0] == pytest.approx(0.1) and bins[-1] == pytest.approx(1.9)
-    assert len(bins) == 19
+    edges = CONVEXITY_EDGES
+    assert edges[0] == pytest.approx(0.1) and edges[-2] == pytest.approx(1.9)
+    assert edges[-1] == 2.0 and len(edges) == 20 and list(edges) == sorted(set(edges))
+
+
+def test_each_separation_lands_in_the_bin_that_holds_it(monkeypatch):
+    # every edge, both float neighbours of each edge, and 0.7 + 0.1 in floating point
+    seps = [0.7 + 0.1] + [x for e in CONVEXITY_EDGES
+                          for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 3.0))]
+    gaps = [(i + 1) * 2.0**-12 for i in range(len(seps))]  # pair i's midgap, exact in binary
+    stacked = inequalities.field_norms
+    calls = []
+
+    def separations(fields, *args):  # the pairs' draws, then their separations and midpoints
+        calls.append(1)
+        real = stacked(fields, *args)
+        return real if len(calls) == 1 else [np.array(seps), 1.0 - np.array(gaps)]
+
+    monkeypatch.setattr(inequalities, "field_norms", separations)
+    ests = modulus_convexity_sample(S3, 1.5, "sch", samples=len(seps), seed=0)
+    assert len(calls) == 2  # one chunk
+    edges = CONVEXITY_EDGES
+    counts, lowest = [0] * len(ests), [math.inf] * len(ests)
+    for sep, gap in zip(seps, gaps):
+        eps = min(sep, math.nextafter(2.0, 0.0))
+        holding = [k for k in range(len(ests)) if edges[k] <= eps < edges[k + 1]]
+        assert len(holding) == (1 if eps >= 0.1 else 0)
+        for k in holding:
+            counts[k] += 1
+            lowest[k] = min(lowest[k], gap)
+    assert [est.samples for est in ests] == counts
+    assert [est.estimate for est in ests] == lowest
+    assert [est.epsilon_or_t for est in ests] == list(edges[:-1])
 
 
 # -- Rademacher averages ---------------------------------------------------------
