@@ -325,13 +325,18 @@ def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
 _PHILOX_BLOCK = 4  # 64-bit words per Philox counter value
 
 
+def _check_rows(key, start: int, rows: int) -> None:
+    """Raise ValueError unless key, start and rows are integers (not bools), start and rows >= 0."""
+    if not all(_is_integer(x) for x in (key, start, rows)) or start < 0 or rows < 0:
+        raise ValueError(f"key, start and rows must be integers >= 0: {key!r}, {start!r}, {rows!r}")
+
+
 def random_uniforms(key: int, start: int = 0, rows: int = 1) -> np.ndarray:
     """Uniforms on [0, 1) of rows start .. start + rows - 1: row r is word r of the stream.
 
     A word's top 53 bits make its uniform.
     """
-    if start < 0 or rows < 0:
-        raise ValueError(f"start and rows must be non-negative, got {start} and {rows}")
+    _check_rows(key, start, rows)
     skip = start % _PHILOX_BLOCK
     # a bit generator per call: no state is shared between calls or threads
     bits = np.random.Philox(key=key, counter=start // _PHILOX_BLOCK)
@@ -348,6 +353,7 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
     finite), read in entry order: a block's d^2 real parts, then its d^2
     imaginary parts, each scaled by 1/sqrt(2) for unit E|z|^2.
     """
+    _check_rows(key, start, rows)
     sizes = [d * d for d in model.dims]
     width = 2 * sum(sizes)
     stride = -(-width // _PHILOX_BLOCK) * _PHILOX_BLOCK

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualmodel import DualModel, Field, _trusted, mix_seed, random_stacks, random_uniforms
+from .dualmodel import _is_integer
 from .matcore import power_sum
 from .norms import ExponentP, field_norm, field_norms
 from .report import (
@@ -286,8 +287,10 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
     """
     p = _finite_interior(p)
     ts = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in ts):
-        raise ValueError("smoothness grid points must be non-negative")
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError(f"smoothness grid points must be finite and non-negative, got {ts}")
+    if not (_is_integer(samples) and _is_integer(seed)):
+        raise ValueError(f"samples and seed must be integers, got {samples!r} and {seed!r}")
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
     keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]

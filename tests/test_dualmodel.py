@@ -240,6 +240,25 @@ def test_random_stacks_reject_negative_rows():
     assert [s.shape for s in random_stacks(m, 1, start=4, rows=0).blocks] == [(0, 1, 1), (0, 1, 1), (0, 2, 2)]
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.9, 2.0, True, False, "3", None])
+def test_draws_take_integer_keys_and_rows_only(bad):
+    # no bool, float or text is coerced: 1.9 and True used to draw key 1, "3" key 3
+    m = preset_dual("s3")
+    for call in (lambda: random_field(m, bad), lambda: random_stacks(m, bad),
+                 lambda: random_stacks(m, 1, start=bad), lambda: random_stacks(m, 1, rows=bad),
+                 lambda: random_uniforms(bad), lambda: random_uniforms(2, start=bad),
+                 lambda: random_uniforms(2, 0, bad)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_draws_take_numpy_integer_keys_and_rows():
+    m = preset_dual("s3")
+    drawn = random_stacks(m, np.uint64(7), np.int64(2), np.int32(3))
+    assert drawn == random_stacks(m, 7, 2, 3)
+    assert random_uniforms(np.int64(2), 0, 2).tobytes() == random_uniforms(2, 0, 2).tobytes()
+
+
 def test_random_field_hermitian():
     m = preset_dual("su2_trunc", 4)
     h = random_field(m, 42, "hermitian")

@@ -480,6 +480,29 @@ def test_moduli_samplers_reject_negative_sample_counts():
         modulus_smoothness_sample(S3, 1.5, "sch", samples=-5, seed=0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+def test_smoothness_sampler_rejects_grid_points_that_are_not_finite_and_non_negative(t):
+    # nan and inf once gave an estimate of -inf, and at inf a passing one
+    with pytest.raises(ValueError):
+        modulus_smoothness_sample(S3, 1.5, "sch", t_grid=(0.5, t), samples=5, seed=1)
+
+
+@pytest.mark.parametrize("arg", ["samples", "seed"])
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0, "1"])
+@pytest.mark.parametrize("sampler", [modulus_convexity_sample, modulus_smoothness_sample])
+def test_moduli_samplers_take_integer_samples_and_seeds_only(sampler, bad, arg):
+    # samples=True sampled one pair, and a float or text seed keyed the streams by its text
+    kwargs = {"samples": 5, "seed": 1, arg: bad}
+    with pytest.raises(ValueError):
+        sampler(S3, 1.5, "sch", **kwargs)
+
+
+def test_moduli_samplers_take_numpy_integer_samples_and_seeds():
+    for sampler in (modulus_convexity_sample, modulus_smoothness_sample):
+        ests = sampler(S3, 1.5, "sch", samples=np.int64(40), seed=np.uint32(3))
+        assert ests == sampler(S3, 1.5, "sch", samples=40, seed=3)
+
+
 @pytest.mark.parametrize("budget", [None, 1])  # default chunks; one pair per chunk
 def test_moduli_samplers_mix_three_keys_per_call(monkeypatch, budget):
     if budget is not None:
