@@ -256,12 +256,13 @@ def _suite_interpolation(cfg: SuiteConfig):
         # a chunk's witnesses are batches of its trials at every boundary point
         for ks, (h, f) in _trials(cfg, p, fields_per_trial=2 * len(DEFAULT_T_GRID)):
             lines = boundary_witness(h, spec)
+            line_norms = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
             ids = _case_ids(f"boundary_norms[p={p}]", ks)
-            yield from boundary_witness_check(h, spec, lines, case_id=ids)
+            yield from boundary_witness_check(h, spec, line_norms, case_id=ids)
             ids = _case_ids(f"three_lines[p={p}]", ks)
             yield from three_lines_check(h, f, spec, lines, case_id=ids)
             ids = _case_ids(f"consistency[p={p}]", ks)
-            yield from interp_norm_consistency(h, spec, lines, case_id=ids)
+            yield from interp_norm_consistency(h, spec, line_norms, case_id=ids)
 
 
 def _suite_clarkson(cfg: SuiteConfig):

@@ -28,8 +28,8 @@ function of z.  The witness of a field, or of a batch Field h, at strip
 points z is a batch Field of batch shape h.batch + np.shape(z) (a single
 Field for a single field at one point).  boundary_witness(h, spec) is the
 witness of h on the two boundary lines, one batch Field per line over the
-t-grid, built once and taken by all three checks: the boundary-norm and
-consistency checks reduce each line's norm from its own memo, and the
+t-grid, built once: the boundary-norm and consistency checks take its
+norms ||f(it)||_p0 and ||f(1+it)||_p1, reduced once by the suite, and the
 three-lines check pairs each line with the dual witness at the same points.
 Every anchor of the suite has a public check, and each is one function for
 fields and batches: one case id gives the report of single fields, and a
@@ -185,12 +185,13 @@ def three_lines_check(h: Field, f_dual: Field, spec: InterpSpec, lines, *, case_
     )
 
 
-def boundary_witness_check(h: Field, spec: InterpSpec, lines, *, case_id="boundary_witness"):
-    """The boundary norm farthest from 1 equals 1, on ``lines = boundary_witness(h, spec)``.
+def boundary_witness_check(h: Field, spec: InterpSpec, line_norms, *, case_id="boundary_witness"):
+    """The boundary norm farthest from 1 equals 1.
 
-    The norms are ||f(it)||_p0 and ||f(1+it)||_p1, each line reduced from its own memo.
+    ``line_norms`` are ||f(it)||_p0 and ||f(1+it)||_p1 over the t-grid: each
+    line of ``boundary_witness(h, spec)`` reduced by ``lp_sch_norm`` at its exponent.
     """
-    norms = np.concatenate([lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)], -1)
+    norms = np.concatenate(line_norms, -1)
     farthest = np.abs(norms - 1.0).argmax(axis=-1, keepdims=True)
     worst = np.take_along_axis(norms, farthest, axis=-1)[..., 0]
     inputs = (h, spec.p0, spec.p1, spec.theta)
@@ -199,17 +200,17 @@ def boundary_witness_check(h: Field, spec: InterpSpec, lines, *, case_id="bounda
     )
 
 
-def interp_norm_consistency(h: Field, spec: InterpSpec, lines, *, case_id="norm_consistency"):
+def interp_norm_consistency(h: Field, spec: InterpSpec, line_norms, *, case_id="norm_consistency"):
     """Two-sided finite-scale consistency of the derived-exponent norm.
 
-    ``lines`` is ``boundary_witness(h, spec)``, which the caller has
-    already built (and which raises for the zero field).
+    ``line_norms`` are the boundary norms that ``boundary_witness_check``
+    takes (the witness raises for the zero field).
     Upper: ||h||_p is at most the largest boundary norm of the witness
     scaled back by ||h||_p.  Lower: the norming functional realizes
     |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
     """
     p = spec.p
-    bounds0, bounds1 = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
+    bounds0, bounds1 = line_norms
     norm = lp_sch_norm(h, p)
     boundary_max = norm * np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm

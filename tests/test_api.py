@@ -69,6 +69,7 @@ def test_each_check_reports_under_the_suite_that_runs_it():
                                    for j in range(5)]
     spec = interpolation.InterpSpec.for_target(1.0, 2.0, 1.5)
     witness = interpolation.boundary_witness(h1, spec)
+    line_norms = [norms.lp_sch_norm(line, q) for line, q in zip(witness, (spec.p0, spec.p1))]
     small = [(2.0**-j / norms.lp_sch_norm(h1, 1.5)) * h1 for j in range(3)]
     reports = {  # the SUITES key of a suite -> the reports of the public checks it runs
         "norms": [norms.embedding_check(h1, 1.5)],
@@ -79,8 +80,8 @@ def test_each_check_reports_under_the_suite_that_runs_it():
         ],
         "interpolation": [
             interpolation.three_lines_check(h1, f3, spec, witness),
-            interpolation.boundary_witness_check(h1, spec, witness),
-            interpolation.interp_norm_consistency(h1, spec, witness),
+            interpolation.boundary_witness_check(h1, spec, line_norms),
+            interpolation.interp_norm_consistency(h1, spec, line_norms),
         ],
         "clarkson": [inequalities.clarkson_check(h1, h2, 1.5, "sch")],
         "two_point": [

@@ -236,8 +236,8 @@ def oracle_interpolation(cfg):
         for k in range(cfg.trials):
             h, f = row(cfg, k, p, "a"), row(cfg, k, p, "b")
             lines = boundary_witness(h, spec)
-            norms = lp_sch_norm(lines[0], spec.p0).tolist()
-            norms += lp_sch_norm(lines[1], spec.p1).tolist()
+            line_norms = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
+            norms = line_norms[0].tolist() + line_norms[1].tolist()
             yield equality_report(
                 cfg.suite, f"boundary_norms[p={p}][{k:04d}]", p,
                 max(norms, key=lambda v: abs(v - 1.0)), 1.0,
@@ -245,7 +245,7 @@ def oracle_interpolation(cfg):
             )
             yield three_lines_check(h, f, spec, lines, case_id=f"three_lines[p={p}][{k:04d}]")
             yield interp_norm_consistency(
-                h, spec, lines, case_id=f"consistency[p={p}][{k:04d}]"
+                h, spec, line_norms, case_id=f"consistency[p={p}][{k:04d}]"
             )
 
 
@@ -432,6 +432,12 @@ def test_a_single_field_reduces_bit_for_bit_as_its_row_of_a_batch(dual):
 
 
 INTERP = _interp_spec_for(ExponentP(3.0))
+def interp_line_norms(h):
+    """The norms of the two boundary lines of h's witness under INTERP, each at its exponent."""
+    lines = boundary_witness(h, INTERP)
+    return lp_sch_norm(lines[0], INTERP.p0), lp_sch_norm(lines[1], INTERP.p1)
+
+
 # each check on fields h, g, e: one function for single fields and for batches
 MERGED_CHECKS = {
     "embedding": lambda h, g, e, **kw: embedding_check(h, 1.5, **kw),
@@ -446,10 +452,10 @@ MERGED_CHECKS = {
         h, g, INTERP, boundary_witness(h, INTERP), **kw
     ),
     "consistency": lambda h, g, e, **kw: interp_norm_consistency(
-        h, INTERP, boundary_witness(h, INTERP), **kw
+        h, INTERP, interp_line_norms(h), **kw
     ),
     "boundary_witness": lambda h, g, e, **kw: boundary_witness_check(
-        h, INTERP, boundary_witness(h, INTERP), **kw
+        h, INTERP, interp_line_norms(h), **kw
     ),
 }
 

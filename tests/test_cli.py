@@ -725,6 +725,18 @@ def test_interpolation_trial_builds_each_witness_once(monkeypatch):
     assert sum(composed) == 37 * entries
 
 
+def test_interpolation_reduces_each_boundary_line_once(monkeypatch):
+    # the line whose exponent is 2 takes the Frobenius route, which keeps no memo: the
+    # boundary-norm and consistency checks share the line norms their suite reduces once
+    calls = []
+    schatten_norm = matcore.schatten_norm
+    monkeypatch.setattr(matcore, "schatten_norm", lambda *a: calls.append(1) or schatten_norm(*a))
+    model = preset_dual("su2_trunc", 4)
+    reports = run_suite(small_config(suite="interpolation", dual=model, trials=10))
+    assert len(reports) == 30 and all(r.passed for r in reports)
+    assert len(calls) == len(model.dims)  # one chunk: each block of the p = 2 line once
+
+
 def test_interpolation_reports_carry_the_exponent_asked_for(tmp_path):
     # theta's rounding moves the exponent derived from it by an ulp or two at
     # these p; each report names the p of its case id, bit for bit

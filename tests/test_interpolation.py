@@ -282,8 +282,9 @@ def test_suite_strip_specs_below_at_and_above_2():
 def test_boundary_witness_check_reports_the_norm_farthest_from_one(spec):
     h = random_field(preset_dual("su2_trunc", 3), mix_seed("bw", spec.p))
     lines = boundary_witness(h, spec)
-    rep = boundary_witness_check(h, spec, lines)
-    norms = lp_sch_norm(lines[0], spec.p0).tolist() + lp_sch_norm(lines[1], spec.p1).tolist()
+    n0, n1 = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
+    rep = boundary_witness_check(h, spec, (n0, n1))
+    norms = n0.tolist() + n1.tolist()
     worst = max(norms, key=lambda v: abs(v - 1.0))
     inputs = (h, spec.p0, spec.p1, spec.theta)
     assert rep == equality_report(
@@ -293,11 +294,17 @@ def test_boundary_witness_check_reports_the_norm_farthest_from_one(spec):
     assert rep.passed
 
 
+def line_norms(h, spec):
+    """||f(it)||_p0 and ||f(1+it)||_p1 over the grid, for the witness f of h."""
+    lines = boundary_witness(h, spec)
+    return lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
+
+
 def test_consistency_random_fields():
     m = preset_dual("s3")
     for k in range(50):
         h = random_field(m, mix_seed("cons", k))
-        rep = interp_norm_consistency(h, SPEC_1_2, boundary_witness(h, SPEC_1_2))
+        rep = interp_norm_consistency(h, SPEC_1_2, line_norms(h, SPEC_1_2))
         assert rep.passed, f"consistency failed at draw {k}: {rep}"
 
 
@@ -308,7 +315,7 @@ def test_consistency_equal_endpoints_exact():
     w = witness_f(h, spec)(0.25 + 0.5j)
     h_unit = (1.0 / lp_sch_norm(h, 2.0)) * h
     assert max_block_diff(w, h_unit) <= 1e-12  # witness constant in z
-    rep = interp_norm_consistency(h, spec, boundary_witness(h, spec))
+    rep = interp_norm_consistency(h, spec, line_norms(h, spec))
     assert rep.passed and abs(rep.rhs - rep.lhs) <= 1e-10 * max(1.0, rep.lhs)
 
 
@@ -318,7 +325,7 @@ def test_consistency_scalar_model_matches_classical_interpolation():
     m = preset_dual("torus", 4)
     for k in range(25):
         h = random_field(m, mix_seed("scons", k))
-        rep = interp_norm_consistency(h, SPEC_2_4, boundary_witness(h, SPEC_2_4))
+        rep = interp_norm_consistency(h, SPEC_2_4, line_norms(h, SPEC_2_4))
         assert rep.passed
 
 
