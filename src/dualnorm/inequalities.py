@@ -69,8 +69,8 @@ __all__ = [
 ]
 
 RADEMACHER_MAX_TERMS = 20
-# The 20 edges 0.1 .. 2.0 of the 19 convexity bins, which tile [0.1, 2): bin k
-# is [CONVEXITY_EDGES[k], CONVEXITY_EDGES[k + 1]), and its estimate's lower edge.
+# The 20 edges 0.1 .. 2.0 of the 19 convexity bins, which tile [0.1, 2): bin k is
+# [CONVEXITY_EDGES[k], CONVEXITY_EDGES[k + 1]), and its estimate carries the lower edge.
 CONVEXITY_EDGES = tuple(round(0.1 * k, 10) for k in range(1, 21))
 _SMOOTHNESS_T_GRID = (0.1, 0.5, 1.0)  # modulus_smoothness_sample's default t-grid
 
