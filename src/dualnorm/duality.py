@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field, _trusted, mix_seed, random_stacks
+from .dualmodel import Field, _check_same_model, _is_integer, _trusted, mix_seed, random_stacks
 from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm
 from .report import inequality_report
 
@@ -36,8 +36,7 @@ __all__ = [
 
 def pairing(h: Field, f: Field):
     """Bilinear trace pairing sum d(xi) Tr(H(xi) F(xi)) (no conjugation); an array for batches."""
-    if h.model != f.model:
-        raise ValueError("fields live over different dual models")
+    _check_same_model(h, f)
     total = 0.0 + 0.0j
     for (_, dim), a, b in zip(h.model.entries, h.blocks, f.blocks):
         total = total + dim * matcore.trace(a @ b)
@@ -79,10 +78,9 @@ def dual_norm_via_search(h: Field, p, trials: int, seed: int, start: int = 0):
     one reads the probes of those rows.
     """
     p = ExponentP.parse(p)
-    if trials < 0:
-        raise ValueError("trials must be non-negative")
-    if start < 0:
-        raise ValueError("start must be non-negative")
+    if not (all(map(_is_integer, (trials, seed, start))) and min(trials, start) >= 0):
+        raise ValueError("trials, seed and start must be integers, trials and start non-negative: "
+                         f"{trials!r}, {seed!r}, {start!r}")
     q = p.conjugate()
     best = np.zeros(h.batch)
     if trials:

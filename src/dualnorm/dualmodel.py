@@ -8,7 +8,9 @@ symmetric group S3 (dims 1, 1, 2).
 
 A Field is also a batch of fields: every entry's block is a ``(*batch, dim,
 dim)`` array with the same batch shape (``()`` for a single field), and
-``h[k]`` is row k of a batch.
+``h[k]`` is row k of a batch.  ``_check_layout`` checks that fields share one
+model and batch shape, ``_stack`` stacks them into one ``(k, *batch)`` batch,
+and ``DualModel.size`` counts the complex entries of one field.
 
 Both types are immutable; field arithmetic returns new fields.  Data is
 validated where it enters: ``Field(...)`` checks and copies its arrays,
@@ -70,6 +72,7 @@ class DualModel:
     name: str
     entries: tuple[tuple[str, int], ...]
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)  # entry dims, in order
+    size: int = field(init=False, repr=False, compare=False)  # complex entries of one field
 
     def __post_init__(self):
         if not 1 <= len(self.entries) <= MAX_ENTRIES:
@@ -85,6 +88,7 @@ class DualModel:
             raise ValueError(f"a field would hold {size} entries, more than {MAX_FIELD_ENTRIES}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "dims", tuple(d for _, d in entries))
+        object.__setattr__(self, "size", size)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -93,6 +97,11 @@ class DualModel:
 def _is_integer(x) -> bool:
     """Whether ``x`` is an integer (``numbers.Integral``) other than a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number (``numbers.Real``) other than a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def preset_dual(kind: str, arg=None) -> DualModel:
@@ -289,6 +298,20 @@ def _check_same_model(a: Field, b: Field) -> None:
         raise ValueError("fields live over different dual models")
 
 
+def _check_layout(fields) -> tuple[DualModel, tuple[int, ...]]:
+    """The model and batch shape of the (non-empty) fields; ValueError unless all share both."""
+    for f in fields:
+        _check_same_model(fields[0], f)
+        if f.batch != fields[0].batch:
+            raise ValueError("fields have different batch shapes")
+    return fields[0].model, fields[0].batch
+
+
+def _stack(fields) -> Field:
+    """The batch Field of shape ``(k, *batch)`` whose row j is ``fields[j]``; see _check_layout."""
+    return _trusted(fields[0].model, [np.stack(b) for b in zip(*(f.blocks for f in fields))])
+
+
 def zero_field(model: DualModel) -> Field:
     return _trusted(model, [np.zeros((d, d), dtype=np.complex128) for d in model.dims])
 
@@ -354,8 +377,7 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
     imaginary parts, each scaled by 1/sqrt(2) for unit E|z|^2.
     """
     _check_rows(key, start, rows)
-    sizes = [d * d for d in model.dims]
-    width = 2 * sum(sizes)
+    width = 2 * model.size
     stride = -(-width // _PHILOX_BLOCK) * _PHILOX_BLOCK
     u = random_uniforms(key, start * stride, rows * stride).reshape(rows, stride)
     radius = np.sqrt(-np.log(1.0 - u[:, 0:width:2]))  # sqrt(-2 log u1) / sqrt(2)
@@ -364,12 +386,12 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
     np.multiply(radius, np.cos(angle), out=scaled[:, 0::2])
     np.multiply(radius, np.sin(angle), out=scaled[:, 1::2])
     stacks, offset = [], 0
-    for d, size in zip(model.dims, sizes):
+    for d in model.dims:  # a block's d^2 real parts, then its d^2 imaginary parts
         z = np.empty((rows, d, d), dtype=np.complex128)
-        z.real = scaled[:, offset : offset + size].reshape(rows, d, d)
-        z.imag = scaled[:, offset + size : offset + 2 * size].reshape(rows, d, d)
+        parts = scaled[:, offset : offset + 2 * d * d].reshape(rows, 2, d, d)
+        z.real, z.imag = parts[:, 0], parts[:, 1]
         stacks.append(z)
-        offset += 2 * size
+        offset += 2 * d * d
     return _trusted(model, stacks)
 
 

@@ -7,7 +7,8 @@ parallelogram identity:
 * two-point inequalities with explicit constants 2p - 1 and (p-1)/(p+1),
 * sampled lower bounds on the modulus of convexity and upper bounds on the modulus
   of smoothness, from one pass over the same unit pairs (the two samplers are its views);
-  the convexity bins are one fixed tiling of [0.1, 2) by ``CONVEXITY_EDGES``,
+  the convexity bins are one fixed tiling of [0.1, 2) by ``CONVEXITY_EDGES``, and an estimate
+  passes, as its report does, when its ``sides`` lhs, rhs have rhs - lhs >= -tolerance(rhs),
 * exhaustive Rademacher sign averages and the type/cotype comparisons,
 * the rearranged-Clarkson gap behind the Kadec-Klee property (in units of
   its power mean), and the finite comparison behind summability.
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualmodel import DualModel, Field, _trusted, mix_seed, random_stacks, random_uniforms
-from .dualmodel import _is_integer
+from .dualmodel import DualModel, Field, _check_layout, _stack, _trusted, mix_seed, random_stacks
+from .dualmodel import _is_integer, random_uniforms
 from .matcore import power_sum
 from .norms import ExponentP, field_norm, field_norms
 from .report import (
@@ -232,15 +233,20 @@ class ModulusEstimate:
     def skipped(self) -> bool:
         return self.samples == 0
 
+    @property
+    def sides(self) -> tuple[float, float]:
+        """(lhs, rhs) of the inequality lhs <= rhs that the estimate asserts."""
+        if self.kind == "convexity_lower":
+            return self.bound, self.estimate
+        if self.kind == "smoothness_upper":
+            return self.estimate, self.bound
+        raise ValueError(f"unknown modulus kind {self.kind!r}")
+
     def passed(self) -> bool:
         if self.skipped:
             return True
-        margin = tolerance(self.bound)
-        if self.kind == "convexity_lower":
-            return self.estimate >= self.bound - margin
-        if self.kind == "smoothness_upper":
-            return self.estimate <= self.bound + margin
-        raise ValueError(f"unknown modulus kind {self.kind!r}")
+        lhs, rhs = self.sides
+        return rhs - lhs >= -tolerance(rhs)
 
 
 # Complex entries held per stacked batch of fields (every entry's stack of
@@ -256,7 +262,7 @@ _SIGN_TABLE_ENTRIES = 1 << 16
 def _chunks(model: DualModel, rows: int, fields_per_row: int = 1):
     """Rows 0 .. rows - 1 as ranges, in order: each of at least one row, and of at most
     _CHUNK_ENTRIES complex entries at ``fields_per_row`` fields of ``model`` a row."""
-    step = max(1, _CHUNK_ENTRIES // (fields_per_row * sum(d * d for d in model.dims)))
+    step = max(1, _CHUNK_ENTRIES // (fields_per_row * model.size))
     return (range(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
@@ -289,10 +295,8 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
     ts = [float(t) for t in t_grid]
     if not all(0.0 <= t < math.inf for t in ts):
         raise ValueError(f"smoothness grid points must be finite and non-negative, got {ts}")
-    if not (_is_integer(samples) and _is_integer(seed)):
-        raise ValueError(f"samples and seed must be integers, got {samples!r} and {seed!r}")
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
+    if not (_is_integer(samples) and _is_integer(seed) and samples >= 0):
+        raise ValueError(f"samples and seed must be integers, samples >= 0: {samples!r}, {seed!r}")
     keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
     bins = len(CONVEXITY_EDGES) - 1
     lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
@@ -392,14 +396,10 @@ def rademacher_average(fields, p, family: str = "sch"):
         return 0.0
     if n > RADEMACHER_MAX_TERMS:
         raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {n})")
-    model, batch = fields[0].model, fields[0].batch
-    if any(f.model != model for f in fields):
-        raise ValueError("fields live over different dual models")
-    if any(f.batch != batch for f in fields):
-        raise ValueError("fields have different batch shapes")
+    model, batch = _check_layout(fields)
     # (n, *batch, d, 2d) real views: real signs sum (re, im) pairs alike
-    stacks = [np.stack(blocks).view(np.float64) for blocks in zip(*(f.blocks for f in fields))]
-    size = math.prod(batch) * sum(d * d for d in model.dims)
+    stacks = [b.view(np.float64) for b in _stack(fields).blocks]
+    size = math.prod(batch) * model.size
     bits = min(n - 1, max(0, (_SIGN_TABLE_ENTRIES // size).bit_length() - 1))
     low = [s[:1] for s in stacks]
     for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j

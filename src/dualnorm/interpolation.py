@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field, _trusted
+from .dualmodel import Field, _is_real, _trusted
 from .duality import dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
 from .report import check_report, equality_report, inequality_report
@@ -79,8 +79,8 @@ class InterpSpec:
         object.__setattr__(self, "p1", ExponentP.parse(self.p1))
         if self.p0.is_inf or self.p1.is_inf:
             raise ValueError("endpoint exponents must be finite")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        if not (_is_real(self.theta) and 0.0 < self.theta < 1.0):
+            raise ValueError(f"theta must be a real number in (0, 1), got {self.theta!r}")
         inv = (1.0 - self.theta) / self.p0 + self.theta / self.p1
         object.__setattr__(self, "p", ExponentP(1.0 / inv))
 

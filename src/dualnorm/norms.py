@@ -45,7 +45,9 @@ from .dualmodel import (
     Field,
     _ascii_float,
     _ascii_int,
-    _trusted,
+    _check_layout,
+    _is_real,
+    _stack,
     field_abs,
     field_adjoint,
     random_field,
@@ -76,7 +78,7 @@ class ExponentP(float):
     __slots__ = ()
 
     def __new__(cls, value):
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        if not _is_real(value):
             raise TypeError(f"ExponentP takes a number, got {value!r}; use ExponentP.parse on text")
         p = super().__new__(cls, value)
         if math.isnan(p) or p < 1:
@@ -133,8 +135,8 @@ class DirectSumSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", ExponentP.parse(self.r))
-        if not (self.w > 0):
-            raise ValueError(f"direct-sum weight must be positive, got {self.w}")
+        if not (_is_real(self.w) and 0.0 < self.w < math.inf):
+            raise ValueError(f"direct-sum weight must be a finite real > 0, got {self.w!r}")
 
 
 def _lp(h: Field, values, power: float, p: float):
@@ -187,23 +189,17 @@ _STACK_FIELD_ENTRIES = 2048
 def field_norms(fields, p, family: str) -> list:
     """``[field_norm(f, p, family) for f in fields]``, from one reduction of their stack.
 
-    The fields share a model and a batch shape, and their stack is a batch
-    Field of shape ``(k, *batch)`` whose row k reduces bit for bit like
-    ``fields[k]``.  Fields of more than _STACK_FIELD_ENTRIES complex entries
-    are reduced one by one instead, each from its own memoized singular values.
+    The fields share a model and a batch shape, and row k of their stack reduces
+    bit for bit like ``fields[k]``.  Fields of more than _STACK_FIELD_ENTRIES
+    complex entries are reduced one by one, each from its own singular values.
     """
     fields = list(fields)
     if not fields:
         return []
-    model, batch = fields[0].model, fields[0].batch
-    if any(f.model != model for f in fields):
-        raise ValueError("fields live over different dual models")
-    if any(f.batch != batch for f in fields):
-        raise ValueError("fields have different batch shapes")
-    if math.prod(batch) * sum(d * d for d in model.dims) > _STACK_FIELD_ENTRIES:
+    model, batch = _check_layout(fields)
+    if math.prod(batch) * model.size > _STACK_FIELD_ENTRIES:
         return [field_norm(f, p, family) for f in fields]
-    stack = _trusted(model, [np.stack(blocks) for blocks in zip(*(f.blocks for f in fields))])
-    norms = field_norm(stack, p, family)
+    norms = field_norm(_stack(fields), p, family)
     return list(norms) if batch else [float(n) for n in norms]
 
 

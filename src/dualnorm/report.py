@@ -7,10 +7,10 @@ inequality ``lhs <= rhs`` the slack is ``rhs - lhs``; for an equality
 both.
 
 Reports serialize to JSON (stable key order) and RFC-4180 CSV; parsing the
-JSON back yields equal reports.  The constructors derive each report's
-tolerance and input digest here, so a check states only its ``lhs``, ``rhs``,
-anchor and inputs; a field is digested as its model, its dims and a hash of its
-block bytes.
+JSON back, each field by its type, yields equal reports.  The constructors
+derive each report's tolerance and input digest here, so a check states only
+its ``lhs``, ``rhs``, anchor and inputs; a field is digested as its model, its
+dims and a hash of its block bytes.
 
 A float for a field, an array for a batch: a constructor given one case id
 returns one report, and given a list of n case ids returns one report per
@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,33 +69,19 @@ class CheckReport:
     anchor: str
 
     def as_dict(self) -> dict:
-        d = {}
-        for name in _FIELDS:
-            value = getattr(self, name)
-            if name == "p" and math.isinf(value):
-                value = "inf"
-            d[name] = value
+        d = {name: getattr(self, name) for name in _FIELDS}
+        if math.isinf(self.p):
+            d["p"] = "inf"
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
-        p = d["p"]
-        p = math.inf if p == "inf" else float(p)
-        return cls(
-            suite=str(d["suite"]),
-            case_id=str(d["case_id"]),
-            p=p,
-            lhs=float(d["lhs"]),
-            rhs=float(d["rhs"]),
-            slack=float(d["slack"]),
-            tol=float(d["tol"]),
-            passed=bool(d["passed"]),
-            inputs_digest=str(d["inputs_digest"]),
-            anchor=str(d["anchor"]),
-        )
+        """Each field converted by its type: ``float("inf")`` reads the p ``"inf"``."""
+        return cls(**{name: _TYPES[name](d[name]) for name in _FIELDS})
 
 
 _FIELDS = tuple(f.name for f in fields(CheckReport))
+_TYPES = typing.get_type_hints(CheckReport)
 
 
 def tolerance(scale, rel=TOL_REL) -> float:
@@ -259,6 +246,5 @@ def reports_to_csv(reports) -> str:
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(_FIELDS)
     for r in reports:
-        d = r.as_dict()
-        writer.writerow([d[name] for name in _FIELDS])
+        writer.writerow(r.as_dict().values())
     return buf.getvalue()

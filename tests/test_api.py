@@ -127,6 +127,19 @@ def test_only_the_checks_build_reports():
     assert building == CHECKS
 
 
+def test_layout_rules_and_modulus_sides_are_stated_once():
+    sources = {name: Path(importlib.import_module(f"dualnorm.{name}").__file__).read_text(
+        encoding="utf-8") for name in MODULES}
+    texts = ("fields live over different dual models", "fields have different batch shapes",
+             "sum(d * d")
+    found = {t: {name: s.count(t) for name, s in sources.items() if t in s} for t in texts}
+    assert found == {texts[0]: {"dualmodel": 1}, texts[1]: {"dualmodel": 1}, texts[2]: {}}
+    # the moduli suite reports each estimate's own sides, never its fields
+    cli_tree = ast.parse(sources["cli"])
+    cli_attrs = {n.attr for n in ast.walk(cli_tree) if isinstance(n, ast.Attribute)}
+    assert "sides" in cli_attrs and not cli_attrs & {"bound", "estimate"}
+
+
 # Every private name cli takes from a library module: a new one shows up here
 CLI_PRIVATE_NAMES = {
     ("dualmodel", "_ascii_float"),

@@ -214,6 +214,18 @@ def test_search_random_trials_never_exceed_norm():
         assert val <= norm + 1e-10 * max(1.0, norm)
 
 
+@pytest.mark.parametrize(
+    "bad", [{"seed": 1.5}, {"seed": "1"}, {"seed": True}, {"start": True}, {"trials": True},
+            {"trials": 2.0}, {"start": 0.0}],
+)
+def test_search_takes_only_integer_stream_arguments(bad):
+    h = random_field(preset_dual("s3"), 3)
+    with pytest.raises(ValueError, match="trials, seed and start must be integers"):
+        dual_norm_via_search(h, 1.5, **({"trials": 3, "seed": 1, "start": 0} | bad))
+    numpy_ints = dual_norm_via_search(h, 1.5, np.int64(3), np.uint8(1), np.int32(0))
+    assert numpy_ints == dual_norm_via_search(h, 1.5, 3, 1)
+
+
 def test_search_probes_are_rows_of_one_stream(monkeypatch):
     # the batched search against a per-probe loop: probe k is row k of one keyed stream
     m = preset_dual("su2_trunc", 3)

@@ -618,12 +618,13 @@ def test_memo_stays_out_of_equality_and_repr():
     assert h == g and "singular_values" not in repr(h)
 
 
-def test_model_dims_is_computed_once_and_outside_equality_and_repr():
+@pytest.mark.parametrize("name, value", [("dims", (1, 2, 3, 4)), ("size", 30)])
+def test_model_dims_is_computed_once_and_outside_equality_and_repr(name, value):
     m = preset_dual("su2_trunc", 4)
-    assert m.dims is m.dims and m.dims == (1, 2, 3, 4)
-    assert "dims" not in repr(m)
+    assert getattr(m, name) is getattr(m, name) and getattr(m, name) == value
+    assert name not in repr(m)
     same = DualModel(m.name, m.entries)
     assert same == m and hash(same) == hash(m)
-    assert pickle.loads(pickle.dumps(m)).dims == m.dims
+    assert getattr(pickle.loads(pickle.dumps(m)), name) == value
     with pytest.raises(TypeError):
-        DualModel(m.name, m.entries, (1, 2, 3, 4))
+        DualModel(m.name, m.entries, **{name: value})

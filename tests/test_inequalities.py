@@ -42,6 +42,7 @@ from dualnorm.inequalities import (
     unconditional_sum_bound,
 )
 from dualnorm.norms import field_norm, field_norms, lp_sch_norm
+from dualnorm.report import inequality_report
 
 S3 = preset_dual("s3")
 
@@ -308,6 +309,37 @@ def test_modulus_smoothness_bounds_p3(family):
     )
     for est in ests:
         assert est.passed(), f"smoothness bound violated: {est}"
+
+
+def test_modulus_estimate_sides_state_its_inequality():
+    low = ModulusEstimate(0.5, 0.3, 0.2, "convexity_lower", 4)
+    high = ModulusEstimate(0.5, 0.3, 0.2, "smoothness_upper", 4)
+    assert low.sides == (0.2, 0.3) and low.passed()
+    assert high.sides == (0.3, 0.2) and not high.passed()
+    with pytest.raises(ValueError, match="unknown modulus kind"):
+        ModulusEstimate(0.5, 0.3, 0.2, "other", 4).sides
+
+
+def test_moduli_records_are_the_reports_of_the_estimates_sides():
+    cfg = SuiteConfig("moduli", S3, (1.5, 2.0, 3.0), "both", trials=300, seed=4)
+    records = {r.case_id: r for r in run_suite(cfg)}
+    for p in cfg.p_list:
+        for family in cfg.families:
+            convexity, smoothness = inequalities._moduli_pass(
+                S3, p, family, True, inequalities._SMOOTHNESS_T_GRID, cfg.trials,
+                mix_seed(cfg.seed, "moduli", p, family),
+            )
+            for est in [e for e in convexity if not e.skipped] + smoothness:
+                x = est.epsilon_or_t
+                if est.kind == "convexity_lower":
+                    case_id = f"convexity.{family}[p={p}][eps={x:.1f}]"
+                else:
+                    case_id = f"smoothness.{family}[p={p}][t={x:.2f}]"
+                inputs = (p, family, x, cfg.seed, cfg.trials)
+                want = inequality_report("moduli", case_id, p, *est.sides, inputs, est.kind)
+                assert records.pop(case_id) == want
+                assert want.passed == est.passed()
+    assert {r.anchor for r in records.values()} == {"bin_occupancy"}
 
 
 def test_modulus_empty_bin_flagged():
@@ -749,6 +781,13 @@ def test_rademacher_rejects_fields_over_different_models():
     g = random_field(preset_dual("custom", [1, 1, 2]), 1)  # same dims, another model
     with pytest.raises(ValueError, match="different dual models"):
         rademacher_average([h, g], 2.0)
+
+
+@pytest.mark.parametrize("reduce", [field_norms, rademacher_average])
+def test_fields_of_different_batch_shapes_are_rejected(reduce):
+    batch = random_stacks(S3, 1, rows=2)
+    with pytest.raises(ValueError, match="different batch shapes"):
+        reduce([batch, batch[0]], 1.5, "sch")
 
 
 def test_rademacher_empty():

@@ -68,6 +68,12 @@ def test_spec_validation():
         InterpSpec.for_target(1.0, 2.0, 3.0)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0, math.nan, True, "0.5"])
+def test_spec_rejects_theta_outside_the_open_unit_interval(theta):
+    with pytest.raises(ValueError, match=r"theta must be a real number in \(0, 1\)"):
+        InterpSpec(ExponentP(1.0), ExponentP(2.0), theta)
+
+
 def test_exponent_path_boundary_real_parts():
     # Re(p/p(z)) must equal p/p0 on the left edge and p/p1 on the right edge
     for spec in (SPEC_1_2, SPEC_2_4):

@@ -464,9 +464,10 @@ def test_direct_sum_weighted_l1(seed):
     assert direct_sum_norm(x, y, 2.0, spec) == pytest.approx(oracle, rel=1e-12)
 
 
-def test_direct_sum_rejects_bad_weight():
-    with pytest.raises(ValueError):
-        DirectSumSpec(ExponentP(2.0), 0.0)
+@pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf, True, "3"])
+def test_direct_sum_rejects_bad_weight(w):
+    with pytest.raises(ValueError, match="weight must be a finite real > 0"):
+        DirectSumSpec(ExponentP(2.0), w)
 
 
 # -- misc norm-vs-product sanity ---------------------------------------------
