@@ -159,7 +159,7 @@ def _case_ids(prefix: str, ks) -> list[str]:
 
 
 def _interior(cfg: SuiteConfig) -> list[ExponentP]:
-    """The exponents of the run strictly inside (1, inf)."""
+    """The exponents of the run in the open interval (1, inf)."""
     return [p for p in cfg.p_list if 1.0 < p < math.inf]
 
 

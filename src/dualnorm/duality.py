@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matcore
 from .dualmodel import Field, _check_same_model, _is_integer, _trusted, mix_seed, random_stacks
-from .norms import DirectSumSpec, ExponentP, direct_sum_norm, lp_sch_norm
+from .norms import DirectSumSpec, ExponentP, _finite_interior, direct_sum_norm, lp_sch_norm
 from .report import inequality_report
 
 __all__ = [
@@ -43,6 +43,15 @@ def pairing(h: Field, f: Field):
     return total
 
 
+def _unit_factors(h: Field, p, missing: str) -> list:
+    """h's memoized factors as (u, sigma / ||h||_sch,p, vstar); ValueError if a row is zero."""
+    norm = lp_sch_norm(h, p)
+    if np.any(norm == 0.0):
+        raise ValueError(f"the zero field has no {missing}")
+    norm = np.asarray(norm)[..., None]
+    return [(f.u, f.sigma / norm, f.vstar) for f in h.svd_factors]
+
+
 def dual_extremizer(h: Field, p) -> Field:
     """Unit-q-norm field F with <H, F> = ||H||_sch,p; row by row for a batch.
 
@@ -55,15 +64,10 @@ def dual_extremizer(h: Field, p) -> Field:
     p = ExponentP.parse(p)
     if p.is_inf:
         raise ValueError("the extremizer needs a finite exponent")
-    norm = lp_sch_norm(h, p)
-    if np.any(norm == 0.0):
-        raise ValueError("the zero field has no norming functional")
-    norm = np.asarray(norm)[..., None]
     blocks = []
-    for f in h.svd_factors:
-        powered = (f.sigma / norm) ** (p - 1.0)  # at most 1; 0**0 = 1 at p = 1
-        v, wstar = matcore.adjoint(f.vstar), matcore.adjoint(f.u)
-        blocks.append(matcore.svd_compose(v, powered, wstar))
+    for u, sigma, vstar in _unit_factors(h, p, "norming functional"):
+        powered = sigma ** (p - 1.0)  # at most 1; 0**0 = 1 at p = 1
+        blocks.append(matcore.svd_compose(matcore.adjoint(vstar), powered, matcore.adjoint(u)))
     return _trusted(h.model, blocks)
 
 
@@ -110,13 +114,8 @@ def direct_sum_dual_pair_check(
     (q, s, 1/w)-norm of (f1, f2) and the (p, r, w)-norm of (h1, h2),
     where q, s are the conjugates of p, r.
     """
-    p = ExponentP.parse(p)
-    r = spec.r
-    if p.is_inf or p == 1.0 or r.is_inf or r == 1.0:
-        raise ValueError("direct-sum duality needs all exponents strictly inside (1, inf)")
-    q = p.conjugate()
-    s = r.conjugate()
-    w = spec.w
+    p, r, w = _finite_interior(p), _finite_interior(spec.r), spec.w
+    q, s = p.conjugate(), r.conjugate()
     lhs = abs(pairing(h1, f1) + w ** (1.0 / r - 1.0 / s) * pairing(h2, f2))
     rhs = direct_sum_norm(f1, f2, q, DirectSumSpec(s, 1.0 / w)) * direct_sum_norm(
         h1, h2, p, spec

@@ -75,6 +75,8 @@ class DualModel:
     size: int = field(init=False, repr=False, compare=False)  # complex entries of one field
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"a dual model's name must be a string, got {self.name!r}")
         if not 1 <= len(self.entries) <= MAX_ENTRIES:
             raise ValueError(f"a dual model needs between 1 and {MAX_ENTRIES} entries")
         for lab, dim in self.entries:

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualmodel import DualModel, Field, _check_layout, _stack, _trusted, mix_seed, random_stacks
-from .dualmodel import _is_integer, random_uniforms
+from .dualmodel import _is_integer, _is_real, random_uniforms
 from .matcore import power_sum
-from .norms import ExponentP, field_norm, field_norms
+from .norms import ExponentP, _finite_interior, field_norm, field_norms
 from .report import (
     CheckReport,
     check_report,
@@ -87,13 +87,6 @@ def two_point_lower_constant(p) -> float:
     return (p - 1.0) / (p + 1.0)
 
 
-def _finite_interior(p) -> ExponentP:
-    p = ExponentP.parse(p)
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"exponent must lie strictly inside (1, inf), got {p}")
-    return p
-
-
 def _mean(a, b, r: float):
     """The power mean ((a^r + b^r) / 2)^(1/r), elementwise for arrays."""
     return 0.5 ** (1.0 / r) * power_sum((a, b), r)
@@ -105,9 +98,8 @@ def _mean(a, b, r: float):
 def clarkson_check(h1: Field, h2: Field, p, family: str, *, case_id="clarkson"):
     """Clarkson inequality in the given family (case i for p <= 2, case ii above)."""
     p = _finite_interior(p)
-    q = p / (p - 1.0)
     mid_plus, mid_minus, n1, n2 = field_norms((0.5 * (h1 + h2), 0.5 * (h1 - h2), h1, h2), p, family)
-    e, f = (q, p) if p <= 2.0 else (p, q)
+    e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
     lhs = power_sum((mid_plus, mid_minus), e)
     rhs = _mean(n1, n2, f)
     case = "i" if p <= 2.0 else "ii"
@@ -195,7 +187,7 @@ def convexity_lower_bound(p, eps: float) -> float:
     if eps <= 0.0:
         return 0.0
     if p <= 2.0:
-        q = p / (p - 1.0)
+        q = p.conjugate()
         return max((eps / 2.0) ** q / q, two_point_lower_constant(p) * eps**2 / 8.0)
     return (eps / 2.0) ** p / p
 
@@ -210,7 +202,7 @@ def smoothness_upper_bound(p, t: float) -> float:
         return 0.0
     if p <= 2.0:
         return t**p / p
-    q = p / (p - 1.0)
+    q = p.conjugate()
     return min(t**q / q, two_point_upper_constant(p) * t * t / 2.0)
 
 
@@ -253,9 +245,9 @@ class ModulusEstimate:
 # one chunk of draws or of trials; see _chunks): bounds the memory of the
 # suites and samplers whatever the model size.
 _CHUNK_ENTRIES = 1 << 16
-# Complex entries of rademacher_average's table of partial signed sums, and
-# so of its chunks, one run of the table each.  It also sets how each sum's
-# additions are grouped, so a change to it moves sign averages in the last bits.
+# Complex entries of one field's table of partial signed sums in rademacher_average.
+# It sets how each sum's additions are grouped, so a change to it moves sign
+# averages in the last bits; _CHUNK_ENTRIES only sets how many rows share a run.
 _SIGN_TABLE_ENTRIES = 1 << 16
 
 
@@ -292,9 +284,9 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
     ``t_grid``, the pass forms none of that estimate's norms.
     """
     p = _finite_interior(p)
-    ts = [float(t) for t in t_grid]
+    ts = [float(t) if _is_real(t) else math.nan for t in t_grid]  # nan fails the check below
     if not all(0.0 <= t < math.inf for t in ts):
-        raise ValueError(f"smoothness grid points must be finite and non-negative, got {ts}")
+        raise ValueError(f"smoothness grid points must be finite non-negative reals: {t_grid!r}")
     if not (_is_integer(samples) and _is_integer(seed) and samples >= 0):
         raise ValueError(f"samples and seed must be integers, samples >= 0: {samples!r}, {seed!r}")
     keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
@@ -384,11 +376,12 @@ def rademacher_average(fields, p, family: str = "sch"):
     Pattern k's sum is low[k mod 2^L] + high[k >> L]: ``low`` is the table
     of the 2^L sums H_0 +- H_1 ... +- H_L, built by doubling, and high[h]
     adds +- H_(L+1) ... +- H_(n-1) in that order, once per run of patterns
-    that share h.  L is the largest that keeps the table within
+    that share h.  L is the largest that keeps a field's table within
     _SIGN_TABLE_ENTRIES complex entries (0 if one summand exceeds it), so it
-    depends only on n and the summands' size.  Each run is one chunk: a batch
-    Field of shape (2^L, *batch) whose norms take one batched reduction, and
-    the running total adds them in pattern order.
+    depends only on n and the model, and a batch is walked in ``_chunks`` of
+    rows: each run is a batch Field of shape (2^L, rows) whose norms take one
+    batched reduction, and the running total adds them in pattern order, so
+    a row's average is that of the row alone, bit for bit.
     """
     fields = list(fields)
     n = len(fields)
@@ -397,28 +390,32 @@ def rademacher_average(fields, p, family: str = "sch"):
     if n > RADEMACHER_MAX_TERMS:
         raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {n})")
     model, batch = _check_layout(fields)
-    # (n, *batch, d, 2d) real views: real signs sum (re, im) pairs alike
-    stacks = [b.view(np.float64) for b in _stack(fields).blocks]
-    size = math.prod(batch) * model.size
-    bits = min(n - 1, max(0, (_SIGN_TABLE_ENTRIES // size).bit_length() - 1))
-    low = [s[:1] for s in stacks]
-    for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j
-        low = [np.concatenate([t + s[j], t - s[j]]) for t, s in zip(low, stacks)]
+    rows = math.prod(batch)
+    blocks = [b.reshape(n, rows, *b.shape[-2:]) for b in _stack(fields).blocks]
+    bits = min(n - 1, max(0, (_SIGN_TABLE_ENTRIES // model.size).bit_length() - 1))
     half = 2 ** (n - 1)
-    total = np.zeros((1, *batch))
-    for h in range(half >> bits):  # each run of patterns with equal high bits h
-        sums = []
-        for t, s in zip(low, stacks):
-            high = np.zeros(s.shape[1:])
-            for j in range(bits + 1, n):
-                if (h >> (j - 1 - bits)) & 1:
-                    high -= s[j]
-                else:
-                    high += s[j]
-            sums.append((t + high).view(np.complex128))
-        terms = field_norm(_trusted(model, sums), p, family) ** 2.0
-        total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
-    average = np.power(total[0] / half, 1.0 / 2.0)
+    averages = []
+    for chunk in _chunks(model, rows, 2**bits):
+        # (n, rows, d, 2d) real views: real signs sum (re, im) pairs alike
+        stacks = [b[:, chunk.start:chunk.stop].view(np.float64) for b in blocks]
+        low = [s[:1] for s in stacks]
+        for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j
+            low = [np.concatenate([t + s[j], t - s[j]]) for t, s in zip(low, stacks)]
+        total = np.zeros((1, len(chunk)))
+        for h in range(half >> bits):  # each run of patterns with equal high bits h
+            sums = []
+            for t, s in zip(low, stacks):
+                high = np.zeros(s.shape[1:])
+                for j in range(bits + 1, n):
+                    if (h >> (j - 1 - bits)) & 1:
+                        high -= s[j]
+                    else:
+                        high += s[j]
+                sums.append((t + high).view(np.complex128))
+            terms = field_norm(_trusted(model, sums), p, family) ** 2.0
+            total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
+        averages.append(np.power(total[0] / half, 1.0 / 2.0))
+    average = np.concatenate([np.zeros(0), *averages]).reshape(batch)  # no chunk: no rows
     return average if batch else float(average)
 
 
@@ -463,8 +460,7 @@ def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap"
     ||(Hn + H)/2|| -> ||H||.
     """
     p = _finite_interior(p)
-    q = p / (p - 1.0)
-    e, f = (q, p) if p <= 2.0 else (p, q)
+    e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
     batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
     fields = [0.5 * (hn - h), 0.5 * (hn + h)] + [
         x.map_blocks(lambda b: np.broadcast_to(b, batch + b.shape[-2:])) for x in (hn, h)

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import matcore
 from .dualmodel import Field, _is_real, _trusted
-from .duality import dual_extremizer, pairing
+from .duality import _unit_factors, dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
 from .report import check_report, equality_report, inequality_report
 
@@ -111,11 +111,7 @@ def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., 
     Field of batch shape h.batch + np.shape(z): row k of a batch h at z is
     the witness of h[k] at z.
     """
-    norm = lp_sch_norm(h, r)
-    if np.any(norm == 0.0):
-        raise ValueError("the zero field has no witness normalization")
-    norm = np.asarray(norm)[..., None]
-    factors = [(f.u, f.sigma / norm, f.vstar) for f in h.svd_factors]
+    factors = _unit_factors(h, r, "witness normalization")
 
     def at(z) -> Field:
         z = np.asarray(z, dtype=np.complex128)

@@ -126,6 +126,13 @@ class ExponentP(float):
         return ExponentP(self / (self - 1.0))
 
 
+def _finite_interior(p) -> ExponentP:
+    p = ExponentP.parse(p)
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"exponent must lie strictly inside (1, inf), got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class DirectSumSpec:
     """Exponent and weight of a weighted two-slot direct sum."""

@@ -131,9 +131,10 @@ def test_layout_rules_and_modulus_sides_are_stated_once():
     sources = {name: Path(importlib.import_module(f"dualnorm.{name}").__file__).read_text(
         encoding="utf-8") for name in MODULES}
     texts = ("fields live over different dual models", "fields have different batch shapes",
-             "sum(d * d")
+             "sum(d * d", "p / (p - 1.0)", "strictly inside (1, inf)", "the zero field has no")
     found = {t: {name: s.count(t) for name, s in sources.items() if t in s} for t in texts}
-    assert found == {texts[0]: {"dualmodel": 1}, texts[1]: {"dualmodel": 1}, texts[2]: {}}
+    assert found == {texts[0]: {"dualmodel": 1}, texts[1]: {"dualmodel": 1}, texts[2]: {},
+                     texts[3]: {}, texts[4]: {"norms": 1}, texts[5]: {"duality": 1}}
     # the moduli suite reports each estimate's own sides, never its fields
     cli_tree = ast.parse(sources["cli"])
     cli_attrs = {n.attr for n in ast.walk(cli_tree) if isinstance(n, ast.Attribute)}

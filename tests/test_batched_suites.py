@@ -81,10 +81,10 @@ BATCHED = [
 ]
 
 
-def config(suite, dual, trials=TRIALS, **kw):
+def config(suite, dual, trials=TRIALS, seed=SEED, **kw):
     return SuiteConfig(
         suite=suite, dual=parse_dual_arg(dual), p_list=P_LIST, family="both",
-        trials=trials, seed=SEED, **kw,
+        trials=trials, seed=seed, **kw,
     )
 
 
@@ -333,7 +333,7 @@ def test_rademacher_average_of_a_batch_is_its_rows_averages(dual, family, n):
         assert got.shape == (4,)
         for k in range(4):
             rows = [b[k] for b in batches]
-            assert got[k] == pytest.approx(rademacher_average(rows, p, family), rel=1e-12)
+            assert got[k] == rademacher_average(rows, p, family)
             oracle = np.mean(gray_code_norms(rows, p, family) ** 2) ** 0.5
             assert got[k] == pytest.approx(oracle, rel=1e-12)
 
@@ -349,6 +349,17 @@ def test_rademacher_average_splits_its_sums_at_any_table_size(monkeypatch, table
         assert got[k] == pytest.approx(np.mean(norms**2) ** 0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, family", [(1.5, "sch"), (3.0, "hs")])
+def test_a_row_of_a_large_batch_averages_as_the_row_alone(p, family):
+    # the sign table was once sized by the whole batch, so a row's sums were grouped
+    # by how many rows shared it
+    model = parse_dual_arg("su2_trunc(4)")
+    batches = [random_stacks(model, mix_seed("radrows", j), rows=600) for j in range(5)]
+    got = rademacher_average(batches, p, family)
+    for k in range(0, 600, 7):
+        assert got[k] == rademacher_average([b[k] for b in batches], p, family), k
+
+
 def test_rademacher_average_keeps_the_batch_shape_and_rejects_mixed_batches():
     model = parse_dual_arg("s3")
     grid = [random_stacks(model, j, rows=6).map_blocks(lambda b: b.reshape(2, 3, *b.shape[1:]))
@@ -356,6 +367,7 @@ def test_rademacher_average_keeps_the_batch_shape_and_rejects_mixed_batches():
     got = rademacher_average(grid, 3.0, "sch")
     assert got.shape == (2, 3)
     assert got[1, 2] == rademacher_average([g[1, 2] for g in grid], 3.0, "sch")
+    assert rademacher_average([g[:0] for g in grid], 3.0, "sch").shape == (0, 3)
     with pytest.raises(ValueError, match="batch"):
         rademacher_average([grid[0], grid[1][0]], 3.0, "sch")
 
@@ -369,7 +381,7 @@ def test_dual_norm_search_of_a_batch_reads_each_rows_probes(dual):
         assert got.shape == (3,)
         for k in range(3):
             want = dual_norm_via_search(batch[k], p, trials=4, seed=9, start=2 + k)
-            assert got[k] == pytest.approx(want, rel=1e-12)
+            assert got[k] == want
 
 
 def test_dual_norm_search_of_a_single_field_reads_rows_zero_to_trials():
@@ -389,7 +401,7 @@ def test_dual_norm_search_pairs_a_zero_row_to_zero():
     assert got[1] == 0.0
     for k in (0, 2):  # row k reads the probes of row k of a batch, however many rows are zero
         want = dual_norm_via_search(h, 1.5, trials=3, seed=1, start=k)
-        assert 0.0 < want and got[k] == pytest.approx(want, rel=1e-12)
+        assert 0.0 < want and got[k] == want
     assert dual_norm_via_search(zero_field(model), 1.5, trials=3, seed=1) == 0.0
 
 
@@ -487,16 +499,23 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, dual):
         assert reports_to_json(run_suite(cfg)) == whole
 
 
-@pytest.mark.parametrize("dual", DUALS)
-def test_trial_reports_do_not_depend_on_the_trial_count(dual):
-    three = run_suite(config("all", dual, trials=3))
-    five = {(r.suite, r.case_id): r for r in run_suite(config("all", dual, trials=5))}
+# type_cotype on custom(16,32): from 4 trials the batch once set the size of the sign table
+TRIAL_COUNTS = [("all", dual, 3, 5, SEED) for dual in DUALS] + [
+    ("type_cotype", "custom(16,32)", 2, 12, 11)
+]
+
+
+@pytest.mark.parametrize("suite, dual, few, many, seed", TRIAL_COUNTS,
+                         ids=[*DUALS, "type_cotype-custom(16,32)"])
+def test_trial_reports_do_not_depend_on_the_trial_count(suite, dual, few, many, seed):
+    reports = run_suite(config(suite, dual, trials=few, seed=seed))
+    more = {(r.suite, r.case_id): r for r in run_suite(config(suite, dual, trials=many, seed=seed))}
     # critical_aggregate aggregates over all trials, and the moduli suite's
     # trial count is its sample count
-    kept = [r for r in three if r.suite != "moduli" and "critical_aggregate" not in r.case_id]
-    assert {r.suite for r in kept} == {r.suite for r in three} - {"moduli"}
+    kept = [r for r in reports if r.suite != "moduli" and "critical_aggregate" not in r.case_id]
+    assert {r.suite for r in kept} == {r.suite for r in reports} - {"moduli"}
     for r in kept:
-        assert five[r.suite, r.case_id] == r, (r.suite, r.case_id)
+        assert more[r.suite, r.case_id] == r, (r.suite, r.case_id)
 
 
 @pytest.mark.parametrize("suite", BATCHED)

@@ -129,6 +129,13 @@ def test_model_labels_are_unique_as_stored_and_dims_are_integers():
     assert DualModel("x", ((1, np.int64(2)),)).entries == (("1", 2),)
 
 
+@pytest.mark.parametrize("name", [None, 3, b"s3", ("s3",)])
+def test_model_names_are_strings(name):
+    # a None name once built a model whose encoding decode_model rejected
+    with pytest.raises(ValueError, match="name"):
+        DualModel(name, (("a", 1),))
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         DualModel("bad", ())

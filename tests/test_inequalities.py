@@ -512,9 +512,10 @@ def test_moduli_samplers_reject_negative_sample_counts():
         modulus_smoothness_sample(S3, 1.5, "sch", samples=-5, seed=0)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5, "0.5", True, None, 0.5 + 0j])
 def test_smoothness_sampler_rejects_grid_points_that_are_not_finite_and_non_negative(t):
-    # nan and inf once gave an estimate of -inf, and at inf a passing one
+    # nan and inf once gave an estimate of -inf, and at inf a passing one; the text
+    # "0.5" and True were read as the grid points 0.5 and 1.0
     with pytest.raises(ValueError):
         modulus_smoothness_sample(S3, 1.5, "sch", t_grid=(0.5, t), samples=5, seed=1)
 
