@@ -2,13 +2,14 @@
 
 Everything downstream (norms, pairings, witnesses) reduces to a handful of
 operations on small dense complex matrices: adjoints, traces, singular
-values, singular value decompositions and fractional powers of positive
-semidefinite matrices; |a| is composed from an SVD (``dualmodel.field_abs``).
+values and singular value decompositions; |a| and every power of a matrix
+are composed from an SVD (``dualmodel.field_abs``, the duality extremizer and
+the interpolation witnesses).
 
-Every kernel except :func:`psd_power` takes a square matrix or a
-``(*batch, d, d)`` stack of them and works over the last two axes.  The
-kernels check shapes only (through ``_square``): finiteness is checked where
-data enters the package, and there is no validating constructor here.
+Every kernel takes a square matrix or a ``(*batch, d, d)`` stack of them
+and works over the last two axes.  The kernels check shapes only (through
+``_square``): finiteness is checked where data enters the package, and there
+is no validating constructor here.
 :func:`singular_values` is the one source of singular values: ``|a|`` for
 1 x 1 blocks, a closed form for 2 x 2 matrices (``_sigma2``; a single matrix
 is the one-row stack), and LAPACK, values only, otherwise.
@@ -20,9 +21,6 @@ scaled by its largest term so that no exponent in [1, inf] overflows.
 A single matrix must reduce to the bits of its row in a stack: no reduction
 forks on the number of rows, and every power is ``np.power``, since ``**`` on
 a float scalar calls C ``pow``, which may differ from the array loop.
-:func:`psd_power` is the eigh-based reference the tests compare the SVD
-route against; it takes one matrix and rejects non-finite, non-Hermitian
-and non-PSD input.
 
 All functions are pure and never mutate their inputs.
 """
@@ -41,7 +39,6 @@ __all__ = [
     "adjoint",
     "svd",
     "svd_compose",
-    "psd_power",
     "singular_values",
     "power_sum",
     "schatten_norm",
@@ -49,13 +46,8 @@ __all__ = [
     "trace",
 ]
 
-# Relative cutoff below which an eigenvalue of a PSD matrix is treated as
-# exactly zero (so that 0 raised to any power is 0, not exp(w*log 0)).
-EIG_ZERO_RTOL = 1e-12
-
-
 class FactorizationError(RuntimeError):
-    """A matrix factorization (SVD / eigendecomposition) failed to converge."""
+    """A singular value decomposition failed to converge."""
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -85,46 +77,6 @@ def svd(a: np.ndarray) -> SvdResult:
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD did not converge for shape {a.shape}") from exc
     return SvdResult(u=u, sigma=s, vstar=vh)
-
-
-def _eigh_psd(a: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian PSD matrix, with PSD validation.
-
-    Eigenvalues within rtol * max(eig) of zero are clipped to exactly 0.
-    """
-    a = _square(a)
-    if a.ndim != 2 or not np.isfinite(a).all():
-        raise ValueError(f"expected one finite matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.conj().T) > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    try:
-        w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError("eigendecomposition did not converge") from exc
-    top = float(w[-1]) if w.size else 0.0
-    cutoff = rtol * max(top, 0.0)
-    if w.size and float(w[0]) < -1e-10 * scale:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    w = np.where(w <= cutoff, 0.0, w)
-    return w, vecs
-
-
-def psd_power(a: np.ndarray, w: complex) -> np.ndarray:
-    """Power a^w of a Hermitian PSD matrix via its eigendecomposition.
-
-    Each eigenvalue lam maps to exp(w * log(lam)); eigenvalues at (or
-    numerically indistinguishable from) zero map to zero for every w,
-    including w = 0, so a^0 is the projection onto the support of a.
-    """
-    lam, vecs = _eigh_psd(a, EIG_ZERO_RTOL)
-    powered = np.zeros(lam.shape, dtype=np.complex128)
-    pos = lam > 0
-    powered[pos] = np.exp(complex(w) * np.log(lam[pos]))
-    out = (vecs * powered) @ vecs.conj().T
-    if abs(complex(w).imag) == 0.0:
-        out = (out + out.conj().T) / 2
-    return out
 
 
 def _square(a) -> np.ndarray:
@@ -224,7 +176,7 @@ def schatten_norm(a: np.ndarray, p: float):
     """
     a = _square(a)
     p = float(p)
-    if p < 1:
+    if not p >= 1:  # nan included
         raise ValueError(f"Schatten exponent must be >= 1, got {p}")
     if p == 2.0 and a.shape[-1] > 1:
         return hs_norm(a)

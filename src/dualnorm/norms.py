@@ -7,6 +7,18 @@ For a field H over entries of dimensions d(xi):
 * Hilbert-Schmidt family: ||H||_hs,p  = (sum d(xi)^(2-p/2) ||H(xi)||_HS^p)^(1/p),
   with sup of d(xi)^(-1/2) ||H(xi)||_HS at p = inf.
 
+At a fixed p, each family is a subspace of the Schatten class S_p, so every
+S_p inequality holds in both.  The Schatten family is the noncommutative L^p
+of the direct sum of the M_d with the trace sum d Tr: H maps to the block
+diagonal of kron(H(xi), I_d), whose singular values are those of each H(xi)
+repeated d times.  The Hilbert-Schmidt family maps H to the block diagonal of
+the columns d^((2 - p/2)/p) vec H(xi) (d^(-1/2) at p = inf), whose singular
+values are the weighted entry norms.  Both maps are linear isometries, and the
+trace pairing of ``duality`` is the plain trace of the product of two
+Schatten-family matrices.  ``tests/amplified.py`` computes every norm, pairing
+and power this way, with no code of this package, and the tests hold each
+report of the batched suites to it.
+
 Each norm is a float for a field and an array for a batch of fields, and
 a field's norm is its row's in a batch, bit for bit.  The Schatten family
 reduces the field's memoized singular values (``Field.singular_values``), so
@@ -41,7 +53,6 @@ import numpy as np
 
 from . import matcore
 from .dualmodel import (
-    DualModel,
     Field,
     _ascii_float,
     _ascii_int,
@@ -50,7 +61,6 @@ from .dualmodel import (
     _stack,
     field_abs,
     field_adjoint,
-    random_field,
 )
 from .report import equality_report, inequality_report
 
@@ -62,7 +72,6 @@ __all__ = [
     "lp_hs_norm",
     "field_norm",
     "field_norms",
-    "random_unit_field",
     "embedding_check",
     "holder_check",
     "adjoint_norm_check",
@@ -142,7 +151,11 @@ class DirectSumSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", ExponentP.parse(self.r))
-        if not (_is_real(self.w) and 0.0 < self.w < math.inf):
+        try:  # w computes as a float: 10**400 overflows one, Fraction(1, 10**400) rounds to 0
+            w = float(self.w) if _is_real(self.w) else math.nan
+        except OverflowError:
+            w = math.nan
+        if not 0.0 < w < math.inf:
             raise ValueError(f"direct-sum weight must be a finite real > 0, got {self.w!r}")
 
 
@@ -208,12 +221,6 @@ def field_norms(fields, p, family: str) -> list:
         return [field_norm(f, p, family) for f in fields]
     norms = field_norm(_stack(fields), p, family)
     return list(norms) if batch else [float(n) for n in norms]
-
-
-def random_unit_field(model: DualModel, p, seed: int, family: str = "sch") -> Field:
-    """Ginibre draw normalized to unit family-p norm."""
-    h = random_field(model, seed, "ginibre")
-    return (1.0 / field_norm(h, p, family)) * h
 
 
 def embedding_check(h: Field, p, *, case_id="embedding"):

@@ -173,9 +173,8 @@ def test_cli_takes_only_the_listed_private_names():
     assert modules and taken == CLI_PRIVATE_NAMES
 
 
-# The matcore names no other module of the package uses: the error type its
-# kernels raise, and the eigh reference the tests compare the SVD route against
-MATCORE_UNUSED_NAMES = {"FactorizationError", "psd_power"}
+# The matcore names no other module of the package uses: the error type its kernels raise
+MATCORE_UNUSED_NAMES = {"FactorizationError"}
 
 
 def test_matcore_keeps_only_the_kernels_the_package_runs():
@@ -191,6 +190,18 @@ def test_matcore_keeps_only_the_kernels_the_package_runs():
             elif isinstance(node, ast.ImportFrom) and node.module == "matcore":
                 used.update(alias.name for alias in node.names)  # from .matcore import power_sum
     assert set(matcore.__all__) - used == MATCORE_UNUSED_NAMES
+
+
+def test_the_amplified_oracle_imports_only_numpy_and_math():
+    # so it can share no code with the package it checks
+    tree = ast.parse((Path(__file__).parent / "amplified.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy"}
 
 
 def readme_commands():

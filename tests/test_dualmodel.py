@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 
+import amplified
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,7 +300,7 @@ def test_field_abs_blockwise():
     h = random_field(m, 3)
     absf = field_abs(h)
     for raw, blk in zip(h.blocks, absf.blocks):
-        assert np.allclose(blk, matcore.psd_power(matcore.adjoint(raw) @ raw, 0.5))
+        assert np.allclose(blk, amplified.psd_power(matcore.adjoint(raw) @ raw, 0.5))
 
 
 @pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])

@@ -464,7 +464,9 @@ def test_direct_sum_weighted_l1(seed):
     assert direct_sum_norm(x, y, 2.0, spec) == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("w", [0.0, -1.0, math.nan, math.inf, True, "3"])
+@pytest.mark.parametrize(
+    "w", [0.0, -1.0, math.nan, math.inf, True, "3", 10**400, Fraction(1, 10**400)]
+)
 def test_direct_sum_rejects_bad_weight(w):
     with pytest.raises(ValueError, match="weight must be a finite real > 0"):
         DirectSumSpec(ExponentP(2.0), w)
