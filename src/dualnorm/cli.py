@@ -225,6 +225,7 @@ def _suite_duality(cfg: SuiteConfig):
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
             inputs = (h, p)
+            # re-reduces F's own singular values: checks the composition, not the formula
             yield from equality_report(
                 cfg.suite, _case_ids(f"extremizer_unit[p={p}]", ks), p,
                 lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,

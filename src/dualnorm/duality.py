@@ -7,8 +7,9 @@ field built from the polar decomposition of each block,
 
     F(xi) = (|H(xi)| / ||H||_p)^(p-1) U*(xi),   H(xi) = U(xi) |H(xi)|.
 
-At p = 1 the same formula degenerates to F = U* (so ||F||_inf = 1 and the
-pairing still returns ||H||_1); that endpoint is supported here.
+At p = 1 the same formula degenerates to the adjoint of the partial isometry
+of H, zero singular values contributing 0 (so ||F||_inf = 1 and the pairing
+still returns ||H||_1); that endpoint is supported here.
 
 Each function takes a field or a batch of fields: a value is a float for a
 field and an array for a batch, and the direct-sum check gives one report
@@ -18,11 +19,20 @@ under one case id and one report per row under a list of case ids.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
 from . import matcore
-from .dualmodel import Field, _check_same_model, _is_integer, _trusted, mix_seed, random_stacks
+from .dualmodel import (
+    Field,
+    _check_same_model,
+    _is_integer,
+    _trusted,
+    field_adjoint,
+    mix_seed,
+    random_stacks,
+)
 from .norms import DirectSumSpec, ExponentP, _finite_interior, direct_sum_norm, lp_sch_norm
 from .report import inequality_report
 
@@ -43,32 +53,52 @@ def pairing(h: Field, f: Field):
     return total
 
 
-def _unit_factors(h: Field, p, missing: str) -> list:
-    """h's memoized factors as (u, sigma / ||h||_sch,p, vstar); ValueError if a row is zero."""
-    norm = lp_sch_norm(h, p)
-    if np.any(norm == 0.0):
+def _power(h: Field, r, missing: str) -> Callable[..., Field]:
+    """e -> U (S / ||h||_sch,r)^e V* blockwise for h = U S V* (the SVD memo), 0 where S = 0.
+
+    Formed as exp(e (log(S / s) - log(T) / r)): s is the row's largest singular
+    value over all entries, and T = sum d (S / s)^r, in [1, h.model.size], sums
+    the same exponentials, so no rounded norm is raised to the power e.  At
+    exponents e it is a batch Field of batch shape h.batch + np.shape(e).
+    """
+    sigma = np.concatenate([f.sigma for f in h.svd_factors], axis=-1)  # every entry's, in order
+    top = sigma.max(axis=-1, keepdims=True)
+    if np.any(top == 0.0):
         raise ValueError(f"the zero field has no {missing}")
-    norm = np.asarray(norm)[..., None]
-    return [(f.u, f.sigma / norm, f.vstar) for f in h.svd_factors]
+    ratio = sigma / top
+    support = ratio > 0
+    log = np.log(np.where(support, ratio, 1.0))
+    weights = np.where(support, np.repeat(h.model.dims, h.model.dims), 0)  # d per singular value
+    x = log - np.log((weights * np.exp(r * log)).sum(axis=-1, keepdims=True)) / r
+    ends = np.cumsum(h.model.dims)[:-1]
+
+    def power(e) -> Field:
+        e = np.asarray(e)
+        axes = h.batch + (1,) * e.ndim  # h's batch axes, then one axis per axis of e
+        shape = axes + x.shape[-1:]
+        powered = np.where(support.reshape(shape), np.exp(e[..., None] * x.reshape(shape)), 0.0)
+        blocks = []
+        for f, values in zip(h.svd_factors, np.split(powered, ends, axis=-1)):
+            u, vstar = (m.reshape(axes + m.shape[-2:]) for m in (f.u, f.vstar))
+            blocks.append(matcore.svd_compose(u, values, vstar))
+        return _trusted(h.model, blocks)
+
+    return power
 
 
 def dual_extremizer(h: Field, p) -> Field:
     """Unit-q-norm field F with <H, F> = ||H||_sch,p; row by row for a batch.
 
     Blockwise, with H(xi) = W S V* a singular value decomposition (the
-    field's memoized ``svd_factors``), |H|^(p-1) U* = V S^(p-1) W*; the zero
-    singular values contribute 0 for p > 1 and 1 for p = 1 (unitary
-    completion of the partial isometry).  F does not change when H is scaled
-    by a positive number.
+    field's memoized ``svd_factors``), |H|^(p-1) U* = V S^(p-1) W*, the
+    adjoint of ``_power(h, p)(p - 1)``; zero singular values contribute 0,
+    so at p = 1 F is the adjoint of H's partial isometry.  F does not change
+    when H is scaled by a positive number.
     """
     p = ExponentP.parse(p)
     if p.is_inf:
         raise ValueError("the extremizer needs a finite exponent")
-    blocks = []
-    for u, sigma, vstar in _unit_factors(h, p, "norming functional"):
-        powered = sigma ** (p - 1.0)  # at most 1; 0**0 = 1 at p = 1
-        blocks.append(matcore.svd_compose(matcore.adjoint(vstar), powered, matcore.adjoint(u)))
-    return _trusted(h.model, blocks)
+    return field_adjoint(_power(h, p, "norming functional")(p - 1.0))
 
 
 def dual_norm_via_search(h: Field, p, trials: int, seed: int, start: int = 0):

@@ -29,6 +29,7 @@ batch shares one hash per row; the JSON wire format below is for field files.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import hashlib
 import math
@@ -266,7 +267,11 @@ class Field:
         return self.map_blocks(lambda b: -b)
 
     def __rmul__(self, alpha) -> "Field":
-        """alpha * field; an array alpha of the batch shape scales each field by its own scalar."""
+        """alpha * field; an array alpha of the batch shape scales each field by its own scalar.
+
+        A non-finite factor is data entering a field: it raises ValueError."""
+        if not (np.isfinite(alpha).all() if np.ndim(alpha) else cmath.isfinite(alpha)):
+            raise ValueError(f"a field's factor must be finite, got {alpha!r}")
         if np.ndim(alpha):
             alpha = np.asarray(alpha)[..., None, None]
         return self.map_blocks(lambda b: alpha * b)

@@ -34,8 +34,8 @@ three-lines check pairs each line with the dual witness at the same points.
 Every anchor of the suite has a public check, and each is one function for
 fields and batches: one case id gives the report of single fields, and a
 list of case ids gives one report per row of batch fields.  Zero singular
-values are mapped to zero for every exponent (including 0), so the powers
-act on the support only.
+values map to zero for every exponent, as in the dual extremizer: both take
+their powers from ``duality._power``.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matcore
-from .dualmodel import Field, _is_real, _trusted
-from .duality import _unit_factors, dual_extremizer, pairing
+from .dualmodel import Field, _is_real
+from .duality import _power, dual_extremizer, pairing
 from .norms import ExponentP, lp_sch_norm
 from .report import check_report, equality_report, inequality_report
 
@@ -105,29 +104,18 @@ class InterpSpec:
 def _witness(h: Field, r: ExponentP, inv0: float, inv1: float) -> Callable[..., Field]:
     """z -> |A*|^w(z) A blockwise for A = h / ||h||_r, w(z) = r((1 - z) inv0 + z inv1) - 1.
 
-    The witness reads h's memoized factors, h = U S V* blockwise, so A =
-    U (S / ||h||_r) V* and the witness at z is U (S / ||h||_r)^(w(z)+1) V*,
-    with zero singular values mapped to 0.  For strip points z it is a batch
+    With h = U S V* blockwise, the witness at z is U (S / ||h||_r)^(w(z)+1) V*,
+    the power ``duality._power`` forms.  For strip points z it is a batch
     Field of batch shape h.batch + np.shape(z): row k of a batch h at z is
     the witness of h[k] at z.
     """
-    factors = _unit_factors(h, r, "witness normalization")
+    power = _power(h, r, "witness normalization")
 
     def at(z) -> Field:
         z = np.asarray(z, dtype=np.complex128)
         if not np.all((-1e-12 <= z.real) & (z.real <= 1 + 1e-12)):
             raise ValueError(f"z = {z} lies outside the closed unit strip")
-        w = r * ((1 - z) * inv0 + z * inv1) - 1.0
-        axes = h.batch + (1,) * z.ndim  # h's batch axes, then one axis per axis of z
-        blocks = []
-        for u, sigma, vstar in factors:
-            sigma = sigma.reshape(axes + sigma.shape[-1:])
-            pos = sigma > 0
-            logs = np.log(np.where(pos, sigma, 1.0))
-            powered = np.where(pos, np.exp((w[..., None] + 1.0) * logs), 0.0)
-            u, vstar = u.reshape(axes + u.shape[-2:]), vstar.reshape(axes + vstar.shape[-2:])
-            blocks.append(matcore.svd_compose(u, powered, vstar))
-        return _trusted(h.model, blocks)
+        return power(r * ((1 - z) * inv0 + z * inv1))
 
     return at
 
@@ -210,10 +198,8 @@ def interp_norm_consistency(h: Field, spec: InterpSpec, line_norms, *, case_id="
     norm = lp_sch_norm(h, p)
     boundary_max = norm * np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
     upper_slack = boundary_max - norm          # norm <= max boundary witness norm
-    if p > 1.0:  # the extremizer of h is that of h / ||h|| (scale-invariant)
-        center = np.abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
-    else:
-        center = 1.0  # p0 = p1 = 1: witness is constant, nothing to saturate
+    # the extremizer of h is that of h / ||h|| (scale-invariant), defined at p = 1 too
+    center = np.abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
     lower_slack = center - 1.0                 # norming functional reaches the norm
     slack = np.minimum(upper_slack, lower_slack)
     inputs = (h, spec.p0, spec.p1, spec.theta, list(DEFAULT_T_GRID))

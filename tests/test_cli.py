@@ -288,6 +288,17 @@ def test_every_valid_exponent_passes_without_overflow(dual, tmp_path, capsys):
     assert {r.p for r in reports} >= {1.0001, 1100.0, 1e6, math.inf}
 
 
+@pytest.mark.parametrize(
+    "suite, dual, p",
+    [("duality", "s3", "4503599627370496"), ("interpolation", "custom(1,2)", "1.0000000000000002")],
+)
+def test_extreme_finite_exponents_pass(suite, dual, p, capsys):
+    # 2^52 and 1 + 2^-52: the extremizer and the witness raise singular values to
+    # powers near 2^52, and every check still passes at its pinned tolerance
+    assert main(["verify", suite, "--dual", dual, "--p", p, "--trials", "1"]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("p", ["1e17", "1.5,9007199254740994", "4503599627370497", "1e400"])
 def test_main_exponent_above_2_pow_52_is_config_error(p, capsys):
     # p - 1 rounds to p above 2^53, so p would have conjugate 1; interpolation takes 2p
@@ -838,14 +849,14 @@ def test_tol_override_keeps_exact_counts_exact():
 # (suite, case_id, anchor) list alone; it has not moved since trials were drawn
 # as rows of one stream per case, which moved every number and digest.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "b4906446c7c3e4d2", "e65e694f2f9eb883",
-     "30df78d1ee326a21", 313, "43e1f23a06689e47"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "707cd9f1625197a1", "8fc6663c403fb468",
-     "575f3770d4107ab0", 252, "e23f14cc1f25b55a"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "e917de8a9888975e", "db7ea76ba0d385a7",
-     "e8b8ade46a3d57ef", 174, "27befb38b782994d"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "a6a44a7cd81bfa6a", "be16685f3612a25d",
-     "22ec9f7a54264388", 113, "5cae59af955de0c5"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "265b28e1ba035f81", "a2bbc3c265dd30d9",
+     "6490afdb24a4abc1", 313, "43e1f23a06689e47"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "4bac6a85ad58882e", "fe6e0f4d58154c5d",
+     "43b7b4f2cc5f288b", 252, "e23f14cc1f25b55a"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "de2a918d88469cc8", "15185ca9e8cacfbd",
+     "0daf84f0733c08dc", 174, "27befb38b782994d"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "f718de8d54f45e67", "ac4a930c957d27ac",
+     "cc313bf5add894f6", 113, "5cae59af955de0c5"),
 ]
 
 

@@ -1,6 +1,7 @@
 import math
 
 import amplified
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +23,7 @@ from dualnorm.dualmodel import (
     zero_field,
 )
 from dualnorm.norms import DirectSumSpec, ExponentP, lp_sch_norm
+from test_power_sum import mp_sch_norm
 
 CBRT18 = 18.0 ** (1.0 / 3.0)  # 2.6207413942088964
 
@@ -195,6 +197,24 @@ def test_extremizer_of_a_batch_rejects_a_zero_row():
     hs = np.array([1.0, 0.0, 2.0]) * random_stacks(m, 5, rows=3)
     with pytest.raises(ValueError, match="zero field"):
         dual_extremizer(hs, 2.0)
+
+
+# Exponents at which a rounded norm raised to the power p - 1 (or its conjugate's)
+# would lose every digit: the extremizer must stay at rounding
+EXTREME_P = [1e3, 1e6, 1e9, 2.0**52, 1.0 + 2.0**-52]
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)", "custom(16,32)"])
+@pytest.mark.parametrize("p", EXTREME_P, ids=repr)
+def test_extremizer_is_exact_at_extreme_exponents(dual, p):
+    p = ExponentP(p)
+    hs = random_stacks(parse_dual_arg(dual), mix_seed("extreme p", dual), rows=3)
+    f = dual_extremizer(hs, p)
+    with mpmath.workdps(50):
+        for k in range(3):
+            norm = mp_sch_norm(hs[k], p)
+            assert abs(mp_sch_norm(f[k], p.conjugate()) - 1) <= 1e-12
+            assert abs(abs(pairing(hs[k], f[k])) / norm - 1) <= 1e-12
 
 
 # -- supremum search ----------------------------------------------------------

@@ -374,6 +374,16 @@ def test_field_rejects_non_finite_blocks(bad):
         Field(m, (np.eye(1), np.eye(1), std))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -np.inf, complex(0.0, math.inf)], ids=repr)
+def test_field_rejects_a_non_finite_factor(bad):
+    # a factor is data entering the field, checked like its blocks
+    h = random_field(preset_dual("su2_trunc", 3), 1)
+    with pytest.raises(ValueError, match="finite"):
+        bad * h
+    with pytest.raises(ValueError, match="finite"):
+        np.array([1.0, bad, 2.0]) * random_stacks(h.model, 1, rows=3)
+
+
 def test_field_rejects_entries_with_different_batch_shapes():
     m = preset_dual("s3")
     with pytest.raises(ValueError, match="batch shapes"):

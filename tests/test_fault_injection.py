@@ -70,16 +70,16 @@ FAULTS = {
 # fault -> anchor -> failing reports
 CAUGHT = {
     "singular_values_scaled": {
-        "boundary_witness": 20, "embedding": 10, "equal_norms": 28, "extremizer": 50,
+        "boundary_witness": 30, "embedding": 10, "equal_norms": 28, "extremizer": 60,
         "p2_coincidence": 10,
     },
     "hs_norm_scaled": {
-        "boundary_witness": 20, "equal_norms": 10, "extremizer": 10, "p2_coincidence": 10,
+        "boundary_witness": 30, "equal_norms": 10, "extremizer": 20, "p2_coincidence": 10,
     },
     "hs_weight_d_1_minus_half_p": {"embedding": 20, "p2_coincidence": 10},
     "no_weights": {
-        "direct_sum_duality": 30, "dual_supremum": 10, "embedding": 20, "extremizer": 30,
-        "strip_maximum": 10,
+        "boundary_witness": 30, "direct_sum_duality": 30, "dual_supremum": 10, "embedding": 20,
+        "equal_norms": 30, "extremizer": 60, "strip_maximum": 2,
     },
     "rademacher_average_scaled": {"sign_average_identity": 20, "type_cotype": 20},
     "extremizer_last_block_phase": {"equal_norms": 30, "extremizer": 30},

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import amplified
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,8 @@ from dualnorm.interpolation import (
 from dualnorm.cli import _interp_spec_for
 from dualnorm.norms import ExponentP, lp_sch_norm
 from dualnorm.report import equality_report
+from test_duality import EXTREME_P
+from test_power_sum import mp_sch_norm
 
 SPEC_1_2 = InterpSpec.for_target(1.0, 2.0, 1.5)
 SPEC_2_4 = InterpSpec.for_target(2.0, 4.0, 3.0)
@@ -219,9 +222,10 @@ def test_boundary_norms_and_three_lines_evaluate_the_grid_as_one_batch(monkeypat
     monkeypatch.setattr(interpolation, "pairing", lambda a, b: pairs.append(a.batch) or pair(a, b))
     lines = boundary_witness(h, SPEC_1_2)
     n0, n1 = lp_sch_norm(lines[0], SPEC_1_2.p0), lp_sch_norm(lines[1], SPEC_1_2.p1)
-    # one normalization, then one norm per strip edge: one kernel call per entry
-    # each (singular values, except the Frobenius sum of the 2 x 2 entry at p1 = 2)
-    assert len(kernels) == 3 * len(m.entries) and kernels.count("hs_norm") == 1
+    # the normalization reads the SVD memo only, then one norm per strip edge: one
+    # kernel call per entry each (singular values, except the Frobenius sum of the
+    # 2 x 2 entry at p1 = 2)
+    assert len(kernels) == 2 * len(m.entries) and kernels.count("hs_norm") == 1
     assert len(n0) == len(n1) == len(DEFAULT_T_GRID)
     three_lines_check(h, f, SPEC_1_2, lines)
     # each strip edge's grid as one batch, then the center
@@ -237,6 +241,25 @@ def test_witness_rejects_points_off_strip():
         w(1.5 + 1j)
     with pytest.raises(ValueError):
         w(np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)", "custom(16,32)"])
+@pytest.mark.parametrize("p", EXTREME_P, ids=repr)
+def test_boundary_norms_are_one_at_extreme_exponents(dual, p):
+    # the suite's strips: witness exponents up to 2p, where a rounded norm raised
+    # to them would lose every digit
+    spec = _interp_spec_for(ExponentP(p))
+    hs = random_stacks(parse_dual_arg(dual), mix_seed("extreme p witness", dual), rows=2)
+    q0, q1 = spec.p0.conjugate(), spec.p1.conjugate()
+    edges = interpolation._edges()
+    with mpmath.workdps(50):
+        for at, exponents in ((witness_f(hs, spec), (spec.p0, spec.p1)),
+                              (witness_g(hs, spec), (q0, q1))):
+            for z, r in zip(edges, exponents):
+                line = at(z)
+                for k in range(2):
+                    for j in range(len(z)):
+                        assert abs(mp_sch_norm(line[k, j], r) - 1) <= 1e-12
 
 
 # -- three lines ----------------------------------------------------------------
@@ -324,6 +347,21 @@ def test_consistency_equal_endpoints_exact():
     assert max_block_diff(w, h_unit) <= 1e-12  # witness constant in z
     rep = interp_norm_consistency(h, spec, line_norms(h, spec))
     assert rep.passed and abs(rep.rhs - rep.lhs) <= 1e-10 * max(1.0, rep.lhs)
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
+def test_consistency_at_p_1_computes_the_center(dual, monkeypatch):
+    # p0 = p1 = 1: the lower side pairs h / ||h||_1 with its extremizer, the
+    # adjoint of its partial isometry, rather than taking the center as 1
+    spec = InterpSpec(1.0, 1.0, 0.5)
+    h = random_field(parse_dual_arg(dual), mix_seed("cons p1", dual))
+    norms = line_norms(h, spec)
+    rep = interp_norm_consistency(h, spec, norms)
+    center = abs(pairing((1.0 / lp_sch_norm(h, 1.0)) * h, dual_extremizer(h, 1.0)))
+    assert rep.passed and rep.slack == min(rep.rhs - rep.lhs, center - 1.0)
+    # so an extremizer that misses the norm fails the report at p = 1 as well
+    monkeypatch.setattr(interpolation, "dual_extremizer", lambda h, p: 0.99 * dual_extremizer(h, p))
+    assert not interp_norm_consistency(h, spec, norms).passed
 
 
 def test_consistency_scalar_model_matches_classical_interpolation():
