@@ -37,7 +37,7 @@ import numpy as np
 
 from .dualmodel import DualModel, Field, _check_layout, _stack, _trusted, mix_seed, random_stacks
 from .dualmodel import _is_integer, _is_real, random_uniforms
-from .matcore import power_sum
+from .matcore import _scale_exponent, power_sum
 from .norms import ExponentP, _finite_interior, field_norm, field_norms
 from .report import (
     CheckReport,
@@ -157,7 +157,8 @@ def two_point_critical_constant(norms):
     cannot fail; it stays while ``benchmarks/workloads.expected_report_count``
     pins the report set.
     """
-    n1, n2, mean_p = norms
+    scale = np.ldexp(1.0, -_scale_exponent(norms[1]))  # no square overflows
+    n1, n2, mean_p = (np.multiply(v, scale) for v in norms)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(n2 == 0.0, math.nan, (np.square(mean_p) - np.square(n1)) / np.square(n2))
     return c if np.ndim(c) else float(c)
@@ -381,7 +382,9 @@ def rademacher_average(fields, p, family: str = "sch"):
     depends only on n and the model, and a batch is walked in ``_chunks`` of
     rows: each run is a batch Field of shape (2^L, rows) whose norms take one
     batched reduction, and the running total adds them in pattern order, so
-    a row's average is that of the row alone, bit for bit.
+    a row's average is that of the row alone, bit for bit.  A row's summands
+    are scaled by 2^-e, e the ``matcore._scale_exponent`` of their largest
+    real or imaginary part, and its average by 2^e, so no square overflows.
     """
     fields = list(fields)
     n = len(fields)
@@ -398,6 +401,8 @@ def rademacher_average(fields, p, family: str = "sch"):
     for chunk in _chunks(model, rows, 2**bits):
         # (n, rows, d, 2d) real views: real signs sum (re, im) pairs alike
         stacks = [b[:, chunk.start:chunk.stop].view(np.float64) for b in blocks]
+        e = _scale_exponent(np.max([np.abs(s).max(axis=(0, 2, 3)) for s in stacks], axis=0))
+        stacks = [s * np.ldexp(1.0, -e)[:, None, None] for s in stacks]
         low = [s[:1] for s in stacks]
         for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j
             low = [np.concatenate([t + s[j], t - s[j]]) for t, s in zip(low, stacks)]
@@ -412,9 +417,9 @@ def rademacher_average(fields, p, family: str = "sch"):
                     else:
                         high += s[j]
                 sums.append((t + high).view(np.complex128))
-            terms = field_norm(_trusted(model, sums), p, family) ** 2.0
+            terms = np.square(field_norm(_trusted(model, sums), p, family))
             total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
-        averages.append(np.power(total[0] / half, 1.0 / 2.0))
+        averages.append(np.ldexp(np.power(total[0] / half, 1.0 / 2.0), e))
     average = np.concatenate([np.zeros(0), *averages]).reshape(batch)  # no chunk: no rows
     return average if batch else float(average)
 

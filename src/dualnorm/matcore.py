@@ -15,9 +15,13 @@ is no validating constructor here.
 is the one-row stack), and LAPACK, values only, otherwise.
 :func:`schatten_norm` reduces them, except at p = 2, where S_2 is the
 Hilbert-Schmidt class and the norm is the Frobenius sum :func:`hs_norm`, with
-no factorization, rescaled for the matrices whose plain sum of squares would
-overflow or underflow.  :func:`power_sum` forms every l^p sum of the package,
-scaled by its largest term so that no exponent in [1, inf] overflows.
+no factorization.  No reduction depends on the magnitude of its input: every
+l^p sum (:func:`power_sum`, and the sorted sums of singular values) divides
+its terms by its largest term (``_largest_term``), so no exponent in
+[1, inf] overflows, and every sum of squares (``_sigma2``, :func:`hs_norm`,
+and the sign average and critical constant of ``inequalities``) is formed
+from values scaled by the exact power of two that brings the largest into
+[1/2, 1) (``_scale_exponent``), then scaled back.
 A single matrix must reduce to the bits of its row in a stack: no reduction
 forks on the number of rows, and every power is ``np.power``, since ``**`` on
 a float scalar calls C ``pow``, which may differ from the array loop.
@@ -87,8 +91,14 @@ def _square(a) -> np.ndarray:
     return a
 
 
-# Added to power_sum's largest term: a positive scale with no zero guard.
-_TINY = float(np.finfo(np.float64).tiny)
+def _largest_term(top):
+    """``top``, the divisor of a sum scaled by its largest term; 5e-324 for an all-zero sum."""
+    return np.maximum(top, math.ulp(0.0))
+
+
+def _scale_exponent(m):
+    """e with m / 2^e in [1/2, 1) (0 at m = 0), at least -1022 so that 2^-e is finite."""
+    return np.maximum(np.frexp(m)[1], -1022)
 
 
 def power_sum(values, r: float):
@@ -97,16 +107,14 @@ def power_sum(values, r: float):
     ``values`` is a sequence of floats or of same-shape arrays, reduced
     elementwise (so an array is reduced over its first axis), in any order;
     a result of shape () is a float (0 if ``values`` is empty).  Each term
-    is divided by the largest (+ _TINY) before it is raised to r, so no
-    power overflows for any r in [1, inf] and a term that underflows is
-    below rounding (E. Anderson, "Algorithm 978: Safe Scaling in the Level 1
-    BLAS", TOMS 2017).
+    is divided by the largest (``_largest_term``) before it is raised to r
+    (E. Anderson, "Algorithm 978: Safe Scaling in the Level 1 BLAS", TOMS 2017).
     """
     if not len(values):
         return 0.0
     top = functools.reduce(np.maximum, values)
     if not math.isinf(r):
-        c = top + _TINY
+        c = _largest_term(top)
         top = np.power(sum(np.power(v / c, r) for v in values), 1.0 / r) * c
     return top if np.ndim(top) else float(top)
 
@@ -116,7 +124,7 @@ def _power_sum_sorted(s: np.ndarray, r: float):
     top = s[..., 0][()]  # a numpy scalar for one matrix's values
     if math.isinf(r) or s.shape[-1] == 1:
         return top
-    rest = s[..., 1:] / (top + _TINY)[..., None]
+    rest = s[..., 1:] / _largest_term(top)[..., None]
     return np.power(1.0 + np.power(rest, r).sum(axis=-1), 1.0 / r) * top
 
 
@@ -128,15 +136,15 @@ def _sigma2(a: np.ndarray) -> np.ndarray:
     a up to phases as [[f, g], [0, h]], with g = |u* a[:, 1]| and
     h = |u0 a11 - u1 a01|, whose singular values are
     s0 = (hypot(f + h, g) + hypot(f - h, g)) / 2 and s1 = (f / s0) h.
-    Each matrix is first scaled by the power of two that brings its largest
-    entry into [1/2, 1): that is exact, so neither huge nor subnormal entries
-    overflow or lose digits.  A first column below the normal range (f < tiny,
-    zero included) takes u = (1, 0), at an error of order f, far below the
-    rounding of s0 (which is at least the largest entry).
+    Each matrix is first scaled by ``_scale_exponent`` of its largest entry,
+    so neither huge nor subnormal entries overflow or lose digits.  A first
+    column below the normal range (f < tiny, zero included) takes u = (1, 0),
+    at an error of order f, far below the rounding of s0 (which is at least
+    the largest entry).
     """
     r = np.abs(a)
     m = np.maximum(np.maximum(r[..., 0, 0], r[..., 0, 1]), np.maximum(r[..., 1, 0], r[..., 1, 1]))
-    e = np.maximum(np.frexp(m)[1], -1022)  # 2^-e stays finite
+    e = _scale_exponent(m)
     a = a * np.ldexp(1.0, -e)[..., None, None]
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     f = np.hypot(np.abs(a00), np.abs(a10))
@@ -193,7 +201,7 @@ def hs_norm(a: np.ndarray):
     A sum of squares over the float64 view (no conjugate copy), which needs a
     contiguous last axis.  A matrix whose sum overflows, or whose result lies
     below _HS_RESCALE_BELOW, where squares lose digits to underflow, is summed
-    again after the exact power-of-two scaling of ``_sigma2``.
+    again from its entries scaled by ``_scale_exponent``.
     """
     a = _square(a)
     if a.strides[-1] != a.itemsize:
@@ -207,7 +215,7 @@ def hs_norm(a: np.ndarray):
         return norms
     redo = ~(norms >= _HS_RESCALE_BELOW) | (norms == math.inf)
     x = x[redo]
-    e = np.maximum(np.frexp(np.abs(x).max(axis=(-2, -1)))[1], -1022)  # 2^-e stays finite
+    e = _scale_exponent(np.abs(x).max(axis=(-2, -1)))
     x = x * np.ldexp(1.0, -e)[:, None, None]
     norms = np.array(norms)
     norms[redo] = np.ldexp(np.sqrt(np.einsum("...ij,...ij->...", x, x)), e)
