@@ -191,13 +191,15 @@ def interp_norm_consistency(h: Field, spec: InterpSpec, line_norms, *, case_id="
     takes (the witness raises for the zero field).
     Upper: ||h||_p is at most the largest boundary norm of the witness
     scaled back by ||h||_p.  Lower: the norming functional realizes
-    |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
+    |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.  Both
+    slacks are in units of ||h||_p, the witness's own, as is the tolerance.
     """
     p = spec.p
     bounds0, bounds1 = line_norms
     norm = lp_sch_norm(h, p)
-    boundary_max = norm * np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
-    upper_slack = boundary_max - norm          # norm <= max boundary witness norm
+    widest = np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
+    boundary_max = norm * widest
+    upper_slack = widest - 1.0                 # norm <= max boundary witness norm
     # the extremizer of h is that of h / ||h|| (scale-invariant), defined at p = 1 too
     center = np.abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
     lower_slack = center - 1.0                 # norming functional reaches the norm

@@ -849,14 +849,14 @@ def test_tol_override_keeps_exact_counts_exact():
 # (suite, case_id, anchor) list alone; it has not moved since trials were drawn
 # as rows of one stream per case, which moved every number and digest.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "265b28e1ba035f81", "a2bbc3c265dd30d9",
-     "6490afdb24a4abc1", 313, "43e1f23a06689e47"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "aca9029bb08fd0fc", "af35f1fa0dc94a89",
+     "91fb55ae0c58747c", 313, "43e1f23a06689e47"),
     ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "4bac6a85ad58882e", "fe6e0f4d58154c5d",
      "43b7b4f2cc5f288b", 252, "e23f14cc1f25b55a"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "de2a918d88469cc8", "15185ca9e8cacfbd",
-     "0daf84f0733c08dc", 174, "27befb38b782994d"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "f718de8d54f45e67", "ac4a930c957d27ac",
-     "cc313bf5add894f6", 113, "5cae59af955de0c5"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "ad700044825f3092", "8e1c35a98851ab98",
+     "f8f239fdef2d4592", 174, "27befb38b782994d"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "57d74dedcdafa707", "609b41a8faf4eca7",
+     "10fec25fa12f93e0", 113, "5cae59af955de0c5"),
 ]
 
 
