@@ -12,11 +12,11 @@ dim)`` array with the same batch shape (``()`` for a single field), and
 model and batch shape, ``_stack`` stacks them into one ``(k, *batch)`` batch,
 and ``DualModel.size`` counts the complex entries of one field.
 
-Both types are immutable; field arithmetic returns new fields.  Data is
-validated where it enters: ``Field(...)`` checks and copies its arrays,
-while fields the package computes go through :func:`_trusted`.  Blocks can
-never be made writable again, so a field memoizes what it costs a
-factorization to learn: each entry's singular values
+Both types are immutable; field arithmetic returns new fields, and raises
+ValueError where a result overflows.  Data is validated where it enters:
+``Field(...)`` checks and copies its arrays, while fields the package
+computes go through :func:`_trusted`.  Blocks can never be made writable
+again, so a field memoizes what it costs a factorization to learn: each entry's singular values
 (``Field.singular_values``) and each entry's SVD (``Field.svd_factors``),
 computed on first use by :mod:`matcore` and then shared by every norm,
 extremizer and witness of that field, and by its absolute value |H|
@@ -257,11 +257,11 @@ class Field:
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_model(self, other)
-        return _trusted(self.model, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return _blockwise(self.model, np.add, self.blocks, other.blocks)
 
     def __sub__(self, other: "Field") -> "Field":
         _check_same_model(self, other)
-        return _trusted(self.model, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return _blockwise(self.model, np.subtract, self.blocks, other.blocks)
 
     def __neg__(self) -> "Field":
         return self.map_blocks(lambda b: -b)
@@ -274,7 +274,7 @@ class Field:
             raise ValueError(f"a field's factor must be finite, got {alpha!r}")
         if np.ndim(alpha):
             alpha = np.asarray(alpha)[..., None, None]
-        return self.map_blocks(lambda b: alpha * b)
+        return _blockwise(self.model, lambda b: alpha * b, self.blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Field):
@@ -290,6 +290,16 @@ def _trusted(model: DualModel, blocks) -> Field:
     object.__setattr__(field, "model", model)
     object.__setattr__(field, "blocks", tuple(map(_locked, blocks)))
     return field
+
+
+def _blockwise(model: DualModel, op, *operands) -> Field:
+    """The trusted Field of ``op`` over the operands' blocks, entry by entry; ValueError
+    where a result overflows (an inf or nan from finite blocks)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _trusted(model, [op(*blocks) for blocks in zip(*operands)])
+    except FloatingPointError as exc:
+        raise ValueError(f"field arithmetic overflows: {exc}") from exc
 
 
 def _locked(b: np.ndarray) -> np.ndarray:
@@ -417,7 +427,7 @@ def field_abs(h: Field) -> Field:
 
 def field_product(h1: Field, h2: Field) -> Field:
     _check_same_model(h1, h2)
-    return _trusted(h1.model, [a @ b for a, b in zip(h1.blocks, h2.blocks)])
+    return _blockwise(h1.model, np.matmul, h1.blocks, h2.blocks)
 
 
 # -- JSON wire formats ------------------------------------------------------

@@ -14,6 +14,7 @@ from dualnorm.dualmodel import (
     MAX_ENTRIES,
     DualModel,
     Field,
+    _stack,
     _trusted,
     decode_field,
     decode_model,
@@ -382,6 +383,25 @@ def test_field_rejects_a_non_finite_factor(bad):
         bad * h
     with pytest.raises(ValueError, match="finite"):
         np.array([1.0, bad, 2.0]) * random_stacks(h.model, 1, rows=3)
+
+
+# each takes a field whose largest real or imaginary part is 1 to a result that overflows
+OVERFLOWING = {
+    "add": lambda h: 1e308 * h + 1e308 * h,
+    "sub": lambda h: 1e308 * h - (-1e308) * h,
+    "rmul": lambda h: 1e308 * (1e10 * h),
+    "rmul_by_rows": lambda h: np.array([1.0, 1e308]) * (1e10 * _stack([h, h])),
+    "field_product": lambda h: field_product(1e200 * h, 1e200 * h),
+}
+
+
+@pytest.mark.parametrize("op", OVERFLOWING)
+def test_field_arithmetic_that_overflows_raises(op):
+    # finite blocks make no inf or nan entry: an overflowing result raises, not a RuntimeWarning
+    h = random_field(preset_dual("su2_trunc", 3), 1)
+    h = (1.0 / max(np.abs(b.view(np.float64)).max() for b in h.blocks)) * h
+    with pytest.raises(ValueError, match="overflows"):
+        OVERFLOWING[op](h)
 
 
 def test_field_rejects_entries_with_different_batch_shapes():
