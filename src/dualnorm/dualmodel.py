@@ -16,11 +16,11 @@ Both types are immutable; field arithmetic returns new fields, and raises
 ValueError where a result overflows.  Data is validated where it enters:
 ``Field(...)`` checks and copies its arrays, while fields the package
 computes go through :func:`_trusted`.  Blocks can never be made writable
-again, so a field memoizes what it costs a factorization to learn: each entry's singular values
-(``Field.singular_values``) and each entry's SVD (``Field.svd_factors``),
-computed on first use by :mod:`matcore` and then shared by every norm,
-extremizer and witness of that field, and by its absolute value |H|
-(:func:`field_abs`).  The two memos never feed each other, so a value never
+again, so a field memoizes what it costs a factorization to learn: each
+entry's singular values (``Field.singular_values``) and each entry's SVD
+(``Field.svd_factors``), computed on first use by :mod:`matcore` and then
+shared by every norm, extremizer and witness of that field, and by its
+absolute value |H| (:func:`field_abs`).  The two memos never feed each other, so a value never
 depends on the order of calls; copies and unpickled fields start with none.
 Reports digest a field as its model, its dims and a hash of its block bytes,
 kept the same way for each row (``Field.block_sha256``), so every report of a
@@ -293,8 +293,7 @@ def _trusted(model: DualModel, blocks) -> Field:
 
 
 def _blockwise(model: DualModel, op, *operands) -> Field:
-    """The trusted Field of ``op`` over the operands' blocks, entry by entry; ValueError
-    where a result overflows (an inf or nan from finite blocks)."""
+    """The trusted Field of ``op`` over the operands' blocks; ValueError if a result overflows."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _trusted(model, [op(*blocks) for blocks in zip(*operands)])

@@ -13,8 +13,10 @@ parallelogram identity:
 * the rearranged-Clarkson gap behind the Kadec-Klee property (in units of
   its power mean), and the finite comparison behind summability.
 
-Each sum or mean of powers of norms is ``matcore.power_sum``, and the bounds
-raise eps/2 <= 1, so no exponent in (1, inf) overflows.  All sampling is
+Each l^p sum or power mean of norms is ``matcore.power_sum``, the sign
+average and critical constant square norms in units of an exact power of two
+(``matcore._scale_exponent``), and the Kadec-Klee gap and the bounds raise
+values at most 1, so no exponent in (1, inf) overflows.  All sampling is
 seeded and deterministic; sampled infima over-estimate the true modulus of
 convexity and sampled suprema under-estimate the modulus of smoothness, so
 every assertion against the proved bounds is sound regardless of how the
@@ -383,8 +385,8 @@ def rademacher_average(fields, p, family: str = "sch"):
     rows: each run is a batch Field of shape (2^L, rows) whose norms take one
     batched reduction, and the running total adds them in pattern order, so
     a row's average is that of the row alone, bit for bit.  A row's summands
-    are scaled by 2^-e, e the ``matcore._scale_exponent`` of their largest
-    real or imaginary part, and its average by 2^e, so no square overflows.
+    are scaled by 2^-e and its average by 2^e, e the ``matcore._scale_exponent``
+    of their largest real or imaginary part, so no square overflows.
     """
     fields = list(fields)
     n = len(fields)

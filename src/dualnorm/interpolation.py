@@ -198,7 +198,6 @@ def interp_norm_consistency(h: Field, spec: InterpSpec, line_norms, *, case_id="
     bounds0, bounds1 = line_norms
     norm = lp_sch_norm(h, p)
     widest = np.maximum(bounds0.max(axis=-1), bounds1.max(axis=-1))
-    boundary_max = norm * widest
     upper_slack = widest - 1.0                 # norm <= max boundary witness norm
     # the extremizer of h is that of h / ||h|| (scale-invariant), defined at p = 1 too
     center = np.abs(pairing((1.0 / norm) * h, dual_extremizer(h, p)))
@@ -206,6 +205,6 @@ def interp_norm_consistency(h: Field, spec: InterpSpec, line_norms, *, case_id="
     slack = np.minimum(upper_slack, lower_slack)
     inputs = (h, spec.p0, spec.p1, spec.theta, list(DEFAULT_T_GRID))
     return check_report(
-        "interpolation", case_id, p, norm, boundary_max, slack, inputs,
+        "interpolation", case_id, p, norm, norm * widest, slack, inputs,
         "equal_norms", rel=1e-8, scale=1.0,
     )

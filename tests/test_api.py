@@ -141,6 +141,22 @@ def test_layout_rules_and_modulus_sides_are_stated_once():
     assert "sides" in cli_attrs and not cli_attrs & {"bound", "estimate"}
 
 
+
+def test_the_two_scaling_rules_are_stated_once():
+    sources = {name: Path(importlib.import_module(f"dualnorm.{name}").__file__).read_text(
+        encoding="utf-8") for name in MODULES}
+    # every exact power-of-two scaling takes its exponent from matcore._scale_exponent
+    assert {name: s.count("np.frexp(") for name, s in sources.items() if "np.frexp(" in s} == {
+        "matcore": 1}
+    tree = ast.parse(sources["matcore"])
+    helper = next(n for n in tree.body if getattr(n, "name", "") == "_scale_exponent")
+    assert "np.frexp(" in ast.get_source_segment(sources["matcore"], helper)
+    # every l^p sum divides by its largest term itself (matcore._largest_term)
+    assert not [name for name, s in sources.items() if "_TINY" in s]
+    # a norm squared outside matcore is a sum of squares that no rule scales
+    assert not [name for name, s in sources.items()
+                if name != "matcore" and re.search(r"\*\* ?2\.0", s)]
+
 # Every private name cli takes from a library module: a new one shows up here
 CLI_PRIVATE_NAMES = {
     ("dualmodel", "_ascii_float"),
