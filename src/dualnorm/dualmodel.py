@@ -17,10 +17,11 @@ ValueError where a result overflows.  Data is validated where it enters:
 ``Field(...)`` checks and copies its arrays, while fields the package
 computes go through :func:`_trusted`.  Blocks can never be made writable
 again, so a field memoizes what it costs a factorization to learn: each
-entry's singular values (``Field.singular_values``) and each entry's SVD
-(``Field.svd_factors``), computed on first use by :mod:`matcore` and then
-shared by every norm, extremizer and witness of that field, and by its
-absolute value |H| (:func:`field_abs`).  The two memos never feed each other, so a value never
+entry's singular values
+(``Field.singular_values``) and each entry's SVD (``Field.svd_factors``),
+computed on first use by :mod:`matcore` and then shared by every norm,
+extremizer and witness of that field, and by its absolute value |H|
+(:func:`field_abs`).  The two memos never feed each other, so a value never
 depends on the order of calls; copies and unpickled fields start with none.
 Reports digest a field as its model, its dims and a hash of its block bytes,
 kept the same way for each row (``Field.block_sha256``), so every report of a

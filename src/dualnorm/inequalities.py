@@ -385,8 +385,8 @@ def rademacher_average(fields, p, family: str = "sch"):
     rows: each run is a batch Field of shape (2^L, rows) whose norms take one
     batched reduction, and the running total adds them in pattern order, so
     a row's average is that of the row alone, bit for bit.  A row's summands
-    are scaled by 2^-e and its average by 2^e, e the ``matcore._scale_exponent``
-    of their largest real or imaginary part, so no square overflows.
+    are taken in units of 2^e, e the ``matcore._scale_exponent`` of their
+    largest |re| or |im|, so no square overflows.
     """
     fields = list(fields)
     n = len(fields)

@@ -189,10 +189,9 @@ def interp_norm_consistency(h: Field, spec: InterpSpec, line_norms, *, case_id="
 
     ``line_norms`` are the boundary norms that ``boundary_witness_check``
     takes (the witness raises for the zero field).
-    Upper: ||h||_p is at most the largest boundary norm of the witness
-    scaled back by ||h||_p.  Lower: the norming functional realizes
-    |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.  Both
-    slacks are in units of ||h||_p, the witness's own, as is the tolerance.
+    Upper: the witness's largest boundary norm is at least 1 (both slacks are
+    in units of ||h||_p).  Lower: the norming functional realizes
+    |<h/||h||, F>| = 1, so the strip value at theta reaches the norm.
     """
     p = spec.p
     bounds0, bounds1 = line_norms

@@ -15,13 +15,12 @@ is no validating constructor here.
 is the one-row stack), and LAPACK, values only, otherwise.
 :func:`schatten_norm` reduces them, except at p = 2, where S_2 is the
 Hilbert-Schmidt class and the norm is the Frobenius sum :func:`hs_norm`, with
-no factorization.  No reduction depends on the magnitude of its input: every
-l^p sum (:func:`power_sum`, and the sorted sums of singular values) divides
-its terms by its largest term (``_largest_term``), so no exponent in
-[1, inf] overflows, and every sum of squares (``_sigma2``, :func:`hs_norm`,
-and the sign average and critical constant of ``inequalities``) is formed
-from values scaled by the exact power of two that brings the largest into
-[1/2, 1) (``_scale_exponent``), then scaled back.
+no factorization.  No reduction depends on its input's magnitude: every l^p
+sum (:func:`power_sum`, the sorted sums of singular values) divides its
+terms by the largest (``_largest_term``), so no exponent in [1, inf]
+overflows, and every sum of squares (``_sigma2``, :func:`hs_norm`, the sign
+average and critical constant of ``inequalities``) is formed in units of the
+power of two that brings the largest value into [1/2, 1) (``_scale_exponent``).
 A single matrix must reduce to the bits of its row in a stack: no reduction
 forks on the number of rows, and every power is ``np.power``, since ``**`` on
 a float scalar calls C ``pow``, which may differ from the array loop.
@@ -136,11 +135,11 @@ def _sigma2(a: np.ndarray) -> np.ndarray:
     a up to phases as [[f, g], [0, h]], with g = |u* a[:, 1]| and
     h = |u0 a11 - u1 a01|, whose singular values are
     s0 = (hypot(f + h, g) + hypot(f - h, g)) / 2 and s1 = (f / s0) h.
-    Each matrix is first scaled by ``_scale_exponent`` of its largest entry,
-    so neither huge nor subnormal entries overflow or lose digits.  A first
-    column below the normal range (f < tiny, zero included) takes u = (1, 0),
-    at an error of order f, far below the rounding of s0 (which is at least
-    the largest entry).
+    Each matrix is first scaled by 2^-e, e the ``_scale_exponent`` of its
+    largest entry, so neither huge nor subnormal entries overflow or lose
+    digits.  A first column below the normal range (f < tiny, zero included)
+    takes u = (1, 0), at an error of order f, far below the rounding of s0
+    (which is at least the largest entry).
     """
     r = np.abs(a)
     m = np.maximum(np.maximum(r[..., 0, 0], r[..., 0, 1]), np.maximum(r[..., 1, 0], r[..., 1, 1]))
@@ -201,7 +200,7 @@ def hs_norm(a: np.ndarray):
     A sum of squares over the float64 view (no conjugate copy), which needs a
     contiguous last axis.  A matrix whose sum overflows, or whose result lies
     below _HS_RESCALE_BELOW, where squares lose digits to underflow, is summed
-    again from its entries scaled by ``_scale_exponent``.
+    again from its entries scaled by 2^-e (``_scale_exponent``).
     """
     a = _square(a)
     if a.strides[-1] != a.itemsize:
