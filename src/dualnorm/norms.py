@@ -29,8 +29,9 @@ The Hilbert-Schmidt family takes one Frobenius norm per entry.  Both sum
 the entries' norms through ``matcore.power_sum``, each entry's weight folded
 into its norm as a factor, so no p in [1, inf] overflows.  ``field_norms``
 takes several fields' norms at one exponent from one reduction of their
-stack, row k bit for bit ``field_norm`` of field k, so a check pays the fixed
-cost of a reduction once per exponent, not once per field.
+stack, at every size, row k bit for bit ``field_norm`` of field k, so a check
+pays the fixed cost of a reduction once per exponent, not once per field.  The
+stack does not read its fields' memos.
 
 The two coincide at p = 2.  For p <= 2 the Schatten norm is dominated by the
 Hilbert-Schmidt one, for p >= 2 the domination reverses; products obey the
@@ -199,26 +200,17 @@ def field_norm(h: Field, p, family: str):
     raise ValueError(f"unknown norm family {family!r}")
 
 
-# Complex entries (rows x entries) of a field up to which field_norms stacks its
-# fields.  A stack saves the fixed cost of each reduction but copies the fields,
-# and from about 3000 entries a field (s3 at 500 rows, custom(16,32) at 4 rows)
-# the copy costs more than the calls it saves.
-_STACK_FIELD_ENTRIES = 2048
-
-
 def field_norms(fields, p, family: str) -> list:
     """``[field_norm(f, p, family) for f in fields]``, from one reduction of their stack.
 
     The fields share a model and a batch shape, and row k of their stack reduces
-    bit for bit like ``fields[k]``.  Fields of more than _STACK_FIELD_ENTRIES
-    complex entries are reduced one by one, each from its own singular values.
+    bit for bit like ``fields[k]``.  The stack is a new field, so it does not read
+    the fields' singular-value memos.
     """
     fields = list(fields)
     if not fields:
         return []
-    model, batch = _check_layout(fields)
-    if math.prod(batch) * model.size > _STACK_FIELD_ENTRIES:
-        return [field_norm(f, p, family) for f in fields]
+    _, batch = _check_layout(fields)
     norms = field_norm(_stack(fields), p, family)
     return list(norms) if batch else [float(n) for n in norms]
 

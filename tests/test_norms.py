@@ -283,17 +283,23 @@ def test_field_norms_are_each_fields_norm_bit_for_bit(dual, family):
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), (p, len(fields))
 
 
-def test_field_norms_stack_fields_of_at_most_the_bound(monkeypatch):
+@pytest.mark.parametrize(
+    "model, rows",
+    [
+        (preset_dual("su2_trunc", 4), 68),  # 30 complex entries a row
+        (preset_dual("su2_trunc", 4), 69),
+        (preset_dual("s3"), 500),  # 6 entries a row
+        (preset_dual("custom", [16, 32]), 4),  # 1280 entries a row
+    ],
+    ids=["su2_trunc4-68", "su2_trunc4-69", "s3-500", "custom16_32-4"],
+)
+def test_field_norms_reduce_one_stack_at_every_size(monkeypatch, model, rows):
     calls = []
     norm = norms.field_norm
     monkeypatch.setattr(norms, "field_norm", lambda h, *a: calls.append(h.batch) or norm(h, *a))
-    model = preset_dual("su2_trunc", 4)  # 30 complex entries a row
-    most = norms._STACK_FIELD_ENTRIES // 30
-    for rows, batches in ((most, [(3, most)]), (most + 1, [(most + 1,)] * 3)):
-        fields = [random_stacks(model, mix_seed("bound", k), rows=rows) for k in range(3)]
-        calls.clear()
-        norms.field_norms(fields, 1.5, "sch")
-        assert calls == batches  # one stack, or one reduction per field
+    fields = [random_stacks(model, mix_seed("stack", k), rows=rows) for k in range(3)]
+    norms.field_norms(fields, 1.5, "sch")
+    assert calls == [(3, rows)]
 
 
 def test_field_norms_reject_mixed_models_and_batch_shapes():
