@@ -191,7 +191,7 @@ def schatten_norm(a: np.ndarray, p: float):
 
 
 # hs_norm recomputes, rescaled, a result below this (its squares near underflow).
-# Kept as a fork: always scaling by _scale_exponent took 31-49% more CPU in the moduli samplers.
+# Kept as a fork: rescaling every matrix took about a third more CPU in the moduli samplers.
 _HS_RESCALE_BELOW = 1e-150
 
 
