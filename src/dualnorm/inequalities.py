@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualmodel import DualModel, Field, _check_layout, _stack, _trusted, mix_seed, random_stacks
-from .dualmodel import _is_integer, _is_real, random_uniforms
+from .dualmodel import _blockwise, _is_integer, _is_real, random_uniforms
 from .matcore import _scale_exponent, power_sum
 from .norms import ExponentP, _finite_interior, field_norm, field_norms
 from .report import (
@@ -282,9 +282,14 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
     h1 is a normalized ginibre draw; h2 mixes it with an independent draw
     at a uniformly random angle, so near-equal and near-antipodal pairs both
     occur.  Only unit-norm membership matters for soundness of the modulus
-    estimates.  Each ``_chunks`` range of pairs is held as two batch Fields
-    and reduced in one stack of norms; with ``convexity`` false, or an empty
-    ``t_grid``, the pass forms none of that estimate's norms.
+    estimates.  Each ``_chunks`` range of pairs is normalized and mixed as
+    arrays, entry by entry, and its norms at the exponent are one
+    ``field_norm`` of one batch of shape (stacked, rows): rows 2i and 2i + 1
+    are h1 + t_i h2 and h1 - t_i h2 for each grid point, and under
+    ``convexity`` the last two are h1 - h2 and (h1 + h2) / 2.  With
+    ``convexity`` false, or an empty ``t_grid``, the pass forms none of that
+    estimate's norms, and with neither it draws nothing.  Every step raises
+    ValueError where a result overflows, as field arithmetic does.
     """
     p = _finite_interior(p)
     ts = [float(t) if _is_real(t) else math.nan for t in t_grid]  # nan fails the check below
@@ -292,27 +297,48 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
         raise ValueError(f"smoothness grid points must be finite non-negative reals: {t_grid!r}")
     if not (_is_integer(samples) and _is_integer(seed) and samples >= 0):
         raise ValueError(f"samples and seed must be integers, samples >= 0: {samples!r}, {seed!r}")
+    if not (convexity or ts):
+        return [], []
     keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
     bins = len(CONVEXITY_EDGES) - 1
     lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
     highest = [-math.inf] * len(ts)
     stacked = 2 * len(ts) + (2 if convexity else 0)  # fields per pair in the stack of its norms
-    for chunk in _chunks(model, samples, max(1, stacked)):
+    for chunk in _chunks(model, samples, stacked):
         a, b, cos_t, sin_t = _draws(model, keys, chunk.start, len(chunk))
         norm_a, norm_b = field_norms((a, b), p, family)
         if not (norm_a.all() and norm_b.all()):
             raise ZeroDivisionError("a ginibre draw has zero norm")
-        h1, g = (1.0 / norm_a) * a, (1.0 / norm_b) * b
-        mixed = cos_t * h1 + sin_t * g
-        norm = field_norm(mixed, p, family)
-        flat = norm == 0.0  # measure-zero degenerate mix; fall back to the raw draw
-        if flat.any():
-            mixed, norm = mixed + flat * g, np.where(flat, 1.0, norm)
-        h2 = (1.0 / norm) * mixed
-        fields = [x for t in ts for x in (h1 + t * h2, h1 - t * h2)]
-        if convexity:
-            fields += [h1 - h2, 0.5 * (h1 + h2)]
-        norms = field_norms(fields, p, family)
+
+        def unit_mix(block_a, block_b):  # rows h1, g and cos t h1 + sin t g of one entry
+            rows = np.empty((3, *block_a.shape), dtype=np.complex128)
+            h1, g, mixed = rows
+            np.multiply((1.0 / norm_a)[:, None, None], block_a, out=h1)
+            np.multiply((1.0 / norm_b)[:, None, None], block_b, out=g)
+            np.add(cos_t[:, None, None] * h1, sin_t[:, None, None] * g, out=mixed)
+            return rows
+
+        units = _blockwise(model, unit_mix, a.blocks, b.blocks)
+        norm = field_norm(units[2], p, family)
+        flat = norm == 0.0
+        norm = np.where(flat, 1.0, norm)
+
+        def pair_stack(rows):  # the stacked rows of one entry, from its unit_mix rows
+            h1, g, mixed = rows
+            if flat.any():  # measure-zero degenerate mix; fall back to the raw draw
+                mixed = mixed + flat[:, None, None] * g
+            h2 = (1.0 / norm)[:, None, None] * mixed
+            out = np.empty((stacked, *h1.shape), dtype=np.complex128)
+            for i, t in enumerate(ts):
+                th2 = t * h2
+                np.add(h1, th2, out=out[2 * i])
+                np.subtract(h1, th2, out=out[2 * i + 1])
+            if convexity:
+                np.subtract(h1, h2, out=out[-2])
+                np.multiply(0.5, h1 + h2, out=out[-1])
+            return out
+
+        norms = field_norm(_blockwise(model, pair_stack, units.blocks), p, family)
         for i in range(len(ts)):
             plus, minus = norms[2 * i], norms[2 * i + 1]
             highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))

@@ -1,0 +1,70 @@
+"""The moduli pass in field arithmetic: an oracle for ``inequalities._moduli_pass``.
+
+Each chunk's unit pairs are held as batch Fields and every derived field is
+formed by Field arithmetic, one operation at a time: h1 + t h2 and h1 - t h2
+for each grid point, then h1 - h2 and (h1 + h2) / 2, with their norms from
+one ``field_norms`` stack.  The draws, chunks and bins are the package's, so
+the pass matches this one bit for bit exactly when it forms each field by the
+same elementwise operations in the same order.
+"""
+
+import math
+
+import numpy as np
+
+from dualnorm import inequalities
+from dualnorm.dualmodel import mix_seed
+from dualnorm.inequalities import (
+    CONVEXITY_EDGES,
+    ModulusEstimate,
+    convexity_lower_bound,
+    smoothness_upper_bound,
+)
+from dualnorm.norms import _finite_interior, field_norm, field_norms
+
+
+def moduli_pass(model, p, family, convexity, t_grid, samples, seed):
+    """(convexity, smoothness) estimates, as ``inequalities._moduli_pass`` returns them.
+
+    The arguments are taken as valid; the pass is the one that checks them.
+    """
+    p = _finite_interior(p)
+    ts = [float(t) for t in t_grid]
+    keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
+    bins = len(CONVEXITY_EDGES) - 1
+    lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
+    highest = [-math.inf] * len(ts)
+    stacked = 2 * len(ts) + (2 if convexity else 0)
+    for chunk in inequalities._chunks(model, samples, max(1, stacked)):
+        a, b, cos_t, sin_t = inequalities._draws(model, keys, chunk.start, len(chunk))
+        norm_a, norm_b = field_norms((a, b), p, family)
+        if not (norm_a.all() and norm_b.all()):
+            raise ZeroDivisionError("a ginibre draw has zero norm")
+        h1, g = (1.0 / norm_a) * a, (1.0 / norm_b) * b
+        mixed = cos_t * h1 + sin_t * g
+        norm = field_norm(mixed, p, family)
+        flat = norm == 0.0
+        if flat.any():
+            mixed, norm = mixed + flat * g, np.where(flat, 1.0, norm)
+        h2 = (1.0 / norm) * mixed
+        fields = [x for t in ts for x in (h1 + t * h2, h1 - t * h2)]
+        if convexity:
+            fields += [h1 - h2, 0.5 * (h1 + h2)]
+        norms = field_norms(fields, p, family)
+        for i in range(len(ts)):
+            plus, minus = norms[2 * i], norms[2 * i + 1]
+            highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
+        if convexity:
+            eps = np.minimum(norms[-2], np.nextafter(2.0, 0.0))
+            k = np.searchsorted(CONVEXITY_EDGES, eps, side="right") - 1
+            hit = k >= 0
+            counts += np.bincount(k[hit], minlength=bins)
+            np.minimum.at(lowest, k[hit], 1.0 - norms[-1][hit])
+    edges = CONVEXITY_EDGES[:-1] if convexity else ()
+    return (
+        [ModulusEstimate(e, float(lowest[k]) if counts[k] else math.nan,
+                         convexity_lower_bound(p, e), "convexity_lower", int(counts[k]))
+         for k, e in enumerate(edges)],
+        [ModulusEstimate(t, highest[i] if samples else math.nan, smoothness_upper_bound(p, t),
+                         "smoothness_upper", samples) for i, t in enumerate(ts)],
+    )

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 
+import field_moduli
 import numpy as np
 import pytest
 
@@ -465,6 +466,54 @@ def test_moduli_samplers_build_no_field(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)", "custom(3,5)", "torus(3)", "custom(1,2)"])
+def test_moduli_samplers_match_the_field_arithmetic_pass(monkeypatch, dual):
+    model = parse_dual_arg(dual)
+    t_grid = (0, 0.1, 0.5, 1, 3)
+    cells = [(None, samples) for samples in (0, 1, 37, 300)]
+    cells += [(7 * model.size, samples) for samples in (0, 1, 37)]  # ragged chunks
+    for budget, samples in cells:
+        if budget is not None:
+            monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
+        for p, family in itertools.product((1.01, 1.5, 2, 3, 7, 1e6), ("sch", "hs")):
+            seed = samples + 3
+            conv = modulus_convexity_sample(model, p, family, samples, seed)
+            smooth = modulus_smoothness_sample(model, p, family, t_grid, samples, seed)
+            assert repr(conv) == repr(field_moduli.moduli_pass(model, p, family, True, (),
+                                                               samples, seed)[0])
+            assert repr(smooth) == repr(field_moduli.moduli_pass(model, p, family, False, t_grid,
+                                                                 samples, seed)[1])
+
+
+@pytest.mark.parametrize("sampler", [modulus_convexity_sample, modulus_smoothness_sample])
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_a_moduli_chunk_makes_no_field_arithmetic(monkeypatch, sampler, family):
+    calls = []
+    for name in ("__add__", "__sub__", "__rmul__"):
+        method = getattr(Field, name)
+        monkeypatch.setattr(Field, name,
+                            lambda *a, _m=method, _n=name: calls.append(_n) or _m(*a))
+    for module in (norms, inequalities):
+        stack = module._stack
+        monkeypatch.setattr(module, "_stack",
+                            lambda fields, _s=stack: calls.append("_stack") or _s(fields))
+    draws = inequalities._draws
+    monkeypatch.setattr(inequalities, "_draws", lambda *a: calls.append("_draws") or draws(*a))
+    sampler(S3, 1.5, family, samples=500, seed=1)
+    assert calls == ["_draws", "_stack"]  # one chunk: its draws, and the stack of their norms
+
+
+def test_smoothness_sampler_on_an_empty_grid_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew pairs with nothing to estimate")
+
+    monkeypatch.setattr(inequalities, "_draws", no_draws)
+    assert modulus_smoothness_sample(S3, 1.5, "sch", t_grid=(), samples=200000, seed=1) == []
+    assert inequalities._moduli_pass(S3, 1.5, "hs", False, (), 10, 1) == ([], [])
+    with pytest.raises(ValueError):
+        modulus_smoothness_sample(S3, 1.5, "sch", t_grid=(), samples=-1, seed=1)
+
+
 def _antipodal_draws(model, keys, start, rows):
     # b = -a and cos t = sin t: the mixed field is exactly 0, so h2 falls
     # back to the normalized b, which is -h1 (separation 2, midpoint 0)
@@ -660,17 +709,16 @@ def test_each_separation_lands_in_the_bin_that_holds_it(monkeypatch):
     seps = [0.7 + 0.1] + [x for e in CONVEXITY_EDGES
                           for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 3.0))]
     gaps = [(i + 1) * 2.0**-12 for i in range(len(seps))]  # pair i's midgap, exact in binary
-    stacked = inequalities.field_norms
+    norm = inequalities.field_norm
     calls = []
 
-    def separations(fields, *args):  # the pairs' draws, then their separations and midpoints
-        calls.append(1)
-        real = stacked(fields, *args)
-        return real if len(calls) == 1 else [np.array(seps), 1.0 - np.array(gaps)]
+    def separations(h, *args):  # the pairs' mix, then the stack of their separations and midpoints
+        calls.append(h.batch)
+        return norm(h, *args) if len(calls) == 1 else np.array([seps, 1.0 - np.array(gaps)])
 
-    monkeypatch.setattr(inequalities, "field_norms", separations)
+    monkeypatch.setattr(inequalities, "field_norm", separations)
     ests = modulus_convexity_sample(S3, 1.5, "sch", samples=len(seps), seed=0)
-    assert len(calls) == 2  # one chunk
+    assert calls == [(len(seps),), (2, len(seps))]  # one chunk
     edges = CONVEXITY_EDGES
     counts, lowest = [0] * len(ests), [math.inf] * len(ests)
     for sep, gap in zip(seps, gaps):
