@@ -199,14 +199,18 @@ def smoothness_upper_bound(p, t: float) -> float:
     """Proved upper bound for the modulus of smoothness at t.
 
     1 < p <= 2: t^p / p;  p > 2: min(t^q / q, C_p t^2 / 2), q conjugate to p.
+    ValueError where t^p or t^q overflows.
     """
     p = _finite_interior(p)
     if t <= 0.0:
         return 0.0
-    if p <= 2.0:
-        return t**p / p
-    q = p.conjugate()
-    return min(t**q / q, two_point_upper_constant(p) * t * t / 2.0)
+    try:
+        if p <= 2.0:
+            return t**p / p
+        q = p.conjugate()
+        return min(t**q / q, two_point_upper_constant(p) * t * t / 2.0)
+    except OverflowError as exc:
+        raise ValueError(f"the smoothness bound at t = {t!r} overflows") from exc
 
 
 @dataclass(frozen=True)
@@ -262,34 +266,38 @@ def _chunks(model: DualModel, rows: int, fields_per_row: int = 1):
 
 
 def _draws(model: DualModel, keys, start: int, rows: int):
-    """Pairs start .. start + rows - 1: ginibre batches a and b, and cos t, sin t.
+    """Pairs start .. start + rows - 1: ginibre rows start .. start + rows, and cos t, sin t.
 
-    t is each pair's mixing angle, uniform on [0, pi].  ``keys`` are the
-    three stream keys of the moduli pass (a, b, t), and pair k reads row k
-    of each stream, so a pair's values never depend on the chunk it is
-    drawn in.
+    ``keys`` are the two stream keys of the moduli pass (a, t).  Pair k
+    reads rows k and k + 1 of the ginibre stream a, its own draw and its
+    neighbour's, and row k of t, its mixing angle, uniform on [0, pi]; so a
+    pair's values never depend on the chunk it is drawn in, and the row at a
+    chunk boundary is drawn by both chunks with the same bits.
     """
-    key_a, key_b, key_t = keys
-    a = random_stacks(model, key_a, start, rows)
-    b = random_stacks(model, key_b, start, rows)
+    key_a, key_t = keys
+    a = random_stacks(model, key_a, start, rows + 1)
     t = math.pi * random_uniforms(key_t, start, rows)
-    return a, b, np.cos(t), np.sin(t)
+    return a, np.cos(t), np.sin(t)
 
 
 def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
     """Both samplers' estimates, (convexity, smoothness), from one walk over the same unit pairs.
 
-    h1 is a normalized ginibre draw; h2 mixes it with an independent draw
-    at a uniformly random angle, so near-equal and near-antipodal pairs both
-    occur.  Only unit-norm membership matters for soundness of the modulus
-    estimates.  Each ``_chunks`` range of pairs is normalized and mixed as
-    arrays, entry by entry, and its norms at the exponent are one
-    ``field_norm`` of one batch of shape (stacked, rows): rows 2i and 2i + 1
-    are h1 + t_i h2 and h1 - t_i h2 for each grid point, and under
-    ``convexity`` the last two are h1 - h2 and (h1 + h2) / 2.  With
-    ``convexity`` false, or an empty ``t_grid``, the pass forms none of that
-    estimate's norms, and with neither it draws nothing.  Every step raises
-    ValueError where a result overflows, as field arithmetic does.
+    Pair k is h1, the normalized row k of one ginibre stream, and h2, which
+    mixes h1 with the normalized row k + 1, its neighbour's draw, at a
+    uniformly random angle, so near-equal and near-antipodal pairs both
+    occur.  Row k + 1 is independent of row k, so each pair has the law of a
+    draw mixed with a fresh one; only neighbouring pairs share a draw, and
+    the soundness of the modulus estimates needs unit norms only.  A
+    ``_chunks`` range of n pairs draws n + 1 rows, normalizes them with one
+    ``field_norm`` and mixes them as arrays, entry by entry, and its norms at
+    the exponent are one ``field_norm`` of one batch of shape (stacked, n):
+    rows 2i and 2i + 1 are h1 + t_i h2 and h1 - t_i h2 for each grid point,
+    and under ``convexity`` the last two are h1 - h2 and (h1 + h2) / 2.
+    With ``convexity`` false, or an empty ``t_grid``, the pass forms none of
+    that estimate's norms, and with neither it draws nothing.  Every step,
+    the smoothness bounds included, raises ValueError where a result
+    overflows, as field arithmetic does.
     """
     p = _finite_interior(p)
     ts = [float(t) if _is_real(t) else math.nan for t in t_grid]  # nan fails the check below
@@ -299,35 +307,32 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
         raise ValueError(f"samples and seed must be integers, samples >= 0: {samples!r}, {seed!r}")
     if not (convexity or ts):
         return [], []
-    keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
+    bounds = [smoothness_upper_bound(p, t) for t in ts]  # before drawing: a bound may overflow
+    keys = [mix_seed(seed, stream) for stream in ("a", "t")]
     bins = len(CONVEXITY_EDGES) - 1
     lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
     highest = [-math.inf] * len(ts)
     stacked = 2 * len(ts) + (2 if convexity else 0)  # fields per pair in the stack of its norms
     for chunk in _chunks(model, samples, stacked):
-        a, b, cos_t, sin_t = _draws(model, keys, chunk.start, len(chunk))
-        norm_a, norm_b = field_norms((a, b), p, family)
-        if not (norm_a.all() and norm_b.all()):
+        a, cos_t, sin_t = _draws(model, keys, chunk.start, len(chunk))
+        norm_a = field_norm(a, p, family)
+        if not norm_a.all():
             raise ZeroDivisionError("a ginibre draw has zero norm")
-
-        def unit_mix(block_a, block_b):  # rows h1, g and cos t h1 + sin t g of one entry
-            rows = np.empty((3, *block_a.shape), dtype=np.complex128)
-            h1, g, mixed = rows
-            np.multiply((1.0 / norm_a)[:, None, None], block_a, out=h1)
-            np.multiply((1.0 / norm_b)[:, None, None], block_b, out=g)
-            np.add(cos_t[:, None, None] * h1, sin_t[:, None, None] * g, out=mixed)
-            return rows
-
-        units = _blockwise(model, unit_mix, a.blocks, b.blocks)
-        norm = field_norm(units[2], p, family)
+        # rows 0 .. n of each entry's unit draws; pair k's h1 is row k and its g row k + 1
+        units = _blockwise(model, lambda block: (1.0 / norm_a)[:, None, None] * block, a.blocks)
+        mixed = _blockwise(  # cos t h1 + sin t g
+            model, lambda u: cos_t[:, None, None] * u[:-1] + sin_t[:, None, None] * u[1:],
+            units.blocks,
+        )
+        norm = field_norm(mixed, p, family)
         flat = norm == 0.0
         norm = np.where(flat, 1.0, norm)
 
-        def pair_stack(rows):  # the stacked rows of one entry, from its unit_mix rows
-            h1, g, mixed = rows
+        def pair_stack(u, mix):  # the stacked rows of one entry, from its units and mixes
+            h1, g = u[:-1], u[1:]
             if flat.any():  # measure-zero degenerate mix; fall back to the raw draw
-                mixed = mixed + flat[:, None, None] * g
-            h2 = (1.0 / norm)[:, None, None] * mixed
+                mix = mix + flat[:, None, None] * g
+            h2 = (1.0 / norm)[:, None, None] * mix
             out = np.empty((stacked, *h1.shape), dtype=np.complex128)
             for i, t in enumerate(ts):
                 th2 = t * h2
@@ -338,10 +343,14 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
                 np.multiply(0.5, h1 + h2, out=out[-1])
             return out
 
-        norms = field_norm(_blockwise(model, pair_stack, units.blocks), p, family)
-        for i in range(len(ts)):
-            plus, minus = norms[2 * i], norms[2 * i + 1]
-            highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
+        stack = _blockwise(model, pair_stack, units.blocks, mixed.blocks)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+            norms = field_norm(stack, p, family)
+            means = [(norms[2 * i] + norms[2 * i + 1]) / 2.0 for i in range(len(ts))]
+        if not (np.isfinite(norms).all() and np.isfinite(means).all()):
+            raise ValueError(f"a norm or smoothness estimate overflows on the grid {t_grid!r}")
+        for i, mean in enumerate(means):
+            highest[i] = max(highest[i], float((mean - 1.0).max()))
         if convexity:
             # unit pairs lie at most 2 apart: a separation rounded up to 2 counts just below it
             eps = np.minimum(norms[-2], np.nextafter(2.0, 0.0))
@@ -354,7 +363,7 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
         [ModulusEstimate(e, float(lowest[k]) if counts[k] else math.nan,
                          convexity_lower_bound(p, e), "convexity_lower", int(counts[k]))
          for k, e in enumerate(edges)],
-        [ModulusEstimate(t, highest[i] if samples else math.nan, smoothness_upper_bound(p, t),
+        [ModulusEstimate(t, highest[i] if samples else math.nan, bounds[i],
                          "smoothness_upper", samples) for i, t in enumerate(ts)],
     )
 

@@ -3,9 +3,13 @@
 Each chunk's unit pairs are held as batch Fields and every derived field is
 formed by Field arithmetic, one operation at a time: h1 + t h2 and h1 - t h2
 for each grid point, then h1 - h2 and (h1 + h2) / 2, with their norms from
-one ``field_norms`` stack.  The draws, chunks and bins are the package's, so
-the pass matches this one bit for bit exactly when it forms each field by the
-same elementwise operations in the same order.
+one ``field_norms`` stack.  A chunk of n pairs draws its own rows of the
+streams, not through the pass's ``_draws``: rows start .. start + n of the
+ginibre stream a, pair k's h1 from row k and its neighbour g from row k + 1,
+and rows start .. start + n - 1 of the angle stream t.  The chunks and bins
+are the package's, so the pass matches this one bit for bit exactly when it
+draws the same rows and forms each field by the same elementwise operations
+in the same order.
 """
 
 import math
@@ -13,7 +17,7 @@ import math
 import numpy as np
 
 from dualnorm import inequalities
-from dualnorm.dualmodel import mix_seed
+from dualnorm.dualmodel import Field, mix_seed, random_stacks, random_uniforms
 from dualnorm.inequalities import (
     CONVEXITY_EDGES,
     ModulusEstimate,
@@ -30,17 +34,21 @@ def moduli_pass(model, p, family, convexity, t_grid, samples, seed):
     """
     p = _finite_interior(p)
     ts = [float(t) for t in t_grid]
-    keys = [mix_seed(seed, stream) for stream in ("a", "b", "t")]
+    key_a, key_t = mix_seed(seed, "a"), mix_seed(seed, "t")
     bins = len(CONVEXITY_EDGES) - 1
     lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
     highest = [-math.inf] * len(ts)
     stacked = 2 * len(ts) + (2 if convexity else 0)
     for chunk in inequalities._chunks(model, samples, max(1, stacked)):
-        a, b, cos_t, sin_t = inequalities._draws(model, keys, chunk.start, len(chunk))
-        norm_a, norm_b = field_norms((a, b), p, family)
-        if not (norm_a.all() and norm_b.all()):
+        a = random_stacks(model, key_a, chunk.start, len(chunk) + 1)
+        angle = math.pi * random_uniforms(key_t, chunk.start, len(chunk))
+        cos_t, sin_t = np.cos(angle), np.sin(angle)
+        norm_a = field_norm(a, p, family)
+        if not norm_a.all():
             raise ZeroDivisionError("a ginibre draw has zero norm")
-        h1, g = (1.0 / norm_a) * a, (1.0 / norm_b) * b
+        units = (1.0 / norm_a) * a
+        h1 = Field(model, tuple(b[:-1] for b in units.blocks))
+        g = Field(model, tuple(b[1:] for b in units.blocks))
         mixed = cos_t * h1 + sin_t * g
         norm = field_norm(mixed, p, family)
         flat = norm == 0.0

@@ -360,8 +360,9 @@ def unit_row(model, p, family, key, row):
 
 
 def loop_unit_pair(model, p, family, seed, draw):
+    # pair k mixes row k of stream a with its neighbour, row k + 1
     h1 = unit_row(model, p, family, mix_seed(seed, "a"), draw)
-    g = unit_row(model, p, family, mix_seed(seed, "b"), draw)
+    g = unit_row(model, p, family, mix_seed(seed, "a"), draw + 1)
     t = math.pi * random_uniforms(mix_seed(seed, "t"), start=draw, rows=1)[0]
     mixed = math.cos(t) * h1 + math.sin(t) * g
     norm = field_norm(mixed, p, family)
@@ -421,12 +422,12 @@ def test_moduli_samplers_match_loop_oracle(dual, family, p):
 # Both samplers' exact estimates on s3 at the benchmark's 500 samples, hashed
 # per (p, family): (kind, epsilon_or_t, estimate, bound, samples) as hex floats.
 SAMPLER_GOLDEN = [
-    (1.5, "sch", "6510c1e068cd679a"),
-    (1.5, "hs", "9eae2d78b6959af6"),
-    (2.0, "sch", "4bc4e4bd5185cd51"),
-    (2.0, "hs", "ffef3576f1c02ea8"),
-    (3.0, "sch", "a7d318894ffa2f5d"),
-    (3.0, "hs", "056a5b1a6dd62b59"),
+    (1.5, "sch", "4d8ffd670d2ed7f6"),
+    (1.5, "hs", "33ab03a92f47b236"),
+    (2.0, "sch", "5bf676ce7c2bb7ff"),
+    (2.0, "hs", "8a78c93b38eb8b46"),
+    (3.0, "sch", "cee138a9b1530867"),
+    (3.0, "hs", "e4a9aa08ee33ea24"),
 ]
 
 
@@ -500,7 +501,7 @@ def test_a_moduli_chunk_makes_no_field_arithmetic(monkeypatch, sampler, family):
     draws = inequalities._draws
     monkeypatch.setattr(inequalities, "_draws", lambda *a: calls.append("_draws") or draws(*a))
     sampler(S3, 1.5, family, samples=500, seed=1)
-    assert calls == ["_draws", "_stack"]  # one chunk: its draws, and the stack of their norms
+    assert calls == ["_draws"]  # one chunk: its draws, whose norms take one field_norm, no stack
 
 
 def test_smoothness_sampler_on_an_empty_grid_draws_nothing(monkeypatch):
@@ -515,11 +516,13 @@ def test_smoothness_sampler_on_an_empty_grid_draws_nothing(monkeypatch):
 
 
 def _antipodal_draws(model, keys, start, rows):
-    # b = -a and cos t = sin t: the mixed field is exactly 0, so h2 falls
-    # back to the normalized b, which is -h1 (separation 2, midpoint 0)
-    a = random_stacks(model, keys[0], start, rows)
+    # row k + 1 = -row k and cos t = sin t: the mixed field is exactly 0, so h2
+    # falls back to the normalized row k + 1, which is -h1 (separation 2, midpoint 0)
+    draw = random_stacks(model, keys[0], 0, 1)
+    signs = (-1.0) ** np.arange(start, start + rows + 1)
+    a = Field(model, tuple(signs[:, None, None] * b for b in draw.blocks))
     half = np.full(rows, math.sqrt(0.5))
-    return a, -a, half, half
+    return a, half, half
 
 
 def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
@@ -536,7 +539,7 @@ def test_moduli_degenerate_mix_falls_back_to_raw_draw(monkeypatch):
 
 
 def test_moduli_separation_rounded_to_2_lands_in_the_last_default_bin(monkeypatch):
-    # about two in three antipodal pairs measure a separation of 2.0 or above
+    # an antipodal pair may measure a separation of 2.0 or above
     monkeypatch.setattr(inequalities, "_draws", _antipodal_draws)
     conv = modulus_convexity_sample(S3, 1.5, "sch", samples=30, seed=3)
     assert [est.samples for est in conv] == [0] * 18 + [30]
@@ -545,9 +548,8 @@ def test_moduli_separation_rounded_to_2_lands_in_the_last_default_bin(monkeypatc
 
 def test_moduli_zero_norm_draw_raises(monkeypatch):
     def zero_a(model, keys, start, rows):
-        a = Field(model, tuple(np.zeros((rows, d, d)) for d in model.dims))
-        b = random_stacks(model, keys[1], start, rows)
-        return a, b, np.ones(rows), np.zeros(rows)
+        a = Field(model, tuple(np.zeros((rows + 1, d, d)) for d in model.dims))
+        return a, np.ones(rows), np.zeros(rows)
 
     monkeypatch.setattr(inequalities, "_draws", zero_a)
     with pytest.raises(ZeroDivisionError):
@@ -569,6 +571,35 @@ def test_smoothness_sampler_rejects_grid_points_that_are_not_finite_and_non_nega
         modulus_smoothness_sample(S3, 1.5, "sch", t_grid=(0.5, t), samples=5, seed=1)
 
 
+@pytest.mark.parametrize("dual", ["s3", "torus(1)"])
+@pytest.mark.parametrize("family", ["sch", "hs"])
+@pytest.mark.parametrize("t", [1e300, 1.5e308])
+def test_smoothness_sampler_raises_value_error_where_a_bound_overflows(monkeypatch, dual, family,
+                                                                      t):
+    # t**p in the bound raised OverflowError, and at 1.5e308 the mean of the norms
+    # overflowed first with a RuntimeWarning, an error in this suite
+    def no_draws(*args):
+        raise AssertionError("drew pairs before computing the bounds")
+
+    monkeypatch.setattr(inequalities, "_draws", no_draws)
+    with pytest.raises(ValueError, match="smoothness bound"):
+        smoothness_upper_bound(1.5, t)
+    with pytest.raises(ValueError, match="smoothness bound"):
+        modulus_smoothness_sample(parse_dual_arg(dual), 1.5, family, t_grid=(t,), samples=50,
+                                  seed=1)
+
+
+@pytest.mark.parametrize("family", ["sch", "hs"])
+@pytest.mark.parametrize("p", [1.0001, 1e6])
+def test_smoothness_sampler_raises_value_error_where_an_estimate_overflows(family, p):
+    # at exponents this close to 1 and to inf the bound at 1.5e308 is finite, while
+    # a norm of h1 +- t h2, or the mean of two, overflows
+    assert math.isfinite(smoothness_upper_bound(p, 1.5e308))
+    with pytest.raises(ValueError, match="overflows"):
+        modulus_smoothness_sample(S3, p, family, t_grid=(0.5, 1.5e308), samples=50, seed=1)
+    assert modulus_smoothness_sample(S3, p, family, t_grid=(0.5, 1e300), samples=50, seed=1)
+
+
 @pytest.mark.parametrize("arg", ["samples", "seed"])
 @pytest.mark.parametrize("bad", [True, 2.5, 2.0, "1"])
 @pytest.mark.parametrize("sampler", [modulus_convexity_sample, modulus_smoothness_sample])
@@ -586,16 +617,16 @@ def test_moduli_samplers_take_numpy_integer_samples_and_seeds():
 
 
 @pytest.mark.parametrize("budget", [None, 1])  # default chunks; one pair per chunk
-def test_moduli_samplers_mix_three_keys_per_call(monkeypatch, budget):
+def test_moduli_samplers_mix_two_keys_per_call(monkeypatch, budget):
     if budget is not None:
         monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
     calls = []
     mix = inequalities.mix_seed
     monkeypatch.setattr(inequalities, "mix_seed", lambda *parts: calls.append(parts) or mix(*parts))
     modulus_convexity_sample(S3, 1.5, "sch", samples=500, seed=8)
-    assert calls == [(8, "a"), (8, "b"), (8, "t")]
+    assert calls == [(8, "a"), (8, "t")]
     modulus_smoothness_sample(S3, 3.0, "hs", samples=500, seed=8)
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("budget", [None, 1])  # default chunks; one pair per chunk
@@ -604,14 +635,43 @@ def test_moduli_suite_draws_each_pair_once(monkeypatch, budget):
         monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
     draws, keys = [], []
     draw, mix = inequalities._draws, inequalities.mix_seed
-    monkeypatch.setattr(inequalities, "_draws", lambda *args: draws.append(1) or draw(*args))
+
+    def counted(model, keys, start, rows):  # a chunk of n pairs draws n + 1 rows
+        a, cos_t, sin_t = draw(model, keys, start, rows)
+        draws.append((rows, a.batch, cos_t.shape, sin_t.shape))
+        return a, cos_t, sin_t
+
+    monkeypatch.setattr(inequalities, "_draws", counted)
     monkeypatch.setattr(inequalities, "mix_seed", lambda *parts: keys.append(parts) or mix(*parts))
     cfg = SuiteConfig(suite="moduli", dual=parse_dual_arg("su2_trunc(3)"), p_list=("1.5", "3"),
                       family="both", trials=40, seed=2)
     assert run_suite(cfg)
     runs = 2 * 2  # (p, family)
     assert len(draws) == runs * len(list(inequalities._chunks(cfg.dual, cfg.trials)))
-    assert len(keys) == runs * 3 and [k[1] for k in keys] == ["a", "b", "t"] * runs
+    assert all(batch == (n + 1,) and cos == sin == (n,) for n, batch, cos, sin in draws)
+    assert sum(n for n, *_ in draws) == runs * cfg.trials
+    assert len(keys) == runs * 2 and [k[1] for k in keys] == ["a", "t"] * runs
+
+
+@pytest.mark.parametrize("family", ["sch", "hs"])
+def test_moduli_pairs_mix_each_draw_with_its_neighbour(monkeypatch, family):
+    # pair k is row k of stream a, mixed with row k + 1 at row k's angle; there is no stream b
+    n, seed, p = 40, 6, 1.5
+    keys, reduced = [], []
+    mix, norm = inequalities.mix_seed, inequalities.field_norm
+    monkeypatch.setattr(inequalities, "mix_seed", lambda *parts: keys.append(parts) or mix(*parts))
+    monkeypatch.setattr(inequalities, "field_norm",
+                        lambda h, *a: reduced.append(norm(h, *a)) or reduced[-1])
+    modulus_convexity_sample(S3, p, family, samples=n, seed=seed)
+    assert keys == [(seed, "a"), (seed, "t")] and len(reduced) == 3  # one chunk
+    a = random_stacks(S3, mix_seed(seed, "a"), 0, n + 1)
+    units = [b / field_norm(a, p, family)[:, None, None] for b in a.blocks]
+    h1, g = Field(S3, [u[:-1] for u in units]), Field(S3, [u[1:] for u in units])
+    t = math.pi * random_uniforms(mix_seed(seed, "t"), 0, n)
+    mixed = np.cos(t) * h1 + np.sin(t) * g
+    h2 = (1.0 / field_norm(mixed, p, family)) * mixed
+    separations = reduced[-1][0]  # row 0 of the stack: h1 - h2
+    np.testing.assert_allclose(separations, field_norm(h1 - h2, p, family), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -647,7 +707,7 @@ def test_moduli_views_form_only_their_own_norms(monkeypatch):
         return sum(rows) / 10
 
     t_grid = (0.1, 0.5, 1.0, 2.0)
-    unit = 3  # the two draws and their mix, to normalize
+    unit = 3  # a one-pair chunk's two rows, k and k + 1, and their mix, to normalize
     assert norms_per_pair(modulus_convexity_sample, samples=10) == unit + 2
     assert norms_per_pair(modulus_smoothness_sample, t_grid, samples=10) == unit + 2 * len(t_grid)
     both = norms_per_pair(inequalities._moduli_pass, True, t_grid, 10, 0)
@@ -712,13 +772,13 @@ def test_each_separation_lands_in_the_bin_that_holds_it(monkeypatch):
     norm = inequalities.field_norm
     calls = []
 
-    def separations(h, *args):  # the pairs' mix, then the stack of their separations and midpoints
-        calls.append(h.batch)
-        return norm(h, *args) if len(calls) == 1 else np.array([seps, 1.0 - np.array(gaps)])
+    def separations(h, *args):  # the draws, the pairs' mix, then the stack of their
+        calls.append(h.batch)  # separations and midpoints
+        return norm(h, *args) if len(calls) < 3 else np.array([seps, 1.0 - np.array(gaps)])
 
     monkeypatch.setattr(inequalities, "field_norm", separations)
     ests = modulus_convexity_sample(S3, 1.5, "sch", samples=len(seps), seed=0)
-    assert calls == [(len(seps),), (2, len(seps))]  # one chunk
+    assert calls == [(len(seps) + 1,), (len(seps),), (2, len(seps))]  # one chunk
     edges = CONVEXITY_EDGES
     counts, lowest = [0] * len(ests), [math.inf] * len(ests)
     for sep, gap in zip(seps, gaps):
