@@ -227,18 +227,15 @@ class Field:
         """Each row's sha256 (hex) of its little-endian complex128 block bytes, computed once.
 
         One digest per row of the batch, in C order of the batch axes (one
-        for a single field); a row hashes its entries' blocks in entry order.
+        for a single field); a row hashes its entries' blocks, in entry order,
+        as one byte run.
         """
         n = math.prod(self.batch)
-        rows = [np.ascontiguousarray(b, dtype="<c16").reshape(n, d * d)
-                for b, d in zip(self.blocks, self.model.dims)]
-        digests = []
-        for k in range(n):
-            h = hashlib.sha256()
-            for r in rows:
-                h.update(r[k])
-            digests.append(h.hexdigest())
-        return tuple(digests)
+        rows = np.concatenate(
+            [b.reshape(n, d * d) for b, d in zip(self.blocks, self.model.dims)],
+            axis=1, dtype="<c16",
+        )
+        return tuple(hashlib.sha256(r).hexdigest() for r in rows)
 
     def __getitem__(self, index) -> "Field":
         """Rows of a batch: every entry's stack indexed by ``index`` over its batch axes.

@@ -9,17 +9,21 @@ both.
 Reports serialize to JSON (stable key order) and RFC-4180 CSV; parsing the
 JSON back, each field by its type, yields equal reports.  The constructors
 derive each report's tolerance and input digest here, so a check states only
-its ``lhs``, ``rhs``, anchor and inputs; a field is digested as its model, its
-dims and a hash of its block bytes.
+its ``lhs``, ``rhs``, anchor and inputs.  The digest of the inputs is the
+sha256, cut to 16 hex digits, of each part's sorted-key JSON without spaces,
+each followed by a NUL byte; a field is written as the document of its model,
+its dims and the sha256 of its little-endian complex128 block bytes.
 
 A float for a field, an array for a batch: a constructor given one case id
 returns one report, and given a list of n case ids returns one report per
-row of a batch check.  One encoder digests both: it encodes each shared
-input once and takes each batch row's block hash from the Field's memo
-(``Field.block_sha256``), so every report of the chunk that names the row
-shares it; ``digest_inputs`` is a separate encoder, the tests' oracle.  JSON
-is written from a fixed per-report template with the bytes
-``json.dumps(..., indent=2)`` would write.
+row of a batch check.  ``check_report``'s encoder is the package's one
+encoder, and it digests both: it encodes each shared input once and takes
+each batch row's block hash from the Field's memo (``Field.block_sha256``),
+so every report of the chunk that names the row shares it.
+``tests/digest_oracle.py`` is a separate encoder of the same document, the
+oracle that tests hold this one to.  JSON is written from a fixed
+per-report template with the bytes ``json.dumps(..., indent=2)`` would
+write.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ __all__ = [
     "check_report",
     "inequality_report",
     "equality_report",
-    "canonical_json",
-    "digest_inputs",
     "reports_to_json",
     "reports_from_json",
     "reports_to_csv",
@@ -95,15 +97,15 @@ def check_report(
     """Report with an explicit slack; ``passed`` is exactly ``slack >= -tol``.
 
     ``tol`` is ``tolerance(scale, rel)``, where ``scale`` defaults to ``rhs``,
-    and ``inputs_digest`` equals ``digest_inputs(*inputs)``.
+    and ``inputs_digest`` is the digest of ``inputs`` (module docstring).
 
     One case id gives one report.  A list of n case ids gives a list of n
     reports, one per row of a batch check: row i takes element i of each
     array among ``lhs``, ``rhs``, ``slack`` and ``scale``, and row i of each
     batch Field in ``inputs``, lists of fields included.  Scalars and single
-    fields serve every row.  Each row's digest is ``digest_inputs`` of its
-    inputs, with every shared part encoded once and every batch row hashed
-    once per Field.  One case id takes no batch.
+    fields serve every row.  Each row's digest is the digest of its inputs,
+    with every shared part encoded once and every batch row hashed once per
+    Field.  One case id takes no batch.
     """
     one = isinstance(case_id, str)
     ids = [case_id] if one else case_id
@@ -153,17 +155,17 @@ def _rows(x, n) -> list:
     return np.asarray(x).tolist()
 
 
-# JSON text as canonical_json writes it, for every part but a Field
+# A part's sorted-key JSON without spaces, for every part but a Field
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _row_texts(x, n):
-    """``canonical_json`` of row i < n of input part ``x``, one text if shared (n None: one case id)."""
+    """The JSON text of row i < n of input part ``x``, one text if shared (n None: one case id)."""
     if isinstance(x, Field):
         if x.batch not in ((), (n,)):
             ids = "one" if n is None else n
             raise ValueError(f"a batch Field of {x.batch} rows for {ids} case id(s)")
-        # the keys of _encode's document, sorted: blocks_sha256 comes first
+        # a Field's document, keys sorted: blocks_sha256 comes first
         tail = _compact({"dims": list(x.model.dims), "model": x.model.name})[1:]
         texts = [f'{{"blocks_sha256":"{sha}",{tail}' for sha in x.block_sha256]
         return texts if x.batch else texts[0]
@@ -180,29 +182,6 @@ def _row_texts(x, n):
 def _at(texts, i):
     """Row i's text of a part: its one shared text, or element i of its per-row texts."""
     return texts if isinstance(texts, str) else texts[i]
-
-
-def _encode(obj):
-    if isinstance(obj, Field):
-        if obj.batch:
-            raise ValueError(f"cannot digest a batch of fields (batch shape {obj.batch})")
-        return {"model": obj.model.name, "dims": list(obj.model.dims),
-                "blocks_sha256": obj.block_sha256[0]}
-    raise TypeError(f"cannot digest an object of type {type(obj).__name__}")
-
-
-def canonical_json(obj) -> str:
-    """Sorted-key JSON without spaces; a Field becomes its model, dims and block hash."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_encode)
-
-
-def digest_inputs(*parts) -> str:
-    """Short deterministic digest of the (serialized) inputs of a check.
-
-    Parts are JSON values, :class:`Field` objects (their model, dims and the
-    sha256 of their little-endian complex128 block bytes) or lists of them.
-    """
-    return _digest(map(canonical_json, parts))
 
 
 def _digest(texts) -> str:

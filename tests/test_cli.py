@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from digest_oracle import digest_inputs
 
 from dualnorm import cli, dualmodel, inequalities, interpolation, matcore
 from dualnorm.cli import (
@@ -35,7 +36,6 @@ from dualnorm.report import (
     TOL_REL,
     CheckReport,
     check_report,
-    digest_inputs,
     equality_report,
     inequality_report,
     reports_from_json,

@@ -6,6 +6,7 @@ import pickle
 import amplified
 import numpy as np
 import pytest
+from digest_oracle import digest_inputs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,6 @@ from dualnorm.dualmodel import (
 )
 from dualnorm.duality import dual_extremizer
 from dualnorm.norms import ExponentP
-from dualnorm.report import digest_inputs
 
 
 def test_preset_torus_dims():

@@ -83,15 +83,6 @@ def gray_code_sums(fields):
         yield current
 
 
-def unit_pair(seed_a, seed_b, p, family="sch", model=S3):
-    h1 = random_field(model, seed_a)
-    h2 = random_field(model, seed_b)
-    return (
-        (1.0 / field_norm(h1, p, family)) * h1,
-        (1.0 / field_norm(h2, p, family)) * h2,
-    )
-
-
 # -- Clarkson -----------------------------------------------------------------
 
 CLARKSON_IDS = ["clarkson_sch_check", "clarkson_hs_check"]

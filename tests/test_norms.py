@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from digest_oracle import digest_inputs
 
 from dualnorm import matcore, norms
 from dualnorm.cli import SuiteConfig
+from dualnorm.duality import dual_extremizer, pairing
 from dualnorm.dualmodel import (
     Field,
     field_product,
@@ -18,6 +20,7 @@ from dualnorm.dualmodel import (
     random_stacks,
     zero_field,
 )
+from dualnorm.inequalities import rademacher_average
 from dualnorm.norms import (
     DirectSumSpec,
     ExponentP,
@@ -30,7 +33,6 @@ from dualnorm.norms import (
     lp_hs_norm,
     lp_sch_norm,
 )
-from dualnorm.report import digest_inputs
 
 CBRT5 = 5.0 ** (1.0 / 3.0)  # 1.7099759466766968
 
@@ -512,3 +514,49 @@ def test_sch_norm_from_the_memo_matches_the_kernel_bitwise(p):
         terms = [d ** (1.0 / p) * v for d, v in zip(h.model.dims, values)]
         want = matcore.power_sum(terms, p)
         assert np.array_equal(lp_sch_norm(h, p), want)
+
+
+# A truncation is an isometric, 1-complemented subspace of a larger one, so a
+# field extended by zero blocks keeps its values.  Norms keep every bit.  Two
+# values may move within 4 ulp (4 * 2^-52 relative) where the extension
+# regroups their additions, and keep every bit (0 ulp) elsewhere:
+# - a sign average sums each pattern from a table of partial sums of at most
+#   2^16 complex entries, so the table's size follows model.size;
+#   custom(16,32,128) holds 2 partial sums where custom(16,32) holds 16;
+# - the extremizer sums d (S/s)^r over every singular value of a row in one
+#   numpy reduction, which adds 8 or more terms in another order than fewer:
+#   su2_trunc(3) has 6 singular values, su2_trunc(6) has 21.
+ZERO_EXTENSIONS = [  # model, its extension, ulps of the sign averages, of the pairings
+    ("su2_trunc(3)", "su2_trunc(6)", 0, 4),
+    ("custom(16,32)", "custom(16,32,128)", 4, 0),
+    ("s3", "custom(1,1,2,3)", 0, 0),
+]
+
+
+def zero_extended(h, model):
+    """h over ``model``, whose first entries are h's, with zero blocks on the others."""
+    zeros = [np.zeros(h.batch + (d, d), dtype=complex) for d in model.dims[len(h.blocks):]]
+    return Field(model, [*h.blocks, *zeros])
+
+
+def within_ulps(got, want, ulps):
+    return np.all(np.abs(got - want) <= ulps * np.finfo(float).eps * np.abs(want))
+
+
+@pytest.mark.parametrize("small,big,sign_ulps,pairing_ulps", ZERO_EXTENSIONS)
+def test_values_do_not_depend_on_empty_entries(small, big, sign_ulps, pairing_ulps):
+    model, larger = parse_dual_arg(small), parse_dual_arg(big)
+    batches = [random_stacks(model, mix_seed(12, small, j), 0, 40) for j in range(5)]
+    h, x = batches[0], zero_extended(batches[0], larger)
+    # sign averages and extremizers cost most per row: they take the first 4
+    summands = [f[:4] for f in batches]
+    extended = [zero_extended(f, larger) for f in summands]
+    f, y = summands[0], extended[0]
+    for p in (1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
+        for family in ("sch", "hs"):
+            assert np.array_equal(field_norm(x, p, family), field_norm(h, p, family))
+            signs = [rademacher_average(s, p, family) for s in (extended, summands)]
+            assert within_ulps(*signs, sign_ulps), (p, family)
+        if p < math.inf:
+            pairings = [abs(pairing(g, dual_extremizer(g, p))) for g in (y, f)]
+            assert within_ulps(*pairings, pairing_ulps), p
