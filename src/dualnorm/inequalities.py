@@ -5,10 +5,10 @@ parallelogram identity:
 
 * Clarkson inequalities (midpoint vs endpoints, conjugate exponents),
 * two-point inequalities with explicit constants 2p - 1 and (p-1)/(p+1),
-* sampled lower bounds on the modulus of convexity and upper bounds on the modulus
-  of smoothness, from one pass over the same unit pairs (the two samplers are its views);
-  the convexity bins are one fixed tiling of [0.1, 2) by ``CONVEXITY_EDGES``, and an estimate
-  passes, as its report does, when its ``sides`` lhs, rhs have rhs - lhs >= -tolerance(rhs),
+* sampled lower bounds on the modulus of convexity and upper bounds on that of smoothness,
+  from one walk over unit pairs (``_moduli_pairs``) and one reduction (``_moduli_pass``; the
+  samplers are its views); the convexity bins tile [0.1, 2) by ``CONVEXITY_EDGES``, and an
+  estimate passes, as its report does, when its ``sides`` have rhs - lhs >= -tolerance(rhs),
 * exhaustive Rademacher sign averages and the type/cotype comparisons,
 * the rearranged-Clarkson gap behind the Kadec-Klee property (in units of
   its power mean), and the finite comparison behind summability.
@@ -171,7 +171,7 @@ def two_point_critical_constant(norms):
 
 def hilbert_convexity_modulus(eps: float) -> float:
     """Closed form 1 - (1 - eps^2/4)^(1/2) of the Hilbert modulus of convexity."""
-    return 1.0 - math.sqrt(max(0.0, 1.0 - eps * eps / 4.0))
+    return 1.0 - math.sqrt(max(1.0 - eps * eps / 4.0, 0.0))  # max(nan, 0.0) is nan
 
 
 def hilbert_smoothness_modulus(t: float) -> float:
@@ -280,38 +280,23 @@ def _draws(model: DualModel, keys, start: int, rows: int):
     return a, np.cos(t), np.sin(t)
 
 
-def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
-    """Both samplers' estimates, (convexity, smoothness), from one walk over the same unit pairs.
+def _moduli_pairs(model, p, family, convexity, ts, samples, seed):
+    """Each ``_chunks`` range of n unit pairs, in order, as (quotients, separations, gaps).
 
-    Pair k is h1, the normalized row k of one ginibre stream, and h2, which
-    mixes h1 with the normalized row k + 1, its neighbour's draw, at a
-    uniformly random angle, so near-equal and near-antipodal pairs both
-    occur.  Row k + 1 is independent of row k, so each pair has the law of a
-    draw mixed with a fresh one; only neighbouring pairs share a draw, and
-    the soundness of the modulus estimates needs unit norms only.  A
-    ``_chunks`` range of n pairs draws n + 1 rows, normalizes them with one
-    ``field_norm`` and mixes them as arrays, entry by entry, and its norms at
-    the exponent are one ``field_norm`` of one batch of shape (stacked, n):
-    rows 2i and 2i + 1 are h1 + t_i h2 and h1 - t_i h2 for each grid point,
-    and under ``convexity`` the last two are h1 - h2 and (h1 + h2) / 2.
-    With ``convexity`` false, or an empty ``t_grid``, the pass forms none of
-    that estimate's norms, and with neither it draws nothing.  Every step,
-    the smoothness bounds included, raises ValueError where a result
-    overflows, as field arithmetic does.
+    ``quotients`` has shape (len(ts), n), row i (||h1 + t_i h2|| + ||h1 - t_i h2||)/2 - 1;
+    ``separations`` is ||h1 - h2|| and ``gaps`` 1 - ||(h1 + h2)/2||, both None unless
+    ``convexity``.  ``p`` comes from ``_finite_interior``, ``ts`` is a list of floats.  Pair
+    k is h1, the normalized row k of one ginibre stream, and h2, which mixes h1 with the
+    normalized row k + 1, its neighbour's draw, at a uniformly random angle, so near-equal
+    and near-antipodal pairs both occur.  Row k + 1 is independent of row k, so each pair
+    has the law of a draw mixed with a fresh one; only neighbouring pairs share a draw, and
+    the soundness of the modulus estimates needs unit norms only.  A chunk of n pairs draws
+    n + 1 rows, normalizes them with one ``field_norm`` and mixes them as arrays, and its
+    norms at the exponent are one ``field_norm`` of one batch of shape (stacked, n): rows 2i
+    and 2i + 1 are h1 + t_i h2 and h1 - t_i h2 for each grid point, and under ``convexity``
+    the last two are h1 - h2 and (h1 + h2) / 2.  An overflow raises ValueError.
     """
-    p = _finite_interior(p)
-    ts = [float(t) if _is_real(t) else math.nan for t in t_grid]  # nan fails the check below
-    if not all(0.0 <= t < math.inf for t in ts):
-        raise ValueError(f"smoothness grid points must be finite non-negative reals: {t_grid!r}")
-    if not (_is_integer(samples) and _is_integer(seed) and samples >= 0):
-        raise ValueError(f"samples and seed must be integers, samples >= 0: {samples!r}, {seed!r}")
-    if not (convexity or ts):
-        return [], []
-    bounds = [smoothness_upper_bound(p, t) for t in ts]  # before drawing: a bound may overflow
     keys = [mix_seed(seed, stream) for stream in ("a", "t")]
-    bins = len(CONVEXITY_EDGES) - 1
-    lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
-    highest = [-math.inf] * len(ts)
     stacked = 2 * len(ts) + (2 if convexity else 0)  # fields per pair in the stack of its norms
     for chunk in _chunks(model, samples, stacked):
         a, cos_t, sin_t = _draws(model, keys, chunk.start, len(chunk))
@@ -346,24 +331,47 @@ def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
         stack = _blockwise(model, pair_stack, units.blocks, mixed.blocks)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
             norms = field_norm(stack, p, family)
-            means = [(norms[2 * i] + norms[2 * i + 1]) / 2.0 for i in range(len(ts))]
-        if not (np.isfinite(norms).all() and np.isfinite(means).all()):
-            raise ValueError(f"a norm or smoothness estimate overflows on the grid {t_grid!r}")
-        for i, mean in enumerate(means):
-            highest[i] = max(highest[i], float((mean - 1.0).max()))
+            quotients = (norms[0 : 2 * len(ts) : 2] + norms[1 : 2 * len(ts) : 2]) / 2.0 - 1.0
+        if not (np.isfinite(norms).all() and np.isfinite(quotients).all()):
+            raise ValueError(f"a norm or smoothness estimate overflows on the grid {ts!r}")
+        yield quotients, *((norms[-2], 1.0 - norms[-1]) if convexity else (None, None))
+
+
+def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
+    """Both samplers' estimates, (convexity, smoothness), from one walk over the same unit pairs.
+
+    The reduction of ``_moduli_pairs``: each grid point's estimate is its largest
+    quotient, and each convexity bin's the least gap of the pairs whose separation
+    it holds.  With ``convexity`` false, or an empty ``t_grid``, the walk forms none
+    of that estimate's norms, and with neither it draws nothing.
+    """
+    p = _finite_interior(p)
+    ts = [float(t) if _is_real(t) else math.nan for t in t_grid]  # nan fails the check below
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError(f"smoothness grid points must be finite non-negative reals: {t_grid!r}")
+    if not (_is_integer(samples) and _is_integer(seed) and samples >= 0):
+        raise ValueError(f"samples and seed must be integers, samples >= 0: {samples!r}, {seed!r}")
+    if not (convexity or ts):
+        return [], []
+    bounds = [smoothness_upper_bound(p, t) for t in ts]  # before drawing: a bound may overflow
+    bins = len(CONVEXITY_EDGES) - 1
+    lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
+    highest = np.full(len(ts), -math.inf)
+    for quotients, eps, gaps in _moduli_pairs(model, p, family, convexity, ts, samples, seed):
+        highest = np.maximum(highest, quotients.max(axis=1))
         if convexity:
             # unit pairs lie at most 2 apart: a separation rounded up to 2 counts just below it
-            eps = np.minimum(norms[-2], np.nextafter(2.0, 0.0))
+            eps = np.minimum(eps, np.nextafter(2.0, 0.0))
             k = np.searchsorted(CONVEXITY_EDGES, eps, side="right") - 1
             hit = k >= 0  # -1: below the first edge, in no bin
             counts += np.bincount(k[hit], minlength=bins)
-            np.minimum.at(lowest, k[hit], 1.0 - norms[-1][hit])
+            np.minimum.at(lowest, k[hit], gaps[hit])
     edges = CONVEXITY_EDGES[:-1] if convexity else ()
     return (
         [ModulusEstimate(e, float(lowest[k]) if counts[k] else math.nan,
                          convexity_lower_bound(p, e), "convexity_lower", int(counts[k]))
          for k, e in enumerate(edges)],
-        [ModulusEstimate(t, highest[i] if samples else math.nan, bounds[i],
+        [ModulusEstimate(t, float(highest[i]) if samples else math.nan, bounds[i],
                          "smoothness_upper", samples) for i, t in enumerate(ts)],
     )
 

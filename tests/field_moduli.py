@@ -1,15 +1,17 @@
-"""The moduli pass in field arithmetic: an oracle for ``inequalities._moduli_pass``.
+"""The moduli pairs in field arithmetic: an oracle for ``inequalities._moduli_pairs``.
 
-Each chunk's unit pairs are held as batch Fields and every derived field is
-formed by Field arithmetic, one operation at a time: h1 + t h2 and h1 - t h2
-for each grid point, then h1 - h2 and (h1 + h2) / 2, with their norms from
-one ``field_norms`` stack.  A chunk of n pairs draws its own rows of the
+It restates the pairs, not the estimates: the reduction of the pairs to bin
+minima and grid maxima is ``inequalities._moduli_pass`` alone.  Each chunk's
+unit pairs are held as batch Fields and every derived field is formed by
+Field arithmetic, one operation at a time: h1 + t h2 and h1 - t h2 for each
+grid point, then h1 - h2 and (h1 + h2) / 2, with their norms from one
+``field_norms`` stack.  A chunk of n pairs draws its own rows of the
 streams, not through the pass's ``_draws``: rows start .. start + n of the
 ginibre stream a, pair k's h1 from row k and its neighbour g from row k + 1,
-and rows start .. start + n - 1 of the angle stream t.  The chunks and bins
-are the package's, so the pass matches this one bit for bit exactly when it
-draws the same rows and forms each field by the same elementwise operations
-in the same order.
+and rows start .. start + n - 1 of the angle stream t.  The chunks are the
+package's, so the walk matches this one bit for bit exactly when it draws
+the same rows and forms each field by the same elementwise operations in
+the same order.
 """
 
 import math
@@ -18,28 +20,19 @@ import numpy as np
 
 from dualnorm import inequalities
 from dualnorm.dualmodel import Field, mix_seed, random_stacks, random_uniforms
-from dualnorm.inequalities import (
-    CONVEXITY_EDGES,
-    ModulusEstimate,
-    convexity_lower_bound,
-    smoothness_upper_bound,
-)
 from dualnorm.norms import _finite_interior, field_norm, field_norms
 
 
-def moduli_pass(model, p, family, convexity, t_grid, samples, seed):
-    """(convexity, smoothness) estimates, as ``inequalities._moduli_pass`` returns them.
+def moduli_pairs(model, p, family, convexity, t_grid, samples, seed):
+    """Each chunk's (quotients, separations, gaps), as ``inequalities._moduli_pairs`` yields them.
 
     The arguments are taken as valid; the pass is the one that checks them.
     """
     p = _finite_interior(p)
     ts = [float(t) for t in t_grid]
     key_a, key_t = mix_seed(seed, "a"), mix_seed(seed, "t")
-    bins = len(CONVEXITY_EDGES) - 1
-    lowest, counts = np.full(bins, math.inf), np.zeros(bins, dtype=int)
-    highest = [-math.inf] * len(ts)
     stacked = 2 * len(ts) + (2 if convexity else 0)
-    for chunk in inequalities._chunks(model, samples, max(1, stacked)):
+    for chunk in inequalities._chunks(model, samples, stacked):
         a = random_stacks(model, key_a, chunk.start, len(chunk) + 1)
         angle = math.pi * random_uniforms(key_t, chunk.start, len(chunk))
         cos_t, sin_t = np.cos(angle), np.sin(angle)
@@ -59,20 +52,6 @@ def moduli_pass(model, p, family, convexity, t_grid, samples, seed):
         if convexity:
             fields += [h1 - h2, 0.5 * (h1 + h2)]
         norms = field_norms(fields, p, family)
-        for i in range(len(ts)):
-            plus, minus = norms[2 * i], norms[2 * i + 1]
-            highest[i] = max(highest[i], float(((plus + minus) / 2.0 - 1.0).max()))
-        if convexity:
-            eps = np.minimum(norms[-2], np.nextafter(2.0, 0.0))
-            k = np.searchsorted(CONVEXITY_EDGES, eps, side="right") - 1
-            hit = k >= 0
-            counts += np.bincount(k[hit], minlength=bins)
-            np.minimum.at(lowest, k[hit], 1.0 - norms[-1][hit])
-    edges = CONVEXITY_EDGES[:-1] if convexity else ()
-    return (
-        [ModulusEstimate(e, float(lowest[k]) if counts[k] else math.nan,
-                         convexity_lower_bound(p, e), "convexity_lower", int(counts[k]))
-         for k, e in enumerate(edges)],
-        [ModulusEstimate(t, highest[i] if samples else math.nan, smoothness_upper_bound(p, t),
-                         "smoothness_upper", samples) for i, t in enumerate(ts)],
-    )
+        quotients = np.array([(norms[2 * i] + norms[2 * i + 1]) / 2.0 - 1.0
+                              for i in range(len(ts))]).reshape(len(ts), len(chunk))
+        yield quotients, *((norms[-2], 1.0 - norms[-1]) if convexity else (None, None))

@@ -7,10 +7,9 @@ Here the lhs and rhs of every report of the nine batched suites are computed
 again from the fields that each trial draws (``test_batched_suites.row``),
 and so is the slack of the two checks whose slack is not a difference of
 their sides.  Each fault of ``test_fault_injection`` moves some report away
-from the oracle.  The moduli suite's estimates are held to pairs rebuilt
-from the same draws, one pair at a time: rounding can move a pair across a
-bin edge, so a bin's count may differ only where the oracle puts a pair's
-separation within 1e-12 of an edge of that bin.
+from the oracle.  The moduli suite's pairs (``inequalities._moduli_pairs``)
+are held to pairs rebuilt from the same draws, one pair at a time; their
+reduction to estimates is tested once, in ``test_inequalities``.
 """
 
 import functools
@@ -20,18 +19,16 @@ import math
 from types import SimpleNamespace
 
 import amplified as amp
+import numpy as np
 import pytest
 from test_batched_suites import BATCHED, row
 from test_fault_injection import FAULTS, _bind_everywhere
 
+from dualnorm import inequalities
 from dualnorm.cli import SuiteConfig, _interp_spec_for, run_suite
 from dualnorm.dualmodel import Field, mix_seed, parse_dual_arg, random_stacks, random_uniforms
-from dualnorm.inequalities import (
-    CONVEXITY_EDGES,
-    modulus_convexity_sample,
-    modulus_smoothness_sample,
-)
 from dualnorm.interpolation import DEFAULT_T_GRID
+from dualnorm.norms import _finite_interior
 
 DUALS = ["s3", "su2_trunc(4)", "custom(3,5)"]
 P_LIST = (1.0, 1.5, 2.0, 3.0, math.inf)
@@ -297,16 +294,15 @@ def test_the_amplified_oracle_catches_each_fault(monkeypatch, fault):
     assert any(straying(suite, "s3") for suite in BATCHED)
 
 
-# The moduli samplers, pair by pair: pair k is the unit row k of stream a and
-# its mix with the unit row k + 1 at row k's angle (inequalities._draws).
+# The moduli pass, pair by pair: pair k is the unit row k of stream a and its
+# mix with the unit row k + 1 at row k's angle (inequalities._draws).
 MODULI_P = (1.5, 2.0, 3.0)
 MODULI_PAIRS = 110
 MODULI_T_GRID = (0.1, 0.5, 1.0)
 
 
 def oracle_moduli(model, p, family, n, seed):
-    """Each bin's count and least gap, each t's largest quotient, and each bin's
-    count of pairs whose separation lies within REL of one of its edges."""
+    """Each pair's quotient per t (one row per t), separation and gap, as lists."""
 
     def norm(blocks):
         return amp.norm(SimpleNamespace(model=model, blocks=blocks), p, family)
@@ -321,28 +317,20 @@ def oracle_moduli(model, p, family, n, seed):
     a = random_stacks(model, mix_seed(seed, "a"), 0, n + 1).blocks
     angles = math.pi * random_uniforms(mix_seed(seed, "t"), 0, n)
     units = [unit([b[k] for b in a]) for k in range(n + 1)]
-    bins = len(CONVEXITY_EDGES) - 1
-    counts, least, near = [0] * bins, [math.inf] * bins, [0] * bins
-    highest = [-math.inf] * len(MODULI_T_GRID)
+    quotients, separations, gaps = [[] for _ in MODULI_T_GRID], [], []
     for k, t in enumerate(angles):
         h1, g = units[k], units[k + 1]
         mixed = lin(h1, g, math.cos(t), math.sin(t))
         h2 = g if norm(mixed) == 0.0 else unit(mixed)
-        eps = min(norm(lin(h1, h2, 1.0, -1.0)), math.nextafter(2.0, 0.0))
-        gap = 1.0 - norm(lin(h1, h2, 0.5, 0.5))
-        for i, (lower, upper) in enumerate(zip(CONVEXITY_EDGES, CONVEXITY_EDGES[1:])):
-            near[i] += min(abs(eps - lower), abs(eps - upper)) <= REL * upper
-            if lower <= eps < upper:
-                counts[i] += 1
-                least[i] = min(least[i], gap)
-        for i, s in enumerate(MODULI_T_GRID):
-            quotient = (norm(lin(h1, h2, 1.0, s)) + norm(lin(h1, h2, 1.0, -s))) / 2.0 - 1.0
-            highest[i] = max(highest[i], quotient)
-    return counts, least, highest, near
+        separations.append(norm(lin(h1, h2, 1.0, -1.0)))
+        gaps.append(1.0 - norm(lin(h1, h2, 0.5, 0.5)))
+        for row, s in zip(quotients, MODULI_T_GRID):
+            row.append((norm(lin(h1, h2, 1.0, s)) + norm(lin(h1, h2, 1.0, -s))) / 2.0 - 1.0)
+    return quotients, separations, gaps
 
 
 def close(got, want):
-    # an estimate is a norm near 1 minus 1, so its rounding error is absolute
+    # a quotient or gap is a norm near 1 minus 1, so its rounding error is absolute
     return abs(got - want) <= REL * max(1.0, abs(want))
 
 
@@ -350,17 +338,10 @@ def close(got, want):
 def test_moduli_samplers_match_the_pairs_of_the_amplified_oracle(dual):
     model = parse_dual_arg(dual)
     for p, family in itertools.product(MODULI_P, ("sch", "hs")):
-        counts, least, highest, near = oracle_moduli(model, p, family, MODULI_PAIRS, SEED)
-        conv = modulus_convexity_sample(model, p, family, MODULI_PAIRS, SEED)
-        smooth = modulus_smoothness_sample(model, p, family, MODULI_T_GRID, MODULI_PAIRS, SEED)
-        assert [e.epsilon_or_t for e in conv] == list(CONVEXITY_EDGES[:-1])
-        assert [e.epsilon_or_t for e in smooth] == list(MODULI_T_GRID)
-        for k, est in enumerate(conv):
-            if est.samples != counts[k]:
-                assert near[k], (p, family, k)
-            elif counts[k] and not near[k]:
-                assert close(est.estimate, least[k]), (p, family, k)
-        assert sum(counts) > 0
-        for est, want in zip(smooth, highest):
-            assert est.samples == MODULI_PAIRS
-            assert close(est.estimate, want), (p, family, est.epsilon_or_t)
+        chunks = inequalities._moduli_pairs(model, _finite_interior(p), family, True,
+                                            list(MODULI_T_GRID), MODULI_PAIRS, SEED)
+        got = [np.concatenate(part, axis=-1) for part in zip(*chunks)]
+        want = oracle_moduli(model, p, family, MODULI_PAIRS, SEED)
+        for name, values, oracle in zip(("quotients", "separations", "gaps"), got, want):
+            assert values.shape == np.shape(oracle), name
+            assert all(map(close, values.flat, np.ravel(oracle))), (p, family, name)

@@ -42,7 +42,7 @@ from dualnorm.inequalities import (
     type_cotype_check,
     unconditional_sum_bound,
 )
-from dualnorm.norms import field_norm, field_norms, lp_sch_norm
+from dualnorm.norms import _finite_interior, field_norm, field_norms, lp_sch_norm
 from dualnorm.report import inequality_report
 
 S3 = preset_dual("s3")
@@ -250,6 +250,14 @@ def test_hilbert_closed_forms():
         assert hilbert_convexity_modulus(eps) >= convexity_lower_bound(2.0, eps) - 1e-15
     for t in (0.1, 0.5, 1.0):
         assert hilbert_smoothness_modulus(t) <= smoothness_upper_bound(2.0, t) + 1e-15
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_closed_forms_and_bounds_are_nan_at_nan(p):
+    # max(0.0, nan) is 0.0, so the convexity closed form once read 1.0 at nan
+    for value in (hilbert_convexity_modulus(math.nan), hilbert_smoothness_modulus(math.nan),
+                  convexity_lower_bound(p, math.nan), smoothness_upper_bound(p, math.nan)):
+        assert math.isnan(value)
 
 
 def test_modulus_convexity_hilbert_case_matches_closed_form():
@@ -469,12 +477,13 @@ def test_moduli_samplers_match_the_field_arithmetic_pass(monkeypatch, dual):
             monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", budget)
         for p, family in itertools.product((1.01, 1.5, 2, 3, 7, 1e6), ("sch", "hs")):
             seed = samples + 3
-            conv = modulus_convexity_sample(model, p, family, samples, seed)
-            smooth = modulus_smoothness_sample(model, p, family, t_grid, samples, seed)
-            assert repr(conv) == repr(field_moduli.moduli_pass(model, p, family, True, (),
-                                                               samples, seed)[0])
-            assert repr(smooth) == repr(field_moduli.moduli_pass(model, p, family, False, t_grid,
-                                                                 samples, seed)[1])
+            for convexity, ts in ((True, ()), (False, t_grid), (True, t_grid)):
+                got = inequalities._moduli_pairs(model, _finite_interior(p), family, convexity,
+                                                 [float(t) for t in ts], samples, seed)
+                want = field_moduli.moduli_pairs(model, p, family, convexity, ts, samples, seed)
+                for chunk, oracle in zip(got, want, strict=True):
+                    for x, y in zip(chunk, oracle, strict=True):
+                        assert x is y is None or np.array_equal(x, y), (p, family, convexity)
 
 
 @pytest.mark.parametrize("sampler", [modulus_convexity_sample, modulus_smoothness_sample])
@@ -535,6 +544,28 @@ def test_moduli_separation_rounded_to_2_lands_in_the_last_default_bin(monkeypatc
     conv = modulus_convexity_sample(S3, 1.5, "sch", samples=30, seed=3)
     assert [est.samples for est in conv] == [0] * 18 + [30]
     assert conv[-1].estimate == 1.0
+
+
+def test_moduli_pass_reduces_the_pairs_of_every_chunk(monkeypatch):
+    # separations on the edges 0.1 and 1.9, below 0.1 (in no bin), and of 2.0 and above
+    # (in the last bin); each chunk holds some of the largest quotients and least gaps
+    chunks = [(np.array([[0.5, 0.25, 0.0], [1.0, -0.5, 0.0]]), np.array([0.1, 0.05, 0.35]),
+               np.array([0.3, 0.01, 0.2])),
+              (np.array([[0.75, 0.0, 0.1, 0.0], [0.2, 0.3, 0.9, 0.0]]),
+               np.array([1.9, 2.0, 2.5, 0.15]), np.array([0.6, 0.9, 0.7, 0.25]))]
+    calls = []
+    monkeypatch.setattr(inequalities, "_moduli_pairs",
+                        lambda *a: calls.append(a[1:]) or iter(chunks if a[5] else []))
+    conv, smooth = inequalities._moduli_pass(S3, 1.5, "sch", True, (0.5, 1), 7, 3)
+    assert calls == [(1.5, "sch", True, [0.5, 1.0], 7, 3)]
+    assert [e.epsilon_or_t for e in conv] == list(CONVEXITY_EDGES[:-1])
+    assert [(e.epsilon_or_t, e.estimate, e.samples) for e in conv if e.samples] == [
+        (0.1, 0.25, 2), (0.3, 0.2, 1), (1.9, 0.6, 3)]
+    assert all(math.isnan(e.estimate) for e in conv if not e.samples)
+    assert [(e.epsilon_or_t, e.estimate, e.samples) for e in smooth] == [(0.5, 0.75, 7),
+                                                                        (1.0, 1.0, 7)]
+    conv, smooth = inequalities._moduli_pass(S3, 1.5, "sch", True, (0.5,), 0, 3)
+    assert all(e.samples == 0 and math.isnan(e.estimate) for e in conv + smooth)
 
 
 def test_moduli_zero_norm_draw_raises(monkeypatch):
@@ -648,20 +679,18 @@ def test_moduli_suite_draws_each_pair_once(monkeypatch, budget):
 def test_moduli_pairs_mix_each_draw_with_its_neighbour(monkeypatch, family):
     # pair k is row k of stream a, mixed with row k + 1 at row k's angle; there is no stream b
     n, seed, p = 40, 6, 1.5
-    keys, reduced = [], []
-    mix, norm = inequalities.mix_seed, inequalities.field_norm
+    keys = []
+    mix = inequalities.mix_seed
     monkeypatch.setattr(inequalities, "mix_seed", lambda *parts: keys.append(parts) or mix(*parts))
-    monkeypatch.setattr(inequalities, "field_norm",
-                        lambda h, *a: reduced.append(norm(h, *a)) or reduced[-1])
-    modulus_convexity_sample(S3, p, family, samples=n, seed=seed)
-    assert keys == [(seed, "a"), (seed, "t")] and len(reduced) == 3  # one chunk
+    [(_, separations, _)] = inequalities._moduli_pairs(S3, _finite_interior(p), family, True, [],
+                                                       n, seed)  # one chunk
+    assert keys == [(seed, "a"), (seed, "t")]
     a = random_stacks(S3, mix_seed(seed, "a"), 0, n + 1)
     units = [b / field_norm(a, p, family)[:, None, None] for b in a.blocks]
     h1, g = Field(S3, [u[:-1] for u in units]), Field(S3, [u[1:] for u in units])
     t = math.pi * random_uniforms(mix_seed(seed, "t"), 0, n)
     mixed = np.cos(t) * h1 + np.sin(t) * g
     h2 = (1.0 / field_norm(mixed, p, family)) * mixed
-    separations = reduced[-1][0]  # row 0 of the stack: h1 - h2
     np.testing.assert_allclose(separations, field_norm(h1 - h2, p, family), rtol=1e-12, atol=0.0)
 
 
