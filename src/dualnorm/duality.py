@@ -27,6 +27,7 @@ from . import matcore
 from .dualmodel import (
     Field,
     _check_same_model,
+    _from_blocks,
     _is_integer,
     _trusted,
     field_adjoint,
@@ -81,7 +82,7 @@ def _power(h: Field, r, missing: str) -> Callable[..., Field]:
         for f, values in zip(h.svd_factors, np.split(powered, ends, axis=-1)):
             u, vstar = (m.reshape(axes + m.shape[-2:]) for m in (f.u, f.vstar))
             blocks.append(matcore.svd_compose(u, values, vstar))
-        return _trusted(h.model, blocks)
+        return _from_blocks(h.model, blocks)
 
     return power
 
@@ -122,8 +123,8 @@ def dual_norm_via_search(h: Field, p, trials: int, seed: int, start: int = 0):
         key = mix_seed(seed, "dual_search")
         probes = random_stacks(h.model, key, start * trials, rows * trials)
         units = (1.0 / lp_sch_norm(probes, q)) * probes  # at unit q-norm
-        per_row = units.map_blocks(lambda b: b.reshape(*h.batch, trials, *b.shape[-2:]))
-        h_rows = h.map_blocks(lambda b: b[..., None, :, :])
+        per_row = _trusted(h.model, units.data.reshape(*h.batch, trials, h.model.size))
+        h_rows = _trusted(h.model, h.data[..., None, :])
         best = np.abs(pairing(h_rows, per_row)).max(axis=-1)
     return best if h.batch else float(best)
 

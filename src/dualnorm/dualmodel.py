@@ -6,26 +6,29 @@ for the first few irreducible-representation classes of a compact group; a
 Presets cover the torus (all dims 1), truncated SU(2) (dims 1..N) and the
 symmetric group S3 (dims 1, 1, 2).
 
-A Field is also a batch of fields: every entry's block is a ``(*batch, dim,
-dim)`` array with the same batch shape (``()`` for a single field), and
-``h[k]`` is row k of a batch.  ``_check_layout`` checks that fields share one
-model and batch shape, ``_stack`` stacks them into one ``(k, *batch)`` batch,
-and ``DualModel.size`` counts the complex entries of one field.
+A field is one vector of ``DualModel.size`` complex coordinates, as in the
+direct sum of the matrix algebras M_d: its buffer ``Field.data`` holds the
+blocks in entry order, rows concatenated, entry i's run starting at
+``DualModel.offsets[i]``, and ``Field.blocks`` are those runs as ``(*batch,
+dim, dim)`` views.  A Field is also a batch of fields: ``data`` has shape
+``(*batch, size)`` (``()`` for a single field), and ``h[k]`` is row k.
+Arithmetic, equality, indexing, stacking (``_stack``, of fields that pass
+``_check_layout``) and digests run on ``data``; per-entry kernels read ``blocks``.
 
 Both types are immutable; field arithmetic returns new fields, and raises
 ValueError where a result overflows.  Data is validated where it enters:
-``Field(...)`` checks and copies its arrays, while fields the package
-computes go through :func:`_trusted`.  Blocks can never be made writable
-again, so a field memoizes what it costs a factorization to learn: each
-entry's singular values
-(``Field.singular_values``) and each entry's SVD (``Field.svd_factors``),
-computed on first use by :mod:`matcore` and then shared by every norm,
-extremizer and witness of that field, and by its absolute value |H|
-(:func:`field_abs`).  The two memos never feed each other, so a value never
-depends on the order of calls; copies and unpickled fields start with none.
-Reports digest a field as its model, its dims and a hash of its block bytes,
-kept the same way for each row (``Field.block_sha256``), so every report of a
-batch shares one hash per row; the JSON wire format below is for field files.
+``Field(...)`` checks its arrays and copies them into a fresh buffer, while
+fields the package computes go through :func:`_trusted` (a buffer) or
+:func:`_from_blocks` (an array per entry).  A buffer can never be made
+writable again, so a field memoizes what it costs a factorization to learn:
+each entry's singular values (``Field.singular_values``) and each entry's SVD
+(``Field.svd_factors``), computed on first use by :mod:`matcore` and then
+shared by every norm, extremizer and witness of that field, and by its
+absolute value |H| (:func:`field_abs`).  The two memos never feed each other,
+so a value never depends on the order of calls; copies and unpickled fields
+start with none.  Reports digest a field as its model, its dims and a hash of
+each row of its buffer (``Field.block_sha256``), so every report of a batch
+shares one hash per row; the JSON wire format below is for field files.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import cmath
 import functools
 import hashlib
-import math
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -75,6 +78,7 @@ class DualModel:
     entries: tuple[tuple[str, int], ...]
     dims: tuple[int, ...] = field(init=False, repr=False, compare=False)  # entry dims, in order
     size: int = field(init=False, repr=False, compare=False)  # complex entries of one field
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)  # each block's start
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -87,12 +91,13 @@ class DualModel:
         entries = tuple((str(lab), int(dim)) for lab, dim in self.entries)
         if len({lab for lab, _ in entries}) != len(entries):
             raise ValueError("entry labels must be unique")
-        size = sum(dim**2 for _, dim in entries)
+        *offsets, size = itertools.accumulate((dim**2 for _, dim in entries), initial=0)
         if size > MAX_FIELD_ENTRIES:
             raise ValueError(f"a field would hold {size} entries, more than {MAX_FIELD_ENTRIES}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "dims", tuple(d for _, d in entries))
         object.__setattr__(self, "size", size)
+        object.__setattr__(self, "offsets", tuple(offsets))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -176,38 +181,44 @@ def parse_dual_arg(text: str) -> DualModel:
 
 @dataclass(frozen=True)
 class Field:
-    """One square complex block per dual-model entry: ``blocks[i]`` is ``(*batch, d_i, d_i)``."""
+    """A field or batch: one complex128 buffer ``data`` of shape ``(*batch, model.size)``.
+
+    Entry i's block, rows concatenated, is the run ``data[..., o:o + d*d]`` at
+    o = ``model.offsets[i]``, and ``blocks[i]`` is that run as a ``(*batch, d, d)`` view.
+    """
 
     model: DualModel
     blocks: tuple[np.ndarray, ...]
+    data: np.ndarray = field(init=False, repr=False, compare=False)
 
     __array_ufunc__ = None  # array * field defers to __rmul__
 
     def __post_init__(self):
         if len(self.blocks) != len(self.model):
-            raise ValueError(
-                f"field has {len(self.blocks)} blocks for {len(self.model)} entries"
-            )
+            raise ValueError(f"field has {len(self.blocks)} blocks for {len(self.model)} entries")
         blocks = []
         for (lab, dim), b in zip(self.model.entries, self.blocks):
-            b = np.array(b, dtype=np.complex128)  # private copy: callers keep their arrays
+            try:
+                b = np.asarray(b, dtype=np.complex128)  # copied into the buffer below
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"block for {lab!r} cannot be held as complex128: {exc}") from exc
             if b.shape[-2:] != (dim, dim):
                 raise ValueError(f"block for {lab!r} has shape {b.shape}, not (..., {dim}, {dim})")
             if not np.isfinite(b).all():
                 raise ValueError(f"block for {lab!r} has non-finite entries")
-            blocks.append(_locked(b))
+            blocks.append(b)
         batches = {b.shape[:-2] for b in blocks}
         if len(batches) > 1:
             raise ValueError(f"entries have different batch shapes: {sorted(batches)}")
-        object.__setattr__(self, "blocks", tuple(blocks))
+        self.__dict__.update(vars(_from_blocks(self.model, blocks)))  # buffer and views, fresh
 
     @property
     def batch(self) -> tuple[int, ...]:
-        return self.blocks[0].shape[:-2]
+        return self.data.shape[:-1]
 
     def __reduce__(self):
-        """Copies and unpickled fields lock their blocks again (and carry no memo)."""
-        return (_trusted, (self.model, self.blocks))
+        """Copies and unpickled fields lock their buffer again (and carry no memo)."""
+        return (_trusted, (self.model, self.data))
 
     @functools.cached_property
     def singular_values(self) -> tuple[np.ndarray, ...]:
@@ -224,77 +235,75 @@ class Field:
 
     @functools.cached_property
     def block_sha256(self) -> tuple[str, ...]:
-        """Each row's sha256 (hex) of its little-endian complex128 block bytes, computed once.
-
-        One digest per row of the batch, in C order of the batch axes (one
-        for a single field); a row hashes its entries' blocks, in entry order,
-        as one byte run.
-        """
-        n = math.prod(self.batch)
-        rows = np.concatenate(
-            [b.reshape(n, d * d) for b, d in zip(self.blocks, self.model.dims)],
-            axis=1, dtype="<c16",
-        )
+        """Each row's sha256 (hex) of its ``<c16`` buffer bytes, in C order of the batch axes."""
+        rows = np.ascontiguousarray(self.data.reshape(-1, self.model.size), dtype="<c16")
         return tuple(hashlib.sha256(r).hexdigest() for r in rows)
 
     def __getitem__(self, index) -> "Field":
-        """Rows of a batch: every entry's stack indexed by ``index`` over its batch axes.
-
-        ``h[k]`` is row k of a batch of shape ``(n,)``: a single field whose
-        blocks are views of the batch's.
-        """
+        """Rows of a batch: ``h[k]`` is row k of a batch of shape ``(n,)``, a view of its buffer."""
         index = index if isinstance(index, tuple) else (index,)
         if any(i is Ellipsis for i in index):
-            raise IndexError("an Ellipsis would reach the matrix axes of a field")
+            raise IndexError("an Ellipsis would reach the entry axis of a field")
         np.empty(self.batch, dtype=bool)[index]  # IndexError unless it fits the batch axes
-        return _trusted(self.model, [b[index] for b in self.blocks])
+        return _trusted(self.model, self.data[index])
 
     def map_blocks(self, fn) -> "Field":
         """Apply ``fn`` to each entry's block (stack); it must keep shapes and finiteness."""
-        return _trusted(self.model, [fn(b) for b in self.blocks])
+        return _from_blocks(self.model, [fn(b) for b in self.blocks])
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_model(self, other)
-        return _blockwise(self.model, np.add, self.blocks, other.blocks)
+        return _trusted(self.model, _guarded(np.add, self.data, other.data))
 
     def __sub__(self, other: "Field") -> "Field":
         _check_same_model(self, other)
-        return _blockwise(self.model, np.subtract, self.blocks, other.blocks)
+        return _trusted(self.model, _guarded(np.subtract, self.data, other.data))
 
     def __neg__(self) -> "Field":
-        return self.map_blocks(lambda b: -b)
+        return _trusted(self.model, -self.data)
 
     def __rmul__(self, alpha) -> "Field":
-        """alpha * field; an array alpha of the batch shape scales each field by its own scalar.
-
-        A non-finite factor is data entering a field: it raises ValueError."""
+        """alpha * field.  An array alpha broadcasts against the batch, a scalar for each row;
+        it need not have the batch shape (a single field times shape ``(k,)`` is a ``(k,)``
+        batch).  A non-finite factor is data entering a field: it raises ValueError."""
         if not (np.isfinite(alpha).all() if np.ndim(alpha) else cmath.isfinite(alpha)):
             raise ValueError(f"a field's factor must be finite, got {alpha!r}")
         if np.ndim(alpha):
-            alpha = np.asarray(alpha)[..., None, None]
-        return _blockwise(self.model, lambda b: alpha * b, self.blocks)
+            alpha = np.asarray(alpha)[..., None]
+        return _trusted(self.model, _guarded(np.multiply, alpha, self.data))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Field):
             return NotImplemented
-        return self.model == other.model and all(
-            np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks)
-        )
+        return self.model == other.model and np.array_equal(self.data, other.data)
 
 
-def _trusted(model: DualModel, blocks) -> Field:
-    """A Field over arrays the package computed: locked read-only, neither copied nor checked."""
+def _trusted(model: DualModel, data: np.ndarray) -> Field:
+    """A Field over a ``(*batch, model.size)`` buffer the package computed: locked read-only,
+    neither copied nor checked."""
+    data = _locked(data)
+    batch = data.shape[:-1]
+    blocks = tuple([data[..., o : o + d * d].reshape(batch + (d, d))
+                    for o, d in zip(model.offsets, model.dims)])
     field = object.__new__(Field)
-    object.__setattr__(field, "model", model)
-    object.__setattr__(field, "blocks", tuple(map(_locked, blocks)))
+    field.__dict__.update(model=model, data=data, blocks=blocks)
     return field
 
 
-def _blockwise(model: DualModel, op, *operands) -> Field:
-    """The trusted Field of ``op`` over the operands' blocks; ValueError if a result overflows."""
+def _from_blocks(model: DualModel, blocks) -> Field:
+    """The trusted Field of a fresh buffer that holds ``blocks``, a ``(*batch, d, d)`` per entry."""
+    batch = blocks[0].shape[:-2]
+    data = np.empty(batch + (model.size,), dtype=np.complex128)
+    for b, o, d in zip(blocks, model.offsets, model.dims):
+        data[..., o : o + d * d].reshape(batch + (d, d))[...] = b  # a view of the fresh buffer
+    return _trusted(model, data)
+
+
+def _guarded(op, *operands):
+    """``op(*operands)``, raising ValueError where a result overflows."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _trusted(model, [op(*blocks) for blocks in zip(*operands)])
+            return op(*operands)
     except FloatingPointError as exc:
         raise ValueError(f"field arithmetic overflows: {exc}") from exc
 
@@ -323,15 +332,15 @@ def _check_layout(fields) -> tuple[DualModel, tuple[int, ...]]:
 
 def _stack(fields) -> Field:
     """The batch Field of shape ``(k, *batch)`` whose row j is ``fields[j]``; see _check_layout."""
-    return _trusted(fields[0].model, [np.stack(b) for b in zip(*(f.blocks for f in fields))])
+    return _trusted(fields[0].model, np.stack([f.data for f in fields]))
 
 
 def zero_field(model: DualModel) -> Field:
-    return _trusted(model, [np.zeros((d, d), dtype=np.complex128) for d in model.dims])
+    return _trusted(model, np.zeros(model.size, dtype=np.complex128))
 
 
 def identity_field(model: DualModel) -> Field:
-    return _trusted(model, [np.eye(d, dtype=np.complex128) for d in model.dims])
+    return _from_blocks(model, [np.eye(d, dtype=np.complex128) for d in model.dims])
 
 
 def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
@@ -344,12 +353,12 @@ def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}")
-    blocks = [s[0] for s in random_stacks(model, seed).blocks]
+    a = random_stacks(model, seed)[0]
     if dist == "hermitian":
-        blocks = [(a + matcore.adjoint(a)) / 2 for a in blocks]
-    elif dist == "psd":
-        blocks = [matcore.adjoint(a) @ a for a in blocks]
-    return _trusted(model, blocks)
+        return a.map_blocks(lambda b: (b + matcore.adjoint(b)) / 2)
+    if dist == "psd":
+        return a.map_blocks(lambda b: matcore.adjoint(b) @ b)
+    return a
 
 
 # -- keyed counter-based draws ---------------------------------------------
@@ -399,14 +408,11 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
     scaled = np.empty((rows, width))
     np.multiply(radius, np.cos(angle), out=scaled[:, 0::2])
     np.multiply(radius, np.sin(angle), out=scaled[:, 1::2])
-    stacks, offset = [], 0
-    for d in model.dims:  # a block's d^2 real parts, then its d^2 imaginary parts
-        z = np.empty((rows, d, d), dtype=np.complex128)
-        parts = scaled[:, offset : offset + 2 * d * d].reshape(rows, 2, d, d)
-        z.real, z.imag = parts[:, 0], parts[:, 1]
-        stacks.append(z)
-        offset += 2 * d * d
-    return _trusted(model, stacks)
+    data = np.empty((rows, model.size), dtype=np.complex128)
+    for o, d in zip(model.offsets, model.dims):  # a block's d^2 real parts, then its imaginary
+        run, normals = data[:, o : o + d * d], scaled[:, 2 * o : 2 * (o + d * d)]
+        run.real, run.imag = normals[:, : d * d], normals[:, d * d :]
+    return _trusted(model, data)
 
 
 def field_adjoint(h: Field) -> Field:
@@ -415,16 +421,13 @@ def field_adjoint(h: Field) -> Field:
 
 def field_abs(h: Field) -> Field:
     """|H| = (H* H)^(1/2) blockwise: V S V* from the memoized SVD H = W S V*, made Hermitian."""
-    blocks = []
-    for f in h.svd_factors:
-        a = matcore.svd_compose(matcore.adjoint(f.vstar), f.sigma, f.vstar)
-        blocks.append((a + matcore.adjoint(a)) / 2)  # against roundoff
-    return _trusted(h.model, blocks)
+    vsv = [matcore.svd_compose(matcore.adjoint(f.vstar), f.sigma, f.vstar) for f in h.svd_factors]
+    return _from_blocks(h.model, [(a + matcore.adjoint(a)) / 2 for a in vsv])  # against roundoff
 
 
 def field_product(h1: Field, h2: Field) -> Field:
     _check_same_model(h1, h2)
-    return _blockwise(h1.model, np.matmul, h1.blocks, h2.blocks)
+    return _from_blocks(h1.model, [_guarded(np.matmul, a, b) for a, b in zip(h1.blocks, h2.blocks)])
 
 
 # -- JSON wire formats ------------------------------------------------------

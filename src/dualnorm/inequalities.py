@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualmodel import DualModel, Field, _check_layout, _stack, _trusted, mix_seed, random_stacks
-from .dualmodel import _blockwise, _is_integer, _is_real, random_uniforms
+from .dualmodel import _guarded, _is_integer, _is_real, random_uniforms
 from .matcore import _scale_exponent, power_sum
 from .norms import ExponentP, _finite_interior, field_norm, field_norms
 from .report import (
@@ -303,38 +303,35 @@ def _moduli_pairs(model, p, family, convexity, ts, samples, seed):
         norm_a = field_norm(a, p, family)
         if not norm_a.all():
             raise ZeroDivisionError("a ginibre draw has zero norm")
-        # rows 0 .. n of each entry's unit draws; pair k's h1 is row k and its g row k + 1
-        units = _blockwise(model, lambda block: (1.0 / norm_a)[:, None, None] * block, a.blocks)
-        mixed = _blockwise(  # cos t h1 + sin t g
-            model, lambda u: cos_t[:, None, None] * u[:-1] + sin_t[:, None, None] * u[1:],
-            units.blocks,
-        )
-        norm = field_norm(mixed, p, family)
-        flat = norm == 0.0
-        norm = np.where(flat, 1.0, norm)
-
-        def pair_stack(u, mix):  # the stacked rows of one entry, from its units and mixes
-            h1, g = u[:-1], u[1:]
-            if flat.any():  # measure-zero degenerate mix; fall back to the raw draw
-                mix = mix + flat[:, None, None] * g
-            h2 = (1.0 / norm)[:, None, None] * mix
-            out = np.empty((stacked, *h1.shape), dtype=np.complex128)
-            for i, t in enumerate(ts):
-                th2 = t * h2
-                np.add(h1, th2, out=out[2 * i])
-                np.subtract(h1, th2, out=out[2 * i + 1])
-            if convexity:
-                np.subtract(h1, h2, out=out[-2])
-                np.multiply(0.5, h1 + h2, out=out[-1])
-            return out
-
-        stack = _blockwise(model, pair_stack, units.blocks, mixed.blocks)
+        # rows 0 .. n of the unit draws; pair k's h1 is row k and its g row k + 1
+        units = _guarded(np.multiply, (1.0 / norm_a)[:, None], a.data)
+        h1, g = units[:-1], units[1:]
+        mix = _guarded(np.add, cos_t[:, None] * h1, sin_t[:, None] * g)
+        norm = field_norm(_trusted(model, mix), p, family)
+        stack = _trusted(model, _guarded(_pair_stack, h1, g, mix, norm, ts, convexity))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
             norms = field_norm(stack, p, family)
             quotients = (norms[0 : 2 * len(ts) : 2] + norms[1 : 2 * len(ts) : 2]) / 2.0 - 1.0
         if not (np.isfinite(norms).all() and np.isfinite(quotients).all()):
             raise ValueError(f"a norm or smoothness estimate overflows on the grid {ts!r}")
         yield quotients, *((norms[-2], 1.0 - norms[-1]) if convexity else (None, None))
+
+
+def _pair_stack(h1, g, mix, norm, ts, convexity):
+    """The ``(stacked, n, size)`` buffer of ``_moduli_pairs``: h2 is ``mix`` at unit ``norm``."""
+    flat = norm == 0.0
+    if flat.any():  # measure-zero degenerate mix; fall back to the raw draw
+        mix = mix + flat[:, None] * g
+    h2 = (1.0 / np.where(flat, 1.0, norm))[:, None] * mix
+    out = np.empty((2 * len(ts) + 2 * convexity, *h1.shape), dtype=np.complex128)
+    for i, t in enumerate(ts):
+        th2 = t * h2
+        np.add(h1, th2, out=out[2 * i])
+        np.subtract(h1, th2, out=out[2 * i + 1])
+    if convexity:
+        np.subtract(h1, h2, out=out[-2])
+        np.multiply(0.5, h1 + h2, out=out[-1])
+    return out
 
 
 def _moduli_pass(model, p, family, convexity, t_grid, samples, seed):
@@ -439,30 +436,28 @@ def rademacher_average(fields, p, family: str = "sch"):
         raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {n})")
     model, batch = _check_layout(fields)
     rows = math.prod(batch)
-    blocks = [b.reshape(n, rows, *b.shape[-2:]) for b in _stack(fields).blocks]
+    data = _stack(fields).data.reshape(n, rows, model.size)
     bits = min(n - 1, max(0, (_SIGN_TABLE_ENTRIES // model.size).bit_length() - 1))
     half = 2 ** (n - 1)
     averages = []
     for chunk in _chunks(model, rows, 2**bits):
-        # (n, rows, d, 2d) real views: real signs sum (re, im) pairs alike
-        stacks = [b[:, chunk.start:chunk.stop].view(np.float64) for b in blocks]
-        e = _scale_exponent(np.max([np.abs(s).max(axis=(0, 2, 3)) for s in stacks], axis=0))
-        stacks = [s * np.ldexp(1.0, -e)[:, None, None] for s in stacks]
-        low = [s[:1] for s in stacks]
+        # an (n, rows, 2 size) real view: real signs sum (re, im) pairs alike
+        stack = data[:, chunk.start:chunk.stop].view(np.float64)
+        e = _scale_exponent(np.abs(stack).max(axis=(0, 2)))
+        stack = stack * np.ldexp(1.0, -e)[:, None]
+        low = stack[:1]
         for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j
-            low = [np.concatenate([t + s[j], t - s[j]]) for t, s in zip(low, stacks)]
+            low = np.concatenate([low + stack[j], low - stack[j]])
         total = np.zeros((1, len(chunk)))
         for h in range(half >> bits):  # each run of patterns with equal high bits h
-            sums = []
-            for t, s in zip(low, stacks):
-                high = np.zeros(s.shape[1:])
-                for j in range(bits + 1, n):
-                    if (h >> (j - 1 - bits)) & 1:
-                        high -= s[j]
-                    else:
-                        high += s[j]
-                sums.append((t + high).view(np.complex128))
-            terms = np.square(field_norm(_trusted(model, sums), p, family))
+            high = np.zeros(stack.shape[1:])
+            for j in range(bits + 1, n):
+                if (h >> (j - 1 - bits)) & 1:
+                    high -= stack[j]
+                else:
+                    high += stack[j]
+            sums = _trusted(model, (low + high).view(np.complex128))
+            terms = np.square(field_norm(sums, p, family))
             total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
         averages.append(np.ldexp(np.power(total[0] / half, 1.0 / 2.0), e))
     average = np.concatenate([np.zeros(0), *averages]).reshape(batch)  # no chunk: no rows
@@ -513,7 +508,7 @@ def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap"
     e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
     batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
     fields = [0.5 * (hn - h), 0.5 * (hn + h)] + [
-        x.map_blocks(lambda b: np.broadcast_to(b, batch + b.shape[-2:])) for x in (hn, h)
+        _trusted(x.model, np.broadcast_to(x.data, (*batch, x.model.size))) for x in (hn, h)
     ]
     diff, mid, n_hn, n_h = field_norms(fields, p, family)
     m = _mean(n_hn, n_h, f)

@@ -858,6 +858,9 @@ GOLDEN = [
      "7345bfefbe4574b8", 173, "f5ea4790354ceaa8"),
     ("custom(1,3)", "1.5,2.5", "hs", None, 127, "77eedd5c4c997a10", "287deff259383e09",
      "71b39d241b52a2ac", 113, "5cae59af955de0c5"),
+    # blocks of 16 x 16 and 32 x 32: the only row whose blocks go through LAPACK
+    ("custom(16,32)", "1.5,3", "both", None, 180, "c36e6ae99f085223", "7c69ccb4af50c639",
+     "d3d79c1b7400fec8", 164, "c22860dcbae14f1f"),
 ]
 
 

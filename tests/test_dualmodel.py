@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -385,6 +386,14 @@ def test_field_rejects_a_non_finite_factor(bad):
         np.array([1.0, bad, 2.0]) * random_stacks(h.model, 1, rows=3)
 
 
+@pytest.mark.parametrize(
+    "block", [[[10**400]], {"a": 1}, [[object()]]], ids=["too_large", "dict", "object"]
+)
+def test_field_raises_value_error_for_blocks_that_are_not_complex128(block):
+    with pytest.raises(ValueError, match="block for 'e0d1' cannot be held as complex128"):
+        Field(preset_dual("custom", [1]), (block,))
+
+
 # each takes a field whose largest real or imaginary part is 1 to a result that overflows
 OVERFLOWING = {
     "add": lambda h: 1e308 * h + 1e308 * h,
@@ -448,8 +457,8 @@ def test_block_locks_cannot_be_lifted():
         "row": random_stacks(m, 3, rows=4)[1],
         "rows": random_stacks(m, 3, rows=4)[np.array([True, False, True, False])],
         "decoded": decode_field(encode_field(h), m), "zero": zero_field(m),
-        # complex views of writable float arrays, as rademacher_average builds its sums
-        "view": _trusted(m, [np.zeros((d, 2 * d)).view(np.complex128) for d in m.dims]),
+        # a complex view of a writable float buffer, as rademacher_average builds its sums
+        "view": _trusted(m, np.zeros(2 * m.size).view(np.complex128)),
     }
     copies = {"pickled": pickle.loads(pickle.dumps(h)), "deep": copy.deepcopy(h), "copy": copy.copy(h)}
     for g in copies.values():  # copies lock their blocks again
@@ -499,6 +508,42 @@ def test_rows_of_a_batch_are_fields():
             grid[bad] if isinstance(bad, tuple) else batch[bad]
     with pytest.raises(IndexError):
         random_field(m, 1)[0]
+
+
+@pytest.mark.parametrize("dual", ["s3", "custom(3,1,2)"])
+def test_a_field_is_one_locked_buffer_with_a_block_view_per_entry(dual):
+    m = parse_dual_arg(dual)
+    h, batch = random_field(m, 4), random_stacks(m, 3, rows=6)
+    user = Field(m, tuple(np.arange(3 * d * d).reshape(3, d, d) for d in m.dims))
+    fields = {  # every way the package builds a field
+        "user": user, "drawn": h, "batch": batch, "stacked": _stack([h, 2.0 * h]),
+        "row": batch[2], "strided": batch[::2], "sum": batch + batch, "difference": user - user,
+        "scaled": 2.5 * h, "rows_scaled": np.arange(6.0) * batch, "negated": -batch,
+        "mapped": batch.map_blocks(lambda b: b.reshape(2, 3, *b.shape[1:])),
+        "product": field_product(batch, batch), "copy": copy.copy(batch[::2]),
+        "pickled": pickle.loads(pickle.dumps(batch[1::2])),
+    }
+    for name, f in fields.items():
+        assert f.data.dtype == np.complex128 and f.data.shape == (*f.batch, m.size), name
+        for b, o, d in zip(f.blocks, m.offsets, m.dims, strict=True):
+            run = f.data[..., o : o + d * d]
+            assert np.array_equal(b, run.reshape(*f.batch, d, d)) and np.shares_memory(b, run), name
+        for a in (f.data, *f.blocks):
+            with pytest.raises(ValueError):
+                a.flags.writeable = True
+            assert not a.flags.writeable, name
+        rows = f.data.reshape(-1, m.size)
+        want = [hashlib.sha256(r.astype("<c16").tobytes()).hexdigest() for r in rows]
+        assert list(f.block_sha256) == want, name
+
+
+def test_an_index_never_reaches_the_entry_axis():
+    batch = random_stacks(preset_dual("s3"), 3, rows=3)
+    for bad in ((0, 0), (Ellipsis, 0), (slice(None), 0), (0, Ellipsis)):
+        with pytest.raises(IndexError):
+            batch[bad]
+    with pytest.raises(IndexError):
+        batch[0][0]
 
 
 def test_encode_field_rejects_a_batch():
@@ -656,7 +701,9 @@ def test_memo_stays_out_of_equality_and_repr():
     assert h == g and "singular_values" not in repr(h)
 
 
-@pytest.mark.parametrize("name, value", [("dims", (1, 2, 3, 4)), ("size", 30)])
+@pytest.mark.parametrize(
+    "name, value", [("dims", (1, 2, 3, 4)), ("size", 30), ("offsets", (0, 1, 5, 14))]
+)
 def test_model_dims_is_computed_once_and_outside_equality_and_repr(name, value):
     m = preset_dual("su2_trunc", 4)
     assert getattr(m, name) is getattr(m, name) and getattr(m, name) == value
