@@ -2,13 +2,19 @@
 
 ``dualnorm verify <suite>`` builds a dual model, draws seeded random fields,
 runs one of the named check suites and emits machine-readable reports.
-Report content is a pure function of the configuration: trial k of a case
-reads row k of that case's keyed streams, one per (base seed, suite, case,
-role), and each check runs once per chunk of trials on their batch Field.
-So suites are independent, and a trial's reports depend neither on
-execution order nor on how many trials run or how they are chunked.
-kadec_klee draws the fields of each exponent once, as row 0 of its role
-streams, and runs its sequence of trials in the same chunks.
+Report content is a pure function of the configuration: trial k reads row
+k of the suite's keyed streams, one per (base seed, suite, role), and each
+check runs once per chunk of trials on their batch Field.  A suite walks its
+chunks once and runs every exponent and family inside each chunk, so the
+fields a chunk builds that do not depend on p (sums, products, adjoints,
+|H|, the stacks its norms reduce, the runs of its sign tables) are built
+once, and their memos serve every exponent and family.  So suites are
+independent, and a trial's reports depend neither on execution order, nor
+on how many trials run or how they are chunked, nor on the other exponents
+and families of the run.  kadec_klee draws its fields once, as row 0 of its
+role streams, and runs its sequence of trials in the same chunks.  Only the
+moduli suite keys its pairs by exponent and family too: it normalizes them
+in the p-norm.
 
 Exit status: 0 all checks passed, 1 at least one verification failure,
 2 configuration or I/O error.
@@ -36,6 +42,7 @@ from .dualmodel import (
     _ascii_float,
     _ascii_int,
     _is_integer,
+    _stack,
     decode_field,
     decode_model,
     encode_field,
@@ -46,7 +53,7 @@ from .dualmodel import (
     random_field,
     random_stacks,
 )
-from .duality import direct_sum_dual_pair_check, dual_extremizer, dual_norm_via_search, pairing
+from .duality import _probes, _search, direct_sum_dual_pair_check, dual_extremizer, pairing
 from .interpolation import (
     DEFAULT_T_GRID,
     InterpSpec,
@@ -59,6 +66,7 @@ from .norms import (
     FAMILIES,
     DirectSumSpec,
     ExponentP,
+    _adjoint_stack,
     _sch_norm_from_sigma,
     adjoint_norm_check,
     embedding_check,
@@ -141,14 +149,16 @@ class SuiteConfig:
         return FAMILIES if self.family == "both" else (self.family,)
 
 
-def _trials(cfg: SuiteConfig, *parts, roles=("a", "b"), fields_per_trial=1):
-    """Yield each chunk of a case's trials: their indices, and a batch Field of draws per role.
+def _trials(cfg: SuiteConfig, roles=("a", "b"), fields_per_trial=1):
+    """Yield each chunk of the suite's trials: their indices, and a batch Field of draws per role.
 
-    Trial k reads row k of the stream keyed by (base seed, suite, *parts,
-    role), so its fields depend neither on the chunk nor on the trial count.
-    The chunks are ``inequalities._chunks`` of ``fields_per_trial`` fields a trial.
+    Trial k reads row k of the stream keyed by (base seed, suite, role), so its
+    fields depend neither on the chunk, nor on the trial count, nor on the
+    exponents and families of the run: a suite walks its chunks once and checks
+    every exponent and family on them.  The chunks are ``inequalities._chunks``
+    of ``fields_per_trial`` fields a trial.
     """
-    keys = [mix_seed(cfg.seed, cfg.suite, *parts, role) for role in roles]
+    keys = [mix_seed(cfg.seed, cfg.suite, role) for role in roles]
     for ks in ineq._chunks(cfg.dual, cfg.trials, fields_per_trial):
         yield ks, [random_stacks(cfg.dual, key, ks.start, len(ks)) for key in keys]
 
@@ -164,13 +174,14 @@ def _interior(cfg: SuiteConfig) -> list[ExponentP]:
 
 
 def _suite_norms(cfg: SuiteConfig):
-    for p in cfg.p_list:
-        for ks, (h1, h2) in _trials(cfg, p, fields_per_trial=4):
+    for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
+        alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
+        stack = _stack((h1, h2, h1 + h2, alpha * h1))  # one stack for every exponent and family
+        for p in cfg.p_list:
             ids = _case_ids(f"embedding[p={p}]", ks)
             yield from embedding_check(h1, p, case_id=ids)
-            alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
             for family in cfg.families:
-                n1, n2, n_sum, n_scaled = field_norms((h1, h2, h1 + h2, alpha * h1), p, family)
+                n1, n2, n_sum, n_scaled = field_norms(stack, p, family)
                 yield from inequality_report(
                     cfg.suite, _case_ids(f"triangle.{family}[p={p}]", ks), p,
                     n_sum, n1 + n2, (h1, h2, p, family), "triangle",
@@ -179,37 +190,37 @@ def _suite_norms(cfg: SuiteConfig):
                     cfg.suite, _case_ids(f"homogeneity.{family}[p={p}]", ks), p,
                     n_scaled, alpha * n1, (h1, p, family, alpha), "homogeneity",
                 )
-    for ks, (h,) in _trials(cfg, "p2", roles=("a",)):
         # S_2 = HS, from singular values on one side and Frobenius sums on the
         # other: the HS family shares its kernel with the Schatten norm at p = 2
         yield from equality_report(
             cfg.suite, _case_ids("p2_coincidence", ks), 2.0,
-            _sch_norm_from_sigma(h, 2.0), lp_hs_norm(h, 2.0), (h,), "p2_coincidence", rel=1e-12,
+            _sch_norm_from_sigma(h1, 2.0), lp_hs_norm(h1, 2.0), (h1,), "p2_coincidence", rel=1e-12,
         )
 
 
 def _suite_holder(cfg: SuiteConfig):
     inf = ExponentP(math.inf)
-    for p in cfg.p_list:
-        cases = [
-            (p, p.conjugate(), "conjugate[p={p}][{k:04d}]"),
-            (inf, inf, "inf_both[{k:04d}][p={p}]"),
-        ]
-        if not p.is_inf:
-            cases.append((inf, p, "inf_left[r={p}][{k:04d}]"))
-        for ks, (h1, h2) in _trials(cfg, p):
-            product = field_product(h1, h2)  # its singular values serve every case
+    for ks, (h1, h2) in _trials(cfg):
+        product = field_product(h1, h2)  # its singular values serve every exponent and case
+        for p in cfg.p_list:
+            cases = [
+                (p, p.conjugate(), "conjugate[p={p}][{k:04d}]"),
+                (inf, inf, "inf_both[{k:04d}][p={p}]"),
+            ]
+            if not p.is_inf:
+                cases.append((inf, p, "inf_left[r={p}][{k:04d}]"))
             for a, b, case_id in cases:
                 ids = [case_id.format(p=p, k=k) for k in ks]
                 yield from holder_check(h1, h2, a, b, product, case_id=ids)
 
 
 def _suite_adjoint(cfg: SuiteConfig):
-    for p in cfg.p_list:
-        for family in cfg.families:
-            for ks, (h,) in _trials(cfg, p, family, roles=("a",), fields_per_trial=3):
+    for ks, (h,) in _trials(cfg, roles=("a",), fields_per_trial=3):
+        stack = _adjoint_stack(h)  # one SVD of h forms |h|, and the stack serves every case
+        for p in cfg.p_list:
+            for family in cfg.families:
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from adjoint_norm_check(h, p, family, case_id=ids)
+                yield from adjoint_norm_check(h, p, family, case_id=ids, stack=stack)
 
 
 _PROBES = 5  # random unit fields per duality trial in the dual-norm search
@@ -217,11 +228,14 @@ _PROBES = 5  # random unit fields per duality trial in the dual-norm search
 
 def _suite_duality(cfg: SuiteConfig):
     spec = DirectSumSpec(ExponentP(1.5), 3.0)
-    for p in cfg.p_list:
-        if p.is_inf:
-            continue
-        probe_seed = mix_seed(cfg.seed, cfg.suite, p, "probe")
-        for ks, (h, other) in _trials(cfg, p, fields_per_trial=_PROBES):
+    exponents = [p for p in cfg.p_list if not p.is_inf]
+    if not exponents:
+        return
+    probe_seed = mix_seed(cfg.seed, cfg.suite, "probe")
+    for ks, (h, other) in _trials(cfg, fields_per_trial=_PROBES):
+        # the probes dual_norm_via_search(h, p, _PROBES, probe_seed, ks.start) reads, drawn once
+        probes = _probes(cfg.dual, _PROBES, probe_seed, ks.start, len(ks))
+        for p in exponents:
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
             inputs = (h, p)
@@ -234,10 +248,9 @@ def _suite_duality(cfg: SuiteConfig):
                 cfg.suite, _case_ids(f"extremizer_pairing[p={p}]", ks), p,
                 np.abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
             )
-            probe = dual_norm_via_search(h, p, trials=_PROBES, seed=probe_seed, start=ks.start)
             yield from inequality_report(
                 cfg.suite, _case_ids(f"search_bound[p={p}]", ks), p,
-                probe, norm, inputs, "dual_supremum",
+                _search(h, p, probes), norm, inputs, "dual_supremum",
             )
             if p > 1.0:
                 ids = _case_ids(f"direct_sum[p={p}]", ks)
@@ -253,10 +266,13 @@ def _interp_spec_for(p: ExponentP) -> InterpSpec:
 
 
 def _suite_interpolation(cfg: SuiteConfig):
-    for p in _interior(cfg):
-        spec = _interp_spec_for(p)
-        # a chunk's witnesses are batches of its trials at every boundary point
-        for ks, (h, f) in _trials(cfg, p, fields_per_trial=2 * len(DEFAULT_T_GRID)):
+    exponents = _interior(cfg)
+    if not exponents:
+        return
+    # a chunk's witnesses are batches of its trials at every boundary point
+    for ks, (h, f) in _trials(cfg, fields_per_trial=2 * len(DEFAULT_T_GRID)):
+        for p in exponents:  # h's and f's SVD memos serve every exponent
+            spec = _interp_spec_for(p)
             lines = boundary_witness(h, spec)
             line_norms = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
             ids = _case_ids(f"boundary_norms[p={p}]", ks)
@@ -268,38 +284,45 @@ def _suite_interpolation(cfg: SuiteConfig):
 
 
 def _suite_clarkson(cfg: SuiteConfig):
-    for p in _interior(cfg):
-        for ks, (h1, h2) in _trials(cfg, p, fields_per_trial=4):
+    exponents = _interior(cfg)
+    if not exponents:
+        return
+    for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
+        stack = ineq._clarkson_stack(h1, h2)
+        for p in exponents:
             for family in cfg.families:
                 ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq.clarkson_check(h1, h2, p, family, case_id=ids)
+                yield from ineq.clarkson_check(h1, h2, p, family, case_id=ids, stack=stack)
 
 
 def _suite_two_point(cfg: SuiteConfig):
-    for p in _interior(cfg):
-        for family in cfg.families:
-            crits = []
-            for ks, (h1, h2) in _trials(cfg, p, family, fields_per_trial=4):
-                norms = ineq.two_point_norms(h1, h2, p, family)
-                ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq.two_point_check(h1, h2, p, family, norms, case_id=ids)
-                crits.append(ineq.two_point_critical_constant(norms))
-                if p == 2.0:
-                    ids = _case_ids(f"parallelogram.{family}", ks)
-                    yield from ineq.two_point_equality_check(h1, h2, family, norms, case_id=ids)
-            crits = np.concatenate(crits)
-            crits = crits[~np.isnan(crits)]
-            if crits.size:
-                # restates the two_point rows and cannot fail on its own; it stays while
-                # benchmarks/workloads.expected_report_count pins the report set
-                if p >= 2.0:
-                    lhs, rhs = crits.max(), ineq.two_point_upper_constant(p)
-                else:
-                    lhs, rhs = ineq.two_point_lower_constant(p), crits.min()
-                yield inequality_report(
-                    cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
-                    (p, family, cfg.seed, cfg.trials), "critical_constant",
-                )
+    crits = {(p, family): [] for p in _interior(cfg) for family in cfg.families}
+    if not crits:
+        return
+    for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
+        stack = ineq._two_point_stack(h1, h2)
+        for (p, family), found in crits.items():
+            norms = ineq.two_point_norms(h1, h2, p, family, stack=stack)
+            ids = _case_ids(f"{family}[p={p}]", ks)
+            yield from ineq.two_point_check(h1, h2, p, family, norms, case_id=ids)
+            found.append(ineq.two_point_critical_constant(norms))
+            if p == 2.0:
+                ids = _case_ids(f"parallelogram.{family}", ks)
+                yield from ineq.two_point_equality_check(h1, h2, family, norms, case_id=ids)
+    for (p, family), found in crits.items():
+        found = np.concatenate(found)
+        found = found[~np.isnan(found)]
+        if found.size:
+            # restates the two_point rows and cannot fail on its own; it stays while
+            # benchmarks/workloads.expected_report_count pins the report set
+            if p >= 2.0:
+                lhs, rhs = found.max(), ineq.two_point_upper_constant(p)
+            else:
+                lhs, rhs = ineq.two_point_lower_constant(p), found.min()
+            yield inequality_report(
+                cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
+                (p, family, cfg.seed, cfg.trials), "critical_constant",
+            )
 
 
 def _suite_moduli(cfg: SuiteConfig):
@@ -327,32 +350,41 @@ def _suite_moduli(cfg: SuiteConfig):
 
 
 def _suite_type_cotype(cfg: SuiteConfig):
-    for p in _interior(cfg):
-        for family in cfg.families:
-            # the sign average stacks the five summands of each trial
-            for ks, fields in _trials(cfg, p, family, roles=range(5), fields_per_trial=5):
-                avg2 = ineq.rademacher_average(fields, p, family)
-                norms = field_norms(fields, p, family)
-                ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq.type_cotype_check(fields, p, family, norms, avg2, case_id=ids)
-                if p == 2.0:  # the same sign average against the quadratic sum of norms
-                    l2 = matcore.power_sum(norms, 2.0)
-                    yield from equality_report(
-                        cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),
-                        2.0, avg2, l2, (fields, family), "sign_average_identity",
-                    )
+    pairs = [(p, family) for p in _interior(cfg) for family in cfg.families]
+    if not pairs:
+        return
+    for ks, fields in _trials(cfg, roles=range(5), fields_per_trial=5):
+        # the five summands of each trial, stacked once: their norms and every sign average
+        stack = _stack(fields)
+        averages = ineq._rademacher_averages(stack, pairs)
+        for (p, family), avg2 in zip(pairs, averages):
+            norms = field_norms(stack, p, family)
+            ids = _case_ids(f"{family}[p={p}]", ks)
+            yield from ineq.type_cotype_check(fields, p, family, norms, avg2, case_id=ids)
+            if p == 2.0:  # the same sign average against the quadratic sum of norms
+                l2 = matcore.power_sum(norms, 2.0)
+                yield from equality_report(
+                    cfg.suite, _case_ids(f"hilbert_equality.{family}", ks),
+                    2.0, avg2, l2, (fields, family), "sign_average_identity",
+                )
 
 
 def _suite_kadec_klee(cfg: SuiteConfig):
-    for p in _interior(cfg):
-        h, d, base = (
-            random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, p, role))[0]
-            for role in ("a", "b", "sum")
-        )
-        for ks in ineq._chunks(cfg.dual, cfg.trials, 4):  # trial k: the gap of h + d / (k + 1)
-            n = np.arange(ks.start + 1, ks.stop + 1)
+    exponents = _interior(cfg)
+    if not exponents:
+        return
+    h, d, base = (
+        random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, role))[0]
+        for role in ("a", "b", "sum")
+    )
+    for ks in ineq._chunks(cfg.dual, cfg.trials, 4):  # trial k: the gap of h + d / (k + 1)
+        n = np.arange(ks.start + 1, ks.stop + 1)
+        hn = h + (1.0 / n) * d
+        stack = ineq._kadec_klee_stack(hn, h)
+        for p in exponents:
             ids = [f"gap[p={p}][n={m:04d}]" for m in n]
-            yield from ineq.kadec_klee_gap(h + (1.0 / n) * d, h, p, case_id=ids)
+            yield from ineq.kadec_klee_gap(hn, h, p, case_id=ids, stack=stack)
+    for p in exponents:
         base_norm = lp_sch_norm(base, p)
         scaled = [(2.0**-j / base_norm) * base for j in range(5)]
         yield ineq.unconditional_sum_bound(scaled, p, case_id=f"sum_bound[p={p}]")

@@ -116,16 +116,27 @@ def dual_norm_via_search(h: Field, p, trials: int, seed: int, start: int = 0):
     if not (all(map(_is_integer, (trials, seed, start))) and min(trials, start) >= 0):
         raise ValueError("trials, seed and start must be integers, trials and start non-negative: "
                          f"{trials!r}, {seed!r}, {start!r}")
-    q = p.conjugate()
-    best = np.zeros(h.batch)
-    if trials:
-        rows = math.prod(h.batch)
-        key = mix_seed(seed, "dual_search")
-        probes = random_stacks(h.model, key, start * trials, rows * trials)
-        units = (1.0 / lp_sch_norm(probes, q)) * probes  # at unit q-norm
-        per_row = _trusted(h.model, units.data.reshape(*h.batch, trials, h.model.size))
-        h_rows = _trusted(h.model, h.data[..., None, :])
-        best = np.abs(pairing(h_rows, per_row)).max(axis=-1)
+    if not trials:
+        return np.zeros(h.batch) if h.batch else 0.0
+    return _search(h, p, _probes(h.model, trials, seed, start, math.prod(h.batch)))
+
+
+def _probes(model, trials: int, seed: int, start: int, rows: int) -> Field:
+    """The probes of rows start .. start + rows - 1 of a search: a batch of shape (rows, trials)."""
+    probes = random_stacks(model, mix_seed(seed, "dual_search"), start * trials, rows * trials)
+    return _trusted(model, probes.data.reshape(rows, trials, model.size))
+
+
+def _search(h: Field, p: ExponentP, probes: Field):
+    """``dual_norm_via_search`` of h over ``probes``, ``_probes`` of h's rows.
+
+    The probes are scaled to unit q-norm at each call, so probes drawn once serve
+    every exponent, their singular values factored once.
+    """
+    units = (1.0 / lp_sch_norm(probes, p.conjugate())) * probes
+    per_row = _trusted(h.model, units.data.reshape(*h.batch, probes.batch[-1], h.model.size))
+    h_rows = _trusted(h.model, h.data[..., None, :])
+    best = np.abs(pairing(h_rows, per_row)).max(axis=-1)
     return best if h.batch else float(best)
 
 

@@ -12,8 +12,8 @@ blocks in entry order, rows concatenated, entry i's run starting at
 ``DualModel.offsets[i]``, and ``Field.blocks`` are those runs as ``(*batch,
 dim, dim)`` views.  A Field is also a batch of fields: ``data`` has shape
 ``(*batch, size)`` (``()`` for a single field), and ``h[k]`` is row k.
-Arithmetic, equality, indexing, stacking (``_stack``, of fields that pass
-``_check_layout``) and digests run on ``data``; per-entry kernels read ``blocks``.
+Arithmetic, equality, indexing, stacking (``_stack``, of fields that share a
+model and a batch shape) and digests run on ``data``; per-entry kernels read ``blocks``.
 
 Both types are immutable; field arithmetic returns new fields, and raises
 ValueError where a result overflows.  Data is validated where it enters:
@@ -194,8 +194,12 @@ class Field:
     __array_ufunc__ = None  # array * field defers to __rmul__
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.model):
-            raise ValueError(f"field has {len(self.blocks)} blocks for {len(self.model)} entries")
+        try:
+            count = len(self.blocks)
+        except TypeError:  # an int, None or an iterator: no sequence of blocks
+            raise ValueError(f"a field's blocks must be a sequence, got {self.blocks!r}") from None
+        if count != len(self.model):
+            raise ValueError(f"field has {count} blocks for {len(self.model)} entries")
         blocks = []
         for (lab, dim), b in zip(self.model.entries, self.blocks):
             try:
@@ -321,17 +325,13 @@ def _check_same_model(a: Field, b: Field) -> None:
         raise ValueError("fields live over different dual models")
 
 
-def _check_layout(fields) -> tuple[DualModel, tuple[int, ...]]:
-    """The model and batch shape of the (non-empty) fields; ValueError unless all share both."""
+def _stack(fields) -> Field:
+    """The batch Field of shape ``(k, *batch)`` whose row j is ``fields[j]``; ValueError unless
+    the (non-empty) fields share a model and a batch shape."""
     for f in fields:
         _check_same_model(fields[0], f)
         if f.batch != fields[0].batch:
             raise ValueError("fields have different batch shapes")
-    return fields[0].model, fields[0].batch
-
-
-def _stack(fields) -> Field:
-    """The batch Field of shape ``(k, *batch)`` whose row j is ``fields[j]``; see _check_layout."""
     return _trusted(fields[0].model, np.stack([f.data for f in fields]))
 
 

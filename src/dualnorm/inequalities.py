@@ -28,6 +28,10 @@ batch fields.  A check takes its norms at one exponent from one
 ``field_norms`` call, and where a suite shares norms between anchors the
 check takes them as an argument: ``two_point_norms`` for the two-point
 checks, and the summands' norms and sign average for ``type_cotype_check``.
+Where a suite checks the same fields at several exponents or families, the
+stack of fields derived from them is built once and passed as ``stack``, so
+its memo serves them all, and ``_rademacher_averages`` takes every sign
+average from one walk over the sign table.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualmodel import DualModel, Field, _check_layout, _stack, _trusted, mix_seed, random_stacks
+from .dualmodel import DualModel, Field, _stack, _trusted, mix_seed, random_stacks
 from .dualmodel import _guarded, _is_integer, _is_real, random_uniforms
 from .matcore import _scale_exponent, power_sum
 from .norms import ExponentP, _finite_interior, field_norm, field_norms
@@ -97,10 +101,20 @@ def _mean(a, b, r: float):
 # -- Clarkson inequalities ---------------------------------------------------
 
 
-def clarkson_check(h1: Field, h2: Field, p, family: str, *, case_id="clarkson"):
-    """Clarkson inequality in the given family (case i for p <= 2, case ii above)."""
+def _clarkson_stack(h1: Field, h2: Field) -> Field:
+    """The stack of (H1 + H2)/2, (H1 - H2)/2, H1 and H2 whose norms ``clarkson_check`` takes."""
+    return _stack((0.5 * (h1 + h2), 0.5 * (h1 - h2), h1, h2))
+
+
+def clarkson_check(h1: Field, h2: Field, p, family: str, *, case_id="clarkson", stack=None):
+    """Clarkson inequality in the given family (case i for p <= 2, case ii above).
+
+    ``stack`` is ``_clarkson_stack(h1, h2)``, passed where the pair is checked at
+    several exponents or families, so that one stack and its memo serve them all.
+    """
     p = _finite_interior(p)
-    mid_plus, mid_minus, n1, n2 = field_norms((0.5 * (h1 + h2), 0.5 * (h1 - h2), h1, h2), p, family)
+    stack = _clarkson_stack(h1, h2) if stack is None else stack
+    mid_plus, mid_minus, n1, n2 = field_norms(stack, p, family)
     e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
     lhs = power_sum((mid_plus, mid_minus), e)
     rhs = _mean(n1, n2, f)
@@ -113,10 +127,20 @@ def clarkson_check(h1: Field, h2: Field, p, family: str, *, case_id="clarkson"):
 # -- Two-point inequalities with explicit constants --------------------------
 
 
-def two_point_norms(h1: Field, h2: Field, p, family: str):
-    """||H1||, ||H2|| and (mean of ||H1 +- H2||^p)^(1/p): the norms the two-point checks share."""
+def _two_point_stack(h1: Field, h2: Field) -> Field:
+    """The stack of H1, H2, H1 + H2 and H1 - H2 whose norms ``two_point_norms`` takes."""
+    return _stack((h1, h2, h1 + h2, h1 - h2))
+
+
+def two_point_norms(h1: Field, h2: Field, p, family: str, *, stack=None):
+    """||H1||, ||H2|| and (mean of ||H1 +- H2||^p)^(1/p): the norms the two-point checks share.
+
+    ``stack`` is ``_two_point_stack(h1, h2)``, passed where the pair's norms are
+    taken at several exponents or families.
+    """
     p = _finite_interior(p)
-    n1, n2, plus, minus = field_norms((h1, h2, h1 + h2, h1 - h2), p, family)
+    stack = _two_point_stack(h1, h2) if stack is None else stack
+    n1, n2, plus, minus = field_norms(stack, p, family)
     return n1, n2, _mean(plus, minus, p)
 
 
@@ -429,17 +453,28 @@ def rademacher_average(fields, p, family: str = "sch"):
     largest |re| or |im|, so no square overflows.
     """
     fields = list(fields)
-    n = len(fields)
-    if n == 0:
+    if not fields:
         return 0.0
-    if n > RADEMACHER_MAX_TERMS:
-        raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {n})")
-    model, batch = _check_layout(fields)
+    if len(fields) > RADEMACHER_MAX_TERMS:
+        raise ValueError(f"at most {RADEMACHER_MAX_TERMS} summands (got {len(fields)})")
+    return _rademacher_averages(_stack(fields), [(p, family)])[0]
+
+
+def _rademacher_averages(summands: Field, pairs):
+    """``rademacher_average`` of the rows of ``summands`` (the ``_stack`` of at most
+    RADEMACHER_MAX_TERMS summands) at each (p, family) of ``pairs``, in order.
+
+    Each run's sums are formed once and reduced at every pair, so the Schatten
+    norms at every exponent but 2 share one factorization of each run; each
+    pair's total adds its run norms in pattern order, so its average is that of
+    ``rademacher_average`` at that pair alone, bit for bit.
+    """
+    model, (n, *batch) = summands.model, summands.batch
     rows = math.prod(batch)
-    data = _stack(fields).data.reshape(n, rows, model.size)
+    data = summands.data.reshape(n, rows, model.size)
     bits = min(n - 1, max(0, (_SIGN_TABLE_ENTRIES // model.size).bit_length() - 1))
     half = 2 ** (n - 1)
-    averages = []
+    averages = [[] for _ in pairs]
     for chunk in _chunks(model, rows, 2**bits):
         # an (n, rows, 2 size) real view: real signs sum (re, im) pairs alike
         stack = data[:, chunk.start:chunk.stop].view(np.float64)
@@ -448,7 +483,7 @@ def rademacher_average(fields, p, family: str = "sch"):
         low = stack[:1]
         for j in range(1, bits + 1):  # entry i + 2^(j-1) takes -H_j where entry i takes +H_j
             low = np.concatenate([low + stack[j], low - stack[j]])
-        total = np.zeros((1, len(chunk)))
+        totals = [np.zeros((1, len(chunk))) for _ in pairs]
         for h in range(half >> bits):  # each run of patterns with equal high bits h
             high = np.zeros(stack.shape[1:])
             for j in range(bits + 1, n):
@@ -457,11 +492,14 @@ def rademacher_average(fields, p, family: str = "sch"):
                 else:
                     high += stack[j]
             sums = _trusted(model, (low + high).view(np.complex128))
-            terms = np.square(field_norm(sums, p, family))
-            total = np.add.accumulate(np.concatenate([total, terms]))[-1:]
-        averages.append(np.ldexp(np.power(total[0] / half, 1.0 / 2.0), e))
-    average = np.concatenate([np.zeros(0), *averages]).reshape(batch)  # no chunk: no rows
-    return average if batch else float(average)
+            for i, (p, family) in enumerate(pairs):
+                terms = np.square(field_norm(sums, p, family))
+                totals[i] = np.add.accumulate(np.concatenate([totals[i], terms]))[-1:]
+        for found, total in zip(averages, totals):
+            found.append(np.ldexp(np.power(total[0] / half, 1.0 / 2.0), e))
+    # np.zeros(0): with no rows there is no chunk
+    shaped = [np.concatenate([np.zeros(0), *found]).reshape(batch) for found in averages]
+    return [average if batch else float(average) for average in shaped]
 
 
 def type_cotype_check(fields, p, family: str, norms, avg2, *, case_id="type_cotype"):
@@ -491,7 +529,15 @@ def type_cotype_check(fields, p, family: str, norms, avg2, *, case_id="type_coty
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------
 
 
-def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap"):
+def _kadec_klee_stack(hn: Field, h: Field) -> Field:
+    """The stack of (Hn - H)/2, (Hn + H)/2, Hn and H, h broadcast to the rows of hn."""
+    batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
+    return _stack([0.5 * (hn - h), 0.5 * (hn + h)] + [
+        _trusted(x.model, np.broadcast_to(x.data, (*batch, x.model.size))) for x in (hn, h)
+    ])
+
+
+def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap", stack=None):
     """Rearranged Clarkson bound forcing norm convergence.
 
     With e = q for p <= 2 and e = p for p >= 2 (q conjugate, f the other one)
@@ -502,15 +548,13 @@ def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap"
     Both sides are homogeneous of degree e, so the report gives them in units
     of m^e: lhs = (||(Hn - H)/2|| / m)^e and rhs = 1 - (||(Hn + H)/2|| / m)^e,
     both in [0, 1].  The rhs tends to 0 whenever ||Hn|| -> ||H|| and
-    ||(Hn + H)/2|| -> ||H||.
+    ||(Hn + H)/2|| -> ||H||.  ``stack`` is ``_kadec_klee_stack(hn, h)``, passed where
+    the gaps are taken at several exponents or families.
     """
     p = _finite_interior(p)
     e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
-    batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
-    fields = [0.5 * (hn - h), 0.5 * (hn + h)] + [
-        _trusted(x.model, np.broadcast_to(x.data, (*batch, x.model.size))) for x in (hn, h)
-    ]
-    diff, mid, n_hn, n_h = field_norms(fields, p, family)
+    stack = _kadec_klee_stack(hn, h) if stack is None else stack
+    diff, mid, n_hn, n_h = field_norms(stack, p, family)
     m = _mean(n_hn, n_h, f)
     m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
     lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)

@@ -31,7 +31,8 @@ into its norm as a factor, so no p in [1, inf] overflows.  ``field_norms``
 takes several fields' norms at one exponent from one reduction of their
 stack, at every size, row k bit for bit ``field_norm`` of field k, so a check
 pays the fixed cost of a reduction once per exponent, not once per field.  The
-stack does not read its fields' memos.
+stack does not read its fields' memos; a stack built once and passed in place
+of the fields keeps its own, so it serves every exponent and family.
 
 The two coincide at p = 2.  For p <= 2 the Schatten norm is dominated by the
 Hilbert-Schmidt one, for p >= 2 the domination reverses; products obey the
@@ -57,7 +58,6 @@ from .dualmodel import (
     Field,
     _ascii_float,
     _ascii_int,
-    _check_layout,
     _is_real,
     _stack,
     field_abs,
@@ -205,14 +205,19 @@ def field_norms(fields, p, family: str) -> list:
 
     The fields share a model and a batch shape, and row k of their stack reduces
     bit for bit like ``fields[k]``.  The stack is a new field, so it does not read
-    the fields' singular-value memos.
+    the fields' singular-value memos.  ``fields`` may also be that stack itself, a
+    batch Field whose rows along its first axis are the fields (``_stack``): built
+    once, its own memo then serves every exponent and family it is reduced at.
     """
-    fields = list(fields)
-    if not fields:
-        return []
-    _, batch = _check_layout(fields)
-    norms = field_norm(_stack(fields), p, family)
-    return list(norms) if batch else [float(n) for n in norms]
+    if not isinstance(fields, Field):
+        fields = list(fields)
+        if not fields:
+            return []
+        fields = _stack(fields)
+    elif not fields.batch:
+        raise ValueError("a stack of fields needs a batch axis, the axis of its fields")
+    norms = field_norm(fields, p, family)
+    return list(norms) if fields.batch[1:] else [float(n) for n in norms]
 
 
 def embedding_check(h: Field, p, *, case_id="embedding"):
@@ -240,10 +245,19 @@ def holder_check(h1: Field, h2: Field, p, q, product: Field, *, case_id="holder"
     return inequality_report("holder", case_id, p, lhs, rhs, (h1, h2, p, q), "holder")
 
 
-def adjoint_norm_check(h: Field, p, family: str = "sch", *, case_id="adjoint"):
-    """||H|| = ||H*|| = || |H| || in the chosen family."""
+def _adjoint_stack(h: Field) -> Field:
+    """The stack of H, H* and |H| whose norms ``adjoint_norm_check`` compares."""
+    return _stack((h, field_adjoint(h), field_abs(h)))
+
+
+def adjoint_norm_check(h: Field, p, family: str = "sch", *, case_id="adjoint", stack=None):
+    """||H|| = ||H*|| = || |H| || in the chosen family.
+
+    ``stack`` is ``_adjoint_stack(h)``, passed where h is checked at several
+    exponents or families, so that one stack and its memo serve them all.
+    """
     p = ExponentP.parse(p)
-    values = field_norms((h, field_adjoint(h), field_abs(h)), p, family)
+    values = field_norms(_adjoint_stack(h) if stack is None else stack, p, family)
     lo, hi = functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
     return equality_report(
         "adjoint", case_id, p, hi, lo, (h, p, family), f"adjoint_invariance.{family}", scale=hi

@@ -72,7 +72,7 @@ def blockwise(h, fn):
 def oracle_norms(cfg):
     for p in cfg.p_list:
         for k in range(cfg.trials):
-            h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
             sch, hs = amp.norm(h1, p, "sch"), amp.norm(h1, p, "hs")
             yield (f"embedding[p={p}][{k:04d}]", *((sch, hs) if p <= 2 else (hs, sch)))
             alpha = 0.5 + ((k % 7) + 1) * 0.25
@@ -83,14 +83,14 @@ def oracle_norms(cfg):
                 scaled = amp.schatten(alpha * e1, p)
                 yield f"homogeneity.{family}[p={p}][{k:04d}]", scaled, alpha * n1
     for k in range(cfg.trials):
-        h = row(cfg, k, "p2", "a")
+        h = row(cfg, k, "a")
         yield f"p2_coincidence[{k:04d}]", amp.norm(h, 2.0, "sch"), amp.norm(h, 2.0, "hs")
 
 
 def oracle_holder(cfg):
     for p in cfg.p_list:
         for k in range(cfg.trials):
-            m1, m2 = amp.amplify(row(cfg, k, p, "a")), amp.amplify(row(cfg, k, p, "b"))
+            m1, m2 = amp.amplify(row(cfg, k, "a")), amp.amplify(row(cfg, k, "b"))
             cases = [
                 (p, conj(p), f"conjugate[p={p}][{k:04d}]"),
                 (INF, INF, f"inf_both[{k:04d}][p={p}]"),
@@ -107,7 +107,7 @@ def oracle_adjoint(cfg):
     for p in cfg.p_list:
         for family in cfg.families:
             for k in range(cfg.trials):
-                h = row(cfg, k, p, family, "a")
+                h = row(cfg, k, "a")
                 adjoint = blockwise(h, lambda b: b.conj().T)
                 modulus = blockwise(h, lambda b: amp.psd_power(b.conj().T @ b, 0.5))
                 values = [amp.norm(x, p, family) for x in (h, adjoint, modulus)]
@@ -118,7 +118,7 @@ def oracle_clarkson(cfg):
     for p in interior(cfg):
         e, f = (conj(p), p) if p <= 2.0 else (p, conj(p))
         for k in range(cfg.trials):
-            h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
             for family in cfg.families:
                 m1, m2 = amp.embed(h1, p, family), amp.embed(h2, p, family)
                 mids = amp.schatten(0.5 * (m1 + m2), p), amp.schatten(0.5 * (m1 - m2), p)
@@ -131,7 +131,7 @@ def oracle_two_point(cfg):
         for family in cfg.families:
             crits = []
             for k in range(cfg.trials):
-                m1, m2 = (amp.embed(row(cfg, k, p, family, role), p, family) for role in "ab")
+                m1, m2 = (amp.embed(row(cfg, k, role), p, family) for role in "ab")
                 n1, n2 = amp.schatten(m1, p), amp.schatten(m2, p)
                 plus, minus = amp.schatten(m1 + m2, p), amp.schatten(m1 - m2, p)
                 mean_p = mean(plus, minus, p)
@@ -164,7 +164,7 @@ def oracle_type_cotype(cfg):
     for p in interior(cfg):
         for family in cfg.families:
             for k in range(cfg.trials):
-                ms = [amp.embed(row(cfg, k, p, family, j), p, family) for j in range(5)]
+                ms = [amp.embed(row(cfg, k, j), p, family) for j in range(5)]
                 norms = [amp.schatten(m, p) for m in ms]
                 l2, avg = lp(norms, 2.0), sign_average(ms, p)
                 if p <= 2.0:
@@ -182,9 +182,9 @@ def oracle_duality(cfg):
     for p in cfg.p_list:
         if math.isinf(p):
             continue
-        q, probe_seed = conj(p), mix_seed(cfg.seed, cfg.suite, p, "probe")
+        q, probe_seed = conj(p), mix_seed(cfg.seed, cfg.suite, "probe")
         for k in range(cfg.trials):
-            m, other = amp.amplify(row(cfg, k, p, "a")), amp.amplify(row(cfg, k, p, "b"))
+            m, other = amp.amplify(row(cfg, k, "a")), amp.amplify(row(cfg, k, "b"))
             f, norm = amp.extremizer(m, p), amp.schatten(m, p)
             yield f"extremizer_unit[p={p}][{k:04d}]", amp.schatten(f, q), 1.0
             yield f"extremizer_pairing[p={p}][{k:04d}]", abs(amp.pairing(m, f)), norm
@@ -207,7 +207,7 @@ def oracle_interpolation(cfg):
         spec = _interp_spec_for(p)
         q, p0, p1 = conj(p), float(spec.p0), float(spec.p1)
         for k in range(cfg.trials):
-            m, g = amp.amplify(row(cfg, k, p, "a")), amp.amplify(row(cfg, k, p, "b"))
+            m, g = amp.amplify(row(cfg, k, "a")), amp.amplify(row(cfg, k, "b"))
 
             def f_at(z):
                 return amp.witness(m, p, p * ((1 - z) / p0 + z / p1) - 1)
@@ -230,7 +230,7 @@ def oracle_kadec_klee(cfg):
     for p in interior(cfg):
         q = conj(p)
         e, f = (q, p) if p <= 2.0 else (p, q)
-        h, d, base = (amp.amplify(row(cfg, 0, p, role)) for role in ("a", "b", "sum"))
+        h, d, base = (amp.amplify(row(cfg, 0, role)) for role in ("a", "b", "sum"))
         for n in range(1, cfg.trials + 1):
             hn = h + (1.0 / n) * d
             m = mean(amp.schatten(hn, p), amp.schatten(h, p), f)

@@ -162,9 +162,17 @@ CLI_PRIVATE_NAMES = {
     ("dualmodel", "_ascii_float"),
     ("dualmodel", "_ascii_int"),
     ("dualmodel", "_is_integer"),
+    ("dualmodel", "_stack"),
+    ("duality", "_probes"),
+    ("duality", "_search"),
     ("inequalities", "_SMOOTHNESS_T_GRID"),
     ("inequalities", "_chunks"),
+    ("inequalities", "_clarkson_stack"),
+    ("inequalities", "_kadec_klee_stack"),
     ("inequalities", "_moduli_pass"),
+    ("inequalities", "_rademacher_averages"),
+    ("inequalities", "_two_point_stack"),
+    ("norms", "_adjoint_stack"),
     ("norms", "_sch_norm_from_sigma"),
 }
 

@@ -1,9 +1,9 @@
 """The batched verify suites against per-field oracles.
 
-A batched suite draws trial k of a case as row k of one keyed stream per
-(suite, case, role) and runs each check once on the batch (kadec_klee draws
-row 0 of each role once per exponent and checks its sequence of gaps as
-batches).  Every report it makes is compared here with the same check
+A batched suite draws trial k as row k of one keyed stream per (suite,
+role), the same at every exponent and family, and runs each check once on
+the batch (kadec_klee draws row 0 of each role once and checks its sequence
+of gaps as batches).  Every report it makes is compared here with the same check
 applied to that row's fields one at a time: the public per-field check where
 there is one, and the check restated from per-field norms otherwise.  A
 single field is reduced by the code that reduces a row of a batch, so the
@@ -17,8 +17,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualnorm import inequalities
-from dualnorm.cli import SuiteConfig, _interp_spec_for, main, run_suite
+from dualnorm import cli, duality, inequalities
+from dualnorm.cli import SUITES, SuiteConfig, _interp_spec_for, main, run_suite
 from dualnorm.dualmodel import (
     Field,
     field_product,
@@ -100,10 +100,10 @@ def ids(name, p, trials=TRIALS):
 def oracle_norms(cfg):
     for p in cfg.p_list:
         for case_id, k in ids("embedding", p):
-            yield embedding_check(row(cfg, k, p, "a"), p, case_id=case_id)
+            yield embedding_check(row(cfg, k, "a"), p, case_id=case_id)
         for family in cfg.families:
             for k in range(cfg.trials):
-                h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+                h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
                 alpha = 0.5 + ((k % 7) + 1) * 0.25
                 n1, n2 = field_norm(h1, p, family), field_norm(h2, p, family)
                 yield inequality_report(
@@ -116,7 +116,7 @@ def oracle_norms(cfg):
                     "homogeneity",
                 )
     for k in range(cfg.trials):
-        h = row(cfg, k, "p2", "a")
+        h = row(cfg, k, "a")
         yield equality_report(
             cfg.suite, f"p2_coincidence[{k:04d}]", 2.0, sch2_from_lapack(h), lp_hs_norm(h, 2.0),
             (h,), "p2_coincidence", rel=1e-12,
@@ -132,7 +132,7 @@ def sch2_from_lapack(h):
 def oracle_holder(cfg):
     for p in cfg.p_list:
         for k in range(cfg.trials):
-            h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
             cases = [
                 (p, p.conjugate(), f"conjugate[p={p}][{k:04d}]"),
                 (INF, INF, f"inf_both[{k:04d}][p={p}]"),
@@ -147,7 +147,7 @@ def oracle_adjoint(cfg):
     for p in cfg.p_list:
         for family in cfg.families:
             for case_id, k in ids(family, p):
-                h = row(cfg, k, p, family, "a")
+                h = row(cfg, k, "a")
                 yield adjoint_norm_check(h, p, family, case_id=case_id)
 
 
@@ -155,7 +155,7 @@ def oracle_clarkson(cfg):
     for p in cfg.p_list:
         for family in cfg.families:
             for case_id, k in ids(family, p):
-                h1, h2 = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+                h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
                 yield clarkson_check(h1, h2, p, family, case_id=case_id)
 
 
@@ -164,7 +164,7 @@ def oracle_two_point(cfg):
         for family in cfg.families:
             crits = []
             for case_id, k in ids(family, p):
-                h1, h2 = row(cfg, k, p, family, "a"), row(cfg, k, p, family, "b")
+                h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
                 norms = two_point_norms(h1, h2, p, family)
                 yield two_point_check(h1, h2, p, family, norms, case_id=case_id)
                 crits.append(two_point_critical_constant(norms))
@@ -187,7 +187,7 @@ def oracle_type_cotype(cfg):
     for p in cfg.p_list:
         for family in cfg.families:
             for case_id, k in ids(family, p):
-                fields = [row(cfg, k, p, family, j) for j in range(5)]
+                fields = [row(cfg, k, j) for j in range(5)]
                 norms = field_norms(fields, p, family)
                 avg2 = rademacher_average(fields, p, family)
                 yield type_cotype_check(fields, p, family, norms, avg2, case_id=case_id)
@@ -203,9 +203,9 @@ def oracle_type_cotype(cfg):
 def oracle_duality(cfg):
     spec = DirectSumSpec(ExponentP(1.5), 3.0)
     for p in cfg.p_list:
-        seed = mix_seed(cfg.seed, cfg.suite, p, "probe")
+        seed = mix_seed(cfg.seed, cfg.suite, "probe")
         for k in range(cfg.trials):
-            h, other = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            h, other = row(cfg, k, "a"), row(cfg, k, "b")
             norm, f, inputs = lp_sch_norm(h, p), dual_extremizer(h, p), (h, p)
             yield equality_report(
                 cfg.suite, f"extremizer_unit[p={p}][{k:04d}]", p,
@@ -234,7 +234,7 @@ def oracle_interpolation(cfg):
     for p in cfg.p_list:
         spec = _interp_spec_for(p)
         for k in range(cfg.trials):
-            h, f = row(cfg, k, p, "a"), row(cfg, k, p, "b")
+            h, f = row(cfg, k, "a"), row(cfg, k, "b")
             lines = boundary_witness(h, spec)
             line_norms = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
             norms = line_norms[0].tolist() + line_norms[1].tolist()
@@ -251,8 +251,8 @@ def oracle_interpolation(cfg):
 
 def oracle_kadec_klee(cfg):
     for p in cfg.p_list:
-        # one h, d and sum base per exponent: row 0 of each role's stream
-        h, d, base = (row(cfg, 0, p, role) for role in ("a", "b", "sum"))
+        # one h, d and sum base for every exponent: row 0 of each role's stream
+        h, d, base = (row(cfg, 0, role) for role in ("a", "b", "sum"))
         for n in range(1, cfg.trials + 1):
             yield kadec_klee_gap(h + (1.0 / n) * d, h, p, case_id=f"gap[p={p}][n={n:04d}]")
         scaled = [(2.0**-j / lp_sch_norm(base, p)) * base for j in range(5)]
@@ -520,15 +520,59 @@ def test_trial_reports_do_not_depend_on_the_trial_count(suite, dual, few, many, 
 
 @pytest.mark.parametrize("suite", BATCHED)
 def test_many_trials_stay_within_chunk_memory(suite, capsys):
-    # 400 trials on custom(16,32): unchunked, each batch of draws alone would take 8 MB
-    argv = ["verify", suite, "--dual", "custom(16,32)", "--p", "3", "--family", "sch",
-            "--trials", "400", "--seed", "2"]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert capsys.readouterr().out.endswith("checks passed\n")
     chunk_bytes = 16 * inequalities._CHUNK_ENTRIES  # one complex128 batch of fields
-    assert peak <= 16 * chunk_bytes, f"peak {peak / 2**20:.1f} MiB"
+    # 400 trials on custom(16,32): unchunked, each batch of draws alone would take 8 MB.
+    # 120 trials span at least three chunks of every suite, and the fields and memos
+    # that a chunk shares between four exponents and both families stay in its budget
+    for p, family, trials in (("3", "sch", 400), ("1.5,2,3,6", "both", 120)):
+        argv = ["verify", suite, "--dual", "custom(16,32)", "--p", p, "--family", family,
+                "--trials", str(trials), "--seed", "2"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.endswith("checks passed\n")
+        assert peak <= 16 * chunk_bytes, f"--p {p}: peak {peak / 2**20:.1f} MiB"
+
+
+# -- every exponent and family on the same draws ------------------------------------
+
+
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(4)"])
+def test_a_report_does_not_depend_on_the_other_exponents_and_families(dual):
+    def run(p_list, family):
+        return run_suite(SuiteConfig("all", parse_dual_arg(dual), p_list, family=family,
+                                     trials=TRIALS, seed=SEED))
+
+    few = run(("2",), "hs")
+    many = {(r.suite, r.case_id): r for r in run(("1.5", "2", "3"), "both")}
+    assert {r.suite for r in few} == set(SUITES)
+    for r in few:
+        assert many[r.suite, r.case_id] == r, (r.suite, r.case_id)
+
+
+def test_each_role_stream_is_drawn_once_per_chunk(monkeypatch):
+    model = parse_dual_arg("su2_trunc(4)")
+    draws = []
+
+    def counted(model, key, start=0, rows=1):
+        draws.append((key, start, rows))
+        return random_stacks(model, key, start, rows)
+
+    for module in (cli, duality):  # moduli draws through inequalities, and is exempt
+        monkeypatch.setattr(module, "random_stacks", counted)
+    # a chunk of 1 to 10 trials, by suite: every suite but holder walks several chunks
+    monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", 10 * model.size)
+
+    def run(p_list, family):
+        draws.clear()
+        run_suite(SuiteConfig("all", model, p_list, family=family, trials=5, seed=SEED))
+        return sorted(draws)
+
+    once = run((1.5,), "sch")
+    assert len(once) > len({key for key, _, _ in once})  # several chunks of one stream
+    many = run((1.5, 2, 3), "both")
+    assert len(set(many)) == len(many)  # no rows drawn twice
+    assert many == once

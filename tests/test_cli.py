@@ -775,7 +775,7 @@ def test_holder_chunk_factors_each_field_once(monkeypatch):
 
 def test_duality_trial_factors_h_once_per_entry(monkeypatch):
     cfg = small_config(suite="duality", trials=1)
-    h = random_stacks(cfg.dual, mix_seed(cfg.seed, "duality", cfg.p_list[0], "a"))
+    h = random_stacks(cfg.dual, mix_seed(cfg.seed, "duality", "a"))
     seen = {"singular_values": [], "svd": []}
     for name, arrays in seen.items():
         kernel = getattr(matcore, name)
@@ -812,17 +812,16 @@ def test_p2_coincidence_fails_when_the_frobenius_route_is_off(monkeypatch, capsy
 
 def test_type_cotype_at_p2_computes_each_sign_average_once(monkeypatch):
     calls = []
-    average = inequalities.rademacher_average
-    monkeypatch.setattr(
-        inequalities, "rademacher_average", lambda *a, **kw: calls.append(a[2]) or average(*a, **kw)
-    )
+    averages = inequalities._rademacher_averages
+    monkeypatch.setattr(inequalities, "_rademacher_averages",
+                        lambda *a, **kw: calls.append(a[1]) or averages(*a, **kw))
     cfg = small_config(suite="type_cotype", p_list=(ExponentP(2.0),), family="both", trials=1)
     reports = run_suite(cfg)
     assert len(reports) == 4 and all(r.passed for r in reports)
-    assert calls == ["sch", "hs"]
+    # one walk over the sign table reduces each run at both (p, family) pairs
+    assert calls == [[(2.0, "sch"), (2.0, "hs")]]
+    fields = [random_field(cfg.dual, mix_seed(cfg.seed, "type_cotype", j)) for j in range(5)]
     for family in ("sch", "hs"):
-        keys = [mix_seed(cfg.seed, "type_cotype", ExponentP(2.0), family, j) for j in range(5)]
-        fields = [random_field(cfg.dual, key) for key in keys]
         (shared,) = [r for r in reports if r.case_id == f"{family}[p=2.0][0000]"]
         norms = field_norms(fields, 2.0, family)
         avg2 = inequalities.rademacher_average(fields, 2.0, family)
@@ -850,17 +849,17 @@ def test_tol_override_keeps_exact_counts_exact():
 # the cases, as when each moduli pair came to mix its draw with its neighbour's,
 # which changed the convexity bins that 3 trials occupy.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 346, "cde8d59af416595b", "0f9e160e519b7f64",
-     "68ee0d177104a98a", 314, "6390c5170ae7e84a"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "d04e51a8638464ab", "813073bdc2521e22",
-     "9e9c514b4d0f12ff", 254, "e5795efb356fceb9"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "4c69b452fd24fae5", "df1c85f9680b2477",
-     "7345bfefbe4574b8", 173, "f5ea4790354ceaa8"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "77eedd5c4c997a10", "287deff259383e09",
-     "71b39d241b52a2ac", 113, "5cae59af955de0c5"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 346, "d40bece602c5121c", "836f6af3b9ea3748",
+     "49cfc9940d370752", 299, "6390c5170ae7e84a"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "a2487a5eb3ecb47e", "965802981072ce45",
+     "e0aa68233ddb5b22", 248, "e5795efb356fceb9"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "1c587ab599a39dd3", "7318b776a56235e3",
+     "2f2e035859e5cefe", 167, "f5ea4790354ceaa8"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "972941a012b706d3", "f082178b61651d50",
+     "6850e51806d70a03", 110, "5cae59af955de0c5"),
     # blocks of 16 x 16 and 32 x 32: the only row whose blocks go through LAPACK
-    ("custom(16,32)", "1.5,3", "both", None, 180, "c36e6ae99f085223", "7c69ccb4af50c639",
-     "d3d79c1b7400fec8", 164, "c22860dcbae14f1f"),
+    ("custom(16,32)", "1.5,3", "both", None, 180, "26a69f3dac4f2514", "a27cdae881306d13",
+     "8d7c184bdb293ef7", 161, "c22860dcbae14f1f"),
 ]
 
 

@@ -394,6 +394,12 @@ def test_field_raises_value_error_for_blocks_that_are_not_complex128(block):
         Field(preset_dual("custom", [1]), (block,))
 
 
+@pytest.mark.parametrize("blocks", [5, None, iter([])], ids=["int", "none", "iterator"])
+def test_field_raises_value_error_for_blocks_that_are_not_a_sequence(blocks):
+    with pytest.raises(ValueError, match="blocks must be a sequence"):
+        Field(preset_dual("s3"), blocks)
+
+
 # each takes a field whose largest real or imaginary part is 1 to a result that overflows
 OVERFLOWING = {
     "add": lambda h: 1e308 * h + 1e308 * h,
