@@ -8,7 +8,11 @@ check runs once per chunk of trials on their batch Field.  A suite walks its
 chunks once and runs every exponent and family inside each chunk, so the
 fields a chunk builds that do not depend on p (sums, products, adjoints,
 |H|, the stacks its norms reduce, the runs of its sign tables) are built
-once, and their memos serve every exponent and family.  So suites are
+once, and their memos serve every exponent and family: a staged check is
+built once on a chunk's fields and called at each (p, family), as
+``adjoint_norm_check(h)``, ``clarkson_check(h1, h2)``,
+``two_point_norms(h1, h2)``, ``kadec_klee_gap(hn, h)`` and
+``dual_norm_via_search(h, trials, seed, start)`` are.  So suites are
 independent, and a trial's reports depend neither on execution order, nor
 on how many trials run or how they are chunked, nor on the other exponents
 and families of the run.  kadec_klee draws its fields once, as row 0 of its
@@ -53,7 +57,7 @@ from .dualmodel import (
     random_field,
     random_stacks,
 )
-from .duality import _probes, _search, direct_sum_dual_pair_check, dual_extremizer, pairing
+from .duality import direct_sum_dual_pair_check, dual_extremizer, dual_norm_via_search, pairing
 from .interpolation import (
     DEFAULT_T_GRID,
     InterpSpec,
@@ -66,7 +70,6 @@ from .norms import (
     FAMILIES,
     DirectSumSpec,
     ExponentP,
-    _adjoint_stack,
     _sch_norm_from_sigma,
     adjoint_norm_check,
     embedding_check,
@@ -200,7 +203,7 @@ def _suite_norms(cfg: SuiteConfig):
 
 def _suite_holder(cfg: SuiteConfig):
     inf = ExponentP(math.inf)
-    for ks, (h1, h2) in _trials(cfg):
+    for ks, (h1, h2) in _trials(cfg, fields_per_trial=3):  # h1, h2 and their product
         product = field_product(h1, h2)  # its singular values serve every exponent and case
         for p in cfg.p_list:
             cases = [
@@ -216,11 +219,10 @@ def _suite_holder(cfg: SuiteConfig):
 
 def _suite_adjoint(cfg: SuiteConfig):
     for ks, (h,) in _trials(cfg, roles=("a",), fields_per_trial=3):
-        stack = _adjoint_stack(h)  # one SVD of h forms |h|, and the stack serves every case
+        check = adjoint_norm_check(h)  # one SVD of h forms |h|, and one stack serves every case
         for p in cfg.p_list:
             for family in cfg.families:
-                ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from adjoint_norm_check(h, p, family, case_id=ids, stack=stack)
+                yield from check(p, family, case_id=_case_ids(f"{family}[p={p}]", ks))
 
 
 _PROBES = 5  # random unit fields per duality trial in the dual-norm search
@@ -232,9 +234,9 @@ def _suite_duality(cfg: SuiteConfig):
     if not exponents:
         return
     probe_seed = mix_seed(cfg.seed, cfg.suite, "probe")
-    for ks, (h, other) in _trials(cfg, fields_per_trial=_PROBES):
-        # the probes dual_norm_via_search(h, p, _PROBES, probe_seed, ks.start) reads, drawn once
-        probes = _probes(cfg.dual, _PROBES, probe_seed, ks.start, len(ks))
+    # h, other, their extremizers at one exponent, and the probes with their unit multiples
+    for ks, (h, other) in _trials(cfg, fields_per_trial=4 + 2 * _PROBES):
+        search = dual_norm_via_search(h, _PROBES, probe_seed, ks.start)
         for p in exponents:
             norm = lp_sch_norm(h, p)
             f = dual_extremizer(h, p)
@@ -250,7 +252,7 @@ def _suite_duality(cfg: SuiteConfig):
             )
             yield from inequality_report(
                 cfg.suite, _case_ids(f"search_bound[p={p}]", ks), p,
-                _search(h, p, probes), norm, inputs, "dual_supremum",
+                search(p), norm, inputs, "dual_supremum",
             )
             if p > 1.0:
                 ids = _case_ids(f"direct_sum[p={p}]", ks)
@@ -288,11 +290,10 @@ def _suite_clarkson(cfg: SuiteConfig):
     if not exponents:
         return
     for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
-        stack = ineq._clarkson_stack(h1, h2)
+        check = ineq.clarkson_check(h1, h2)
         for p in exponents:
             for family in cfg.families:
-                ids = _case_ids(f"{family}[p={p}]", ks)
-                yield from ineq.clarkson_check(h1, h2, p, family, case_id=ids, stack=stack)
+                yield from check(p, family, case_id=_case_ids(f"{family}[p={p}]", ks))
 
 
 def _suite_two_point(cfg: SuiteConfig):
@@ -300,9 +301,9 @@ def _suite_two_point(cfg: SuiteConfig):
     if not crits:
         return
     for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
-        stack = ineq._two_point_stack(h1, h2)
+        norms_at = ineq.two_point_norms(h1, h2)
         for (p, family), found in crits.items():
-            norms = ineq.two_point_norms(h1, h2, p, family, stack=stack)
+            norms = norms_at(p, family)
             ids = _case_ids(f"{family}[p={p}]", ks)
             yield from ineq.two_point_check(h1, h2, p, family, norms, case_id=ids)
             found.append(ineq.two_point_critical_constant(norms))
@@ -380,10 +381,9 @@ def _suite_kadec_klee(cfg: SuiteConfig):
     for ks in ineq._chunks(cfg.dual, cfg.trials, 4):  # trial k: the gap of h + d / (k + 1)
         n = np.arange(ks.start + 1, ks.stop + 1)
         hn = h + (1.0 / n) * d
-        stack = ineq._kadec_klee_stack(hn, h)
+        gap = ineq.kadec_klee_gap(hn, h)
         for p in exponents:
-            ids = [f"gap[p={p}][n={m:04d}]" for m in n]
-            yield from ineq.kadec_klee_gap(hn, h, p, case_id=ids, stack=stack)
+            yield from gap(p, case_id=[f"gap[p={p}][n={m:04d}]" for m in n])
     for p in exponents:
         base_norm = lp_sch_norm(base, p)
         scaled = [(2.0**-j / base_norm) * base for j in range(5)]

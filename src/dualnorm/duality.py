@@ -13,7 +13,10 @@ still returns ||H||_1); that endpoint is supported here.
 
 Each function takes a field or a batch of fields: a value is a float for a
 field and an array for a batch, and the direct-sum check gives one report
-under one case id and one report per row under a list of case ids.
+under one case id and one report per row under a list of case ids.  The
+search is staged: ``dual_norm_via_search(h, trials, seed, start)`` draws its
+probes once and returns ``search(p)``, which scales them to unit q-norm at
+each exponent, so the probes' singular values are factored once for them all.
 """
 
 from __future__ import annotations
@@ -102,8 +105,8 @@ def dual_extremizer(h: Field, p) -> Field:
     return field_adjoint(_power(h, p, "norming functional")(p - 1.0))
 
 
-def dual_norm_via_search(h: Field, p, trials: int, seed: int, start: int = 0):
-    """Max of |<H, F>| over random unit-q-norm fields F; an array for a batch ``h``.
+def dual_norm_via_search(h: Field, trials: int, seed: int, start: int = 0):
+    """Max of |<H, F>| over random unit-q-norm fields F, at each call of the returned search.
 
     The random probes alone give a lower bound on ||H||_sch,p that never
     exceeds it (``dual_extremizer`` attains the norm); with no trials, and
@@ -112,32 +115,24 @@ def dual_norm_via_search(h: Field, p, trials: int, seed: int, start: int = 0):
     rows 0 .. trials - 1, and a batch that is rows ``start ..`` of a larger
     one reads the probes of those rows.
     """
-    p = ExponentP.parse(p)
     if not (all(map(_is_integer, (trials, seed, start))) and min(trials, start) >= 0):
         raise ValueError("trials, seed and start must be integers, trials and start non-negative: "
                          f"{trials!r}, {seed!r}, {start!r}")
-    if not trials:
-        return np.zeros(h.batch) if h.batch else 0.0
-    return _search(h, p, _probes(h.model, trials, seed, start, math.prod(h.batch)))
-
-
-def _probes(model, trials: int, seed: int, start: int, rows: int) -> Field:
-    """The probes of rows start .. start + rows - 1 of a search: a batch of shape (rows, trials)."""
-    probes = random_stacks(model, mix_seed(seed, "dual_search"), start * trials, rows * trials)
-    return _trusted(model, probes.data.reshape(rows, trials, model.size))
-
-
-def _search(h: Field, p: ExponentP, probes: Field):
-    """``dual_norm_via_search`` of h over ``probes``, ``_probes`` of h's rows.
-
-    The probes are scaled to unit q-norm at each call, so probes drawn once serve
-    every exponent, their singular values factored once.
-    """
-    units = (1.0 / lp_sch_norm(probes, p.conjugate())) * probes
-    per_row = _trusted(h.model, units.data.reshape(*h.batch, probes.batch[-1], h.model.size))
+    rows = math.prod(h.batch)
+    probes = random_stacks(h.model, mix_seed(seed, "dual_search"), start * trials, rows * trials)
+    probes = _trusted(h.model, probes.data.reshape(rows, trials, h.model.size))
     h_rows = _trusted(h.model, h.data[..., None, :])
-    best = np.abs(pairing(h_rows, per_row)).max(axis=-1)
-    return best if h.batch else float(best)
+
+    def search(p):
+        p = ExponentP.parse(p)
+        if not trials:
+            return np.zeros(h.batch) if h.batch else 0.0
+        units = (1.0 / lp_sch_norm(probes, p.conjugate())) * probes
+        per_row = _trusted(h.model, units.data.reshape(*h.batch, trials, h.model.size))
+        best = np.abs(pairing(h_rows, per_row)).max(axis=-1)
+        return best if h.batch else float(best)
+
+    return search
 
 
 def direct_sum_dual_pair_check(

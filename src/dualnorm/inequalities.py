@@ -28,10 +28,13 @@ batch fields.  A check takes its norms at one exponent from one
 ``field_norms`` call, and where a suite shares norms between anchors the
 check takes them as an argument: ``two_point_norms`` for the two-point
 checks, and the summands' norms and sign average for ``type_cotype_check``.
-Where a suite checks the same fields at several exponents or families, the
-stack of fields derived from them is built once and passed as ``stack``, so
-its memo serves them all, and ``_rademacher_averages`` takes every sign
-average from one walk over the sign table.
+``clarkson_check(h1, h2)``, ``two_point_norms(h1, h2)`` and
+``kadec_klee_gap(hn, h)`` are staged: each stacks the fields derived from its
+arguments once and returns, in that order, ``check(p, family, *, case_id)``,
+``at(p, family)`` and ``check(p, family="sch", *, case_id)``, whose calls all
+reduce that stack, so its memo serves every exponent and family.
+``_rademacher_averages`` takes every sign average from one walk over the sign
+table.
 """
 
 from __future__ import annotations
@@ -101,47 +104,44 @@ def _mean(a, b, r: float):
 # -- Clarkson inequalities ---------------------------------------------------
 
 
-def _clarkson_stack(h1: Field, h2: Field) -> Field:
-    """The stack of (H1 + H2)/2, (H1 - H2)/2, H1 and H2 whose norms ``clarkson_check`` takes."""
-    return _stack((0.5 * (h1 + h2), 0.5 * (h1 - h2), h1, h2))
+def clarkson_check(h1: Field, h2: Field):
+    """Clarkson inequality in the check's family (case i for p <= 2, case ii above).
 
-
-def clarkson_check(h1: Field, h2: Field, p, family: str, *, case_id="clarkson", stack=None):
-    """Clarkson inequality in the given family (case i for p <= 2, case ii above).
-
-    ``stack`` is ``_clarkson_stack(h1, h2)``, passed where the pair is checked at
-    several exponents or families, so that one stack and its memo serve them all.
+    The check reduces the stack of (H1 + H2)/2, (H1 - H2)/2, H1 and H2, built once.
     """
-    p = _finite_interior(p)
-    stack = _clarkson_stack(h1, h2) if stack is None else stack
-    mid_plus, mid_minus, n1, n2 = field_norms(stack, p, family)
-    e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
-    lhs = power_sum((mid_plus, mid_minus), e)
-    rhs = _mean(n1, n2, f)
-    case = "i" if p <= 2.0 else "ii"
-    return inequality_report(
-        "clarkson", case_id, p, lhs, rhs, (h1, h2, p, family), f"clarkson.{family}.case_{case}"
-    )
+    stack = _stack((0.5 * (h1 + h2), 0.5 * (h1 - h2), h1, h2))
+
+    def check(p, family: str, *, case_id="clarkson"):
+        p = _finite_interior(p)
+        mid_plus, mid_minus, n1, n2 = field_norms(stack, p, family)
+        e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
+        lhs = power_sum((mid_plus, mid_minus), e)
+        rhs = _mean(n1, n2, f)
+        case = "i" if p <= 2.0 else "ii"
+        inputs = (h1, h2, p, family)
+        return inequality_report(
+            "clarkson", case_id, p, lhs, rhs, inputs, f"clarkson.{family}.case_{case}"
+        )
+
+    return check
 
 
 # -- Two-point inequalities with explicit constants --------------------------
 
 
-def _two_point_stack(h1: Field, h2: Field) -> Field:
-    """The stack of H1, H2, H1 + H2 and H1 - H2 whose norms ``two_point_norms`` takes."""
-    return _stack((h1, h2, h1 + h2, h1 - h2))
-
-
-def two_point_norms(h1: Field, h2: Field, p, family: str, *, stack=None):
+def two_point_norms(h1: Field, h2: Field):
     """||H1||, ||H2|| and (mean of ||H1 +- H2||^p)^(1/p): the norms the two-point checks share.
 
-    ``stack`` is ``_two_point_stack(h1, h2)``, passed where the pair's norms are
-    taken at several exponents or families.
+    ``at(p, family)`` reduces the stack of H1, H2, H1 + H2 and H1 - H2, built once.
     """
-    p = _finite_interior(p)
-    stack = _two_point_stack(h1, h2) if stack is None else stack
-    n1, n2, plus, minus = field_norms(stack, p, family)
-    return n1, n2, _mean(plus, minus, p)
+    stack = _stack((h1, h2, h1 + h2, h1 - h2))
+
+    def at(p, family: str):
+        p = _finite_interior(p)
+        n1, n2, plus, minus = field_norms(stack, p, family)
+        return n1, n2, _mean(plus, minus, p)
+
+    return at
 
 
 def two_point_check(h1: Field, h2: Field, p, family: str, norms, *, case_id="two_point"):
@@ -151,7 +151,7 @@ def two_point_check(h1: Field, h2: Field, p, family: str, norms, *, case_id="two
     p <= 2: reversed form with (p-1)/(p+1) on the left.  At p = 2 the upper
     form applies, with 2p - 1 = 3; the parallelogram identity, with constant
     1, is ``two_point_equality_check``.  ``norms`` is
-    ``two_point_norms(h1, h2, p, family)``.
+    ``two_point_norms(h1, h2)(p, family)``.
     """
     p = _finite_interior(p)
     n1, n2, mean_p = norms
@@ -529,15 +529,7 @@ def type_cotype_check(fields, p, family: str, norms, avg2, *, case_id="type_coty
 # -- Kadec-Klee gap and unconditional-sum comparison --------------------------
 
 
-def _kadec_klee_stack(hn: Field, h: Field) -> Field:
-    """The stack of (Hn - H)/2, (Hn + H)/2, Hn and H, h broadcast to the rows of hn."""
-    batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
-    return _stack([0.5 * (hn - h), 0.5 * (hn + h)] + [
-        _trusted(x.model, np.broadcast_to(x.data, (*batch, x.model.size))) for x in (hn, h)
-    ])
-
-
-def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap", stack=None):
+def kadec_klee_gap(hn: Field, h: Field):
     """Rearranged Clarkson bound forcing norm convergence.
 
     With e = q for p <= 2 and e = p for p >= 2 (q conjugate, f the other one)
@@ -548,18 +540,25 @@ def kadec_klee_gap(hn: Field, h: Field, p, family: str = "sch", *, case_id="gap"
     Both sides are homogeneous of degree e, so the report gives them in units
     of m^e: lhs = (||(Hn - H)/2|| / m)^e and rhs = 1 - (||(Hn + H)/2|| / m)^e,
     both in [0, 1].  The rhs tends to 0 whenever ||Hn|| -> ||H|| and
-    ||(Hn + H)/2|| -> ||H||.  ``stack`` is ``_kadec_klee_stack(hn, h)``, passed where
-    the gaps are taken at several exponents or families.
+    ||(Hn + H)/2|| -> ||H||.  The check reduces the stack of (Hn - H)/2,
+    (Hn + H)/2, Hn and H, built once, with h broadcast to the rows of hn.
     """
-    p = _finite_interior(p)
-    e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
-    stack = _kadec_klee_stack(hn, h) if stack is None else stack
-    diff, mid, n_hn, n_h = field_norms(stack, p, family)
-    m = _mean(n_hn, n_h, f)
-    m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
-    lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
-    inputs = (hn, h, p, family)
-    return inequality_report("kadec_klee", case_id, p, lhs, rhs, inputs, "kadec_klee_gap")
+    batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
+    stack = _stack([0.5 * (hn - h), 0.5 * (hn + h)] + [
+        _trusted(x.model, np.broadcast_to(x.data, (*batch, x.model.size))) for x in (hn, h)
+    ])
+
+    def check(p, family: str = "sch", *, case_id="gap"):
+        p = _finite_interior(p)
+        e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
+        diff, mid, n_hn, n_h = field_norms(stack, p, family)
+        m = _mean(n_hn, n_h, f)
+        m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
+        lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
+        inputs = (hn, h, p, family)
+        return inequality_report("kadec_klee", case_id, p, lhs, rhs, inputs, "kadec_klee_gap")
+
+    return check
 
 
 def unconditional_sum_bound(fields, p, family: str = "sch", *, case_id="sum_bound") -> CheckReport:

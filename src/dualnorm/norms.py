@@ -40,7 +40,9 @@ Holder inequality in the Schatten family.  The check functions here verify
 those facts numerically and return CheckReports.  Each check is one
 function for fields and batches: with one case id it returns the report of
 single fields, and with a list of case ids, one per row, the report of each
-row of batch fields.
+row of batch fields.  ``adjoint_norm_check`` is staged: ``adjoint_norm_check(h)``
+stacks H, H* and |H| once and returns ``check(p, family="sch", *, case_id)``,
+so one stack and its memo serve every exponent and family h is checked at.
 """
 
 from __future__ import annotations
@@ -245,23 +247,19 @@ def holder_check(h1: Field, h2: Field, p, q, product: Field, *, case_id="holder"
     return inequality_report("holder", case_id, p, lhs, rhs, (h1, h2, p, q), "holder")
 
 
-def _adjoint_stack(h: Field) -> Field:
-    """The stack of H, H* and |H| whose norms ``adjoint_norm_check`` compares."""
-    return _stack((h, field_adjoint(h), field_abs(h)))
+def adjoint_norm_check(h: Field):
+    """||H|| = ||H*|| = || |H| || in the chosen family, at each call of the returned check."""
+    stack = _stack((h, field_adjoint(h), field_abs(h)))
 
+    def check(p, family: str = "sch", *, case_id="adjoint"):
+        p = ExponentP.parse(p)
+        values = field_norms(stack, p, family)
+        lo, hi = functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
+        return equality_report(
+            "adjoint", case_id, p, hi, lo, (h, p, family), f"adjoint_invariance.{family}", scale=hi
+        )
 
-def adjoint_norm_check(h: Field, p, family: str = "sch", *, case_id="adjoint", stack=None):
-    """||H|| = ||H*|| = || |H| || in the chosen family.
-
-    ``stack`` is ``_adjoint_stack(h)``, passed where h is checked at several
-    exponents or families, so that one stack and its memo serve them all.
-    """
-    p = ExponentP.parse(p)
-    values = field_norms(_adjoint_stack(h) if stack is None else stack, p, family)
-    lo, hi = functools.reduce(np.minimum, values), functools.reduce(np.maximum, values)
-    return equality_report(
-        "adjoint", case_id, p, hi, lo, (h, p, family), f"adjoint_invariance.{family}", scale=hi
-    )
+    return check
 
 
 def direct_sum_norm(x: Field, y: Field, p, spec: DirectSumSpec, family: str = "sch"):

@@ -112,7 +112,7 @@ def test_criterion_03_clarkson_both_families():
             h1 = random_field(S3, mix_seed("acc3", p, k, 0))
             h2 = random_field(S3, mix_seed("acc3", p, k, 1))
             for name in ("sch", "hs"):
-                rep = clarkson_check(h1, h2, p, name)
+                rep = clarkson_check(h1, h2)(p, name)
                 if not rep.passed:
                     violations.append((p, k, name, "inequality"))
                 if p == 2.0 and abs(rep.slack) > 1e-11 * max(1.0, rep.rhs):
@@ -130,12 +130,12 @@ def test_criterion_04_two_point_constants():
         for k in range(1000):
             h1 = random_field(S3, mix_seed("acc4", p, k, 0))
             h2 = random_field(S3, mix_seed("acc4", p, k, 1))
-            if not two_point_check(h1, h2, p, "sch", two_point_norms(h1, h2, p, "sch")).passed:
+            if not two_point_check(h1, h2, p, "sch", two_point_norms(h1, h2)(p, "sch")).passed:
                 violations.append((p, k))
     for k in range(200):
         h1 = random_field(S3, mix_seed("acc4", 2.0, k, 0))
         h2 = random_field(S3, mix_seed("acc4", 2.0, k, 1))
-        rep = two_point_equality_check(h1, h2, "sch", two_point_norms(h1, h2, 2.0, "sch"))
+        rep = two_point_equality_check(h1, h2, "sch", two_point_norms(h1, h2)(2.0, "sch"))
         if abs(rep.lhs - rep.rhs) > 1e-10 * max(1.0, rep.rhs):
             violations.append((2.0, k))
     ok = not violations
@@ -231,7 +231,7 @@ def test_criterion_08_kadec_klee_gap():
         d = unit_field(p, mix_seed("acc8", p, 1))
         gap_at_50 = None
         for n in range(1, 51):
-            rep = kadec_klee_gap(h + (1.0 / n) * d, h, p)
+            rep = kadec_klee_gap(h + (1.0 / n) * d, h)(p)
             if not rep.passed or rep.rhs < -rep.tol:
                 violations.append((p, n, "bound"))
             gap_at_50 = rep.rhs

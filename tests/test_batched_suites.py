@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualnorm import cli, duality, inequalities
+from dualnorm import cli, duality, inequalities, matcore
 from dualnorm.cli import SUITES, SuiteConfig, _interp_spec_for, main, run_suite
 from dualnorm.dualmodel import (
     Field,
@@ -148,7 +148,7 @@ def oracle_adjoint(cfg):
         for family in cfg.families:
             for case_id, k in ids(family, p):
                 h = row(cfg, k, "a")
-                yield adjoint_norm_check(h, p, family, case_id=case_id)
+                yield adjoint_norm_check(h)(p, family, case_id=case_id)
 
 
 def oracle_clarkson(cfg):
@@ -156,7 +156,7 @@ def oracle_clarkson(cfg):
         for family in cfg.families:
             for case_id, k in ids(family, p):
                 h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
-                yield clarkson_check(h1, h2, p, family, case_id=case_id)
+                yield clarkson_check(h1, h2)(p, family, case_id=case_id)
 
 
 def oracle_two_point(cfg):
@@ -165,12 +165,12 @@ def oracle_two_point(cfg):
             crits = []
             for case_id, k in ids(family, p):
                 h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
-                norms = two_point_norms(h1, h2, p, family)
+                norms = two_point_norms(h1, h2)(p, family)
                 yield two_point_check(h1, h2, p, family, norms, case_id=case_id)
                 crits.append(two_point_critical_constant(norms))
                 if p == 2.0:
                     yield two_point_equality_check(
-                        h1, h2, family, two_point_norms(h1, h2, 2.0, family),
+                        h1, h2, family, two_point_norms(h1, h2)(2.0, family),
                         case_id=f"parallelogram.{family}[{k:04d}]",
                     )
             if p >= 2.0:
@@ -254,7 +254,7 @@ def oracle_kadec_klee(cfg):
         # one h, d and sum base for every exponent: row 0 of each role's stream
         h, d, base = (row(cfg, 0, role) for role in ("a", "b", "sum"))
         for n in range(1, cfg.trials + 1):
-            yield kadec_klee_gap(h + (1.0 / n) * d, h, p, case_id=f"gap[p={p}][n={n:04d}]")
+            yield kadec_klee_gap(h + (1.0 / n) * d, h)(p, case_id=f"gap[p={p}][n={n:04d}]")
         scaled = [(2.0**-j / lp_sch_norm(base, p)) * base for j in range(5)]
         yield unconditional_sum_bound(scaled, p, case_id=f"sum_bound[p={p}]")
 
@@ -377,10 +377,10 @@ def test_dual_norm_search_of_a_batch_reads_each_rows_probes(dual):
     model = parse_dual_arg(dual)
     batch = random_stacks(model, 31, start=2, rows=3)
     for p in (1.5, 3.0, math.inf):
-        got = dual_norm_via_search(batch, p, trials=4, seed=9, start=2)
+        got = dual_norm_via_search(batch, trials=4, seed=9, start=2)(p)
         assert got.shape == (3,)
         for k in range(3):
-            want = dual_norm_via_search(batch[k], p, trials=4, seed=9, start=2 + k)
+            want = dual_norm_via_search(batch[k], trials=4, seed=9, start=2 + k)(p)
             assert got[k] == want
 
 
@@ -389,7 +389,7 @@ def test_dual_norm_search_of_a_single_field_reads_rows_zero_to_trials():
     h = random_field(model, 4)
     probes = random_stacks(model, mix_seed(6, "dual_search"), rows=5)
     want = max(abs(pairing(h, (1.0 / lp_sch_norm(probes[j], 3.0)) * probes[j])) for j in range(5))
-    got = dual_norm_via_search(h, 1.5, trials=5, seed=6)
+    got = dual_norm_via_search(h, trials=5, seed=6)(1.5)
     assert type(got) is float and got == pytest.approx(want, rel=1e-12)
 
 
@@ -397,12 +397,12 @@ def test_dual_norm_search_pairs_a_zero_row_to_zero():
     model = parse_dual_arg("s3")
     h = random_field(model, 2)
     batch = Field(model, tuple(np.stack([b, 0 * b, b]) for b in h.blocks))
-    got = dual_norm_via_search(batch, 1.5, trials=3, seed=1)
+    got = dual_norm_via_search(batch, trials=3, seed=1)(1.5)
     assert got[1] == 0.0
     for k in (0, 2):  # row k reads the probes of row k of a batch, however many rows are zero
-        want = dual_norm_via_search(h, 1.5, trials=3, seed=1, start=k)
+        want = dual_norm_via_search(h, trials=3, seed=1, start=k)(1.5)
         assert 0.0 < want and got[k] == want
-    assert dual_norm_via_search(zero_field(model), 1.5, trials=3, seed=1) == 0.0
+    assert dual_norm_via_search(zero_field(model), trials=3, seed=1)(1.5) == 0.0
 
 
 # -- one reduction path: a single field is the one-row case of a batch -----------
@@ -437,8 +437,8 @@ def test_a_single_field_reduces_bit_for_bit_as_its_row_of_a_batch(dual):
         extremizers = dual_extremizer(h, p)
         assert all(dual_extremizer(h[k], p) == extremizers[k] for k in range(3)), p
     for p in (1.5, 3.0, math.inf):
-        found = dual_norm_via_search(h, p, trials=3, seed=5)
-        assert all(dual_norm_via_search(h[k], p, 3, 5, start=k) == found[k] for k in range(3)), p
+        found = dual_norm_via_search(h, trials=3, seed=5)(p)
+        assert all(dual_norm_via_search(h[k], 3, 5, start=k)(p) == found[k] for k in range(3)), p
     pairs = pairing(h, g)
     assert all(pairing(h[k], g[k]) == pairs[k] for k in range(3))
 
@@ -454,9 +454,9 @@ def interp_line_norms(h):
 MERGED_CHECKS = {
     "embedding": lambda h, g, e, **kw: embedding_check(h, 1.5, **kw),
     "holder": lambda h, g, e, **kw: holder_check(h, g, 3.0, 1.5, field_product(h, g), **kw),
-    "adjoint": lambda h, g, e, **kw: adjoint_norm_check(h, 3.0, "hs", **kw),
-    "clarkson": lambda h, g, e, **kw: clarkson_check(h, g, 1.5, "sch", **kw),
-    "kadec_klee": lambda h, g, e, **kw: kadec_klee_gap(h, g, 3.0, **kw),
+    "adjoint": lambda h, g, e, **kw: adjoint_norm_check(h)(3.0, "hs", **kw),
+    "clarkson": lambda h, g, e, **kw: clarkson_check(h, g)(1.5, "sch", **kw),
+    "kadec_klee": lambda h, g, e, **kw: kadec_klee_gap(h, g)(3.0, **kw),
     "direct_sum": lambda h, g, e, **kw: direct_sum_dual_pair_check(
         h, g, e, h, 3.0, DirectSumSpec(ExponentP(1.5), 3.0), **kw
     ),
@@ -576,3 +576,42 @@ def test_each_role_stream_is_drawn_once_per_chunk(monkeypatch):
     many = run((1.5, 2, 3), "both")
     assert len(set(many)) == len(many)  # no rows drawn twice
     assert many == once
+
+
+# each staged check, built on fields h and g: called at every exponent and family
+STAGED = {
+    "adjoint": lambda h, g: adjoint_norm_check(h),
+    "clarkson": clarkson_check,
+    "two_point": two_point_norms,
+    "kadec_klee": kadec_klee_gap,
+}
+
+
+@pytest.mark.parametrize("name", list(STAGED))
+def test_a_staged_check_factors_its_stack_once(monkeypatch, name):
+    model = parse_dual_arg("custom(3,5)")  # blocks of 3x3 and up take LAPACK
+    h, g = (random_field(model, mix_seed("staged", role)) for role in "ab")
+    calls = []
+    kernel = matcore.singular_values
+    monkeypatch.setattr(matcore, "singular_values", lambda a: calls.append(a.shape) or kernel(a))
+    check = STAGED[name](h, g)
+    counts = []
+    for p in (1.5, 3.0):
+        for family in ("sch", "hs"):
+            check(p, family)
+            counts.append(len(calls))
+    assert counts == [len(model.dims)] * 4  # one stacked factorization per entry
+
+
+def test_the_dual_search_draws_its_probes_once(monkeypatch):
+    model = parse_dual_arg("custom(3,5)")
+    h = random_stacks(model, mix_seed("staged", "a"), rows=3)
+    exponents = (1.5, 2.0, 3.0, 6.0)
+    fresh = [dual_norm_via_search(h, 4, 7, start=2)(p) for p in exponents]
+    draws = []
+    monkeypatch.setattr(duality, "random_stacks",
+                        lambda *args: draws.append(args) or random_stacks(*args))
+    search = dual_norm_via_search(h, 4, 7, start=2)
+    for p, want in zip(exponents, fresh):
+        assert np.array_equal(search(p), want), p
+    assert len(draws) == 1

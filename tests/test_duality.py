@@ -222,7 +222,7 @@ def test_extremizer_is_exact_at_extreme_exponents(dual, p):
 
 def test_search_zero_field():
     m = preset_dual("s3")
-    assert dual_norm_via_search(zero_field(m), 2.0, trials=5, seed=0) == 0.0
+    assert dual_norm_via_search(zero_field(m), trials=5, seed=0)(2.0) == 0.0
 
 
 def test_search_random_trials_never_exceed_norm():
@@ -231,7 +231,7 @@ def test_search_random_trials_never_exceed_norm():
     for k in range(100):
         h = random_field(m, mix_seed("search", k))
         norm = lp_sch_norm(h, p)
-        val = dual_norm_via_search(h, p, trials=10, seed=k)
+        val = dual_norm_via_search(h, trials=10, seed=k)(p)
         assert val <= norm + 1e-10 * max(1.0, norm)
 
 
@@ -242,9 +242,9 @@ def test_search_random_trials_never_exceed_norm():
 def test_search_takes_only_integer_stream_arguments(bad):
     h = random_field(preset_dual("s3"), 3)
     with pytest.raises(ValueError, match="trials, seed and start must be integers"):
-        dual_norm_via_search(h, 1.5, **({"trials": 3, "seed": 1, "start": 0} | bad))
-    numpy_ints = dual_norm_via_search(h, 1.5, np.int64(3), np.uint8(1), np.int32(0))
-    assert numpy_ints == dual_norm_via_search(h, 1.5, 3, 1)
+        dual_norm_via_search(h, **({"trials": 3, "seed": 1, "start": 0} | bad))(1.5)
+    numpy_ints = dual_norm_via_search(h, np.int64(3), np.uint8(1), np.int32(0))(1.5)
+    assert numpy_ints == dual_norm_via_search(h, 3, 1)(1.5)
 
 
 def test_search_probes_are_rows_of_one_stream(monkeypatch):
@@ -260,7 +260,7 @@ def test_search_probes_are_rows_of_one_stream(monkeypatch):
     calls = []
     mix = duality.mix_seed
     monkeypatch.setattr(duality, "mix_seed", lambda *parts: calls.append(parts) or mix(*parts))
-    got = dual_norm_via_search(h, 1.5, trials=8, seed=5)
+    got = dual_norm_via_search(h, trials=8, seed=5)(1.5)
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert calls == [(5, "dual_search")]
 

@@ -94,7 +94,7 @@ CLARKSON_IDS = ["clarkson_sch_check", "clarkson_hs_check"]
 @pytest.mark.parametrize("p", [1.3, 2.0, 2.4])
 def test_clarkson_zero_second_argument_is_equality(family, p):
     h1 = random_field(S3, 1)
-    rep = clarkson_check(h1, zero_field(S3), p, family)
+    rep = clarkson_check(h1, zero_field(S3))(p, family)
     assert rep.passed
     assert abs(rep.slack) <= 1e-12 * max(1.0, rep.rhs)
     q = p / (p - 1.0)
@@ -107,7 +107,7 @@ def test_clarkson_parallelogram_equality_at_p2(family):
     for k in range(100):
         h1 = random_field(S3, mix_seed("cl2", k, 0))
         h2 = random_field(S3, mix_seed("cl2", k, 1))
-        rep = clarkson_check(h1, h2, 2.0, family)
+        rep = clarkson_check(h1, h2)(2.0, family)
         assert rep.passed
         assert abs(rep.slack) <= 1e-11 * max(1.0, rep.rhs)
 
@@ -118,7 +118,7 @@ def test_clarkson_random_pairs(family, p):
     for k in range(300):
         h1 = random_field(S3, mix_seed("cl", p, k, 0))
         h2 = random_field(S3, mix_seed("cl", p, k, 1))
-        rep = clarkson_check(h1, h2, p, family)
+        rep = clarkson_check(h1, h2)(p, family)
         assert rep.passed, f"Clarkson violated at p={p}, draw {k}: {rep}"
 
 
@@ -130,23 +130,23 @@ def test_clarkson_case_ii_agrees_with_case_i_for_conjugate():
     for k in range(200):
         h1 = random_field(S3, mix_seed("cldual", k, 0))
         h2 = random_field(S3, mix_seed("cldual", k, 1))
-        assert clarkson_check(h1, h2, p, "sch").passed
-        assert clarkson_check(h1, h2, q, "sch").passed
+        assert clarkson_check(h1, h2)(p, "sch").passed
+        assert clarkson_check(h1, h2)(q, "sch").passed
 
 
 def test_clarkson_rejects_endpoints():
     h = random_field(S3, 1)
     for bad in (1.0, math.inf):
         with pytest.raises(ValueError):
-            clarkson_check(h, h, bad, "sch")
+            clarkson_check(h, h)(bad, "sch")
 
 
 def test_clarkson_pass_is_scale_invariant():
     h1 = random_field(S3, 51)
     h2 = random_field(S3, 52)
     for p in (1.3, 2.4):
-        base = clarkson_check(h1, h2, p, "sch")
-        scaled = clarkson_check(17.0 * h1, 17.0 * h2, p, "sch")
+        base = clarkson_check(h1, h2)(p, "sch")
+        scaled = clarkson_check(17.0 * h1, 17.0 * h2)(p, "sch")
         assert base.passed == scaled.passed
         # slack scales like the norms themselves (first-power report)
         assert scaled.slack == pytest.approx(17.0 * base.slack, rel=1e-9, abs=1e-12)
@@ -166,7 +166,7 @@ def test_two_point_zero_second_argument():
     h1 = random_field(S3, 2)
     for p in (1.5, 3.0):
         h2 = zero_field(S3)
-        rep = two_point_check(h1, h2, p, "sch", two_point_norms(h1, h2, p, "sch"))
+        rep = two_point_check(h1, h2, p, "sch", two_point_norms(h1, h2)(p, "sch"))
         assert rep.passed
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
@@ -175,7 +175,7 @@ def test_two_point_equality_at_p2_with_constant_one():
     for k in range(100):
         h1 = random_field(S3, mix_seed("tp2", k, 0))
         h2 = random_field(S3, mix_seed("tp2", k, 1))
-        rep = two_point_equality_check(h1, h2, "sch", two_point_norms(h1, h2, 2.0, "sch"))
+        rep = two_point_equality_check(h1, h2, "sch", two_point_norms(h1, h2)(2.0, "sch"))
         assert rep.passed
         assert abs(rep.lhs - rep.rhs) <= 1e-11 * max(1.0, rep.rhs)
 
@@ -186,7 +186,7 @@ def test_two_point_random_pairs(p):
     for k in range(300):
         h1 = random_field(S3, mix_seed("tp", p, k, 0))
         h2 = random_field(S3, mix_seed("tp", p, k, 1))
-        norms = two_point_norms(h1, h2, p, "sch")
+        norms = two_point_norms(h1, h2)(p, "sch")
         rep = two_point_check(h1, h2, p, "sch", norms)
         assert rep.passed, f"two-point violated at p={p}, draw {k}: {rep}"
         crit = two_point_critical_constant(norms)
@@ -200,7 +200,7 @@ def test_two_point_random_pairs(p):
 
 def test_two_point_critical_constant_nan_for_zero():
     h = random_field(S3, 3)
-    assert math.isnan(two_point_critical_constant(two_point_norms(h, zero_field(S3), 3.0, "sch")))
+    assert math.isnan(two_point_critical_constant(two_point_norms(h, zero_field(S3))(3.0, "sch")))
 
 
 def test_two_point_critical_constant_of_a_batch_holds_each_rows_constant():
@@ -209,10 +209,10 @@ def test_two_point_critical_constant_of_a_batch_holds_each_rows_constant():
     h2 = np.array([1.0, 2.0, 0.0, 0.5]) * random_stacks(model, mix_seed("crit", 2), rows=4)
     for p in (1.5, 2.0, 3.0):
         for family in ("sch", "hs"):
-            crits = two_point_critical_constant(two_point_norms(h1, h2, p, family))
+            crits = two_point_critical_constant(two_point_norms(h1, h2)(p, family))
             assert crits.shape == (4,)
             for k in range(4):
-                one = two_point_critical_constant(two_point_norms(h1[k], h2[k], p, family))
+                one = two_point_critical_constant(two_point_norms(h1[k], h2[k])(p, family))
                 assert type(one) is float
                 if k == 2:  # h2 is zero in row 2
                     assert math.isnan(one) and math.isnan(crits[k])
@@ -982,7 +982,7 @@ def test_scaled_check_sides_match_the_inline_forms_at_moderate_p(p, family):
     n = lambda x: field_norm(x, p, family)  # noqa: E731
     rel = dict(rel=1e-14, abs=0.0)
 
-    rep = clarkson_check(h1, h2, p, family)
+    rep = clarkson_check(h1, h2)(p, family)
     mid_plus, mid_minus = n(0.5 * (h1 + h2)), n(0.5 * (h1 - h2))
     assert rep.lhs == pytest.approx((mid_plus**e + mid_minus**e) ** (1 / e), **rel)
     assert rep.rhs == pytest.approx((0.5 * (n(h1) ** f + n(h2) ** f)) ** (1 / f), **rel)
@@ -990,12 +990,12 @@ def test_scaled_check_sides_match_the_inline_forms_at_moderate_p(p, family):
     mean_p = (0.5 * (n(h1 + h2) ** p + n(h1 - h2) ** p)) ** (1 / p)
     constant = two_point_upper_constant(p) if p >= 2.0 else two_point_lower_constant(p)
     root = math.sqrt(n(h1) ** 2 + constant * n(h2) ** 2)
-    rep = two_point_check(h1, h2, p, family, two_point_norms(h1, h2, p, family))
+    rep = two_point_check(h1, h2, p, family, two_point_norms(h1, h2)(p, family))
     sides = (mean_p, root) if p >= 2.0 else (root, mean_p)
     assert (rep.lhs, rep.rhs) == pytest.approx(sides, **rel)
 
     m = (0.5 * (n(h1) ** f + n(h2) ** f)) ** (1 / f)
-    rep = kadec_klee_gap(h1, h2, p, family)
+    rep = kadec_klee_gap(h1, h2)(p, family)
     assert rep.lhs == pytest.approx(mid_minus**e / m**e, **rel)
     assert rep.rhs == pytest.approx(1.0 - mid_plus**e / m**e, **rel)
 
@@ -1015,7 +1015,7 @@ def test_scaled_check_sides_match_the_inline_forms_at_moderate_p(p, family):
 
 def test_kadec_klee_identical_fields():
     h = random_field(S3, 8)
-    rep = kadec_klee_gap(h, h, 1.5)
+    rep = kadec_klee_gap(h, h)(1.5)
     assert rep.passed
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(0.0, abs=1e-10)
@@ -1024,7 +1024,7 @@ def test_kadec_klee_identical_fields():
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_kadec_klee_antipodal_equality(p):
     h = random_field(S3, 9)
-    rep = kadec_klee_gap(-1.0 * h, h, p)
+    rep = kadec_klee_gap(-1.0 * h, h)(p)
     # in units of the power mean m = ||h||: ||(-h - h)/2|| / m = 1 and (-h + h)/2 = 0
     assert rep.passed
     assert rep.lhs == pytest.approx(1.0, rel=1e-11)
@@ -1038,7 +1038,7 @@ def test_kadec_klee_sequence_gap_decreases(p):
     gaps = []
     for n in range(1, 11):
         hn = h + (1.0 / n) * d
-        rep = kadec_klee_gap(hn, h, p)
+        rep = kadec_klee_gap(hn, h)(p)
         assert rep.passed
         gaps.append(rep.rhs)
     tol = 1e-10 * max(1.0, gaps[0])

@@ -46,13 +46,13 @@ def test_field_norms_scale_with_the_field(fields, p, family):
 @pytest.mark.parametrize("p", [1.5, 2, 3, 7])
 def test_sign_averages_and_critical_constants_scale_with_the_fields(fields, p, family):
     average = rademacher_average(fields, p, family)
-    critical = two_point_critical_constant(two_point_norms(*fields[:2], p, family))
+    critical = two_point_critical_constant(two_point_norms(*fields[:2])(p, family))
     for c in SCALES:
         scaled = [c * f for f in fields]
         single = rademacher_average(scaled, p, family)
         assert rademacher_average([c * b for b in _rotations(fields)], p, family)[0] == single
         assert single / c == pytest.approx(average, rel=1e-14, abs=0.0)
-        norms = two_point_norms(*scaled[:2], p, family)
+        norms = two_point_norms(*scaled[:2])(p, family)
         assert two_point_critical_constant(norms) == pytest.approx(critical, rel=1e-14, abs=0.0)
 
 

@@ -429,7 +429,7 @@ def test_holder_rejects_subunit_r():
 
 def test_adjoint_check_hermitian_field():
     h = random_field(preset_dual("su2_trunc", 3), 4, "hermitian")
-    rep = adjoint_norm_check(h, 2.0, "sch")
+    rep = adjoint_norm_check(h)(2.0, "sch")
     assert rep.passed
 
 
@@ -437,7 +437,7 @@ def test_adjoint_check_hermitian_field():
 def test_adjoint_check_random(family, p):
     m = preset_dual("su2_trunc", 4)
     for k in range(100):
-        rep = adjoint_norm_check(random_field(m, mix_seed("adj", family, k)), p, family)
+        rep = adjoint_norm_check(random_field(m, mix_seed("adj", family, k)))(p, family)
         assert rep.passed
 
 
