@@ -177,7 +177,7 @@ def _interior(cfg: SuiteConfig) -> list[ExponentP]:
 
 
 def _suite_norms(cfg: SuiteConfig):
-    for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
+    for ks, (h1, h2) in _trials(cfg, fields_per_trial=6):  # h1, h2 and a stack of 4
         alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
         stack = _stack((h1, h2, h1 + h2, alpha * h1))  # one stack for every exponent and family
         for p in cfg.p_list:
@@ -218,7 +218,7 @@ def _suite_holder(cfg: SuiteConfig):
 
 
 def _suite_adjoint(cfg: SuiteConfig):
-    for ks, (h,) in _trials(cfg, roles=("a",), fields_per_trial=3):
+    for ks, (h,) in _trials(cfg, roles=("a",), fields_per_trial=7):  # h, U, V*, |h|, 3 stacked
         check = adjoint_norm_check(h)  # one SVD of h forms |h|, and one stack serves every case
         for p in cfg.p_list:
             for family in cfg.families:
@@ -289,7 +289,7 @@ def _suite_clarkson(cfg: SuiteConfig):
     exponents = _interior(cfg)
     if not exponents:
         return
-    for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
+    for ks, (h1, h2) in _trials(cfg, fields_per_trial=6):  # h1, h2 and a stack of 4
         check = ineq.clarkson_check(h1, h2)
         for p in exponents:
             for family in cfg.families:
@@ -300,7 +300,7 @@ def _suite_two_point(cfg: SuiteConfig):
     crits = {(p, family): [] for p in _interior(cfg) for family in cfg.families}
     if not crits:
         return
-    for ks, (h1, h2) in _trials(cfg, fields_per_trial=4):
+    for ks, (h1, h2) in _trials(cfg, fields_per_trial=6):  # h1, h2 and a stack of 4
         norms_at = ineq.two_point_norms(h1, h2)
         for (p, family), found in crits.items():
             norms = norms_at(p, family)
@@ -354,7 +354,7 @@ def _suite_type_cotype(cfg: SuiteConfig):
     pairs = [(p, family) for p in _interior(cfg) for family in cfg.families]
     if not pairs:
         return
-    for ks, fields in _trials(cfg, roles=range(5), fields_per_trial=5):
+    for ks, fields in _trials(cfg, roles=range(5), fields_per_trial=10):  # 5 draws and their stack
         # the five summands of each trial, stacked once: their norms and every sign average
         stack = _stack(fields)
         averages = ineq._rademacher_averages(stack, pairs)
@@ -378,7 +378,8 @@ def _suite_kadec_klee(cfg: SuiteConfig):
         random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, role))[0]
         for role in ("a", "b", "sum")
     )
-    for ks in ineq._chunks(cfg.dual, cfg.trials, 4):  # trial k: the gap of h + d / (k + 1)
+    # trial k: the gap of h + d / (k + 1); a chunk holds hn and a stack of 4
+    for ks in ineq._chunks(cfg.dual, cfg.trials, 5):
         n = np.arange(ks.start + 1, ks.stop + 1)
         hn = h + (1.0 / n) * d
         gap = ineq.kadec_klee_gap(hn, h)

@@ -153,7 +153,7 @@ def direct_sum_dual_pair_check(
     """
     p, r, w = _finite_interior(p), _finite_interior(spec.r), spec.w
     q, s = p.conjugate(), r.conjugate()
-    lhs = abs(pairing(h1, f1) + w ** (1.0 / r - 1.0 / s) * pairing(h2, f2))
+    lhs = np.abs(pairing(h1, f1) + w ** (1.0 / r - 1.0 / s) * pairing(h2, f2))
     rhs = direct_sum_norm(f1, f2, q, DirectSumSpec(s, 1.0 / w)) * direct_sum_norm(
         h1, h2, p, spec
     )

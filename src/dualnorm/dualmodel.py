@@ -13,7 +13,8 @@ blocks in entry order, rows concatenated, entry i's run starting at
 dim, dim)`` views.  A Field is also a batch of fields: ``data`` has shape
 ``(*batch, size)`` (``()`` for a single field), and ``h[k]`` is row k.
 Arithmetic, equality, indexing, stacking (``_stack``, of fields that share a
-model and a batch shape) and digests run on ``data``; per-entry kernels read ``blocks``.
+model and a batch shape) and digests run on ``data``; per-entry kernels read
+``blocks``.  :func:`random_stacks` draws ``data`` coordinate by coordinate, from the size alone.
 
 Both types are immutable; field arithmetic returns new fields, and raises
 ValueError where a result overflows.  Data is validated where it enters:
@@ -394,10 +395,10 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
     """Ginibre fields of rows start .. start + rows - 1, as a batch Field of shape (rows,).
 
     Row r reads the words [r * stride, (r + 1) * stride) of the stream keyed
-    by ``key``, where stride is 2 sum d^2 rounded up to a Philox block.  Word
-    pairs become standard normals by Box-Muller (u1 = 1 - U keeps the log
-    finite), read in entry order: a block's d^2 real parts, then its d^2
-    imaginary parts, each scaled by 1/sqrt(2) for unit E|z|^2.
+    by ``key``, where stride is 2 * ``model.size`` rounded up to a Philox
+    block.  Word pair (2j, 2j + 1) of a row is coordinate j of its buffer, by
+    Box-Muller: sqrt(-log u1) * exp(2 pi i u2) with u1 = 1 - U (which keeps
+    the log finite), one standard complex normal (unit E|z|^2).
     """
     _check_rows(key, start, rows)
     width = 2 * model.size
@@ -405,13 +406,9 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
     u = random_uniforms(key, start * stride, rows * stride).reshape(rows, stride)
     radius = np.sqrt(-np.log(1.0 - u[:, 0:width:2]))  # sqrt(-2 log u1) / sqrt(2)
     angle = (2.0 * np.pi) * u[:, 1:width:2]
-    scaled = np.empty((rows, width))
-    np.multiply(radius, np.cos(angle), out=scaled[:, 0::2])
-    np.multiply(radius, np.sin(angle), out=scaled[:, 1::2])
     data = np.empty((rows, model.size), dtype=np.complex128)
-    for o, d in zip(model.offsets, model.dims):  # a block's d^2 real parts, then its imaginary
-        run, normals = data[:, o : o + d * d], scaled[:, 2 * o : 2 * (o + d * d)]
-        run.real, run.imag = normals[:, : d * d], normals[:, d * d :]
+    np.multiply(radius, np.cos(angle), out=data.real)
+    np.multiply(radius, np.sin(angle), out=data.imag)
     return _trusted(model, data)
 
 

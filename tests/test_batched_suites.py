@@ -472,18 +472,20 @@ MERGED_CHECKS = {
 }
 
 
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)"])
 @pytest.mark.parametrize("check", list(MERGED_CHECKS))
-def test_a_check_of_a_batch_takes_one_case_id_per_row(check):
-    model = parse_dual_arg("s3")
-    fields = [random_stacks(model, mix_seed("merged", role), rows=3) for role in "hge"]
+def test_a_check_of_a_batch_takes_one_case_id_per_row(check, dual):
+    model = parse_dual_arg(dual)
     run = MERGED_CHECKS[check]
-    with pytest.raises(ValueError, match="batch"):  # the default case id names one report
-        run(*fields)
-    with pytest.raises(ValueError, match="rows"):
-        run(*fields, case_id=["r0", "r1"])
     ids = ["r0", "r1", "r2"]
-    reports = run(*fields, case_id=ids)
-    assert reports == [run(*(x[k] for x in fields), case_id=ids[k]) for k in range(3)]
+    for seed in range(20):  # a single field reports its batch row's bits, on every draw
+        fields = [random_stacks(model, mix_seed("merged", role, seed), rows=3) for role in "hge"]
+        with pytest.raises(ValueError, match="batch"):  # the default case id names one report
+            run(*fields)
+        with pytest.raises(ValueError, match="rows"):
+            run(*fields, case_id=["r0", "r1"])
+        reports = run(*fields, case_id=ids)
+        assert reports == [run(*(x[k] for x in fields), case_id=ids[k]) for k in range(3)], seed
 
 
 # -- layout: rows of keyed streams, in chunks -----------------------------------

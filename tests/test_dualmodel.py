@@ -183,16 +183,32 @@ def keyed_normals(key, width, row):
 
 def test_random_stacks_follow_keyed_layout():
     m = preset_dual("custom", [1, 3, 2])
-    width = 2 * sum(d * d for d in m.dims)  # 28 normals: a stride of exactly 7 Philox blocks
+    width = 2 * m.size  # 28 normals: a stride of exactly 7 Philox blocks
     key = mix_seed("layout")
-    stacks = random_stacks(m, key, start=0, rows=3).blocks
+    data = random_stacks(m, key, start=0, rows=3).data
     for row in range(3):
-        normals, offset = keyed_normals(key, width, row), 0
-        for d, stack in zip(m.dims, stacks):
-            re = np.array(normals[offset : offset + d * d]).reshape(d, d)
-            im = np.array(normals[offset + d * d : offset + 2 * d * d]).reshape(d, d)
-            assert np.allclose(stack[row], (re + 1j * im) / np.sqrt(2), rtol=1e-14, atol=1e-15)
-            offset += 2 * d * d
+        normals = np.array(keyed_normals(key, width, row))
+        z = (normals[0::2] + 1j * normals[1::2]) / np.sqrt(2)  # word pair j is coordinate j
+        assert np.allclose(data[row], z, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("dims, count", [([2], 4), ([1, 1, 1], 3)])
+def test_random_stacks_do_not_read_the_entry_layout(dims, count):
+    # one buffer size, one draw: the dims only cut the buffer into blocks
+    key = mix_seed("layout-free")
+    cut = random_stacks(preset_dual("custom", dims), key, start=2, rows=5)
+    torus = random_stacks(preset_dual("torus", count), key, start=2, rows=5)
+    assert cut.data.tobytes() == torus.data.tobytes()
+
+
+def test_random_stacks_coordinates_are_standard_complex_normals():
+    # each coordinate is CN(0, 1): E|z|^2 = 1, E z^2 = 0 and E Re z Im z = 0
+    z = random_stacks(preset_dual("custom", [2, 3, 4]), mix_seed("law"), rows=2000).data.ravel()
+    n = z.size  # 58000 coordinates, with Var |z|^2 = Var Re z^2 = Var Im z^2 = 1
+    assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 5 / math.sqrt(n)
+    square = np.mean(z**2)
+    assert abs(square.real) < 5 / math.sqrt(n) and abs(square.imag) < 5 / math.sqrt(n)
+    assert abs(np.mean(z.real * z.imag)) < 5 * 0.5 / math.sqrt(n)  # Var Re z Im z = 1/4
 
 
 @pytest.mark.parametrize("dims", [[1, 3, 2], [1, 1, 2], [1]])  # strides 28, 12 and 4 words

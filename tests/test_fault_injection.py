@@ -83,8 +83,8 @@ CAUGHT = {
     },
     "hs_weight_d_1_minus_half_p": {"embedding": 20, "p2_coincidence": 10},
     "no_weights": {
-        "boundary_witness": 30, "direct_sum_duality": 30, "dual_supremum": 15, "embedding": 20,
-        "equal_norms": 30, "extremizer": 60, "strip_maximum": 6,
+        "boundary_witness": 30, "direct_sum_duality": 30, "dual_supremum": 11, "embedding": 20,
+        "equal_norms": 30, "extremizer": 60,
     },
     "rademacher_average_scaled": {"sign_average_identity": 20, "type_cotype": 20},
     "extremizer_last_block_phase": {"equal_norms": 30, "extremizer": 30},
@@ -95,8 +95,8 @@ UNCAUGHT = {
     "adjoint_invariance.hs", "adjoint_invariance.sch", "bin_occupancy",
     "clarkson.hs.case_i", "clarkson.hs.case_ii", "clarkson.sch.case_i", "clarkson.sch.case_ii",
     "convexity_lower", "critical_constant", "holder", "homogeneity", "kadec_klee_gap",
-    "parallelogram", "smoothness_upper", "triangle", "two_point.lower", "two_point.upper",
-    "unconditional_sum",
+    "parallelogram", "smoothness_upper", "strip_maximum", "triangle", "two_point.lower",
+    "two_point.upper", "unconditional_sum",
 }
 
 

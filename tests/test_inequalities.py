@@ -421,12 +421,12 @@ def test_moduli_samplers_match_loop_oracle(dual, family, p):
 # Both samplers' exact estimates on s3 at the benchmark's 500 samples, hashed
 # per (p, family): (kind, epsilon_or_t, estimate, bound, samples) as hex floats.
 SAMPLER_GOLDEN = [
-    (1.5, "sch", "4d8ffd670d2ed7f6"),
-    (1.5, "hs", "33ab03a92f47b236"),
-    (2.0, "sch", "5bf676ce7c2bb7ff"),
-    (2.0, "hs", "8a78c93b38eb8b46"),
-    (3.0, "sch", "cee138a9b1530867"),
-    (3.0, "hs", "e4a9aa08ee33ea24"),
+    (1.5, "sch", "4a9ad00490a55a0f"),
+    (1.5, "hs", "e040959c1c8b15ba"),
+    (2.0, "sch", "629a9568feda55f1"),
+    (2.0, "hs", "fb71dc7529060f0a"),
+    (3.0, "sch", "67a4422a844a00b7"),
+    (3.0, "hs", "9d344bd5d2e493db"),
 ]
 
 

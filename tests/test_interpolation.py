@@ -354,11 +354,13 @@ def test_consistency_at_p_1_computes_the_center(dual, monkeypatch):
     # p0 = p1 = 1: the lower side pairs h / ||h||_1 with its extremizer, the
     # adjoint of its partial isometry, rather than taking the center as 1
     spec = InterpSpec(1.0, 1.0, 0.5)
-    h = random_field(parse_dual_arg(dual), mix_seed("cons p1", dual))
-    norms = line_norms(h, spec)
-    rep = interp_norm_consistency(h, spec, norms)
-    center = abs(pairing((1.0 / lp_sch_norm(h, 1.0)) * h, dual_extremizer(h, 1.0)))
-    assert rep.passed and rep.slack == min(rep.rhs - rep.lhs, center - 1.0)
+    for k in range(20):
+        h = random_field(parse_dual_arg(dual), mix_seed("cons p1", dual, k))
+        norms = line_norms(h, spec)
+        rep = interp_norm_consistency(h, spec, norms)
+        center = np.abs(pairing((1.0 / lp_sch_norm(h, 1.0)) * h, dual_extremizer(h, 1.0)))
+        widest = max(norms[0].max(), norms[1].max())  # both slacks in units of ||h||_1
+        assert rep.passed and rep.slack == min(widest - 1.0, center - 1.0), k
     # so an extremizer that misses the norm fails the report at p = 1 as well
     monkeypatch.setattr(interpolation, "dual_extremizer", lambda h, p: 0.99 * dual_extremizer(h, p))
     assert not interp_norm_consistency(h, spec, norms).passed
