@@ -234,7 +234,7 @@ def _suite_duality(cfg: SuiteConfig):
     if not exponents:
         return
     probe_seed = mix_seed(cfg.seed, cfg.suite, "probe")
-    # h, other, their extremizers at one exponent, and the probes with their unit multiples
+    # h, other, their extremizers and SVD factors at one exponent, and the probes (13 of 14)
     for ks, (h, other) in _trials(cfg, fields_per_trial=4 + 2 * _PROBES):
         search = dual_norm_via_search(h, _PROBES, probe_seed, ks.start)
         for p in exponents:

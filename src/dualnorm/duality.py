@@ -11,12 +11,12 @@ At p = 1 the same formula degenerates to the adjoint of the partial isometry
 of H, zero singular values contributing 0 (so ||F||_inf = 1 and the pairing
 still returns ||H||_1); that endpoint is supported here.
 
-Each function takes a field or a batch of fields: a value is a float for a
-field and an array for a batch, and the direct-sum check gives one report
-under one case id and one report per row under a list of case ids.  The
-search is staged: ``dual_norm_via_search(h, trials, seed, start)`` draws its
-probes once and returns ``search(p)``, which scales them to unit q-norm at
-each exponent, so the probes' singular values are factored once for them all.
+Each function takes a field or a batch of fields: a value is a float (a
+numpy complex for the pairing) for a field and an array for a batch, and the
+direct-sum check gives one report under one case id and one report per row
+under a list of case ids.  ``dual_norm_via_search(h, trials, seed, start)``
+pairs its probes with h once; its ``search(p)`` divides those pairings by
+the probes' q-norms, whose singular values are factored once for all p.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ __all__ = [
 def pairing(h: Field, f: Field):
     """Bilinear trace pairing sum d(xi) Tr(H(xi) F(xi)) (no conjugation); an array for batches."""
     _check_same_model(h, f)
-    total = 0.0 + 0.0j
-    for (_, dim), a, b in zip(h.model.entries, h.blocks, f.blocks):
-        total = total + dim * matcore.trace(a @ b)
-    return total
+    m = h.model
+    traces = np.add.reduceat(np.take(h.data, m.transpose, axis=-1) * f.data, m.offsets, axis=-1)
+    return np.cumsum(traces * m.dims, axis=-1)[..., -1][()]  # summed in entry order
 
 
 def _power(h: Field, r, missing: str) -> Callable[..., Field]:
@@ -110,26 +109,22 @@ def dual_norm_via_search(h: Field, trials: int, seed: int, start: int = 0):
 
     The random probes alone give a lower bound on ||H||_sch,p that never
     exceeds it (``dual_extremizer`` attains the norm); with no trials, and
-    for a zero field, it is 0.  Probe j of row k of ``h`` is row
-    (start + k) * trials + j of the search's stream, so a single field reads
-    rows 0 .. trials - 1, and a batch that is rows ``start ..`` of a larger
-    one reads the probes of those rows.
+    for a zero field, it is 0.  ``search(p)`` divides each |<H, probe_j>|,
+    formed once, by ||probe_j||_q.  Probe j of row k of ``h`` is row
+    (start + k) * trials + j of the search's stream: a single field reads
+    rows 0 .. trials - 1, and rows ``start ..`` of a larger batch read theirs.
     """
     if not (all(map(_is_integer, (trials, seed, start))) and min(trials, start) >= 0):
         raise ValueError("trials, seed and start must be integers, trials and start non-negative: "
                          f"{trials!r}, {seed!r}, {start!r}")
     rows = math.prod(h.batch)
     probes = random_stacks(h.model, mix_seed(seed, "dual_search"), start * trials, rows * trials)
-    probes = _trusted(h.model, probes.data.reshape(rows, trials, h.model.size))
-    h_rows = _trusted(h.model, h.data[..., None, :])
+    probes = _trusted(h.model, probes.data.reshape(*h.batch, trials, h.model.size))
+    paired = np.abs(pairing(_trusted(h.model, h.data[..., None, :]), probes))
 
     def search(p):
         p = ExponentP.parse(p)
-        if not trials:
-            return np.zeros(h.batch) if h.batch else 0.0
-        units = (1.0 / lp_sch_norm(probes, p.conjugate())) * probes
-        per_row = _trusted(h.model, units.data.reshape(*h.batch, trials, h.model.size))
-        best = np.abs(pairing(h_rows, per_row)).max(axis=-1)
+        best = (paired / lp_sch_norm(probes, p.conjugate())).max(axis=-1, initial=0.0)
         return best if h.batch else float(best)
 
     return search

@@ -9,12 +9,13 @@ symmetric group S3 (dims 1, 1, 2).
 A field is one vector of ``DualModel.size`` complex coordinates, as in the
 direct sum of the matrix algebras M_d: its buffer ``Field.data`` holds the
 blocks in entry order, rows concatenated, entry i's run starting at
-``DualModel.offsets[i]``, and ``Field.blocks`` are those runs as ``(*batch,
-dim, dim)`` views.  A Field is also a batch of fields: ``data`` has shape
-``(*batch, size)`` (``()`` for a single field), and ``h[k]`` is row k.
-Arithmetic, equality, indexing, stacking (``_stack``, of fields that share a
-model and a batch shape) and digests run on ``data``; per-entry kernels read
-``blocks``.  :func:`random_stacks` draws ``data`` coordinate by coordinate, from the size alone.
+``DualModel.offsets[i]``, ``Field.blocks`` are those runs as ``(*batch, dim,
+dim)`` views, and ``DualModel.transpose`` maps each run's (r, c) to its (c, r).
+A Field is also a batch of fields: ``data`` has shape ``(*batch, size)``
+(``()`` for a single field), and ``h[k]`` is row k.  Arithmetic, equality,
+indexing, stacking (``_stack``, of fields that share a model and a batch
+shape), adjoints and digests run on ``data``; per-entry kernels read
+``blocks``.  :func:`random_stacks` draws ``data`` from the size alone.
 
 Both types are immutable; field arithmetic returns new fields, and raises
 ValueError where a result overflows.  Data is validated where it enters:
@@ -102,6 +103,15 @@ class DualModel:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __reduce__(self):  # copies and unpickled models carry no transpose
+        return (DualModel, (self.name, self.entries))
+
+    @functools.cached_property
+    def transpose(self) -> np.ndarray:  # read-only, over the buffer: (r, c) to (c, r)
+        dim, start = (np.repeat(x, np.square(self.dims)) for x in (self.dims, self.offsets))
+        row, col = np.divmod(np.arange(self.size) - start, dim)
+        return _locked(start + col * dim + row)
 
 
 def _is_integer(x) -> bool:
@@ -356,7 +366,7 @@ def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
         raise ValueError(f"unknown distribution {dist!r}")
     a = random_stacks(model, seed)[0]
     if dist == "hermitian":
-        return a.map_blocks(lambda b: (b + matcore.adjoint(b)) / 2)
+        return 0.5 * (a + field_adjoint(a))
     if dist == "psd":
         return a.map_blocks(lambda b: matcore.adjoint(b) @ b)
     return a
@@ -413,7 +423,8 @@ def random_stacks(model: DualModel, key: int, start: int = 0, rows: int = 1) -> 
 
 
 def field_adjoint(h: Field) -> Field:
-    return h.map_blocks(matcore.adjoint)
+    data = np.take(h.data, h.model.transpose, axis=-1)
+    return _trusted(h.model, np.conjugate(data, out=data))
 
 
 def field_abs(h: Field) -> Field:

@@ -1,10 +1,9 @@
 """Dense complex-matrix kernel.
 
-Everything downstream (norms, pairings, witnesses) reduces to a handful of
-operations on small dense complex matrices: adjoints, traces, singular
-values and singular value decompositions; |a| and every power of a matrix
-are composed from an SVD (``dualmodel.field_abs``, the duality extremizer and
-the interpolation witnesses).
+Everything downstream (norms, extremizers, witnesses) reduces to a handful of
+operations on small dense complex matrices: adjoints, singular values and
+singular value decompositions; |a| and every power of a matrix are composed
+from an SVD (``dualmodel.field_abs``, the extremizer and the witnesses).
 
 Every kernel takes a square matrix or a ``(*batch, d, d)`` stack of them
 and works over the last two axes.  The kernels check shapes only (through
@@ -46,7 +45,6 @@ __all__ = [
     "power_sum",
     "schatten_norm",
     "hs_norm",
-    "trace",
 ]
 
 class FactorizationError(RuntimeError):
@@ -221,8 +219,3 @@ def hs_norm(a: np.ndarray):
     norms[redo] = np.ldexp(np.sqrt(np.einsum("...ij,...ij->...", x, x)), e)
     return norms[()]
 
-
-def trace(a: np.ndarray):
-    """Sum of diagonal entries: a complex for a matrix, an array for a stack."""
-    t = np.trace(_square(a), axis1=-2, axis2=-1)
-    return complex(t) if t.ndim == 0 else t

@@ -11,6 +11,7 @@ from dualnorm import duality, inequalities, interpolation, norms
 from dualnorm.cli import EXIT_OK, SUITES, main
 from dualnorm.dualmodel import field_product, mix_seed, preset_dual, random_field
 from dualnorm.report import CheckReport
+from test_fault_injection import CAUGHT, UNCAUGHT
 
 MODULES = ["cli", "dualmodel", "duality", "inequalities", "interpolation", "matcore", "norms", "report"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -140,10 +141,14 @@ def test_layout_rules_and_modulus_sides_are_stated_once():
     sources = {name: Path(importlib.import_module(f"dualnorm.{name}").__file__).read_text(
         encoding="utf-8") for name in MODULES}
     texts = ("fields live over different dual models", "fields have different batch shapes",
-             "sum(d * d", "p / (p - 1.0)", "strictly inside (1, inf)", "the zero field has no")
+             "sum(d * d", "p / (p - 1.0)", "strictly inside (1, inf)", "the zero field has no",
+             "col * dim + row")  # the block transpose: coordinate (r, c) to (c, r)
     found = {t: {name: s.count(t) for name, s in sources.items() if t in s} for t in texts}
     assert found == {texts[0]: {"dualmodel": 1}, texts[1]: {"dualmodel": 1}, texts[2]: {},
-                     texts[3]: {}, texts[4]: {"norms": 1}, texts[5]: {"duality": 1}}
+                     texts[3]: {}, texts[4]: {"norms": 1}, texts[5]: {"duality": 1},
+                     texts[6]: {"dualmodel": 1}}
+    # every other module reads the transpose from the model, and none transposes a block
+    assert not [name for name, s in sources.items() if name != "dualmodel" and "np.divmod(" in s]
     # the moduli suite reports each estimate's own sides, never its fields
     cli_tree = ast.parse(sources["cli"])
     cli_attrs = {n.attr for n in ast.walk(cli_tree) if isinstance(n, ast.Attribute)}
@@ -237,6 +242,15 @@ def readme_commands():
     (examples,) = [b for b in blocks if "dualnorm field show" in b]
     lines = examples.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("dualnorm ")]
+
+
+def test_readme_anchor_table_names_every_anchor():
+    # the anchors a `verify all` run emits: a new anchor fails here until the README names it
+    section = README.read_text(encoding="utf-8").split("## Anchors\n")[1].split("\n## ")[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    named = [a for row in rows for a in re.findall(r"`([^`]+)`", row[1])]
+    assert len(named) == len(set(named))
+    assert set(named) == set().union(*CAUGHT.values()) | UNCAUGHT
 
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):

@@ -488,6 +488,31 @@ def test_a_check_of_a_batch_takes_one_case_id_per_row(check, dual):
         assert reports == [run(*(x[k] for x in fields), case_id=ids[k]) for k in range(3)], seed
 
 
+# numpy adds 8 or more terms pairwise, not in order, so a single field reduces as its row
+# only if both take one summation order: torus(64) pairs 64 entries, custom(16,32) sums runs
+# of 256 and 1024 coordinates, and custom(1,2,1,3,3) has dims out of order
+@pytest.mark.parametrize("dual", ["s3", "su2_trunc(3)", "torus(64)", "custom(16,32)",
+                                  "custom(1,2,1,3,3)"])
+def test_a_single_field_pairs_bit_for_bit_as_its_row_of_a_batch(dual):
+    model = parse_dual_arg(dual)
+    ids = ["r0", "r1", "r2"]
+    for seed in range(10):
+        h, g = (random_stacks(model, mix_seed("pair_rows", role, seed), rows=3) for role in "hg")
+        pairs = pairing(h, g)
+        pairs_extremal = {p: pairing(h, dual_extremizer(h, p)) for p in (1.0, 1.5, 3.0)}
+        consistency = interp_norm_consistency(h, INTERP, interp_line_norms(h), case_id=ids)
+        for k in range(3):
+            one = pairing(h[k], g[k])
+            # a numpy complex; reports take np.abs, since the builtin abs (C hypot) can
+            # differ from it in the last bit
+            assert type(one) is np.complex128 and one.tobytes() == pairs[k].tobytes(), (seed, k)
+            assert np.abs(one) == np.abs(pairs)[k]
+            for p, row in pairs_extremal.items():
+                assert pairing(h[k], dual_extremizer(h[k], p)).tobytes() == row[k].tobytes(), p
+            report = interp_norm_consistency(h[k], INTERP, interp_line_norms(h[k]), case_id=ids[k])
+            assert report == consistency[k], (seed, k)
+
+
 # -- layout: rows of keyed streams, in chunks -----------------------------------
 
 

@@ -851,17 +851,17 @@ def test_tol_override_keeps_exact_counts_exact():
 # bins that 3 trials occupy.  That last move kept the bytes of torus(3), whose
 # 1 x 1 blocks already took one pair each.
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "e9a6ac2ff04e349a", "ab5aee3dbdfe9124",
-     "18d475bba73682e3", 298, "013bc74dd8f00ba5"),
-    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "1b9ff099fa6bf8c5", "b4191e5c3eadb000",
-     "20bbefc8844cb2ce", 247, "b8b17374f604bf1b"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "1c587ab599a39dd3", "7318b776a56235e3",
-     "2f2e035859e5cefe", 167, "f5ea4790354ceaa8"),
-    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "b43fca44d3205207", "f02eec2417f5209c",
-     "c1ff2aac49b9e0c7", 110, "5cae59af955de0c5"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "b62311f2d6f5158d", "fd3e2da2ce055972",
+     "8800cdebbf98d9ac", 298, "013bc74dd8f00ba5"),
+    ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "47f12d7ef0e0018f", "b05927f70474697a",
+     "516967254311c1e2", 247, "b8b17374f604bf1b"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "754629adee57dbb9", "b5be50eb6ad0908d",
+     "f01d9db064717f8f", 167, "f5ea4790354ceaa8"),
+    ("custom(1,3)", "1.5,2.5", "hs", None, 127, "0d9a97df81a54f84", "20e0b12defda592f",
+     "1aef1380f5465abc", 110, "5cae59af955de0c5"),
     # blocks of 16 x 16 and 32 x 32: the only row whose blocks go through LAPACK
-    ("custom(16,32)", "1.5,3", "both", None, 180, "fda03faedc621059", "02e7e1706d4ea3ec",
-     "384a81f8f75ad04d", 161, "c22860dcbae14f1f"),
+    ("custom(16,32)", "1.5,3", "both", None, 180, "3e6ebef7780aa1a0", "47e9020a2c9d9d1e",
+     "30c9944281b6e743", 161, "c22860dcbae14f1f"),
 ]
 
 

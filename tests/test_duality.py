@@ -23,6 +23,7 @@ from dualnorm.dualmodel import (
     zero_field,
 )
 from dualnorm.norms import DirectSumSpec, ExponentP, lp_sch_norm
+from test_norms import zero_extended
 from test_power_sum import mp_sch_norm
 
 CBRT18 = 18.0 ** (1.0 / 3.0)  # 2.6207413942088964
@@ -85,6 +86,49 @@ def test_pairing_bilinear():
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+# Models whose blocks range from 1 x 1 to 32 x 32, in and out of dimension order
+PAIRING_DUALS = ["s3", "su2_trunc(4)", "custom(1,2,1,3,3)", "custom(16,32)", "torus(64)"]
+
+
+def _moduli(h):
+    """The field of h's coordinates' moduli: pairing two of them bounds a pairing's rounding."""
+    return Field(h.model, [np.abs(b) for b in h.blocks])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pairing_is_symmetric(seed):
+    # trace cyclicity, Tr(H F) = Tr(F H): the same products, added in transposed order
+    eps = np.finfo(float).eps
+    for dual in PAIRING_DUALS:
+        m = parse_dual_arg(dual)
+        h, f = (random_field(m, mix_seed("symmetric", seed, role)) for role in "hf")
+        scale = pairing(_moduli(h), _moduli(f)).real
+        assert abs(pairing(h, f) - pairing(f, h)) <= 4 * eps * scale, dual
+
+
+def test_pairing_with_the_identity_is_the_weighted_trace():
+    eps = np.finfo(float).eps
+    for dual in PAIRING_DUALS:
+        m = parse_dual_arg(dual)
+        for k in range(10):
+            h = random_field(m, mix_seed("identity_pairing", k))
+            trace = sum(d * np.trace(b) for d, b in zip(m.dims, h.blocks))
+            scale = sum(d * np.abs(np.diagonal(b)).sum() for d, b in zip(m.dims, h.blocks))
+            assert abs(pairing(h, identity_field(m)) - trace) <= 4 * eps * scale, (dual, k)
+
+
+# numpy adds 8 or more terms pairwise, so a sum over the entries would regroup its terms
+# when zero entries take it past 8; the pairing adds its entries in order
+@pytest.mark.parametrize("small, big", [("torus(7)", "torus(9)"), ("s3", "custom(1,1,2,3,1,1,2,3)"),
+                                        ("custom(1,2,1,3,3)", "custom(1,2,1,3,3,2,1,3,3,2)")])
+def test_pairing_does_not_depend_on_empty_entries(small, big):
+    m, larger = parse_dual_arg(small), parse_dual_arg(big)
+    h, f = (random_stacks(m, mix_seed("empty_entries", role), rows=20) for role in "hf")
+    x, y = zero_extended(h, larger), zero_extended(f, larger)
+    assert pairing(x, y).tobytes() == pairing(h, f).tobytes()
+    assert pairing(x[3], y[3]) == pairing(h[3], f[3])
+
+
 def test_trace_unitarily_invariant():
     m = preset_dual("su2_trunc", 4)
     for k in range(50):
@@ -93,8 +137,8 @@ def test_trace_unitarily_invariant():
         for xb, gb in zip(x.blocks, g.blocks):
             w, _, vstar = np.linalg.svd(gb)
             u = w @ vstar
-            lhs = matcore.trace(u @ xb @ matcore.adjoint(u))
-            rhs = matcore.trace(xb)
+            lhs = np.trace(u @ xb @ matcore.adjoint(u))
+            rhs = np.trace(xb)
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
 
 

@@ -306,6 +306,43 @@ def test_field_adjoint_of_identity():
     assert field_adjoint(e) == e
 
 
+# every preset kind, and a model whose dims are out of order and repeat
+TRANSPOSE_DUALS = ["torus(5)", "su2_trunc(6)", "s3", "custom(16,32)", "custom(1,2,1,3,3)"]
+
+
+@pytest.mark.parametrize("dual", TRANSPOSE_DUALS)
+def test_model_transpose_is_the_block_transpose(dual):
+    m = parse_dual_arg(dual)
+    t = m.transpose
+    assert t is m.transpose and t.shape == (m.size,) and t.dtype == np.intp
+    with pytest.raises(ValueError):
+        t.flags.writeable = True
+    for o, d in zip(m.offsets, m.dims):  # entry i's coordinate (r, c) maps to its (c, r)
+        run = np.arange(o, o + d * d).reshape(d, d)
+        assert np.array_equal(t[run], run.T)
+    assert np.array_equal(t[t], np.arange(m.size))  # an involution
+    diagonal = np.concatenate([o + (d + 1) * np.arange(d) for o, d in zip(m.offsets, m.dims)])
+    assert len(diagonal) == sum(m.dims)
+    assert np.array_equal(np.flatnonzero(t == np.arange(m.size)), diagonal)
+    # outside equality and repr; copies derive it again, read-only
+    assert "transpose" not in repr(m) and DualModel(m.name, m.entries) == m
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert copied == m and np.array_equal(copied.transpose, t)
+        assert not copied.transpose.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("dual", ["s3", "custom(1,2,1,3,3)", "custom(16,32)"])
+def test_field_adjoint_is_each_entrys_adjoint_bit_for_bit(dual, shape):
+    m = parse_dual_arg(dual)
+    rows = random_stacks(m, mix_seed("adjoint", dual), rows=math.prod(shape))
+    h = _trusted(m, rows.data.reshape(*shape, m.size))
+    star = field_adjoint(h)
+    assert star.batch == shape
+    for got, block in zip(star.blocks, h.blocks, strict=True):
+        assert got.tobytes() == np.ascontiguousarray(matcore.adjoint(block)).tobytes()
+
+
 def test_field_lincomb_cancellation():
     m = preset_dual("s3")
     h = random_field(m, 1)

@@ -61,6 +61,14 @@ def _last_block_phase(fn):
     return dual_extremizer
 
 
+def _untransposed(fn):
+    def pairing(h, f):  # sum d Tr(H F^T): each coordinate paired with its own, not its transpose
+        traces = np.add.reduceat(h.data * f.data, h.model.offsets, axis=-1)
+        return (traces * h.model.dims).sum(axis=-1)
+
+    return pairing
+
+
 # fault: (module, function name, wrong version of the function)
 FAULTS = {
     "singular_values_scaled": (matcore, "singular_values", _scaled),
@@ -70,6 +78,7 @@ FAULTS = {
     # every sign average, of the suite and of rademacher_average, comes from this helper
     "rademacher_average_scaled": (inequalities, "_rademacher_averages", _each_scaled),
     "extremizer_last_block_phase": (duality, "dual_extremizer", _last_block_phase),
+    "pairing_untransposed": (duality, "pairing", _untransposed),
 }
 
 # fault -> anchor -> failing reports
@@ -88,6 +97,7 @@ CAUGHT = {
     },
     "rademacher_average_scaled": {"sign_average_identity": 20, "type_cotype": 20},
     "extremizer_last_block_phase": {"equal_norms": 30, "extremizer": 30},
+    "pairing_untransposed": {"equal_norms": 30, "extremizer": 30},
 }
 
 # anchors that no fault above makes fail

@@ -254,9 +254,9 @@ def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
     star = matcore.adjoint(stack)
     assert star.strides[-1] != star.itemsize or d == 1
     assert matcore.hs_norm(star) == pytest.approx(hs, rel=1e-14)
-    # the factorizations and the trace work matrix by matrix as well
-    f, ab, tr = matcore.svd(stack), matabs(stack), matcore.trace(stack)
-    assert f.sigma.shape == (2, 3, d) and tr.shape == (2, 3)
+    # the factorizations work matrix by matrix as well
+    f, ab = matcore.svd(stack), matabs(stack)
+    assert f.sigma.shape == (2, 3, d)
 
     def close(x, y):
         return np.max(np.abs(x - y)) <= 1e-14 * max(1.0, np.max(np.abs(y)))
@@ -267,7 +267,6 @@ def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
         assert close(f.sigma[idx], one.sigma)
         assert close(whole, matcore.svd_compose(one.u, one.sigma, one.vstar))
         assert close(ab[idx], matabs(stack[idx]))
-        assert abs(tr[idx] - matcore.trace(stack[idx])) <= 1e-14 * max(1.0, abs(tr[idx]))
 
 
 def _stacks_2x2(n=400):
@@ -397,7 +396,6 @@ def test_norm_kernels_reject_non_square_input(bad):
         matcore.singular_values,
         matcore.hs_norm,
         matcore.svd,
-        matcore.trace,
     ]
     for kernel in kernels:
         with pytest.raises(ValueError):
@@ -405,17 +403,6 @@ def test_norm_kernels_reject_non_square_input(bad):
 
 
 # -- trace --------------------------------------------------------------------
-
-
-def test_trace_identity():
-    assert matcore.trace(np.eye(5)) == pytest.approx(5.0)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_trace_cyclicity(seed):
-    rng = np.random.default_rng(seed)
-    a, b = random_complex(rng, 3), random_complex(rng, 3)
-    assert matcore.trace(a @ b) == pytest.approx(matcore.trace(b @ a), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
