@@ -100,6 +100,16 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """One suite run: the model, exponents, family, trial count, seed and tolerance.
+
+    ``trials`` and ``seed`` are integers (``numbers.Integral``, not ``bool``),
+    ``dual`` is a ``DualModel``, ``p_list`` a non-empty collection of
+    exponents that is not text, and ``tol_override`` is ``None`` or a
+    ``numbers.Real`` that is not a ``bool``; anything else raises
+    ``ConfigError``.  An exponent equal in value to an earlier one runs
+    once, and a finite exponent above ``2^52`` is a configuration error.
+    """
+
     suite: str
     dual: DualModel
     p_list: tuple[ExponentP, ...]

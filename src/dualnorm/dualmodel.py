@@ -351,7 +351,8 @@ def zero_field(model: DualModel) -> Field:
 
 
 def identity_field(model: DualModel) -> Field:
-    return _from_blocks(model, [np.eye(d, dtype=np.complex128) for d in model.dims])
+    """1 at the transpose's fixed points, the diagonal coordinates, and 0 elsewhere."""
+    return _trusted(model, (model.transpose == np.arange(model.size)).astype(np.complex128))
 
 
 def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:

@@ -8,9 +8,13 @@ applied to that row's fields one at a time: the public per-field check where
 there is one, and the check restated from per-field norms otherwise.  A
 single field is reduced by the code that reduces a row of a batch, so the
 two reports are equal bit for bit, except where an oracle restates a value
-by another formula (``RESTATED``).
+by another formula (``RESTATED``).  The oracles are the one walk of each
+suite: every case they yield also carries the fields and arguments from which
+``test_amplified`` restates its report, and they apply the suites' own
+exponent filters, so they serve any exponent list.
 """
 
+import collections
 import math
 import tracemalloc
 
@@ -75,15 +79,20 @@ P_LIST = (ExponentP(1.5), ExponentP(2.0), ExponentP(3.0))
 TRIALS = 3
 SEED = 17
 INF = ExponentP(math.inf)
+WALK_P = (ExponentP(1.0), *P_LIST, INF)  # the walk applies each suite's own exponent filter
 BATCHED = [
     "norms", "holder", "adjoint", "clarkson", "two_point", "type_cotype", "duality",
     "interpolation", "kadec_klee",
 ]
 
+# One case of the walk: the per-field report, and what test_amplified.KINDS[kind] restates
+# it from: the trial's single fields and the check's other arguments
+Case = collections.namedtuple("Case", "report kind p family fields extra", defaults=({},))
 
-def config(suite, dual, trials=TRIALS, seed=SEED, **kw):
+
+def config(suite, dual, trials=TRIALS, seed=SEED, p_list=P_LIST, **kw):
     return SuiteConfig(
-        suite=suite, dual=parse_dual_arg(dual), p_list=P_LIST, family="both",
+        suite=suite, dual=parse_dual_arg(dual), p_list=p_list, family="both",
         trials=trials, seed=seed, **kw,
     )
 
@@ -93,34 +102,37 @@ def row(cfg, k, *parts):
     return random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, *parts), start=k)[0]
 
 
-def ids(name, p, trials=TRIALS):
-    return [(f"{name}[p={p}][{k:04d}]", k) for k in range(trials)]
+def ids(cfg, name, p):
+    return [(f"{name}[p={p}][{k:04d}]", k) for k in range(cfg.trials)]
+
+
+def interior(cfg):
+    return [p for p in cfg.p_list if 1.0 < p < math.inf]
 
 
 def oracle_norms(cfg):
     for p in cfg.p_list:
-        for case_id, k in ids("embedding", p):
-            yield embedding_check(row(cfg, k, "a"), p, case_id=case_id)
-        for family in cfg.families:
-            for k in range(cfg.trials):
-                h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
-                alpha = 0.5 + ((k % 7) + 1) * 0.25
+        for case_id, k in ids(cfg, "embedding", p):
+            h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
+            alpha = 0.5 + ((k % 7) + 1) * 0.25
+            yield Case(embedding_check(h1, p, case_id=case_id), "embedding", p, None, (h1,))
+            for family in cfg.families:
                 n1, n2 = field_norm(h1, p, family), field_norm(h2, p, family)
-                yield inequality_report(
+                yield Case(inequality_report(
                     cfg.suite, f"triangle.{family}[p={p}][{k:04d}]", p,
                     field_norm(h1 + h2, p, family), n1 + n2, (h1, h2, p, family), "triangle",
-                )
-                yield equality_report(
+                ), "triangle", p, family, (h1, h2))
+                yield Case(equality_report(
                     cfg.suite, f"homogeneity.{family}[p={p}][{k:04d}]", p,
                     field_norm(alpha * h1, p, family), alpha * n1, (h1, p, family, alpha),
                     "homogeneity",
-                )
+                ), "homogeneity", p, family, (h1,), {"alpha": alpha})
     for k in range(cfg.trials):
         h = row(cfg, k, "a")
-        yield equality_report(
+        yield Case(equality_report(
             cfg.suite, f"p2_coincidence[{k:04d}]", 2.0, sch2_from_lapack(h), lp_hs_norm(h, 2.0),
             (h,), "p2_coincidence", rel=1e-12,
-        )
+        ), "p2_coincidence", 2.0, None, (h,))
 
 
 def sch2_from_lapack(h):
@@ -133,130 +145,139 @@ def oracle_holder(cfg):
     for p in cfg.p_list:
         for k in range(cfg.trials):
             h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
-            cases = [
-                (p, p.conjugate(), f"conjugate[p={p}][{k:04d}]"),
-                (INF, INF, f"inf_both[{k:04d}][p={p}]"),
-            ]
+            cases = [(p, p.conjugate(), f"conjugate[p={p}][{k:04d}]"),
+                     (INF, INF, f"inf_both[{k:04d}][p={p}]")]
             if not p.is_inf:
                 cases.append((INF, p, f"inf_left[r={p}][{k:04d}]"))
             for a, b, case_id in cases:
-                yield holder_check(h1, h2, a, b, field_product(h1, h2), case_id=case_id)
+                report = holder_check(h1, h2, a, b, field_product(h1, h2), case_id=case_id)
+                yield Case(report, "holder", p, None, (h1, h2), {"a": a, "b": b})
 
 
 def oracle_adjoint(cfg):
     for p in cfg.p_list:
         for family in cfg.families:
-            for case_id, k in ids(family, p):
+            for case_id, k in ids(cfg, family, p):
                 h = row(cfg, k, "a")
-                yield adjoint_norm_check(h)(p, family, case_id=case_id)
+                yield Case(adjoint_norm_check(h)(p, family, case_id=case_id), "adjoint", p, family,
+                           (h,))
 
 
 def oracle_clarkson(cfg):
-    for p in cfg.p_list:
+    for p in interior(cfg):
         for family in cfg.families:
-            for case_id, k in ids(family, p):
+            for case_id, k in ids(cfg, family, p):
                 h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
-                yield clarkson_check(h1, h2)(p, family, case_id=case_id)
+                report = clarkson_check(h1, h2)(p, family, case_id=case_id)
+                yield Case(report, "clarkson", p, family, (h1, h2))
 
 
 def oracle_two_point(cfg):
-    for p in cfg.p_list:
+    for p in interior(cfg):
         for family in cfg.families:
-            crits = []
-            for case_id, k in ids(family, p):
-                h1, h2 = row(cfg, k, "a"), row(cfg, k, "b")
+            crits, pairs = [], [(row(cfg, k, "a"), row(cfg, k, "b")) for k in range(cfg.trials)]
+            for (case_id, k), (h1, h2) in zip(ids(cfg, family, p), pairs):
                 norms = two_point_norms(h1, h2)(p, family)
-                yield two_point_check(h1, h2, p, family, norms, case_id=case_id)
+                report = two_point_check(h1, h2, p, family, norms, case_id=case_id)
+                yield Case(report, "two_point", p, family, (h1, h2))
                 crits.append(two_point_critical_constant(norms))
                 if p == 2.0:
-                    yield two_point_equality_check(
+                    yield Case(two_point_equality_check(
                         h1, h2, family, two_point_norms(h1, h2)(2.0, family),
                         case_id=f"parallelogram.{family}[{k:04d}]",
-                    )
+                    ), "parallelogram", p, family, (h1, h2))
             if p >= 2.0:
                 lhs, rhs = max(crits), two_point_upper_constant(p)
             else:
                 lhs, rhs = two_point_lower_constant(p), min(crits)
-            yield inequality_report(
+            yield Case(inequality_report(
                 cfg.suite, f"critical_aggregate.{family}[p={p}]", p, lhs, rhs,
                 (p, family, cfg.seed, cfg.trials), "critical_constant",
-            )
+            ), "critical_aggregate", p, family, pairs)
 
 
 def oracle_type_cotype(cfg):
-    for p in cfg.p_list:
+    for p in interior(cfg):
         for family in cfg.families:
-            for case_id, k in ids(family, p):
+            for case_id, k in ids(cfg, family, p):
                 fields = [row(cfg, k, j) for j in range(5)]
                 norms = field_norms(fields, p, family)
                 avg2 = rademacher_average(fields, p, family)
-                yield type_cotype_check(fields, p, family, norms, avg2, case_id=case_id)
+                report = type_cotype_check(fields, p, family, norms, avg2, case_id=case_id)
+                yield Case(report, "type_cotype", p, family, fields)
                 if p == 2.0:
-                    yield equality_report(
+                    yield Case(equality_report(
                         cfg.suite, f"hilbert_equality.{family}[{k:04d}]", 2.0,
                         rademacher_average(fields, 2.0, family),
                         math.sqrt(sum(field_norm(f, 2.0, family) ** 2 for f in fields)),
                         (fields, family), "sign_average_identity",
-                    )
+                    ), "hilbert_equality", p, family, fields)
 
 
 def oracle_duality(cfg):
     spec = DirectSumSpec(ExponentP(1.5), 3.0)
-    for p in cfg.p_list:
-        seed = mix_seed(cfg.seed, cfg.suite, "probe")
+    seed = mix_seed(cfg.seed, cfg.suite, "probe")
+    for p in (p for p in cfg.p_list if not p.is_inf):
         for k in range(cfg.trials):
             h, other = row(cfg, k, "a"), row(cfg, k, "b")
             norm, f, inputs = lp_sch_norm(h, p), dual_extremizer(h, p), (h, p)
-            yield equality_report(
+            # probe j of trial k is row 5k + j of the case's search stream
+            probes = random_stacks(cfg.dual, mix_seed(seed, "dual_search"), 5 * k, 5)
+            case = p, None, (h, other), {"probes": probes, "spec": spec}
+            yield Case(equality_report(
                 cfg.suite, f"extremizer_unit[p={p}][{k:04d}]", p,
                 lp_sch_norm(f, p.conjugate()), 1.0, inputs, "extremizer", rel=1e-9,
-            )
-            yield equality_report(
+            ), "extremizer_unit", *case)
+            yield Case(equality_report(
                 cfg.suite, f"extremizer_pairing[p={p}][{k:04d}]", p,
-                abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
-            )
-            # probe j of trial k is row 5k + j of the case's search stream, at unit q-norm
-            probes = random_stacks(cfg.dual, mix_seed(seed, "dual_search"), 5 * k, 5)
-            units = [(1.0 / lp_sch_norm(probes[j], p.conjugate())) * probes[j] for j in range(5)]
-            yield inequality_report(
-                cfg.suite, f"search_bound[p={p}][{k:04d}]", p,
-                max(abs(pairing(h, u)) for u in units), norm, inputs, "dual_supremum",
-            )
-            # the report digests the extremizers it is given: its digest
-            # equals the suite's only if they are the batch's rows, bit for bit
-            yield direct_sum_dual_pair_check(
-                h, other, f, dual_extremizer(other, p), p, spec,
-                case_id=f"direct_sum[p={p}][{k:04d}]",
-            )
+                np.abs(pairing(h, f)), norm, inputs, "extremizer", rel=1e-9,
+            ), "extremizer_pairing", *case)
+            found = (np.abs(pairing(h, probes[j])) / lp_sch_norm(probes[j], p.conjugate())
+                     for j in range(5))
+            yield Case(inequality_report(
+                cfg.suite, f"search_bound[p={p}][{k:04d}]", p, max(found), norm, inputs,
+                "dual_supremum",
+            ), "search_bound", *case)
+            if p > 1.0:
+                # the report digests the extremizers it is given: its digest
+                # equals the suite's only if they are the batch's rows, bit for bit
+                yield Case(direct_sum_dual_pair_check(
+                    h, other, f, dual_extremizer(other, p), p, spec,
+                    case_id=f"direct_sum[p={p}][{k:04d}]",
+                ), "direct_sum", *case)
 
 
 def oracle_interpolation(cfg):
-    for p in cfg.p_list:
+    for p in interior(cfg):
         spec = _interp_spec_for(p)
         for k in range(cfg.trials):
             h, f = row(cfg, k, "a"), row(cfg, k, "b")
             lines = boundary_witness(h, spec)
             line_norms = lp_sch_norm(lines[0], spec.p0), lp_sch_norm(lines[1], spec.p1)
             norms = line_norms[0].tolist() + line_norms[1].tolist()
-            yield equality_report(
+            case = p, None, (h, f), {"spec": spec}
+            yield Case(equality_report(
                 cfg.suite, f"boundary_norms[p={p}][{k:04d}]", p,
                 max(norms, key=lambda v: abs(v - 1.0)), 1.0,
                 (h, spec.p0, spec.p1, spec.theta), "boundary_witness", rel=1e-9,
-            )
-            yield three_lines_check(h, f, spec, lines, case_id=f"three_lines[p={p}][{k:04d}]")
-            yield interp_norm_consistency(
-                h, spec, line_norms, case_id=f"consistency[p={p}][{k:04d}]"
-            )
+            ), "boundary_norms", *case)
+            at = f"[p={p}][{k:04d}]"
+            yield Case(three_lines_check(h, f, spec, lines, case_id=f"three_lines{at}"),
+                       "three_lines", *case)
+            yield Case(interp_norm_consistency(h, spec, line_norms, case_id=f"consistency{at}"),
+                       "consistency", *case)
 
 
 def oracle_kadec_klee(cfg):
-    for p in cfg.p_list:
-        # one h, d and sum base for every exponent: row 0 of each role's stream
-        h, d, base = (row(cfg, 0, role) for role in ("a", "b", "sum"))
+    # one h, d and sum base for every exponent: row 0 of each role's stream
+    h, d, base = (row(cfg, 0, role) for role in ("a", "b", "sum"))
+    for p in interior(cfg):
         for n in range(1, cfg.trials + 1):
-            yield kadec_klee_gap(h + (1.0 / n) * d, h)(p, case_id=f"gap[p={p}][n={n:04d}]")
+            report = kadec_klee_gap(h + (1.0 / n) * d, h)(p, case_id=f"gap[p={p}][n={n:04d}]")
+            yield Case(report, "gap", p, None, (h, d), {"n": n})
         scaled = [(2.0**-j / lp_sch_norm(base, p)) * base for j in range(5)]
-        yield unconditional_sum_bound(scaled, p, case_id=f"sum_bound[p={p}]")
+        report = unconditional_sum_bound(scaled, p, case_id=f"sum_bound[p={p}]")
+        yield Case(report, "sum_bound", p, None, (base,))
 
 
 ORACLES = {
@@ -272,9 +293,9 @@ ORACLES = {
 }
 
 
-# oracles that restate a value by another formula: LAPACK's singular values,
-# math.sqrt of a plain sum, and one probe at a time
-RESTATED = ("p2_coincidence", "hilbert_equality", "search_bound")
+# oracles that restate a value by another formula: LAPACK's singular values
+# and math.sqrt of a plain sum
+RESTATED = ("p2_coincidence", "hilbert_equality")
 
 
 def assert_same_report(got, want, rel=1e-12):
@@ -295,9 +316,9 @@ def assert_same_report(got, want, rel=1e-12):
 @pytest.mark.parametrize("suite", BATCHED)
 @pytest.mark.parametrize("dual", DUALS)
 def test_batched_reports_match_per_field_checks(dual, suite):
-    cfg = config(suite, dual)
+    cfg = config(suite, dual, p_list=WALK_P)
     got = {r.case_id: r for r in run_suite(cfg)}
-    want = list(ORACLES[suite](cfg))
+    want = [c.report for c in ORACLES[suite](cfg)]
     assert sorted(got) == sorted(r.case_id for r in want)
     for w in want:
         assert_same_report(got[w.case_id], w)
@@ -388,9 +409,9 @@ def test_dual_norm_search_of_a_single_field_reads_rows_zero_to_trials():
     model = parse_dual_arg("su2_trunc(4)")
     h = random_field(model, 4)
     probes = random_stacks(model, mix_seed(6, "dual_search"), rows=5)
-    want = max(abs(pairing(h, (1.0 / lp_sch_norm(probes[j], 3.0)) * probes[j])) for j in range(5))
+    want = max(np.abs(pairing(h, probes[j])) / lp_sch_norm(probes[j], 3.0) for j in range(5))
     got = dual_norm_via_search(h, trials=5, seed=6)(1.5)
-    assert type(got) is float and got == pytest.approx(want, rel=1e-12)
+    assert type(got) is float and got == want
 
 
 def test_dual_norm_search_pairs_a_zero_row_to_zero():

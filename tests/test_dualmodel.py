@@ -331,6 +331,15 @@ def test_model_transpose_is_the_block_transpose(dual):
         assert not copied.transpose.flags.writeable
 
 
+@pytest.mark.parametrize("dual", TRANSPOSE_DUALS)
+def test_identity_field_holds_the_identity_blocks_bit_for_bit(dual):
+    m = parse_dual_arg(dual)
+    e = identity_field(m)
+    want = np.concatenate([np.eye(d, dtype=np.complex128).ravel() for d in m.dims])
+    assert e.data.tobytes() == want.tobytes() and not e.data.flags.writeable
+    assert e == Field(m, [np.eye(d) for d in m.dims])
+
+
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
 @pytest.mark.parametrize("dual", ["s3", "custom(1,2,1,3,3)", "custom(16,32)"])
 def test_field_adjoint_is_each_entrys_adjoint_bit_for_bit(dual, shape):
