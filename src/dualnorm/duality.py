@@ -26,12 +26,11 @@ from collections.abc import Callable
 
 import numpy as np
 
-from . import matcore
 from .dualmodel import (
     Field,
     _check_same_model,
-    _from_blocks,
     _is_integer,
+    _products,
     _trusted,
     field_adjoint,
     mix_seed,
@@ -80,11 +79,11 @@ def _power(h: Field, r, missing: str) -> Callable[..., Field]:
         axes = h.batch + (1,) * e.ndim  # h's batch axes, then one axis per axis of e
         shape = axes + x.shape[-1:]
         powered = np.where(support.reshape(shape), np.exp(e[..., None] * x.reshape(shape)), 0.0)
-        blocks = []
-        for f, values in zip(h.svd_factors, np.split(powered, ends, axis=-1)):
-            u, vstar = (m.reshape(axes + m.shape[-2:]) for m in (f.u, f.vstar))
-            blocks.append(matcore.svd_compose(u, values, vstar))
-        return _from_blocks(h.model, blocks)
+        factors = h.svd_factors
+        lefts = [f.u.reshape(axes + f.u.shape[-2:]) * values[..., None, :]
+                 for f, values in zip(factors, np.split(powered, ends, axis=-1))]
+        rights = [f.vstar.reshape(axes + f.vstar.shape[-2:]) for f in factors]
+        return _products(h.model, lefts, rights)
 
     return power
 

@@ -20,8 +20,9 @@ shape), adjoints and digests run on ``data``; per-entry kernels read
 Both types are immutable; field arithmetic returns new fields, and raises
 ValueError where a result overflows.  Data is validated where it enters:
 ``Field(...)`` checks its arrays and copies them into a fresh buffer, while
-fields the package computes go through :func:`_trusted` (a buffer) or
-:func:`_from_blocks` (an array per entry).  A buffer can never be made
+fields the package computes go through :func:`_trusted` (a buffer), and
+blockwise products through :func:`_products`, which writes each entry's
+product into its run of one fresh buffer.  A buffer can never be made
 writable again, so a field memoizes what it costs a factorization to learn:
 each entry's singular values (``Field.singular_values``) and each entry's SVD
 (``Field.svd_factors``), computed on first use by :mod:`matcore` and then
@@ -225,7 +226,9 @@ class Field:
         batches = {b.shape[:-2] for b in blocks}
         if len(batches) > 1:
             raise ValueError(f"entries have different batch shapes: {sorted(batches)}")
-        self.__dict__.update(vars(_from_blocks(self.model, blocks)))  # buffer and views, fresh
+        (batch,) = batches
+        runs = [b.reshape(batch + (d * d,)) for b, d in zip(blocks, self.model.dims)]
+        self.__dict__.update(vars(_trusted(self.model, np.concatenate(runs, axis=-1))))  # fresh
 
     @property
     def batch(self) -> tuple[int, ...]:
@@ -264,7 +267,7 @@ class Field:
 
     def map_blocks(self, fn) -> "Field":
         """Apply ``fn`` to each entry's block (stack); it must keep shapes and finiteness."""
-        return _from_blocks(self.model, [fn(b) for b in self.blocks])
+        return Field(self.model, tuple(fn(b) for b in self.blocks))
 
     def __add__(self, other: "Field") -> "Field":
         _check_same_model(self, other)
@@ -305,12 +308,14 @@ def _trusted(model: DualModel, data: np.ndarray) -> Field:
     return field
 
 
-def _from_blocks(model: DualModel, blocks) -> Field:
-    """The trusted Field of a fresh buffer that holds ``blocks``, a ``(*batch, d, d)`` per entry."""
-    batch = blocks[0].shape[:-2]
+def _products(model: DualModel, lefts, rights) -> Field:
+    """The trusted Field whose entry i is ``lefts[i] @ rights[i]``, written into its run of a
+    fresh buffer; ValueError where a product overflows."""
+    batch = np.broadcast_shapes(lefts[0].shape[:-2], rights[0].shape[:-2])
     data = np.empty(batch + (model.size,), dtype=np.complex128)
-    for b, o, d in zip(blocks, model.offsets, model.dims):
-        data[..., o : o + d * d].reshape(batch + (d, d))[...] = b  # a view of the fresh buffer
+    runs = [data[..., o : o + d * d].reshape(batch + (d, d))
+            for o, d in zip(model.offsets, model.dims)]
+    _guarded(lambda: [np.matmul(a, b, out=run) for a, b, run in zip(lefts, rights, runs)])
     return _trusted(model, data)
 
 
@@ -369,7 +374,7 @@ def random_field(model: DualModel, seed: int, dist: str = "ginibre") -> Field:
     if dist == "hermitian":
         return 0.5 * (a + field_adjoint(a))
     if dist == "psd":
-        return a.map_blocks(lambda b: matcore.adjoint(b) @ b)
+        return field_product(field_adjoint(a), a)
     return a
 
 
@@ -430,13 +435,15 @@ def field_adjoint(h: Field) -> Field:
 
 def field_abs(h: Field) -> Field:
     """|H| = (H* H)^(1/2) blockwise: V S V* from the memoized SVD H = W S V*, made Hermitian."""
-    vsv = [matcore.svd_compose(matcore.adjoint(f.vstar), f.sigma, f.vstar) for f in h.svd_factors]
-    return _from_blocks(h.model, [(a + matcore.adjoint(a)) / 2 for a in vsv])  # against roundoff
+    factors = h.svd_factors
+    vs = [matcore.adjoint(f.vstar) * f.sigma[..., None, :] for f in factors]
+    vsv = _products(h.model, vs, [f.vstar for f in factors])
+    return 0.5 * (vsv + field_adjoint(vsv))  # against roundoff
 
 
 def field_product(h1: Field, h2: Field) -> Field:
     _check_same_model(h1, h2)
-    return _from_blocks(h1.model, [_guarded(np.matmul, a, b) for a, b in zip(h1.blocks, h2.blocks)])
+    return _products(h1.model, h1.blocks, h2.blocks)
 
 
 # -- JSON wire formats ------------------------------------------------------

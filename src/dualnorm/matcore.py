@@ -40,7 +40,6 @@ __all__ = [
     "SvdResult",
     "adjoint",
     "svd",
-    "svd_compose",
     "singular_values",
     "power_sum",
     "schatten_norm",
@@ -54,11 +53,6 @@ class FactorizationError(RuntimeError):
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix of a stack."""
     return np.swapaxes(np.asarray(a), -1, -2).conj()
-
-
-def svd_compose(u: np.ndarray, values: np.ndarray, vstar: np.ndarray) -> np.ndarray:
-    """u @ diag(values) @ vstar, broadcast over stacks (``values`` along its last axis)."""
-    return (u * values[..., None, :]) @ vstar
 
 
 @dataclass(frozen=True)

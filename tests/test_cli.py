@@ -12,7 +12,7 @@ import pytest
 from conftest import openblas_core
 from digest_oracle import digest_inputs
 
-from dualnorm import cli, dualmodel, inequalities, interpolation, matcore
+from dualnorm import cli, dualmodel, duality, inequalities, interpolation, matcore
 from dualnorm.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
@@ -712,18 +712,18 @@ def test_default_tol_override_leaves_report_bytes_unchanged(tmp_path):
 
 def test_interpolation_trial_builds_each_witness_once(monkeypatch):
     svds, witnesses, composed = [], [], []
-    svd, witness_f, compose = matcore.svd, interpolation.witness_f, matcore.svd_compose
+    svd, witness_f, products = matcore.svd, interpolation.witness_f, duality._products
     monkeypatch.setattr(matcore, "svd", lambda a: svds.append(a.shape) or svd(a))
     monkeypatch.setattr(
         interpolation, "witness_f", lambda h, spec: witnesses.append(h) or witness_f(h, spec)
     )
 
-    def count_compose(u, values, vstar):
-        out = compose(u, values, vstar)
-        composed.append(math.prod(out.shape[:-2]))
+    def count_products(model, lefts, rights):  # the blocks composed, one per entry and point
+        out = products(model, lefts, rights)
+        composed.append(len(lefts) * math.prod(out.batch))
         return out
 
-    monkeypatch.setattr(matcore, "svd_compose", count_compose)
+    monkeypatch.setattr(duality, "_products", count_products)
     reports = run_suite(small_config(suite="interpolation", trials=1))
     assert len(reports) == 3 and all(r.passed for r in reports)
     # h's witness on the two boundary lines serves all three reports, and the

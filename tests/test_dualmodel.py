@@ -389,7 +389,7 @@ def test_field_abs_reads_the_svd_memo(monkeypatch):
     absf = field_abs(h)
     assert len(calls) == factorized and factorized > 0
     for f, blk in zip(h.svd_factors, absf.blocks):  # |H| = V S V*, made Hermitian
-        a = matcore.svd_compose(matcore.adjoint(f.vstar), f.sigma, f.vstar)
+        a = (matcore.adjoint(f.vstar) * f.sigma[..., None, :]) @ f.vstar
         assert np.array_equal(blk, (a + matcore.adjoint(a)) / 2)
 
 
@@ -612,6 +612,19 @@ def test_an_index_never_reaches_the_entry_axis():
             batch[bad]
     with pytest.raises(IndexError):
         batch[0][0]
+
+
+@pytest.mark.parametrize("fn, match", [
+    (lambda b: b * np.inf, "non-finite"),
+    (lambda b: b * np.nan, "non-finite"),
+    (lambda b: b[..., :1], "has shape"),
+    (lambda b: b.reshape(-1), "has shape"),
+    (lambda b: b[:1] if b.shape[-1] == 1 else b, "different batch shapes"),
+])
+def test_map_blocks_keeps_shapes_and_finiteness(fn, match):
+    batch = random_stacks(preset_dual("s3"), 3, rows=2)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
+        batch.map_blocks(fn)
 
 
 def test_encode_field_rejects_a_batch():
