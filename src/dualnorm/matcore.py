@@ -11,15 +11,16 @@ and works over the last two axes.  The kernels check shapes only (through
 is no validating constructor here.
 :func:`singular_values` is the one source of singular values: ``|a|`` for
 1 x 1 blocks, a closed form for 2 x 2 matrices (``_sigma2``; a single matrix
-is the one-row stack), and LAPACK, values only, otherwise.
-:func:`schatten_norm` reduces them, except at p = 2, where S_2 is the
-Hilbert-Schmidt class and the norm is the Frobenius sum :func:`hs_norm`, with
-no factorization.  No reduction depends on its input's magnitude: every l^p
-sum (:func:`power_sum`, the sorted sums of singular values) divides its
-terms by the largest (``_largest_term``), so no exponent in [1, inf]
-overflows, and every sum of squares (``_sigma2``, :func:`hs_norm`, the sign
-average and critical constant of ``inequalities``) is formed in units of the
-power of two that brings the largest value into [1/2, 1) (``_scale_exponent``).
+is the one-row stack), and LAPACK, values only, otherwise.  ``norms``
+reduces them to Schatten norms (``_power_sum_sorted``), except at p = 2,
+where S_2 is the Hilbert-Schmidt class and the norm is the Frobenius sum
+:func:`hs_norm`, with no factorization.  No reduction depends on its input's
+magnitude: every l^p sum (:func:`power_sum`, the sorted sums of singular
+values) divides its terms by the largest (``_largest_term``), so no exponent
+in [1, inf] overflows, and every sum of squares (``_sigma2``, :func:`hs_norm`,
+the sign average and critical constant of ``inequalities``) is formed in
+units of the power of two that brings the largest value into [1/2, 1)
+(``_scale_exponent``).
 A single matrix must reduce to the bits of its row in a stack: no reduction
 forks on the number of rows, and every power is ``np.power``, since ``**`` on
 a float scalar calls C ``pow``, which may differ from the array loop.
@@ -42,7 +43,6 @@ __all__ = [
     "svd",
     "singular_values",
     "power_sum",
-    "schatten_norm",
     "hs_norm",
 ]
 
@@ -164,22 +164,6 @@ def singular_values(a: np.ndarray) -> np.ndarray:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("SVD did not converge") from exc
-
-
-def schatten_norm(a: np.ndarray, p: float):
-    """Schatten p-norm (sum sigma_i^p)^(1/p) of a matrix, or of every matrix of a stack.
-
-    p = inf gives the operator norm.  A 1 x 1 matrix's norm is |a_00| for
-    every p; otherwise p = 2 gives the Frobenius norm :func:`hs_norm`, with
-    no factorization, and every other p reduces :func:`singular_values`.
-    """
-    a = _square(a)
-    p = float(p)
-    if not p >= 1:  # nan included
-        raise ValueError(f"Schatten exponent must be >= 1, got {p}")
-    if p == 2.0 and a.shape[-1] > 1:
-        return hs_norm(a)
-    return _power_sum_sorted(singular_values(a), p)
 
 
 # hs_norm recomputes, rescaled, a result below this (its squares near underflow).

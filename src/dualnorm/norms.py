@@ -23,8 +23,8 @@ Each norm is a float for a field and an array for a batch of fields, and
 a field's norm is its row's in a batch, bit for bit.  The Schatten family
 reduces the field's memoized singular values (``Field.singular_values``), so
 one field's norms at several exponents cost one factorization per entry; at
-p = 2 it takes the Frobenius norm of each block instead (S_2 is the
-Hilbert-Schmidt class), with no factorization.
+p = 2 it is ``lp_hs_norm(h, 2)`` (S_2 is the Hilbert-Schmidt class, and the
+two families' weights agree there), with no factorization.
 The Hilbert-Schmidt family takes one Frobenius norm per entry.  Both sum
 the entries' norms through ``matcore.power_sum``, each entry's weight folded
 into its norm as a factor, so no p in [1, inf] overflows.  ``field_norms``
@@ -175,11 +175,11 @@ def _lp(h: Field, values, power: float, p: float):
 def lp_sch_norm(h: Field, p):
     """Schatten-family norm (sum d ||block||_Sp^p)^(1/p); sup of op norms at inf.
 
-    Frobenius norms at p = 2, and a reduction of ``h.singular_values`` at every other p.
+    ``lp_hs_norm(h, 2)`` at p = 2, and a reduction of ``h.singular_values`` at every other p.
     """
     p = ExponentP.parse(p)
     if p == 2.0:
-        return _lp(h, [matcore.schatten_norm(b, p) for b in h.blocks], 1.0 / p, p)
+        return lp_hs_norm(h, p)
     return _sch_norm_from_sigma(h, p)
 
 

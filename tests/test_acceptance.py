@@ -12,10 +12,9 @@ import amplified
 import numpy as np
 import pytest
 
-from dualnorm import matcore
 from dualnorm.cli import SuiteConfig, emit_report, run_suite
 from dualnorm.duality import dual_extremizer, pairing
-from dualnorm.dualmodel import field_product, mix_seed, preset_dual, random_field
+from dualnorm.dualmodel import Field, field_product, mix_seed, preset_dual, random_field
 from dualnorm.inequalities import (
     clarkson_check,
     hilbert_convexity_modulus,
@@ -270,7 +269,8 @@ def test_criterion_09_determinism(tmp_path):
 def test_criterion_10_oracle_equivalences():
     rng_violations = []
 
-    # (a) Schatten norms against direct trace powers of the Gram matrix
+    # (a) Schatten norms against direct trace powers of the Gram matrix, as the
+    # norm of the one-entry field over custom(n): (n Tr |a|^p)^(1/p)
     for k in range(500):
         rng = np.random.default_rng(mix_seed("acc10a", k))
         n = int(rng.integers(1, 7))
@@ -278,8 +278,8 @@ def test_criterion_10_oracle_equivalences():
         gram = a.conj().T @ a
         power = {2.0: gram, 4.0: gram @ gram, 6.0: gram @ gram @ gram}
         p = (2.0, 4.0, 6.0)[k % 3]
-        oracle = float(np.trace(power[p]).real) ** (1.0 / p)
-        val = matcore.schatten_norm(a, p)
+        oracle = float(n * np.trace(power[p]).real) ** (1.0 / p)
+        val = lp_sch_norm(Field(preset_dual("custom", [n]), (a,)), p)
         if abs(val - oracle) > 1e-9 * max(1.0, oracle):
             rng_violations.append(("schatten", k))
 

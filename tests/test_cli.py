@@ -741,8 +741,8 @@ def test_interpolation_reduces_each_boundary_line_once(monkeypatch):
     # the line whose exponent is 2 takes the Frobenius route, which keeps no memo: the
     # boundary-norm and consistency checks share the line norms their suite reduces once
     calls = []
-    schatten_norm = matcore.schatten_norm
-    monkeypatch.setattr(matcore, "schatten_norm", lambda *a: calls.append(1) or schatten_norm(*a))
+    hs_norm = matcore.hs_norm
+    monkeypatch.setattr(matcore, "hs_norm", lambda a: calls.append(1) or hs_norm(a))
     model = preset_dual("su2_trunc", 4)
     reports = run_suite(small_config(suite="interpolation", dual=model, trials=10))
     assert len(reports) == 30 and all(r.passed for r in reports)
@@ -850,18 +850,20 @@ def test_tol_override_keeps_exact_counts_exact():
 # the cases, as when each moduli pair came to mix its draw with its neighbour's,
 # or each coordinate came to take one Box-Muller pair, which changed the convexity
 # bins that 3 trials occupy.  That last move kept the bytes of torus(3), whose
-# 1 x 1 blocks already took one pair each.  The hashes hold for one numpy and
+# 1 x 1 blocks already took one pair each.  The Schatten norm at p = 2 becoming the
+# Hilbert-Schmidt one moved the values of s3 and torus(3), through their 1 x 1
+# blocks, and kept their layout and digest counts.  The hashes hold for one numpy and
 # OpenBLAS build on the kernel they were pinned on (GOLDEN_CORE): LAPACK's SVDs
 # and BLAS's zgemm products round differently on another, while the layout,
 # the counts and every pass flag hold on any kernel (test_golden_case_layout).
 GOLDEN_CORE = "SkylakeX"
 GOLDEN = [
-    ("s3", "1,1.5,2,3,inf", "both", None, 345, "b62311f2d6f5158d", "fd3e2da2ce055972",
-     "8800cdebbf98d9ac", 298, "013bc74dd8f00ba5"),
+    ("s3", "1,1.5,2,3,inf", "both", None, 345, "e1c84e3ae58a3bcd", "50bb0a8e679b76e0",
+     "cd7bb7c25f98a036", 298, "013bc74dd8f00ba5"),
     ("su2_trunc(4)", "1.5,2,3", "both", None, 280, "47f12d7ef0e0018f", "b05927f70474697a",
      "516967254311c1e2", 247, "b8b17374f604bf1b"),
-    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "754629adee57dbb9", "b5be50eb6ad0908d",
-     "f01d9db064717f8f", 167, "f5ea4790354ceaa8"),
+    ("torus(3)", "4/3,2,5", "sch", 1e-6, 195, "53b5944a1ac66234", "5cd6c322582b3d19",
+     "68d12b8134374a02", 167, "f5ea4790354ceaa8"),
     ("custom(1,3)", "1.5,2.5", "hs", None, 127, "0d9a97df81a54f84", "20e0b12defda592f",
      "1aef1380f5465abc", 110, "5cae59af955de0c5"),
     # blocks of 16 x 16 and 32 x 32; matcore.svd sends 2 x 2 blocks to LAPACK too, and a
@@ -914,6 +916,40 @@ def test_golden_case_layout(dual, p, family, tol, count, json_sha, csv_sha, blin
     layout = [[r.suite, r.case_id, r.anchor] for r in reports]
     assert len(reports) == count and _sha(json.dumps(layout)) == layout_sha
     assert all(r.passed for r in reports)
+
+
+# What holds on any kernel, checked against a second one that OPENBLAS_CORETYPE selects
+# for one process: the cases and pass flags, and every value within 1e-12 relative
+# (digests are left out: a computed field's bytes move with the kernel).
+_GOLDEN_ROWS = """
+import json
+from test_cli import GOLDEN, _golden_reports, _golden_rows
+print(json.dumps([_golden_rows(_golden_reports(*g[:4])) for g in GOLDEN]))
+"""
+
+
+def _golden_rows(reports):
+    return [[r.case_id, r.anchor, r.passed, r.lhs, r.rhs] for r in reports]
+
+
+def test_golden_reports_hold_on_a_second_blas_kernel():
+    core = openblas_core()
+    with open("/proc/cpuinfo") as f:
+        avx2 = "avx2" in f.read()
+    if core == "unknown" or not avx2:
+        pytest.skip(f"needs a known OpenBLAS kernel and AVX2, got {core!r}")
+    other = "Sandybridge" if core == "Haswell" else "Haswell"
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=other, PYTHONPATH=os.pathsep.join([SRC, tests]))
+    run = subprocess.run([sys.executable, "-c", _GOLDEN_ROWS], env=env, cwd=tests,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    for g, theirs in zip(GOLDEN, json.loads(run.stdout), strict=True):
+        ours = _golden_rows(_golden_reports(*g[:4]))
+        assert [r[:3] for r in ours] == [r[:3] for r in theirs], (g[0], other)
+        for a, b in zip(ours, theirs):
+            for x, y in zip(a[3:], b[3:]):
+                assert x == y or abs(x - y) <= 1e-12 * max(1.0, abs(x)), (g[0], a[0], other)
 
 
 def test_cli_report_files_hold_the_bytes_of_the_stdlib_writers(tmp_path):

@@ -423,7 +423,7 @@ def test_moduli_samplers_match_loop_oracle(dual, family, p):
 SAMPLER_GOLDEN = [
     (1.5, "sch", "4a9ad00490a55a0f"),
     (1.5, "hs", "e040959c1c8b15ba"),
-    (2.0, "sch", "629a9568feda55f1"),
+    (2.0, "sch", "60b88d796b0e1b91"),
     (2.0, "hs", "fb71dc7529060f0a"),
     (3.0, "sch", "67a4422a844a00b7"),
     (3.0, "hs", "9d344bd5d2e493db"),

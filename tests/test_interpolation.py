@@ -223,9 +223,8 @@ def test_boundary_norms_and_three_lines_evaluate_the_grid_as_one_batch(monkeypat
     lines = boundary_witness(h, SPEC_1_2)
     n0, n1 = lp_sch_norm(lines[0], SPEC_1_2.p0), lp_sch_norm(lines[1], SPEC_1_2.p1)
     # the normalization reads the SVD memo only, then one norm per strip edge: one
-    # kernel call per entry each (singular values, except the Frobenius sum of the
-    # 2 x 2 entry at p1 = 2)
-    assert len(kernels) == 2 * len(m.entries) and kernels.count("hs_norm") == 1
+    # kernel call per entry each (singular values at p0, Frobenius sums at p1 = 2)
+    assert len(kernels) == 2 * len(m.entries) and kernels.count("hs_norm") == len(m.entries)
     assert len(n0) == len(n1) == len(DEFAULT_T_GRID)
     three_lines_check(h, f, SPEC_1_2, lines)
     # each strip edge's grid as one batch, then the center

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dualnorm import matcore
 from dualnorm.dualmodel import Field, field_abs, parse_dual_arg, preset_dual, random_stacks
 from dualnorm.inequalities import modulus_convexity_sample
+from dualnorm.norms import lp_sch_norm
 
 RNG_CAP = 10**6
 
@@ -181,21 +182,31 @@ def test_psd_power_support_projection_at_zero():
 
 
 # -- schatten / hs norms ------------------------------------------------------
+#
+# A matrix's Schatten norm is the Schatten-family norm of the one-entry field
+# over custom(d), whose norm is d^(1/p) times the matrix's, or the sorted sum
+# of its singular values.
+
+
+def one_entry(a):
+    """A d x d matrix, or a stack of them, as a field over the one-entry model custom(d)."""
+    return Field(preset_dual("custom", [a.shape[-1]]), (a,))
 
 
 @pytest.mark.parametrize("p", [0.5, math.nan, -math.inf])
 def test_schatten_norm_rejects_exponents_below_one_and_nan(p):
     for a in (np.eye(1), np.eye(3)):
-        with pytest.raises(ValueError, match="must be >= 1"):
-            matcore.schatten_norm(a, p)
+        with pytest.raises(ValueError, match=r"must lie in \[1, inf\]"):
+            lp_sch_norm(one_entry(a), p)
 
 
 def test_schatten_trace_norm_identity():
-    assert matcore.schatten_norm(np.eye(2), 1.0) == pytest.approx(2.0, abs=1e-14)
+    assert lp_sch_norm(one_entry(np.eye(2)), 1.0) == pytest.approx(2 * 2.0, abs=1e-14)
 
 
 def test_schatten_pythagorean():
-    assert matcore.schatten_norm(np.diag([3.0, 4.0]), 2.0) == pytest.approx(5.0, abs=1e-12)
+    got = lp_sch_norm(one_entry(np.diag([3.0, 4.0])), 2.0)
+    assert got == pytest.approx(math.sqrt(2) * 5.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -203,15 +214,17 @@ def test_schatten_4_matches_trace_power_oracle(seed):
     a = random_complex(np.random.default_rng(seed), 3)
     gram = matcore.adjoint(a) @ a
     oracle = float(np.trace(gram @ gram).real) ** 0.25
-    assert matcore.schatten_norm(a, 4.0) == pytest.approx(oracle, rel=1e-12)
+    got = matcore._power_sum_sorted(matcore.singular_values(a), 4.0)
+    assert got == pytest.approx(oracle, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, RNG_CAP))
 def test_schatten_monotone_in_p(seed):
-    a = random_complex(np.random.default_rng(seed), 4)
+    # d^(1/p) falls with p as well, so the one-entry field's norm is monotone too
+    h = one_entry(random_complex(np.random.default_rng(seed), 4))
     ps = [1.0, 1.5, 2.0, 3.0, 7.0, math.inf]
-    norms = [matcore.schatten_norm(a, p) for p in ps]
+    norms = [lp_sch_norm(h, p) for p in ps]
     for lo, hi in zip(norms, norms[1:]):
         assert lo >= hi - 1e-12 * max(1.0, lo)
 
@@ -220,10 +233,10 @@ def test_schatten_monotone_in_p(seed):
 @pytest.mark.parametrize("p", [1.0, 1.7, 2.0, 3.5, math.inf])
 def test_schatten_adjoint_and_abs_invariance(seed, p):
     a = random_complex(np.random.default_rng(seed), 4)
-    base = matcore.schatten_norm(a, p)
+    base = lp_sch_norm(one_entry(a), p)
     tol = 1e-10 * max(1.0, base)
-    assert abs(matcore.schatten_norm(matcore.adjoint(a), p) - base) <= tol
-    assert abs(matcore.schatten_norm(matabs(a), p) - base) <= tol
+    assert abs(lp_sch_norm(one_entry(matcore.adjoint(a)), p) - base) <= tol
+    assert abs(lp_sch_norm(one_entry(matabs(a)), p) - base) <= tol
 
 
 def test_hs_norm_values():
@@ -235,18 +248,23 @@ def test_hs_norm_values():
 def test_hs_norm_equals_schatten_2(seed):
     a = random_complex(np.random.default_rng(seed), 4)
     hs = matcore.hs_norm(a)
-    assert abs(hs - matcore.schatten_norm(a, 2.0)) <= 1e-12 * max(1.0, hs)
+    s2 = matcore._power_sum_sorted(matcore.singular_values(a), 2.0)
+    assert abs(hs - s2) <= 1e-12 * max(1.0, hs)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_norm_kernels_reduce_stacks_matrix_by_matrix(d):
     rng = np.random.default_rng(d)
     stack = np.stack([random_complex(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+
+    def schatten(a, p):
+        return matcore._power_sum_sorted(matcore.singular_values(a), p)
+
     for p in (1.0, 2.5, math.inf):
-        got = matcore.schatten_norm(stack, p)
+        got = schatten(stack, p)
         assert got.shape == (2, 3)
         for idx in np.ndindex(2, 3):
-            assert got[idx] == pytest.approx(matcore.schatten_norm(stack[idx], p), rel=1e-14)
+            assert got[idx] == pytest.approx(schatten(stack[idx], p), rel=1e-14)
     hs = matcore.hs_norm(stack)
     for idx in np.ndindex(2, 3):
         assert hs[idx] == pytest.approx(np.linalg.norm(stack[idx]), rel=1e-14)
@@ -321,10 +339,10 @@ def test_stacked_2x2_schatten_norms_never_call_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
     rng = np.random.default_rng(3)
 
-    def count(a):
+    def count(a):  # a fresh field per exponent: no memo is shared between them
         calls.clear()
         for p in (1.0, 1.5, 2.0, math.inf):
-            matcore.schatten_norm(a, p)
+            lp_sch_norm(one_entry(a), p)
         return len(calls)
 
     stack2 = np.stack([random_complex(rng, 2) for _ in range(5)])
@@ -357,11 +375,12 @@ def _p2_cases():
 @pytest.mark.parametrize("name", list(_p2_cases()))
 def test_schatten_2_is_the_frobenius_norm_of_the_singular_values(name):
     a = _p2_cases()[name]
-    ref = matcore._power_sum_sorted(np.linalg.svd(a, compute_uv=False), 2.0)
-    got = matcore.schatten_norm(a, 2.0)
+    d = a.shape[-1]
+    ref = math.sqrt(d) * matcore._power_sum_sorted(np.linalg.svd(a, compute_uv=False), 2.0)
+    got = lp_sch_norm(one_entry(a), 2.0)
     assert np.shape(got) == np.shape(ref)
-    if a.shape[-1] == 1:
-        assert np.array_equal(got, np.abs(a[..., 0, 0]))
+    if d == 1:  # S_2 is the Hilbert-Schmidt class at every size
+        assert np.array_equal(got, matcore.hs_norm(a))
     else:
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
@@ -373,7 +392,7 @@ def test_one_by_one_blocks_are_their_modulus_at_every_p(batch):
     exact = np.abs(a[..., 0, 0])
     assert np.array_equal(matcore.singular_values(a), exact[..., None])
     for p in (1.0, 4 / 3, 1.5, 2.0, 3.0, math.inf):
-        got = matcore.schatten_norm(a, p)
+        got = matcore._power_sum_sorted(matcore.singular_values(a), p)
         assert np.array_equal(got, exact) and type(got) is type(exact), p
 
 
@@ -385,14 +404,15 @@ def test_singular_values_is_the_one_source_of_schatten_norms(shape):
     assert s.shape == shape[:-1] and np.all(s[..., :-1] >= s[..., 1:])
     ref = np.linalg.svd(a, compute_uv=False)
     assert np.all(np.abs(s - ref) <= 1e-14 * ref[..., :1])
+    d = shape[-1]
     for p in (1.0, 1.5, 3.0, math.inf):
-        assert np.array_equal(matcore.schatten_norm(a, p), matcore._power_sum_sorted(s, p))
+        want = matcore.power_sum([d ** (1.0 / p) * matcore._power_sum_sorted(s, p)], p)
+        assert np.array_equal(lp_sch_norm(one_entry(a), p), want)
 
 
 @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), np.zeros((4, 2, 1))])
 def test_norm_kernels_reject_non_square_input(bad):
     kernels = [
-        lambda a: matcore.schatten_norm(a, 2.0),
         matcore.singular_values,
         matcore.hs_norm,
         matcore.svd,

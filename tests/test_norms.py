@@ -59,12 +59,19 @@ def hs_norm_oracle(h, p):
 # norms, which reduce each entry's whole stack of blocks at once.
 
 
+def block_sch_norm(a, p):
+    """One matrix's Schatten p-norm: its Frobenius sum at p = 2, else its singular values'."""
+    if p == 2.0:
+        return matcore.hs_norm(a)
+    return matcore._power_sum_sorted(matcore.singular_values(a), p)
+
+
 def loop_sch_norm(h, p):
     if math.isinf(p):
-        return max(matcore.schatten_norm(b, math.inf) for b in h.blocks)
+        return max(block_sch_norm(b, math.inf) for b in h.blocks)
     total = 0.0
     for (_, dim), block in zip(h.model.entries, h.blocks):
-        total += dim * matcore.schatten_norm(block, p) ** p
+        total += dim * block_sch_norm(block, p) ** p
     return total ** (1.0 / p)
 
 
@@ -385,9 +392,9 @@ def test_holder_operator_norm_submultiplicative():
         assert rep.passed
         # blockwise oracle: every block obeys operator-norm submultiplicativity
         for a, b in zip(h1.blocks, h2.blocks):
-            na = matcore.schatten_norm(a, math.inf)
-            nb = matcore.schatten_norm(b, math.inf)
-            nab = matcore.schatten_norm(a @ b, math.inf)
+            na = block_sch_norm(a, math.inf)
+            nb = block_sch_norm(b, math.inf)
+            nab = block_sch_norm(a @ b, math.inf)
             assert nab <= na * nb + 1e-10 * max(1.0, na * nb)
 
 
@@ -507,10 +514,18 @@ def test_norms_of_one_field_at_several_exponents_share_one_factorization(monkeyp
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("dual", ["s3", "torus(5)", "su2_trunc(4)", "custom(1,2,1,3,3)"])
+def test_schatten_2_is_the_hilbert_schmidt_norm_bit_for_bit(dual):
+    # S_2 is the Hilbert-Schmidt class, and the two families' weights agree at p = 2:
+    # one space, so one value, 1 x 1 blocks included
+    h = random_stacks(parse_dual_arg(dual), mix_seed("s2_is_hs", dual), rows=1000)
+    assert np.array_equal(lp_sch_norm(h, 2.0), lp_hs_norm(h, 2.0))
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_sch_norm_from_the_memo_matches_the_kernel_bitwise(p):
     for h in (random_field(preset_dual("su2_trunc", 4), 3), random_stacks(preset_dual("s3"), 3, rows=5)):
-        values = [matcore.schatten_norm(b, p) for b in h.blocks]
+        values = [block_sch_norm(b, p) for b in h.blocks]
         terms = [d ** (1.0 / p) * v for d, v in zip(h.model.dims, values)]
         want = matcore.power_sum(terms, p)
         assert np.array_equal(lp_sch_norm(h, p), want)
