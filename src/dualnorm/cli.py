@@ -4,7 +4,9 @@
 runs one of the named check suites and emits machine-readable reports.
 Report content is a pure function of the configuration: trial k reads row
 k of the suite's keyed streams, one per (base seed, suite, role), and each
-check runs once per chunk of trials on their batch Field.  A suite walks its
+check runs once per chunk of trials on their batch Field; every suite's
+chunks are ``inequalities._chunks`` of ``_CHUNK_FIELDS`` fields a trial
+(``_trials``), whatever the suite builds from them.  A suite walks its
 chunks once and runs every exponent and family inside each chunk, so the
 fields a chunk builds that do not depend on p (sums, products, adjoints,
 |H|, the stacks its norms reduce, the runs of its sign tables) are built
@@ -59,7 +61,6 @@ from .dualmodel import (
 )
 from .duality import direct_sum_dual_pair_check, dual_extremizer, dual_norm_via_search, pairing
 from .interpolation import (
-    DEFAULT_T_GRID,
     InterpSpec,
     boundary_witness,
     boundary_witness_check,
@@ -162,17 +163,23 @@ class SuiteConfig:
         return FAMILIES if self.family == "both" else (self.family,)
 
 
-def _trials(cfg: SuiteConfig, roles=("a", "b"), fields_per_trial=1):
+# A trial's room in a chunk, in fields, for every suite; no suite counts its fields, the
+# tests measure each suite's peak memory against the chunk budget.  16 is the largest power
+# of two that keeps every benchmark job in one chunk (custom(16,32): 3 trials, jobs of 2).
+_CHUNK_FIELDS = 16
+
+
+def _trials(cfg: SuiteConfig, roles=("a", "b")):
     """Yield each chunk of the suite's trials: their indices, and a batch Field of draws per role.
 
     Trial k reads row k of the stream keyed by (base seed, suite, role), so its
     fields depend neither on the chunk, nor on the trial count, nor on the
     exponents and families of the run: a suite walks its chunks once and checks
     every exponent and family on them.  The chunks are ``inequalities._chunks``
-    of ``fields_per_trial`` fields a trial.
+    of ``_CHUNK_FIELDS`` fields a trial, for every suite.
     """
     keys = [mix_seed(cfg.seed, cfg.suite, role) for role in roles]
-    for ks in ineq._chunks(cfg.dual, cfg.trials, fields_per_trial):
+    for ks in ineq._chunks(cfg.dual, cfg.trials, _CHUNK_FIELDS):
         yield ks, [random_stacks(cfg.dual, key, ks.start, len(ks)) for key in keys]
 
 
@@ -187,7 +194,7 @@ def _interior(cfg: SuiteConfig) -> list[ExponentP]:
 
 
 def _suite_norms(cfg: SuiteConfig):
-    for ks, (h1, h2) in _trials(cfg, fields_per_trial=6):  # h1, h2 and a stack of 4
+    for ks, (h1, h2) in _trials(cfg):
         alpha = 0.5 + (np.array(ks) % 7 + 1) * 0.25
         stack = _stack((h1, h2, h1 + h2, alpha * h1))  # one stack for every exponent and family
         for p in cfg.p_list:
@@ -213,7 +220,7 @@ def _suite_norms(cfg: SuiteConfig):
 
 def _suite_holder(cfg: SuiteConfig):
     inf = ExponentP(math.inf)
-    for ks, (h1, h2) in _trials(cfg, fields_per_trial=3):  # h1, h2 and their product
+    for ks, (h1, h2) in _trials(cfg):
         product = field_product(h1, h2)  # its singular values serve every exponent and case
         for p in cfg.p_list:
             cases = [
@@ -228,7 +235,7 @@ def _suite_holder(cfg: SuiteConfig):
 
 
 def _suite_adjoint(cfg: SuiteConfig):
-    for ks, (h,) in _trials(cfg, roles=("a",), fields_per_trial=7):  # h, U, V*, |h|, 3 stacked
+    for ks, (h,) in _trials(cfg, roles=("a",)):
         check = adjoint_norm_check(h)  # one SVD of h forms |h|, and one stack serves every case
         for p in cfg.p_list:
             for family in cfg.families:
@@ -244,8 +251,7 @@ def _suite_duality(cfg: SuiteConfig):
     if not exponents:
         return
     probe_seed = mix_seed(cfg.seed, cfg.suite, "probe")
-    # h, other, their extremizers and SVD factors at one exponent, and the probes (13 of 14)
-    for ks, (h, other) in _trials(cfg, fields_per_trial=4 + 2 * _PROBES):
+    for ks, (h, other) in _trials(cfg):
         search = dual_norm_via_search(h, _PROBES, probe_seed, ks.start)
         for p in exponents:
             norm = lp_sch_norm(h, p)
@@ -281,8 +287,7 @@ def _suite_interpolation(cfg: SuiteConfig):
     exponents = _interior(cfg)
     if not exponents:
         return
-    # a chunk's witnesses are batches of its trials at every boundary point
-    for ks, (h, f) in _trials(cfg, fields_per_trial=2 * len(DEFAULT_T_GRID)):
+    for ks, (h, f) in _trials(cfg):
         for p in exponents:  # h's and f's SVD memos serve every exponent
             spec = _interp_spec_for(p)
             lines = boundary_witness(h, spec)
@@ -299,7 +304,7 @@ def _suite_clarkson(cfg: SuiteConfig):
     exponents = _interior(cfg)
     if not exponents:
         return
-    for ks, (h1, h2) in _trials(cfg, fields_per_trial=6):  # h1, h2 and a stack of 4
+    for ks, (h1, h2) in _trials(cfg):
         check = ineq.clarkson_check(h1, h2)
         for p in exponents:
             for family in cfg.families:
@@ -310,7 +315,7 @@ def _suite_two_point(cfg: SuiteConfig):
     crits = {(p, family): [] for p in _interior(cfg) for family in cfg.families}
     if not crits:
         return
-    for ks, (h1, h2) in _trials(cfg, fields_per_trial=6):  # h1, h2 and a stack of 4
+    for ks, (h1, h2) in _trials(cfg):
         norms_at = ineq.two_point_norms(h1, h2)
         for (p, family), found in crits.items():
             norms = norms_at(p, family)
@@ -364,7 +369,7 @@ def _suite_type_cotype(cfg: SuiteConfig):
     pairs = [(p, family) for p in _interior(cfg) for family in cfg.families]
     if not pairs:
         return
-    for ks, fields in _trials(cfg, roles=range(5), fields_per_trial=10):  # 5 draws and their stack
+    for ks, fields in _trials(cfg, roles=range(5)):
         # the five summands of each trial, stacked once: their norms and every sign average
         stack = _stack(fields)
         averages = ineq._rademacher_averages(stack, pairs)
@@ -388,8 +393,8 @@ def _suite_kadec_klee(cfg: SuiteConfig):
         random_stacks(cfg.dual, mix_seed(cfg.seed, cfg.suite, role))[0]
         for role in ("a", "b", "sum")
     )
-    # trial k: the gap of h + d / (k + 1); a chunk holds hn and a stack of 4
-    for ks in ineq._chunks(cfg.dual, cfg.trials, 5):
+    # trial k: the gap of h + d / (k + 1), in the same chunks, with no draws of its own
+    for ks, _ in _trials(cfg, roles=()):
         n = np.arange(ks.start + 1, ks.stop + 1)
         hn = h + (1.0 / n) * d
         gap = ineq.kadec_klee_gap(hn, h)
@@ -514,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--out", default=None)
     show = field_sub.add_parser("show", help="summarize a field JSON file")
     show.add_argument("path")
-    show.add_argument("--dual", default=None, help="dual model (defaults to presets by name)")
+    show.add_argument("--dual", default=None, help="dual model of a file with no embedded one; an embedded dual wins")
     return parser
 
 
@@ -565,26 +570,24 @@ def _cmd_field(args) -> int:
         else:
             print(text, end="")
         return EXIT_OK
-    if args.field_command == "show":
-        doc = _read_json(args.path, "a field")
-        if not isinstance(doc, dict):
-            raise ConfigError(f"field file {args.path} does not hold a JSON object")
-        try:
-            if "dual" in doc:
-                model, payload = decode_model(doc["dual"]), doc.get("field", doc)
-            elif args.dual:
-                model, payload = _load_dual(args.dual), doc
-            else:
-                raise ConfigError("field file has no embedded dual; pass --dual")
-            field = decode_field(payload, model)
-        except ValueError as exc:
-            raise ConfigError(f"malformed field file {args.path}: {exc}") from exc
-        print(f"model {model.name}: {len(model)} entries, dims {list(model.dims)}")
-        for (lab, dim), block in zip(model.entries, field.blocks):
-            print(f"  {lab}: dim {dim}, hs-norm {matcore.hs_norm(block):.6g}")
-        print(f"sch-2 norm: {lp_sch_norm(field, 2.0):.12g}")
-        return EXIT_OK
-    raise ConfigError(f"unknown field command {args.field_command!r}")
+    doc = _read_json(args.path, "a field")  # field show
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field file {args.path} does not hold a JSON object")
+    try:
+        if "dual" in doc:
+            model, payload = decode_model(doc["dual"]), doc.get("field", doc)
+        elif args.dual:
+            model, payload = _load_dual(args.dual), doc
+        else:
+            raise ConfigError("field file has no embedded dual; pass --dual")
+        field = decode_field(payload, model)
+    except ValueError as exc:
+        raise ConfigError(f"malformed field file {args.path}: {exc}") from exc
+    print(f"model {model.name}: {len(model)} entries, dims {list(model.dims)}")
+    for (lab, dim), block in zip(model.entries, field.blocks):
+        print(f"  {lab}: dim {dim}, hs-norm {matcore.hs_norm(block):.6g}")
+    print(f"sch-2 norm: {lp_sch_norm(field, 2.0):.12g}")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -593,9 +596,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "field":
-            return _cmd_field(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _cmd_field(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -107,15 +107,17 @@ def _mean(a, b, r: float):
 def clarkson_check(h1: Field, h2: Field):
     """Clarkson inequality in the check's family (case i for p <= 2, case ii above).
 
-    The check reduces the stack of (H1 + H2)/2, (H1 - H2)/2, H1 and H2, built once.
+    The check reduces the stack of H1, H2, H1 + H2 and H1 - H2, built once, and
+    halves the last two norms: scaling by 1/2 is exact for normal floats, so
+    this is ||(H1 +- H2)/2|| to the bit.
     """
-    stack = _stack((0.5 * (h1 + h2), 0.5 * (h1 - h2), h1, h2))
+    stack = _stack((h1, h2, h1 + h2, h1 - h2))
 
     def check(p, family: str, *, case_id="clarkson"):
         p = _finite_interior(p)
-        mid_plus, mid_minus, n1, n2 = field_norms(stack, p, family)
+        n1, n2, plus, minus = field_norms(stack, p, family)
         e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
-        lhs = power_sum((mid_plus, mid_minus), e)
+        lhs = power_sum((0.5 * plus, 0.5 * minus), e)
         rhs = _mean(n1, n2, f)
         case = "i" if p <= 2.0 else "ii"
         inputs = (h1, h2, p, family)
@@ -272,9 +274,9 @@ class ModulusEstimate:
         return rhs - lhs >= -tolerance(rhs)
 
 
-# Complex entries held per stacked batch of fields (every entry's stack of
-# one chunk of draws or of trials; see _chunks): bounds the memory of the
-# suites and samplers whatever the model size.
+# Complex entries held per stacked batch of fields (every entry's stack of one chunk
+# of draws or of trials; see _chunks, and cli._CHUNK_FIELDS for a suite's trials):
+# bounds the memory of the suites and samplers whatever the model size.
 _CHUNK_ENTRIES = 1 << 16
 # Complex entries of one field's table of partial signed sums in rademacher_average.
 # It sets how each sum's additions are grouped, so a change to it moves sign
@@ -540,21 +542,21 @@ def kadec_klee_gap(hn: Field, h: Field):
     Both sides are homogeneous of degree e, so the report gives them in units
     of m^e: lhs = (||(Hn - H)/2|| / m)^e and rhs = 1 - (||(Hn + H)/2|| / m)^e,
     both in [0, 1].  The rhs tends to 0 whenever ||Hn|| -> ||H|| and
-    ||(Hn + H)/2|| -> ||H||.  The check reduces the stack of (Hn - H)/2,
-    (Hn + H)/2, Hn and H, built once, with h broadcast to the rows of hn.
+    ||(Hn + H)/2|| -> ||H||.  The check reduces the stack of Hn - H, Hn + H, Hn and H,
+    built once, with h broadcast to the rows of hn, and halves the first two norms (exactly).
     """
     batch = np.broadcast_shapes(hn.batch, h.batch)  # a single limit h serves every row of hn
-    stack = _stack([0.5 * (hn - h), 0.5 * (hn + h)] + [
+    stack = _stack([hn - h, hn + h] + [
         _trusted(x.model, np.broadcast_to(x.data, (*batch, x.model.size))) for x in (hn, h)
     ])
 
     def check(p, family: str = "sch", *, case_id="gap"):
         p = _finite_interior(p)
         e, f = (p.conjugate(), p) if p <= 2.0 else (p, p.conjugate())
-        diff, mid, n_hn, n_h = field_norms(stack, p, family)
+        diff, total, n_hn, n_h = field_norms(stack, p, family)
         m = _mean(n_hn, n_h, f)
         m = np.where(m == 0.0, 1.0, m)  # 0: both are 0
-        lhs, rhs = np.power(diff / m, e), 1.0 - np.power(mid / m, e)
+        lhs, rhs = np.power(0.5 * diff / m, e), 1.0 - np.power(0.5 * total / m, e)
         inputs = (hn, h, p, family)
         return inequality_report("kadec_klee", case_id, p, lhs, rhs, inputs, "kadec_klee_gap")
 

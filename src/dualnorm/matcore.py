@@ -10,8 +10,8 @@ and works over the last two axes.  The kernels check shapes only (through
 ``_square``): finiteness is checked where data enters the package, and there
 is no validating constructor here.
 :func:`singular_values` is the one source of singular values: ``|a|`` for
-1 x 1 blocks, a closed form for 2 x 2 matrices (``_sigma2``; a single matrix
-is the one-row stack), and LAPACK, values only, otherwise.  ``norms``
+1 x 1 blocks, a closed form for 2 x 2 matrices (``_sigma2``, for a single
+matrix or a stack), and LAPACK, values only, otherwise.  ``norms``
 reduces them to Schatten norms (``_power_sum_sorted``), except at p = 2,
 where S_2 is the Hilbert-Schmidt class and the norm is the Frobenius sum
 :func:`hs_norm`, with no factorization.  No reduction depends on its input's
@@ -120,7 +120,7 @@ def _power_sum_sorted(s: np.ndarray, r: float):
 
 
 def _sigma2(a: np.ndarray) -> np.ndarray:
-    """Singular values of a stack of 2 x 2 matrices, non-increasing along the last axis.
+    """Singular values of a 2 x 2 matrix or a stack of them, non-increasing along the last axis.
 
     A closed form in place of LAPACK (the idea of LAPACK's dlas2; Demmel &
     Kahan 1990).  The unit vector u = a[:, 0] / f, f = |a[:, 0]|, triangularizes
@@ -159,7 +159,7 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     if a.shape[-1] == 1:
         return np.abs(a[..., 0, :])
     if a.shape[-1] == 2:
-        return _sigma2(a) if a.ndim > 2 else _sigma2(a[None])[0]
+        return _sigma2(a)
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -611,7 +611,7 @@ def test_each_role_stream_is_drawn_once_per_chunk(monkeypatch):
 
     for module in (cli, duality):  # moduli draws through inequalities, and is exempt
         monkeypatch.setattr(module, "random_stacks", counted)
-    # a chunk of 1 to 10 trials, by suite: every suite but holder walks several chunks
+    # below the 16 fields every suite gives a trial: each walks its 5 trials in 5 chunks
     monkeypatch.setattr(inequalities, "_CHUNK_ENTRIES", 10 * model.size)
 
     def run(p_list, family):

@@ -300,6 +300,32 @@ def test_extreme_finite_exponents_pass(suite, dual, p, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+# The suites with nothing to check at an endpoint exponent: duality checks finite
+# exponents, and the others those in (1, inf).
+NO_EXPONENT_AT = {
+    "inf": ["duality", "interpolation", "clarkson", "two_point", "moduli", "type_cotype",
+            "kadec_klee"],
+    "1": ["interpolation", "clarkson", "two_point", "moduli", "type_cotype", "kadec_klee"],
+}
+
+
+@pytest.mark.parametrize("p", list(NO_EXPONENT_AT))
+def test_a_suite_with_no_exponent_to_check_draws_nothing(monkeypatch, capsys, p):
+    draws = []
+    monkeypatch.setattr(cli, "random_stacks", lambda *a: draws.append(a) or random_stacks(*a))
+
+    def run(suite):
+        return run_suite(SuiteConfig(suite, parse_dual_arg("su2_trunc(4)"), (p,), family="both",
+                                     trials=3))
+
+    for suite in NO_EXPONENT_AT[p]:
+        assert run(suite) == [], suite
+    assert draws == []
+    assert run("norms") and draws  # the suites that check p draw through the same name
+    assert main(["verify", "all", "--dual", "s3", "--p", "1,inf", "--trials", "2"]) == EXIT_OK
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("p", ["1e17", "1.5,9007199254740994", "4503599627370497", "1e400"])
 def test_main_exponent_above_2_pow_52_is_config_error(p, capsys):
     # p - 1 rounds to p above 2^53, so p would have conjugate 1; interpolation takes 2p
@@ -399,6 +425,20 @@ def test_main_field_random_and_show(tmp_path, capsys):
     assert main(["field", "show", str(path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "su2_trunc(3)" in out and "sch-2 norm" in out
+
+
+def test_main_field_show_takes_dual_only_for_a_file_without_one(tmp_path, capsys):
+    path, bare = tmp_path / "field.json", tmp_path / "bare.json"
+    assert main(["field", "random", "--dual", "s3", "--seed", "9", "--out", str(path)]) == EXIT_OK
+    bare.write_text(json.dumps(json.loads(path.read_text())["field"]))  # its "model" is "s3"
+    assert main(["field", "show", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert main(["field", "show", str(bare), "--dual", "s3"]) == EXIT_OK
+    assert capsys.readouterr().out == out
+    assert main(["field", "show", str(path), "--dual", "torus(4)"]) == EXIT_OK  # embedded wins
+    assert capsys.readouterr().out == out
+    assert main(["field", "show", str(bare)]) == EXIT_CONFIG_ERROR  # no lookup by "model"
+    assert "field file has no embedded dual; pass --dual" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", ["-3", str(2**128)])

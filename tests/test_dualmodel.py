@@ -167,6 +167,8 @@ def test_random_field_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(f1.blocks, f2.blocks))
     f3 = random_field(m, 43, "ginibre")
     assert any(not np.array_equal(a, b) for a, b in zip(f1.blocks, f3.blocks))
+    with pytest.raises(ValueError, match="unknown distribution"):
+        random_field(m, 0, "bogus")
 
 
 def keyed_normals(key, width, row):
@@ -780,6 +782,7 @@ def test_memo_stays_out_of_equality_and_repr():
     h, g = random_field(m, 4), random_field(m, 4)
     h.singular_values  # fill h's memo only
     assert h == g and "singular_values" not in repr(h)
+    assert (h == 3) is False  # a Field equals only Fields
 
 
 @pytest.mark.parametrize(

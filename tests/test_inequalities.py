@@ -243,6 +243,7 @@ def test_convexity_bound_uses_max_of_quadratic_and_power():
 def test_hilbert_closed_forms():
     assert hilbert_convexity_modulus(2.0) == pytest.approx(1.0)
     assert hilbert_convexity_modulus(0.0) == 0.0
+    assert convexity_lower_bound(1.5, 0.0) == 0.0
     assert hilbert_smoothness_modulus(0.0) == 0.0
     assert hilbert_smoothness_modulus(1.0) == pytest.approx(math.sqrt(2.0) - 1.0)
     # paper-level sanity: closed forms dominate the generic bounds at p = 2

@@ -70,6 +70,11 @@ def test_spec_validation():
         InterpSpec(ExponentP(1.0), ExponentP(2.0), 1.0)
     with pytest.raises(ValueError):
         InterpSpec.for_target(1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="equal endpoints"):
+        InterpSpec.for_target(2.0, 2.0, 3.0)
+    one = ExponentP(1.0)
+    with pytest.raises(ValueError, match="derived exponent > 1"):  # its conjugate is inf
+        witness_g(random_field(preset_dual("s3"), 1), InterpSpec(one, one, 0.5))
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0, math.nan, True, "0.5"])
